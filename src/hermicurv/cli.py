@@ -402,6 +402,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hermicurv", description="Curvature reports for Hermitian metrics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -412,8 +423,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--point", action="append", required=True,
                        help='chart point as JSON [[re,im],...]; repeatable')
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=64)
-        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--restarts", type=_positive_int, default=64)
+        p.add_argument("--samples", type=_positive_int, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the report to this file instead of stdout")

@@ -16,19 +16,31 @@ as independent (Wirtinger calculus): d(z_k)/d(z_j) = delta_kj while
 d(zb_k)/d(z_j) = 0, and symmetrically for d/d(zb_j).  Unspecified entries
 default to the Kronecker delta; an omitted lower triangle is synthesized
 as the formal conjugate transpose of the upper one (swap z <-> zb and
-conjugate constants).
+conjugate constants).  Numeric literals must be finite.
 
 Simplification is restricted to constant folding and 0/1 identities, so
-derivative trees stay semantically transparent.  Entry derivatives are
-memoized per (entry, sorted derivative multi-index); the memo table is an
-ordinary dict written with setdefault (first write wins under the GIL),
-which keeps concurrent readers safe.
+derivative trees stay semantically transparent.
+
+Evaluation goes through a tape: the unique nodes under some roots, in the
+order a left-to-right, children-first walk first reaches them, as a list
+of instructions run on plain Python complex scalars.  Each
+MetricDefinition compiles one tape for its whole jet on first use.  Its
+nodes are hash-consed per definition, keyed by kind, value and the
+identities of the children, so equal subtrees of the n^2 entries and of
+all their first and second derivatives are evaluated once; derivatives
+are memoized per (node, kind, index).  The entries' nodes come first in
+the tape, so the metric value can be checked before any derivative is
+evaluated.  Every walk over an expression uses an explicit stack, so
+expression depth is bounded by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -151,31 +163,53 @@ def call(fn: str, a: Node) -> Node:
     return Node("call", fn, (a,))
 
 
+_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
+
+
+def _postorder(roots, known):
+    """Yield the nodes under roots children-first, left to right, skipping
+    those for which known(node) is true.
+
+    The caller must make each yielded node known before asking for the
+    next one; then every node is yielded once, in the order a recursive
+    left-to-right evaluation would first finish it.
+    """
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if known(node):
+            continue
+        if expanded:
+            yield node
+            continue
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(node.children))
+
+
 def conjugate_node(node: Node) -> Node:
     """Formal conjugate: swap z <-> zb and conjugate constants.
 
     For an expression built from the grammar this represents the pointwise
     complex conjugate of the original function.
     """
-    k = node.kind
-    if k == "const":
-        return const(complex(node.value).conjugate())
-    if k == "z":
-        return var_zb(node.value)
-    if k == "zb":
-        return var_z(node.value)
-    kids = tuple(conjugate_node(c) for c in node.children)
-    if k == "add":
-        return add(*kids)
-    if k == "sub":
-        return sub(*kids)
-    if k == "mul":
-        return mul(*kids)
-    if k == "div":
-        return div(*kids)
-    if k == "pow":
-        return pow_(kids[0], node.value)
-    return call(node.value, kids[0])
+    done: dict = {}
+    for nd in _postorder([node], lambda x: id(x) in done):
+        k = nd.kind
+        kids = [done[id(c)] for c in nd.children]
+        if k == "const":
+            out = const(complex(nd.value).conjugate())
+        elif k == "z":
+            out = var_zb(nd.value)
+        elif k == "zb":
+            out = var_z(nd.value)
+        elif k == "pow":
+            out = pow_(kids[0], nd.value)
+        elif k == "call":
+            out = call(nd.value, kids[0])
+        else:
+            out = _BINARY[k](*kids)
+        done[id(nd)] = out
+    return done[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +375,10 @@ class _Parser:
         t = self.peek()
         if t.kind in ("NUMBER", "INT"):
             self.advance()
-            return const(float(t.text))
+            value = float(t.text)
+            if not math.isfinite(value):
+                self.error(f"number {t.text!r} is not finite", t)
+            return const(value)
         if t.kind == "PUNCT" and t.text == "(":
             self.advance()
             node = self.expr()
@@ -421,50 +458,173 @@ def parse_metric(source: str) -> "MetricDefinition":
 # Differentiation
 
 
+class _Graph:
+    """Hash-consed nodes with memoized Wirtinger derivatives.
+
+    A node held here is the only one with its key (kind, value, ids of its
+    children), and its children are held here too, so structurally equal
+    expressions are one object and the ids stay valid while the graph
+    lives.  Constants are keyed by repr, which keeps 0j and -0j apart.
+    """
+
+    def __init__(self):
+        self._nodes: dict = {}
+        self._derivs: dict = {}
+
+    def intern(self, node: Node) -> Node:
+        """The graph's copy of node, whose children must already be interned."""
+        if node.kind == "const":
+            key = ("const", repr(node.value))
+        else:
+            key = (node.kind, node.value, *map(id, node.children))
+        return self._nodes.setdefault(key, node)
+
+    def adopt(self, root: Node) -> Node:
+        """The graph's copy of an arbitrary tree."""
+        done: dict = {}
+        for nd in _postorder([root], lambda x: id(x) in done):
+            kids = tuple(done[id(c)] for c in nd.children)
+            same = all(k is c for k, c in zip(kids, nd.children))
+            done[id(nd)] = self.intern(nd if same else Node(nd.kind, nd.value, kids))
+        return done[id(root)]
+
+    def derive(self, root: Node, kind: str, index: int) -> Node:
+        """Exact d(root)/d(z_index) or d/d(zb_index) of an interned root."""
+        if kind not in ("z", "zb"):
+            raise DslError(f"derivative kind must be 'z' or 'zb', got {kind!r}")
+        memo, I = self._derivs, self.intern
+        known = memo.get((id(root), kind, index))
+        if known is not None:
+            return known
+        for nd in _postorder([root], lambda x: (id(x), kind, index) in memo):
+            k = nd.kind
+            if k == "const":
+                d = ZERO
+            elif k == "z" or k == "zb":
+                d = ONE if (k == kind and nd.value == index) else ZERO
+            else:
+                a = nd.children[0]
+                da = memo[(id(a), kind, index)]
+                if k in _BINARY:
+                    b = nd.children[1]
+                    db = memo[(id(b), kind, index)]
+                if k == "add":
+                    d = add(da, db)
+                elif k == "sub":
+                    d = sub(da, db)
+                elif k == "mul":
+                    d = add(I(mul(da, b)), I(mul(a, db)))
+                elif k == "div":
+                    d = sub(I(div(da, b)), I(div(I(mul(a, db)), I(mul(b, b)))))
+                elif k == "pow":
+                    d = mul(I(const(nd.value)), I(mul(I(pow_(a, nd.value - 1)), da)))
+                elif nd.value == "exp":
+                    d = mul(nd, da)
+                elif nd.value == "log":
+                    d = div(da, a)
+                else:  # sqrt
+                    d = div(da, I(mul(I(const(2)), nd)))
+            memo[(id(nd), kind, index)] = I(d)
+        return memo[(id(root), kind, index)]
+
+
 def wirtinger_derivative(node: Node, kind: str, index: int) -> Node:
     """Exact partial derivative d(node)/d(z_index) or d/d(zb_index).
 
     kind is "z" or "zb"; index is the 1-based variable index, matching the
     source spelling z1, zb1, ...  z and zb are independent variables.
     """
-    if kind not in ("z", "zb"):
-        raise DslError(f"derivative kind must be 'z' or 'zb', got {kind!r}")
-    k = node.kind
-    if k == "const":
-        return ZERO
-    if k in ("z", "zb"):
-        return ONE if (k == kind and node.value == index) else ZERO
-    if k in ("add", "sub"):
-        da = wirtinger_derivative(node.children[0], kind, index)
-        db = wirtinger_derivative(node.children[1], kind, index)
-        return add(da, db) if k == "add" else sub(da, db)
-    if k == "mul":
-        a, b = node.children
-        da = wirtinger_derivative(a, kind, index)
-        db = wirtinger_derivative(b, kind, index)
-        return add(mul(da, b), mul(a, db))
-    if k == "div":
-        a, b = node.children
-        da = wirtinger_derivative(a, kind, index)
-        db = wirtinger_derivative(b, kind, index)
-        return sub(div(da, b), div(mul(a, db), mul(b, b)))
-    if k == "pow":
-        a = node.children[0]
-        da = wirtinger_derivative(a, kind, index)
-        return mul(const(node.value), mul(pow_(a, node.value - 1), da))
-    # call
-    a = node.children[0]
-    da = wirtinger_derivative(a, kind, index)
-    if node.value == "exp":
-        return mul(node, da)
-    if node.value == "log":
-        return div(da, a)
-    # sqrt
-    return div(da, mul(const(2), node))
+    graph = _Graph()
+    return graph.derive(graph.adopt(node), kind, index)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
+
+_CONST, _Z, _ZB, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
+_OPCODES = {"const": _CONST, "z": _Z, "zb": _ZB, "add": _ADD, "sub": _SUB,
+            "mul": _MUL, "div": _DIV, "pow": _POW, "call": _CALL}
+
+
+def _emit(roots, code: list, slots: dict) -> list:
+    """Append one instruction to code per node under roots that has no slot
+    yet, in evaluation order, and return the slots of the roots.
+
+    An instruction is (opcode, a, b): a constant's value or a variable's
+    index in a; the operands' slots in a and b; for pow and call, the
+    operand's slot and the exponent or function name.  A node's slot is
+    the position of its instruction, which is also where _run leaves its
+    value.
+    """
+    for nd in _postorder(roots, lambda x: id(x) in slots):
+        op = _OPCODES[nd.kind]
+        if op <= _ZB:
+            ins = (op, nd.value, None)
+        elif op >= _POW:
+            ins = (op, slots[id(nd.children[0])], nd.value)
+        else:
+            ins = (op, slots[id(nd.children[0])], slots[id(nd.children[1])])
+        slots[id(nd)] = len(code)
+        code.append(ins)
+    return [slots[id(r)] for r in roots]
+
+
+def _run(code: list, zs: list, values: list) -> list:
+    """Execute instructions on the coordinates zs, appending one value per
+    instruction to values, and return values.
+
+    log and sqrt use cmath's principal branch.  Division by zero, log/sqrt
+    of 0, a failed power, and a non-finite result raise DslEvalError.
+    """
+    append = values.append
+    isfinite = cmath.isfinite
+    for op, a, b in code:
+        if op == _MUL:
+            x = values[a] * values[b]
+        elif op == _ADD:
+            x = values[a] + values[b]
+        elif op == _SUB:
+            x = values[a] - values[b]
+        elif op == _DIV:
+            den = values[b]
+            if den == 0:
+                raise DslEvalError("division by zero")
+            x = values[a] / den
+        elif op == _POW:
+            try:
+                x = values[a] ** b
+            except ZeroDivisionError:
+                raise DslEvalError("zero raised to a negative power") from None
+            except OverflowError:
+                raise DslEvalError("overflow in power") from None
+        elif op == _CONST:
+            append(a)
+            continue
+        elif op == _CALL:
+            arg = values[a]
+            if b in ("log", "sqrt") and arg == 0:
+                raise DslEvalError(f"{b} of 0")
+            try:
+                x = getattr(cmath, b)(arg)
+            except (ValueError, OverflowError) as exc:
+                raise DslEvalError(f"{b} failed: {exc}") from None
+        else:
+            name = "z" if op == _Z else "zb"
+            if a > len(zs):
+                raise DslEvalError(
+                    f"variable {name}{a} needs at least {a} coordinates, got {len(zs)}"
+                )
+            append(zs[a - 1] if op == _Z else zs[a - 1].conjugate())
+            continue
+        if not isfinite(x):
+            raise DslEvalError("expression evaluated to a non-finite value")
+        append(x)
+    return values
+
+
+def _coords(point) -> list:
+    z = np.atleast_1d(np.asarray(getattr(point, "coords", point), dtype=complex))
+    return z.tolist()
 
 
 def evaluate(node: Node, point) -> complex:
@@ -475,57 +635,9 @@ def evaluate(node: Node, point) -> complex:
     use the principal branch.  Division by zero, log/sqrt of 0, and
     non-finite intermediate results raise DslEvalError.
     """
-    z = np.atleast_1d(np.asarray(getattr(point, "coords", point), dtype=complex))
-    return _eval(node, z)
-
-
-def _check_finite(v: complex) -> complex:
-    if not (cmath.isfinite(v)):
-        raise DslEvalError("expression evaluated to a non-finite value")
-    return v
-
-
-def _eval(node: Node, z: np.ndarray) -> complex:
-    k = node.kind
-    if k == "const":
-        return node.value
-    if k == "z" or k == "zb":
-        idx = node.value - 1
-        if idx >= z.size:
-            raise DslEvalError(
-                f"variable {k}{node.value} needs at least {node.value} coordinates, got {z.size}"
-            )
-        v = complex(z[idx])
-        return v if k == "z" else v.conjugate()
-    if k == "add":
-        return _check_finite(_eval(node.children[0], z) + _eval(node.children[1], z))
-    if k == "sub":
-        return _check_finite(_eval(node.children[0], z) - _eval(node.children[1], z))
-    if k == "mul":
-        return _check_finite(_eval(node.children[0], z) * _eval(node.children[1], z))
-    if k == "div":
-        num = _eval(node.children[0], z)
-        den = _eval(node.children[1], z)
-        if den == 0:
-            raise DslEvalError("division by zero")
-        return _check_finite(num / den)
-    if k == "pow":
-        base = _eval(node.children[0], z)
-        try:
-            return _check_finite(base ** node.value)
-        except ZeroDivisionError:
-            raise DslEvalError("zero raised to a negative power") from None
-        except OverflowError:
-            raise DslEvalError("overflow in power") from None
-    # call
-    arg = _eval(node.children[0], z)
-    fn = node.value
-    if fn in ("log", "sqrt") and arg == 0:
-        raise DslEvalError(f"{fn} of 0")
-    try:
-        return _check_finite(getattr(cmath, fn)(arg))
-    except (ValueError, OverflowError) as exc:
-        raise DslEvalError(f"{fn} failed: {exc}") from None
+    code: list = []
+    (root,) = _emit([node], code, {})
+    return _run(code, _coords(point), [])[root]
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +646,7 @@ def _eval(node: Node, z: np.ndarray) -> complex:
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 3}
 _ATOM = 4
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 def _prec(node: Node) -> int:
@@ -573,32 +686,35 @@ def unparse(node: Node) -> str:
     Reparsing the output yields a structurally identical tree (the parser
     applies the same folding constructors), so unparse/parse is a fixpoint.
     """
-    k = node.kind
-    if k == "const":
-        return _fmt_const(node.value)
-    if k == "z":
-        return f"z{node.value}"
-    if k == "zb":
-        return f"zb{node.value}"
-    if k == "call":
-        return f"{node.value}({unparse(node.children[0])})"
-    if k == "pow":
-        basestr = unparse(node.children[0])
-        if _prec(node.children[0]) < _ATOM:
-            basestr = f"({basestr})"
-        return f"{basestr}^{node.value}"
-    a, b = node.children
-    op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[k]
-    mine = _PREC[k]
-    astr = unparse(a)
-    if _prec(a) < mine:
-        astr = f"({astr})"
-    bstr = unparse(b)
-    # The grammar is left-associative, so a right child at equal precedence
-    # needs parens even for + and * or the reparse would re-bracket it.
-    if _prec(b) <= mine:
-        bstr = f"({bstr})"
-    return f"{astr} {op} {bstr}"
+    done: dict = {}
+    for nd in _postorder([node], lambda x: id(x) in done):
+        k = nd.kind
+        if k == "const":
+            text = _fmt_const(nd.value)
+        elif k in ("z", "zb"):
+            text = f"{k}{nd.value}"
+        elif k == "call":
+            text = f"{nd.value}({done[id(nd.children[0])]})"
+        elif k == "pow":
+            base = nd.children[0]
+            text = done[id(base)]
+            if _prec(base) < _ATOM:
+                text = f"({text})"
+            text = f"{text}^{nd.value}"
+        else:
+            a, b = nd.children
+            mine = _PREC[k]
+            astr, bstr = done[id(a)], done[id(b)]
+            if _prec(a) < mine:
+                astr = f"({astr})"
+            # The grammar is left-associative, so a right child at equal
+            # precedence needs parens even for + and * or the reparse
+            # would re-bracket it.
+            if _prec(b) <= mine:
+                bstr = f"({bstr})"
+            text = f"{astr} {_SYMBOL[k]} {bstr}"
+        done[id(nd)] = text
+    return done[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -617,19 +733,21 @@ class MetricDefinition:
         self.n = int(n)
         self.source = source
         self.explicit = frozenset(explicit)
+        self._graph = _Graph()
         grid = []
         for a in range(self.n):
             row = []
             for b in range(self.n):
                 if (a, b) in explicit:
-                    row.append(explicit[(a, b)])
+                    node = explicit[(a, b)]
                 elif a > b and (b, a) in explicit:
-                    row.append(conjugate_node(explicit[(b, a)]))
+                    node = conjugate_node(explicit[(b, a)])
                 else:
-                    row.append(ONE if a == b else ZERO)
+                    node = ONE if a == b else ZERO
+                row.append(self._graph.adopt(node))
             grid.append(tuple(row))
         self.entries = tuple(grid)
-        self._deriv_cache: dict = {}
+        self._jet_tape = None
         self._check_formal_hermitian()
 
     # -- structure ---------------------------------------------------------
@@ -657,13 +775,14 @@ class MetricDefinition:
         rng = np.random.default_rng(1234591)
         pts = 0.45 + 0.55 * rng.random((4, self.n)) + 1j * (0.3 + 0.5 * rng.random((4, self.n)))
         for a, b in suspects:
-            lhs, rhs = self.entries[a][b], conjugate_node(self.entries[b][a])
-            for z in pts:
+            code: list = []
+            lhs, rhs = _emit([self.entries[a][b], conjugate_node(self.entries[b][a])], code, {})
+            for z in pts.tolist():
                 try:
-                    va = _eval(lhs, z)
-                    vb = _eval(rhs, z)
+                    values = _run(code, z, [])
                 except DslEvalError:
                     continue
+                va, vb = values[lhs], values[rhs]
                 if abs(va - vb) > 1e-9 * max(1.0, abs(va), abs(vb)):
                     raise DslError(
                         f"entries ({a + 1},{b + 1}) and ({b + 1},{a + 1}) are not "
@@ -676,25 +795,81 @@ class MetricDefinition:
         """Derivative of entry (a, b) under a sequence of Wirtinger operators.
 
         ops is an iterable of ("z", k) / ("zb", k) with 1-based k.  Mixed
-        partials commute, so the key is sorted for cache hits; results are
-        memoized per entry.
+        partials commute, so the operators are applied in sorted order and
+        every order gives the same (memoized) node.
         """
-        key = (a, b, tuple(sorted(ops)))
-        cached = self._deriv_cache.get(key)
-        if cached is not None:
-            return cached
         node = self.entries[a][b]
-        for kind, k in key[2]:
-            node = wirtinger_derivative(node, kind, k)
-        return self._deriv_cache.setdefault(key, node)
+        for kind, k in sorted(ops):
+            node = self._graph.derive(node, kind, k)
+        return node
+
+    def jet_tape(self) -> "JetTape":
+        """The compiled tape of the entries and their first and second
+        derivatives, built on first use."""
+        if self._jet_tape is None:
+            self._jet_tape = JetTape(self)
+        return self._jet_tape
 
     def evaluate_matrix(self, point) -> np.ndarray:
         """Evaluate all entries at a point into an n x n complex matrix."""
-        z = np.atleast_1d(np.asarray(getattr(point, "coords", point), dtype=complex))
-        if z.size != self.n:
-            raise DslEvalError(f"point has {z.size} coordinates, metric needs {self.n}")
-        out = np.empty((self.n, self.n), dtype=complex)
-        for a in range(self.n):
-            for b in range(self.n):
-                out[a, b] = _eval(self.entries[a][b], z)
-        return out
+        zs = _coords(point)
+        if len(zs) != self.n:
+            raise DslEvalError(f"point has {len(zs)} coordinates, metric needs {self.n}")
+        return self.jet_tape().entries(zs)[1]
+
+
+class JetTape:
+    """One tape for a metric's n^2 entries and all n^2 (2n + 3n^2) of their
+    first and second Wirtinger derivatives.
+
+    The instructions of the entries come first, so a caller can check the
+    metric value before evaluating any derivative.  Precomputed slot lists
+    pick the jet's values out of the tape's, in the layout of
+    field.MetricJet.
+    """
+
+    def __init__(self, metric: MetricDefinition):
+        n = metric.n
+        code: list = []
+        slots: dict = {}
+        h = _emit([e for row in metric.entries for e in row], code, slots)
+        split = len(code)
+        roots = []
+        for a in range(n):
+            for b in range(n):
+                for g in range(1, n + 1):
+                    roots.append(metric.derivative(a, b, (("z", g),)))
+                    roots.append(metric.derivative(a, b, (("zb", g),)))
+                    for m in range(1, n + 1):
+                        roots.append(metric.derivative(a, b, (("z", g), ("zb", m))))
+                        roots.append(metric.derivative(a, b, (("z", g), ("z", m))))
+                        roots.append(metric.derivative(a, b, (("zb", g), ("zb", m))))
+        # d[a, b, g, j]: j = 0 d/dz^g, 1 d/dzb^g, 2 + 3m + t the second
+        # derivatives in the order mixed, holo, anti
+        d = np.array(_emit(roots, code, slots)).reshape(n, n, n, 2 + 3 * n)
+        d2 = d[..., 2:].reshape(n, n, n, n, 3)
+        layout = (d[..., 0].transpose(2, 0, 1), d[..., 1].transpose(2, 0, 1),
+                  *(d2[..., t].transpose(2, 3, 0, 1) for t in range(3)))
+        self._entry_code = code[:split]
+        self._deriv_code = code[split:]
+        self._n = n
+        self._pick_h = itemgetter(*h)
+        self._pick_d = itemgetter(*np.concatenate([idx.ravel() for idx in layout]).tolist())
+        self._shapes = [idx.shape for idx in layout]
+        self._cuts = np.cumsum([idx.size for idx in layout])[:-1]
+
+    def entries(self, zs: list):
+        """Run the entries' part at the coordinates zs.
+
+        Returns the tape values so far, to pass on to derivatives, and the
+        n x n matrix of entries.
+        """
+        values = _run(self._entry_code, zs, [])
+        return values, np.array(self._pick_h(values), dtype=complex).reshape(self._n, self._n)
+
+    def derivatives(self, zs: list, values: list) -> tuple:
+        """Run the rest of the tape after entries(zs); returns d1_holo,
+        d1_anti, d2_mixed, d2_holo, d2_anti in field.MetricJet's layout."""
+        flat = np.array(self._pick_d(_run(self._deriv_code, zs, values)), dtype=complex)
+        return tuple(part.reshape(shape)
+                     for part, shape in zip(np.split(flat, self._cuts), self._shapes))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChartPoint, HermitianMatrixValue
-from .dsl import MetricDefinition, evaluate, parse_metric
+from .dsl import MetricDefinition, parse_metric
 from .errors import (
     CatalogError,
     DslEvalError,
@@ -166,13 +166,16 @@ def _as_point(p, n: int) -> ChartPoint:
 
 
 def _checked_inverse(H: np.ndarray, max_cond: float):
+    if not np.all(np.isfinite(H)):
+        raise SingularMetricError("metric is numerically singular (non-finite entries)")
     w = np.linalg.eigvalsh(H)
     if w[0] <= 0.0:
         raise InadmissiblePointError(
             f"metric is not positive definite here (min eigenvalue {w[0]:.3e})"
         )
     cond = float(w[-1] / w[0])
-    if cond > max_cond:
+    # written so that a NaN condition number counts as singular too
+    if not cond <= max_cond:
         raise SingularMetricError(f"metric is numerically singular (condition {cond:.3e})")
     return np.linalg.inv(H), cond
 
@@ -180,54 +183,23 @@ def _checked_inverse(H: np.ndarray, max_cond: float):
 def jet_at(metric: MetricDefinition, p, max_cond: float = MAX_CONDITION) -> MetricJet:
     """Evaluate the metric and all first/second Wirtinger derivatives at p.
 
-    Derivatives are exact (symbolic, memoized on the definition).  Raises
+    Derivatives are exact: the definition's jet tape, compiled on first
+    use, evaluates the entries and then every derivative.  Raises
     InadmissiblePointError if h is not positive definite,
     SingularMetricError past the conditioning cap, and DslEvalError when an
     entry cannot be evaluated at p (for instance hopf at the origin).
     """
-    n = metric.n
-    p = _as_point(p, n)
-    z = p.coords
-    H = metric.evaluate_matrix(z)
+    p = _as_point(p, metric.n)
+    zs = p.coords.tolist()
+    tape = metric.jet_tape()
+    values, H = tape.entries(zs)
     h = HermitianMatrixValue(H)
     h_inv, cond = _checked_inverse(H, max_cond)
-
-    d1_holo = np.empty((n, n, n), dtype=complex)
-    d1_anti = np.empty((n, n, n), dtype=complex)
-    d2_mixed = np.empty((n, n, n, n), dtype=complex)
-    d2_holo = np.empty((n, n, n, n), dtype=complex)
-    d2_anti = np.empty((n, n, n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            for g in range(n):
-                d1_holo[g, a, b] = evaluate(metric.derivative(a, b, (("z", g + 1),)), z)
-                d1_anti[g, a, b] = evaluate(metric.derivative(a, b, (("zb", g + 1),)), z)
-                for m in range(n):
-                    d2_mixed[g, m, a, b] = evaluate(
-                        metric.derivative(a, b, (("z", g + 1), ("zb", m + 1))), z
-                    )
-                    d2_holo[g, m, a, b] = evaluate(
-                        metric.derivative(a, b, (("z", g + 1), ("z", m + 1))), z
-                    )
-                    d2_anti[g, m, a, b] = evaluate(
-                        metric.derivative(a, b, (("zb", g + 1), ("zb", m + 1))), z
-                    )
-    return MetricJet(p, h, h_inv, d1_holo, d1_anti, d2_mixed, d2_holo, d2_anti, cond)
+    return MetricJet(p, h, h_inv, *tape.derivatives(zs, values), cond)
 
 
 # ---------------------------------------------------------------------------
 # Real form
-
-
-def _real_block(M: np.ndarray) -> np.ndarray:
-    re, im = M.real, M.imag
-    return np.block([[re, im], [-im, re]])
-
-
-def _assert_hermitian(M: np.ndarray, what: str, tol: float = 1e-10):
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if float(np.max(np.abs(M - M.conj().T))) > tol * scale:
-        raise HermicurvError(f"{what} lost Hermitian symmetry; metric entries are inconsistent")
 
 
 def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
@@ -238,15 +210,20 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     dropped by the block split.
     """
     n = jet.n
+    m = 2 * n
     H = jet.hmat
     d1h, d1a = jet.d1_holo, jet.d1_anti
     d2m, d2h, d2a = jet.d2_mixed, jet.d2_holo, jet.d2_anti
 
-    dH = np.empty((2 * n, n, n), dtype=complex)
+    # stack[0] = H; stack[1 + k(1 + m)] = dH[k]; stack[2 + k(1 + m) + l] = d2H[k, l]
+    stack = np.empty((1 + m * (1 + m), n, n), dtype=complex)
+    stack[0] = H
+    per_k = stack[1:].reshape(m, 1 + m, n, n)
+    dH = per_k[:, 0]
     dH[:n] = d1h + d1a
     dH[n:] = 1j * (d1h - d1a)
 
-    d2H = np.empty((2 * n, 2 * n, n, n), dtype=complex)
+    d2H = per_k[:, 1:]
     # mixed-index derivative d2m[g, d] enters once per ordering; the pure
     # blocks d2h/d2a are already symmetric in their derivative pair
     swap = d2m.transpose(1, 0, 2, 3)
@@ -255,21 +232,28 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     d2H[n:, :n] = 1j * (d2h + d2m - swap - d2a)
     d2H[n:, n:] = -(d2h - d2m - swap + d2a)
 
-    _assert_hermitian(H, "metric value")
-    for k in range(2 * n):
-        _assert_hermitian(dH[k], f"first derivative slice {k}")
-        for l in range(2 * n):
-            _assert_hermitian(d2H[k, l], f"second derivative slice ({k},{l})")
+    # one check over every slice; the first failing one, in the order
+    # H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., is the one reported
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(defect > 1e-10 * scale)
+    if bad.size:
+        i = int(bad[0])
+        k, l = divmod(i - 1, 1 + m)
+        what = ("metric value" if i == 0 else f"first derivative slice {k}" if l == 0
+                else f"second derivative slice ({k},{l - 1})")
+        raise HermicurvError(f"{what} lost Hermitian symmetry; metric entries are inconsistent")
 
-    g = _real_block(H)
-    g_inv = np.linalg.inv(g)
-    dg = np.empty((2 * n, 2 * n, 2 * n))
-    d2g = np.empty((2 * n, 2 * n, 2 * n, 2 * n))
-    for k in range(2 * n):
-        dg[k] = _real_block(dH[k])
-        for l in range(2 * n):
-            d2g[k, l] = _real_block(d2H[k, l])
-    return RealMetricJet(jet.point, g, g_inv, dg, d2g)
+    # [[Re M, Im M], [-Im M, Re M]] for every slice M at once
+    re, im = stack.real, stack.imag
+    blocks = np.concatenate(
+        [np.concatenate([re, im], axis=-1), np.concatenate([-im, re], axis=-1)], axis=-2
+    )
+    g = blocks[0]
+    per_k = blocks[1:].reshape(m, 1 + m, m, m)
+    dg = np.ascontiguousarray(per_k[:, 0])
+    d2g = np.ascontiguousarray(per_k[:, 1:])
+    return RealMetricJet(jet.point, g, np.linalg.inv(g), dg, d2g)
 
 
 def real_jet_at(metric: MetricDefinition, p) -> RealMetricJet:

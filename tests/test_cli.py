@@ -158,6 +158,62 @@ def test_inadmissible_point_exit_2(capsys):
     assert rep["error"]["type"] == "DslEvalError"
 
 
+def _long_sum(term, count):
+    return " + ".join([term] * count)
+
+
+@pytest.mark.parametrize("long_source, short_source, point", [
+    ("dim 1;\nh[1,1] = 2 + " + _long_sum("z1*zb1", 1500) + ";\n",
+     "dim 1;\nh[1,1] = 2 + 1500*z1*zb1;\n", "[[0.1,0.2]]"),
+    # the lower triangle is synthesized by conjugating the long entry
+    ("dim 2;\nh[1,1] = 2;\nh[2,2] = 2;\nh[1,2] = " + _long_sum("z1*zb2/1000", 1500) + ";\n",
+     "dim 2;\nh[1,1] = 2;\nh[2,2] = 2;\nh[1,2] = 1.5*z1*zb2;\n", "[[0.1,0.2],[0.3,-0.1]]"),
+], ids=["diagonal", "off_diagonal"])
+def test_long_sum_metric_gets_a_report(tmp_path, capsys, long_source, short_source, point):
+    reports = []
+    for name, source in (("long", long_source), ("short", short_source)):
+        f = tmp_path / f"{name}.metric"
+        f.write_text(source)
+        code, rep = run(capsys, "classify", "--metric", str(f), "--point", point)
+        assert code == 0
+        reports.append(rep["results"][0])
+    long_rep, short_rep = reports
+    for key in ("kahler", "kahler_like", "g_kahler_like"):
+        assert long_rep[key] is short_rep[key] is True
+        assert long_rep[key + "_residual"] == pytest.approx(short_rep[key + "_residual"], abs=1e-9)
+
+
+def test_non_finite_literal_exit_2(tmp_path, capsys):
+    f = tmp_path / "inf.metric"
+    f.write_text("dim 1;\nh[1,1] = 1e999;\n")
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0]]")
+    assert code == 2
+    assert rep["error"]["type"] == "DslSyntaxError"
+    assert "line 2, column 10" in rep["error"]["message"]
+
+
+def test_overflowing_constant_is_singular_exit_2(tmp_path, capsys):
+    # finite literals whose folded product is inf
+    f = tmp_path / "overflow.metric"
+    f.write_text("dim 1;\nh[1,1] = 1e300 * 1e300;\n")
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0]]")
+    assert code == 2
+    assert rep["error"]["type"] == "SingularMetricError"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("identities", "--samples"), ("extremal", "--restarts"), ("lu", "--samples"),
+    ("probe-corollary", "--samples"),
+])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_counts_must_be_positive(capsys, command, flag, value):
+    code, rep = run(capsys, command, "--metric", "fubini_study", "--point", FS_POINT,
+                    flag, value)
+    assert code == 2
+    assert rep["error"]["type"] == "UsageError"
+    assert f"argument {flag}: must be a positive integer" in rep["error"]["message"]
+
+
 def test_json_file_output_and_determinism(tmp_path, capsys):
     args = [
         "extremal",

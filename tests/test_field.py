@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from hermicurv import (
     CatalogError,
     ChartPoint,
     DslEvalError,
+    HermicurvError,
     InadmissiblePointError,
+    SingularMetricError,
     apply_j,
     catalog_metric,
     catalog_source,
@@ -16,9 +20,11 @@ from hermicurv import (
     jet_at,
     parse_metric,
     real_jet_at,
+    real_jet_from_complex,
     sample_admissible_points,
     to_holomorphic,
 )
+from hermicurv.field import MAX_CONDITION, _checked_inverse
 
 ORIGIN1 = np.array([0.0 + 0j])
 
@@ -166,6 +172,27 @@ def test_inadmissible_point_rejected():
     m = catalog_metric("poincare_ball", 2)
     with pytest.raises(InadmissiblePointError):
         jet_at(m, np.array([1.5 + 0j, 0.0 + 0j]))
+
+
+@pytest.mark.parametrize("H", [[[np.inf]], [[np.nan]], [[1.0, 0.0], [0.0, np.inf]]])
+def test_non_finite_metric_is_singular(H):
+    with pytest.raises(SingularMetricError):
+        _checked_inverse(np.array(H, dtype=complex), MAX_CONDITION)
+
+
+@pytest.mark.parametrize("field, index, what", [
+    ("d1_anti", (1,), "first derivative slice 1"),
+    ("d2_holo", (1, 1), "second derivative slice (1,1)"),
+])
+def test_real_jet_names_first_non_hermitian_slice(field, index, what):
+    jet = jet_at(catalog_metric("fubini_study", 2), np.array([0.1 + 0.2j, -0.3j]))
+    bump = np.array([[0.0, 1e-3], [0.0, 0.0]])
+    arr = getattr(jet, field).copy()
+    arr[index] += bump
+    broken = replace(jet, **{field: arr})
+    with pytest.raises(HermicurvError) as exc:
+        real_jet_from_complex(broken)
+    assert str(exc.value) == f"{what} lost Hermitian symmetry; metric entries are inconsistent"
 
 
 def test_catalog_argument_errors():
