@@ -9,50 +9,15 @@ identity checks, and seeded numerical searches.
 __version__ = "0.1.0"
 
 from .analysis import (
-    ClassificationReport,
-    ExtremalResult,
-    GapProbeReport,
-    LuInequalityReport,
-    LuSymmetryReport,
     chern_gap_probe,
     classify,
     extremal_bisectional,
     extremal_sectional,
     lu_inequality_check,
-    lu_symmetry_check,
 )
-from .connection import (
-    ChernConnectionCoeffs,
-    ComplexifiedChristoffel,
-    InducedRealConnection,
-    RealChristoffel,
-    chern_coeffs,
-    chern_torsion,
-    complexified_christoffel,
-    induced_real_connection,
-    real_christoffel,
-)
-from .core import (
-    ChartPoint,
-    HermitianMatrixValue,
-    HoloTangentVector,
-    RealTangentVector,
-    apply_j,
-    hermitian_pairing,
-    to_holomorphic,
-    to_real,
-)
-from .curvature import (
-    ChernCurvature,
-    ComplexifiedCurvature,
-    RealCurvature,
-    chern_curvature,
-    complexified_11_direct,
-    complexify_curvature,
-    real_curvature,
-)
-from .dsl import MetricDefinition, parse_expression, parse_metric
-from .engine import PointGeometry, geometry_at
+from .core import ChartPoint, apply_j, to_holomorphic
+from .dsl import parse_metric
+from .engine import geometry_at
 from .errors import (
     CatalogError,
     DegeneratePlaneError,
@@ -64,28 +29,13 @@ from .errors import (
     InadmissiblePointError,
     SingularMetricError,
 )
-from .field import (
-    CATALOG_NAMES,
-    MetricJet,
-    RealMetricJet,
-    catalog_metric,
-    catalog_source,
-    fd_oracle_jet,
-    jet_at,
-    real_jet_at,
-    real_jet_from_complex,
-    sample_admissible_points,
-)
+from .field import CATALOG_NAMES, catalog_metric, jet_at
 from .sectional import (
-    IdentityResiduals,
     Plane,
-    chern_quadratic_form,
     chern_sectional,
     holo_bisectional,
     holo_sectional,
     identity_suite,
-    induced_curvature_pairing,
-    plane_gram,
     riemann_sectional,
 )
 
@@ -94,68 +44,29 @@ __all__ = [
     "CATALOG_NAMES",
     "CatalogError",
     "ChartPoint",
-    "ChernConnectionCoeffs",
-    "ChernCurvature",
-    "ClassificationReport",
-    "ComplexifiedChristoffel",
-    "ComplexifiedCurvature",
     "DegeneratePlaneError",
     "DimensionMismatch",
     "DslError",
     "DslEvalError",
     "DslSyntaxError",
-    "ExtremalResult",
-    "GapProbeReport",
     "HermicurvError",
-    "HermitianMatrixValue",
-    "HoloTangentVector",
-    "IdentityResiduals",
     "InadmissiblePointError",
-    "InducedRealConnection",
-    "LuInequalityReport",
-    "LuSymmetryReport",
-    "MetricDefinition",
-    "MetricJet",
     "Plane",
-    "PointGeometry",
-    "RealChristoffel",
-    "RealCurvature",
-    "RealMetricJet",
-    "RealTangentVector",
     "SingularMetricError",
     "apply_j",
     "catalog_metric",
-    "catalog_source",
-    "chern_coeffs",
-    "chern_curvature",
     "chern_gap_probe",
-    "chern_quadratic_form",
     "chern_sectional",
-    "chern_torsion",
     "classify",
-    "complexified_11_direct",
-    "complexified_christoffel",
-    "complexify_curvature",
     "extremal_bisectional",
     "extremal_sectional",
-    "fd_oracle_jet",
     "geometry_at",
-    "hermitian_pairing",
     "holo_bisectional",
     "holo_sectional",
     "identity_suite",
-    "induced_curvature_pairing",
-    "induced_real_connection",
     "jet_at",
     "lu_inequality_check",
-    "lu_symmetry_check",
-    "parse_expression",
     "parse_metric",
-    "plane_gram",
-    "real_christoffel",
-    "real_curvature",
-    "real_jet_at",
-    "real_jet_from_complex",
     "riemann_sectional",
-    "sample_admissible_points",
+    "to_holomorphic",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from .core import ChartPoint, to_real
 from .dsl import MetricDefinition
 from .engine import geometry_at
-from .sectional import Plane, riemann_sectional
+from .sectional import Plane, _kr_form, _w_form, riemann_sectional
 
 __all__ = [
     "ClassificationReport",
@@ -64,7 +64,7 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
     rk = rkl = rgk = 0.0
     pts = []
     for p in points:
-        geom = geometry_at(metric, p, with_connection_derivatives=False)
+        geom = geometry_at(metric, p)
         pts.append(geom.point)
         d1h = geom.jet.d1_holo
         rk = max(rk, float(np.max(np.abs(d1h - d1h.transpose(1, 0, 2)))))
@@ -147,17 +147,16 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
     X = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
     E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
 
-    W = np.einsum("Ba,Bb->Bab", X, E.conj()) - np.einsum("Ba,Bb->Bab", E, X.conj())
-    q = -np.einsum("abgd,Bab,Bgd->B", A, W, W)
+    q = _w_form(A, X, E)
     qtol = 1e-9 * max(1.0, float(np.max(np.abs(q))))
     if sign == "nonneg":
         hyp = bool(np.all(q.real >= -qtol))
     else:
         hyp = bool(np.all(q.real <= qtol))
 
-    diag_x = np.einsum("abgd,Ba,Bb,Bg,Bd->B", A, X, X.conj(), X, X.conj()).real
-    diag_e = np.einsum("abgd,Ba,Bb,Bg,Bd->B", A, E, E.conj(), E, E.conj()).real
-    cross = np.einsum("abgd,Ba,Bb,Bg,Bd->B", A, X, X.conj(), E, E.conj())
+    diag_x = _kr_form(A, X, X, X, X).real
+    diag_e = _kr_form(A, E, E, E, E).real
+    cross = _kr_form(A, X, X, E, E)
     margins = diag_x * diag_e - np.abs(cross) ** 2
     mtol = 1e-9 * max(1.0, float(np.max(np.abs(diag_x * diag_e))), float(np.max(np.abs(cross) ** 2)))
     violations = int(np.sum(margins < -mtol))
@@ -236,7 +235,8 @@ class ExtremalResult:
 
     gap is oriented so that the searched extremum exceeding the
     holomorphic-plane extremum gives a positive gap in either mode; the
-    pointwise attainment statements predict gap <= tolerance.  The
+    pointwise attainment statements predict gap <= tolerance when
+    applicable, i.e. when the sampled hypotheses of the search hold.  The
     bisectional search also reports the optimizing vector pair and how
     aligned it is (|h(xi, eta)| for unit vectors, 1 means proportional).
     """
@@ -251,7 +251,7 @@ class ExtremalResult:
     gap: float
     hypothesis_sign: str
     seed: int
-    applicable: bool | None = None
+    applicable: bool
     best_pair: tuple | None = None
     pair_alignment: float | None = None
 
@@ -312,11 +312,12 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     The pointwise attainment statement (for metrics with the required
     symmetry and a sign-definite curvature) predicts that the full-plane
     extremum is achieved on a holomorphic plane; the sign hypothesis is
-    sampled and reported, never assumed.
+    sampled and reported, never assumed, and the result is applicable
+    when it finds a sign-definite (or zero) curvature.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
-    geom = geometry_at(metric, p, with_connection_derivatives=False)
+    geom = geometry_at(metric, p)
     g, r = geom.rjet.g, geom.rc.r
     m = g.shape[0]
 
@@ -361,6 +362,7 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
         gap=gap,
         hypothesis_sign=hypothesis_sign,
         seed=seed,
+        applicable=hypothesis_sign in ("nonneg", "nonpos", "zero"),
     )
 
 
@@ -375,17 +377,16 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
-    geom = geometry_at(metric, p, with_connection_derivatives=False)
+    geom = geometry_at(metric, p)
     kr = geom.kr.kr
-    H = geom.jet.hmat
+    H = geom.jet.h
     n = geom.n
 
     sym = lu_symmetry_check(kr, tol=1e-8)
     rng = np.random.default_rng(seed + 202)
     Xs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
-    W = np.einsum("Ba,Bb->Bab", Xs, Es.conj()) - np.einsum("Ba,Bb->Bab", Es, Xs.conj())
-    qs = (-np.einsum("abgd,Bab,Bgd->B", kr, W, W)).real
+    qs = _w_form(kr, Xs, Es).real
     hypothesis_sign = _sign_label(qs)
     applicable = bool(sym.passed and hypothesis_sign in ("nonneg", "nonpos", "zero"))
 
@@ -410,9 +411,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     def objective(X):
         xi, eta = split(X)
-        return np.einsum(
-            "abgd,Ba,Bb,Bg,Bd->B", kr, xi, xi.conj(), eta, eta.conj(), optimize=True
-        ).real
+        return _kr_form(kr, xi, xi, eta, eta).real
 
     best_x, best_value, converged = _multistart(objective, project, 4 * n, restarts, seed, mode)
     xi_best = best_x[:n] + 1j * best_x[n : 2 * n]
@@ -425,7 +424,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     def h_objective(Y):
         Z = Y[:, :n] + 1j * Y[:, n:]
-        return np.einsum("abgd,Ba,Bb,Bg,Bd->B", kr, Z, Z.conj(), Z, Z.conj()).real
+        return _kr_form(kr, Z, Z, Z, Z).real
 
     best_z, holo_value, holo_conv = _multistart(h_objective, h_project, 2 * n, restarts, seed + 1, mode)
     zeta = best_z[:n] + 1j * best_z[n:]
@@ -435,7 +434,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     return ExtremalResult(
         mode=mode,
         best_value=best_value,
-        best_plane=Plane(to_real(xi_best).comps, to_real(eta_best).comps),
+        best_plane=Plane(to_real(xi_best), to_real(eta_best)),
         holo_best_value=holo_value,
         holo_best_vector=zeta,
         n_restarts=restarts,
@@ -467,11 +466,6 @@ class GapProbeReport:
     seed: int
 
 
-def _kd_numerator_batch(kr: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    W = np.einsum("Ba,Bb->Bab", xi, eta.conj()) - np.einsum("Ba,Bb->Bab", eta, xi.conj())
-    return (-0.5 * np.einsum("abgd,Bab,Bgd->B", kr, W, W)).real
-
-
 def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
                     seed: int = 0, refine: bool = True) -> GapProbeReport:
     """Search for planes separating the two sectional curvatures.
@@ -486,7 +480,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     best = None
     per_point = []
     for k, p in enumerate(points):
-        geom = geometry_at(metric, p, with_connection_derivatives=False)
+        geom = geometry_at(metric, p)
         g, r, kr = geom.rjet.g, geom.rc.r, geom.kr.kr
         m = g.shape[0]
         n = geom.n
@@ -497,7 +491,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
             U, V = X[:, :m], X[:, m:]
             xi = U[:, :n] + 1j * U[:, n:]
             eta = V[:, :n] + 1j * V[:, n:]
-            return np.abs(k_obj(X) - _kd_numerator_batch(kr, xi, eta))
+            return np.abs(k_obj(X) - (_w_form(kr, xi, eta) / 2).real)
 
         rng = np.random.default_rng(seed + k)
         sample = project(rng.standard_normal((samples, 2 * m)))
@@ -518,7 +512,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     K = riemann_sectional(geom.rc, geom.rjet, plane)
     xi = x[:m][: geom.n] + 1j * x[:m][geom.n :]
     eta = x[m:][: geom.n] + 1j * x[m:][geom.n :]
-    kd = float(_kd_numerator_batch(geom.kr.kr, xi[None, :], eta[None, :])[0])
+    kd = float((_w_form(geom.kr.kr, xi, eta) / 2).real)
     return GapProbeReport(
         max_gap=gap,
         witness_point=geom.point,

@@ -11,6 +11,7 @@ object is emitted instead of a partial report).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .engine import geometry_at
 from .errors import HermicurvError
 from .field import CATALOG_NAMES, catalog_metric
 from .sectional import (
+    IdentityResiduals,
     Plane,
     chern_sectional,
     holo_bisectional,
@@ -203,7 +205,7 @@ def _cmd_curvature(args, metric, points):
     results = []
     ok = True
     for p in points:
-        geom = geometry_at(metric, p, with_connection_derivatives=False)
+        geom = geometry_at(metric, p)
         n = geom.n
         block = geom.cx.tensor[:n, n:, :n, n:]
         cross = float(np.max(np.abs(geom.mixed_11_direct - block)))
@@ -230,7 +232,7 @@ def _cmd_sectional(args, metric, points):
         raise UsageError("sectional needs at least one --plane")
     results = []
     for p in points:
-        geom = geometry_at(metric, p, with_connection_derivatives=False)
+        geom = geometry_at(metric, p)
         n = geom.n
         per_plane = []
         for text in args.plane:
@@ -256,24 +258,12 @@ def _cmd_identities(args, metric, points):
     results = []
     ok = True
     for k, p in enumerate(points):
-        geom = geometry_at(metric, p, with_connection_derivatives=False)
+        geom = geometry_at(metric, p)
         rng = np.random.default_rng(args.seed + k)
-        worst = None
-        for u, v in _unit_pairs(rng, geom.n, count):
-            res = identity_suite(geom.rc, geom.kr, geom.cx, u, v)
-            if worst is None:
-                worst = res
-            else:
-                worst = type(res)(
-                    *(max(a, b) for a, b in zip(_residual_tuple(worst), _residual_tuple(res)))
-                )
-        table = {
-            "kahler_bisectional": worst.kahler_bisectional,
-            "kahler_sectional": worst.kahler_sectional,
-            "kahler_holomorphic": worst.kahler_holomorphic,
-            "sectional_decomposition": worst.sectional_decomposition,
-            "holomorphic_plane": worst.holomorphic_plane,
-        }
+        rows = [dataclasses.astuple(identity_suite(geom.rc, geom.kr, geom.cx, u, v))
+                for u, v in _unit_pairs(rng, geom.n, count)]
+        worst = IdentityResiduals(*(max(column) for column in zip(*rows)))
+        table = dataclasses.asdict(worst)
         universal_ok = worst.universal_max() < tol
         ok = ok and universal_ok
         results.append(
@@ -286,16 +276,6 @@ def _cmd_identities(args, metric, points):
             }
         )
     return results, ok
-
-
-def _residual_tuple(res):
-    return (
-        res.kahler_bisectional,
-        res.kahler_sectional,
-        res.kahler_holomorphic,
-        res.sectional_decomposition,
-        res.holomorphic_plane,
-    )
 
 
 def _cmd_extremal(args, metric, points):
@@ -321,15 +301,12 @@ def _cmd_extremal(args, metric, points):
             "n_restarts": res.n_restarts,
             "best_plane": res.best_plane,
             "holo_best_vector": np.asarray(res.holo_best_vector),
+            "applicable": res.applicable,
         }
-        applicable = res.applicable if res.applicable is not None else (
-            res.hypothesis_sign in ("nonneg", "nonpos", "zero")
-        )
-        entry["applicable"] = applicable
         if res.best_pair is not None:
             entry["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
             entry["pair_alignment"] = res.pair_alignment
-        entry["gap_ok"] = (not applicable) or res.gap <= tol
+        entry["gap_ok"] = (not res.applicable) or res.gap <= tol
         ok = ok and entry["gap_ok"]
         results.append(entry)
     return results, ok
@@ -340,7 +317,7 @@ def _cmd_lu(args, metric, points):
     results = []
     ok = True
     for p in points:
-        geom = geometry_at(metric, p, with_connection_derivatives=False)
+        geom = geometry_at(metric, p)
         A = geom.kr.kr
         if args.sign == "auto":
             rep = lu_inequality_check(A, samples=samples, sign="nonneg", seed=args.seed)

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint
-from .field import MetricJet, RealMetricJet, jet_at
+from .field import MetricJet, RealMetricJet
 
 __all__ = [
     "ChernConnectionCoeffs",
@@ -48,7 +47,6 @@ __all__ = [
     "real_christoffel",
     "induced_real_connection",
     "chern_torsion",
-    "induced_connection_fd",
 ]
 
 
@@ -85,11 +83,11 @@ class InducedRealConnection:
     """theta_tilde[i, j, k] as documented in the module header.
 
     theta_tilde_dx[i, j, k, a] holds the x^a-derivatives of the
-    coefficients when requested; several curvature routes need them.
+    coefficients; several curvature routes need them.
     """
 
     theta_tilde: np.ndarray
-    theta_tilde_dx: np.ndarray | None = None
+    theta_tilde_dx: np.ndarray
 
 
 def chern_coeffs(jet: MetricJet) -> ChernConnectionCoeffs:
@@ -135,21 +133,18 @@ def _real_blocks_from_complex(c: np.ndarray) -> np.ndarray:
     return tt
 
 
-def induced_real_connection(jet: MetricJet, with_derivatives: bool = False) -> InducedRealConnection:
+def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     """Real coefficients of the canonical metric connection on TM.
 
-    With with_derivatives=True the exact x-derivatives of the coefficients
-    are computed as well, via the matrix-inverse derivative identity
-    d(h_inv) = -h_inv (dh) h_inv and the second-order jet.  No finite
-    differences are involved, which is what lets downstream curvature
-    checks run at tight tolerances.
+    The exact x-derivatives of the coefficients come with them, via the
+    matrix-inverse derivative identity d(h_inv) = -h_inv (dh) h_inv and
+    the second-order jet.  No finite differences are involved, which is
+    what lets downstream curvature checks run at tight tolerances.
     """
     Hi = jet.h_inv
     d1h, d1a = jet.d1_holo, jet.d1_anti
     c = np.einsum("la,gbl->abg", Hi, d1h)
     tt = _real_blocks_from_complex(c)
-    if not with_derivatives:
-        return InducedRealConnection(tt)
 
     n = jet.n
     dHi_z = -np.einsum("lk,mkp,pa->mla", Hi, d1h, Hi)
@@ -178,24 +173,3 @@ def chern_torsion(conn: InducedRealConnection) -> np.ndarray:
     """
     tt = conn.theta_tilde
     return tt.transpose(2, 0, 1) - tt.transpose(0, 2, 1)
-
-
-def induced_connection_fd(metric, p, step: float = 1e-5) -> np.ndarray:
-    """Coefficient derivatives by central differences across nearby points.
-
-    Cross-check for the symbolic derivative route of
-    induced_real_connection; the two agree to roughly step^2.
-    """
-    p = p if isinstance(p, ChartPoint) else ChartPoint(np.asarray(p, dtype=complex))
-    x0 = p.reals
-    m = x0.size
-    out = None
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = step
-        tp = induced_real_connection(jet_at(metric, ChartPoint.from_reals(x0 + e))).theta_tilde
-        tm = induced_real_connection(jet_at(metric, ChartPoint.from_reals(x0 - e))).theta_tilde
-        if out is None:
-            out = np.empty(tp.shape + (m,))
-        out[:, :, :, a] = (tp - tm) / (2.0 * step)
-    return out

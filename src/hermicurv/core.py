@@ -18,9 +18,6 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "ChartPoint",
-    "RealTangentVector",
-    "HoloTangentVector",
-    "HermitianMatrixValue",
     "apply_j",
     "to_holomorphic",
     "to_real",
@@ -60,90 +57,31 @@ class ChartPoint:
         return ChartPoint(x[:n] + 1j * x[n:])
 
 
-@dataclass(frozen=True)
-class RealTangentVector:
-    """Components of a real tangent vector in the coordinate basis d/dx^i."""
-
-    comps: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.comps, dtype=float))
-        if c.ndim != 1 or c.size < 2 or c.size % 2:
-            raise DimensionMismatch("a real tangent vector needs 2n real components")
-        object.__setattr__(self, "comps", c)
-
-    @property
-    def n(self) -> int:
-        return self.comps.size // 2
-
-
-@dataclass(frozen=True)
-class HoloTangentVector:
-    """Components xi^a of a (1,0) tangent vector in the d/dz^a basis."""
-
-    comps: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.comps, dtype=complex))
-        if c.ndim != 1 or c.size < 1:
-            raise DimensionMismatch("a holomorphic tangent vector needs n complex components")
-        object.__setattr__(self, "comps", c)
-
-    @property
-    def n(self) -> int:
-        return self.comps.size
-
-
-@dataclass(frozen=True)
-class HermitianMatrixValue:
-    """Value of the metric h_{a b-bar} at a point: a Hermitian n x n matrix.
-
-    Hermitian symmetry is validated on construction (tolerance 1e-12,
-    relative to the largest entry).  Positive definiteness is *not*
-    validated here; evaluation sites check it where required.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("metric value must be a square matrix")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > 1e-12 * scale:
-            raise ValueError("metric value is not Hermitian")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def _real_comps(u) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(getattr(u, "comps", u), dtype=float))
+    a = np.atleast_1d(np.asarray(u, dtype=float))
     if a.ndim != 1 or a.size % 2:
         raise DimensionMismatch("expected 2n real components")
     return a
 
 
 def _holo_comps(x) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(getattr(x, "comps", x), dtype=complex))
+    a = np.atleast_1d(np.asarray(x, dtype=complex))
     if a.ndim != 1:
         raise DimensionMismatch("expected n complex components")
     return a
 
 
-def apply_j(u) -> RealTangentVector:
+def apply_j(u) -> np.ndarray:
     """Apply the complex structure J to a real tangent vector.
 
     J d/dx^a = d/dx^{n+a}, J d/dx^{n+a} = -d/dx^a, hence J^2 = -id.
     """
     a = _real_comps(u)
     n = a.size // 2
-    return RealTangentVector(np.concatenate([-a[n:], a[:n]]))
+    return np.concatenate([-a[n:], a[:n]])
 
 
-def to_holomorphic(u) -> HoloTangentVector:
+def to_holomorphic(u) -> np.ndarray:
     """Holomorphic part u_o = (u - i J u)/2 of a real tangent vector.
 
     Expressed in the d/dz^a basis the components are
@@ -152,13 +90,13 @@ def to_holomorphic(u) -> HoloTangentVector:
     """
     a = _real_comps(u)
     n = a.size // 2
-    return HoloTangentVector(a[:n] + 1j * a[n:])
+    return a[:n] + 1j * a[n:]
 
 
-def to_real(xi) -> RealTangentVector:
+def to_real(xi) -> np.ndarray:
     """Inverse of :func:`to_holomorphic`: u^a = Re xi^a, u^{n+a} = Im xi^a."""
     x = _holo_comps(xi)
-    return RealTangentVector(np.concatenate([x.real, x.imag]))
+    return np.concatenate([x.real, x.imag])
 
 
 def hermitian_pairing(h, xi, eta) -> complex:
@@ -167,7 +105,7 @@ def hermitian_pairing(h, xi, eta) -> complex:
     Conjugate-symmetric: h(xi, eta) = conj(h(eta, xi)); h(xi, xi) is real
     (and positive for positive definite h).
     """
-    m = np.asarray(getattr(h, "entries", h), dtype=complex)
+    m = np.asarray(h, dtype=complex)
     x = _holo_comps(xi)
     e = _holo_comps(eta)
     if m.shape != (x.size, e.size):

@@ -328,6 +328,15 @@ class _Parser:
         self.advance()
         return int(t.text)
 
+    def top_expr(self) -> Node:
+        """An expr whose nesting past the recursion limit is a syntax
+        error at the token the parser reached."""
+        try:
+            return self.expr()
+        except RecursionError:
+            pass
+        self.error("expression nested too deeply")
+
     # expr := term (("+"|"-") term)*
     def expr(self) -> Node:
         node = self.term()
@@ -409,7 +418,7 @@ class _Parser:
 def parse_expression(source: str, n: int | None = None) -> Node:
     """Parse a single expression (mostly for tests and tooling)."""
     p = _Parser(_tokenize(source), n)
-    node = p.expr()
+    node = p.top_expr()
     t = p.peek()
     if t.kind != "EOF":
         p.error(f"unexpected trailing input {t.text!r}")
@@ -446,7 +455,7 @@ def parse_metric(source: str) -> "MetricDefinition":
         if (a - 1, b - 1) in explicit:
             p.error(f"duplicate entry ({a},{b})", t)
         p.expect_punct("=")
-        explicit[(a - 1, b - 1)] = p.expr()
+        explicit[(a - 1, b - 1)] = p.top_expr()
         p.expect_punct(";")
         saw_entry = True
     if not saw_entry:

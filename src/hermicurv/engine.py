@@ -1,21 +1,13 @@
-"""One-stop assembly of every pointwise object the package computes."""
+"""One-stop access to every pointwise object the package computes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .connection import (
-    ChernConnectionCoeffs,
-    ComplexifiedChristoffel,
-    InducedRealConnection,
-    RealChristoffel,
-    chern_coeffs,
-    complexified_christoffel,
-    induced_real_connection,
-    real_christoffel,
-)
+from .connection import InducedRealConnection, induced_real_connection, real_christoffel
 from .core import ChartPoint
 from .curvature import (
     ChernCurvature,
@@ -34,47 +26,50 @@ __all__ = ["PointGeometry", "geometry_at"]
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Everything at one point: jets, connections, curvatures."""
+    """Everything at one point: jets, connections, curvatures.
+
+    jet and rjet are built with the record, since building them runs every
+    input check.  The tensors are computed on first read and kept.
+    """
 
     metric: MetricDefinition
-    point: ChartPoint
     jet: MetricJet
     rjet: RealMetricJet
-    chern: ChernConnectionCoeffs
-    cx_christoffel: ComplexifiedChristoffel
-    levi_civita: RealChristoffel
-    induced: InducedRealConnection
-    kr: ChernCurvature
-    rc: RealCurvature
-    cx: ComplexifiedCurvature
-    mixed_11_direct: np.ndarray
+
+    @property
+    def point(self) -> ChartPoint:
+        return self.jet.point
 
     @property
     def n(self) -> int:
         return self.point.n
 
+    @cached_property
+    def kr(self) -> ChernCurvature:
+        return chern_curvature(self.jet)
 
-def geometry_at(metric: MetricDefinition, p, with_connection_derivatives: bool = True) -> PointGeometry:
-    """Compute the full pointwise geometry of a metric.
+    @cached_property
+    def rc(self) -> RealCurvature:
+        return real_curvature(self.rjet, real_christoffel(self.rjet))
+
+    @cached_property
+    def cx(self) -> ComplexifiedCurvature:
+        return complexify_curvature(self.rc)
+
+    @cached_property
+    def mixed_11_direct(self) -> np.ndarray:
+        return complexified_11_direct(self.jet)
+
+    @cached_property
+    def induced(self) -> InducedRealConnection:
+        return induced_real_connection(self.jet)
+
+
+def geometry_at(metric: MetricDefinition, p) -> PointGeometry:
+    """The pointwise geometry of a metric.
 
     One symbolic jet evaluation feeds every downstream object, so calling
     this once per point and sharing the record is the cheap pattern.
     """
     jet = jet_at(metric, p)
-    rjet = real_jet_from_complex(jet)
-    lc = real_christoffel(rjet)
-    rc = real_curvature(rjet, lc)
-    return PointGeometry(
-        metric=metric,
-        point=jet.point,
-        jet=jet,
-        rjet=rjet,
-        chern=chern_coeffs(jet),
-        cx_christoffel=complexified_christoffel(jet),
-        levi_civita=lc,
-        induced=induced_real_connection(jet, with_derivatives=with_connection_derivatives),
-        kr=chern_curvature(jet),
-        rc=rc,
-        cx=complexify_curvature(rc),
-        mixed_11_direct=complexified_11_direct(jet),
-    )
+    return PointGeometry(metric, jet, real_jet_from_complex(jet))

@@ -1,4 +1,4 @@
-"""Metric catalog, pointwise jets, and the finite-difference oracle.
+"""Metric catalog and pointwise jets.
 
 A metric is an n x n grid of expressions h[a][b] for the pairing of the
 a-th holomorphic frame vector with the conjugate of the b-th.  This module
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint, HermitianMatrixValue
+from .core import ChartPoint
 from .dsl import MetricDefinition, parse_metric
 from .errors import (
     CatalogError,
@@ -53,7 +53,6 @@ __all__ = [
     "jet_at",
     "real_jet_at",
     "real_jet_from_complex",
-    "fd_oracle_jet",
     "sample_admissible_points",
 ]
 
@@ -124,7 +123,7 @@ class MetricJet:
     """Second-order Wirtinger jet of a Hermitian metric at one point."""
 
     point: ChartPoint
-    h: HermitianMatrixValue
+    h: np.ndarray
     h_inv: np.ndarray
     d1_holo: np.ndarray
     d1_anti: np.ndarray
@@ -136,10 +135,6 @@ class MetricJet:
     @property
     def n(self) -> int:
         return self.point.n
-
-    @property
-    def hmat(self) -> np.ndarray:
-        return self.h.entries
 
 
 @dataclass(frozen=True)
@@ -168,6 +163,9 @@ def _as_point(p, n: int) -> ChartPoint:
 def _checked_inverse(H: np.ndarray, max_cond: float):
     if not np.all(np.isfinite(H)):
         raise SingularMetricError("metric is numerically singular (non-finite entries)")
+    scale = max(1.0, float(np.abs(H).max()))
+    if np.abs(H - H.conj().T).max() > 1e-12 * scale:
+        raise ValueError("metric value is not Hermitian")
     w = np.linalg.eigvalsh(H)
     if w[0] <= 0.0:
         raise InadmissiblePointError(
@@ -185,17 +183,18 @@ def jet_at(metric: MetricDefinition, p, max_cond: float = MAX_CONDITION) -> Metr
 
     Derivatives are exact: the definition's jet tape, compiled on first
     use, evaluates the entries and then every derivative.  Raises
-    InadmissiblePointError if h is not positive definite,
-    SingularMetricError past the conditioning cap, and DslEvalError when an
-    entry cannot be evaluated at p (for instance hopf at the origin).
+    ValueError if h is not Hermitian (1e-12, relative to its largest
+    entry), InadmissiblePointError if it is not positive definite,
+    SingularMetricError if it is not finite or past the conditioning cap,
+    and DslEvalError when an entry cannot be evaluated at p (for instance
+    hopf at the origin).
     """
     p = _as_point(p, metric.n)
     zs = p.coords.tolist()
     tape = metric.jet_tape()
     values, H = tape.entries(zs)
-    h = HermitianMatrixValue(H)
     h_inv, cond = _checked_inverse(H, max_cond)
-    return MetricJet(p, h, h_inv, *tape.derivatives(zs, values), cond)
+    return MetricJet(p, H, h_inv, *tape.derivatives(zs, values), cond)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +210,7 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     """
     n = jet.n
     m = 2 * n
-    H = jet.hmat
+    H = jet.h
     d1h, d1a = jet.d1_holo, jet.d1_anti
     d2m, d2h, d2a = jet.d2_mixed, jet.d2_holo, jet.d2_anti
 
@@ -258,76 +257,6 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
 
 def real_jet_at(metric: MetricDefinition, p) -> RealMetricJet:
     return real_jet_from_complex(jet_at(metric, p))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference oracle
-
-
-def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None,
-                  max_cond: float = MAX_CONDITION) -> MetricJet:
-    """Jet by central finite differences in the real coordinates.
-
-    Entirely independent of the symbolic derivative path: the metric is
-    only ever *evaluated*.  Real-direction differences are recombined into
-    Wirtinger form.  Expected accuracy is O(step^2) truncation, so with
-    the default step the first derivatives carry roughly 1e-10 absolute
-    error and the second derivatives roughly 1e-6.
-    """
-    n = metric.n
-    p = _as_point(p, n)
-    x0 = p.reals
-    if step is None:
-        step = 1e-5 * max(1.0, float(np.max(np.abs(p.coords))))
-
-    def H_of(x):
-        return metric.evaluate_matrix(ChartPoint.from_reals(x))
-
-    H = H_of(x0)
-    h = HermitianMatrixValue(H)
-    h_inv, cond = _checked_inverse(H, max_cond)
-
-    m = 2 * n
-    plus = np.empty((m, n, n), dtype=complex)
-    minus = np.empty((m, n, n), dtype=complex)
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = step
-        plus[k] = H_of(x0 + e)
-        minus[k] = H_of(x0 - e)
-
-    d1x = (plus - minus) / (2.0 * step)
-
-    d2x = np.empty((m, m, n, n), dtype=complex)
-    for k in range(m):
-        d2x[k, k] = (plus[k] - 2.0 * H + minus[k]) / step**2
-    for k in range(m):
-        for l in range(k + 1, m):
-            ek = np.zeros(m)
-            ek[k] = step
-            el = np.zeros(m)
-            el[l] = step
-            val = (
-                H_of(x0 + ek + el)
-                - H_of(x0 + ek - el)
-                - H_of(x0 - ek + el)
-                + H_of(x0 - ek - el)
-            ) / (4.0 * step**2)
-            d2x[k, l] = val
-            d2x[l, k] = val
-
-    d1_holo = 0.5 * (d1x[:n] - 1j * d1x[n:])
-    d1_anti = 0.5 * (d1x[:n] + 1j * d1x[n:])
-
-    xx = d2x[:n, :n]
-    xy = d2x[:n, n:]
-    yx = d2x[n:, :n]
-    yy = d2x[n:, n:]
-    d2_mixed = 0.25 * (xx + yy + 1j * (xy - yx))
-    d2_holo = 0.25 * (xx - yy - 1j * (xy + yx))
-    d2_anti = 0.25 * (xx - yy + 1j * (xy + yx))
-
-    return MetricJet(p, h, h_inv, d1_holo, d1_anti, d2_mixed, d2_holo, d2_anti, cond)
 
 
 # ---------------------------------------------------------------------------

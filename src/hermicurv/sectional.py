@@ -28,8 +28,6 @@ import numpy as np
 
 from .connection import InducedRealConnection
 from .core import (
-    HoloTangentVector,
-    RealTangentVector,
     _holo_comps,
     _real_comps,
     apply_j,
@@ -60,8 +58,20 @@ _IM_TOL = 1e-10
 class Plane:
     """A real tangent 2-plane given by a (not necessarily orthonormal) span."""
 
-    u: RealTangentVector
-    v: RealTangentVector
+    u: np.ndarray
+    v: np.ndarray
+
+
+def _w_form(kr: np.ndarray, x, e):
+    """-kr[a,b,g,d] W[a,b] W[g,d] with W = x e~ - e x~, summed; batched
+    over any leading axes of x and e."""
+    W = np.einsum("...a,...b->...ab", x, e.conj()) - np.einsum("...a,...b->...ab", e, x.conj())
+    return -np.einsum("abgd,...ab,...gd->...", kr, W, W)
+
+
+def _kr_form(kr: np.ndarray, a, b, c, d):
+    """kr(a, b~, c, d~); batched over any leading axes of the vectors."""
+    return np.einsum("abgd,...a,...b,...g,...d->...", kr, a, b.conj(), c, d.conj())
 
 
 def _real_quantity(value: complex, what: str) -> float:
@@ -97,10 +107,7 @@ def chern_quadratic_form(kr: ChernCurvature, xi, eta) -> float:
     W = xi eta~ - eta xi~; realness follows from pair-Hermitian symmetry
     and is checked, not assumed.
     """
-    x = _holo_comps(xi)
-    e = _holo_comps(eta)
-    W = np.outer(x, e.conj()) - np.outer(e, x.conj())
-    q = -0.5 * np.einsum("abgd,ab,gd->", kr.kr, W, W)
+    q = _w_form(kr.kr, _holo_comps(xi), _holo_comps(eta)) / 2
     return _real_quantity(q, "the canonical-curvature quadratic form")
 
 
@@ -123,7 +130,7 @@ def holo_sectional(kr: ChernCurvature, h, xi) -> float:
     if not np.any(x):
         raise ValueError("holomorphic sectional curvature of the zero vector")
     norm = hermitian_pairing(h, x, x).real
-    num = np.einsum("abgd,a,b,g,d->", kr.kr, x, x.conj(), x, x.conj())
+    num = _kr_form(kr.kr, x, x, x, x)
     return _real_quantity(num, "the H numerator") / norm**2
 
 
@@ -135,7 +142,7 @@ def holo_bisectional(kr: ChernCurvature, h, xi, eta) -> float:
         raise ValueError("bisectional curvature of a zero vector")
     nx = hermitian_pairing(h, x, x).real
     ne = hermitian_pairing(h, e, e).real
-    num = np.einsum("abgd,a,b,g,d->", kr.kr, x, x.conj(), e, e.conj())
+    num = _kr_form(kr.kr, x, x, e, e)
     return _real_quantity(num, "the B numerator") / (nx * ne)
 
 
@@ -145,10 +152,8 @@ def induced_curvature_pairing(conn: InducedRealConnection, rjet: RealMetricJet, 
     Assembled from the connection coefficients and their exact coordinate
     derivatives, so it is an entirely real-variable route; its agreement
     with the quadratic form in kr is the package's central two-sided
-    check.  Requires a connection built with with_derivatives=True.
+    check.
     """
-    if conn.theta_tilde_dx is None:
-        raise ValueError("connection was built without coefficient derivatives")
     u = _real_comps(u)
     v = _real_comps(v)
     # C[i, j, k]: i-th output component of D_{e_k} e_j
@@ -185,11 +190,6 @@ class IdentityResiduals:
         return max(self.kahler_bisectional, self.kahler_sectional, self.kahler_holomorphic)
 
 
-def _kr_pair(kr: np.ndarray, a, b, c, d) -> complex:
-    """Contract kr with conjugation applied to slots b and d."""
-    return complex(np.einsum("abgd,a,b,g,d->", kr, a, b.conj(), c, d.conj()))
-
-
 def _embed_holo(xi, n: int) -> np.ndarray:
     w = np.zeros(2 * n, dtype=complex)
     w[:n] = xi
@@ -212,22 +212,22 @@ def identity_suite(rc: RealCurvature, kr: ChernCurvature, cx: ComplexifiedCurvat
     u = _real_comps(u)
     v = _real_comps(v)
     n = cx.n
-    ju = _real_comps(apply_j(u))
-    jv = _real_comps(apply_j(v))
-    xi = _holo_comps(to_holomorphic(u))
-    eta = _holo_comps(to_holomorphic(v))
+    ju = apply_j(u)
+    jv = apply_j(v)
+    xi = to_holomorphic(u)
+    eta = to_holomorphic(v)
     K = kr.kr
 
     # Kahler-only identities
-    r_bisec = rc.pairing(ju, u, v, jv) - 2.0 * _kr_pair(K, xi, xi, eta, eta)
+    r_bisec = rc.pairing(ju, u, v, jv) - 2.0 * _kr_form(K, xi, xi, eta, eta)
     bracket = 0.5 * (
-        _kr_pair(K, xi, eta, eta, xi)
-        + _kr_pair(K, eta, xi, xi, eta)
-        - _kr_pair(K, xi, eta, xi, eta)
-        - _kr_pair(K, eta, xi, eta, xi)
+        _kr_form(K, xi, eta, eta, xi)
+        + _kr_form(K, eta, xi, xi, eta)
+        - _kr_form(K, xi, eta, xi, eta)
+        - _kr_form(K, eta, xi, eta, xi)
     )
     r_sec = rc.pairing(u, v, v, u) - bracket
-    r_holo = rc.pairing(ju, u, u, ju) - 2.0 * _kr_pair(K, xi, xi, xi, xi)
+    r_holo = rc.pairing(ju, u, u, ju) - 2.0 * _kr_form(K, xi, xi, xi, xi)
 
     # universal identities against the complexified tensor
     eh = _embed_holo(xi, n)

@@ -14,12 +14,12 @@ def _metric(name, n):
     return _metric_cache[key]
 
 
-def _geometry(name, n, coords, derivs):
-    key = (name, n, tuple(complex(c) for c in coords), derivs)
+def _geometry(name, n, coords):
+    key = (name, n, tuple(complex(c) for c in coords))
     if key not in _geom_cache:
         m = _metric(name, n)
         p = ChartPoint(np.asarray(coords, dtype=complex))
-        _geom_cache[key] = geometry_at(m, p, with_connection_derivatives=derivs)
+        _geom_cache[key] = geometry_at(m, p)
     return _geom_cache[key]
 
 
@@ -30,9 +30,9 @@ def metric():
 
 @pytest.fixture(scope="session")
 def geom():
-    def build(name, coords, derivs=False):
+    def build(name, coords):
         coords = np.asarray(coords, dtype=complex)
-        return _geometry(name, coords.size, coords, derivs)
+        return _geometry(name, coords.size, coords)
 
     return build
 

@@ -17,32 +17,27 @@ from hermicurv import (
     CATALOG_NAMES,
     ChartPoint,
     Plane,
-    apply_j,
     catalog_metric,
-    chern_curvature,
     chern_gap_probe,
-    chern_quadratic_form,
     chern_sectional,
-    chern_torsion,
     extremal_bisectional,
     extremal_sectional,
-    fd_oracle_jet,
     geometry_at,
     holo_sectional,
     identity_suite,
-    induced_curvature_pairing,
-    induced_real_connection,
     jet_at,
     lu_inequality_check,
-    parse_expression,
-    real_christoffel,
-    real_jet_at,
     riemann_sectional,
-    sample_admissible_points,
     to_holomorphic,
 )
 from hermicurv.cli import run_main
+from hermicurv.connection import chern_torsion, real_christoffel
+from hermicurv.curvature import chern_curvature
+from hermicurv.dsl import parse_expression
+from hermicurv.field import sample_admissible_points
+from hermicurv.sectional import chern_quadratic_form, induced_curvature_pairing
 
+from oracles import fd_oracle_jet
 from test_dsl import _fd_wirtinger, _random_expression
 
 
@@ -62,7 +57,7 @@ def test_criterion_01_flatness():
     for n in (1, 2, 3):
         m = catalog_metric("euclidean", n)
         for p in sample_admissible_points(m, 3, seed=101):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             worst = max(
                 worst,
                 float(np.abs(g.rc.r).max()),
@@ -101,7 +96,7 @@ def test_criterion_03_direct_mixed_block_cross_check():
     for name in CATALOG_NAMES:
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 10, seed=103):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             block = g.cx.tensor[:2, 2:, :2, 2:]
             worst = max(worst, float(np.abs(g.mixed_11_direct - block).max()))
     assert worst < 1e-6
@@ -116,7 +111,7 @@ def test_criterion_04_gray_vanishing():
     for name in CATALOG_NAMES:
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 10, seed=104):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             worst = max(
                 worst,
                 float(np.abs(g.cx.block("hhhh")).max()),
@@ -135,7 +130,7 @@ def test_criterion_05_kahler_equality_suite():
     for name in ("fubini_study", "poincare_ball"):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 4, seed=105):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             worst_block = max(
                 worst_block, float(np.abs(g.cx.tensor[:2, 2:, :2, 2:] - g.kr.kr).max())
             )
@@ -168,13 +163,13 @@ def test_criterion_06_two_sided_pairing_check():
     for name in CATALOG_NAMES:
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 5, seed=106):
-            g = geometry_at(m, p, with_connection_derivatives=True)
+            g = geometry_at(m, p)
             for _ in range(10):
                 u = rng.standard_normal(4)
                 v = rng.standard_normal(4)
                 lhs = induced_curvature_pairing(g.induced, g.rjet, u, v)
                 rhs = chern_quadratic_form(
-                    g.kr, to_holomorphic(u).comps, to_holomorphic(v).comps
+                    g.kr, to_holomorphic(u), to_holomorphic(v)
                 )
                 worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     assert worst < 1e-5
@@ -184,7 +179,7 @@ def test_criterion_06_two_sided_pairing_check():
     worst_j = 0.0
     m = catalog_metric("nk_diag", 2)
     for p in sample_admissible_points(m, 3, seed=116):
-        g = geometry_at(m, p, with_connection_derivatives=False)
+        g = geometry_at(m, p)
         for _ in range(20):
             xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             q = chern_quadratic_form(g.kr, xi, 1j * xi)
@@ -203,7 +198,7 @@ def test_criterion_07_universal_identities_non_kahler():
     for name in ("nk_diag", "hopf"):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 5, seed=107):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             for _ in range(10):
                 u = rng.standard_normal(4)
                 v = rng.standard_normal(4)
@@ -295,7 +290,7 @@ def test_criterion_12_lu_inequality():
     for name, sign in (("fubini_study", "nonneg"), ("poincare_ball", "nonpos")):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=112):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             rep = lu_inequality_check(g.kr.kr, samples=1000, sign=sign, seed=112)
             assert rep.symmetry.passed
             assert rep.hypothesis_holds

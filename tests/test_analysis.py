@@ -10,12 +10,12 @@ from hermicurv import (
     extremal_bisectional,
     extremal_sectional,
     geometry_at,
-    hermitian_pairing,
     lu_inequality_check,
-    lu_symmetry_check,
-    sample_admissible_points,
     to_holomorphic,
 )
+from hermicurv.analysis import lu_symmetry_check
+from hermicurv.core import hermitian_pairing
+from hermicurv.field import sample_admissible_points
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -61,14 +61,14 @@ def test_g_kahler_like_sectional_reconstruction(geom):
     for name in ("fubini_study", "poincare_ball"):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=63):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             n = 2
             R11 = g.cx.tensor[:n, n:, :n, n:]
             for _ in range(5):
                 u = rng.standard_normal(2 * n)
                 v = rng.standard_normal(2 * n)
-                xi = to_holomorphic(u).comps
-                eta = to_holomorphic(v).comps
+                xi = to_holomorphic(u)
+                eta = to_holomorphic(v)
                 ruvvu = g.rc.pairing(u, v, v, u)
                 # the mixed-type block determines every sectional value
                 W = np.outer(xi, eta.conj()) - np.outer(eta, xi.conj())
@@ -76,7 +76,7 @@ def test_g_kahler_like_sectional_reconstruction(geom):
                 assert abs(recon.imag) < 1e-9
                 assert ruvvu == pytest.approx(recon.real, rel=1e-7, abs=1e-7)
                 # J-pair sum collapses to a single positive-type contraction
-                jv = apply_j(v).comps
+                jv = apply_j(v)
                 lhs = ruvvu + g.rc.pairing(u, jv, jv, u)
                 one = np.einsum("abmv,a,b,m,v->", R11, xi, eta.conj(), eta, xi.conj())
                 assert lhs == pytest.approx(2 * one.real, rel=1e-7, abs=1e-7)
@@ -102,7 +102,7 @@ def test_lu_inequality_on_sign_definite_tensors(geom):
     for name, sign in cases:
         m = catalog_metric(name, 2)
         p = sample_admissible_points(m, 1, seed=3)[0]
-        g = geometry_at(m, p, with_connection_derivatives=False)
+        g = geometry_at(m, p)
         rep = lu_inequality_check(g.kr.kr, samples=500, sign=sign, seed=11)
         assert rep.applicable
         assert rep.symmetry.passed
@@ -156,10 +156,10 @@ def test_extremal_sectional_fubini_study_max():
     assert res.best_value == pytest.approx(4.0, abs=1e-6)
     assert res.holo_best_value == pytest.approx(4.0, abs=1e-6)
     assert res.gap <= 1e-4
-    gmat = geometry_at(m, P0, with_connection_derivatives=False).rjet.g
+    gmat = geometry_at(m, P0).rjet.g
     _check_orthonormal(gmat, res.best_plane)
     # the sectional maximizer is a holomorphic plane: v = +/- J u
-    ju = apply_j(res.best_plane.u).comps
+    ju = apply_j(res.best_plane.u)
     assert min(np.abs(res.best_plane.v - ju).max(), np.abs(res.best_plane.v + ju).max()) < 1e-4
 
 
@@ -200,7 +200,7 @@ def test_extremal_bisectional_matches_h_extremum():
 def test_extremal_bisectional_pair_is_h_unit():
     m = catalog_metric("fubini_study", 2)
     res = extremal_bisectional(m, P0, mode="max", restarts=16, seed=1)
-    h = geometry_at(m, P0, with_connection_derivatives=False).jet.h
+    h = geometry_at(m, P0).jet.h
     xi, eta = res.best_pair
     assert hermitian_pairing(h, xi, xi).real == pytest.approx(1.0, abs=1e-8)
     assert hermitian_pairing(h, eta, eta).real == pytest.approx(1.0, abs=1e-8)

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -196,9 +197,21 @@ def test_overflowing_constant_is_singular_exit_2(tmp_path, capsys):
     # finite literals whose folded product is inf
     f = tmp_path / "overflow.metric"
     f.write_text("dim 1;\nh[1,1] = 1e300 * 1e300;\n")
-    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0]]")
     assert code == 2
     assert rep["error"]["type"] == "SingularMetricError"
+
+
+def test_deeply_nested_metric_exit_2(tmp_path, capsys):
+    f = tmp_path / "nested.metric"
+    f.write_text("dim 1;\nh[1,1] = 2 + " + "(" * 400 + "z1*zb1" + ")" * 400 + ";\n")
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0.3,0.1]]")
+    assert code == 2
+    assert rep["error"]["type"] == "DslSyntaxError"
+    assert re.fullmatch(r"line 2, column \d+: expression nested too deeply",
+                        rep["error"]["message"])
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from hermicurv import (
-    catalog_metric,
+from hermicurv import catalog_metric, jet_at
+from hermicurv.connection import (
     chern_coeffs,
     chern_torsion,
     complexified_christoffel,
     induced_real_connection,
-    jet_at,
     real_christoffel,
-    real_jet_at,
-    sample_admissible_points,
 )
-from hermicurv.connection import induced_connection_fd
+from hermicurv.field import real_jet_at, sample_admissible_points
+from oracles import induced_connection_fd
 
 
 def test_chern_coefficient_on_projective_line():
@@ -37,7 +35,7 @@ def test_euclidean_connections_vanish():
     p = np.array([0.3 + 0.4j, -0.1 + 0j])
     jet = jet_at(m, p)
     assert np.abs(chern_coeffs(jet).gamma).max() == 0
-    conn = induced_real_connection(jet, with_derivatives=True)
+    conn = induced_real_connection(jet)
     assert np.abs(conn.theta_tilde).max() == 0
     assert np.abs(conn.theta_tilde_dx).max() == 0
     lc = real_christoffel(real_jet_at(m, p))
@@ -143,7 +141,7 @@ def test_coefficient_derivatives_match_finite_differences():
     for name in ("nk_diag", "hopf"):
         m = catalog_metric(name, 2)
         p = sample_admissible_points(m, 1, seed=5)[0]
-        conn = induced_real_connection(jet_at(m, p), with_derivatives=True)
+        conn = induced_real_connection(jet_at(m, p))
         fd = induced_connection_fd(m, p)
         scale = max(1.0, np.abs(conn.theta_tilde_dx).max())
         assert np.abs(conn.theta_tilde_dx - fd).max() < 1e-6 * scale

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from hermicurv import (
-    catalog_metric,
+from hermicurv import catalog_metric, jet_at
+from hermicurv.connection import real_christoffel
+from hermicurv.curvature import (
     chern_curvature,
     complexified_11_direct,
     complexify_curvature,
-    jet_at,
-    real_christoffel,
     real_curvature,
-    real_jet_at,
-    sample_admissible_points,
 )
+from hermicurv.field import real_jet_at, sample_admissible_points
 
 ORIGIN1 = np.array([0.0 + 0j])
 

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 import hermicurv.dsl as dsl
-from hermicurv import (
-    ChartPoint,
-    DslError,
-    DslEvalError,
-    DslSyntaxError,
-    parse_expression,
-    parse_metric,
-)
+from hermicurv import ChartPoint, DslError, DslEvalError, DslSyntaxError, parse_metric
+from hermicurv.dsl import parse_expression
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +54,8 @@ def test_unknown_symbol_has_position():
 
 
 def test_syntax_errors():
-    for src in ("z1 +", "(z1", "z1 ^ 1.5", "z1 ^ 0", "z1 z2", "2 ** 3", "z0", "@"):
+    nested = ("(" * 400 + "z1" + ")" * 400, "exp(" * 400 + "z1" + ")" * 400)
+    for src in ("z1 +", "(z1", "z1 ^ 1.5", "z1 ^ 0", "z1 z2", "2 ** 3", "z0", "@", *nested):
         with pytest.raises(DslSyntaxError):
             parse_expression(src)
 

@@ -14,17 +14,20 @@ from hermicurv import (
     SingularMetricError,
     apply_j,
     catalog_metric,
-    catalog_source,
-    fd_oracle_jet,
-    hermitian_pairing,
     jet_at,
     parse_metric,
+    to_holomorphic,
+)
+from hermicurv.core import hermitian_pairing
+from hermicurv.field import (
+    MAX_CONDITION,
+    _checked_inverse,
+    catalog_source,
     real_jet_at,
     real_jet_from_complex,
     sample_admissible_points,
-    to_holomorphic,
 )
-from hermicurv.field import MAX_CONDITION, _checked_inverse
+from oracles import fd_oracle_jet
 
 ORIGIN1 = np.array([0.0 + 0j])
 
@@ -32,7 +35,7 @@ ORIGIN1 = np.array([0.0 + 0j])
 def test_fubini_study_jet_at_origin():
     m = catalog_metric("fubini_study", 1)
     jet = jet_at(m, ORIGIN1)
-    assert jet.hmat[0, 0] == pytest.approx(1.0)
+    assert jet.h[0, 0] == pytest.approx(1.0)
     assert np.abs(jet.d1_holo).max() == 0
     assert np.abs(jet.d1_anti).max() == 0
     assert jet.d2_mixed[0, 0, 0, 0] == pytest.approx(-2.0)
@@ -43,7 +46,7 @@ def test_fubini_study_jet_at_origin():
 def test_poincare_ball_jet_at_origin():
     m = catalog_metric("poincare_ball", 1)
     jet = jet_at(m, ORIGIN1)
-    assert jet.hmat[0, 0] == pytest.approx(1.0)
+    assert jet.h[0, 0] == pytest.approx(1.0)
     assert jet.d2_mixed[0, 0, 0, 0] == pytest.approx(2.0)
 
 
@@ -59,7 +62,7 @@ def test_nk_diag_first_derivative():
 def test_euclidean_jets_vanish():
     m = catalog_metric("euclidean", 3)
     jet = jet_at(m, np.array([0.2 + 0.1j, -0.4 + 0j, 0.0 + 0.9j]))
-    np.testing.assert_allclose(jet.hmat, np.eye(3))
+    np.testing.assert_allclose(jet.h, np.eye(3))
     for block in (jet.d1_holo, jet.d1_anti, jet.d2_mixed, jet.d2_holo, jet.d2_anti):
         assert np.abs(block).max() == 0
 
@@ -69,7 +72,7 @@ def test_jet_conjugation_invariants(name, n):
     m = catalog_metric(name, n)
     p = sample_admissible_points(m, 1, seed=14)[0]
     jet = jet_at(m, p)
-    H = jet.hmat
+    H = jet.h
     assert np.abs(H - H.conj().T).max() < 1e-12 * max(1.0, np.abs(H).max())
     # conjugating an entry swaps the index pair and the derivative type
     assert np.abs(jet.d1_anti - np.conj(jet.d1_holo.transpose(0, 2, 1))).max() < 1e-12
@@ -127,7 +130,7 @@ def test_real_metric_matches_hermitian_pairing():
         huv = hermitian_pairing(jet.h, to_holomorphic(u), to_holomorphic(v))
         assert guv == pytest.approx(huv.real, abs=1e-12)
         # g is J-invariant
-        gj = float(apply_j(u).comps @ rjet.g @ apply_j(v).comps)
+        gj = float(apply_j(u) @ rjet.g @ apply_j(v))
         assert gj == pytest.approx(guv, abs=1e-12)
 
 
@@ -180,6 +183,12 @@ def test_non_finite_metric_is_singular(H):
         _checked_inverse(np.array(H, dtype=complex), MAX_CONDITION)
 
 
+def test_checked_inverse_rejects_asymmetric():
+    bad = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="metric value is not Hermitian"):
+        _checked_inverse(bad, MAX_CONDITION)
+
+
 @pytest.mark.parametrize("field, index, what", [
     ("d1_anti", (1,), "first derivative slice 1"),
     ("d2_holo", (1, 1), "second derivative slice (1,1)"),
@@ -215,7 +224,7 @@ def test_catalog_sources_parse():
 def test_nk_diag_n1_reduces_to_flat_line():
     m = catalog_metric("nk_diag", 1)
     jet = jet_at(m, np.array([0.7 - 0.2j]))
-    assert jet.hmat[0, 0] == pytest.approx(1.0)
+    assert jet.h[0, 0] == pytest.approx(1.0)
     assert np.abs(jet.d1_holo).max() == 0
 
 

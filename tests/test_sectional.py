@@ -5,20 +5,17 @@ from hermicurv import (
     DegeneratePlaneError,
     Plane,
     apply_j,
-    chern_quadratic_form,
+    catalog_metric,
     chern_sectional,
+    geometry_at,
     holo_bisectional,
     holo_sectional,
     identity_suite,
-    induced_curvature_pairing,
-    induced_real_connection,
-    jet_at,
-    plane_gram,
     riemann_sectional,
-    sample_admissible_points,
     to_holomorphic,
 )
-from hermicurv import catalog_metric, geometry_at
+from hermicurv.field import sample_admissible_points
+from hermicurv.sectional import chern_quadratic_form, induced_curvature_pairing, plane_gram
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -78,7 +75,7 @@ def test_chern_equals_riemann_sectional_for_kahler(geom):
     for name in ("fubini_study", "poincare_ball"):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=41):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             for _ in range(10):
                 u = rng.standard_normal(4)
                 v = rng.standard_normal(4)
@@ -103,7 +100,7 @@ def test_holomorphic_plane_recovers_h(geom):
     g = geom("fubini_study", [0.2 + 0.1j, -0.3 + 0.4j])
     for _ in range(5):
         u = rng.standard_normal(4)
-        ju = apply_j(u).comps
+        ju = apply_j(u)
         K = riemann_sectional(g.rc, g.rjet, Plane(u, ju))
         H = holo_sectional(g.kr, g.jet.h, to_holomorphic(u))
         assert K == pytest.approx(2 * H, rel=1e-10)
@@ -124,7 +121,7 @@ def test_fubini_study_h_is_constant_2(geom):
     m = catalog_metric("fubini_study", 2)
     rng = np.random.default_rng(2)
     for p in sample_admissible_points(m, 3, seed=6):
-        g = geometry_at(m, p, with_connection_derivatives=False)
+        g = geometry_at(m, p)
         xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert holo_sectional(g.kr, g.jet.h, xi) == pytest.approx(2.0, rel=1e-10)
 
@@ -142,19 +139,12 @@ def test_quadratic_form_is_real_and_matches_values(geom):
     assert chern_quadratic_form(g0.kr, xi0, 1j * xi0) == pytest.approx(4.0)
 
 
-def test_pairing_requires_connection_derivatives(geom):
-    g = geom("fubini_study", [0j])
-    conn = induced_real_connection(g.jet, with_derivatives=False)
-    with pytest.raises(ValueError):
-        induced_curvature_pairing(conn, g.rjet, E1, E2)
-
-
 def test_pairing_values(geom):
-    e = geom("euclidean", [0j, 0j], derivs=True)
+    e = geom("euclidean", [0j, 0j])
     rng = np.random.default_rng(31)
     u, v = rng.standard_normal(4), rng.standard_normal(4)
     assert induced_curvature_pairing(e.induced, e.rjet, u, v) == pytest.approx(0.0, abs=1e-14)
-    f = geom("fubini_study", [0j], derivs=True)
+    f = geom("fubini_study", [0j])
     assert induced_curvature_pairing(f.induced, f.rjet, E1, E2) == pytest.approx(4.0)
 
 
@@ -163,13 +153,13 @@ def test_pairing_equals_quadratic_form_on_catalog():
     for name in ("fubini_study", "poincare_ball", "hopf", "nk_diag"):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=43):
-            g = geometry_at(m, p, with_connection_derivatives=True)
+            g = geometry_at(m, p)
             for _ in range(5):
                 u = rng.standard_normal(4)
                 v = rng.standard_normal(4)
                 lhs = induced_curvature_pairing(g.induced, g.rjet, u, v)
                 rhs = chern_quadratic_form(
-                    g.kr, to_holomorphic(u).comps, to_holomorphic(v).comps
+                    g.kr, to_holomorphic(u), to_holomorphic(v)
                 )
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
@@ -193,7 +183,7 @@ def test_identity_suite_kahler(geom):
     for name in ("fubini_study", "poincare_ball"):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=49):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             for _ in range(5):
                 u, v = rng.standard_normal(4), rng.standard_normal(4)
                 res = identity_suite(g.rc, g.kr, g.cx, u, v)
@@ -207,7 +197,7 @@ def test_identity_suite_universal_on_non_kahler(geom):
     for name in ("nk_diag", "hopf"):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=59):
-            g = geometry_at(m, p, with_connection_derivatives=False)
+            g = geometry_at(m, p)
             for _ in range(5):
                 u, v = rng.standard_normal(4), rng.standard_normal(4)
                 res = identity_suite(g.rc, g.kr, g.cx, u, v)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import hermicurv.dsl as dsl
-from hermicurv import DslEvalError, catalog_metric, parse_expression
+from hermicurv import DslEvalError, catalog_metric
+from hermicurv.dsl import parse_expression
 from hermicurv.field import CATALOG_NAMES, jet_at, sample_admissible_points
 from test_dsl import _random_expression
 
@@ -127,7 +128,7 @@ def test_catalog_jets_equal_the_reference(name, n):
     for p in sample_admissible_points(metric, 2, seed=31):
         jet = jet_at(metric, p)
         want = ref_jet(metric, p.coords)
-        got = (jet.hmat, jet.d1_holo, jet.d1_anti, jet.d2_mixed, jet.d2_holo, jet.d2_anti)
+        got = (jet.h, jet.d1_holo, jet.d1_anti, jet.d2_mixed, jet.d2_holo, jet.d2_anti)
         for w, g in zip(want, got):
             assert same_bits(w, g)
             assert g.flags.c_contiguous
