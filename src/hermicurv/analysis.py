@@ -7,6 +7,11 @@ projection is evaluated batched; a per-restart step halves whenever the
 trial move fails to improve, and a restart freezes once its step falls
 below min_step.  The winner is the best final value, first-found on ties
 within 1e-10, which keeps results reproducible for a fixed seed.
+
+Every objective is a real quartic form, T(U, V, V, U) on a pair or
+T(Y, Y, Y, Y) on one vector, with T built once per point.  Its gradient
+is exact, and the chain rule through the projection (onto a g-sphere or
+onto g-orthonormal pairs) gives the gradient the ascent steps along.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "lu_symmetry_check",
     "LuInequalityReport",
     "lu_inequality_check",
+    "SearchStats",
     "ExtremalResult",
     "extremal_sectional",
     "extremal_bisectional",
@@ -177,45 +183,155 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
 # Multi-start projected search
 
 
-def _multistart(objective, project, dim: int, restarts: int, seed: int, mode: str,
-                step0: float = 0.1, min_step: float = 1e-10, max_iter: int = 200,
-                grad_eps: float = 1e-6):
+@dataclass(frozen=True)
+class SearchStats:
+    """Work done by one multi-start search.
+
+    iterations counts passes of the step loop (the most steps any restart
+    took); evaluations counts value-and-gradient evaluations, one per
+    restart still stepping in a pass plus one per restart at the start;
+    converged restarts ended with their step below min_step and capped ones
+    were still stepping when max_iter ran out.
+    """
+
+    iterations: int
+    evaluations: int
+    converged: int
+    capped: int
+
+
+def _multistart(value_grad, project, dim: int, restarts: int, seed: int, mode: str,
+                step0: float = 0.1, min_step: float = 1e-10, max_iter: int = 200):
     """Batched multi-start projected gradient search.
 
-    objective maps an (B, dim) array of already-projected states to (B,)
-    values; project maps arbitrary states back onto the constraint set.
-    Returns (best_state, best_value, converged).
+    value_grad maps an (B, dim) array of already-projected states to their
+    (B,) values and the (B, dim) gradients of objective(project(.)) there;
+    project maps arbitrary states back onto the constraint set.  Only
+    restarts still stepping are evaluated, and a restart keeps the
+    gradient of its last accepted state.
+    Returns (best_state, best_value, converged, stats).
     """
     sign = 1.0 if mode == "max" else -1.0
     rng = np.random.default_rng(seed)
     X = project(rng.standard_normal((restarts, dim)))
-    f = objective(X)
+    f, grad = value_grad(X)
     step = np.full(restarts, step0)
+    iterations, evaluations = 0, restarts
 
     for _ in range(max_iter):
-        active = step > min_step
-        if not active.any():
+        rows = np.nonzero(step > min_step)[0]
+        if rows.size == 0:
             break
-        grad = np.empty((restarts, dim))
-        for c in range(dim):
-            shift = np.zeros(dim)
-            shift[c] = grad_eps
-            fp = objective(project(X + shift))
-            fm = objective(project(X - shift))
-            grad[:, c] = (fp - fm) / (2.0 * grad_eps)
-        norms = np.linalg.norm(grad, axis=1)
+        iterations += 1
+        evaluations += rows.size
+        g = grad[rows]
+        norms = np.linalg.norm(g, axis=1)
         norms[norms == 0] = 1.0
-        trial = project(X + (sign * step / norms)[:, None] * grad)
-        ftrial = objective(trial)
-        better = active & (sign * ftrial > sign * f)
-        X[better] = trial[better]
-        f[better] = ftrial[better]
-        step[active & ~better] *= 0.5
+        trial = project(X[rows] + (sign * step[rows] / norms)[:, None] * g)
+        ftrial, gtrial = value_grad(trial)
+        better = sign * ftrial > sign * f[rows]
+        moved = rows[better]
+        X[moved] = trial[better]
+        f[moved] = ftrial[better]
+        grad[moved] = gtrial[better]
+        step[rows[~better]] *= 0.5
 
     key = sign * f
     winners = np.nonzero(key >= np.max(key) - 1e-10)[0]
     idx = int(winners[0])
-    return X[idx].copy(), float(f[idx]), bool(step[idx] <= min_step)
+    done = int(np.sum(step <= min_step))
+    stats = SearchStats(iterations, evaluations, done, restarts - done)
+    return X[idx].copy(), float(f[idx]), bool(step[idx] <= min_step), stats
+
+
+def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
+    """T averaged over swapping slots 1 and 4 and slots 2 and 3, which
+    leaves T(u, v, v, u) unchanged."""
+    return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
+
+
+def _quartic(S: np.ndarray, U: np.ndarray, V: np.ndarray):
+    """S(U, V, V, U) and its gradients in U and in V, batched over rows.
+
+    S must be pair-symmetrized, so the four slot contractions of the
+    gradient fold into two, 2 S(., V, V, U) and 2 S(U, ., V, U), which
+    share the contraction of slots 3 and 4.  Plain two-operand einsums:
+    at m = 4 and 8 rows they take about a tenth of the time of einsums
+    with planned contraction paths.  For a single vector, S(Y, Y, Y, Y)
+    is the value at U = V = Y and its gradient is the sum of the two.
+    """
+    A = np.einsum("ijkl,Bkl->Bij", S, np.einsum("Bk,Bl->Bkl", V, U))
+    gu = 2.0 * np.einsum("Bij,Bj->Bi", A, V)
+    gv = 2.0 * np.einsum("Bij,Bi->Bj", A, U)
+    return np.einsum("Bi,Bi->B", gu, U) / 2.0, gu, gv
+
+
+def _sphere_grad(g: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gradient of f(Y / |Y|_g) at g-unit rows Y, from the gradient a of f."""
+    return a - np.einsum("Bi,Bi->B", a, Y)[:, None] * (Y @ g)
+
+
+def _pair_grad(g: np.ndarray, U: np.ndarray, V: np.ndarray, au: np.ndarray, av: np.ndarray):
+    """Gradient of f composed with _orthonormal_pair_projector at
+    g-orthonormal rows (U, V), from the gradients au, av of f."""
+    gU, gV = U @ g, V @ g
+    avu = np.einsum("Bi,Bi->B", av, U)[:, None]
+    du = au - np.einsum("Bi,Bi->B", au, U)[:, None] * gU - avu * gV
+    dv = av - avu * gU - np.einsum("Bi,Bi->B", av, V)[:, None] * gV
+    return np.concatenate([du, dv], axis=1)
+
+
+def _pair_objective(T: np.ndarray, g: np.ndarray):
+    """value_grad of T(U, V, V, U) over g-orthonormal pairs X = [U | V]."""
+    S = _pair_symmetrized(T)
+    m = g.shape[0]
+
+    def value_grad(X):
+        U, V = X[:, :m], X[:, m:]
+        f, gu, gv = _quartic(S, U, V)
+        return f, _pair_grad(g, U, V, gu, gv)
+
+    return value_grad
+
+
+def _sphere_objective(T: np.ndarray, g: np.ndarray):
+    """value_grad of T(Y, Y, Y, Y) over the g-unit sphere."""
+    S = _pair_symmetrized(T)
+
+    def value_grad(Y):
+        f, gu, gv = _quartic(S, Y, Y)
+        return f, _sphere_grad(g, Y, gu + gv)
+
+    return value_grad
+
+
+def _two_sphere_objective(T: np.ndarray, g: np.ndarray):
+    """value_grad of T(U, V, V, U) over pairs of g-unit vectors X = [U | V]."""
+    S = _pair_symmetrized(T)
+    m = g.shape[0]
+
+    def value_grad(X):
+        U, V = X[:, :m], X[:, m:]
+        f, gu, gv = _quartic(S, U, V)
+        return f, np.concatenate([_sphere_grad(g, U, gu), _sphere_grad(g, V, gv)], axis=1)
+
+    return value_grad
+
+
+def _real_chern(kr: np.ndarray) -> np.ndarray:
+    """The real 4-tensor K with K(a, b, c, d) = Re kr(xi_a, xi_b~, xi_c, xi_d~),
+    where xi_u = u[:n] + i u[n:] for real 2n-vectors u."""
+    n = kr.shape[0]
+    p = np.repeat([1.0, 1j], n)
+    phase = np.einsum("i,j,k,l->ijkl", p, p.conj(), p, p.conj())
+    return (np.tile(kr, (2, 2, 2, 2)) * phase).real
+
+
+def _j_folded(r: np.ndarray) -> np.ndarray:
+    """r with J folded into slots 2 and 3: T(y, y, y, y) = r(y, Jy, Jy, y)."""
+    n = r.shape[0] // 2
+    rj = np.concatenate([r[:, n:], -r[:, :n]], axis=1)
+    return np.concatenate([rj[:, :, n:], -rj[:, :, :n]], axis=2)
 
 
 def _sign_label(vals: np.ndarray) -> str:
@@ -229,6 +345,11 @@ def _sign_label(vals: np.ndarray) -> str:
     return "indefinite"
 
 
+# The attainment statements cover the max on nonnegative curvature and
+# the min on nonpositive curvature; elsewhere they predict nothing.
+_COVERED_SIGNS = {"max": ("nonneg", "zero"), "min": ("nonpos", "zero")}
+
+
 @dataclass(frozen=True)
 class ExtremalResult:
     """Outcome of an extremal curvature search at one point.
@@ -236,9 +357,14 @@ class ExtremalResult:
     gap is oriented so that the searched extremum exceeding the
     holomorphic-plane extremum gives a positive gap in either mode; the
     pointwise attainment statements predict gap <= tolerance when
-    applicable, i.e. when the sampled hypotheses of the search hold.  The
-    bisectional search also reports the optimizing vector pair and how
-    aligned it is (|h(xi, eta)| for unit vectors, 1 means proportional).
+    applicable, i.e. when the sampled hypotheses of the search hold and
+    the sign they find is the one the mode is covered for (nonneg or
+    zero for max, nonpos or zero for min).  converged means the step of
+    each winning restart fell below min_step: a local stationarity
+    statement, not a proof that the extremum is global.  search and
+    holo_search count the work of the two searches.  The bisectional
+    search also reports the optimizing vector pair and how aligned it is
+    (|h(xi, eta)| for unit vectors, 1 means proportional).
     """
 
     mode: str
@@ -252,6 +378,8 @@ class ExtremalResult:
     hypothesis_sign: str
     seed: int
     applicable: bool
+    search: SearchStats
+    holo_search: SearchStats
     best_pair: tuple | None = None
     pair_alignment: float | None = None
 
@@ -290,19 +418,23 @@ def _orthonormal_pair_projector(g: np.ndarray):
     return project
 
 
-def _pair_curvature_objective(r: np.ndarray):
-    m = r.shape[0]
+def _sphere_projector(g: np.ndarray):
+    """Scale each block of m reals in a row to g-unit length; a zero block
+    becomes e_1 scaled.  On [Re z, Im z] blocks, g-unit is h-unit."""
+    m = g.shape[0]
 
-    def objective(X):
-        U, V = X[:, :m], X[:, m:]
-        return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", r, U, V, V, U, optimize=True)
+    def project(X):
+        Y = X.reshape(-1, m)
+        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
+        bad = norm2 < 1e-12
+        if bad.any():
+            Y = Y.copy()
+            Y[bad] = 0.0
+            Y[bad, 0] = 1.0
+            norm2[bad] = g[0, 0]
+        return (Y / np.sqrt(norm2)[:, None]).reshape(X.shape)
 
-    return objective
-
-
-def _apply_j_rows(Y: np.ndarray) -> np.ndarray:
-    n = Y.shape[1] // 2
-    return np.concatenate([-Y[:, n:], Y[:, :n]], axis=1)
+    return project
 
 
 def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
@@ -311,9 +443,10 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
 
     The pointwise attainment statement (for metrics with the required
     symmetry and a sign-definite curvature) predicts that the full-plane
-    extremum is achieved on a holomorphic plane; the sign hypothesis is
-    sampled and reported, never assumed, and the result is applicable
-    when it finds a sign-definite (or zero) curvature.
+    maximum of nonnegative, or minimum of nonpositive, curvature is
+    achieved on a holomorphic plane; the sign hypothesis is sampled and
+    reported, never assumed, and the result is applicable when the mode
+    is covered for the sign found.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
@@ -322,32 +455,17 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     m = g.shape[0]
 
     project = _orthonormal_pair_projector(g)
-    objective = _pair_curvature_objective(r)
+    value_grad = _pair_objective(r, g)
 
     rng = np.random.default_rng(seed + 101)
     sample = project(rng.standard_normal((1000, 2 * m)))
-    hypothesis_sign = _sign_label(objective(sample))
+    hypothesis_sign = _sign_label(value_grad(sample)[0])
 
-    best_x, best_value, converged = _multistart(
-        objective, project, 2 * m, restarts, seed, mode
+    best_x, best_value, converged, stats = _multistart(
+        value_grad, project, 2 * m, restarts, seed, mode
     )
-
-    def holo_project(Y):
-        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
-        bad = norm2 < 1e-12
-        if bad.any():
-            Y = Y.copy()
-            Y[bad] = 0.0
-            Y[bad, 0] = 1.0
-            norm2[bad] = g[0, 0]
-        return Y / np.sqrt(norm2)[:, None]
-
-    def holo_objective(Y):
-        JY = _apply_j_rows(Y)
-        return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", r, Y, JY, JY, Y, optimize=True)
-
-    best_y, holo_value, holo_conv = _multistart(
-        holo_objective, holo_project, m, restarts, seed + 1, mode
+    best_y, holo_value, holo_conv, holo_stats = _multistart(
+        _sphere_objective(_j_folded(r), g), _sphere_projector(g), m, restarts, seed + 1, mode
     )
 
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
@@ -362,7 +480,9 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
         gap=gap,
         hypothesis_sign=hypothesis_sign,
         seed=seed,
-        applicable=hypothesis_sign in ("nonneg", "nonpos", "zero"),
+        applicable=hypothesis_sign in _COVERED_SIGNS[mode],
+        search=stats,
+        holo_search=holo_stats,
     )
 
 
@@ -371,16 +491,18 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     """Extremize B over pairs of h-unit vectors, against the H extremum.
 
     Applicability requires the curvature symmetry of lu_symmetry_check
-    and a sign-definite quadratic form, both sampled here.  The
-    attainment statement predicts the B extremum occurs at xi = eta (up
-    to phase), which pair_alignment makes checkable.
+    and a sign-definite quadratic form, both sampled here, with the mode
+    covered for that sign.  The attainment statement predicts the B
+    extremum occurs at xi = eta (up to phase), which pair_alignment makes
+    checkable.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     geom = geometry_at(metric, p)
     kr = geom.kr.kr
-    H = geom.jet.h
+    H, g = geom.jet.h, geom.rjet.g
     n = geom.n
+    m = 2 * n
 
     sym = lu_symmetry_check(kr, tol=1e-8)
     rng = np.random.default_rng(seed + 202)
@@ -388,45 +510,20 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     qs = _w_form(kr, Xs, Es).real
     hypothesis_sign = _sign_label(qs)
-    applicable = bool(sym.passed and hypothesis_sign in ("nonneg", "nonpos", "zero"))
+    applicable = bool(sym.passed and hypothesis_sign in _COVERED_SIGNS[mode])
 
-    def unit_complex(Z):
-        norm2 = np.einsum("ab,Ba,Bb->B", H, Z, Z.conj()).real
-        bad = norm2 < 1e-12
-        if bad.any():
-            Z = Z.copy()
-            Z[bad] = 0.0
-            Z[bad, 0] = 1.0
-            norm2[bad] = H[0, 0].real
-        return Z / np.sqrt(norm2)[:, None]
+    # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
+    K = _real_chern(kr)
+    project = _sphere_projector(g)
+    best_x, best_value, converged, stats = _multistart(
+        _two_sphere_objective(K.transpose(0, 2, 3, 1), g), project, 2 * m, restarts, seed, mode
+    )
+    xi_best = best_x[:n] + 1j * best_x[n:m]
+    eta_best = best_x[m : m + n] + 1j * best_x[m + n :]
 
-    def split(X):
-        return X[:, :n] + 1j * X[:, n : 2 * n], X[:, 2 * n : 3 * n] + 1j * X[:, 3 * n :]
-
-    def project(X):
-        xi, eta = split(X)
-        xi = unit_complex(xi)
-        eta = unit_complex(eta)
-        return np.concatenate([xi.real, xi.imag, eta.real, eta.imag], axis=1)
-
-    def objective(X):
-        xi, eta = split(X)
-        return _kr_form(kr, xi, xi, eta, eta).real
-
-    best_x, best_value, converged = _multistart(objective, project, 4 * n, restarts, seed, mode)
-    xi_best = best_x[:n] + 1j * best_x[n : 2 * n]
-    eta_best = best_x[2 * n : 3 * n] + 1j * best_x[3 * n :]
-
-    def h_project(Y):
-        Z = Y[:, :n] + 1j * Y[:, n:]
-        Z = unit_complex(Z)
-        return np.concatenate([Z.real, Z.imag], axis=1)
-
-    def h_objective(Y):
-        Z = Y[:, :n] + 1j * Y[:, n:]
-        return _kr_form(kr, Z, Z, Z, Z).real
-
-    best_z, holo_value, holo_conv = _multistart(h_objective, h_project, 2 * n, restarts, seed + 1, mode)
+    best_z, holo_value, holo_conv, holo_stats = _multistart(
+        _sphere_objective(K, g), project, m, restarts, seed + 1, mode
+    )
     zeta = best_z[:n] + 1j * best_z[n:]
 
     alignment = float(abs(np.einsum("ab,a,b->", H, xi_best, eta_best.conj())))
@@ -443,6 +540,8 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
         hypothesis_sign=hypothesis_sign,
         seed=seed,
         applicable=applicable,
+        search=stats,
+        holo_search=holo_stats,
         best_pair=(xi_best, eta_best),
         pair_alignment=alignment,
     )
@@ -454,7 +553,11 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
 @dataclass(frozen=True)
 class GapProbeReport:
-    """Largest observed |K - K_D| over sampled planes at the given points."""
+    """Largest observed |K - K_D| over sampled planes at the given points.
+
+    searches holds the work of the refining search at each point, empty
+    without refinement.
+    """
 
     max_gap: float
     witness_point: ChartPoint
@@ -464,6 +567,16 @@ class GapProbeReport:
     per_point_gaps: tuple
     samples: int
     seed: int
+    searches: tuple = ()
+
+
+def _gap_tensor(r: np.ndarray, kr: np.ndarray) -> np.ndarray:
+    """T with T(u, v, v, u) = R(u, v, v, u) - Re _w_form(kr, xi_u, xi_v) / 2,
+    the K - K_D numerator on g-orthonormal pairs."""
+    K = _real_chern(kr)
+    # -W W expands to -K(u,v,u,v) + K(u,v,v,u) + K(v,u,u,v) - K(v,u,v,u)
+    w = -K.transpose(0, 1, 3, 2) + K + K.transpose(1, 0, 3, 2) - K.transpose(1, 0, 2, 3)
+    return r - w / 2
 
 
 def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
@@ -479,27 +592,26 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     """
     best = None
     per_point = []
+    searches = []
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
-        g, r, kr = geom.rjet.g, geom.rc.r, geom.kr.kr
+        g = geom.rjet.g
         m = g.shape[0]
-        n = geom.n
         project = _orthonormal_pair_projector(g)
-        k_obj = _pair_curvature_objective(r)
+        signed = _pair_objective(_gap_tensor(geom.rc.r, geom.kr.kr), g)
 
-        def gap_objective(X):
-            U, V = X[:, :m], X[:, m:]
-            xi = U[:, :n] + 1j * U[:, n:]
-            eta = V[:, :n] + 1j * V[:, n:]
-            return np.abs(k_obj(X) - (_w_form(kr, xi, eta) / 2).real)
+        def value_grad(X):
+            f, grad = signed(X)
+            return np.abs(f), np.sign(f)[:, None] * grad
 
         rng = np.random.default_rng(seed + k)
         sample = project(rng.standard_normal((samples, 2 * m)))
-        gaps = gap_objective(sample)
+        gaps = value_grad(sample)[0]
         point_best_x = sample[int(np.argmax(gaps))]
         point_best = float(np.max(gaps))
         if refine:
-            x, val, _ = _multistart(gap_objective, project, 2 * m, 16, seed + k, "max")
+            x, val, _, stats = _multistart(value_grad, project, 2 * m, 16, seed + k, "max")
+            searches.append(stats)
             if val > point_best:
                 point_best, point_best_x = val, x
         per_point.append(point_best)
@@ -522,4 +634,5 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         per_point_gaps=tuple(per_point),
         samples=samples,
         seed=seed,
+        searches=tuple(searches),
     )

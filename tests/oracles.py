@@ -97,3 +97,19 @@ def induced_connection_fd(metric, p, step: float = 1e-5) -> np.ndarray:
             out = np.empty(tp.shape + (m,))
         out[:, :, :, a] = (tp - tm) / (2.0 * step)
     return out
+
+
+def projected_gradient_fd(objective, project, X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Gradient of objective(project(.)) at the rows of X by central
+    differences, one coordinate at a time.
+
+    objective maps (B, dim) projected states to (B,) values.  This is the
+    gradient the multi-start search once built on every iteration; its
+    error is O(eps^2) truncation plus rounding of order 1e-16 / eps.
+    """
+    grad = np.empty(X.shape)
+    for c in range(X.shape[1]):
+        shift = np.zeros(X.shape[1])
+        shift[c] = eps
+        grad[:, c] = (objective(project(X + shift)) - objective(project(X - shift))) / (2.0 * eps)
+    return grad

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hermicurv import (
+    CATALOG_NAMES,
     ChartPoint,
     apply_j,
     catalog_metric,
@@ -13,9 +14,12 @@ from hermicurv import (
     lu_inequality_check,
     to_holomorphic,
 )
+from hermicurv import analysis
 from hermicurv.analysis import lu_symmetry_check
 from hermicurv.core import hermitian_pairing
 from hermicurv.field import sample_admissible_points
+from hermicurv.sectional import _kr_form, _w_form
+from oracles import projected_gradient_fd
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -240,3 +244,128 @@ def test_gap_probe_deterministic():
     b = chern_gap_probe(m, pts, samples=200, seed=9)
     assert a.max_gap == b.max_gap
     assert np.array_equal(a.witness_plane.u, b.witness_plane.u)
+
+
+# ---------------------------------------------------------------------------
+# Search engine: analytic gradients, projectors, diagnostics
+
+
+def _search_cases(geom):
+    """name -> (value_grad, project, independent objective, state dim).
+
+    The independent objectives are the search objectives written out
+    directly on the search state, without the real 4-tensors the engine
+    folds them into."""
+    g, r, kr = geom.rjet.g, geom.rc.r, geom.kr.kr
+    n = geom.n
+    m = 2 * n
+    pair = analysis._orthonormal_pair_projector(g)
+    sphere = analysis._sphere_projector(g)
+    K = analysis._real_chern(kr)
+
+    def holo(X):
+        return X[:, :n] + 1j * X[:, n:m]
+
+    def sectional(X):
+        U, V = X[:, :m], X[:, m:]
+        return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", r, U, V, V, U)
+
+    def holo_plane(Y):
+        JY = np.concatenate([-Y[:, n:], Y[:, :n]], axis=1)
+        return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", r, Y, JY, JY, Y)
+
+    def bisectional(X):
+        xi, eta = holo(X), holo(X[:, m:])
+        return _kr_form(kr, xi, xi, eta, eta).real
+
+    def holomorphic(Y):
+        z = holo(Y)
+        return _kr_form(kr, z, z, z, z).real
+
+    def gap(X):
+        xi, eta = holo(X), holo(X[:, m:])
+        return sectional(X) - (_w_form(kr, xi, eta) / 2).real
+
+    # a tensor without curvature symmetries reaches every chain-rule term
+    T = np.random.default_rng(41).standard_normal((m,) * 4)
+
+    def generic(X):
+        U, V = X[:, :m], X[:, m:]
+        return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", T, U, V, V, U)
+
+    return {
+        "generic_pair": (analysis._pair_objective(T, g), pair, generic, 2 * m),
+        "generic_two_sphere": (analysis._two_sphere_objective(T, g), sphere, generic, 2 * m),
+        "sectional": (analysis._pair_objective(r, g), pair, sectional, 2 * m),
+        "holo_plane": (analysis._sphere_objective(analysis._j_folded(r), g), sphere, holo_plane, m),
+        "bisectional": (analysis._two_sphere_objective(K.transpose(0, 2, 3, 1), g), sphere,
+                        bisectional, 2 * m),
+        "holomorphic": (analysis._sphere_objective(K, g), sphere, holomorphic, m),
+        "gap": (analysis._pair_objective(analysis._gap_tensor(r, kr), g), pair, gap, 2 * m),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_search_gradients_match_finite_differences(name, n):
+    m = catalog_metric(name, n)
+    geom = geometry_at(m, sample_admissible_points(m, 1, seed=31)[0])
+    rng = np.random.default_rng(37)
+    for case, (value_grad, project, objective, dim) in _search_cases(geom).items():
+        X = project(rng.standard_normal((6, dim)))
+        f, grad = value_grad(X)
+        scale = max(1.0, float(np.max(np.abs(objective(X)))))
+        assert np.max(np.abs(f - objective(X))) <= 1e-12 * scale, case
+        fd = projected_gradient_fd(objective, project, X)
+        err = np.linalg.norm(grad - fd, axis=1)
+        assert np.all(err <= 1e-6 * np.maximum(np.linalg.norm(fd, axis=1), scale)), (case, err)
+
+
+def test_projectors_map_zero_rows_to_unit_vectors(geom):
+    g = geom("hopf", [0.3 + 0.1j, -0.2 + 0.05j])
+    gm, H = g.rjet.g, g.jet.h
+    X = np.zeros((2, 8))
+    X[1] = np.arange(1.0, 9.0)
+    P = analysis._orthonormal_pair_projector(gm)(X)
+    for row in P:
+        U, V = row[:4], row[4:]
+        assert U @ gm @ U == pytest.approx(1.0, abs=1e-12)
+        assert V @ gm @ V == pytest.approx(1.0, abs=1e-12)
+        assert U @ gm @ V == pytest.approx(0.0, abs=1e-12)
+    # the partner falls back to a g-unit vector orthogonal to U
+    Y = analysis._orthonormal_pair_projector(gm)(np.concatenate([X[1:, :4], X[1:, :4]], axis=1))[0]
+    assert Y[4:] @ gm @ Y[4:] == pytest.approx(1.0, abs=1e-12)
+    assert Y[:4] @ gm @ Y[4:] == pytest.approx(0.0, abs=1e-12)
+
+    S = analysis._sphere_projector(gm)(np.zeros((2, 4)))
+    assert np.einsum("Bi,ij,Bj->B", S, gm, S) == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    # rows of two [Re z, Im z] blocks, the first zero, become h-unit pairs
+    W = analysis._sphere_projector(gm)(np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)))
+    Z = W.reshape(-1, 4)[:, :2] + 1j * W.reshape(-1, 4)[:, 2:]
+    assert np.einsum("ab,Ba,Bb->B", H, Z, Z.conj()).real == pytest.approx([1.0] * 4, abs=1e-12)
+    assert np.all(W[:, 1:4] == 0.0)
+
+
+def _stats_ok(s, restarts):
+    assert s.iterations > 0
+    assert s.evaluations > restarts
+    assert s.converged + s.capped == restarts
+
+
+def test_search_diagnostics_are_positive_and_seeded():
+    m = catalog_metric("nk_diag", 2)
+    runs = []
+    for _ in range(2):
+        sec = extremal_sectional(m, P0, mode="min", restarts=8, seed=5)
+        bis = extremal_bisectional(m, P0, mode="max", restarts=8, seed=5)
+        probe = chern_gap_probe(m, [P0, ChartPoint(np.array([1.0 + 0j, 0.0 + 0j]))],
+                                samples=50, seed=5)
+        for s in (sec.search, sec.holo_search, bis.search, bis.holo_search):
+            _stats_ok(s, 8)
+        assert len(probe.searches) == 2
+        for s in probe.searches:
+            _stats_ok(s, 16)
+        runs.append((sec.search, sec.holo_search, bis.search, bis.holo_search, probe.searches))
+    assert runs[0] == runs[1]
+    assert chern_gap_probe(m, [P0], samples=50, seed=5, refine=False).searches == ()

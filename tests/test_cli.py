@@ -94,6 +94,26 @@ def test_extremal_command(capsys):
     assert res["hypothesis_sign"] == "nonpos"
 
 
+def test_extremal_uncovered_mode_is_not_applicable(capsys):
+    # the attainment statement covers the max on nonneg curvature only, so
+    # the min on fubini_study, where min B = 1 < min H = 2, predicts nothing
+    code, rep = run(
+        capsys,
+        "extremal",
+        "--metric", "fubini_study",
+        "--point", "[[0.05,0.1],[-0.1,0.02]]",
+        "--mode", "min",
+        "--target", "bisectional",
+        "--restarts", "16",
+    )
+    assert code == 0
+    res = rep["results"][0]
+    assert res["hypothesis_sign"] == "nonneg"
+    assert res["applicable"] is False
+    assert res["gap_ok"] is True
+    assert res["gap"] > 0.5
+
+
 def test_lu_command_auto_sign(capsys):
     code, rep = run(capsys, "lu", "--metric", "poincare_ball", "--point", "[[0.2,0.1],[0.0,0.3]]",
                     "--samples", "300")
