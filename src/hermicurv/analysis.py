@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint, to_real
+from .core import ChartPoint, to_holomorphic, to_real
 from .dsl import MetricDefinition
 from .engine import geometry_at
 from .sectional import Plane, _kr_form, _w_form, riemann_sectional
@@ -74,7 +74,7 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
         pts.append(geom.point)
         d1h = geom.jet.d1_holo
         rk = max(rk, float(np.max(np.abs(d1h - d1h.transpose(1, 0, 2)))))
-        kr = geom.kr.kr
+        kr = geom.kr
         rkl = max(rkl, float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3)))))
         rgk = max(
             rgk,
@@ -451,7 +451,7 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     geom = geometry_at(metric, p)
-    g, r = geom.rjet.g, geom.rc.r
+    g, r = geom.rjet.g, geom.rc
     m = g.shape[0]
 
     project = _orthonormal_pair_projector(g)
@@ -499,7 +499,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
     geom = geometry_at(metric, p)
-    kr = geom.kr.kr
+    kr = geom.kr
     H, g = geom.jet.h, geom.rjet.g
     n = geom.n
     m = 2 * n
@@ -518,13 +518,12 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     best_x, best_value, converged, stats = _multistart(
         _two_sphere_objective(K.transpose(0, 2, 3, 1), g), project, 2 * m, restarts, seed, mode
     )
-    xi_best = best_x[:n] + 1j * best_x[n:m]
-    eta_best = best_x[m : m + n] + 1j * best_x[m + n :]
+    xi_best, eta_best = to_holomorphic(best_x.reshape(2, m))
 
     best_z, holo_value, holo_conv, holo_stats = _multistart(
         _sphere_objective(K, g), project, m, restarts, seed + 1, mode
     )
-    zeta = best_z[:n] + 1j * best_z[n:]
+    zeta = to_holomorphic(best_z)
 
     alignment = float(abs(np.einsum("ab,a,b->", H, xi_best, eta_best.conj())))
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
@@ -555,8 +554,9 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 class GapProbeReport:
     """Largest observed |K - K_D| over sampled planes at the given points.
 
-    searches holds the work of the refining search at each point, empty
-    without refinement.
+    searches holds the work of the refining search, one entry per refined
+    point.  A point whose gap tensor is rounding noise, as on a Kahler
+    metric, keeps its sampled gap and is not refined.
     """
 
     max_gap: float
@@ -587,7 +587,8 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     the gap is just the difference of the two numerators; that quantity
     is sampled and optionally sharpened by a short multi-start ascent.
     A metric with torsion-free canonical connection yields max_gap at
-    rounding level; a genuinely non-Kahler metric yields a witness gap
+    rounding level, and its points skip the ascent, which would only
+    refine noise; a genuinely non-Kahler metric yields a witness gap
     bounded away from zero.
     """
     best = None
@@ -598,7 +599,10 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         g = geom.rjet.g
         m = g.shape[0]
         project = _orthonormal_pair_projector(g)
-        signed = _pair_objective(_gap_tensor(geom.rc.r, geom.kr.kr), g)
+        T = _gap_tensor(geom.rc, geom.kr)
+        signed = _pair_objective(T, g)
+        scale = max(1.0, np.max(np.abs(geom.rc)))
+        noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * scale
 
         def value_grad(X):
             f, grad = signed(X)
@@ -609,7 +613,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         gaps = value_grad(sample)[0]
         point_best_x = sample[int(np.argmax(gaps))]
         point_best = float(np.max(gaps))
-        if refine:
+        if refine and not noise:
             x, val, _, stats = _multistart(value_grad, project, 2 * m, 16, seed + k, "max")
             searches.append(stats)
             if val > point_best:
@@ -622,9 +626,8 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     m = geom.rjet.g.shape[0]
     plane = Plane(x[:m], x[m:])
     K = riemann_sectional(geom.rc, geom.rjet, plane)
-    xi = x[:m][: geom.n] + 1j * x[:m][geom.n :]
-    eta = x[m:][: geom.n] + 1j * x[m:][geom.n :]
-    kd = float((_w_form(geom.kr.kr, xi, eta) / 2).real)
+    xi, eta = to_holomorphic(x.reshape(2, m))
+    kd = float((_w_form(geom.kr, xi, eta) / 2).real)
     return GapProbeReport(
         max_gap=gap,
         witness_point=geom.point,

@@ -35,7 +35,6 @@ from .engine import geometry_at
 from .errors import HermicurvError
 from .field import CATALOG_NAMES, catalog_metric
 from .sectional import (
-    IdentityResiduals,
     Plane,
     chern_sectional,
     holo_bisectional,
@@ -106,19 +105,30 @@ def _write_output(text: str, path):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write the report to {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
 # Input parsing
+
+
+def _finite_reals(arr, length: int) -> bool:
+    """Whether arr is a JSON array of length finite reals.  JSON true and
+    false arrive as bool, a subclass of int."""
+    return isinstance(arr, list) and len(arr) == length and all(
+        isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+        for c in arr
+    )
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -130,12 +140,9 @@ def _parse_point(text: str) -> np.ndarray:
         raise UsageError("point must be a nonempty JSON array of [re, im] pairs")
     coords = []
     for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(c, (int, float)) for c in item)
-        ):
-            raise UsageError(f"point coordinate {item!r} is not an [re, im] pair")
+        if not _finite_reals(item, 2):
+            raise UsageError(f"point {text}: coordinate {item!r} is not an [re, im] pair "
+                             "of finite reals")
         coords.append(complex(item[0], item[1]))
     return np.asarray(coords, dtype=complex)
 
@@ -149,14 +156,9 @@ def _parse_plane(text: str, n: int) -> Plane:
         raise UsageError('plane must be an object {"u": [...], "v": [...]}')
     vecs = {}
     for key in ("u", "v"):
-        arr = raw[key]
-        if (
-            not isinstance(arr, list)
-            or len(arr) != 2 * n
-            or not all(isinstance(c, (int, float)) for c in arr)
-        ):
-            raise UsageError(f'plane "{key}" must be an array of {2 * n} reals')
-        vecs[key] = np.asarray(arr, dtype=float)
+        if not _finite_reals(raw[key], 2 * n):
+            raise UsageError(f'plane {text}: "{key}" must be an array of {2 * n} finite reals')
+        vecs[key] = np.asarray(raw[key], dtype=float)
     return Plane(vecs["u"], vecs["v"])
 
 
@@ -180,13 +182,6 @@ def _load_metric(source: str, n: int):
 # Commands
 
 
-def _unit_pairs(rng, n: int, count: int):
-    for _ in range(count):
-        u = rng.standard_normal(2 * n)
-        v = rng.standard_normal(2 * n)
-        yield u / np.linalg.norm(u), v / np.linalg.norm(v)
-
-
 def _cmd_classify(args, metric, points):
     rep = classify(metric, points, tol=args.tol if args.tol is not None else 1e-8)
     result = {
@@ -206,9 +201,7 @@ def _cmd_curvature(args, metric, points):
     ok = True
     for p in points:
         geom = geometry_at(metric, p)
-        n = geom.n
-        block = geom.cx.tensor[:n, n:, :n, n:]
-        cross = float(np.max(np.abs(geom.mixed_11_direct - block)))
+        cross = float(np.max(np.abs(geom.mixed_11_direct - geom.cx.block("haha"))))
         gray = max(
             float(np.max(np.abs(geom.cx.block("hhhh")))),
             float(np.max(np.abs(geom.cx.block("aaaa")))),
@@ -217,8 +210,8 @@ def _cmd_curvature(args, metric, points):
         results.append(
             {
                 "point": p,
-                "chern_tensor": geom.kr.kr,
-                "real_tensor": geom.rc.r,
+                "chern_tensor": geom.kr,
+                "real_tensor": geom.rc,
                 "mixed_11_direct": geom.mixed_11_direct,
                 "cross_check_residual": cross,
                 "gray_residual": gray,
@@ -259,12 +252,12 @@ def _cmd_identities(args, metric, points):
     ok = True
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
-        rng = np.random.default_rng(args.seed + k)
-        rows = [dataclasses.astuple(identity_suite(geom.rc, geom.kr, geom.cx, u, v))
-                for u, v in _unit_pairs(rng, geom.n, count)]
-        worst = IdentityResiduals(*(max(column) for column in zip(*rows)))
-        table = dataclasses.asdict(worst)
-        universal_ok = worst.universal_max() < tol
+        # uv[k] is the pair (u, v), u drawn first
+        uv = np.random.default_rng(args.seed + k).standard_normal((count, 2, 2 * geom.n))
+        uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
+        res = identity_suite(geom.rc, geom.kr, geom.cx, uv[:, 0], uv[:, 1])
+        table = {key: float(np.max(val)) for key, val in dataclasses.asdict(res).items()}
+        universal_ok = res.universal_max() < tol
         ok = ok and universal_ok
         results.append(
             {
@@ -318,7 +311,7 @@ def _cmd_lu(args, metric, points):
     ok = True
     for p in points:
         geom = geometry_at(metric, p)
-        A = geom.kr.kr
+        A = geom.kr
         if args.sign == "auto":
             rep = lu_inequality_check(A, samples=samples, sign="nonneg", seed=args.seed)
             if not rep.hypothesis_holds:
@@ -390,6 +383,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hermicurv", description="Curvature reports for Hermitian metrics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,7 +406,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=_positive_int, default=64)
         p.add_argument("--samples", type=_positive_int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_positive_float, default=None)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the report to this file instead of stdout")
         if name == "sectional":
@@ -442,8 +446,12 @@ def run_main(argv=None) -> int:
         _write_output(render_report(report), json_path)
         return 0 if ok else 1
     except (UsageError, HermicurvError, OSError, ValueError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        _write_output(render_report(error), json_path)
+        error = render_report({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        try:
+            _write_output(error, json_path)
+        except UsageError:
+            # the report path cannot be written either
+            _write_output(error, None)
         return 2
 
 

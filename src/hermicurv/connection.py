@@ -38,7 +38,6 @@ import numpy as np
 from .field import MetricJet, RealMetricJet
 
 __all__ = [
-    "ChernConnectionCoeffs",
     "ComplexifiedChristoffel",
     "RealChristoffel",
     "InducedRealConnection",
@@ -48,13 +47,6 @@ __all__ = [
     "induced_real_connection",
     "chern_torsion",
 ]
-
-
-@dataclass(frozen=True)
-class ChernConnectionCoeffs:
-    """gamma[a, b, g]: output a, frame b, holomorphic direction g."""
-
-    gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,9 +82,10 @@ class InducedRealConnection:
     theta_tilde_dx: np.ndarray
 
 
-def chern_coeffs(jet: MetricJet) -> ChernConnectionCoeffs:
-    gamma = np.einsum("la,gbl->abg", jet.h_inv, jet.d1_holo)
-    return ChernConnectionCoeffs(gamma)
+def chern_coeffs(jet: MetricJet) -> np.ndarray:
+    """gamma[a, b, g], complex (n, n, n): output a, frame b, holomorphic
+    direction g."""
+    return np.einsum("la,gbl->abg", jet.h_inv, jet.d1_holo)
 
 
 def complexified_christoffel(jet: MetricJet) -> ComplexifiedChristoffel:
@@ -143,8 +136,7 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     """
     Hi = jet.h_inv
     d1h, d1a = jet.d1_holo, jet.d1_anti
-    c = np.einsum("la,gbl->abg", Hi, d1h)
-    tt = _real_blocks_from_complex(c)
+    tt = _real_blocks_from_complex(chern_coeffs(jet))
 
     n = jet.n
     dHi_z = -np.einsum("lk,mkp,pa->mla", Hi, d1h, Hi)

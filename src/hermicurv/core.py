@@ -58,8 +58,9 @@ class ChartPoint:
 
 
 def _real_comps(u) -> np.ndarray:
+    """u as a float array of shape (..., 2n)."""
     a = np.atleast_1d(np.asarray(u, dtype=float))
-    if a.ndim != 1 or a.size % 2:
+    if a.shape[-1] % 2:
         raise DimensionMismatch("expected 2n real components")
     return a
 
@@ -72,25 +73,25 @@ def _holo_comps(x) -> np.ndarray:
 
 
 def apply_j(u) -> np.ndarray:
-    """Apply the complex structure J to a real tangent vector.
+    """Apply the complex structure J to real tangent vectors (..., 2n).
 
     J d/dx^a = d/dx^{n+a}, J d/dx^{n+a} = -d/dx^a, hence J^2 = -id.
     """
     a = _real_comps(u)
-    n = a.size // 2
-    return np.concatenate([-a[n:], a[:n]])
+    n = a.shape[-1] // 2
+    return np.concatenate([-a[..., n:], a[..., :n]], axis=-1)
 
 
 def to_holomorphic(u) -> np.ndarray:
-    """Holomorphic part u_o = (u - i J u)/2 of a real tangent vector.
+    """Holomorphic part u_o = (u - i J u)/2 of real tangent vectors (..., 2n).
 
     Expressed in the d/dz^a basis the components are
     xi^a = u^a + i u^{n+a}; the map is R-linear, injective, and sends
     J u to i u_o.
     """
     a = _real_comps(u)
-    n = a.size // 2
-    return a[:n] + 1j * a[n:]
+    n = a.shape[-1] // 2
+    return a[..., :n] + 1j * a[..., n:]
 
 
 def to_real(xi) -> np.ndarray:

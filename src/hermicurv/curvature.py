@@ -32,8 +32,6 @@ from .connection import RealChristoffel
 from .field import MetricJet, RealMetricJet
 
 __all__ = [
-    "ChernCurvature",
-    "RealCurvature",
     "ComplexifiedCurvature",
     "chern_curvature",
     "real_curvature",
@@ -43,36 +41,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ChernCurvature:
-    """kr[a, b, g, d], conjugate-linear in slots b and d.
-
-    Pair-Hermitian: kr[a,b,g,d] = conj(kr[b,a,d,g]).
-    """
-
-    kr: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.kr.shape[0]
-
-
-@dataclass(frozen=True)
-class RealCurvature:
-    """r[i, j, k, l] with the classical algebraic symmetries."""
-
-    r: np.ndarray
-
-    def pairing(self, a, b, c, d) -> float:
-        """R(a, b, c, d) on real tangent vectors."""
-        return float(np.einsum("ijkl,i,j,k,l->", self.r, a, b, c, d))
-
-
-@dataclass(frozen=True)
 class ComplexifiedCurvature:
     """tensor[A, B, C, D] over the complex frame, A..D in 0..2n-1.
 
     Indices below n are the holomorphic directions, indices n..2n-1 the
-    conjugate ones.  Contract barred arguments with embed_anti vectors.
+    conjugate ones.  A block takes n-vectors: xi in an "h" slot, conj(xi)
+    in an "a" slot.
     """
 
     tensor: np.ndarray
@@ -88,15 +62,17 @@ class ComplexifiedCurvature:
         return self.tensor[sl[k[0]], sl[k[1]], sl[k[2]], sl[k[3]]]
 
 
-def chern_curvature(jet: MetricJet) -> ChernCurvature:
-    kr = -jet.d2_mixed.transpose(2, 3, 0, 1) + np.einsum(
+def chern_curvature(jet: MetricJet) -> np.ndarray:
+    """kr[a, b, g, d], complex (n, n, n, n), conjugate-linear in slots b
+    and d.  Pair-Hermitian: kr[a,b,g,d] = conj(kr[b,a,d,g])."""
+    return -jet.d2_mixed.transpose(2, 3, 0, 1) + np.einsum(
         "gal,lk,dkb->abgd", jet.d1_holo, jet.h_inv, jet.d1_anti
     )
-    return ChernCurvature(kr)
 
 
-def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> RealCurvature:
-    """Curvature of the Levi-Civita connection from the real jet.
+def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
+    """Curvature r[i, j, k, l] of the Levi-Civita connection, real
+    (2n, 2n, 2n, 2n), with the classical algebraic symmetries.
 
     The second-derivative block uses d2g[k, l, i, j] (derivative axes
     first); the quadratic block contracts bracket symbols through g_inv.
@@ -113,7 +89,7 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> RealCurvatur
     quad = np.einsum("st,jls,ikt->ijkl", gi, br, br) - np.einsum(
         "st,jks,ilt->ijkl", gi, br, br
     )
-    return RealCurvature(second + quad)
+    return second + quad
 
 
 def _transition_matrix(n: int) -> np.ndarray:
@@ -127,14 +103,13 @@ def _transition_matrix(n: int) -> np.ndarray:
     return T
 
 
-def complexify_curvature(rc: RealCurvature) -> ComplexifiedCurvature:
-    """Extend R over the complex frame, with the factor-2 normalization
-    that makes the alternating mixed block comparable to kr."""
-    m = rc.r.shape[0]
-    n = m // 2
+def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
+    """Extend r[i, j, k, l] over the complex frame, with the factor-2
+    normalization that makes the alternating mixed block comparable to kr."""
+    n = r.shape[0] // 2
     T = _transition_matrix(n)
     tensor = 2.0 * np.einsum(
-        "ijkl,iA,jB,kC,lD->ABCD", rc.r.astype(complex), T, T, T, T, optimize=True
+        "ijkl,iA,jB,kC,lD->ABCD", r.astype(complex), T, T, T, T, optimize=True
     )
     return ComplexifiedCurvature(tensor, n)
 

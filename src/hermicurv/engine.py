@@ -10,9 +10,7 @@ import numpy as np
 from .connection import InducedRealConnection, induced_real_connection, real_christoffel
 from .core import ChartPoint
 from .curvature import (
-    ChernCurvature,
     ComplexifiedCurvature,
-    RealCurvature,
     chern_curvature,
     complexified_11_direct,
     complexify_curvature,
@@ -45,11 +43,14 @@ class PointGeometry:
         return self.point.n
 
     @cached_property
-    def kr(self) -> ChernCurvature:
+    def kr(self) -> np.ndarray:
+        """Chern curvature kr[a, b, g, d], complex (n, n, n, n), barred
+        slots b and d."""
         return chern_curvature(self.jet)
 
     @cached_property
-    def rc(self) -> RealCurvature:
+    def rc(self) -> np.ndarray:
+        """Riemannian curvature r[i, j, k, l], real (2n, 2n, 2n, 2n)."""
         return real_curvature(self.rjet, real_christoffel(self.rjet))
 
     @cached_property

@@ -34,7 +34,7 @@ from .core import (
     hermitian_pairing,
     to_holomorphic,
 )
-from .curvature import ChernCurvature, ComplexifiedCurvature, RealCurvature
+from .curvature import ComplexifiedCurvature
 from .errors import DegeneratePlaneError, HermicurvError
 from .field import RealMetricJet
 
@@ -69,9 +69,15 @@ def _w_form(kr: np.ndarray, x, e):
     return -np.einsum("abgd,...ab,...gd->...", kr, W, W)
 
 
+def _form(T: np.ndarray, a, b, c, d):
+    """T(a, b, c, d) for a 4-tensor T; batched over any leading axes of
+    the vectors."""
+    return np.einsum("ijkl,...i,...j,...k,...l->...", T, a, b, c, d)
+
+
 def _kr_form(kr: np.ndarray, a, b, c, d):
     """kr(a, b~, c, d~); batched over any leading axes of the vectors."""
-    return np.einsum("abgd,...a,...b,...g,...d->...", kr, a, b.conj(), c, d.conj())
+    return _form(kr, a, b.conj(), c, d.conj())
 
 
 def _real_quantity(value: complex, what: str) -> float:
@@ -80,61 +86,56 @@ def _real_quantity(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def plane_gram(g: np.ndarray, u, v) -> float:
-    """Gram determinant g(u,u) g(v,v) - g(u,v)^2; raises on degeneracy."""
-    u = _real_comps(u)
-    v = _real_comps(v)
-    guu = float(u @ g @ u)
-    gvv = float(v @ g @ v)
-    guv = float(u @ g @ v)
-    gram = guu * gvv - guv**2
-    if gram <= 1e-12 * max(guu * gvv, 1e-300):
+def _gram(aa: float, bb: float, ab: float) -> float:
+    """aa bb - ab^2 from the inner products of two vectors; raises when
+    they are (numerically) linearly dependent."""
+    gram = aa * bb - ab**2
+    if gram <= 1e-12 * max(aa * bb, 1e-300):
         raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
     return gram
 
 
-def riemann_sectional(rc: RealCurvature, rjet: RealMetricJet, plane: Plane) -> float:
+def plane_gram(g: np.ndarray, u, v) -> float:
+    """Gram determinant g(u,u) g(v,v) - g(u,v)^2; raises on degeneracy."""
+    u = _real_comps(u)
+    v = _real_comps(v)
+    return _gram(float(u @ g @ u), float(v @ g @ v), float(u @ g @ v))
+
+
+def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:
+    """K(u, v) from the Riemannian curvature r[i, j, k, l]."""
     u = _real_comps(plane.u)
     v = _real_comps(plane.v)
     gram = plane_gram(rjet.g, u, v)
-    return rc.pairing(u, v, v, u) / gram
+    return float(_form(r, u, v, v, u)) / gram
 
 
-def chern_quadratic_form(kr: ChernCurvature, xi, eta) -> float:
+def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
     """The numerator of K_D: a real quadratic pairing in kr.
 
     Equal to half the kr contraction against W ox conj(W) with
     W = xi eta~ - eta xi~; realness follows from pair-Hermitian symmetry
     and is checked, not assumed.
     """
-    q = _w_form(kr.kr, _holo_comps(xi), _holo_comps(eta)) / 2
+    q = _w_form(kr, _holo_comps(xi), _holo_comps(eta)) / 2
     return _real_quantity(q, "the canonical-curvature quadratic form")
 
 
-def chern_sectional(kr: ChernCurvature, h, plane: Plane) -> float:
+def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
     """K_D(u, v); symmetric in u and v, invariant under re-spanning."""
     xi = to_holomorphic(plane.u)
     eta = to_holomorphic(plane.v)
-    hxx = hermitian_pairing(h, xi, xi).real
-    hee = hermitian_pairing(h, eta, eta).real
-    cross = hermitian_pairing(h, xi, eta).real
-    denom = hxx * hee - cross**2
-    if denom <= 1e-12 * max(hxx * hee, 1e-300):
-        raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
+    denom = _gram(hermitian_pairing(h, xi, xi).real, hermitian_pairing(h, eta, eta).real,
+                  hermitian_pairing(h, xi, eta).real)
     return chern_quadratic_form(kr, xi, eta) / denom
 
 
-def holo_sectional(kr: ChernCurvature, h, xi) -> float:
-    """H(xi); invariant under complex rescaling of xi."""
-    x = _holo_comps(xi)
-    if not np.any(x):
-        raise ValueError("holomorphic sectional curvature of the zero vector")
-    norm = hermitian_pairing(h, x, x).real
-    num = _kr_form(kr.kr, x, x, x, x)
-    return _real_quantity(num, "the H numerator") / norm**2
+def holo_sectional(kr: np.ndarray, h, xi) -> float:
+    """H(xi) = B(xi, xi); invariant under complex rescaling of xi."""
+    return holo_bisectional(kr, h, xi, xi)
 
 
-def holo_bisectional(kr: ChernCurvature, h, xi, eta) -> float:
+def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     """B(xi, eta); B(xi, xi) recovers H(xi)."""
     x = _holo_comps(xi)
     e = _holo_comps(eta)
@@ -142,7 +143,7 @@ def holo_bisectional(kr: ChernCurvature, h, xi, eta) -> float:
         raise ValueError("bisectional curvature of a zero vector")
     nx = hermitian_pairing(h, x, x).real
     ne = hermitian_pairing(h, e, e).real
-    num = _kr_form(kr.kr, x, x, e, e)
+    num = _kr_form(kr, x, x, e, e)
     return _real_quantity(num, "the B numerator") / (nx * ne)
 
 
@@ -170,83 +171,70 @@ def induced_curvature_pairing(conn: InducedRealConnection, rjet: RealMetricJet, 
 
 @dataclass(frozen=True)
 class IdentityResiduals:
-    """Absolute residuals of the point identities for one vector pair.
+    """Absolute residuals of the point identities, one per vector pair,
+    with the leading axes of the pairs.
 
     kahler_bisectional, kahler_sectional, kahler_holomorphic vanish when
     the metric is Kahler; sectional_decomposition and holomorphic_plane
-    vanish for every Hermitian metric.
+    vanish for every Hermitian metric.  The two maxima are taken over
+    the identities and all pairs.
     """
 
-    kahler_bisectional: float
-    kahler_sectional: float
-    kahler_holomorphic: float
-    sectional_decomposition: float
-    holomorphic_plane: float
+    kahler_bisectional: np.ndarray
+    kahler_sectional: np.ndarray
+    kahler_holomorphic: np.ndarray
+    sectional_decomposition: np.ndarray
+    holomorphic_plane: np.ndarray
 
     def universal_max(self) -> float:
-        return max(self.sectional_decomposition, self.holomorphic_plane)
+        return float(np.max([self.sectional_decomposition, self.holomorphic_plane]))
 
     def kahler_max(self) -> float:
-        return max(self.kahler_bisectional, self.kahler_sectional, self.kahler_holomorphic)
+        return float(np.max([self.kahler_bisectional, self.kahler_sectional,
+                             self.kahler_holomorphic]))
 
 
-def _embed_holo(xi, n: int) -> np.ndarray:
-    w = np.zeros(2 * n, dtype=complex)
-    w[:n] = xi
-    return w
-
-
-def _embed_anti(xi, n: int) -> np.ndarray:
-    w = np.zeros(2 * n, dtype=complex)
-    w[n:] = np.conj(xi)
-    return w
-
-
-def _cx_pair(cx: ComplexifiedCurvature, a, b, c, d) -> complex:
-    return complex(np.einsum("ABCD,A,B,C,D->", cx.tensor, a, b, c, d))
-
-
-def identity_suite(rc: RealCurvature, kr: ChernCurvature, cx: ComplexifiedCurvature,
+def identity_suite(r: np.ndarray, kr: np.ndarray, cx: ComplexifiedCurvature,
                    u, v) -> IdentityResiduals:
-    """Evaluate the five point identities on the pair (u, v)."""
+    """Evaluate the five point identities on the pairs (u, v), arrays of
+    shape (..., 2n)."""
     u = _real_comps(u)
     v = _real_comps(v)
-    n = cx.n
     ju = apply_j(u)
     jv = apply_j(v)
     xi = to_holomorphic(u)
     eta = to_holomorphic(v)
-    K = kr.kr
+    xb = xi.conj()
+    eb = eta.conj()
+    r_uvvu = _form(r, u, v, v, u)
 
     # Kahler-only identities
-    r_bisec = rc.pairing(ju, u, v, jv) - 2.0 * _kr_form(K, xi, xi, eta, eta)
+    r_bisec = _form(r, ju, u, v, jv) - 2.0 * _kr_form(kr, xi, xi, eta, eta)
     bracket = 0.5 * (
-        _kr_form(K, xi, eta, eta, xi)
-        + _kr_form(K, eta, xi, xi, eta)
-        - _kr_form(K, xi, eta, xi, eta)
-        - _kr_form(K, eta, xi, eta, xi)
+        _kr_form(kr, xi, eta, eta, xi)
+        + _kr_form(kr, eta, xi, xi, eta)
+        - _kr_form(kr, xi, eta, xi, eta)
+        - _kr_form(kr, eta, xi, eta, xi)
     )
-    r_sec = rc.pairing(u, v, v, u) - bracket
-    r_holo = rc.pairing(ju, u, u, ju) - 2.0 * _kr_form(K, xi, xi, xi, xi)
+    r_sec = r_uvvu - bracket
+    r_holo = _form(r, ju, u, u, ju) - 2.0 * _kr_form(kr, xi, xi, xi, xi)
 
-    # universal identities against the complexified tensor
-    eh = _embed_holo(xi, n)
-    ea = _embed_anti(xi, n)
-    fh = _embed_holo(eta, n)
-    fa = _embed_anti(eta, n)
+    # universal identities against blocks of the complexified tensor
+    haha = cx.block("haha")
     rhs = (
-        2.0 * (_cx_pair(cx, eh, fh, fh, ea) + _cx_pair(cx, eh, fh, fa, eh)).real
-        + _cx_pair(cx, eh, fa, fh, ea)
-        - _cx_pair(cx, eh, fh, ea, fa)
-        - 0.5 * (_cx_pair(cx, eh, fa, eh, fa) + _cx_pair(cx, fh, ea, fh, ea))
+        2.0 * (_form(cx.block("hhha"), xi, eta, eta, xb)
+               + _form(cx.block("hhah"), xi, eta, eb, xi)).real
+        + _form(haha, xi, eb, eta, xb)
+        - _form(cx.block("hhaa"), xi, eta, xb, eb)
+        - 0.5 * (_form(haha, xi, eb, xi, eb) + _form(haha, eta, xb, eta, xb))
     )
-    r_decomp = rc.pairing(u, v, v, u) - rhs
-    r_plane = rc.pairing(u, ju, ju, u) - 2.0 * _cx_pair(cx, eh, ea, eh, ea)
+    r_decomp = r_uvvu - rhs
+    r_plane = _form(r, u, ju, ju, u) - 2.0 * _form(haha, xi, xb, xi, xb)
 
     return IdentityResiduals(
-        kahler_bisectional=abs(r_bisec),
-        kahler_sectional=abs(r_sec),
-        kahler_holomorphic=abs(r_holo),
-        sectional_decomposition=abs(r_decomp),
-        holomorphic_plane=abs(r_plane),
+        kahler_bisectional=np.abs(r_bisec),
+        kahler_sectional=np.abs(r_sec),
+        kahler_holomorphic=np.abs(r_holo),
+        sectional_decomposition=np.abs(r_decomp),
+        holomorphic_plane=np.abs(r_plane),
     )

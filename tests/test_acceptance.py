@@ -60,8 +60,8 @@ def test_criterion_01_flatness():
             g = geometry_at(m, p)
             worst = max(
                 worst,
-                float(np.abs(g.rc.r).max()),
-                float(np.abs(g.kr.kr).max()),
+                float(np.abs(g.rc).max()),
+                float(np.abs(g.kr).max()),
                 float(np.abs(g.cx.tensor).max()),
                 float(np.abs(g.mixed_11_direct).max()),
             )
@@ -132,7 +132,7 @@ def test_criterion_05_kahler_equality_suite():
         for p in sample_admissible_points(m, 4, seed=105):
             g = geometry_at(m, p)
             worst_block = max(
-                worst_block, float(np.abs(g.cx.tensor[:2, 2:, :2, 2:] - g.kr.kr).max())
+                worst_block, float(np.abs(g.cx.tensor[:2, 2:, :2, 2:] - g.kr).max())
             )
             lc = real_christoffel(g.rjet).gamma
             tt = g.induced.theta_tilde
@@ -183,7 +183,7 @@ def test_criterion_06_two_sided_pairing_check():
         for _ in range(20):
             xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             q = chern_quadratic_form(g.kr, xi, 1j * xi)
-            diag = np.einsum("abgd,a,b,g,d->", g.kr.kr, xi, xi.conj(), xi, xi.conj())
+            diag = np.einsum("abgd,a,b,g,d->", g.kr, xi, xi.conj(), xi, xi.conj())
             worst_j = max(worst_j, abs(q - 2 * diag.real) / max(1.0, abs(q)))
     assert worst_j < 1e-10
     print(
@@ -291,7 +291,7 @@ def test_criterion_12_lu_inequality():
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=112):
             g = geometry_at(m, p)
-            rep = lu_inequality_check(g.kr.kr, samples=1000, sign=sign, seed=112)
+            rep = lu_inequality_check(g.kr, samples=1000, sign=sign, seed=112)
             assert rep.symmetry.passed
             assert rep.hypothesis_holds
             assert rep.violations == 0

@@ -247,6 +247,70 @@ def test_counts_must_be_positive(capsys, command, flag, value):
     assert f"argument {flag}: must be a positive integer" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(capsys, value):
+    code, rep = run(capsys, "classify", "--metric", "euclidean", "--point", "[[0.1,0]]",
+                    "--tol", value)
+    assert code == 2
+    assert rep["error"]["type"] == "UsageError"
+    assert "argument --tol: must be a finite number > 0" in rep["error"]["message"]
+
+
+def test_tol_rejects_non_numbers(capsys):
+    code, rep = run(capsys, "identities", "--metric", "euclidean", "--point", "[[0.1,0]]",
+                    "--tol", "tight")
+    assert code == 2
+    assert rep["error"]["message"] == "argument --tol: invalid float value: 'tight'"
+
+
+@pytest.mark.parametrize("point", ["[[true,0]]", "[[0.1,false]]", "[[NaN,0]]",
+                                   "[[0,Infinity]]", "[[-Infinity,0]]"])
+def test_point_rejects_booleans_and_non_finite(capsys, point):
+    code, rep = run(capsys, "classify", "--metric", "euclidean", "--point", point)
+    assert code == 2
+    assert rep["error"]["type"] == "UsageError"
+    assert rep["error"]["message"].startswith(f"point {point}: ")
+
+
+@pytest.mark.parametrize("plane", ['{"u":[true,0],"v":[0,1]}', '{"u":[1,0],"v":[0,false]}',
+                                   '{"u":[NaN,0],"v":[0,1]}', '{"u":[1,0],"v":[0,Infinity]}'])
+def test_plane_rejects_booleans_and_non_finite(capsys, plane):
+    code, rep = run(capsys, "sectional", "--metric", "euclidean", "--point", "[[0.1,0]]",
+                    "--plane", plane)
+    assert code == 2
+    assert rep["error"]["type"] == "UsageError"
+    assert rep["error"]["message"].startswith(f"plane {plane}: ")
+
+
+def test_unwritable_json_path_reports_on_stdout(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    code, rep = run(capsys, "classify", "--metric", "euclidean", "--point", "[[0,0]]",
+                    "--json", str(path))
+    assert code == 2
+    assert rep["error"] == {
+        "type": "UsageError",
+        "message": f"cannot write the report to {path}: No such file or directory",
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_input_error_with_unwritable_json_path_reports_on_stdout(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    code, rep = run(capsys, "classify", "--metric", "euclidean", "--point", "[[0, oops]]",
+                    "--json", str(path))
+    assert code == 2
+    assert rep["error"]["message"].startswith("point is not valid JSON")
+
+
+def test_json_path_that_is_a_directory(tmp_path, capsys):
+    code, rep = run(capsys, "classify", "--metric", "euclidean", "--point", "[[0,0]]",
+                    "--json", str(tmp_path))
+    assert code == 2
+    assert rep["error"]["message"].startswith(f"cannot write the report to {tmp_path}: ")
+    # the temporary file is cleaned up
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_file_output_and_determinism(tmp_path, capsys):
     args = [
         "extremal",

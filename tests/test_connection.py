@@ -16,7 +16,7 @@ from oracles import induced_connection_fd
 def test_chern_coefficient_on_projective_line():
     m = catalog_metric("fubini_study", 1)
     jet = jet_at(m, np.array([0.5 + 0j]))
-    gamma = chern_coeffs(jet).gamma
+    gamma = chern_coeffs(jet)
     assert gamma.shape == (1, 1, 1)
     assert gamma[0, 0, 0] == pytest.approx(-0.8)
 
@@ -24,7 +24,7 @@ def test_chern_coefficient_on_projective_line():
 def test_chern_coefficient_on_nk_diag():
     m = catalog_metric("nk_diag", 2)
     jet = jet_at(m, np.array([1.0 + 0j, 0.0 + 0j]))
-    gamma = chern_coeffs(jet).gamma
+    gamma = chern_coeffs(jet)
     # output 2, frame 2, direction 1: h^{2 2bar} d h_{2 2bar} / dz^1 = zb1
     assert gamma[1, 1, 0] == pytest.approx(1.0)
     assert gamma[0, 0, 0] == 0
@@ -34,7 +34,7 @@ def test_euclidean_connections_vanish():
     m = catalog_metric("euclidean", 2)
     p = np.array([0.3 + 0.4j, -0.1 + 0j])
     jet = jet_at(m, p)
-    assert np.abs(chern_coeffs(jet).gamma).max() == 0
+    assert np.abs(chern_coeffs(jet)).max() == 0
     conn = induced_real_connection(jet)
     assert np.abs(conn.theta_tilde).max() == 0
     assert np.abs(conn.theta_tilde_dx).max() == 0
@@ -50,7 +50,7 @@ def test_kahler_complexified_christoffel(name):
         c = complexified_christoffel(jet)
         # mixed-type coefficients cancel exactly for Kahler metrics
         assert np.abs(c.gamma_hb).max() < 1e-13
-        assert np.abs(c.gamma_hh - chern_coeffs(jet).gamma).max() < 1e-13
+        assert np.abs(c.gamma_hh - chern_coeffs(jet)).max() < 1e-13
 
 
 def test_complexified_christoffel_symmetry_and_nk_signal():

@@ -25,29 +25,29 @@ def _geometry(name, n, coords):
 
 def test_projective_line_values_at_origin():
     jet, rjet, rc = _geometry("fubini_study", 1, ORIGIN1)
-    kr = chern_curvature(jet).kr
+    kr = chern_curvature(jet)
     assert kr[0, 0, 0, 0] == pytest.approx(2.0)
-    assert rc.r[0, 1, 1, 0] == pytest.approx(4.0)
-    assert rc.r[0, 1, 0, 1] == pytest.approx(-4.0)
+    assert rc[0, 1, 1, 0] == pytest.approx(4.0)
+    assert rc[0, 1, 0, 1] == pytest.approx(-4.0)
 
 
 def test_poincare_disc_values_at_origin():
     jet, rjet, rc = _geometry("poincare_ball", 1, ORIGIN1)
-    assert chern_curvature(jet).kr[0, 0, 0, 0] == pytest.approx(-2.0)
-    assert rc.r[0, 1, 1, 0] == pytest.approx(-4.0)
+    assert chern_curvature(jet)[0, 0, 0, 0] == pytest.approx(-2.0)
+    assert rc[0, 1, 1, 0] == pytest.approx(-4.0)
 
 
 def test_euclidean_curvature_is_zero_everywhere():
     jet, rjet, rc = _geometry("euclidean", 2, [0.4 + 0.2j, -0.7 + 0.1j])
-    assert np.abs(chern_curvature(jet).kr).max() < 1e-12
-    assert np.abs(rc.r).max() < 1e-12
+    assert np.abs(chern_curvature(jet)).max() < 1e-12
+    assert np.abs(rc).max() < 1e-12
     assert np.abs(complexify_curvature(rc).tensor).max() < 1e-12
     assert np.abs(complexified_11_direct(jet)).max() < 1e-12
 
 
 def test_fubini_study_chern_tensor_structure_at_origin():
     jet, _, _ = _geometry("fubini_study", 2, [0j, 0j])
-    kr = chern_curvature(jet).kr
+    kr = chern_curvature(jet)
     n = 2
     eye = np.eye(n)
     expected = np.einsum("ab,gd->abgd", eye, eye) + np.einsum("ad,gb->abgd", eye, eye)
@@ -56,14 +56,13 @@ def test_fubini_study_chern_tensor_structure_at_origin():
 
 def test_chern_tensor_conjugation_symmetry():
     jet, _, _ = _geometry("nk_diag", 2, [1.0 + 0.3j, 0.4 - 0.2j])
-    kr = chern_curvature(jet).kr
+    kr = chern_curvature(jet)
     assert np.abs(kr - np.conj(kr.transpose(1, 0, 3, 2))).max() < 1e-12
 
 
 def test_real_curvature_symmetries_and_bianchi():
     for name, coords in (("hopf", [0.8 + 0.1j, -0.5 + 0.6j]), ("nk_diag", [1.1 + 0j, 0.2 + 0.5j])):
-        _, _, rc = _geometry(name, 2, coords)
-        r = rc.r
+        _, _, r = _geometry(name, 2, coords)
         scale = max(1.0, np.abs(r).max())
         assert np.abs(r + r.transpose(1, 0, 2, 3)).max() < 1e-10 * scale
         assert np.abs(r + r.transpose(0, 1, 3, 2)).max() < 1e-10 * scale
@@ -95,7 +94,7 @@ def test_complexified_trace_back_to_real():
         vo = np.concatenate([v[:n] + 1j * v[n:], v[:n] - 1j * v[n:]])
         val = np.einsum("ijkl,i,j,k,l->", cx.tensor, uo, vo, vo, uo) / 2
         assert val.imag == pytest.approx(0.0, abs=1e-10)
-        assert val.real == pytest.approx(rc.pairing(u, v, v, u), rel=1e-10, abs=1e-10)
+        assert val.real == pytest.approx(np.einsum("ijkl,i,j,k,l->", rc, u, v, v, u), rel=1e-10, abs=1e-10)
 
 
 def test_gray_vanishing_blocks():
@@ -127,7 +126,7 @@ def test_kahler_mixed_block_equals_chern_tensor():
             jet = jet_at(m, p)
             rjet = real_jet_at(m, p)
             cx = complexify_curvature(real_curvature(rjet, real_christoffel(rjet)))
-            kr = chern_curvature(jet).kr
+            kr = chern_curvature(jet)
             assert np.abs(cx.tensor[:2, 2:, :2, 2:] - kr).max() < 1e-7
 
 

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import rel_err
 from hermicurv import (
+    CATALOG_NAMES,
     DegeneratePlaneError,
     Plane,
     apply_j,
@@ -173,7 +177,7 @@ def test_j_rotation_specialization_is_algebraic(geom):
     for _ in range(10):
         xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         q = chern_quadratic_form(g.kr, xi, 1j * xi)
-        diag = np.einsum("abgd,a,b,g,d->", g.kr.kr, xi, xi.conj(), xi, xi.conj())
+        diag = np.einsum("abgd,a,b,g,d->", g.kr, xi, xi.conj(), xi, xi.conj())
         assert q == pytest.approx(2 * diag.real, rel=1e-10, abs=1e-10)
         assert abs(diag.imag) < 1e-10 * max(1.0, abs(diag))
 
@@ -205,3 +209,26 @@ def test_identity_suite_universal_on_non_kahler(geom):
                 seen_kahler_break = max(seen_kahler_break, res.kahler_max())
     # the Kahler-only identities must actually fail somewhere
     assert seen_kahler_break > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_batched_identity_suite_matches_per_pair(name, n):
+    m = catalog_metric(name, n)
+    rng = np.random.default_rng(61 + n)
+    for p in sample_admissible_points(m, 2, seed=67):
+        g = geometry_at(m, p)
+        u = rng.standard_normal((3, 4, 2 * n))
+        v = rng.standard_normal((3, 4, 2 * n))
+        batched = identity_suite(g.rc, g.kr, g.cx, u, v)
+        singles = [[identity_suite(g.rc, g.kr, g.cx, u[i, j], v[i, j]) for j in range(4)]
+                   for i in range(3)]
+        for field in dataclasses.fields(batched):
+            got = getattr(batched, field.name)
+            want = np.array([[getattr(r, field.name) for r in row] for row in singles])
+            assert got.shape == (3, 4)
+            assert rel_err(got, want) < 1e-12
+        assert batched.universal_max() == pytest.approx(
+            max(r.universal_max() for row in singles for r in row), rel=1e-12, abs=1e-12)
+        assert batched.kahler_max() == pytest.approx(
+            max(r.kahler_max() for row in singles for r in row), rel=1e-12, abs=1e-12)
