@@ -139,8 +139,9 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     tt = _real_blocks_from_complex(chern_coeffs(jet))
 
     n = jet.n
-    dHi_z = -np.einsum("lk,mkp,pa->mla", Hi, d1h, Hi)
-    dHi_zb = -np.einsum("lk,mkp,pa->mla", Hi, d1a, Hi)
+    # d(h_inv)/dz^m = -h_inv (dh/dz^m) h_inv, batched over m
+    dHi_z = -(Hi @ d1h @ Hi)
+    dHi_zb = -(Hi @ d1a @ Hi)
     dc_z = np.einsum("mla,gbl->abgm", dHi_z, d1h) + np.einsum(
         "la,gmbl->abgm", Hi, jet.d2_holo
     )

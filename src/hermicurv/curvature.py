@@ -65,8 +65,9 @@ class ComplexifiedCurvature:
 def chern_curvature(jet: MetricJet) -> np.ndarray:
     """kr[a, b, g, d], complex (n, n, n, n), conjugate-linear in slots b
     and d.  Pair-Hermitian: kr[a,b,g,d] = conj(kr[b,a,d,g])."""
+    # (dh/dz^g h_inv)[a, k], then one contraction over k with dh/dzbar^d
     return -jet.d2_mixed.transpose(2, 3, 0, 1) + np.einsum(
-        "gal,lk,dkb->abgd", jet.d1_holo, jet.h_inv, jet.d1_anti
+        "gak,dkb->abgd", jet.d1_holo @ jet.h_inv, jet.d1_anti
     )
 
 
@@ -75,20 +76,25 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
     (2n, 2n, 2n, 2n), with the classical algebraic symmetries.
 
     The second-derivative block uses d2g[k, l, i, j] (derivative axes
-    first); the quadratic block contracts bracket symbols through g_inv.
+    first).  The quadratic block is br[j,l,s] g_inv[s,t] br[i,k,t] minus
+    the same with k and l swapped, from brackets br[j, k, s]: one bracket
+    is raised first, X[i,k,s] = g_inv[s,t] br[i,k,t], then a single
+    (m^2, m) @ (m, m^2) product gives P[j,l,i,k] = br[j,l,s] X[i,k,s],
+    O(m^5) in all.
     """
     d2g = rjet.d2g
     br = rchris.brackets
-    gi = rjet.g_inv
+    m = br.shape[0]
     second = 0.5 * (
         np.einsum("jlik->ijkl", d2g)
         + np.einsum("ikjl->ijkl", d2g)
         - np.einsum("jkil->ijkl", d2g)
         - np.einsum("iljk->ijkl", d2g)
     )
-    quad = np.einsum("st,jls,ikt->ijkl", gi, br, br) - np.einsum(
-        "st,jks,ilt->ijkl", gi, br, br
-    )
+    br2 = br.reshape(m * m, m)
+    X = br2 @ rjet.g_inv.T
+    P = (br2 @ X.T).reshape(m, m, m, m)
+    quad = P.transpose(2, 0, 3, 1) - P.transpose(2, 0, 1, 3)
     return second + quad
 
 
@@ -106,12 +112,16 @@ def _transition_matrix(n: int) -> np.ndarray:
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
     """Extend r[i, j, k, l] over the complex frame, with the factor-2
     normalization that makes the alternating mixed block comparable to kr."""
-    n = r.shape[0] // 2
-    T = _transition_matrix(n)
-    tensor = 2.0 * np.einsum(
-        "ijkl,iA,jB,kC,lD->ABCD", r.astype(complex), T, T, T, T, optimize=True
-    )
-    return ComplexifiedCurvature(tensor, n)
+    m = r.shape[0]
+    T = _transition_matrix(m // 2)
+    # One product with T per slot, last slot first; each keeps the slot
+    # order, so no transposed copies.  r is cast first: a real @ complex
+    # product does not reach BLAS.
+    t = r.astype(complex).reshape(m**3, m) @ T  # [i, j, k, D]
+    t = T.T @ t.reshape(m * m, m, m)  # [i, j, C, D]
+    t = T.T @ t.reshape(m, m, m * m)  # [i, B, C, D]
+    t = T.T @ t.reshape(m, m**3)  # [A, B, C, D]
+    return ComplexifiedCurvature(2.0 * t.reshape(m, m, m, m), m // 2)
 
 
 def complexified_11_direct(jet: MetricJet) -> np.ndarray:
@@ -129,13 +139,15 @@ def complexified_11_direct(jet: MetricJet) -> np.ndarray:
 
     term1 = -0.5 * (np.einsum("mbav->abmv", d2m) + np.einsum("avmb->abmv", d2m))
 
+    # each product contracts h_inv into its first factor, then the pair
     S1 = d1h + d1h.transpose(1, 0, 2)
     S2 = d1a + d1a.transpose(2, 1, 0)
-    term2 = 0.25 * np.einsum("mal,lk,bkv->abmv", S1, Hi, S2)
+    term2 = 0.25 * np.einsum("mak,bkv->abmv", S1 @ Hi, S2)
 
     F1 = d1a - d1a.transpose(2, 1, 0)
     F2 = d1h - d1h.transpose(1, 0, 2)
-    term3 = -0.25 * np.einsum("bml,lk,akv->abmv", F1, Hi, F2)
-    term4 = -0.25 * np.einsum("val,lk,mkb->abmv", F1, Hi, F2)
+    F1Hi = F1 @ Hi
+    term3 = -0.25 * np.einsum("bmk,akv->abmv", F1Hi, F2)
+    term4 = -0.25 * np.einsum("vak,mkb->abmv", F1Hi, F2)
 
     return term1 + term2 + term3 + term4

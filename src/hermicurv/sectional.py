@@ -64,15 +64,30 @@ class Plane:
 
 def _w_form(kr: np.ndarray, x, e):
     """-kr[a,b,g,d] W[a,b] W[g,d] with W = x e~ - e x~, summed; batched
-    over any leading axes of x and e."""
-    W = np.einsum("...a,...b->...ab", x, e.conj()) - np.einsum("...a,...b->...ab", e, x.conj())
-    return -np.einsum("abgd,...ab,...gd->...", kr, W, W)
+    over any leading axes of x and e.
+
+    W is flattened to (..., n^2), and the quadratic form of
+    kr.reshape(n^2, n^2) takes one product and one dot.
+    """
+    n = kr.shape[0]
+    W = x[..., :, None] * e.conj()[..., None, :] - e[..., :, None] * x.conj()[..., None, :]
+    W = W.reshape(W.shape[:-2] + (n * n,))
+    return -np.einsum("...p,...p->...", W @ kr.reshape(n * n, n * n), W)
 
 
 def _form(T: np.ndarray, a, b, c, d):
-    """T(a, b, c, d) for a 4-tensor T; batched over any leading axes of
-    the vectors."""
-    return np.einsum("ijkl,...i,...j,...k,...l->...", T, a, b, c, d)
+    """T(a, b, c, d) = T[i,j,k,l] a^i b^j c^k d^l for a 4-tensor T;
+    batched over any leading axes of the vectors.
+
+    Staged as two-operand products: the outer product c ox d, shape
+    (..., m^2), times T.reshape(m^2, m^2).T gives Y[..., i, j]; then
+    a Y b, as a row times Y times a column.
+    """
+    m = T.shape[0]
+    cd = c[..., :, None] * d[..., None, :]
+    Y = cd.reshape(cd.shape[:-2] + (m * m,)) @ T.reshape(m * m, m * m).T
+    Y = Y.reshape(Y.shape[:-1] + (m, m))
+    return (a[..., None, :] @ Y @ b[..., :, None])[..., 0, 0]
 
 
 def _kr_form(kr: np.ndarray, a, b, c, d):
@@ -166,7 +181,7 @@ def induced_curvature_pairing(conn: InducedRealConnection, rjet: RealMetricJet, 
         + np.einsum("ika,kjb->ijab", C, C)
         - np.einsum("ikb,kja->ijab", C, C)
     )
-    return float(np.einsum("il,ijab,j,a,b,l->", rjet.g, curv, u, v, u, v))
+    return float(_form(curv, rjet.g @ v, u, v, u))
 
 
 @dataclass(frozen=True)

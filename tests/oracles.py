@@ -1,8 +1,10 @@
-"""Finite-difference reference implementations the tests compare against.
+"""Reference implementations the tests compare against.
 
 fd_oracle_jet only evaluates the metric, and induced_connection_fd
 differences the connection coefficients across nearby points, so neither
-uses the exact derivative route it checks.
+uses the exact derivative route it checks.  The *_ref contractions are
+each a single plain einsum over all operands: a direct sum over every
+index, with none of the staging of the library's products.
 """
 
 import numpy as np
@@ -113,3 +115,55 @@ def projected_gradient_fd(objective, project, X: np.ndarray, eps: float = 1e-6) 
         shift[c] = eps
         grad[:, c] = (objective(project(X + shift)) - objective(project(X - shift))) / (2.0 * eps)
     return grad
+
+
+def form_ref(T: np.ndarray, a, b, c, d):
+    """T(a, b, c, d), batched over leading axes of the vectors."""
+    return np.einsum("ijkl,...i,...j,...k,...l->...", T, a, b, c, d)
+
+
+def kr_form_ref(kr: np.ndarray, a, b, c, d):
+    """kr(a, b~, c, d~)."""
+    return form_ref(kr, a, b.conj(), c, d.conj())
+
+
+def w_form_ref(kr: np.ndarray, x, e):
+    """-kr[a,b,g,d] W[a,b] W[g,d] with W = x e~ - e x~."""
+    W = np.einsum("...a,...b->...ab", x, e.conj()) - np.einsum("...a,...b->...ab", e, x.conj())
+    return -np.einsum("abgd,...ab,...gd->...", kr, W, W)
+
+
+def real_curvature_ref(d2g: np.ndarray, br: np.ndarray, gi: np.ndarray) -> np.ndarray:
+    """r[i, j, k, l] from d2g[k, l, i, j], brackets br[j, k, s] and g_inv."""
+    second = 0.5 * (
+        np.einsum("jlik->ijkl", d2g)
+        + np.einsum("ikjl->ijkl", d2g)
+        - np.einsum("jkil->ijkl", d2g)
+        - np.einsum("iljk->ijkl", d2g)
+    )
+    quad = np.einsum("st,jls,ikt->ijkl", gi, br, br) - np.einsum("st,jks,ilt->ijkl", gi, br, br)
+    return second + quad
+
+
+def complexify_ref(r: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """2 r[i,j,k,l] T[i,A] T[j,B] T[k,C] T[l,D]."""
+    return 2.0 * np.einsum("ijkl,iA,jB,kC,lD->ABCD", r, T, T, T, T)
+
+
+def chern_curvature_ref(d2m, d1h, Hi, d1a) -> np.ndarray:
+    """kr[a, b, g, d] from the mixed second, first and inverse jet parts."""
+    return -d2m.transpose(2, 3, 0, 1) + np.einsum("gal,lk,dkb->abgd", d1h, Hi, d1a)
+
+
+def complexified_11_direct_ref(d2m, d1h, Hi, d1a) -> np.ndarray:
+    """The four-term mixed block out[a, b, m, v] straight from the jet."""
+    term1 = -0.5 * (np.einsum("mbav->abmv", d2m) + np.einsum("avmb->abmv", d2m))
+    S1 = d1h + d1h.transpose(1, 0, 2)
+    S2 = d1a + d1a.transpose(2, 1, 0)
+    term2 = 0.25 * np.einsum("mal,lk,bkv->abmv", S1, Hi, S2)
+    F1 = d1a - d1a.transpose(2, 1, 0)
+    F2 = d1h - d1h.transpose(1, 0, 2)
+    term3 = -0.25 * np.einsum("bml,lk,akv->abmv", F1, Hi, F2)
+    term4 = -0.25 * np.einsum("val,lk,mkb->abmv", F1, Hi, F2)
+    return term1 + term2 + term3 + term4
+

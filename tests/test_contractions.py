@@ -1,0 +1,162 @@
+"""The staged contractions against plain single-einsum references, and a
+source guard that keeps every contraction in the package staged.
+
+Each staged product is compared on every catalog metric at n = 2 and 3
+and on random tensors with no symmetries, since a curvature symmetry can
+hide a swapped slot.  The guard parses the source, so calls that span
+several lines are seen whole.
+"""
+
+import ast
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from hermicurv import CATALOG_NAMES, catalog_metric, geometry_at
+from hermicurv.connection import real_christoffel
+from hermicurv.curvature import (
+    _transition_matrix,
+    chern_curvature,
+    complexified_11_direct,
+    complexify_curvature,
+    real_curvature,
+)
+from hermicurv.field import sample_admissible_points
+from hermicurv.sectional import _form, _kr_form, _w_form
+from oracles import (
+    chern_curvature_ref,
+    complexified_11_direct_ref,
+    complexify_ref,
+    form_ref,
+    kr_form_ref,
+    real_curvature_ref,
+    w_form_ref,
+)
+
+RTOL = 1e-12
+BATCHES = [(), (3,), (2, 3)]
+SRC = Path(__file__).resolve().parents[1] / "src" / "hermicurv"
+
+# Small quadratic forms in g or h: the projectors' g-norms, the Hermitian
+# pairing, and the phase outer product of analysis._real_chern.
+ALLOWED_SPECS = {"Bi,ij,Bj->B", "ab,a,b->", "i,j,k,l->ijkl"}
+
+
+def _assert_close(new, ref, scale=None):
+    """max |new - ref| <= RTOL * scale; scale defaults to max |ref|."""
+    new = np.asarray(new)
+    ref = np.asarray(ref)
+    assert new.shape == ref.shape
+    if scale is None:
+        scale = float(np.max(np.abs(ref), initial=0.0))
+    assert float(np.max(np.abs(new - ref), initial=0.0)) <= RTOL * scale
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _form_scale(T, *vecs):
+    """The largest sum of |terms| of a form, the size its rounding scales
+    with; a form value itself can cancel to near zero."""
+    return float(np.max(form_ref(np.abs(T), *(np.abs(x) for x in vecs))))
+
+
+def _check_forms(r, kr, rng):
+    m, n = r.shape[0], kr.shape[0]
+    for batch in BATCHES:
+        u, v, w, y = (rng.standard_normal(batch + (m,)) for _ in range(4))
+        _assert_close(_form(r, u, v, w, y), form_ref(r, u, v, w, y), _form_scale(r, u, v, w, y))
+        a, b, c, d = (_cplx(rng, *batch, n) for _ in range(4))
+        scale = _form_scale(kr, a, b, c, d)
+        _assert_close(_form(kr, a, b, c, d), form_ref(kr, a, b, c, d), scale)
+        _assert_close(_kr_form(kr, a, b, c, d), kr_form_ref(kr, a, b, c, d), scale)
+        W = np.abs(a)[..., :, None] * np.abs(b)[..., None, :]
+        W = W + np.swapaxes(W, -1, -2)
+        scale = float(np.max(np.einsum("abgd,...ab,...gd->...", np.abs(kr), W, W)))
+        _assert_close(_w_form(kr, a, b), w_form_ref(kr, a, b), scale)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_staged_contractions_match_references_on_catalog(name, n):
+    metric = catalog_metric(name, n)
+    g = geometry_at(metric, sample_admissible_points(metric, 1, seed=n)[0])
+    jet, rjet = g.jet, g.rjet
+    parts = (jet.d2_mixed, jet.d1_holo, jet.h_inv, jet.d1_anti)
+    _assert_close(real_curvature(rjet, real_christoffel(rjet)),
+                  real_curvature_ref(rjet.d2g, real_christoffel(rjet).brackets, rjet.g_inv))
+    _assert_close(complexify_curvature(g.rc).tensor,
+                  complexify_ref(g.rc, _transition_matrix(n)))
+    _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
+    _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
+    _check_forms(g.rc, g.kr, np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_staged_contractions_match_references_without_symmetries(n):
+    rng = np.random.default_rng(10 + n)
+    m = 2 * n
+    d2g = rng.standard_normal((m, m, m, m))
+    br = rng.standard_normal((m, m, m))
+    gi = rng.standard_normal((m, m))
+    _assert_close(real_curvature(SimpleNamespace(d2g=d2g, g_inv=gi), SimpleNamespace(brackets=br)),
+                  real_curvature_ref(d2g, br, gi))
+    r = rng.standard_normal((m, m, m, m))
+    _assert_close(complexify_curvature(r).tensor, complexify_ref(r, _transition_matrix(n)))
+    parts = (_cplx(rng, n, n, n, n), _cplx(rng, n, n, n), _cplx(rng, n, n), _cplx(rng, n, n, n))
+    jet = SimpleNamespace(d2_mixed=parts[0], d1_holo=parts[1], h_inv=parts[2], d1_anti=parts[3])
+    _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
+    _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
+    _check_forms(r, _cplx(rng, n, n, n, n), rng)
+
+
+def contraction_violations(source: str, filename: str = "<src>") -> list:
+    """Every optimize= keyword, and every einsum call with three or more
+    operands whose subscripts are not in ALLOWED_SPECS."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        where = f"{filename}:{node.lineno}"
+        if any(kw.arg == "optimize" for kw in node.keywords):
+            found.append(f"{where}: optimize= keyword")
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "einsum" or not node.args:
+            continue
+        spec = node.args[0].value if isinstance(node.args[0], ast.Constant) else None
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        if (starred or len(node.args) >= 4) and spec not in ALLOWED_SPECS:
+            found.append(f"{where}: einsum {spec!r} with {len(node.args) - 1} operands")
+    return found
+
+
+def test_package_contractions_are_staged():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [v for f in files for v in contraction_violations(f.read_text(), f.name)]
+    assert found == []
+
+
+def test_guard_sees_multiline_and_unplanned_contractions():
+    bad = (
+        "np.einsum(\n"
+        "    'st,jls,ikt->ijkl', gi, br,\n"
+        "    br,\n"
+        ")\n"
+        "np.einsum('ij,jk->ik', a, b, optimize=True)\n"
+        "einsum(spec, *ops)\n"
+    )
+    assert [v.split(": ", 1)[0] for v in contraction_violations(bad)] == [
+        "<src>:1", "<src>:5", "<src>:6"
+    ]
+    good = (
+        "np.einsum('ij,jk->ik', a, b)\n"
+        "np.einsum('Bi,ij,Bj->B', Y, g,\n"
+        "          Y)\n"
+        "x @ y\n"
+    )
+    assert contraction_violations(good) == []
