@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -54,6 +55,16 @@ class UsageError(Exception):
 # Canonical JSON
 
 
+@functools.lru_cache(maxsize=32)
+def _array_template(shape: tuple) -> str:
+    """A %-format string that prints a float array of this shape as nested
+    JSON lists, one %.17g per element."""
+    text = "%.17g"
+    for size in reversed(shape):
+        text = "[" + ", ".join([text] * size) + "]"
+    return text
+
+
 def _render(obj, out, indent):
     if obj is None:
         out.append("null")
@@ -70,6 +81,16 @@ def _render(obj, out, indent):
         _render([obj.real, obj.imag], out, indent)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        if not np.isfinite(obj).all():
+            raise HermicurvError("non-finite number in report")
+        flat = obj.ravel()
+        shape = obj.shape
+        if obj.dtype.kind == "c":
+            # [re, im] per element, as for a complex scalar
+            flat = flat.astype(complex, copy=False).view(float)
+            shape += (2,)
+        out.append(_array_template(shape) % tuple(flat.tolist()))
     elif isinstance(obj, np.ndarray):
         _render(obj.tolist(), out, indent)
     elif isinstance(obj, ChartPoint):
@@ -394,7 +415,10 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once; parse_args keeps no state between
+    calls (append options copy their defaults)."""
     parser = _Parser(prog="hermicurv", description="Curvature reports for Hermitian metrics")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

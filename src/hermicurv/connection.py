@@ -110,11 +110,12 @@ def real_christoffel(rjet: RealMetricJet) -> RealChristoffel:
 
 
 def _real_blocks_from_complex(c: np.ndarray) -> np.ndarray:
-    """Map complex coefficients c[a, b, g] to the 8-block real table."""
+    """Map complex coefficients c[a, b, g, ...] to the 8-block real table;
+    trailing axes are batch axes."""
     n = c.shape[0]
-    Rt = np.ascontiguousarray(c.real.transpose(1, 0, 2))
-    It = np.ascontiguousarray(c.imag.transpose(1, 0, 2))
-    tt = np.empty((2 * n, 2 * n, 2 * n))
+    Rt = c.real.swapaxes(0, 1)
+    It = c.imag.swapaxes(0, 1)
+    tt = np.empty((2 * n, 2 * n, 2 * n) + c.shape[3:])
     tt[:n, :n, :n] = Rt
     tt[:n, n:, :n] = It
     tt[:n, :n, n:] = -It
@@ -138,7 +139,6 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     d1h, d1a = jet.d1_holo, jet.d1_anti
     tt = _real_blocks_from_complex(chern_coeffs(jet))
 
-    n = jet.n
     # d(h_inv)/dz^m = -h_inv (dh/dz^m) h_inv, batched over m
     dHi_z = -(Hi @ d1h @ Hi)
     dHi_zb = -(Hi @ d1a @ Hi)
@@ -149,12 +149,8 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
         "la,gmbl->abgm", Hi, jet.d2_mixed
     )
 
-    dtt = np.empty((2 * n, 2 * n, 2 * n, 2 * n))
-    for m in range(n):
-        dtt[:, :, :, m] = _real_blocks_from_complex(dc_z[:, :, :, m] + dc_zb[:, :, :, m])
-        dtt[:, :, :, n + m] = _real_blocks_from_complex(
-            1j * (dc_z[:, :, :, m] - dc_zb[:, :, :, m])
-        )
+    # derivative directions x^m (m < n) and y^m, last axis
+    dtt = _real_blocks_from_complex(np.concatenate([dc_z + dc_zb, 1j * (dc_z - dc_zb)], axis=-1))
     return InducedRealConnection(tt, dtt)
 
 

@@ -843,16 +843,19 @@ class JetTape:
         slots: dict = {}
         h = _emit([e for row in metric.entries for e in row], code, slots)
         split = len(code)
+        derive = metric._graph.derive
         roots = []
-        for a in range(n):
-            for b in range(n):
-                for g in range(1, n + 1):
-                    roots.append(metric.derivative(a, b, (("z", g),)))
-                    roots.append(metric.derivative(a, b, (("zb", g),)))
-                    for m in range(1, n + 1):
-                        roots.append(metric.derivative(a, b, (("z", g), ("zb", m))))
-                        roots.append(metric.derivative(a, b, (("z", g), ("z", m))))
-                        roots.append(metric.derivative(a, b, (("zb", g), ("zb", m))))
+        for row in metric.entries:
+            for e in row:
+                dz = [derive(e, "z", g) for g in range(1, n + 1)]
+                dzb = [derive(e, "zb", g) for g in range(1, n + 1)]
+                for g in range(n):
+                    roots += (dz[g], dzb[g])
+                    for m in range(n):
+                        # the operator order MetricDefinition.derivative sorts into
+                        lo, hi = min(g, m), max(g, m) + 1
+                        roots += (derive(dz[g], "zb", m + 1), derive(dz[lo], "z", hi),
+                                  derive(dzb[lo], "zb", hi))
         # d[a, b, g, j]: j = 0 d/dz^g, 1 d/dzb^g, 2 + 3m + t the second
         # derivatives in the order mixed, holo, anti
         d = np.array(_emit(roots, code, slots)).reshape(n, n, n, 2 + 3 * n)

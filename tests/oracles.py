@@ -4,14 +4,21 @@ fd_oracle_jet only evaluates the metric, and induced_connection_fd
 differences the connection coefficients across nearby points, so neither
 uses the exact derivative route it checks.  The *_ref contractions are
 each a single plain einsum over all operands: a direct sum over every
-index, with none of the staging of the library's products.
+index, with none of the staging of the library's products.  The other
+*_ref functions are the earlier, plainer forms of library routines: one
+element or one direction at a time.
 """
+
+import json
+import math
 
 import numpy as np
 
 from hermicurv.connection import induced_real_connection
 from hermicurv.core import ChartPoint
 from hermicurv.dsl import MetricDefinition
+from hermicurv.errors import HermicurvError
+from hermicurv.sectional import Plane
 from hermicurv.field import MAX_CONDITION, MetricJet, _as_point, _checked_inverse, jet_at
 
 
@@ -167,3 +174,104 @@ def complexified_11_direct_ref(d2m, d1h, Hi, d1a) -> np.ndarray:
     term4 = -0.25 * np.einsum("val,lk,mkb->abmv", F1, Hi, F2)
     return term1 + term2 + term3 + term4
 
+
+
+def jet_roots_ref(metric: MetricDefinition) -> list:
+    """The tape's derivative roots through metric.derivative, one
+    derivative request per root: for each entry (a, b) and direction g,
+    d/dz^g, d/dzb^g, then per m the mixed, holomorphic and antiholomorphic
+    second derivatives."""
+    n = metric.n
+    roots = []
+    for a in range(n):
+        for b in range(n):
+            for g in range(1, n + 1):
+                roots.append(metric.derivative(a, b, (("z", g),)))
+                roots.append(metric.derivative(a, b, (("zb", g),)))
+                for m in range(1, n + 1):
+                    roots.append(metric.derivative(a, b, (("z", g), ("zb", m))))
+                    roots.append(metric.derivative(a, b, (("z", g), ("z", m))))
+                    roots.append(metric.derivative(a, b, (("zb", g), ("zb", m))))
+    return roots
+
+
+def _real_blocks_ref(c: np.ndarray) -> np.ndarray:
+    """The 8-block real table of complex coefficients c[a, b, g]."""
+    n = c.shape[0]
+    Rt = c.real.transpose(1, 0, 2)
+    It = c.imag.transpose(1, 0, 2)
+    tt = np.empty((2 * n, 2 * n, 2 * n))
+    tt[:n, :n, :n] = Rt
+    tt[:n, n:, :n] = It
+    tt[:n, :n, n:] = -It
+    tt[:n, n:, n:] = Rt
+    tt[n:, :n, :n] = -It
+    tt[n:, n:, :n] = Rt
+    tt[n:, :n, n:] = -Rt
+    tt[n:, n:, n:] = -It
+    return tt
+
+
+def theta_tilde_dx_ref(jet) -> np.ndarray:
+    """induced_real_connection(jet).theta_tilde_dx built one derivative
+    direction at a time."""
+    Hi = jet.h_inv
+    d1h, d1a = jet.d1_holo, jet.d1_anti
+    n = jet.n
+    dHi_z = -(Hi @ d1h @ Hi)
+    dHi_zb = -(Hi @ d1a @ Hi)
+    dc_z = np.einsum("mla,gbl->abgm", dHi_z, d1h) + np.einsum("la,gmbl->abgm", Hi, jet.d2_holo)
+    dc_zb = np.einsum("mla,gbl->abgm", dHi_zb, d1h) + np.einsum("la,gmbl->abgm", Hi, jet.d2_mixed)
+    dtt = np.empty((2 * n, 2 * n, 2 * n, 2 * n))
+    for m in range(n):
+        dtt[:, :, :, m] = _real_blocks_ref(dc_z[:, :, :, m] + dc_zb[:, :, :, m])
+        dtt[:, :, :, n + m] = _real_blocks_ref(1j * (dc_z[:, :, :, m] - dc_zb[:, :, :, m]))
+    return dtt
+
+
+def _render_ref(obj, out, indent):
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if not math.isfinite(v):
+            raise HermicurvError("non-finite number in report")
+        out.append(format(v, ".17g"))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _render_ref([obj.real, obj.imag], out, indent)
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray):
+        _render_ref(obj.tolist(), out, indent)
+    elif isinstance(obj, ChartPoint):
+        _render_ref(obj.coords, out, indent)
+    elif isinstance(obj, Plane):
+        _render_ref({"u": np.asarray(obj.u, dtype=float), "v": np.asarray(obj.v, dtype=float)},
+                    out, indent)
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(", ")
+            _render_ref(item, out, indent)
+        out.append("]")
+    elif isinstance(obj, dict):
+        pad = "  " * (indent + 1)
+        out.append("{")
+        for i, (key, val) in enumerate(obj.items()):
+            out.append(("," if i else "") + "\n" + pad + json.dumps(str(key)) + ": ")
+            _render_ref(val, out, indent + 1)
+        out.append("\n" + "  " * indent + "}")
+    else:
+        raise HermicurvError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def render_report_ref(obj) -> str:
+    """cli.render_report with every number formatted on its own."""
+    out = []
+    _render_ref(obj, out, 0)
+    return "".join(out) + "\n"

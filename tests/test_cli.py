@@ -7,7 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hermicurv.cli import run_main
+import hermicurv.cli as cli
+from hermicurv import HermicurvError
+from hermicurv.cli import render_report, run_main
+from oracles import render_report_ref
 
 FS_POINT = '[[0.1,0.2],[0.0,-0.1]]'
 NK_POINT = '[[1,0],[0,0]]'
@@ -357,3 +360,103 @@ def test_module_entry_point_subprocess():
     rep = json.loads(proc.stdout)
     assert rep["ok"] is True
     assert rep["results"][0]["kahler"] is True
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    plane = '{"u": [1, 0, 0, 0], "v": [0, 1, 0, 0]}'
+    code, rep = run(capsys, "sectional", "--metric", "fubini_study",
+                    "--point", "[[0,0],[0,0]]", "--point", FS_POINT,
+                    "--plane", plane, "--plane", plane)
+    assert code == 0
+    assert len(rep["results"]) == 2 and len(rep["results"][0]["planes"]) == 2
+    code, rep = run(capsys, "sectional", "--metric", "fubini_study", "--point", FS_POINT)
+    assert code == 2
+    assert rep["error"]["message"] == "sectional needs at least one --plane"
+    code, rep = run(capsys, "sectional", "--metric", "fubini_study", "--point", FS_POINT,
+                    "--plane", plane)
+    assert code == 0
+    assert rep["points"] == [[[0.1, 0.2], [0.0, -0.1]]]
+    assert len(rep["results"]) == 1 and len(rep["results"][0]["planes"]) == 1
+
+
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1,
+               -1.7976931348623157e308, 1.0, -2.5, 1e-320]
+SHAPES = [(), (0,), (2, 0), (3,), (2, 3, 4), (12, 12, 12, 12)]
+
+
+def assert_same_text(got, want):
+    """got == want, failing with the first difference rather than a diff
+    of two long reports."""
+    if got != want:
+        i = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y),
+                 min(len(got), len(want)))
+        lo = max(0, i - 30)
+        pytest.fail(f"texts differ at offset {i}: {got[lo:i + 30]!r} != {want[lo:i + 30]!r}")
+
+
+def _values(shape, rng):
+    """Edge values first, then random doubles at random binary exponents,
+    subnormals included."""
+    size = int(np.prod(shape))
+    flat = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 1024, size))
+    k = min(size, len(EDGE_VALUES))
+    flat[:k] = EDGE_VALUES[:k]
+    return flat.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_float_arrays_render_as_element_wise(shape):
+    a = _values(shape, np.random.default_rng(len(shape)))
+    # transposed and flipped views are not C-contiguous
+    report = {"a": a, "t": a.T, "f": np.flip(a), "nested": [a, {"b": a}]}
+    assert_same_text(render_report(report), render_report_ref(report))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_complex_arrays_render_as_element_wise(shape):
+    rng = np.random.default_rng(10 + len(shape))
+    a = np.empty(shape, dtype=complex)
+    a.real[...] = _values(shape, rng)
+    a.imag[...] = np.flip(_values(shape, rng))
+    report = {"a": a, "t": a.T, "f": np.flip(a), "c": a.conj()}
+    assert_same_text(render_report(report), render_report_ref(report))
+
+
+def test_single_precision_arrays_render_as_element_wise():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 5)).astype(np.float32)
+    c = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))).astype(np.complex64)
+    assert_same_text(render_report({"a": a, "c": c}), render_report_ref({"a": a, "c": c}))
+
+
+def test_int_and_bool_arrays_render_as_before():
+    for a in (np.arange(-6, 6).reshape(3, 4), np.array([True, False, True]),
+              np.zeros((2, 0), dtype=int), np.array(7, dtype=np.int8)):
+        assert_same_text(render_report({"a": a}), render_report_ref({"a": a}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_elements_raise(bad):
+    big = np.ones((12, 12, 12, 12))
+    big.reshape(-1)[-1] = bad
+    single = np.array([complex(1.0, bad)])
+    scalar = np.array(bad)
+    for arr in (big, big.astype(complex), single, scalar, single.reshape(())):
+        for render in (render_report, render_report_ref):
+            with pytest.raises(HermicurvError, match="^non-finite number in report$"):
+                render({"a": arr})
+
+
+def test_float_arrays_skip_the_element_path(monkeypatch):
+    calls = []
+    render = cli._render
+
+    def counted(obj, out, indent):
+        calls.append(type(obj))
+        render(obj, out, indent)
+
+    monkeypatch.setattr(cli, "_render", counted)
+    rng = np.random.default_rng(7)
+    render_report(rng.standard_normal((12, 12, 12, 12)) + 1j)
+    render_report(rng.standard_normal((6, 6)))
+    assert calls == [np.ndarray, np.ndarray]

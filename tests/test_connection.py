@@ -9,8 +9,8 @@ from hermicurv.connection import (
     induced_real_connection,
     real_christoffel,
 )
-from hermicurv.field import real_jet_at, sample_admissible_points
-from oracles import induced_connection_fd
+from hermicurv.field import CATALOG_NAMES, real_jet_at, sample_admissible_points
+from oracles import induced_connection_fd, theta_tilde_dx_ref
 
 
 def test_chern_coefficient_on_projective_line():
@@ -145,3 +145,14 @@ def test_coefficient_derivatives_match_finite_differences():
         fd = induced_connection_fd(m, p)
         scale = max(1.0, np.abs(conn.theta_tilde_dx).max())
         assert np.abs(conn.theta_tilde_dx - fd).max() < 1e-6 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_coefficient_derivatives_equal_the_per_direction_loop(name, n):
+    m = catalog_metric(name, n)
+    for p in sample_admissible_points(m, 2, seed=11):
+        jet = jet_at(m, p)
+        got = induced_real_connection(jet).theta_tilde_dx
+        want = theta_tilde_dx_ref(jet)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -15,6 +15,7 @@ import hermicurv.dsl as dsl
 from hermicurv import DslEvalError, catalog_metric
 from hermicurv.dsl import parse_expression
 from hermicurv.field import CATALOG_NAMES, jet_at, sample_admissible_points
+from oracles import jet_roots_ref
 from test_dsl import _random_expression
 
 
@@ -133,6 +134,19 @@ def test_catalog_jets_equal_the_reference(name, n):
             assert same_bits(w, g)
             assert g.flags.c_contiguous
         assert same_bits(want[0], metric.evaluate_matrix(p))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_tape_equals_the_derivative_route(name, n):
+    metric = catalog_metric(name, n)
+    tape = metric.jet_tape()
+    other = catalog_metric(name, n)
+    code: list = []
+    slots: dict = {}
+    dsl._emit([e for row in other.entries for e in row], code, slots)
+    dsl._emit(jet_roots_ref(other), code, slots)
+    assert tape._entry_code + tape._deriv_code == code
 
 
 def test_random_expressions_equal_the_reference():
