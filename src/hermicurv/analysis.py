@@ -5,25 +5,26 @@ The searches share one engine: a seeded multi-start projected ascent.
 Restart states are carried as rows of one array, so every objective and
 projection is evaluated batched; a per-restart step halves whenever the
 trial move fails to improve, and a restart freezes once its step falls
-below min_step.  The winner is the best final value, first-found on ties
+below _MIN_STEP.  The winner is the best final value, first-found on ties
 within 1e-10, which keeps results reproducible for a fixed seed.
 
 Every objective is a real quartic form, T(U, V, V, U) on a pair or
-T(Y, Y, Y, Y) on one vector, with T built once per point.  Its gradient
-is exact, and the chain rule through the projection (onto a g-sphere or
-onto g-orthonormal pairs) gives the gradient the ascent steps along.
+T(Y, Y, Y, Y) on one vector, with T built once per point, and goes
+through _objective.  Its gradient is exact, and the tangent of the
+constraint (a g-sphere or g-orthonormal pairs) carries it through the
+projection to the gradient the ascent steps along.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartPoint, to_holomorphic, to_real
+from .core import ChartPoint, to_holomorphic
 from .dsl import MetricDefinition
 from .engine import geometry_at
-from .sectional import Plane, _kr_form, _w_form, riemann_sectional
+from .sectional import Plane, _kr_form, _slot_pair, _w_form, riemann_sectional
 
 __all__ = [
     "ClassificationReport",
@@ -183,6 +184,12 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
 # Multi-start projected search
 
 
+# Every search's first step, the step that freezes a restart, and its pass cap
+_STEP0 = 0.1
+_MIN_STEP = 1e-10
+_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class SearchStats:
     """Work done by one multi-start search.
@@ -190,8 +197,8 @@ class SearchStats:
     iterations counts passes of the step loop (the most steps any restart
     took); evaluations counts value-and-gradient evaluations, one per
     restart still stepping in a pass plus one per restart at the start;
-    converged restarts ended with their step below min_step and capped ones
-    were still stepping when max_iter ran out.
+    converged restarts ended with their step below _MIN_STEP and capped
+    ones were still stepping when the _MAX_ITER passes ran out.
     """
 
     iterations: int
@@ -200,8 +207,7 @@ class SearchStats:
     capped: int
 
 
-def _multistart(value_grad, project, dim: int, restarts: int, seed: int, mode: str,
-                step0: float = 0.1, min_step: float = 1e-10, max_iter: int = 200):
+def _multistart(value_grad, project, dim: int, restarts: int, seed: int, mode: str):
     """Batched multi-start projected gradient search.
 
     value_grad maps an (B, dim) array of already-projected states to their
@@ -215,11 +221,11 @@ def _multistart(value_grad, project, dim: int, restarts: int, seed: int, mode: s
     rng = np.random.default_rng(seed)
     X = project(rng.standard_normal((restarts, dim)))
     f, grad = value_grad(X)
-    step = np.full(restarts, step0)
+    step = np.full(restarts, _STEP0)
     iterations, evaluations = 0, restarts
 
-    for _ in range(max_iter):
-        rows = np.nonzero(step > min_step)[0]
+    for _ in range(_MAX_ITER):
+        rows = np.nonzero(step > _MIN_STEP)[0]
         if rows.size == 0:
             break
         iterations += 1
@@ -239,9 +245,9 @@ def _multistart(value_grad, project, dim: int, restarts: int, seed: int, mode: s
     key = sign * f
     winners = np.nonzero(key >= np.max(key) - 1e-10)[0]
     idx = int(winners[0])
-    done = int(np.sum(step <= min_step))
+    done = int(np.sum(step <= _MIN_STEP))
     stats = SearchStats(iterations, evaluations, done, restarts - done)
-    return X[idx].copy(), float(f[idx]), bool(step[idx] <= min_step), stats
+    return X[idx].copy(), float(f[idx]), bool(step[idx] <= _MIN_STEP), stats
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -250,72 +256,99 @@ def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
     return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
 
 
-def _quartic(S: np.ndarray, U: np.ndarray, V: np.ndarray):
-    """S(U, V, V, U) and its gradients in U and in V, batched over rows.
+def _objective(T: np.ndarray, constraint):
+    """value_grad of T(U, V, V, U) on a constraint's states X, with
+    U = X[:, :m] and V = X[:, -m:]; a one-block state has U = V = Y.
 
-    S must be pair-symmetrized, so the four slot contractions of the
-    gradient fold into two, 2 S(., V, V, U) and 2 S(U, ., V, U), which
-    share the contraction of slots 3 and 4.  Plain two-operand einsums:
-    at m = 4 and 8 rows they take about a tenth of the time of einsums
-    with planned contraction paths.  For a single vector, S(Y, Y, Y, Y)
-    is the value at U = V = Y and its gradient is the sum of the two.
+    With S pair-symmetrized, the four slot gradients fold into
+    gu = 2 S(., V, V, U) and gv = 2 S(U, ., V, U), which share
+    A = _slot_pair(S, V, U); the constraint's tangent takes them through
+    its projection.
     """
-    A = np.einsum("ijkl,Bkl->Bij", S, np.einsum("Bk,Bl->Bkl", V, U))
-    gu = 2.0 * np.einsum("Bij,Bj->Bi", A, V)
-    gv = 2.0 * np.einsum("Bij,Bi->Bj", A, U)
-    return np.einsum("Bi,Bi->B", gu, U) / 2.0, gu, gv
-
-
-def _sphere_grad(g: np.ndarray, Y: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient of f(Y / |Y|_g) at g-unit rows Y, from the gradient a of f."""
-    return a - np.einsum("Bi,Bi->B", a, Y)[:, None] * (Y @ g)
-
-
-def _pair_grad(g: np.ndarray, U: np.ndarray, V: np.ndarray, au: np.ndarray, av: np.ndarray):
-    """Gradient of f composed with _orthonormal_pair_projector at
-    g-orthonormal rows (U, V), from the gradients au, av of f."""
-    gU, gV = U @ g, V @ g
-    avu = np.einsum("Bi,Bi->B", av, U)[:, None]
-    du = au - np.einsum("Bi,Bi->B", au, U)[:, None] * gU - avu * gV
-    dv = av - avu * gU - np.einsum("Bi,Bi->B", av, V)[:, None] * gV
-    return np.concatenate([du, dv], axis=1)
-
-
-def _pair_objective(T: np.ndarray, g: np.ndarray):
-    """value_grad of T(U, V, V, U) over g-orthonormal pairs X = [U | V]."""
+    _, tangent = constraint
     S = _pair_symmetrized(T)
-    m = g.shape[0]
+    m = T.shape[0]
 
     def value_grad(X):
-        U, V = X[:, :m], X[:, m:]
-        f, gu, gv = _quartic(S, U, V)
-        return f, _pair_grad(g, U, V, gu, gv)
+        U, V = X[:, :m], X[:, -m:]
+        A = _slot_pair(S, V, U)
+        gu = 2.0 * np.einsum("Bij,Bj->Bi", A, V)
+        gv = 2.0 * np.einsum("Bij,Bi->Bj", A, U)
+        return np.einsum("Bi,Bi->B", gu, U) / 2.0, tangent(X, gu, gv)
 
     return value_grad
 
 
-def _sphere_objective(T: np.ndarray, g: np.ndarray):
-    """value_grad of T(Y, Y, Y, Y) over the g-unit sphere."""
-    S = _pair_symmetrized(T)
-
-    def value_grad(Y):
-        f, gu, gv = _quartic(S, Y, Y)
-        return f, _sphere_grad(g, Y, gu + gv)
-
-    return value_grad
-
-
-def _two_sphere_objective(T: np.ndarray, g: np.ndarray):
-    """value_grad of T(U, V, V, U) over pairs of g-unit vectors X = [U | V]."""
-    S = _pair_symmetrized(T)
+def _pair_constraint(g: np.ndarray):
+    """(project, tangent) for g-orthonormal pairs X = [U | V]: tangent(X,
+    gu, gv) is the gradient of f(project(.)) at X from f's gradients."""
     m = g.shape[0]
 
-    def value_grad(X):
-        U, V = X[:, :m], X[:, m:]
-        f, gu, gv = _quartic(S, U, V)
-        return f, np.concatenate([_sphere_grad(g, U, gu), _sphere_grad(g, V, gv)], axis=1)
+    def normalize(Y, partner=None):
+        if partner is not None:
+            coef = np.einsum("Bi,ij,Bj->B", Y, g, partner)
+            Y = Y - coef[:, None] * partner
+        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
+        bad = norm2 < 1e-12
+        if bad.any():
+            for j in range(m):
+                if not bad.any():
+                    break
+                cand = np.zeros((int(bad.sum()), m))
+                cand[:, j] = 1.0
+                if partner is not None:
+                    coef = np.einsum("Bi,ij,Bj->B", cand, g, partner[bad])
+                    cand = cand - coef[:, None] * partner[bad]
+                c2 = np.einsum("Bi,ij,Bj->B", cand, g, cand)
+                ok = c2 > 0.5
+                rows = np.nonzero(bad)[0][ok]
+                Y[rows] = cand[ok]
+                norm2[rows] = c2[ok]
+                bad = norm2 < 1e-12
+        return Y / np.sqrt(norm2)[:, None]
 
-    return value_grad
+    def project(X):
+        U = normalize(X[:, :m].copy())
+        V = normalize(X[:, m:].copy(), partner=U)
+        return np.concatenate([U, V], axis=1)
+
+    def tangent(X, gu, gv):
+        U, V = X[:, :m], X[:, m:]
+        gU, gV = U @ g, V @ g
+        vu = np.einsum("Bi,Bi->B", gv, U)[:, None]
+        du = gu - np.einsum("Bi,Bi->B", gu, U)[:, None] * gU - vu * gV
+        dv = gv - vu * gU - np.einsum("Bi,Bi->B", gv, V)[:, None] * gV
+        return np.concatenate([du, dv], axis=1)
+
+    return project, tangent
+
+
+def _sphere_constraint(g: np.ndarray):
+    """(project, tangent) for rows of one or two g-unit blocks of m reals.
+
+    project scales each block to g-unit length; a zero block becomes e_1
+    scaled.  On [Re z, Im z] blocks, g-unit is h-unit.  tangent is as for
+    _pair_constraint, with gu + gv on a one-block state.
+    """
+    m = g.shape[0]
+
+    def project(X):
+        Y = X.reshape(-1, m)
+        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
+        bad = norm2 < 1e-12
+        if bad.any():
+            Y = Y.copy()
+            Y[bad] = 0.0
+            Y[bad, 0] = 1.0
+            norm2[bad] = g[0, 0]
+        return (Y / np.sqrt(norm2)[:, None]).reshape(X.shape)
+
+    def tangent(X, gu, gv):
+        a = gu + gv if X.shape[1] == m else np.concatenate([gu, gv], axis=1)
+        Y, a = X.reshape(-1, m), a.reshape(-1, m)
+        return (a - np.einsum("Bi,Bi->B", a, Y)[:, None] * (Y @ g)).reshape(X.shape)
+
+    return project, tangent
 
 
 def _real_chern(kr: np.ndarray) -> np.ndarray:
@@ -360,7 +393,7 @@ class ExtremalResult:
     applicable, i.e. when the sampled hypotheses of the search hold and
     the sign they find is the one the mode is covered for (nonneg or
     zero for max, nonpos or zero for min).  converged means the step of
-    each winning restart fell below min_step: a local stationarity
+    each winning restart fell below _MIN_STEP: a local stationarity
     statement, not a proof that the extremum is global.  search and
     holo_search count the work of the two searches.  The bisectional
     search also reports the optimizing vector pair and how aligned it is
@@ -384,57 +417,40 @@ class ExtremalResult:
     pair_alignment: float | None = None
 
 
-def _orthonormal_pair_projector(g: np.ndarray):
+def _extremal(g: np.ndarray, mode: str, restarts: int, seed: int, plane, holo_T: np.ndarray,
+              hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
+    """The two searches behind an ExtremalResult and their oriented gap.
+
+    plane is the (value_grad, project) of the search over states [U | V];
+    the holomorphic search extremizes holo_T(Y, Y, Y, Y) over g-unit Y.
+    applicable needs symmetric and a sampled sign the mode is covered for.
+    """
     m = g.shape[0]
-
-    def normalize(Y, partner=None):
-        if partner is not None:
-            coef = np.einsum("Bi,ij,Bj->B", Y, g, partner)
-            Y = Y - coef[:, None] * partner
-        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
-        bad = norm2 < 1e-12
-        if bad.any():
-            for j in range(m):
-                if not bad.any():
-                    break
-                cand = np.zeros((int(bad.sum()), m))
-                cand[:, j] = 1.0
-                if partner is not None:
-                    coef = np.einsum("Bi,ij,Bj->B", cand, g, partner[bad])
-                    cand = cand - coef[:, None] * partner[bad]
-                c2 = np.einsum("Bi,ij,Bj->B", cand, g, cand)
-                ok = c2 > 0.5
-                rows = np.nonzero(bad)[0][ok]
-                Y[rows] = cand[ok]
-                norm2[rows] = c2[ok]
-                bad = norm2 < 1e-12
-        return Y / np.sqrt(norm2)[:, None]
-
-    def project(X):
-        U = normalize(X[:, :m].copy())
-        V = normalize(X[:, m:].copy(), partner=U)
-        return np.concatenate([U, V], axis=1)
-
-    return project
+    best_x, best_value, converged, stats = _multistart(*plane, 2 * m, restarts, seed, mode)
+    sphere = _sphere_constraint(g)
+    best_y, holo_value, holo_conv, holo_stats = _multistart(
+        _objective(holo_T, sphere), sphere[0], m, restarts, seed + 1, mode
+    )
+    return ExtremalResult(
+        mode=mode,
+        best_value=best_value,
+        best_plane=Plane(best_x[:m], best_x[m:]),
+        holo_best_value=holo_value,
+        holo_best_vector=best_y,
+        n_restarts=restarts,
+        converged=converged and holo_conv,
+        gap=best_value - holo_value if mode == "max" else holo_value - best_value,
+        hypothesis_sign=hypothesis_sign,
+        seed=seed,
+        applicable=symmetric and hypothesis_sign in _COVERED_SIGNS[mode],
+        search=stats,
+        holo_search=holo_stats,
+    )
 
 
-def _sphere_projector(g: np.ndarray):
-    """Scale each block of m reals in a row to g-unit length; a zero block
-    becomes e_1 scaled.  On [Re z, Im z] blocks, g-unit is h-unit."""
-    m = g.shape[0]
-
-    def project(X):
-        Y = X.reshape(-1, m)
-        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
-        bad = norm2 < 1e-12
-        if bad.any():
-            Y = Y.copy()
-            Y[bad] = 0.0
-            Y[bad, 0] = 1.0
-            norm2[bad] = g[0, 0]
-        return (Y / np.sqrt(norm2)[:, None]).reshape(X.shape)
-
-    return project
+def _check_mode(mode: str) -> None:
+    if mode not in ("max", "min"):
+        raise ValueError("mode must be 'max' or 'min'")
 
 
 def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
@@ -448,42 +464,16 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     reported, never assumed, and the result is applicable when the mode
     is covered for the sign found.
     """
-    if mode not in ("max", "min"):
-        raise ValueError("mode must be 'max' or 'min'")
+    _check_mode(mode)
     geom = geometry_at(metric, p)
     g, r = geom.rjet.g, geom.rc
-    m = g.shape[0]
-
-    project = _orthonormal_pair_projector(g)
-    value_grad = _pair_objective(r, g)
+    pair = _pair_constraint(g)
+    plane = (_objective(r, pair), pair[0])
 
     rng = np.random.default_rng(seed + 101)
-    sample = project(rng.standard_normal((1000, 2 * m)))
-    hypothesis_sign = _sign_label(value_grad(sample)[0])
-
-    best_x, best_value, converged, stats = _multistart(
-        value_grad, project, 2 * m, restarts, seed, mode
-    )
-    best_y, holo_value, holo_conv, holo_stats = _multistart(
-        _sphere_objective(_j_folded(r), g), _sphere_projector(g), m, restarts, seed + 1, mode
-    )
-
-    gap = best_value - holo_value if mode == "max" else holo_value - best_value
-    return ExtremalResult(
-        mode=mode,
-        best_value=best_value,
-        best_plane=Plane(best_x[:m], best_x[m:]),
-        holo_best_value=holo_value,
-        holo_best_vector=best_y,
-        n_restarts=restarts,
-        converged=converged and holo_conv,
-        gap=gap,
-        hypothesis_sign=hypothesis_sign,
-        seed=seed,
-        applicable=hypothesis_sign in _COVERED_SIGNS[mode],
-        search=stats,
-        holo_search=holo_stats,
-    )
+    sample = pair[0](rng.standard_normal((1000, 2 * g.shape[0])))
+    hypothesis_sign = _sign_label(plane[0](sample)[0])
+    return _extremal(g, mode, restarts, seed, plane, _j_folded(r), hypothesis_sign, True)
 
 
 def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
@@ -496,53 +486,27 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     extremum occurs at xi = eta (up to phase), which pair_alignment makes
     checkable.
     """
-    if mode not in ("max", "min"):
-        raise ValueError("mode must be 'max' or 'min'")
+    _check_mode(mode)
     geom = geometry_at(metric, p)
-    kr = geom.kr
-    H, g = geom.jet.h, geom.rjet.g
-    n = geom.n
-    m = 2 * n
+    kr, g, n = geom.kr, geom.rjet.g, geom.n
 
     sym = lu_symmetry_check(kr, tol=1e-8)
     rng = np.random.default_rng(seed + 202)
     Xs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
-    qs = _w_form(kr, Xs, Es).real
-    hypothesis_sign = _sign_label(qs)
-    applicable = bool(sym.passed and hypothesis_sign in _COVERED_SIGNS[mode])
+    hypothesis_sign = _sign_label(_w_form(kr, Xs, Es).real)
 
     # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
     K = _real_chern(kr)
-    project = _sphere_projector(g)
-    best_x, best_value, converged, stats = _multistart(
-        _two_sphere_objective(K.transpose(0, 2, 3, 1), g), project, 2 * m, restarts, seed, mode
-    )
-    xi_best, eta_best = to_holomorphic(best_x.reshape(2, m))
-
-    best_z, holo_value, holo_conv, holo_stats = _multistart(
-        _sphere_objective(K, g), project, m, restarts, seed + 1, mode
-    )
-    zeta = to_holomorphic(best_z)
-
-    alignment = float(abs(np.einsum("ab,a,b->", H, xi_best, eta_best.conj())))
-    gap = best_value - holo_value if mode == "max" else holo_value - best_value
-    return ExtremalResult(
-        mode=mode,
-        best_value=best_value,
-        best_plane=Plane(to_real(xi_best), to_real(eta_best)),
-        holo_best_value=holo_value,
-        holo_best_vector=zeta,
-        n_restarts=restarts,
-        converged=converged and holo_conv,
-        gap=gap,
-        hypothesis_sign=hypothesis_sign,
-        seed=seed,
-        applicable=applicable,
-        search=stats,
-        holo_search=holo_stats,
-        best_pair=(xi_best, eta_best),
-        pair_alignment=alignment,
+    sphere = _sphere_constraint(g)
+    plane = (_objective(K.transpose(0, 2, 3, 1), sphere), sphere[0])
+    res = _extremal(g, mode, restarts, seed, plane, K, hypothesis_sign, sym.passed)
+    xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
+    return replace(
+        res,
+        holo_best_vector=to_holomorphic(res.holo_best_vector),
+        best_pair=(xi, eta),
+        pair_alignment=float(abs(np.einsum("ab,a,b->", geom.jet.h, xi, eta.conj()))),
     )
 
 
@@ -580,12 +544,12 @@ def _gap_tensor(r: np.ndarray, kr: np.ndarray) -> np.ndarray:
 
 
 def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
-                    seed: int = 0, refine: bool = True) -> GapProbeReport:
+                    seed: int = 0) -> GapProbeReport:
     """Search for planes separating the two sectional curvatures.
 
     For g-orthonormal pairs both normalizations have denominator one, so
     the gap is just the difference of the two numerators; that quantity
-    is sampled and optionally sharpened by a short multi-start ascent.
+    is sampled and sharpened by a short multi-start ascent.
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the ascent, which would only
     refine noise; a genuinely non-Kahler metric yields a witness gap
@@ -598,9 +562,10 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         geom = geometry_at(metric, p)
         g = geom.rjet.g
         m = g.shape[0]
-        project = _orthonormal_pair_projector(g)
+        pair = _pair_constraint(g)
+        project = pair[0]
         T = _gap_tensor(geom.rc, geom.kr)
-        signed = _pair_objective(T, g)
+        signed = _objective(T, pair)
         scale = max(1.0, np.max(np.abs(geom.rc)))
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * scale
 
@@ -613,7 +578,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         gaps = value_grad(sample)[0]
         point_best_x = sample[int(np.argmax(gaps))]
         point_best = float(np.max(gaps))
-        if refine and not noise:
+        if not noise:
             x, val, _, stats = _multistart(value_grad, project, 2 * m, 16, seed + k, "max")
             searches.append(stats)
             if val > point_best:

@@ -43,11 +43,6 @@ class ChartPoint:
     def n(self) -> int:
         return self.coords.size
 
-    @property
-    def reals(self) -> np.ndarray:
-        """Real coordinates (x^1..x^n, x^{n+1}..x^{2n}) of the point."""
-        return np.concatenate([self.coords.real, self.coords.imag])
-
     @staticmethod
     def from_reals(x: np.ndarray) -> "ChartPoint":
         x = np.asarray(x, dtype=float)

@@ -1,7 +1,7 @@
 """Metric expression language: parsing, exact Wirtinger differentiation,
 evaluation.
 
-Grammar (UTF-8 text)::
+Grammar (UTF-8 text; numbers and names are ASCII)::
 
     metric   := "dim" INT ";" entry+
     entry    := "h[" INT "," INT "]" "=" expr ";"
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -224,64 +225,30 @@ class _Token:
     col: int
 
 
-_PUNCT = set("[],;=+-*/^()")
+# One token per match; anything else, including any non-ASCII character,
+# is a syntax error.  A number is INT unless it has a point or an exponent.
+_TOKEN_RE = re.compile(
+    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[][,;=+*/^()-])"
+)
 
 
 def _tokenize(source: str) -> list:
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _PUNCT:
-            toks.append(_Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            isnum = False
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                isnum = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    isnum = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
-            toks.append(_Token("NUMBER" if isnum else "INT", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(_Token("IDENT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(_Token("EOF", "", line, col))
+    line, line_start, i = 1, 0, 0
+    while i < len(source):
+        mt = _TOKEN_RE.match(source, i)
+        if mt is None:
+            raise DslSyntaxError(f"unexpected character {source[i]!r}", line, i - line_start + 1)
+        kind, text = mt.lastgroup, mt.group()
+        if kind == "NL":
+            line, line_start = line + 1, mt.end()
+        elif kind != "WS":
+            if kind == "NUMBER" and text.isdigit():
+                kind = "INT"
+            toks.append(_Token(kind, text, line, i - line_start + 1))
+        i = mt.end()
+    toks.append(_Token("EOF", "", line, i - line_start + 1))
     return toks
 
 
@@ -844,9 +811,13 @@ class JetTape:
         h = _emit([e for row in metric.entries for e in row], code, slots)
         split = len(code)
         derive = metric._graph.derive
+        zero = metric._graph.intern(ZERO)
         roots = []
         for row in metric.entries:
             for e in row:
+                if e.kind == "const":  # derive would return zero for each root
+                    roots += [zero] * (n * (2 + 3 * n))
+                    continue
                 dz = [derive(e, "z", g) for g in range(1, n + 1)]
                 dzb = [derive(e, "zb", g) for g in range(1, n + 1)]
                 for g in range(n):

@@ -75,19 +75,25 @@ def _w_form(kr: np.ndarray, x, e):
     return -np.einsum("...p,...p->...", W @ kr.reshape(n * n, n * n), W)
 
 
-def _form(T: np.ndarray, a, b, c, d):
-    """T(a, b, c, d) = T[i,j,k,l] a^i b^j c^k d^l for a 4-tensor T;
-    batched over any leading axes of the vectors.
+def _slot_pair(T: np.ndarray, c, d):
+    """Y[..., i, j] = T[i,j,k,l] c^k d^l for a 4-tensor T; batched over any
+    leading axes of the vectors.
 
-    Staged as two-operand products: the outer product c ox d, shape
-    (..., m^2), times T.reshape(m^2, m^2).T gives Y[..., i, j]; then
-    a Y b, as a row times Y times a column.
+    One two-operand product: the outer product c ox d, shape (..., m^2),
+    times T.reshape(m^2, m^2).T.
     """
     m = T.shape[0]
     cd = c[..., :, None] * d[..., None, :]
     Y = cd.reshape(cd.shape[:-2] + (m * m,)) @ T.reshape(m * m, m * m).T
-    Y = Y.reshape(Y.shape[:-1] + (m, m))
-    return (a[..., None, :] @ Y @ b[..., :, None])[..., 0, 0]
+    return Y.reshape(Y.shape[:-1] + (m, m))
+
+
+def _form(T: np.ndarray, a, b, c, d):
+    """T(a, b, c, d) = T[i,j,k,l] a^i b^j c^k d^l for a 4-tensor T;
+    batched over any leading axes of the vectors: a Y b with
+    Y = _slot_pair(T, c, d), as a row times Y times a column.
+    """
+    return (a[..., None, :] @ _slot_pair(T, c, d) @ b[..., :, None])[..., 0, 0]
 
 
 def _kr_form(kr: np.ndarray, a, b, c, d):

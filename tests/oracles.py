@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from hermicurv.connection import induced_real_connection
-from hermicurv.core import ChartPoint
+from hermicurv.core import ChartPoint, to_real
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import HermicurvError
 from hermicurv.sectional import Plane
@@ -34,7 +34,7 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None,
     """
     n = metric.n
     p = _as_point(p, n)
-    x0 = p.reals
+    x0 = to_real(p.coords)
     if step is None:
         step = 1e-5 * max(1.0, float(np.max(np.abs(p.coords))))
 
@@ -94,7 +94,7 @@ def induced_connection_fd(metric, p, step: float = 1e-5) -> np.ndarray:
     induced_real_connection; the two agree to roughly step^2.
     """
     p = p if isinstance(p, ChartPoint) else ChartPoint(np.asarray(p, dtype=complex))
-    x0 = p.reals
+    x0 = to_real(p.coords)
     m = x0.size
     out = None
     for a in range(m):

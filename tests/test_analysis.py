@@ -261,8 +261,8 @@ def _search_cases(geom):
     g, r, kr = geom.rjet.g, geom.rc, geom.kr
     n = geom.n
     m = 2 * n
-    pair = analysis._orthonormal_pair_projector(g)
-    sphere = analysis._sphere_projector(g)
+    pair = analysis._pair_constraint(g)
+    sphere = analysis._sphere_constraint(g)
     K = analysis._real_chern(kr)
 
     def holo(X):
@@ -296,14 +296,15 @@ def _search_cases(geom):
         return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", T, U, V, V, U)
 
     return {
-        "generic_pair": (analysis._pair_objective(T, g), pair, generic, 2 * m),
-        "generic_two_sphere": (analysis._two_sphere_objective(T, g), sphere, generic, 2 * m),
-        "sectional": (analysis._pair_objective(r, g), pair, sectional, 2 * m),
-        "holo_plane": (analysis._sphere_objective(analysis._j_folded(r), g), sphere, holo_plane, m),
-        "bisectional": (analysis._two_sphere_objective(K.transpose(0, 2, 3, 1), g), sphere,
+        "generic_pair": (analysis._objective(T, pair), pair[0], generic, 2 * m),
+        "generic_two_sphere": (analysis._objective(T, sphere), sphere[0], generic, 2 * m),
+        "sectional": (analysis._objective(r, pair), pair[0], sectional, 2 * m),
+        "holo_plane": (analysis._objective(analysis._j_folded(r), sphere), sphere[0],
+                       holo_plane, m),
+        "bisectional": (analysis._objective(K.transpose(0, 2, 3, 1), sphere), sphere[0],
                         bisectional, 2 * m),
-        "holomorphic": (analysis._sphere_objective(K, g), sphere, holomorphic, m),
-        "gap": (analysis._pair_objective(analysis._gap_tensor(r, kr), g), pair, gap, 2 * m),
+        "holomorphic": (analysis._objective(K, sphere), sphere[0], holomorphic, m),
+        "gap": (analysis._objective(analysis._gap_tensor(r, kr), pair), pair[0], gap, 2 * m),
     }
 
 
@@ -328,22 +329,22 @@ def test_projectors_map_zero_rows_to_unit_vectors(geom):
     gm, H = g.rjet.g, g.jet.h
     X = np.zeros((2, 8))
     X[1] = np.arange(1.0, 9.0)
-    P = analysis._orthonormal_pair_projector(gm)(X)
+    P = analysis._pair_constraint(gm)[0](X)
     for row in P:
         U, V = row[:4], row[4:]
         assert U @ gm @ U == pytest.approx(1.0, abs=1e-12)
         assert V @ gm @ V == pytest.approx(1.0, abs=1e-12)
         assert U @ gm @ V == pytest.approx(0.0, abs=1e-12)
     # the partner falls back to a g-unit vector orthogonal to U
-    Y = analysis._orthonormal_pair_projector(gm)(np.concatenate([X[1:, :4], X[1:, :4]], axis=1))[0]
+    Y = analysis._pair_constraint(gm)[0](np.concatenate([X[1:, :4], X[1:, :4]], axis=1))[0]
     assert Y[4:] @ gm @ Y[4:] == pytest.approx(1.0, abs=1e-12)
     assert Y[:4] @ gm @ Y[4:] == pytest.approx(0.0, abs=1e-12)
 
-    S = analysis._sphere_projector(gm)(np.zeros((2, 4)))
+    S = analysis._sphere_constraint(gm)[0](np.zeros((2, 4)))
     assert np.einsum("Bi,ij,Bj->B", S, gm, S) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     # rows of two [Re z, Im z] blocks, the first zero, become h-unit pairs
-    W = analysis._sphere_projector(gm)(np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)))
+    W = analysis._sphere_constraint(gm)[0](np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)))
     Z = W.reshape(-1, 4)[:, :2] + 1j * W.reshape(-1, 4)[:, 2:]
     assert np.einsum("ab,Ba,Bb->B", H, Z, Z.conj()).real == pytest.approx([1.0] * 4, abs=1e-12)
     assert np.all(W[:, 1:4] == 0.0)
@@ -370,4 +371,3 @@ def test_search_diagnostics_are_positive_and_seeded():
             _stats_ok(s, 16)
         runs.append((sec.search, sec.holo_search, bis.search, bis.holo_search, probe.searches))
     assert runs[0] == runs[1]
-    assert chern_gap_probe(m, [P0], samples=50, seed=5, refine=False).searches == ()

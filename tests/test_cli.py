@@ -216,6 +216,15 @@ def test_non_finite_literal_exit_2(tmp_path, capsys):
     assert "line 2, column 10" in rep["error"]["message"]
 
 
+def test_non_ascii_digit_exit_2(tmp_path, capsys):
+    f = tmp_path / "superscript.metric"
+    f.write_text("dim 1;\nh[1,1] = 1 + z1*zb1*\u00b2;\n", encoding="utf-8")
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0]]")
+    assert code == 2
+    assert rep["error"]["type"] == "DslSyntaxError"
+    assert "line 2, column 21" in rep["error"]["message"]
+
+
 def test_overflowing_constant_is_singular_exit_2(tmp_path, capsys):
     # finite literals whose folded product is inf
     f = tmp_path / "overflow.metric"

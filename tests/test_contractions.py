@@ -113,9 +113,19 @@ def test_staged_contractions_match_references_without_symmetries(n):
     _check_forms(r, _cplx(rng, n, n, n, n), rng)
 
 
+def _reads_batched_four_slot(spec: str) -> bool:
+    """Whether einsum subscripts read a four-index operand together with a
+    batched one (an operand with a B or ... axis)."""
+    terms = spec.replace(" ", "").split("->")[0].split(",")
+    batched = [t for t in terms if "B" in t or "..." in t]
+    return bool(batched) and any(len(t) == 4 and t not in batched for t in terms)
+
+
 def contraction_violations(source: str, filename: str = "<src>") -> list:
-    """Every optimize= keyword, and every einsum call with three or more
-    operands whose subscripts are not in ALLOWED_SPECS."""
+    """Every optimize= keyword, every einsum call with three or more
+    operands whose subscripts are not in ALLOWED_SPECS, and every einsum
+    that reads a four-index tensor together with a batch of vectors,
+    which must go through sectional._slot_pair."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         if not isinstance(node, ast.Call):
@@ -131,6 +141,8 @@ def contraction_violations(source: str, filename: str = "<src>") -> list:
         starred = any(isinstance(a, ast.Starred) for a in node.args)
         if (starred or len(node.args) >= 4) and spec not in ALLOWED_SPECS:
             found.append(f"{where}: einsum {spec!r} with {len(node.args) - 1} operands")
+        elif isinstance(spec, str) and _reads_batched_four_slot(spec):
+            found.append(f"{where}: einsum {spec!r} bypasses _slot_pair")
     return found
 
 
@@ -149,14 +161,16 @@ def test_guard_sees_multiline_and_unplanned_contractions():
         ")\n"
         "np.einsum('ij,jk->ik', a, b, optimize=True)\n"
         "einsum(spec, *ops)\n"
+        "np.einsum('ijkl,Bkl->Bij', S, VU)\n"
     )
     assert [v.split(": ", 1)[0] for v in contraction_violations(bad)] == [
-        "<src>:1", "<src>:5", "<src>:6"
+        "<src>:1", "<src>:5", "<src>:6", "<src>:7"
     ]
     good = (
         "np.einsum('ij,jk->ik', a, b)\n"
         "np.einsum('Bi,ij,Bj->B', Y, g,\n"
         "          Y)\n"
+        "np.einsum('la,gmbl->abgm', Hi, d2h)\n"
         "x @ y\n"
     )
     assert contraction_violations(good) == []

@@ -55,9 +55,14 @@ def test_unknown_symbol_has_position():
 
 def test_syntax_errors():
     nested = ("(" * 400 + "z1" + ")" * 400, "exp(" * 400 + "z1" + ")" * 400)
-    for src in ("z1 +", "(z1", "z1 ^ 1.5", "z1 ^ 0", "z1 z2", "2 ** 3", "z0", "@", *nested):
+    for src in ("z1 +", "(z1", "z1 ^ 1.5", "z1 ^ 0", "z1 z2", "2 ** 3", "z0", "@", *nested,
+                "z1^\u00b2", "z\u00b2"):
         with pytest.raises(DslSyntaxError):
             parse_expression(src)
+    # non-ASCII digits are not numbers
+    for src in ("dim 1;\nh[1,1] = 1 + z1*zb1*\u00b2;", "dim \u00b2;"):
+        with pytest.raises(DslSyntaxError):
+            parse_metric(src)
 
 
 def test_variable_range_check():

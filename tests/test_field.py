@@ -18,7 +18,7 @@ from hermicurv import (
     parse_metric,
     to_holomorphic,
 )
-from hermicurv.core import hermitian_pairing
+from hermicurv.core import hermitian_pairing, to_real
 from hermicurv.field import (
     MAX_CONDITION,
     _checked_inverse,
@@ -138,7 +138,7 @@ def test_real_jet_derivatives_match_finite_differences():
     m = catalog_metric("poincare_ball", 2)
     p = sample_admissible_points(m, 1, seed=4)[0]
     rjet = real_jet_at(m, p)
-    x0 = p.reals
+    x0 = to_real(p.coords)
     step = 1e-5
 
     def g_at(x):
