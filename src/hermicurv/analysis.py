@@ -1,18 +1,20 @@
 """Metric classification, curvature-tensor inequality checks, and
 extremal searches over tangent 2-planes.
 
-The searches share one engine: a seeded multi-start projected ascent.
-Restart states are carried as rows of one array, so every objective and
-projection is evaluated batched; a per-restart step halves whenever the
-trial move fails to improve, and a restart freezes once its step falls
-below _MIN_STEP.  The winner is the best final value, first-found on ties
-within 1e-10, which keeps results reproducible for a fixed seed.
-
-Every objective is a real quartic form, T(U, V, V, U) on a pair or
-T(Y, Y, Y, Y) on one vector, with T built once per point, and goes
-through _objective.  Its gradient is exact, and the tangent of the
-constraint (a g-sphere or g-orthonormal pairs) carries it through the
-projection to the gradient the ascent steps along.
+The searches share one engine: a seeded multi-start Riemannian Newton
+search.  Every objective is a real quartic form, T(U, V, V, U) on a pair
+or T(Y, Y, Y, Y) on one vector, with T built once per point.  Each search
+takes the Cholesky factor g = L L^T at its point and pulls T back through
+L^-T (_Quartic), which turns g-unit vectors and g-orthonormal pairs into
+Euclidean unit vectors and orthonormal pairs; there the constraint has a
+plain retraction (normalize, or Gram-Schmidt) and the textbook Riemannian
+gradient and Hessian (_riemannian).  Restart states are carried as rows
+of one array, so values, gradients, Hessians and one eigh per pass are
+batched; each restart takes saddle-free Newton steps inside its own trust
+radius until its Riemannian gradient vanishes to rounding.  The winner is
+the best final value, first-found on ties within 1e-10, which keeps
+results reproducible for a fixed seed; it is mapped back to the chart as
+y = x L^-1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .core import ChartPoint, to_holomorphic
 from .dsl import MetricDefinition
 from .engine import geometry_at
-from .sectional import Plane, _kr_form, _slot_pair, _w_form, riemann_sectional
+from .sectional import Plane, _form, _kr_form, _slot_pair, _w_form, riemann_sectional
 
 __all__ = [
     "ClassificationReport",
@@ -82,6 +84,8 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
             float(np.max(np.abs(geom.cx.block("hhha")))),
             float(np.max(np.abs(geom.cx.block("hhaa")))),
         )
+    if not pts:
+        raise ValueError("points must name at least one point")
     return ClassificationReport(
         kahler=rk < tol,
         kahler_residual=rk,
@@ -181,12 +185,17 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
 
 
 # ---------------------------------------------------------------------------
-# Multi-start projected search
+# Multi-start Riemannian Newton search
 
 
-# Every search's first step, the step that freezes a restart, and its pass cap
-_STEP0 = 0.1
-_MIN_STEP = 1e-10
+# A restart's first trust radius and its cap, in the whitened tangent norm;
+# the eigenvalue floor, relative to the largest |eigenvalue|, below which a
+# Hessian direction is dropped; the Riemannian gradient norm, relative to
+# max(1, max|S|), that stops a restart; and the pass cap
+_RADIUS0 = 0.5
+_MAX_RADIUS = 1.0
+_EIG_FLOOR = 1e-9
+_GRAD_TOL = 1e-12
 _MAX_ITER = 200
 
 
@@ -194,11 +203,13 @@ _MAX_ITER = 200
 class SearchStats:
     """Work done by one multi-start search.
 
-    iterations counts passes of the step loop (the most steps any restart
-    took); evaluations counts value-and-gradient evaluations, one per
+    iterations counts Newton passes (the most steps any restart took);
+    evaluations counts value, gradient and Hessian evaluations, one per
     restart still stepping in a pass plus one per restart at the start;
-    converged restarts ended with their step below _MIN_STEP and capped
-    ones were still stepping when the _MAX_ITER passes ran out.
+    converged restarts ended with their Riemannian gradient norm at most
+    _GRAD_TOL * max(1, max|S|), S the whitened, pair-symmetrized tensor
+    of the objective, and capped ones were still stepping when the
+    _MAX_ITER passes ran out.
     """
 
     iterations: int
@@ -207,47 +218,15 @@ class SearchStats:
     capped: int
 
 
-def _multistart(value_grad, project, dim: int, restarts: int, seed: int, mode: str):
-    """Batched multi-start projected gradient search.
+def _whitening(g: np.ndarray):
+    """(L, L^-1) for the Cholesky factor g = L L^T.
 
-    value_grad maps an (B, dim) array of already-projected states to their
-    (B,) values and the (B, dim) gradients of objective(project(.)) there;
-    project maps arbitrary states back onto the constraint set.  Only
-    restarts still stepping are evaluated, and a restart keeps the
-    gradient of its last accepted state.
-    Returns (best_state, best_value, converged, stats).
+    A row state x in whitened coordinates is the row y = x L^-1 in the
+    chart, and g(y, y) = x . x, so g-unit vectors and g-orthonormal
+    pairs become Euclidean ones.
     """
-    sign = 1.0 if mode == "max" else -1.0
-    rng = np.random.default_rng(seed)
-    X = project(rng.standard_normal((restarts, dim)))
-    f, grad = value_grad(X)
-    step = np.full(restarts, _STEP0)
-    iterations, evaluations = 0, restarts
-
-    for _ in range(_MAX_ITER):
-        rows = np.nonzero(step > _MIN_STEP)[0]
-        if rows.size == 0:
-            break
-        iterations += 1
-        evaluations += rows.size
-        g = grad[rows]
-        norms = np.linalg.norm(g, axis=1)
-        norms[norms == 0] = 1.0
-        trial = project(X[rows] + (sign * step[rows] / norms)[:, None] * g)
-        ftrial, gtrial = value_grad(trial)
-        better = sign * ftrial > sign * f[rows]
-        moved = rows[better]
-        X[moved] = trial[better]
-        f[moved] = ftrial[better]
-        grad[moved] = gtrial[better]
-        step[rows[~better]] *= 0.5
-
-    key = sign * f
-    winners = np.nonzero(key >= np.max(key) - 1e-10)[0]
-    idx = int(winners[0])
-    done = int(np.sum(step <= _MIN_STEP))
-    stats = SearchStats(iterations, evaluations, done, restarts - done)
-    return X[idx].copy(), float(f[idx]), bool(step[idx] <= _MIN_STEP), stats
+    L = np.linalg.cholesky(g)
+    return L, np.linalg.inv(L)
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -256,99 +235,208 @@ def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
     return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
 
 
-def _objective(T: np.ndarray, constraint):
-    """value_grad of T(U, V, V, U) on a constraint's states X, with
-    U = X[:, :m] and V = X[:, -m:]; a one-block state has U = V = Y.
-
-    With S pair-symmetrized, the four slot gradients fold into
-    gu = 2 S(., V, V, U) and gv = 2 S(U, ., V, U), which share
-    A = _slot_pair(S, V, U); the constraint's tangent takes them through
-    its projection.
-    """
-    _, tangent = constraint
-    S = _pair_symmetrized(T)
+def _pulled_back(T: np.ndarray, Li: np.ndarray) -> np.ndarray:
+    """T with M = L^-T applied to every slot: its value at whitened
+    states x is T's value at the chart states y = x L^-1.  One product
+    with M per slot, last slot first, as in complexify_curvature."""
     m = T.shape[0]
+    M = Li.T
+    t = T.reshape(m**3, m) @ M  # [i, j, k, D]
+    t = M.T @ t.reshape(m * m, m, m)  # [i, j, C, D]
+    t = M.T @ t.reshape(m, m, m * m)  # [i, B, C, D]
+    t = M.T @ t.reshape(m, m**3)  # [A, B, C, D]
+    return t.reshape(m, m, m, m)
 
-    def value_grad(X):
+
+class _Quartic:
+    """f = T(U, V, V, U) on whitened states X, with U = X[:, :m] and
+    V = X[:, -m:]; a one-block state has U = V = Y.  With absolute, f is
+    |T(U, V, V, U)|.
+
+    With S the pair-symmetrized pull-back of T, the Euclidean gradient is
+    gu = 2 S(., V, V, U), gv = 2 S(U, ., V, U), and the Hessian blocks
+    are 2 S(., V, V, .), 2 S(U, ., ., U) and, across U and V,
+    4 A = 4 S(., ., V, U): three _slot_pair products per evaluation.
+    gtol is the gradient norm that stops a restart.
+    """
+
+    def __init__(self, T: np.ndarray, Li: np.ndarray, absolute: bool = False):
+        S = _pair_symmetrized(_pulled_back(T, Li))
+        self.m = S.shape[0]
+        self.S = S
+        self.s_uu = np.ascontiguousarray(S.transpose(0, 3, 1, 2))
+        self.s_vv = np.ascontiguousarray(S.transpose(1, 2, 0, 3))
+        self.absolute = absolute
+        self.gtol = _GRAD_TOL * max(1.0, float(np.max(np.abs(S))))
+
+    def value(self, X: np.ndarray) -> np.ndarray:
+        U, V = X[:, : self.m], X[:, -self.m :]
+        f = _form(self.S, U, V, V, U)
+        return np.abs(f) if self.absolute else f
+
+    def derivatives(self, X: np.ndarray):
+        """(B,) values, (B, d) gradients and (B, d, d) Hessians at X."""
+        m = self.m
         U, V = X[:, :m], X[:, -m:]
-        A = _slot_pair(S, V, U)
+        A = _slot_pair(self.S, V, U)
+        huu = 2.0 * _slot_pair(self.s_uu, V, V)
+        hvv = 2.0 * _slot_pair(self.s_vv, U, U)
         gu = 2.0 * np.einsum("Bij,Bj->Bi", A, V)
         gv = 2.0 * np.einsum("Bij,Bi->Bj", A, U)
-        return np.einsum("Bi,Bi->B", gu, U) / 2.0, tangent(X, gu, gv)
-
-    return value_grad
-
-
-def _pair_constraint(g: np.ndarray):
-    """(project, tangent) for g-orthonormal pairs X = [U | V]: tangent(X,
-    gu, gv) is the gradient of f(project(.)) at X from f's gradients."""
-    m = g.shape[0]
-
-    def normalize(Y, partner=None):
-        if partner is not None:
-            coef = np.einsum("Bi,ij,Bj->B", Y, g, partner)
-            Y = Y - coef[:, None] * partner
-        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
-        bad = norm2 < 1e-12
-        if bad.any():
-            for j in range(m):
-                if not bad.any():
-                    break
-                cand = np.zeros((int(bad.sum()), m))
-                cand[:, j] = 1.0
-                if partner is not None:
-                    coef = np.einsum("Bi,ij,Bj->B", cand, g, partner[bad])
-                    cand = cand - coef[:, None] * partner[bad]
-                c2 = np.einsum("Bi,ij,Bj->B", cand, g, cand)
-                ok = c2 > 0.5
-                rows = np.nonzero(bad)[0][ok]
-                Y[rows] = cand[ok]
-                norm2[rows] = c2[ok]
-                bad = norm2 < 1e-12
-        return Y / np.sqrt(norm2)[:, None]
-
-    def project(X):
-        U = normalize(X[:, :m].copy())
-        V = normalize(X[:, m:].copy(), partner=U)
-        return np.concatenate([U, V], axis=1)
-
-    def tangent(X, gu, gv):
-        U, V = X[:, :m], X[:, m:]
-        gU, gV = U @ g, V @ g
-        vu = np.einsum("Bi,Bi->B", gv, U)[:, None]
-        du = gu - np.einsum("Bi,Bi->B", gu, U)[:, None] * gU - vu * gV
-        dv = gv - vu * gU - np.einsum("Bi,Bi->B", gv, V)[:, None] * gV
-        return np.concatenate([du, dv], axis=1)
-
-    return project, tangent
+        f = np.einsum("Bi,Bi->B", gu, U) / 2.0
+        A = 4.0 * A
+        At = A.transpose(0, 2, 1)
+        if X.shape[1] == m:
+            G, H = gu + gv, huu + hvv + A + At
+        else:
+            G = np.concatenate([gu, gv], axis=1)
+            H = np.concatenate([np.concatenate([huu, A], axis=2),
+                                np.concatenate([At, hvv], axis=2)], axis=1)
+        if self.absolute:
+            s = np.where(f < 0, -1.0, 1.0)
+            f, G, H = s * f, s[:, None] * G, s[:, None, None] * H
+        return f, G, H
 
 
-def _sphere_constraint(g: np.ndarray):
-    """(project, tangent) for rows of one or two g-unit blocks of m reals.
+def _unit(Y: np.ndarray, partner: np.ndarray | None = None) -> np.ndarray:
+    """Rows of Y scaled to unit length, after removing their component
+    along the unit rows of partner.  A zero row becomes e_1, or, with a
+    partner, e_j minus its partner component for the j where the partner
+    is smallest, which keeps at least half of e_j."""
+    if partner is not None:
+        Y = Y - np.einsum("Bi,Bi->B", Y, partner)[:, None] * partner
+    norm2 = np.einsum("Bi,Bi->B", Y, Y)
+    bad = norm2 < 1e-12
+    if bad.any():
+        Y = Y.copy()
+        rows = np.nonzero(bad)[0]
+        cand = np.zeros((rows.size, Y.shape[1]))
+        if partner is None:
+            cand[:, 0] = 1.0
+        else:
+            P = partner[rows]
+            j = np.argmin(np.abs(P), axis=1)
+            cand = -P[np.arange(rows.size), j][:, None] * P
+            cand[np.arange(rows.size), j] += 1.0
+        Y[rows] = cand
+        norm2[rows] = np.einsum("Bi,Bi->B", cand, cand)
+    return Y / np.sqrt(norm2)[:, None]
 
-    project scales each block to g-unit length; a zero block becomes e_1
-    scaled.  On [Re z, Im z] blocks, g-unit is h-unit.  tangent is as for
-    _pair_constraint, with gu + gv on a one-block state.
+
+def _retract(X: np.ndarray, m: int, pair: bool) -> np.ndarray:
+    """Whitened states back onto the constraint: Gram-Schmidt of [U | V]
+    to an orthonormal pair, or each block of m scaled to unit length."""
+    if pair:
+        U = _unit(X[:, :m])
+        return np.concatenate([U, _unit(X[:, m:], U)], axis=1)
+    return _unit(X.reshape(-1, m)).reshape(X.shape)
+
+
+def _riemannian(X: np.ndarray, G: np.ndarray, H: np.ndarray, m: int, pair: bool):
+    """Riemannian gradient (B, d) and Hessian (B, d, d) at whitened states
+    X from the Euclidean G and H.
+
+    The k = d / m blocks x_b of a state form an orthonormal pair (Stiefel)
+    or k unit vectors (product of spheres).  With Sigma = sym(X^T G) on the
+    pair, or its diagonal on spheres, the gradient is G - X Sigma and the
+    Hessian is P (H - Sigma (x) I) P, P the orthogonal projector onto the
+    tangent space; it vanishes on the normal directions.
     """
-    m = g.shape[0]
+    B, d = X.shape
+    k = d // m
+    Xr, Gr = X.reshape(B, k, m), G.reshape(B, k, m)
+    sigma = Xr @ Gr.transpose(0, 2, 1)
+    # C[:, b, i, c, j] = x_c[i] x_b[j]
+    C = (Xr[:, None, :, :, None] * Xr[:, :, None, None, :]).transpose(0, 1, 3, 2, 4)
+    eye = np.eye(k)
+    if pair:
+        sigma = (sigma + sigma.transpose(0, 2, 1)) / 2.0
+        xx = Xr.transpose(0, 2, 1) @ Xr
+        N = (eye[None, :, None, :, None] * xx[:, None, :, None, :] + C) / 2.0
+    else:
+        sigma = sigma * eye
+        N = C * eye[None, :, None, :, None]
+    P = np.eye(d) - N.reshape(B, d, d)
+    W = (sigma[:, :, None, :, None] * np.eye(m)[None, None, :, None, :]).reshape(B, d, d)
+    grad = (Gr - sigma @ Xr).reshape(B, d)
+    return grad, P @ (H - W) @ P
 
-    def project(X):
-        Y = X.reshape(-1, m)
-        norm2 = np.einsum("Bi,ij,Bj->B", Y, g, Y)
-        bad = norm2 < 1e-12
-        if bad.any():
-            Y = Y.copy()
-            Y[bad] = 0.0
-            Y[bad, 0] = 1.0
-            norm2[bad] = g[0, 0]
-        return (Y / np.sqrt(norm2)[:, None]).reshape(X.shape)
 
-    def tangent(X, gu, gv):
-        a = gu + gv if X.shape[1] == m else np.concatenate([gu, gv], axis=1)
-        Y, a = X.reshape(-1, m), a.reshape(-1, m)
-        return (a - np.einsum("Bi,Bi->B", a, Y)[:, None] * (Y @ g)).reshape(X.shape)
+def _draw(rng, rows: int, dim: int, white, pair: bool) -> np.ndarray:
+    """rows standard normal chart states of dim reals, taken into
+    whitened coordinates and retracted: the same planes or vectors as
+    g-weighted Gram-Schmidt or normalization of the chart states."""
+    L = white[0]
+    m = L.shape[0]
+    Y = rng.standard_normal((rows, dim))
+    return _retract((Y.reshape(-1, m) @ L).reshape(Y.shape), m, pair)
 
-    return project, tangent
+
+def _chart(x: np.ndarray, white) -> np.ndarray:
+    """A whitened state back in the chart, y = x L^-1 per block."""
+    Li = white[1]
+    return (x.reshape(-1, Li.shape[0]) @ Li).reshape(x.shape)
+
+
+def _multistart(q: _Quartic, white, pair: bool, dim: int, restarts: int, seed: int, mode: str):
+    """Batched multi-start Riemannian Newton search of q over whitened
+    states of dim reals, seeded with _draw.
+
+    Each pass takes one batched eigh of the Riemannian Hessians of the
+    restarts still stepping and a saddle-free Newton step: the gradient's
+    component along each eigenvector divided by |lambda|, with
+    |lambda| <= _EIG_FLOOR max|lambda| dropped (the normal and invariance
+    directions).  The step is capped by a per-restart trust radius, and a
+    trial is accepted when it gains at least a tenth of the model's
+    predicted gain, up to rounding.  The radius shrinks to a quarter of
+    the step on rejection and doubles, up to _MAX_RADIUS, after an
+    accepted capped step.  A restart stops once its Riemannian gradient
+    norm is at most q.gtol.
+    Returns (best chart state, best value, converged, stats).
+    """
+    sign = 1.0 if mode == "max" else -1.0
+    m = q.m
+    X = _draw(np.random.default_rng(seed), restarts, dim, white, pair)
+    f, G, H = q.derivatives(X)
+    grad, hess = _riemannian(X, G, H, m, pair)
+    gnorm = np.linalg.norm(grad, axis=1)
+    radius = np.full(restarts, _RADIUS0)
+    iterations, evaluations = 0, restarts
+
+    for _ in range(_MAX_ITER):
+        rows = np.nonzero(gnorm > q.gtol)[0]
+        if rows.size == 0:
+            break
+        iterations += 1
+        evaluations += rows.size
+        lam, Q = np.linalg.eigh(hess[rows])
+        c = np.einsum("Bji,Bj->Bi", Q, grad[rows])
+        mag = np.abs(lam)
+        keep = mag > _EIG_FLOOR * np.max(mag, axis=1, keepdims=True)
+        a = np.divide(sign * c, mag, out=np.zeros_like(c), where=keep)
+        step = np.linalg.norm(a, axis=1)
+        capped = step > radius[rows]
+        a[capped] *= (radius[rows[capped]] / step[capped])[:, None]
+        predicted = sign * np.einsum("Bi,Bi->B", a, c + lam * a / 2.0)
+        trial = _retract(X[rows] + np.einsum("Bij,Bj->Bi", Q, a), m, pair)
+        ft, Gt, Ht = q.derivatives(trial)
+        slack = 1e3 * np.finfo(float).eps * np.maximum(1.0, np.abs(f[rows]))
+        ok = sign * (ft - f[rows]) + slack >= 0.1 * (predicted + slack)
+
+        acc = rows[ok]
+        X[acc], f[acc] = trial[ok], ft[ok]
+        grad[acc], hess[acc] = _riemannian(trial[ok], Gt[ok], Ht[ok], m, pair)
+        gnorm[acc] = np.linalg.norm(grad[acc], axis=1)
+        radius[rows[~ok]] = np.minimum(radius[rows[~ok]], step[~ok]) / 4.0
+        grow = rows[ok & capped]
+        radius[grow] = np.minimum(2.0 * radius[grow], _MAX_RADIUS)
+
+    key = sign * f
+    winners = np.nonzero(key >= np.max(key) - 1e-10)[0]
+    idx = int(winners[0])
+    done = gnorm <= q.gtol
+    stats = SearchStats(iterations, evaluations, int(done.sum()), restarts - int(done.sum()))
+    return _chart(X[idx], white), float(f[idx]), bool(done[idx]), stats
 
 
 def _real_chern(kr: np.ndarray) -> np.ndarray:
@@ -392,9 +480,12 @@ class ExtremalResult:
     pointwise attainment statements predict gap <= tolerance when
     applicable, i.e. when the sampled hypotheses of the search hold and
     the sign they find is the one the mode is covered for (nonneg or
-    zero for max, nonpos or zero for min).  converged means the step of
-    each winning restart fell below _MIN_STEP: a local stationarity
-    statement, not a proof that the extremum is global.  search and
+    zero for max, nonpos or zero for min).  converged means the winning
+    restart of both searches ended with its Riemannian gradient norm at
+    most _GRAD_TOL * max(1, max|S|) (see SearchStats): a local
+    stationarity statement, not a proof that the extremum is global.
+    best_plane is g-orthonormal and holo_best_vector g-unit (h-unit for
+    the bisectional search).  search and
     holo_search count the work of the two searches.  The bisectional
     search also reports the optimizing vector pair and how aligned it is
     (|h(xi, eta)| for unit vectors, 1 means proportional).
@@ -417,19 +508,20 @@ class ExtremalResult:
     pair_alignment: float | None = None
 
 
-def _extremal(g: np.ndarray, mode: str, restarts: int, seed: int, plane, holo_T: np.ndarray,
-              hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
+def _extremal(white, mode: str, restarts: int, seed: int, plane: _Quartic, pair: bool,
+              holo_T: np.ndarray, hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
     """The two searches behind an ExtremalResult and their oriented gap.
 
-    plane is the (value_grad, project) of the search over states [U | V];
-    the holomorphic search extremizes holo_T(Y, Y, Y, Y) over g-unit Y.
-    applicable needs symmetric and a sampled sign the mode is covered for.
+    plane is searched over states [U | V], orthonormal pairs when pair
+    and two unit vectors otherwise; the holomorphic search extremizes
+    holo_T(Y, Y, Y, Y) over g-unit Y.  applicable needs symmetric and a
+    sampled sign the mode is covered for.
     """
-    m = g.shape[0]
-    best_x, best_value, converged, stats = _multistart(*plane, 2 * m, restarts, seed, mode)
-    sphere = _sphere_constraint(g)
+    m = plane.m
+    best_x, best_value, converged, stats = _multistart(plane, white, pair, 2 * m, restarts,
+                                                       seed, mode)
     best_y, holo_value, holo_conv, holo_stats = _multistart(
-        _objective(holo_T, sphere), sphere[0], m, restarts, seed + 1, mode
+        _Quartic(holo_T, white[1]), white, False, m, restarts, seed + 1, mode
     )
     return ExtremalResult(
         mode=mode,
@@ -448,9 +540,11 @@ def _extremal(g: np.ndarray, mode: str, restarts: int, seed: int, plane, holo_T:
     )
 
 
-def _check_mode(mode: str) -> None:
+def _check_search(mode: str, restarts: int) -> None:
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
 
 
 def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
@@ -464,16 +558,15 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     reported, never assumed, and the result is applicable when the mode
     is covered for the sign found.
     """
-    _check_mode(mode)
+    _check_search(mode, restarts)
     geom = geometry_at(metric, p)
     g, r = geom.rjet.g, geom.rc
-    pair = _pair_constraint(g)
-    plane = (_objective(r, pair), pair[0])
-
-    rng = np.random.default_rng(seed + 101)
-    sample = pair[0](rng.standard_normal((1000, 2 * g.shape[0])))
-    hypothesis_sign = _sign_label(plane[0](sample)[0])
-    return _extremal(g, mode, restarts, seed, plane, _j_folded(r), hypothesis_sign, True)
+    white = _whitening(g)
+    plane = _Quartic(r, white[1])
+    sample = _draw(np.random.default_rng(seed + 101), 1000, 2 * g.shape[0], white, True)
+    hypothesis_sign = _sign_label(plane.value(sample))
+    return _extremal(white, mode, restarts, seed, plane, True, _j_folded(r), hypothesis_sign,
+                     True)
 
 
 def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
@@ -486,7 +579,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     extremum occurs at xi = eta (up to phase), which pair_alignment makes
     checkable.
     """
-    _check_mode(mode)
+    _check_search(mode, restarts)
     geom = geometry_at(metric, p)
     kr, g, n = geom.kr, geom.rjet.g, geom.n
 
@@ -498,9 +591,9 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
     K = _real_chern(kr)
-    sphere = _sphere_constraint(g)
-    plane = (_objective(K.transpose(0, 2, 3, 1), sphere), sphere[0])
-    res = _extremal(g, mode, restarts, seed, plane, K, hypothesis_sign, sym.passed)
+    white = _whitening(g)
+    plane = _Quartic(K.transpose(0, 2, 3, 1), white[1])
+    res = _extremal(white, mode, restarts, seed, plane, False, K, hypothesis_sign, sym.passed)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(
         res,
@@ -549,12 +642,14 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
 
     For g-orthonormal pairs both normalizations have denominator one, so
     the gap is just the difference of the two numerators; that quantity
-    is sampled and sharpened by a short multi-start ascent.
+    is sampled and sharpened by a 16-restart Newton search.
     A metric with torsion-free canonical connection yields max_gap at
-    rounding level, and its points skip the ascent, which would only
+    rounding level, and its points skip the search, which would only
     refine noise; a genuinely non-Kahler metric yields a witness gap
     bounded away from zero.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     best = None
     per_point = []
     searches = []
@@ -562,30 +657,26 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         geom = geometry_at(metric, p)
         g = geom.rjet.g
         m = g.shape[0]
-        pair = _pair_constraint(g)
-        project = pair[0]
+        white = _whitening(g)
         T = _gap_tensor(geom.rc, geom.kr)
-        signed = _objective(T, pair)
+        q = _Quartic(T, white[1], absolute=True)
         scale = max(1.0, np.max(np.abs(geom.rc)))
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * scale
 
-        def value_grad(X):
-            f, grad = signed(X)
-            return np.abs(f), np.sign(f)[:, None] * grad
-
-        rng = np.random.default_rng(seed + k)
-        sample = project(rng.standard_normal((samples, 2 * m)))
-        gaps = value_grad(sample)[0]
-        point_best_x = sample[int(np.argmax(gaps))]
+        sample = _draw(np.random.default_rng(seed + k), samples, 2 * m, white, True)
+        gaps = q.value(sample)
+        point_best_x = _chart(sample[int(np.argmax(gaps))], white)
         point_best = float(np.max(gaps))
         if not noise:
-            x, val, _, stats = _multistart(value_grad, project, 2 * m, 16, seed + k, "max")
+            x, val, _, stats = _multistart(q, white, True, 2 * m, 16, seed + k, "max")
             searches.append(stats)
             if val > point_best:
                 point_best, point_best_x = val, x
         per_point.append(point_best)
         if best is None or point_best > best[0]:
             best = (point_best, geom, point_best_x)
+    if best is None:
+        raise ValueError("points must name at least one point")
 
     gap, geom, x = best
     m = geom.rjet.g.shape[0]

@@ -2,7 +2,8 @@
 
 fd_oracle_jet only evaluates the metric, and induced_connection_fd
 differences the connection coefficients across nearby points, so neither
-uses the exact derivative route it checks.  The *_ref contractions are
+uses the exact derivative route it checks; riemannian_fd differences
+search values and gradients along retraction curves.  The *_ref contractions are
 each a single plain einsum over all operands: a direct sum over every
 index, with none of the staging of the library's products.  The other
 *_ref functions are the earlier, plainer forms of library routines: one
@@ -108,20 +109,36 @@ def induced_connection_fd(metric, p, step: float = 1e-5) -> np.ndarray:
     return out
 
 
-def projected_gradient_fd(objective, project, X: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Gradient of objective(project(.)) at the rows of X by central
-    differences, one coordinate at a time.
+def riemannian_fd(value, gradient, retract, X: np.ndarray, eps: float = 1e-5):
+    """Riemannian gradient and Hessian at the rows of X by central
+    differences along retraction curves, in ambient form.
 
-    objective maps (B, dim) projected states to (B,) values.  This is the
-    gradient the multi-start search once built on every iteration; its
-    error is O(eps^2) truncation plus rounding of order 1e-16 / eps.
+    value maps (B, d) states on the manifold to (B,) values, gradient to
+    their (B, d) Riemannian gradients, and retract maps any states onto
+    the manifold.  The tangent space at a row is the range of the
+    retraction's Jacobian there, itself differenced; Q is an orthonormal
+    basis of it.  Along each curve t -> retract(x + t q_i), value is
+    differenced for the gradient's component on q_i, and gradient for
+    the Hessian's column, which is then projected onto the tangent space,
+    as the Levi-Civita connection of an embedded submanifold does.
+    Returns (Q c, Q Hq Q^T), zero on the normal directions; the error is
+    O(eps^2) truncation plus rounding of order 1e-16 / eps.
     """
-    grad = np.empty(X.shape)
-    for c in range(X.shape[1]):
-        shift = np.zeros(X.shape[1])
-        shift[c] = eps
-        grad[:, c] = (objective(project(X + shift)) - objective(project(X - shift))) / (2.0 * eps)
-    return grad
+    B, d = X.shape
+    grads = np.empty((B, d))
+    hessians = np.empty((B, d, d))
+    for b in range(B):
+        x = X[b]
+        shifts = eps * np.eye(d)
+        J = (retract(x + shifts) - retract(x - shifts)).T / (2.0 * eps)
+        left, sv, _ = np.linalg.svd(J)
+        Q = left[:, sv > 0.5]
+        plus, minus = retract(x + eps * Q.T), retract(x - eps * Q.T)
+        c = (value(plus) - value(minus)) / (2.0 * eps)
+        D = (gradient(plus) - gradient(minus)).T / (2.0 * eps)
+        grads[b] = Q @ c
+        hessians[b] = Q @ (Q.T @ D) @ Q.T
+    return grads, hessians
 
 
 def form_ref(T: np.ndarray, a, b, c, d):

@@ -19,7 +19,7 @@ from hermicurv.analysis import lu_symmetry_check
 from hermicurv.core import hermitian_pairing
 from hermicurv.field import sample_admissible_points
 from hermicurv.sectional import _kr_form, _w_form
-from oracles import projected_gradient_fd
+from oracles import riemannian_fd
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -47,6 +47,11 @@ def test_classify_non_kahler_members():
         # these two examples break the weaker properties as well
         assert not rep.kahler_like
         assert not rep.g_kahler_like
+
+
+def test_classify_rejects_empty_points():
+    with pytest.raises(ValueError, match="points"):
+        classify(catalog_metric("nk_diag", 2), [])
 
 
 def test_classify_respects_tolerance():
@@ -216,6 +221,14 @@ def test_extremal_mode_validation():
         extremal_sectional(m, P0, mode="saddle")
 
 
+@pytest.mark.parametrize("search", [extremal_sectional, extremal_bisectional])
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_extremal_rejects_restarts_below_one(search, restarts):
+    m = catalog_metric("fubini_study", 2)
+    with pytest.raises(ValueError, match="restarts"):
+        search(m, P0, restarts=restarts)
+
+
 # ---------------------------------------------------------------------------
 # Gap probe
 
@@ -239,6 +252,17 @@ def test_gap_probe_clean_on_kahler():
     assert rep.searches == ()
 
 
+def test_gap_probe_rejects_empty_points():
+    with pytest.raises(ValueError, match="points"):
+        chern_gap_probe(catalog_metric("nk_diag", 2), [])
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_gap_probe_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError, match="samples"):
+        chern_gap_probe(catalog_metric("nk_diag", 2), [P0], samples=samples)
+
+
 def test_gap_probe_deterministic():
     m = catalog_metric("nk_diag", 2)
     pts = sample_admissible_points(m, 2, seed=23)
@@ -253,16 +277,15 @@ def test_gap_probe_deterministic():
 
 
 def _search_cases(geom):
-    """name -> (value_grad, project, independent objective, state dim).
+    """name -> (quartic, pair, independent objective, state dim).
 
     The independent objectives are the search objectives written out
-    directly on the search state, without the real 4-tensors the engine
-    folds them into."""
+    directly on chart states, without the real 4-tensors the engine
+    folds them into or the whitening it searches in."""
     g, r, kr = geom.rjet.g, geom.rc, geom.kr
     n = geom.n
     m = 2 * n
-    pair = analysis._pair_constraint(g)
-    sphere = analysis._sphere_constraint(g)
+    Li = analysis._whitening(g)[1]
     K = analysis._real_chern(kr)
 
     def holo(X):
@@ -286,7 +309,7 @@ def _search_cases(geom):
 
     def gap(X):
         xi, eta = holo(X), holo(X[:, m:])
-        return sectional(X) - (_w_form(kr, xi, eta) / 2).real
+        return np.abs(sectional(X) - (_w_form(kr, xi, eta) / 2).real)
 
     # a tensor without curvature symmetries reaches every chain-rule term
     T = np.random.default_rng(41).standard_normal((m,) * 4)
@@ -295,16 +318,15 @@ def _search_cases(geom):
         U, V = X[:, :m], X[:, m:]
         return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", T, U, V, V, U)
 
+    Q = analysis._Quartic
     return {
-        "generic_pair": (analysis._objective(T, pair), pair[0], generic, 2 * m),
-        "generic_two_sphere": (analysis._objective(T, sphere), sphere[0], generic, 2 * m),
-        "sectional": (analysis._objective(r, pair), pair[0], sectional, 2 * m),
-        "holo_plane": (analysis._objective(analysis._j_folded(r), sphere), sphere[0],
-                       holo_plane, m),
-        "bisectional": (analysis._objective(K.transpose(0, 2, 3, 1), sphere), sphere[0],
-                        bisectional, 2 * m),
-        "holomorphic": (analysis._objective(K, sphere), sphere[0], holomorphic, m),
-        "gap": (analysis._objective(analysis._gap_tensor(r, kr), pair), pair[0], gap, 2 * m),
+        "generic_pair": (Q(T, Li), True, generic, 2 * m),
+        "generic_two_sphere": (Q(T, Li), False, generic, 2 * m),
+        "sectional": (Q(r, Li), True, sectional, 2 * m),
+        "holo_plane": (Q(analysis._j_folded(r), Li), False, holo_plane, m),
+        "bisectional": (Q(K.transpose(0, 2, 3, 1), Li), False, bisectional, 2 * m),
+        "holomorphic": (Q(K, Li), False, holomorphic, m),
+        "gap": (Q(analysis._gap_tensor(r, kr), Li, absolute=True), True, gap, 2 * m),
     }
 
 
@@ -313,40 +335,63 @@ def _search_cases(geom):
 def test_search_gradients_match_finite_differences(name, n):
     m = catalog_metric(name, n)
     geom = geometry_at(m, sample_admissible_points(m, 1, seed=31)[0])
+    white = analysis._whitening(geom.rjet.g)
     rng = np.random.default_rng(37)
-    for case, (value_grad, project, objective, dim) in _search_cases(geom).items():
-        X = project(rng.standard_normal((6, dim)))
-        f, grad = value_grad(X)
-        scale = max(1.0, float(np.max(np.abs(objective(X)))))
-        assert np.max(np.abs(f - objective(X))) <= 1e-12 * scale, case
-        fd = projected_gradient_fd(objective, project, X)
-        err = np.linalg.norm(grad - fd, axis=1)
-        assert np.all(err <= 1e-6 * np.maximum(np.linalg.norm(fd, axis=1), scale)), (case, err)
+    for case, (q, pair, objective, dim) in _search_cases(geom).items():
+
+        def value(X):
+            return objective(analysis._chart(X, white))
+
+        def gradient(X):
+            return analysis._riemannian(X, *q.derivatives(X)[1:], q.m, pair)[0]
+
+        def retract(X):
+            return analysis._retract(X, q.m, pair)
+
+        X = retract(rng.standard_normal((6, dim)))
+        f, G, H = q.derivatives(X)
+        grad, hess = analysis._riemannian(X, G, H, q.m, pair)
+        scale = max(1.0, float(np.max(np.abs(value(X)))))
+        assert np.max(np.abs(f - value(X))) <= 1e-12 * scale, case
+        assert np.max(np.abs(q.value(X) - f)) <= 1e-12 * scale, case
+        fd_grad, fd_hess = riemannian_fd(value, gradient, retract, X)
+        err = np.linalg.norm(grad - fd_grad, axis=1)
+        assert np.all(err <= 1e-6 * np.maximum(np.linalg.norm(fd_grad, axis=1), scale)), (case, err)
+        err = np.max(np.abs(hess - fd_hess), axis=(1, 2))
+        bound = 1e-6 * np.maximum(np.max(np.abs(fd_hess), axis=(1, 2)), scale)
+        assert np.all(err <= bound), (case, err)
 
 
 def test_projectors_map_zero_rows_to_unit_vectors(geom):
     g = geom("hopf", [0.3 + 0.1j, -0.2 + 0.05j])
     gm, H = g.rjet.g, g.jet.h
+    white = analysis._whitening(gm)
     X = np.zeros((2, 8))
     X[1] = np.arange(1.0, 9.0)
-    P = analysis._pair_constraint(gm)[0](X)
-    for row in P:
-        U, V = row[:4], row[4:]
-        assert U @ gm @ U == pytest.approx(1.0, abs=1e-12)
-        assert V @ gm @ V == pytest.approx(1.0, abs=1e-12)
-        assert U @ gm @ V == pytest.approx(0.0, abs=1e-12)
-    # the partner falls back to a g-unit vector orthogonal to U
-    Y = analysis._pair_constraint(gm)[0](np.concatenate([X[1:, :4], X[1:, :4]], axis=1))[0]
-    assert Y[4:] @ gm @ Y[4:] == pytest.approx(1.0, abs=1e-12)
-    assert Y[:4] @ gm @ Y[4:] == pytest.approx(0.0, abs=1e-12)
+    P = analysis._retract(X, 4, True)
+    for row in (P, analysis._chart(P, white)):
+        for x in row:
+            U, V = x[:4], x[4:]
+            metric = np.eye(4) if row is P else gm
+            assert U @ metric @ U == pytest.approx(1.0, abs=1e-12)
+            assert V @ metric @ V == pytest.approx(1.0, abs=1e-12)
+            assert U @ metric @ V == pytest.approx(0.0, abs=1e-12)
+    # a partner parallel to U falls back to a unit vector orthogonal to U
+    Y = analysis._retract(np.concatenate([X[1:, :4], X[1:, :4]], axis=1), 4, True)[0]
+    assert Y[4:] @ Y[4:] == pytest.approx(1.0, abs=1e-12)
+    assert Y[:4] @ Y[4:] == pytest.approx(0.0, abs=1e-12)
 
-    S = analysis._sphere_constraint(gm)[0](np.zeros((2, 4)))
-    assert np.einsum("Bi,ij,Bj->B", S, gm, S) == pytest.approx([1.0, 1.0], abs=1e-12)
+    S = analysis._retract(np.zeros((2, 4)), 4, False)
+    assert np.einsum("Bi,Bi->B", S, S) == pytest.approx([1.0, 1.0], abs=1e-12)
+    C = analysis._chart(S, white)
+    assert np.einsum("Bi,ij,Bj->B", C, gm, C) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     # rows of two [Re z, Im z] blocks, the first zero, become h-unit pairs
-    W = analysis._sphere_constraint(gm)[0](np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)))
+    W = analysis._chart(analysis._retract(
+        np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)), 4, False), white)
     Z = W.reshape(-1, 4)[:, :2] + 1j * W.reshape(-1, 4)[:, 2:]
     assert np.einsum("ab,Ba,Bb->B", H, Z, Z.conj()).real == pytest.approx([1.0] * 4, abs=1e-12)
+    # the zero block becomes e_1 in whitened coordinates, a multiple of e_1 in the chart
     assert np.all(W[:, 1:4] == 0.0)
 
 
@@ -371,3 +416,16 @@ def test_search_diagnostics_are_positive_and_seeded():
             _stats_ok(s, 16)
         runs.append((sec.search, sec.holo_search, bis.search, bis.holo_search, probe.searches))
     assert runs[0] == runs[1]
+
+
+def test_nk_diag_minimum_converges_without_capped_restarts():
+    # the minimum sectional curvature of nk_diag at P0 is -1.0125; a
+    # first-order search stopped all 8 restarts at its pass cap short of it
+    m = catalog_metric("nk_diag", 2)
+    res = extremal_sectional(m, P0, mode="min", restarts=8, seed=5)
+    assert res.converged
+    assert res.search.capped == 0
+    assert abs(res.best_value + 1.0125) <= 1e-10
+    probe = chern_gap_probe(m, [P0], samples=50, seed=5)
+    assert len(probe.searches) == 1
+    assert probe.searches[0].converged == 16
