@@ -23,10 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartPoint, to_holomorphic
+from .core import ChartPoint, hermitian_pairing, to_holomorphic
+from .curvature import _each_slot
 from .dsl import MetricDefinition
 from .engine import geometry_at
-from .sectional import Plane, _form, _kr_form, _slot_pair, _w_form, riemann_sectional
+from .sectional import (Plane, _form, _kr_form, _slot_pair, _w_form, chern_quadratic_form,
+                        riemann_sectional)
 
 __all__ = [
     "ClassificationReport",
@@ -106,10 +108,14 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
 class LuSymmetryReport:
     passed: bool
     residual: float
-    tol: float
 
 
-def lu_symmetry_check(A: np.ndarray, tol: float = 1e-9) -> LuSymmetryReport:
+# The residual below which lu_symmetry_check passes: at sampled catalog
+# points it is either rounding (below 1e-14) or above 0.3.
+_SYMMETRY_TOL = 1e-9
+
+
+def lu_symmetry_check(A: np.ndarray) -> LuSymmetryReport:
     """Check the three symmetries required of a curvature-type tensor:
     swap of unbarred slots, swap of barred slots, and pair conjugation."""
     A = np.asarray(A, dtype=complex)
@@ -118,7 +124,7 @@ def lu_symmetry_check(A: np.ndarray, tol: float = 1e-9) -> LuSymmetryReport:
         float(np.max(np.abs(A - A.transpose(0, 3, 2, 1)))),
         float(np.max(np.abs(A - A.transpose(1, 0, 3, 2).conj()))),
     )
-    return LuSymmetryReport(passed=r < tol, residual=r, tol=tol)
+    return LuSymmetryReport(passed=r < _SYMMETRY_TOL, residual=r)
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
 
 
 def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg",
-                        seed: int = 0, symmetry_tol: float = 1e-9) -> LuInequalityReport:
+                        seed: int = 0) -> LuInequalityReport:
     """Sample the Cauchy-Schwarz-type bound |A(x,x~,e,e~)|^2 <=
     A(x,x~,x,x~) A(e,e~,e,e~) on random pairs.
 
@@ -148,22 +154,24 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
     lu_symmetry_check plus a sign condition on the quadratic form built
     from x e~ - e x~; both hypotheses are verified on the same samples
     and failure makes the report inapplicable rather than a violation.
+    sign "auto" takes "nonneg" when that hypothesis holds on the samples
+    and "nonpos" otherwise; the report names the sign taken.
     """
-    if sign not in ("nonneg", "nonpos"):
-        raise ValueError("sign must be 'nonneg' or 'nonpos'")
+    if sign not in ("nonneg", "nonpos", "auto"):
+        raise ValueError("sign must be 'nonneg', 'nonpos' or 'auto'")
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    sym = lu_symmetry_check(A, symmetry_tol)
+    sym = lu_symmetry_check(A)
     rng = np.random.default_rng(seed)
     X = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
     E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
 
     q = _w_form(A, X, E)
     qtol = 1e-9 * max(1.0, float(np.max(np.abs(q))))
-    if sign == "nonneg":
-        hyp = bool(np.all(q.real >= -qtol))
-    else:
-        hyp = bool(np.all(q.real <= qtol))
+    nonneg = bool(np.all(q.real >= -qtol))
+    if sign == "auto":
+        sign = "nonneg" if nonneg else "nonpos"
+    hyp = nonneg if sign == "nonneg" else bool(np.all(q.real <= qtol))
 
     diag_x = _kr_form(A, X, X, X, X).real
     diag_e = _kr_form(A, E, E, E, E).real
@@ -235,19 +243,6 @@ def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
     return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
 
 
-def _pulled_back(T: np.ndarray, Li: np.ndarray) -> np.ndarray:
-    """T with M = L^-T applied to every slot: its value at whitened
-    states x is T's value at the chart states y = x L^-1.  One product
-    with M per slot, last slot first, as in complexify_curvature."""
-    m = T.shape[0]
-    M = Li.T
-    t = T.reshape(m**3, m) @ M  # [i, j, k, D]
-    t = M.T @ t.reshape(m * m, m, m)  # [i, j, C, D]
-    t = M.T @ t.reshape(m, m, m * m)  # [i, B, C, D]
-    t = M.T @ t.reshape(m, m**3)  # [A, B, C, D]
-    return t.reshape(m, m, m, m)
-
-
 class _Quartic:
     """f = T(U, V, V, U) on whitened states X, with U = X[:, :m] and
     V = X[:, -m:]; a one-block state has U = V = Y.  With absolute, f is
@@ -261,7 +256,8 @@ class _Quartic:
     """
 
     def __init__(self, T: np.ndarray, Li: np.ndarray, absolute: bool = False):
-        S = _pair_symmetrized(_pulled_back(T, Li))
+        # L^-T on every slot: S at whitened states x is T at y = x L^-1
+        S = _pair_symmetrized(_each_slot(T, Li.T))
         self.m = S.shape[0]
         self.S = S
         self.s_uu = np.ascontiguousarray(S.transpose(0, 3, 1, 2))
@@ -583,7 +579,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     geom = geometry_at(metric, p)
     kr, g, n = geom.kr, geom.rjet.g, geom.n
 
-    sym = lu_symmetry_check(kr, tol=1e-8)
+    sym = lu_symmetry_check(kr)
     rng = np.random.default_rng(seed + 202)
     Xs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
@@ -599,7 +595,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
         res,
         holo_best_vector=to_holomorphic(res.holo_best_vector),
         best_pair=(xi, eta),
-        pair_alignment=float(abs(np.einsum("ab,a,b->", geom.jet.h, xi, eta.conj()))),
+        pair_alignment=abs(hermitian_pairing(geom.jet.h, xi, eta)),
     )
 
 
@@ -683,13 +679,12 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     plane = Plane(x[:m], x[m:])
     K = riemann_sectional(geom.rc, geom.rjet, plane)
     xi, eta = to_holomorphic(x.reshape(2, m))
-    kd = float((_w_form(geom.kr, xi, eta) / 2).real)
     return GapProbeReport(
         max_gap=gap,
         witness_point=geom.point,
         witness_plane=plane,
         witness_K=K,
-        witness_K_D=kd,
+        witness_K_D=chern_quadratic_form(geom.kr, xi, eta),
         per_point_gaps=tuple(per_point),
         samples=samples,
         seed=seed,

@@ -204,7 +204,7 @@ def _load_metric(source: str, n: int):
 
 
 def _cmd_classify(args, metric, points):
-    rep = classify(metric, points, tol=args.tol if args.tol is not None else 1e-8)
+    rep = classify(metric, points, tol=args.tol)
     result = {
         "kahler": rep.kahler,
         "kahler_residual": rep.kahler_residual,
@@ -244,13 +244,12 @@ def _cmd_curvature(args, metric, points):
 def _cmd_sectional(args, metric, points):
     if not args.plane:
         raise UsageError("sectional needs at least one --plane")
+    planes = [_parse_plane(text, points[0].n) for text in args.plane]
     results = []
     for p in points:
         geom = geometry_at(metric, p)
-        n = geom.n
         per_plane = []
-        for text in args.plane:
-            plane = _parse_plane(text, n)
+        for plane in planes:
             xi = to_holomorphic(plane.u)
             eta = to_holomorphic(plane.v)
             per_plane.append(
@@ -267,33 +266,30 @@ def _cmd_sectional(args, metric, points):
 
 
 def _cmd_identities(args, metric, points):
-    tol = args.tol if args.tol is not None else 1e-6
-    count = args.samples if args.samples is not None else 10
     results = []
     ok = True
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
         # uv[k] is the pair (u, v), u drawn first
-        uv = np.random.default_rng(args.seed + k).standard_normal((count, 2, 2 * geom.n))
+        uv = np.random.default_rng(args.seed + k).standard_normal((args.samples, 2, 2 * geom.n))
         uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
         res = identity_suite(geom.rc, geom.kr, geom.cx, uv[:, 0], uv[:, 1])
         table = {key: float(np.max(val)) for key, val in dataclasses.asdict(res).items()}
-        universal_ok = res.universal_max() < tol
+        universal_ok = res.universal_max() < args.tol
         ok = ok and universal_ok
         results.append(
             {
                 "point": p,
                 "max_residuals": table,
-                "samples": count,
+                "samples": args.samples,
                 "universal_ok": universal_ok,
-                "tol": tol,
+                "tol": args.tol,
             }
         )
     return results, ok
 
 
 def _cmd_extremal(args, metric, points):
-    tol = args.tol if args.tol is not None else 1e-4
     results = []
     ok = True
     for k, p in enumerate(points):
@@ -320,25 +316,18 @@ def _cmd_extremal(args, metric, points):
         if res.best_pair is not None:
             entry["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
             entry["pair_alignment"] = res.pair_alignment
-        entry["gap_ok"] = (not res.applicable) or res.gap <= tol
+        entry["gap_ok"] = (not res.applicable) or res.gap <= args.tol
         ok = ok and entry["gap_ok"]
         results.append(entry)
     return results, ok
 
 
 def _cmd_lu(args, metric, points):
-    samples = args.samples if args.samples is not None else 1000
     results = []
     ok = True
     for p in points:
-        geom = geometry_at(metric, p)
-        A = geom.kr
-        if args.sign == "auto":
-            rep = lu_inequality_check(A, samples=samples, sign="nonneg", seed=args.seed)
-            if not rep.hypothesis_holds:
-                rep = lu_inequality_check(A, samples=samples, sign="nonpos", seed=args.seed)
-        else:
-            rep = lu_inequality_check(A, samples=samples, sign=args.sign, seed=args.seed)
+        rep = lu_inequality_check(geometry_at(metric, p).kr, samples=args.samples,
+                                  sign=args.sign, seed=args.seed)
         point_ok = (not rep.applicable) or rep.violations == 0
         ok = ok and point_ok
         results.append(
@@ -359,8 +348,7 @@ def _cmd_lu(args, metric, points):
 
 
 def _cmd_probe(args, metric, points):
-    samples = args.samples if args.samples is not None else 1000
-    rep = chern_gap_probe(metric, points, samples=samples, seed=args.seed)
+    rep = chern_gap_probe(metric, points, samples=args.samples, seed=args.seed)
     result = {
         "max_gap": rep.max_gap,
         "witness_point": rep.witness_point,
@@ -418,29 +406,32 @@ def _positive_float(text: str) -> float:
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """The argument parser, built once; parse_args keeps no state between
-    calls (append options copy their defaults)."""
+    calls (append options copy their defaults).  Each command declares
+    only the options it reads, so any other flag is a usage error."""
     parser = _Parser(prog="hermicurv", description="Curvature reports for Hermitian metrics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
+    cmd = {name: sub.add_parser(name) for name in _COMMANDS}
+    for p in cmd.values():
         p.add_argument("--metric", required=True,
                        help="catalog name or path to a metric definition file")
         p.add_argument("--point", action="append", required=True,
                        help='chart point as JSON [[re,im],...]; repeatable')
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=_positive_int, default=64)
-        p.add_argument("--samples", type=_positive_int, default=None)
-        p.add_argument("--tol", type=_positive_float, default=None)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the report to this file instead of stdout")
-        if name == "sectional":
-            p.add_argument("--plane", action="append", default=[],
-                           help='plane as JSON {"u": [...], "v": [...]} with 2n reals each')
-        if name == "extremal":
-            p.add_argument("--mode", choices=("max", "min"), default="max")
-            p.add_argument("--target", choices=("sectional", "bisectional"), default="sectional")
-        if name == "lu":
-            p.add_argument("--sign", choices=("nonneg", "nonpos", "auto"), default="auto")
+    cmd["classify"].add_argument("--tol", type=_positive_float, default=1e-8)
+    cmd["sectional"].add_argument("--plane", action="append", default=[],
+                                  help='plane as JSON {"u": [...], "v": [...]} with 2n reals each')
+    cmd["identities"].add_argument("--tol", type=_positive_float, default=1e-6)
+    cmd["identities"].add_argument("--samples", type=_positive_int, default=10)
+    cmd["extremal"].add_argument("--tol", type=_positive_float, default=1e-4)
+    cmd["extremal"].add_argument("--restarts", type=_positive_int, default=64)
+    cmd["extremal"].add_argument("--mode", choices=("max", "min"), default="max")
+    cmd["extremal"].add_argument("--target", choices=("sectional", "bisectional"),
+                                 default="sectional")
+    cmd["lu"].add_argument("--samples", type=_positive_int, default=1000)
+    cmd["lu"].add_argument("--sign", choices=("nonneg", "nonpos", "auto"), default="auto")
+    cmd["probe-corollary"].add_argument("--samples", type=_positive_int, default=1000)
     return parser
 
 

@@ -109,19 +109,25 @@ def _transition_matrix(n: int) -> np.ndarray:
     return T
 
 
+def _each_slot(t: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """t[i,j,k,l] M[i,A] M[j,B] M[k,C] M[l,D] for a 4-tensor t and a
+    square M.  One product with M per slot, last slot first; each keeps
+    the slot order, so no transposed copies."""
+    m = t.shape[0]
+    t = t.reshape(m**3, m) @ M  # [i, j, k, D]
+    t = M.T @ t.reshape(m * m, m, m)  # [i, j, C, D]
+    t = M.T @ t.reshape(m, m, m * m)  # [i, B, C, D]
+    t = M.T @ t.reshape(m, m**3)  # [A, B, C, D]
+    return t.reshape(m, m, m, m)
+
+
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
     """Extend r[i, j, k, l] over the complex frame, with the factor-2
     normalization that makes the alternating mixed block comparable to kr."""
-    m = r.shape[0]
-    T = _transition_matrix(m // 2)
-    # One product with T per slot, last slot first; each keeps the slot
-    # order, so no transposed copies.  r is cast first: a real @ complex
-    # product does not reach BLAS.
-    t = r.astype(complex).reshape(m**3, m) @ T  # [i, j, k, D]
-    t = T.T @ t.reshape(m * m, m, m)  # [i, j, C, D]
-    t = T.T @ t.reshape(m, m, m * m)  # [i, B, C, D]
-    t = T.T @ t.reshape(m, m**3)  # [A, B, C, D]
-    return ComplexifiedCurvature(2.0 * t.reshape(m, m, m, m), m // 2)
+    n = r.shape[0] // 2
+    # r is cast first: a real @ complex product does not reach BLAS
+    t = _each_slot(r.astype(complex), _transition_matrix(n))
+    return ComplexifiedCurvature(2.0 * t, n)
 
 
 def complexified_11_direct(jet: MetricJet) -> np.ndarray:

@@ -178,7 +178,7 @@ def _checked_inverse(H: np.ndarray, max_cond: float):
     return np.linalg.inv(H), cond
 
 
-def jet_at(metric: MetricDefinition, p, max_cond: float = MAX_CONDITION) -> MetricJet:
+def jet_at(metric: MetricDefinition, p) -> MetricJet:
     """Evaluate the metric and all first/second Wirtinger derivatives at p.
 
     Derivatives are exact: the definition's jet tape, compiled on first
@@ -193,7 +193,7 @@ def jet_at(metric: MetricDefinition, p, max_cond: float = MAX_CONDITION) -> Metr
     zs = p.coords.tolist()
     tape = metric.jet_tape()
     values, H = tape.entries(zs)
-    h_inv, cond = _checked_inverse(H, max_cond)
+    h_inv, cond = _checked_inverse(H, MAX_CONDITION)
     return MetricJet(p, H, h_inv, *tape.derivatives(zs, values), cond)
 
 

@@ -132,6 +132,21 @@ def test_lu_inequality_flat_case(geom):
     assert rep.violations == 0
 
 
+@pytest.mark.parametrize("name, coords, sign, holds", [
+    ("fubini_study", [0.2 - 0.1j, 0.3 + 0.2j], "nonneg", True),
+    ("poincare_ball", [0.2 + 0.1j, 0.3j], "nonpos", True),
+    ("nk_diag", [1.0 + 0j, 0.2 + 0.1j], "nonpos", False),
+])
+def test_lu_inequality_auto_sign_equals_the_sign_it_takes(geom, name, coords, sign, holds):
+    # nk_diag's quadratic form is indefinite: auto falls back to nonpos,
+    # which does not hold either
+    kr = geom(name, coords).kr
+    rep = lu_inequality_check(kr, samples=300, sign="auto", seed=4)
+    assert rep == lu_inequality_check(kr, samples=300, sign=sign, seed=4)
+    assert rep.hypothesis_sign == sign
+    assert rep.hypothesis_holds is holds
+
+
 def test_lu_inequality_rejects_unknown_sign(geom):
     g = geom("euclidean", [0j, 0j])
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -124,6 +125,35 @@ def test_lu_command_auto_sign(capsys):
     res = rep["results"][0]
     assert res["hypothesis_sign"] == "nonpos"
     assert res["violations"] == 0
+
+
+@pytest.mark.parametrize("metric, points, sign", [
+    ("euclidean", [FS_POINT, NK_POINT], "nonneg"),
+    ("fubini_study", [FS_POINT, "[[0.3,0.0],[0.1,0.2]]"], "nonneg"),
+    ("poincare_ball", ["[[0.2,0.1],[0.0,0.3]]", FS_POINT], "nonpos"),
+    ("nk_diag", [NK_POINT, "[[1,0],[0.2,0.1]]"], "nonpos"),
+])
+def test_lu_auto_sign_is_one_pass(capsys, monkeypatch, metric, points, sign):
+    calls = []
+    check = cli.lu_inequality_check
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["sign"])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "lu_inequality_check", counted)
+    strip = re.compile(r'^\s*"timing_sec".*$', re.M)
+    argv = ["lu", "--metric", metric, "--samples", "200"]
+    for p in points:
+        argv += ["--point", p]
+    codes, texts = [], []
+    for choice in ("auto", sign):
+        codes.append(run_main(argv + ["--sign", choice]))
+        texts.append(capsys.readouterr().out)
+    assert calls == ["auto"] * len(points) + [sign] * len(points)
+    assert codes[0] == codes[1]
+    assert strip.sub("", texts[0]) == strip.sub("", texts[1])
+    assert json.loads(texts[0])["results"][0]["hypothesis_sign"] == sign
 
 
 def test_probe_command(capsys):
@@ -257,6 +287,43 @@ def test_counts_must_be_positive(capsys, command, flag, value):
     assert code == 2
     assert rep["error"]["type"] == "UsageError"
     assert f"argument {flag}: must be a positive integer" in rep["error"]["message"]
+
+
+# The options each command reads besides --metric, --point, --seed and
+# --json, with their defaults
+COMMAND_OPTIONS = {
+    "classify": {"--tol": 1e-8},
+    "curvature": {},
+    "sectional": {"--plane": []},
+    "identities": {"--tol": 1e-6, "--samples": 10},
+    "extremal": {"--tol": 1e-4, "--restarts": 64, "--mode": "max", "--target": "sectional"},
+    "lu": {"--samples": 1000, "--sign": "auto"},
+    "probe-corollary": {"--samples": 1000},
+}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_OPTIONS)
+    for name, parser in sub.choices.items():
+        options = {a.option_strings[-1]: a.default for a in parser._actions}
+        common = {k: options.pop(k, "missing") for k in ("--help", "--metric", "--point",
+                                                          "--seed", "--json")}
+        assert common["--seed"] == 0 and "missing" not in common.values()
+        assert options == COMMAND_OPTIONS[name], name
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--samples"), ("classify", "--restarts"), ("curvature", "--tol"),
+    ("sectional", "--samples"), ("identities", "--restarts"), ("extremal", "--samples"),
+    ("lu", "--tol"), ("probe-corollary", "--restarts"),
+])
+def test_command_rejects_options_it_does_not_read(capsys, command, flag):
+    code, rep = run(capsys, command, "--metric", "fubini_study", "--point", FS_POINT,
+                    flag, "5")
+    assert code == 2
+    assert rep["error"] == {"type": "UsageError", "message": f"unrecognized arguments: {flag} 5"}
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

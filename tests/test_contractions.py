@@ -39,9 +39,9 @@ RTOL = 1e-12
 BATCHES = [(), (3,), (2, 3)]
 SRC = Path(__file__).resolve().parents[1] / "src" / "hermicurv"
 
-# Small quadratic forms in g or h: the projectors' g-norms, the Hermitian
-# pairing, and the phase outer product of analysis._real_chern.
-ALLOWED_SPECS = {"Bi,ij,Bj->B", "ab,a,b->", "i,j,k,l->ijkl"}
+# Small forms in h and phases: the Hermitian pairing of core.hermitian_pairing
+# and the phase outer product of analysis._real_chern.
+ALLOWED_SPECS = {"ab,a,b->", "i,j,k,l->ijkl"}
 
 
 def _assert_close(new, ref, scale=None):
@@ -168,8 +168,8 @@ def test_guard_sees_multiline_and_unplanned_contractions():
     ]
     good = (
         "np.einsum('ij,jk->ik', a, b)\n"
-        "np.einsum('Bi,ij,Bj->B', Y, g,\n"
-        "          Y)\n"
+        "np.einsum('ab,a,b->', h, x,\n"
+        "          y)\n"
         "np.einsum('la,gmbl->abgm', Hi, d2h)\n"
         "x @ y\n"
     )
