@@ -157,6 +157,8 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
     sign "auto" takes "nonneg" when that hypothesis holds on the samples
     and "nonpos" otherwise; the report names the sign taken.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if sign not in ("nonneg", "nonpos", "auto"):
         raise ValueError("sign must be 'nonneg', 'nonpos' or 'auto'")
     A = np.asarray(A, dtype=complex)

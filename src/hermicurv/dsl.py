@@ -1,5 +1,5 @@
 """Metric expression language: parsing, exact Wirtinger differentiation,
-evaluation.
+evaluation with first and second derivatives.
 
 Grammar (UTF-8 text; numbers and names are ASCII)::
 
@@ -24,15 +24,15 @@ derivative trees stay semantically transparent.
 Evaluation goes through a tape: the unique nodes under some roots, in the
 order a left-to-right, children-first walk first reaches them, as a list
 of instructions run on plain Python complex scalars.  Each
-MetricDefinition compiles one tape for its whole jet on first use.  Its
-nodes are hash-consed per definition, keyed by kind, value and the
-identities of the children, so equal subtrees of the n^2 entries and of
-all their first and second derivatives are evaluated once; derivatives
-are memoized per (node, kind, index).  The entries' nodes come first in
-the tape, so the metric value can be checked before any derivative is
-evaluated.  Every walk over an expression uses an explicit stack, so
-expression depth is bounded by memory, not by the interpreter's
-recursion limit.
+MetricDefinition compiles the tape of its entries once, with nodes
+hash-consed per definition (keyed by kind, value and the identities of
+the children), so equal subtrees are evaluated once.  The same
+instructions, run forward in second-order Taylor arithmetic, give the
+entries' exact first and second derivatives without derivative trees;
+symbolic derivatives, memoized per (node, kind, index), remain for
+callers that want the expressions.  Every walk over an expression uses
+an explicit stack, so expression depth is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -545,6 +544,15 @@ def _emit(roots, code: list, slots: dict) -> list:
     return [slots[id(r)] for r in roots]
 
 
+def _power(v: complex, m: int) -> complex:
+    try:
+        return v ** m
+    except ZeroDivisionError:
+        raise DslEvalError("zero raised to a negative power") from None
+    except OverflowError:
+        raise DslEvalError("overflow in power") from None
+
+
 def _run(code: list, zs: list, values: list) -> list:
     """Execute instructions on the coordinates zs, appending one value per
     instruction to values, and return values.
@@ -567,12 +575,7 @@ def _run(code: list, zs: list, values: list) -> list:
                 raise DslEvalError("division by zero")
             x = values[a] / den
         elif op == _POW:
-            try:
-                x = values[a] ** b
-            except ZeroDivisionError:
-                raise DslEvalError("zero raised to a negative power") from None
-            except OverflowError:
-                raise DslEvalError("overflow in power") from None
+            x = _power(values[a], b)
         elif op == _CONST:
             append(a)
             continue
@@ -723,7 +726,8 @@ class MetricDefinition:
                 row.append(self._graph.adopt(node))
             grid.append(tuple(row))
         self.entries = tuple(grid)
-        self._jet_tape = None
+        self._code: list = []
+        self._roots = _emit([e for row in grid for e in row], self._code, {})
         self._check_formal_hermitian()
 
     # -- structure ---------------------------------------------------------
@@ -779,80 +783,69 @@ class MetricDefinition:
             node = self._graph.derive(node, kind, k)
         return node
 
-    def jet_tape(self) -> "JetTape":
-        """The compiled tape of the entries and their first and second
-        derivatives, built on first use."""
-        if self._jet_tape is None:
-            self._jet_tape = JetTape(self)
-        return self._jet_tape
-
     def evaluate_matrix(self, point) -> np.ndarray:
         """Evaluate all entries at a point into an n x n complex matrix."""
         zs = _coords(point)
         if len(zs) != self.n:
             raise DslEvalError(f"point has {len(zs)} coordinates, metric needs {self.n}")
-        return self.jet_tape().entries(zs)[1]
+        return self.entry_values(zs)[1]
 
+    def entry_values(self, zs: list) -> tuple:
+        """All instruction values at the coordinates zs, and the entry matrix."""
+        values = _run(self._code, zs, [])
+        H = np.array([values[r] for r in self._roots], dtype=complex)
+        return values, H.reshape(self.n, self.n)
 
-class JetTape:
-    """One tape for a metric's n^2 entries and all n^2 (2n + 3n^2) of their
-    first and second Wirtinger derivatives.
+    def entry_jets(self, values: list) -> tuple:
+        """Gradients (n, n, 2n) and Hessians (n, n, 2n, 2n) of the entries
+        in (z_1..z_n, zb_1..zb_n), from the values of entry_values.
 
-    The instructions of the entries come first, so a caller can check the
-    metric value before evaluating any derivative.  Precomputed slot lists
-    pick the jet's values out of the tape's, in the layout of
-    field.MetricJet.
-    """
-
-    def __init__(self, metric: MetricDefinition):
-        n = metric.n
-        code: list = []
-        slots: dict = {}
-        h = _emit([e for row in metric.entries for e in row], code, slots)
-        split = len(code)
-        derive = metric._graph.derive
-        zero = metric._graph.intern(ZERO)
-        roots = []
-        for row in metric.entries:
-            for e in row:
-                if e.kind == "const":  # derive would return zero for each root
-                    roots += [zero] * (n * (2 + 3 * n))
-                    continue
-                dz = [derive(e, "z", g) for g in range(1, n + 1)]
-                dzb = [derive(e, "zb", g) for g in range(1, n + 1)]
-                for g in range(n):
-                    roots += (dz[g], dzb[g])
-                    for m in range(n):
-                        # the operator order MetricDefinition.derivative sorts into
-                        lo, hi = min(g, m), max(g, m) + 1
-                        roots += (derive(dz[g], "zb", m + 1), derive(dz[lo], "z", hi),
-                                  derive(dzb[lo], "zb", hi))
-        # d[a, b, g, j]: j = 0 d/dz^g, 1 d/dzb^g, 2 + 3m + t the second
-        # derivatives in the order mixed, holo, anti
-        d = np.array(_emit(roots, code, slots)).reshape(n, n, n, 2 + 3 * n)
-        d2 = d[..., 2:].reshape(n, n, n, n, 3)
-        layout = (d[..., 0].transpose(2, 0, 1), d[..., 1].transpose(2, 0, 1),
-                  *(d2[..., t].transpose(2, 3, 0, 1) for t in range(3)))
-        self._entry_code = code[:split]
-        self._deriv_code = code[split:]
-        self._n = n
-        self._pick_h = itemgetter(*h)
-        self._pick_d = itemgetter(*np.concatenate([idx.ravel() for idx in layout]).tolist())
-        self._shapes = [idx.shape for idx in layout]
-        self._cuts = np.cumsum([idx.size for idx in layout])[:-1]
-
-    def entries(self, zs: list):
-        """Run the entries' part at the coordinates zs.
-
-        Returns the tape values so far, to pass on to derivatives, and the
-        n x n matrix of entries.
+        One forward pass of second-order Taylor arithmetic over the
+        instructions, each carrying a (2n + 1, 2n) array: gradient g in row
+        0, Hessian H below.  mul adds the symmetrized outer product of the
+        gradients to the product rule, div solves a = q b for q's parts, and
+        pow, exp, log and sqrt give f'(v) H + f''(v) g g^T.  Failures raise
+        DslEvalError: a power as in _run, a non-finite result as such.
         """
-        values = _run(self._entry_code, zs, [])
-        return values, np.array(self._pick_h(values), dtype=complex).reshape(self._n, self._n)
-
-    def derivatives(self, zs: list, values: list) -> tuple:
-        """Run the rest of the tape after entries(zs); returns d1_holo,
-        d1_anti, d2_mixed, d2_holo, d2_anti in field.MetricJet's layout."""
-        flat = np.array(self._pick_d(_run(self._deriv_code, zs, values)), dtype=complex)
-        return tuple(part.reshape(shape)
-                     for part, shape in zip(np.split(flat, self._cuts), self._shapes))
+        n = self.n
+        m = 2 * n
+        seeds = np.zeros((m + 1, m + 1, m), dtype=complex)  # constant, then each variable
+        seeds[1:, 0] = np.eye(m)
+        jets: list = []
+        with np.errstate(all="ignore"):
+            for (op, a, b), x in zip(self._code, values):
+                if op <= _ZB:
+                    j = seeds[0 if op == _CONST else a if op == _Z else n + a]
+                elif op == _ADD:
+                    j = jets[a] + jets[b]
+                elif op == _SUB:
+                    j = jets[a] - jets[b]
+                elif op == _MUL:
+                    ja, jb = jets[a], jets[b]
+                    j = values[b] * ja + values[a] * jb
+                    outer = ja[0, :, None] * jb[0]
+                    j[1:] += outer + outer.T
+                elif op == _DIV:  # b dq = da - q db, b ddq = dda - q ddb - (dq db^T + db dq^T)
+                    jb, vb = jets[b], values[b]
+                    j = (jets[a] - x * jb) / vb
+                    outer = j[0, :, None] * jb[0]
+                    j[1:] -= (outer + outer.T) / vb
+                else:
+                    v, ja = values[a], jets[a]
+                    if op == _POW:
+                        f1, f2 = b * _power(v, b - 1), b * (b - 1) * _power(v, b - 2)
+                    elif b == "exp":
+                        f1 = f2 = x
+                    elif b == "log":
+                        f1 = 1 / v
+                        f2 = -f1 * f1
+                    else:  # sqrt
+                        f1 = 0.5 / x
+                        f2 = -f1 / (2 * v)
+                    j = f1 * ja
+                    j[1:] += f2 * (ja[0, :, None] * ja[0])
+                jets.append(j)
+            out = np.array([jets[r] for r in self._roots])
+            if not np.isfinite(out).all():
+                raise DslEvalError("expression evaluated to a non-finite value")
+        return out[:, 0].reshape(n, n, m), out[:, 1:].reshape(n, n, m, m)

@@ -69,8 +69,9 @@ class PointGeometry:
 def geometry_at(metric: MetricDefinition, p) -> PointGeometry:
     """The pointwise geometry of a metric.
 
-    One symbolic jet evaluation feeds every downstream object, so calling
-    this once per point and sharing the record is the cheap pattern.
+    One jet evaluation (the entries and their exact derivatives, in one
+    forward pass) feeds every downstream object, so calling this once per
+    point and sharing the record is the cheap pattern.
     """
     jet = jet_at(metric, p)
     return PointGeometry(metric, jet, real_jet_from_complex(jet))

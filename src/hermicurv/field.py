@@ -160,7 +160,7 @@ def _as_point(p, n: int) -> ChartPoint:
     return p
 
 
-def _checked_inverse(H: np.ndarray, max_cond: float):
+def _checked_inverse(H: np.ndarray):
     if not np.all(np.isfinite(H)):
         raise SingularMetricError("metric is numerically singular (non-finite entries)")
     scale = max(1.0, float(np.abs(H).max()))
@@ -173,7 +173,7 @@ def _checked_inverse(H: np.ndarray, max_cond: float):
         )
     cond = float(w[-1] / w[0])
     # written so that a NaN condition number counts as singular too
-    if not cond <= max_cond:
+    if not cond <= MAX_CONDITION:
         raise SingularMetricError(f"metric is numerically singular (condition {cond:.3e})")
     return np.linalg.inv(H), cond
 
@@ -181,20 +181,23 @@ def _checked_inverse(H: np.ndarray, max_cond: float):
 def jet_at(metric: MetricDefinition, p) -> MetricJet:
     """Evaluate the metric and all first/second Wirtinger derivatives at p.
 
-    Derivatives are exact: the definition's jet tape, compiled on first
-    use, evaluates the entries and then every derivative.  Raises
-    ValueError if h is not Hermitian (1e-12, relative to its largest
-    entry), InadmissiblePointError if it is not positive definite,
+    Derivatives are exact: the definition runs its entries' instructions
+    once more in second-order Taylor arithmetic.  Raises ValueError if h
+    is not Hermitian (1e-12, relative to its largest entry),
+    InadmissiblePointError if it is not positive definite,
     SingularMetricError if it is not finite or past the conditioning cap,
-    and DslEvalError when an entry cannot be evaluated at p (for instance
-    hopf at the origin).
+    and DslEvalError when an entry or a derivative cannot be evaluated at
+    p (for instance hopf at the origin).
     """
-    p = _as_point(p, metric.n)
-    zs = p.coords.tolist()
-    tape = metric.jet_tape()
-    values, H = tape.entries(zs)
-    h_inv, cond = _checked_inverse(H, MAX_CONDITION)
-    return MetricJet(p, H, h_inv, *tape.derivatives(zs, values), cond)
+    n = metric.n
+    p = _as_point(p, n)
+    values, H = metric.entry_values(p.coords.tolist())
+    h_inv, cond = _checked_inverse(H)
+    grad, hess = metric.entry_jets(values)
+    d1, d2 = grad.transpose(2, 0, 1), hess.transpose(2, 3, 0, 1)  # derivative axes first
+    C = np.ascontiguousarray
+    return MetricJet(p, H, h_inv, C(d1[:n]), C(d1[n:]), C(d2[:n, n:]), C(d2[:n, :n]),
+                     C(d2[n:, n:]), cond)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +296,7 @@ def sample_admissible_points(metric: MetricDefinition, count: int, seed: int = 0
         z = _draw_coords(rng, name, n)
         try:
             H = metric.evaluate_matrix(z)
-            _checked_inverse(H, MAX_CONDITION)
+            _checked_inverse(H)
         except (DslEvalError, HermicurvError):
             continue
         points.append(ChartPoint(z))

@@ -7,7 +7,9 @@ search values and gradients along retraction curves.  The *_ref contractions are
 each a single plain einsum over all operands: a direct sum over every
 index, with none of the staging of the library's products.  The other
 *_ref functions are the earlier, plainer forms of library routines: one
-element or one direction at a time.
+element or one direction at a time.  symbolic_jet_ref evaluates the
+symbolic derivative trees of the entries, independently of the library's
+forward-mode jets.
 """
 
 import json
@@ -15,16 +17,16 @@ import math
 
 import numpy as np
 
+from hermicurv import dsl
 from hermicurv.connection import induced_real_connection
 from hermicurv.core import ChartPoint, to_real
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import HermicurvError
 from hermicurv.sectional import Plane
-from hermicurv.field import MAX_CONDITION, MetricJet, _as_point, _checked_inverse, jet_at
+from hermicurv.field import MetricJet, _as_point, _checked_inverse, jet_at
 
 
-def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None,
-                  max_cond: float = MAX_CONDITION) -> MetricJet:
+def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> MetricJet:
     """Jet by central finite differences in the real coordinates.
 
     Entirely independent of the symbolic derivative path: the metric is
@@ -43,7 +45,7 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None,
         return metric.evaluate_matrix(ChartPoint.from_reals(x))
 
     H = H_of(x0)
-    h_inv, cond = _checked_inverse(H, max_cond)
+    h_inv, cond = _checked_inverse(H)
 
     m = 2 * n
     plus = np.empty((m, n, n), dtype=complex)
@@ -194,7 +196,7 @@ def complexified_11_direct_ref(d2m, d1h, Hi, d1a) -> np.ndarray:
 
 
 def jet_roots_ref(metric: MetricDefinition) -> list:
-    """The tape's derivative roots through metric.derivative, one
+    """The jet's derivative trees through metric.derivative, one
     derivative request per root: for each entry (a, b) and direction g,
     d/dz^g, d/dzb^g, then per m the mixed, holomorphic and antiholomorphic
     second derivatives."""
@@ -210,6 +212,25 @@ def jet_roots_ref(metric: MetricDefinition) -> list:
                     roots.append(metric.derivative(a, b, (("z", g), ("z", m))))
                     roots.append(metric.derivative(a, b, (("zb", g), ("zb", m))))
     return roots
+
+
+def symbolic_jet_ref(metric: MetricDefinition, p) -> tuple:
+    """H and the five derivative arrays of field.MetricJet by the symbolic
+    route: the entries, then every derivative tree of jet_roots_ref, as
+    one tape run by the library's evaluator."""
+    n = metric.n
+    code: list = []
+    slots: dict = {}
+    h = dsl._emit([e for row in metric.entries for e in row], code, slots)
+    d = dsl._emit(jet_roots_ref(metric), code, slots)
+    values = dsl._run(code, np.asarray(p.coords, dtype=complex).tolist(), [])
+    H = np.array([values[i] for i in h]).reshape(n, n)
+    # D[a, b, g, j]: j = 0 d/dz^g, 1 d/dzb^g, 2 + 3m + t the second
+    # derivatives in the order mixed, holo, anti
+    D = np.array([values[i] for i in d]).reshape(n, n, n, 2 + 3 * n)
+    D2 = D[..., 2:].reshape(n, n, n, n, 3)
+    return (H, D[..., 0].transpose(2, 0, 1), D[..., 1].transpose(2, 0, 1),
+            *(D2[..., t].transpose(2, 3, 0, 1) for t in range(3)))
 
 
 def _real_blocks_ref(c: np.ndarray) -> np.ndarray:

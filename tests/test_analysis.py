@@ -153,6 +153,13 @@ def test_lu_inequality_rejects_unknown_sign(geom):
         lu_inequality_check(g.kr, sign="positive")
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_lu_inequality_rejects_samples_below_one(geom, samples):
+    g = geom("euclidean", [0j, 0j])
+    with pytest.raises(ValueError, match="^samples must be at least 1$"):
+        lu_inequality_check(g.kr, samples=samples)
+
+
 def test_lu_inequality_seeded_reproducibility(geom):
     g = geom("fubini_study", [0.1 + 0.1j, 0.2 - 0.3j])
     a = lu_inequality_check(g.kr, samples=200, sign="nonneg", seed=7)

@@ -266,6 +266,30 @@ def test_overflowing_constant_is_singular_exit_2(tmp_path, capsys):
     assert rep["error"]["type"] == "SingularMetricError"
 
 
+def test_derivative_overflow_is_a_typed_error_exit_2(tmp_path, capsys):
+    # the entry is about 1 at the point, but its first derivative needs z1^-2 = 1e320
+    f = tmp_path / "steep.metric"
+    f.write_text("dim 1;\nh[1,1] = 1 + 1e-300 * z1^-1;\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[1e-160, 0]]")
+    assert code == 2
+    assert rep["error"] == {"type": "DslEvalError", "message": "overflow in power"}
+
+
+def test_non_finite_derivative_is_a_typed_error_exit_2(tmp_path, capsys):
+    # the entry is about 1e4 at |z1|^2 = 0.7, its mixed second derivative about 7e309
+    f = tmp_path / "steep.metric"
+    f.write_text("dim 1;\nh[1,1] = 1 + 1e-300 * exp(1000 * z1 * zb1);\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(capsys, "classify", "--metric", str(f),
+                        "--point", "[[0.8366600265340756, 0]]")
+    assert code == 2
+    assert rep["error"] == {"type": "DslEvalError",
+                            "message": "expression evaluated to a non-finite value"}
+
+
 def test_deeply_nested_metric_exit_2(tmp_path, capsys):
     f = tmp_path / "nested.metric"
     f.write_text("dim 1;\nh[1,1] = 2 + " + "(" * 400 + "z1*zb1" + ")" * 400 + ";\n")

@@ -20,7 +20,6 @@ from hermicurv import (
 )
 from hermicurv.core import hermitian_pairing, to_real
 from hermicurv.field import (
-    MAX_CONDITION,
     _checked_inverse,
     catalog_source,
     real_jet_at,
@@ -180,13 +179,13 @@ def test_inadmissible_point_rejected():
 @pytest.mark.parametrize("H", [[[np.inf]], [[np.nan]], [[1.0, 0.0], [0.0, np.inf]]])
 def test_non_finite_metric_is_singular(H):
     with pytest.raises(SingularMetricError):
-        _checked_inverse(np.array(H, dtype=complex), MAX_CONDITION)
+        _checked_inverse(np.array(H, dtype=complex))
 
 
 def test_checked_inverse_rejects_asymmetric():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="metric value is not Hermitian"):
-        _checked_inverse(bad, MAX_CONDITION)
+        _checked_inverse(bad)
 
 
 @pytest.mark.parametrize("field, index, what", [

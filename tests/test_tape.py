@@ -1,9 +1,12 @@
-"""The compiled tape against a recursive reference evaluator.
+"""The evaluator and the jets against independent references.
 
-The reference walks each expression tree with Python recursion and
-differentiates entries one derivative tree at a time, as the evaluator
-did before the tape.  The tape must give the same bits, raise the same
-errors, and keep cmath's branch cuts and signed zeros.
+ref_eval walks each expression tree with Python recursion, and
+ref_derivative differentiates one derivative tree at a time.  The
+library's evaluator, run over the symbolic derivative trees
+(oracles.symbolic_jet_ref), must give the same bits, raise the same
+errors, and keep cmath's branch cuts and signed zeros.  The library's
+jets come from forward-mode Taylor arithmetic instead, and must agree
+with the symbolic route to rounding.
 """
 
 import cmath
@@ -12,10 +15,10 @@ import numpy as np
 import pytest
 
 import hermicurv.dsl as dsl
-from hermicurv import DslEvalError, catalog_metric
+from hermicurv import DslEvalError, catalog_metric, geometry_at
 from hermicurv.dsl import parse_expression
 from hermicurv.field import CATALOG_NAMES, jet_at, sample_admissible_points
-from oracles import jet_roots_ref
+from oracles import symbolic_jet_ref
 from test_dsl import _random_expression
 
 
@@ -122,31 +125,90 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def _jets(metric, p):
+    jet = jet_at(metric, p)
+    return jet.h, jet.d1_holo, jet.d1_anti, jet.d2_mixed, jet.d2_holo, jet.d2_anti
+
+
+def close(got, want, rtol=1e-12):
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    return got.shape == want.shape and float(np.abs(got - want).max(initial=0.0)) <= rtol * scale
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_catalog_jets_equal_the_reference(name, n):
     metric = catalog_metric(name, n)
     for p in sample_admissible_points(metric, 2, seed=31):
-        jet = jet_at(metric, p)
         want = ref_jet(metric, p.coords)
-        got = (jet.h, jet.d1_holo, jet.d1_anti, jet.d2_mixed, jet.d2_holo, jet.d2_anti)
-        for w, g in zip(want, got):
-            assert same_bits(w, g)
-            assert g.flags.c_contiguous
+        for w, s in zip(want, symbolic_jet_ref(metric, p)):
+            assert same_bits(w, s)
+        got = _jets(metric, p)
+        assert same_bits(want[0], got[0])
         assert same_bits(want[0], metric.evaluate_matrix(p))
+        for g in got:
+            assert g.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_jets_match_the_symbolic_route(name, n):
+    metric = catalog_metric(name, n)
+    for p in sample_admissible_points(metric, 2, seed=47):
+        for got, want in zip(_jets(metric, p), symbolic_jet_ref(metric, p)):
+            assert close(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_tape_equals_the_derivative_route(name, n):
     metric = catalog_metric(name, n)
-    tape = metric.jet_tape()
-    other = catalog_metric(name, n)
     code: list = []
-    slots: dict = {}
-    dsl._emit([e for row in other.entries for e in row], code, slots)
-    dsl._emit(jet_roots_ref(other), code, slots)
-    assert tape._entry_code + tape._deriv_code == code
+    dsl._emit([e for row in catalog_metric(name, n).entries for e in row], code, {})
+    assert metric._code == code
+
+
+def _off_diagonal_jets_match(expr, z):
+    """Whether the jets of h[1,2] = expr match its symbolic derivatives at z."""
+    metric = dsl.MetricDefinition(2, {(0, 1): expr})
+    grad, hess = metric.entry_jets(metric.entry_values(z)[0])
+    ops = [("z", 1), ("z", 2), ("zb", 1), ("zb", 2)]
+    trees = [metric.derivative(0, 1, [op]) for op in ops]
+    trees += [metric.derivative(0, 1, [op, other]) for op in ops for other in ops]
+    code: list = []
+    slots = dsl._emit(trees, code, {})
+    values = dsl._run(code, z, [])
+    want = np.array([values[i] for i in slots])
+    return close(grad[0, 1], want[:4]) and close(hess[0, 1], want[4:].reshape(4, 4))
+
+
+def test_random_expression_jets_match_the_symbolic_route():
+    rng = np.random.default_rng(405)
+    for _ in range(200):
+        e = _random_expression(rng, 2, depth=4)
+        z = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        assert _off_diagonal_jets_match(e, z.tolist())
+
+
+@pytest.mark.parametrize("src", [
+    "log(2 + z1*zb2) * sqrt(3 + z2^2*zb1)", "sqrt(log(4 + z1*z2)) / (2 + zb1*zb2)^3",
+    "exp(z1*zb1)^-2 - log(z2)^2 / sqrt(zb1)",
+])
+def test_function_jets_match_the_symbolic_route(src):
+    assert _off_diagonal_jets_match(parse_expression(src, 2), [0.4 + 0.3j, -0.5 + 0.6j])
+
+
+def test_geometry_needs_no_symbolic_derivative(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("symbolic differentiation on the jet path")
+
+    monkeypatch.setattr(dsl._Graph, "derive", refuse)
+    for name in CATALOG_NAMES:
+        metric = catalog_metric(name, 3)
+        geom = geometry_at(metric, sample_admissible_points(metric, 1, seed=8)[0])
+        for tensor in (geom.kr, geom.rc, geom.cx.tensor, geom.mixed_11_direct,
+                       geom.induced.theta_tilde_dx):
+            assert np.all(np.isfinite(tensor))
 
 
 def test_random_expressions_equal_the_reference():
