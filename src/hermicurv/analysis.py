@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartPoint, hermitian_pairing, to_holomorphic
-from .curvature import _each_slot
+from .core import ChartPoint, _each_slot, _frame, hermitian_pairing, to_holomorphic
 from .dsl import MetricDefinition
 from .engine import geometry_at
 from .sectional import (Plane, _form, _kr_form, _slot_pair, _w_form, chern_quadratic_form,
@@ -439,11 +438,10 @@ def _multistart(q: _Quartic, white, pair: bool, dim: int, restarts: int, seed: i
 
 def _real_chern(kr: np.ndarray) -> np.ndarray:
     """The real 4-tensor K with K(a, b, c, d) = Re kr(xi_a, xi_b~, xi_c, xi_d~),
-    where xi_u = u[:n] + i u[n:] for real 2n-vectors u."""
+    where xi_u = E u, E = P[:n], for real 2n-vectors u."""
     n = kr.shape[0]
-    p = np.repeat([1.0, 1j], n)
-    phase = np.einsum("i,j,k,l->ijkl", p, p.conj(), p, p.conj())
-    return (np.tile(kr, (2, 2, 2, 2)) * phase).real
+    E = _frame(n)[:n]
+    return _each_slot(kr, E, E.conj(), E, E.conj()).real
 
 
 def _j_folded(r: np.ndarray) -> np.ndarray:

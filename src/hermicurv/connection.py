@@ -14,19 +14,10 @@ Four related connections show up:
   underlying real tangent bundle ("induced connection" below).
 
 Induced connection layout: theta_tilde[i, j, k] is the j-th component of
-the covariant derivative of coordinate field i in coordinate direction k.
-Writing c = gamma (complex coefficients), R = Re c, I = Im c, and
-transposing so the frame index comes first, the eight blocks are
-
-    i < n, k < n :  [x-out]  R^T      [y-out]  I^T
-    i < n, k >= n:  [x-out] -I^T      [y-out]  R^T
-    i >= n, k < n:  [x-out] -I^T      [y-out]  R^T
-    i >= n, k >= n: [x-out] -R^T      [y-out] -I^T
-
-where ^T swaps the first two axes of c.  The table encodes that complex
-multiplication by the connection form acts on (x, y) components as a
-rotation-style block matrix, and that derivatives in the k >= n
-directions pick up one factor of i.
+the covariant derivative of coordinate field i in coordinate direction k:
+the real part of the coefficients c = gamma carried through the frame P
+of core, with P[n:] on the output slot and P[:n] on the frame and
+direction slots.
 """
 
 from __future__ import annotations
@@ -35,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _each_slot, _frame
 from .field import MetricJet, RealMetricJet
 
 __all__ = [
@@ -109,24 +101,6 @@ def real_christoffel(rjet: RealMetricJet) -> RealChristoffel:
     return RealChristoffel(brackets, gamma)
 
 
-def _real_blocks_from_complex(c: np.ndarray) -> np.ndarray:
-    """Map complex coefficients c[a, b, g, ...] to the 8-block real table;
-    trailing axes are batch axes."""
-    n = c.shape[0]
-    Rt = c.real.swapaxes(0, 1)
-    It = c.imag.swapaxes(0, 1)
-    tt = np.empty((2 * n, 2 * n, 2 * n) + c.shape[3:])
-    tt[:n, :n, :n] = Rt
-    tt[:n, n:, :n] = It
-    tt[:n, :n, n:] = -It
-    tt[:n, n:, n:] = Rt
-    tt[n:, :n, :n] = -It
-    tt[n:, n:, :n] = Rt
-    tt[n:, :n, n:] = -Rt
-    tt[n:, n:, n:] = -It
-    return tt
-
-
 def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     """Real coefficients of the canonical metric connection on TM.
 
@@ -137,7 +111,7 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     """
     Hi = jet.h_inv
     d1h, d1a = jet.d1_holo, jet.d1_anti
-    tt = _real_blocks_from_complex(chern_coeffs(jet))
+    c = chern_coeffs(jet)
 
     # d(h_inv)/dz^m = -h_inv (dh/dz^m) h_inv, batched over m
     dHi_z = -(Hi @ d1h @ Hi)
@@ -149,9 +123,15 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
         "la,gmbl->abgm", Hi, jet.d2_mixed
     )
 
-    # derivative directions x^m (m < n) and y^m, last axis
-    dtt = _real_blocks_from_complex(np.concatenate([dc_z + dc_zb, 1j * (dc_z - dc_zb)], axis=-1))
-    return InducedRealConnection(tt, dtt)
+    # [c | dc/dz | dc/dzbar] on the last axis, frame index first; diag(1, P)
+    # on that axis turns the Wirtinger derivatives into x-derivatives
+    n = jet.n
+    P = _frame(n)
+    last = np.eye(1 + 2 * n, dtype=complex)
+    last[1:, 1:] = P
+    stacked = np.concatenate([c[..., None], dc_z, dc_zb], axis=-1).swapaxes(0, 1)
+    t = _each_slot(stacked, P[:n], P[n:], P[:n], last).real
+    return InducedRealConnection(t[..., 0], t[..., 1:])
 
 
 def chern_torsion(conn: InducedRealConnection) -> np.ndarray:

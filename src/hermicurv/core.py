@@ -6,6 +6,13 @@ The complex structure J acts by J d/dx^a = d/dx^{n+a} and
 J d/dx^{n+a} = -d/dx^a.  A real tangent vector u maps to its
 holomorphic part u_o = (u - i J u)/2, which in the d/dz basis has
 components xi^a = u^a + i u^{n+a}; in particular (d/dx^a)_o = d/dz^a.
+
+The identification is one frame matrix P (_frame): its rows are dz^a,
+then dzbar^a, in the real coframe, so that (xi, conj(xi)) = P u; its
+columns are the chain rule d/dx^k = sum_w P[w, k] d/dw; and
+P^{-1} = P^H / 2.  The vector forms below write its rows out; every
+tensor conversion in the package is a product with P in each slot
+(_each_slot) or its chain rule along one axis (_chain).
 """
 
 from __future__ import annotations
@@ -48,8 +55,7 @@ class ChartPoint:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size % 2:
             raise DimensionMismatch("real coordinates must form a vector of even length")
-        n = x.size // 2
-        return ChartPoint(x[:n] + 1j * x[n:])
+        return ChartPoint(to_holomorphic(x))
 
 
 def _real_comps(u) -> np.ndarray:
@@ -81,8 +87,8 @@ def to_holomorphic(u) -> np.ndarray:
     """Holomorphic part u_o = (u - i J u)/2 of real tangent vectors (..., 2n).
 
     Expressed in the d/dz^a basis the components are
-    xi^a = u^a + i u^{n+a}; the map is R-linear, injective, and sends
-    J u to i u_o.
+    xi^a = u^a + i u^{n+a}, the first n rows of P u (see _frame); the
+    map is R-linear, injective, and sends J u to i u_o.
     """
     a = _real_comps(u)
     n = a.shape[-1] // 2
@@ -90,9 +96,41 @@ def to_holomorphic(u) -> np.ndarray:
 
 
 def to_real(xi) -> np.ndarray:
-    """Inverse of :func:`to_holomorphic`: u^a = Re xi^a, u^{n+a} = Im xi^a."""
+    """Inverse of :func:`to_holomorphic`: u^a = Re xi^a, u^{n+a} = Im xi^a,
+    that is u = P^H (xi, conj(xi)) / 2 (see _frame)."""
     x = _holo_comps(xi)
     return np.concatenate([x.real, x.imag])
+
+
+def _frame(n: int) -> np.ndarray:
+    """P, complex (2n, 2n): rows dz^a then dzbar^a in the real coframe,
+    so (xi, conj(xi)) = P u and d/dx^k = sum_w P[w, k] d/dw.  The inverse
+    is P^H / 2 exactly."""
+    I = np.eye(n)
+    return np.vstack([np.hstack([I, 1j * I]), np.hstack([I, -1j * I])])
+
+
+def _chain(dz: np.ndarray, dzb: np.ndarray, axis: int) -> np.ndarray:
+    """P^T along one axis: the d/dx^k derivatives, k < 2n, from the d/dz
+    and d/dzbar ones stacked along that axis."""
+    return np.concatenate([dz + dzb, 1j * (dz - dzb)], axis)
+
+
+def _each_slot(t: np.ndarray, A: np.ndarray, B=None, C=None, D=None) -> np.ndarray:
+    """t[i,j,k,l] A[i,a] B[j,b] C[k,c] D[l,d] for a 4-tensor t; B, C and D
+    default to A, and each matrix may be rectangular.  One product per
+    slot, last slot first; each keeps the slot order, so no transposed
+    copies."""
+    B = A if B is None else B
+    C = A if C is None else C
+    D = A if D is None else D
+    p, q, r, s = t.shape
+    a, b, c, d = A.shape[1], B.shape[1], C.shape[1], D.shape[1]
+    t = t.reshape(p * q * r, s) @ D  # [i, j, k, d]
+    t = C.T @ t.reshape(p * q, r, d)  # [i, j, c, d]
+    t = B.T @ t.reshape(p, q, c * d)  # [i, b, c, d]
+    t = A.T @ t.reshape(p, b * c * d)  # [a, b, c, d]
+    return t.reshape(a, b, c, d)
 
 
 def hermitian_pairing(h, xi, eta) -> complex:

@@ -13,6 +13,7 @@
   metrics;
 
 * the complexification of R over the frame (dz^1..dz^n, dzbar^1..dzbar^n),
+  one product per slot with the inverse P^H / 2 of core's frame P,
   scaled so that on a metric whose canonical connection is torsion free
   the mixed block with alternating conjugations reproduces kr exactly.
 
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import RealChristoffel
+from .core import _each_slot, _frame
 from .field import MetricJet, RealMetricJet
 
 __all__ = [
@@ -98,35 +100,13 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
     return second + quad
 
 
-def _transition_matrix(n: int) -> np.ndarray:
-    """Columns express dz^a and dzbar^a frame vectors in the real frame."""
-    T = np.zeros((2 * n, 2 * n), dtype=complex)
-    idx = np.arange(n)
-    T[idx, idx] = 0.5
-    T[n + idx, idx] = -0.5j
-    T[idx, n + idx] = 0.5
-    T[n + idx, n + idx] = 0.5j
-    return T
-
-
-def _each_slot(t: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """t[i,j,k,l] M[i,A] M[j,B] M[k,C] M[l,D] for a 4-tensor t and a
-    square M.  One product with M per slot, last slot first; each keeps
-    the slot order, so no transposed copies."""
-    m = t.shape[0]
-    t = t.reshape(m**3, m) @ M  # [i, j, k, D]
-    t = M.T @ t.reshape(m * m, m, m)  # [i, j, C, D]
-    t = M.T @ t.reshape(m, m, m * m)  # [i, B, C, D]
-    t = M.T @ t.reshape(m, m**3)  # [A, B, C, D]
-    return t.reshape(m, m, m, m)
-
-
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
     """Extend r[i, j, k, l] over the complex frame, with the factor-2
     normalization that makes the alternating mixed block comparable to kr."""
+    # the columns of P^{-1} = P^H / 2 are d/dz^a and d/dzbar^a in the real
+    # frame; r is cast first, as a real @ complex product does not reach BLAS
     n = r.shape[0] // 2
-    # r is cast first: a real @ complex product does not reach BLAS
-    t = _each_slot(r.astype(complex), _transition_matrix(n))
+    t = _each_slot(r.astype(complex), _frame(n).conj().T / 2)
     return ComplexifiedCurvature(2.0 * t, n)
 
 

@@ -426,7 +426,7 @@ def parse_metric(source: str) -> "MetricDefinition":
         saw_entry = True
     if not saw_entry:
         p.error("metric needs at least one entry")
-    return MetricDefinition(n, explicit, source=source)
+    return MetricDefinition(n, explicit)
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +708,8 @@ class MetricDefinition:
     mirrors the upper one through the formal conjugate transpose.
     """
 
-    def __init__(self, n: int, explicit: dict, source: str | None = None):
+    def __init__(self, n: int, explicit: dict):
         self.n = int(n)
-        self.source = source
         self.explicit = frozenset(explicit)
         self._graph = _Graph()
         grid = []

@@ -24,8 +24,8 @@ in the coordinate frame is the block matrix
     g = [[ Re H, Im H ],
          [-Im H, Re H ]]
 
-and its x-derivatives come from the chain rule
-d/dx^a = d/dz^a + d/dzbar^a,  d/dx^{n+a} = i(d/dz^a - d/dzbar^a).
+and its x-derivatives come from the chain rule of the frame in core
+(core._chain): d/dx^a = d/dz^a + d/dzbar^a, d/dx^{n+a} = i(d/dz^a - d/dzbar^a).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint
+from .core import ChartPoint, _chain, to_holomorphic
 from .dsl import MetricDefinition, parse_metric
 from .errors import (
     CatalogError,
@@ -217,22 +217,14 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     d1h, d1a = jet.d1_holo, jet.d1_anti
     d2m, d2h, d2a = jet.d2_mixed, jet.d2_holo, jet.d2_anti
 
-    # stack[0] = H; stack[1 + k(1 + m)] = dH[k]; stack[2 + k(1 + m) + l] = d2H[k, l]
-    stack = np.empty((1 + m * (1 + m), n, n), dtype=complex)
-    stack[0] = H
-    per_k = stack[1:].reshape(m, 1 + m, n, n)
-    dH = per_k[:, 0]
-    dH[:n] = d1h + d1a
-    dH[n:] = 1j * (d1h - d1a)
+    # d/dx^k is P^T along each derivative axis (core._chain); the inner
+    # chain runs over the second derivative index, the outer over the first
+    dH = _chain(d1h, d1a, 0)
+    d2H = _chain(_chain(d2h, d2m, 1), _chain(d2m.transpose(1, 0, 2, 3), d2a, 1), 0)
 
-    d2H = per_k[:, 1:]
-    # mixed-index derivative d2m[g, d] enters once per ordering; the pure
-    # blocks d2h/d2a are already symmetric in their derivative pair
-    swap = d2m.transpose(1, 0, 2, 3)
-    d2H[:n, :n] = d2h + d2m + swap + d2a
-    d2H[:n, n:] = 1j * (d2h - d2m + swap - d2a)
-    d2H[n:, :n] = 1j * (d2h + d2m - swap - d2a)
-    d2H[n:, n:] = -(d2h - d2m - swap + d2a)
+    # stack[0] = H; stack[1 + k(1 + m)] = dH[k]; stack[2 + k(1 + m) + l] = d2H[k, l]
+    per_k = np.concatenate([dH[:, None], d2H], axis=1)
+    stack = np.concatenate([H[None], per_k.reshape(m * (1 + m), n, n)])
 
     # one check over every slice; the first failing one, in the order
     # H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., is the one reported
@@ -270,11 +262,11 @@ def _draw_coords(rng, name, n: int) -> np.ndarray:
     if name == "poincare_ball":
         x = rng.standard_normal(2 * n)
         x *= 0.6 * rng.random() ** (1.0 / (2 * n)) / np.linalg.norm(x)
-        return x[:n] + 1j * x[n:]
+        return to_holomorphic(x)
     if name == "hopf":
         x = rng.standard_normal(2 * n)
         x *= rng.uniform(0.4, 1.3) / np.linalg.norm(x)
-        return x[:n] + 1j * x[n:]
+        return to_holomorphic(x)
     return rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
 
 

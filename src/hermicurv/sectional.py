@@ -231,13 +231,7 @@ def identity_suite(r: np.ndarray, kr: np.ndarray, cx: ComplexifiedCurvature,
 
     # Kahler-only identities
     r_bisec = _form(r, ju, u, v, jv) - 2.0 * _kr_form(kr, xi, xi, eta, eta)
-    bracket = 0.5 * (
-        _kr_form(kr, xi, eta, eta, xi)
-        + _kr_form(kr, eta, xi, xi, eta)
-        - _kr_form(kr, xi, eta, xi, eta)
-        - _kr_form(kr, eta, xi, eta, xi)
-    )
-    r_sec = r_uvvu - bracket
+    r_sec = r_uvvu - _w_form(kr, xi, eta) / 2
     r_holo = _form(r, ju, u, u, ju) - 2.0 * _kr_form(kr, xi, xi, xi, xi)
 
     # universal identities against blocks of the complexified tensor

@@ -171,9 +171,14 @@ def real_curvature_ref(d2g: np.ndarray, br: np.ndarray, gi: np.ndarray) -> np.nd
     return second + quad
 
 
+def each_slot_ref(t: np.ndarray, A, B, C, D) -> np.ndarray:
+    """t[i,j,k,l] A[i,a] B[j,b] C[k,c] D[l,d]."""
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", t, A, B, C, D)
+
+
 def complexify_ref(r: np.ndarray, T: np.ndarray) -> np.ndarray:
     """2 r[i,j,k,l] T[i,A] T[j,B] T[k,C] T[l,D]."""
-    return 2.0 * np.einsum("ijkl,iA,jB,kC,lD->ABCD", r, T, T, T, T)
+    return 2.0 * each_slot_ref(r, T, T, T, T)
 
 
 def chern_curvature_ref(d2m, d1h, Hi, d1a) -> np.ndarray:

@@ -10,7 +10,7 @@ from hermicurv.connection import (
     real_christoffel,
 )
 from hermicurv.field import CATALOG_NAMES, real_jet_at, sample_admissible_points
-from oracles import induced_connection_fd, theta_tilde_dx_ref
+from oracles import _real_blocks_ref, induced_connection_fd, theta_tilde_dx_ref
 
 
 def test_chern_coefficient_on_projective_line():
@@ -155,4 +155,15 @@ def test_coefficient_derivatives_equal_the_per_direction_loop(name, n):
         jet = jet_at(m, p)
         got = induced_real_connection(jet).theta_tilde_dx
         want = theta_tilde_dx_ref(jet)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_coefficients_equal_the_block_table(name, n):
+    m = catalog_metric(name, n)
+    for p in sample_admissible_points(m, 2, seed=12):
+        jet = jet_at(m, p)
+        got = induced_real_connection(jet).theta_tilde
+        want = _real_blocks_ref(chern_coeffs(jet))
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -16,8 +16,8 @@ import pytest
 
 from hermicurv import CATALOG_NAMES, catalog_metric, geometry_at
 from hermicurv.connection import real_christoffel
+from hermicurv.core import _each_slot, _frame
 from hermicurv.curvature import (
-    _transition_matrix,
     chern_curvature,
     complexified_11_direct,
     complexify_curvature,
@@ -29,6 +29,7 @@ from oracles import (
     chern_curvature_ref,
     complexified_11_direct_ref,
     complexify_ref,
+    each_slot_ref,
     form_ref,
     kr_form_ref,
     real_curvature_ref,
@@ -39,9 +40,8 @@ RTOL = 1e-12
 BATCHES = [(), (3,), (2, 3)]
 SRC = Path(__file__).resolve().parents[1] / "src" / "hermicurv"
 
-# Small forms in h and phases: the Hermitian pairing of core.hermitian_pairing
-# and the phase outer product of analysis._real_chern.
-ALLOWED_SPECS = {"ab,a,b->", "i,j,k,l->ijkl"}
+# One small form in h: the Hermitian pairing of core.hermitian_pairing.
+ALLOWED_SPECS = {"ab,a,b->"}
 
 
 def _assert_close(new, ref, scale=None):
@@ -89,7 +89,7 @@ def test_staged_contractions_match_references_on_catalog(name, n):
     _assert_close(real_curvature(rjet, real_christoffel(rjet)),
                   real_curvature_ref(rjet.d2g, real_christoffel(rjet).brackets, rjet.g_inv))
     _assert_close(complexify_curvature(g.rc).tensor,
-                  complexify_ref(g.rc, _transition_matrix(n)))
+                  complexify_ref(g.rc, _frame(n).conj().T / 2))
     _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
     _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
     _check_forms(g.rc, g.kr, np.random.default_rng(n))
@@ -105,12 +105,23 @@ def test_staged_contractions_match_references_without_symmetries(n):
     _assert_close(real_curvature(SimpleNamespace(d2g=d2g, g_inv=gi), SimpleNamespace(brackets=br)),
                   real_curvature_ref(d2g, br, gi))
     r = rng.standard_normal((m, m, m, m))
-    _assert_close(complexify_curvature(r).tensor, complexify_ref(r, _transition_matrix(n)))
+    _assert_close(complexify_curvature(r).tensor, complexify_ref(r, _frame(n).conj().T / 2))
     parts = (_cplx(rng, n, n, n, n), _cplx(rng, n, n, n), _cplx(rng, n, n), _cplx(rng, n, n, n))
     jet = SimpleNamespace(d2_mixed=parts[0], d1_holo=parts[1], h_inv=parts[2], d1_anti=parts[3])
     _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
     _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
     _check_forms(r, _cplx(rng, n, n, n, n), rng)
+
+
+def test_each_slot_matches_reference_with_rectangular_matrices():
+    rng = np.random.default_rng(7)
+    t = _cplx(rng, 2, 3, 4, 5)
+    mats = [_cplx(rng, k, k + 2) for k in (2, 3, 4, 5)]
+    _assert_close(_each_slot(t, *mats), each_slot_ref(t, *mats))
+    # one matrix stands for all four slots
+    t = _cplx(rng, 3, 3, 3, 3)
+    M = _cplx(rng, 3, 4)
+    _assert_close(_each_slot(t, M), each_slot_ref(t, M, M, M, M))
 
 
 def _reads_batched_four_slot(spec: str) -> bool:

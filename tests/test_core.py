@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermicurv import ChartPoint, DimensionMismatch, apply_j, to_holomorphic
-from hermicurv.core import hermitian_pairing, to_real
+from hermicurv.core import _chain, _frame, hermitian_pairing, to_real
 
 
 def test_chart_point_round_trip():
@@ -70,3 +70,24 @@ def test_hermitian_pairing_dimension_check():
 def test_vectors_reject_odd_length():
     with pytest.raises(DimensionMismatch):
         apply_j(np.ones(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_maps_real_vectors_to_holomorphic_pairs(n):
+    rng = np.random.default_rng(20 + n)
+    P = _frame(n)
+    u = rng.standard_normal(2 * n)
+    xi = to_holomorphic(u)
+    np.testing.assert_allclose(P @ u, np.concatenate([xi, xi.conj()]), rtol=0, atol=1e-15)
+    assert np.array_equal(P @ P.conj().T / 2, np.eye(2 * n))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_chain_is_the_frame_transpose_along_one_axis(axis):
+    n = 2
+    rng = np.random.default_rng(30 + axis)
+    shape = [3, 4, 5]
+    shape[axis] = n
+    dz, dzb = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    want = np.moveaxis(np.tensordot(_frame(n).T, np.concatenate([dz, dzb], axis), (1, axis)), 0, axis)
+    np.testing.assert_allclose(_chain(dz, dzb, axis), want, rtol=0, atol=1e-14)

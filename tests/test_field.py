@@ -245,3 +245,20 @@ def test_poincare_samples_stay_in_ball():
     m = catalog_metric("poincare_ball", 3)
     for p in sample_admissible_points(m, 10, seed=1):
         assert np.sum(np.abs(p.coords) ** 2) < 1.0
+
+
+@pytest.mark.parametrize("src, points", [
+    ("dim 1; h[1,1] = 1 / (1 - z1*zb1)^2;", [[0.99], [0.9999], [1 - 10**-3.5], [(1 - 10**-3.5) * 1j]]),
+    ("dim 1; h[1,1] = 2 + 1e-30/(z1*zb1);", [[1e-5], [1e-10], [1e-10j], [1e-12], [1e-12j]]),
+    ("dim 2; h[1,1] = 2 + 1e-30/(z1*zb1); h[2,2] = 3 + 1e-30/(z2*zb2 * z1*zb1);",
+     [[1e-7, 1e-6], [1e-7j, 1e-8]]),
+], ids=["pole", "origin", "origin_2d"])
+def test_steep_metrics_pass_the_hermitian_check(src, points):
+    # Second derivatives up to about 1e19 whose real-jet slices are Hermitian in
+    # exact arithmetic: the chain rule pairs each Wirtinger term with its
+    # conjugate, so rounding leaves those slices Hermitian too.
+    m = parse_metric(src)
+    for z in points:
+        rj = real_jet_at(m, z)
+        assert np.all(np.isfinite(rj.d2g))
+        assert np.array_equal(rj.d2g, rj.d2g.transpose(1, 0, 2, 3))
