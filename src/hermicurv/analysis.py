@@ -69,30 +69,33 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
     first metric index (the torsion-free condition); symmetry of the
     canonical curvature under swapping its two unbarred slots; vanishing
     of the complexified-curvature blocks with three or four unbarred
-    indices among the first three.
+    indices among the first three.  A condition holds when at every point
+    its residual is below tol * max(1, M), M the largest magnitude of the
+    array it measures: dh/dz, the canonical curvature, or the
+    complexified curvature.
     """
-    rk = rkl = rgk = 0.0
+    worst = np.zeros((3, 2))  # per condition: largest residual, and residual / max(1, M)
     pts = []
     for p in points:
         geom = geometry_at(metric, p)
         pts.append(geom.point)
-        d1h = geom.jet.d1_holo
-        rk = max(rk, float(np.max(np.abs(d1h - d1h.transpose(1, 0, 2)))))
-        kr = geom.kr
-        rkl = max(rkl, float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3)))))
-        rgk = max(
-            rgk,
-            float(np.max(np.abs(geom.cx.block("hhha")))),
-            float(np.max(np.abs(geom.cx.block("hhaa")))),
-        )
+        dz, kr, cx = geom.jet.dh[:geom.n], geom.kr, geom.cx
+        for k, (defect, of) in enumerate((
+            (dz - dz.transpose(1, 0, 2), dz),
+            (kr - kr.transpose(2, 1, 0, 3), kr),
+            (np.concatenate([cx.block("hhha"), cx.block("hhaa")]), cx.tensor),
+        )):
+            r = float(np.max(np.abs(defect)))
+            worst[k] = np.maximum(worst[k], (r, r / max(1.0, float(np.max(np.abs(of))))))
     if not pts:
         raise ValueError("points must name at least one point")
+    (rk, qk), (rkl, qkl), (rgk, qgk) = worst.tolist()
     return ClassificationReport(
-        kahler=rk < tol,
+        kahler=qk < tol,
         kahler_residual=rk,
-        kahler_like=rkl < tol,
+        kahler_like=qkl < tol,
         kahler_like_residual=rkl,
-        g_kahler_like=rgk < tol,
+        g_kahler_like=qgk < tol,
         g_kahler_like_residual=rgk,
         points=tuple(pts),
         tol=tol,

@@ -227,7 +227,8 @@ def _cmd_curvature(args, metric, points):
             float(np.max(np.abs(geom.cx.block("hhhh")))),
             float(np.max(np.abs(geom.cx.block("aaaa")))),
         )
-        ok = ok and cross < 1e-6 and gray < 1e-7
+        scale = max(1.0, float(np.max(np.abs(geom.cx.tensor))))
+        ok = ok and cross < 1e-6 * scale and gray < 1e-7 * scale
         results.append(
             {
                 "point": p,
@@ -275,7 +276,7 @@ def _cmd_identities(args, metric, points):
         uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
         res = identity_suite(geom.rc, geom.kr, geom.cx, uv[:, 0], uv[:, 1])
         table = {key: float(np.max(val)) for key, val in dataclasses.asdict(res).items()}
-        universal_ok = res.universal_max() < args.tol
+        universal_ok = res.universal_max() < args.tol * max(1.0, float(np.max(np.abs(geom.rc))))
         ok = ok and universal_ok
         results.append(
             {
@@ -381,15 +382,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        # the message argparse gives for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers >= low: 1 for counts, 0 for seeds."""
+    what = "positive" if low else "non-negative"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            # the message argparse gives for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -411,27 +418,28 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="hermicurv", description="Curvature reports for Hermitian metrics")
     sub = parser.add_subparsers(dest="command", required=True)
     cmd = {name: sub.add_parser(name) for name in _COMMANDS}
+    count = _int_at_least(1)
     for p in cmd.values():
         p.add_argument("--metric", required=True,
                        help="catalog name or path to a metric definition file")
         p.add_argument("--point", action="append", required=True,
                        help='chart point as JSON [[re,im],...]; repeatable')
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the report to this file instead of stdout")
     cmd["classify"].add_argument("--tol", type=_positive_float, default=1e-8)
     cmd["sectional"].add_argument("--plane", action="append", default=[],
                                   help='plane as JSON {"u": [...], "v": [...]} with 2n reals each')
     cmd["identities"].add_argument("--tol", type=_positive_float, default=1e-6)
-    cmd["identities"].add_argument("--samples", type=_positive_int, default=10)
+    cmd["identities"].add_argument("--samples", type=count, default=10)
     cmd["extremal"].add_argument("--tol", type=_positive_float, default=1e-4)
-    cmd["extremal"].add_argument("--restarts", type=_positive_int, default=64)
+    cmd["extremal"].add_argument("--restarts", type=count, default=64)
     cmd["extremal"].add_argument("--mode", choices=("max", "min"), default="max")
     cmd["extremal"].add_argument("--target", choices=("sectional", "bisectional"),
                                  default="sectional")
-    cmd["lu"].add_argument("--samples", type=_positive_int, default=1000)
+    cmd["lu"].add_argument("--samples", type=count, default=1000)
     cmd["lu"].add_argument("--sign", choices=("nonneg", "nonpos", "auto"), default="auto")
-    cmd["probe-corollary"].add_argument("--samples", type=_positive_int, default=1000)
+    cmd["probe-corollary"].add_argument("--samples", type=count, default=1000)
     return parser
 
 

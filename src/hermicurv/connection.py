@@ -77,17 +77,17 @@ class InducedRealConnection:
 def chern_coeffs(jet: MetricJet) -> np.ndarray:
     """gamma[a, b, g], complex (n, n, n): output a, frame b, holomorphic
     direction g."""
-    return np.einsum("la,gbl->abg", jet.h_inv, jet.d1_holo)
+    return np.einsum("la,gbl->abg", jet.h_inv, jet.dh[:jet.n])
 
 
 def complexified_christoffel(jet: MetricJet) -> ComplexifiedChristoffel:
-    Hi = jet.h_inv
-    d1h, d1a = jet.d1_holo, jet.d1_anti
+    Hi, n = jet.h_inv, jet.n
+    dz, dzb = jet.dh[:n], jet.dh[n:]
     gamma_hh = 0.5 * (
-        np.einsum("la,gbl->abg", Hi, d1h) + np.einsum("la,bgl->abg", Hi, d1h)
+        np.einsum("la,gbl->abg", Hi, dz) + np.einsum("la,bgl->abg", Hi, dz)
     )
     gamma_hb = 0.5 * (
-        np.einsum("la,bgl->abg", Hi, d1a) - np.einsum("la,lgb->abg", Hi, d1a)
+        np.einsum("la,bgl->abg", Hi, dzb) - np.einsum("la,lgb->abg", Hi, dzb)
     )
     return ComplexifiedChristoffel(gamma_hh, gamma_hb)
 
@@ -109,27 +109,20 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     the second-order jet.  No finite differences are involved, which is
     what lets downstream curvature checks run at tight tolerances.
     """
-    Hi = jet.h_inv
-    d1h, d1a = jet.d1_holo, jet.d1_anti
+    Hi, n = jet.h_inv, jet.n
     c = chern_coeffs(jet)
 
-    # d(h_inv)/dz^m = -h_inv (dh/dz^m) h_inv, batched over m
-    dHi_z = -(Hi @ d1h @ Hi)
-    dHi_zb = -(Hi @ d1a @ Hi)
-    dc_z = np.einsum("mla,gbl->abgm", dHi_z, d1h) + np.einsum(
-        "la,gmbl->abgm", Hi, jet.d2_holo
-    )
-    dc_zb = np.einsum("mla,gbl->abgm", dHi_zb, d1h) + np.einsum(
-        "la,gmbl->abgm", Hi, jet.d2_mixed
-    )
+    # d(h_inv)/dw = -h_inv (dh/dw) h_inv, batched over all 2n variables w;
+    # then dc[a, b, g, w] = d c[a, b, g] / dw, one pass over every w
+    dHi = -(Hi @ jet.dh @ Hi)
+    dc = np.einsum("wla,gbl->abgw", dHi, jet.dh[:n]) + np.einsum("la,gwbl->abgw", Hi, jet.d2h[:n])
 
-    # [c | dc/dz | dc/dzbar] on the last axis, frame index first; diag(1, P)
-    # on that axis turns the Wirtinger derivatives into x-derivatives
-    n = jet.n
+    # [c | dc] on the last axis, frame index first; diag(1, P) on that
+    # axis turns the Wirtinger derivatives into x-derivatives
     P = _frame(n)
     last = np.eye(1 + 2 * n, dtype=complex)
     last[1:, 1:] = P
-    stacked = np.concatenate([c[..., None], dc_z, dc_zb], axis=-1).swapaxes(0, 1)
+    stacked = np.concatenate([c[..., None], dc], axis=-1).swapaxes(0, 1)
     t = _each_slot(stacked, P[:n], P[n:], P[:n], last).real
     return InducedRealConnection(t[..., 0], t[..., 1:])
 

@@ -110,9 +110,11 @@ def _frame(n: int) -> np.ndarray:
     return np.vstack([np.hstack([I, 1j * I]), np.hstack([I, -1j * I])])
 
 
-def _chain(dz: np.ndarray, dzb: np.ndarray, axis: int) -> np.ndarray:
-    """P^T along one axis: the d/dx^k derivatives, k < 2n, from the d/dz
-    and d/dzbar ones stacked along that axis."""
+def _chain(d: np.ndarray, axis: int) -> np.ndarray:
+    """P^T along one axis: the d/dx^k derivatives, k < 2n, from an array
+    whose axis holds the d/dz derivatives, then the d/dzbar ones."""
+    n, lead = d.shape[axis] // 2, (slice(None),) * axis
+    dz, dzb = d[lead + (slice(None, n),)], d[lead + (slice(n, None),)]
     return np.concatenate([dz + dzb, 1j * (dz - dzb)], axis)
 
 

@@ -68,8 +68,9 @@ def chern_curvature(jet: MetricJet) -> np.ndarray:
     """kr[a, b, g, d], complex (n, n, n, n), conjugate-linear in slots b
     and d.  Pair-Hermitian: kr[a,b,g,d] = conj(kr[b,a,d,g])."""
     # (dh/dz^g h_inv)[a, k], then one contraction over k with dh/dzbar^d
-    return -jet.d2_mixed.transpose(2, 3, 0, 1) + np.einsum(
-        "gak,dkb->abgd", jet.d1_holo @ jet.h_inv, jet.d1_anti
+    n = jet.n
+    return -jet.d2h[:n, n:].transpose(2, 3, 0, 1) + np.einsum(
+        "gak,dkb->abgd", jet.dh[:n] @ jet.h_inv, jet.dh[n:]
     )
 
 
@@ -120,18 +121,18 @@ def complexified_11_direct(jet: MetricJet) -> np.ndarray:
     derivatives, a symmetrized product, and two antisymmetrized
     correction products.
     """
-    Hi = jet.h_inv
-    d1h, d1a, d2m = jet.d1_holo, jet.d1_anti, jet.d2_mixed
+    Hi, n = jet.h_inv, jet.n
+    dz, dzb, d2m = jet.dh[:n], jet.dh[n:], jet.d2h[:n, n:]
 
     term1 = -0.5 * (np.einsum("mbav->abmv", d2m) + np.einsum("avmb->abmv", d2m))
 
     # each product contracts h_inv into its first factor, then the pair
-    S1 = d1h + d1h.transpose(1, 0, 2)
-    S2 = d1a + d1a.transpose(2, 1, 0)
+    S1 = dz + dz.transpose(1, 0, 2)
+    S2 = dzb + dzb.transpose(2, 1, 0)
     term2 = 0.25 * np.einsum("mak,bkv->abmv", S1 @ Hi, S2)
 
-    F1 = d1a - d1a.transpose(2, 1, 0)
-    F2 = d1h - d1h.transpose(1, 0, 2)
+    F1 = dzb - dzb.transpose(2, 1, 0)
+    F2 = dz - dz.transpose(1, 0, 2)
     F1Hi = F1 @ Hi
     term3 = -0.25 * np.einsum("bmk,akv->abmv", F1Hi, F2)
     term4 = -0.25 * np.einsum("vak,mkb->abmv", F1Hi, F2)

@@ -796,8 +796,9 @@ class MetricDefinition:
         return values, H.reshape(self.n, self.n)
 
     def entry_jets(self, values: list) -> tuple:
-        """Gradients (n, n, 2n) and Hessians (n, n, 2n, 2n) of the entries
-        in (z_1..z_n, zb_1..zb_n), from the values of entry_values.
+        """Gradients dh[w, a, b] and Hessians d2h[w, v, a, b] of the entries
+        over w = (z_1..z_n, zb_1..zb_n), from the values of entry_values:
+        C-contiguous views, (2n, n, n) and (2n, 2n, n, n), of one array.
 
         One forward pass of second-order Taylor arithmetic over the
         instructions, each carrying a (2n + 1, 2n) array: gradient g in row
@@ -832,7 +833,7 @@ class MetricDefinition:
                 else:
                     v, ja = values[a], jets[a]
                     if op == _POW:
-                        f1, f2 = b * _power(v, b - 1), b * (b - 1) * _power(v, b - 2)
+                        f1, f2 = b * _power(v, b - 1), b * ((b - 1) * _power(v, b - 2))
                     elif b == "exp":
                         f1 = f2 = x
                     elif b == "log":
@@ -847,4 +848,5 @@ class MetricDefinition:
             out = np.array([jets[r] for r in self._roots])
             if not np.isfinite(out).all():
                 raise DslEvalError("expression evaluated to a non-finite value")
-        return out[:, 0].reshape(n, n, m), out[:, 1:].reshape(n, n, m, m)
+        out = np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(m + 1, m, n, n)
+        return out[0], out[1:]

@@ -11,11 +11,10 @@ Jet index conventions (0-based, derivative indices first):
     h_inv                   matrix inverse of h, so h @ h_inv = identity;
                             the contraction "upper (l, a)" used downstream
                             is h_inv[l, a]
-    d1_holo[g, a, b]        d h[a,b] / d z^g
-    d1_anti[d, a, b]        d h[a,b] / d zbar^d
-    d2_mixed[g, d, a, b]    d2 h[a,b] / d z^g d zbar^d
-    d2_holo[g, m, a, b]     d2 h[a,b] / d z^g d z^m
-    d2_anti[d, v, a, b]     d2 h[a,b] / d zbar^d d zbar^v
+    dh[w, a, b]             d h[a,b] / dw, w in (z^1..z^n, zbar^1..zbar^n)
+    d2h[w, v, a, b]         d2 h[a,b] / dw dv
+
+so dh[:n] is d/dz, dh[n:] is d/dzbar, and d2h[:n, n:] is d2/dz^g dzbar^d.
 
 The real form g = Re h lives on the 2n real coordinates (x, y) with
 z^a = x^a + i x^{n+a}.  Writing H for the complex matrix, the real metric
@@ -25,7 +24,8 @@ in the coordinate frame is the block matrix
          [-Im H, Re H ]]
 
 and its x-derivatives come from the chain rule of the frame in core
-(core._chain): d/dx^a = d/dz^a + d/dzbar^a, d/dx^{n+a} = i(d/dz^a - d/dzbar^a).
+(core._chain) along each derivative axis of dh and d2h:
+d/dx^a = d/dz^a + d/dzbar^a, d/dx^{n+a} = i(d/dz^a - d/dzbar^a).
 """
 
 from __future__ import annotations
@@ -125,11 +125,8 @@ class MetricJet:
     point: ChartPoint
     h: np.ndarray
     h_inv: np.ndarray
-    d1_holo: np.ndarray
-    d1_anti: np.ndarray
-    d2_mixed: np.ndarray
-    d2_holo: np.ndarray
-    d2_anti: np.ndarray
+    dh: np.ndarray
+    d2h: np.ndarray
     cond: float
 
     @property
@@ -189,15 +186,10 @@ def jet_at(metric: MetricDefinition, p) -> MetricJet:
     and DslEvalError when an entry or a derivative cannot be evaluated at
     p (for instance hopf at the origin).
     """
-    n = metric.n
-    p = _as_point(p, n)
+    p = _as_point(p, metric.n)
     values, H = metric.entry_values(p.coords.tolist())
     h_inv, cond = _checked_inverse(H)
-    grad, hess = metric.entry_jets(values)
-    d1, d2 = grad.transpose(2, 0, 1), hess.transpose(2, 3, 0, 1)  # derivative axes first
-    C = np.ascontiguousarray
-    return MetricJet(p, H, h_inv, C(d1[:n]), C(d1[n:]), C(d2[:n, n:]), C(d2[:n, :n]),
-                     C(d2[n:, n:]), cond)
+    return MetricJet(p, H, h_inv, *metric.entry_jets(values), cond)
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +205,15 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     """
     n = jet.n
     m = 2 * n
-    H = jet.h
-    d1h, d1a = jet.d1_holo, jet.d1_anti
-    d2m, d2h, d2a = jet.d2_mixed, jet.d2_holo, jet.d2_anti
 
     # d/dx^k is P^T along each derivative axis (core._chain); the inner
     # chain runs over the second derivative index, the outer over the first
-    dH = _chain(d1h, d1a, 0)
-    d2H = _chain(_chain(d2h, d2m, 1), _chain(d2m.transpose(1, 0, 2, 3), d2a, 1), 0)
+    dH = _chain(jet.dh, 0)
+    d2H = _chain(_chain(jet.d2h, 1), 0)
 
     # stack[0] = H; stack[1 + k(1 + m)] = dH[k]; stack[2 + k(1 + m) + l] = d2H[k, l]
     per_k = np.concatenate([dH[:, None], d2H], axis=1)
-    stack = np.concatenate([H[None], per_k.reshape(m * (1 + m), n, n)])
+    stack = np.concatenate([jet.h[None], per_k.reshape(m * (1 + m), n, n)])
 
     # one check over every slice; the first failing one, in the order
     # H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., is the one reported

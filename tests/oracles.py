@@ -19,7 +19,7 @@ import numpy as np
 
 from hermicurv import dsl
 from hermicurv.connection import induced_real_connection
-from hermicurv.core import ChartPoint, to_real
+from hermicurv.core import ChartPoint, _frame, to_real
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import HermicurvError
 from hermicurv.sectional import Plane
@@ -31,7 +31,8 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> Met
 
     Entirely independent of the symbolic derivative path: the metric is
     only ever *evaluated*.  Real-direction differences are recombined into
-    Wirtinger form.  Expected accuracy is O(step^2) truncation, so with
+    Wirtinger form by the inverse chain rule: d/dw = sum_k Q[w, k] d/dx^k
+    with Q = conj(P) / 2, the transpose of P^{-1} = P^H / 2.  Expected accuracy is O(step^2) truncation, so with
     the default step the first derivatives carry roughly 1e-10 absolute
     error and the second derivatives roughly 1e-6.
     """
@@ -76,18 +77,10 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> Met
             d2x[k, l] = val
             d2x[l, k] = val
 
-    d1_holo = 0.5 * (d1x[:n] - 1j * d1x[n:])
-    d1_anti = 0.5 * (d1x[:n] + 1j * d1x[n:])
-
-    xx = d2x[:n, :n]
-    xy = d2x[:n, n:]
-    yx = d2x[n:, :n]
-    yy = d2x[n:, n:]
-    d2_mixed = 0.25 * (xx + yy + 1j * (xy - yx))
-    d2_holo = 0.25 * (xx - yy - 1j * (xy + yx))
-    d2_anti = 0.25 * (xx - yy + 1j * (xy + yx))
-
-    return MetricJet(p, H, h_inv, d1_holo, d1_anti, d2_mixed, d2_holo, d2_anti, cond)
+    Q = _frame(n).conj() / 2
+    dh = np.einsum("wk,kab->wab", Q, d1x)
+    d2h = np.einsum("wk,vl,klab->wvab", Q, Q, d2x)
+    return MetricJet(p, H, h_inv, dh, d2h, cond)
 
 
 def induced_connection_fd(metric, p, step: float = 1e-5) -> np.ndarray:
@@ -257,14 +250,14 @@ def _real_blocks_ref(c: np.ndarray) -> np.ndarray:
 
 def theta_tilde_dx_ref(jet) -> np.ndarray:
     """induced_real_connection(jet).theta_tilde_dx built one derivative
-    direction at a time."""
+    direction at a time, from separate d/dz and d/dzbar passes."""
     Hi = jet.h_inv
-    d1h, d1a = jet.d1_holo, jet.d1_anti
     n = jet.n
+    d1h, d1a = jet.dh[:n], jet.dh[n:]
     dHi_z = -(Hi @ d1h @ Hi)
     dHi_zb = -(Hi @ d1a @ Hi)
-    dc_z = np.einsum("mla,gbl->abgm", dHi_z, d1h) + np.einsum("la,gmbl->abgm", Hi, jet.d2_holo)
-    dc_zb = np.einsum("mla,gbl->abgm", dHi_zb, d1h) + np.einsum("la,gmbl->abgm", Hi, jet.d2_mixed)
+    dc_z = np.einsum("mla,gbl->abgm", dHi_z, d1h) + np.einsum("la,gmbl->abgm", Hi, jet.d2h[:n, :n])
+    dc_zb = np.einsum("mla,gbl->abgm", dHi_zb, d1h) + np.einsum("la,gmbl->abgm", Hi, jet.d2h[:n, n:])
     dtt = np.empty((2 * n, 2 * n, 2 * n, 2 * n))
     for m in range(n):
         dtt[:, :, :, m] = _real_blocks_ref(dc_z[:, :, :, m] + dc_zb[:, :, :, m])

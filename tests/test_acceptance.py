@@ -76,13 +76,8 @@ def test_criterion_02_jet_oracle_equivalence():
         for p in sample_admissible_points(m, 20, seed=102):
             sym = jet_at(m, p)
             num = fd_oracle_jet(m, p)
-            worst1 = max(worst1, _rel(sym.d1_holo, num.d1_holo), _rel(sym.d1_anti, num.d1_anti))
-            worst2 = max(
-                worst2,
-                _rel(sym.d2_mixed, num.d2_mixed),
-                _rel(sym.d2_holo, num.d2_holo),
-                _rel(sym.d2_anti, num.d2_anti),
-            )
+            worst1 = max(worst1, _rel(sym.dh, num.dh))
+            worst2 = max(worst2, _rel(sym.d2h, num.d2h))
     assert worst1 < 1e-6
     assert worst2 < 1e-4
     print(

@@ -11,6 +11,7 @@ import pytest
 import hermicurv.cli as cli
 from hermicurv import HermicurvError
 from hermicurv.cli import render_report, run_main
+from hermicurv.field import catalog_source
 from oracles import render_report_ref
 
 FS_POINT = '[[0.1,0.2],[0.0,-0.1]]'
@@ -80,6 +81,20 @@ def test_identities_failing_tolerance_gives_exit_1(capsys):
     )
     assert code == 1
     assert rep["ok"] is False
+
+
+def test_pass_fail_decisions_scale_with_the_tensors(tmp_path, capsys):
+    # fubini_study times 1e12 is still Kahler; its residuals are rounding,
+    # about 1e-16 relative to the tensors they measure
+    f = tmp_path / "scaled.metric"
+    f.write_text(re.sub(r"= (.*);", r"= 1e12 * (\1);", catalog_source("fubini_study", 2)))
+    point = "[[0.3,0.1],[-0.2,0.05]]"
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", point)
+    res = rep["results"][0]
+    assert code == 0 and res["kahler"] and res["kahler_like"] and res["g_kahler_like"]
+    for command in ("curvature", "identities"):
+        code, rep = run(capsys, command, "--metric", str(f), "--point", point)
+        assert code == 0 and rep["ok"] is True, command
 
 
 def test_extremal_command(capsys):
@@ -290,6 +305,18 @@ def test_non_finite_derivative_is_a_typed_error_exit_2(tmp_path, capsys):
                             "message": "expression evaluated to a non-finite value"}
 
 
+def test_huge_integer_exponent_gets_a_report_or_a_typed_error(tmp_path, capsys):
+    # b (b - 1) for b = 10^160 is past the float range; the exact jet at
+    # |z1| = 0.1 is finite, while at |z1| = 1 the second derivative is not
+    f = tmp_path / "huge_power.metric"
+    f.write_text("dim 1; h[1,1] = 2 + sqrt(z1*zb1)^1" + "0" * 160 + ";")
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0.1, 0]]")
+    assert code == 0 and rep["ok"] is True
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[1, 0]]")
+    assert code == 2
+    assert rep["error"]["type"] == "DslEvalError"
+
+
 def test_deeply_nested_metric_exit_2(tmp_path, capsys):
     f = tmp_path / "nested.metric"
     f.write_text("dim 1;\nh[1,1] = 2 + " + "(" * 400 + "z1*zb1" + ")" * 400 + ";\n")
@@ -311,6 +338,16 @@ def test_counts_must_be_positive(capsys, command, flag, value):
     assert code == 2
     assert rep["error"]["type"] == "UsageError"
     assert f"argument {flag}: must be a positive integer" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["classify", "curvature", "sectional", "identities",
+                                     "extremal", "lu", "probe-corollary"])
+def test_seed_must_be_non_negative(capsys, command):
+    code, rep = run(capsys, command, "--metric", "fubini_study", "--point", FS_POINT,
+                    "--seed", "-1")
+    assert code == 2
+    assert rep["error"] == {"type": "UsageError",
+                            "message": "argument --seed: must be a non-negative integer, got -1"}
 
 
 # The options each command reads besides --metric, --point, --seed and

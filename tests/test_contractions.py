@@ -85,7 +85,7 @@ def test_staged_contractions_match_references_on_catalog(name, n):
     metric = catalog_metric(name, n)
     g = geometry_at(metric, sample_admissible_points(metric, 1, seed=n)[0])
     jet, rjet = g.jet, g.rjet
-    parts = (jet.d2_mixed, jet.d1_holo, jet.h_inv, jet.d1_anti)
+    parts = (jet.d2h[:n, n:], jet.dh[:n], jet.h_inv, jet.dh[n:])
     _assert_close(real_curvature(rjet, real_christoffel(rjet)),
                   real_curvature_ref(rjet.d2g, real_christoffel(rjet).brackets, rjet.g_inv))
     _assert_close(complexify_curvature(g.rc).tensor,
@@ -107,7 +107,9 @@ def test_staged_contractions_match_references_without_symmetries(n):
     r = rng.standard_normal((m, m, m, m))
     _assert_close(complexify_curvature(r).tensor, complexify_ref(r, _frame(n).conj().T / 2))
     parts = (_cplx(rng, n, n, n, n), _cplx(rng, n, n, n), _cplx(rng, n, n), _cplx(rng, n, n, n))
-    jet = SimpleNamespace(d2_mixed=parts[0], d1_holo=parts[1], h_inv=parts[2], d1_anti=parts[3])
+    d2h = _cplx(rng, m, m, n, n)
+    d2h[:n, n:] = parts[0]
+    jet = SimpleNamespace(n=n, dh=np.concatenate([parts[1], parts[3]]), d2h=d2h, h_inv=parts[2])
     _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
     _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
     _check_forms(r, _cplx(rng, n, n, n, n), rng)

@@ -35,35 +35,37 @@ def test_fubini_study_jet_at_origin():
     m = catalog_metric("fubini_study", 1)
     jet = jet_at(m, ORIGIN1)
     assert jet.h[0, 0] == pytest.approx(1.0)
-    assert np.abs(jet.d1_holo).max() == 0
-    assert np.abs(jet.d1_anti).max() == 0
-    assert jet.d2_mixed[0, 0, 0, 0] == pytest.approx(-2.0)
-    assert np.abs(jet.d2_holo).max() == pytest.approx(0.0, abs=1e-14)
-    assert np.abs(jet.d2_anti).max() == pytest.approx(0.0, abs=1e-14)
+    assert np.abs(jet.dh).max() == 0
+    # w = (z1, zb1): only the mixed entries d2h[0, 1] = d2h[1, 0] survive
+    assert jet.d2h[0, 1, 0, 0] == pytest.approx(-2.0)
+    assert jet.d2h[1, 0, 0, 0] == pytest.approx(-2.0)
+    assert jet.d2h[0, 0, 0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert jet.d2h[1, 1, 0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_poincare_ball_jet_at_origin():
     m = catalog_metric("poincare_ball", 1)
     jet = jet_at(m, ORIGIN1)
     assert jet.h[0, 0] == pytest.approx(1.0)
-    assert jet.d2_mixed[0, 0, 0, 0] == pytest.approx(2.0)
+    assert jet.d2h[0, 1, 0, 0] == pytest.approx(2.0)
 
 
 def test_nk_diag_first_derivative():
     m = catalog_metric("nk_diag", 2)
     jet = jet_at(m, np.array([1.0 + 0j, 0.0 + 0j]))
     # d h_22 / dz1 of exp(z1 zb1) is zb1 exp(z1 zb1) = e at z1 = 1
-    assert jet.d1_holo[0, 1, 1] == pytest.approx(np.e)
-    assert jet.d1_holo[0, 0, 0] == 0
-    assert jet.d1_holo[1, 1, 1] == 0
+    assert jet.dh[0, 1, 1] == pytest.approx(np.e)
+    assert jet.dh[0, 0, 0] == 0
+    assert jet.dh[1, 1, 1] == 0
 
 
 def test_euclidean_jets_vanish():
     m = catalog_metric("euclidean", 3)
     jet = jet_at(m, np.array([0.2 + 0.1j, -0.4 + 0j, 0.0 + 0.9j]))
     np.testing.assert_allclose(jet.h, np.eye(3))
-    for block in (jet.d1_holo, jet.d1_anti, jet.d2_mixed, jet.d2_holo, jet.d2_anti):
-        assert np.abs(block).max() == 0
+    assert jet.dh.shape == (6, 3, 3) and jet.d2h.shape == (6, 6, 3, 3)
+    assert np.abs(jet.dh).max() == 0
+    assert np.abs(jet.d2h).max() == 0
 
 
 @pytest.mark.parametrize("name,n", [("fubini_study", 2), ("poincare_ball", 2), ("hopf", 2), ("nk_diag", 3)])
@@ -74,11 +76,25 @@ def test_jet_conjugation_invariants(name, n):
     H = jet.h
     assert np.abs(H - H.conj().T).max() < 1e-12 * max(1.0, np.abs(H).max())
     # conjugating an entry swaps the index pair and the derivative type
-    assert np.abs(jet.d1_anti - np.conj(jet.d1_holo.transpose(0, 2, 1))).max() < 1e-12
-    assert np.abs(jet.d2_mixed - np.conj(jet.d2_mixed.transpose(1, 0, 3, 2))).max() < 1e-12
-    assert np.abs(jet.d2_holo - jet.d2_holo.transpose(1, 0, 2, 3)).max() < 1e-12
-    assert np.abs(jet.d2_anti - np.conj(jet.d2_holo.transpose(0, 1, 3, 2))).max() < 1e-12
+    dz, dzb = jet.dh[:n], jet.dh[n:]
+    d2m, d2z, d2zb = jet.d2h[:n, n:], jet.d2h[:n, :n], jet.d2h[n:, n:]
+    assert np.abs(dzb - np.conj(dz.transpose(0, 2, 1))).max() < 1e-12
+    assert np.abs(d2m - np.conj(d2m.transpose(1, 0, 3, 2))).max() < 1e-12
+    assert np.abs(d2z - d2z.transpose(1, 0, 2, 3)).max() < 1e-12
+    assert np.abs(d2zb - np.conj(d2z.transpose(0, 1, 3, 2))).max() < 1e-12
     assert np.abs(jet.h_inv @ H - np.eye(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_hessian_is_symmetric_to_rounding(name, n):
+    # real_jet_from_complex reads the (zbar, z) block d2h[n:, :n] itself;
+    # the Taylor products make it the transposed (z, zbar) block up to the
+    # rounding of fused multiply-adds in complex products
+    m = catalog_metric(name, n)
+    for p in sample_admissible_points(m, 3, seed=n):
+        d2h = jet_at(m, p).d2h
+        assert np.abs(d2h - d2h.transpose(1, 0, 2, 3)).max() <= 1e-15 * np.abs(d2h).max()
 
 
 def test_symbolic_jets_match_finite_differences():
@@ -88,20 +104,17 @@ def test_symbolic_jets_match_finite_differences():
         for p in sample_admissible_points(m, 3, seed=21):
             sym = jet_at(m, p)
             num = fd_oracle_jet(m, p)
-            assert rel_err(sym.d1_holo, num.d1_holo) < 1e-6
-            assert rel_err(sym.d1_anti, num.d1_anti) < 1e-6
-            assert rel_err(sym.d2_mixed, num.d2_mixed) < 1e-4
-            assert rel_err(sym.d2_holo, num.d2_holo) < 1e-4
-            assert rel_err(sym.d2_anti, num.d2_anti) < 1e-4
+            assert rel_err(sym.dh, num.dh) < 1e-6
+            assert rel_err(sym.d2h, num.d2h) < 1e-4
 
 
 def test_fd_error_shrinks_quadratically():
     m = catalog_metric("fubini_study", 1)
     p = np.array([0.35 + 0.15j])
-    exact = jet_at(m, p).d2_mixed
+    exact = jet_at(m, p).d2h[0, 1]
     errs = []
     for step in (1e-3, 5e-4):
-        approx = fd_oracle_jet(m, p, step=step).d2_mixed
+        approx = fd_oracle_jet(m, p, step=step).d2h[0, 1]
         errs.append(np.abs(approx - exact).max())
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
@@ -189,8 +202,8 @@ def test_checked_inverse_rejects_asymmetric():
 
 
 @pytest.mark.parametrize("field, index, what", [
-    ("d1_anti", (1,), "first derivative slice 1"),
-    ("d2_holo", (1, 1), "second derivative slice (1,1)"),
+    ("dh", (3,), "first derivative slice 1"),  # d/dzbar^2, w = n + 1
+    ("d2h", (1, 1), "second derivative slice (1,1)"),
 ])
 def test_real_jet_names_first_non_hermitian_slice(field, index, what):
     jet = jet_at(catalog_metric("fubini_study", 2), np.array([0.1 + 0.2j, -0.3j]))
@@ -224,7 +237,7 @@ def test_nk_diag_n1_reduces_to_flat_line():
     m = catalog_metric("nk_diag", 1)
     jet = jet_at(m, np.array([0.7 - 0.2j]))
     assert jet.h[0, 0] == pytest.approx(1.0)
-    assert np.abs(jet.d1_holo).max() == 0
+    assert np.abs(jet.dh).max() == 0
 
 
 def test_sampling_is_deterministic_and_admissible():
