@@ -317,7 +317,10 @@ def _cmd_extremal(args, metric, points):
         if res.best_pair is not None:
             entry["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
             entry["pair_alignment"] = res.pair_alignment
-        entry["gap_ok"] = (not res.applicable) or res.gap <= args.tol
+        # curvatures scale like 1/c when h is multiplied by c, and so does
+        # the searches' rounding
+        scale = max(1.0, abs(res.best_value), abs(res.holo_best_value))
+        entry["gap_ok"] = (not res.applicable) or res.gap <= args.tol * scale
         ok = ok and entry["gap_ok"]
         results.append(entry)
     return results, ok

@@ -146,4 +146,4 @@ def hermitian_pairing(h, xi, eta) -> complex:
     e = _holo_comps(eta)
     if m.shape != (x.size, e.size):
         raise DimensionMismatch("pairing operands do not match the metric dimension")
-    return complex(np.einsum("ab,a,b->", m, x, e.conj()))
+    return complex(x @ m @ e.conj())

@@ -78,27 +78,25 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
     """Curvature r[i, j, k, l] of the Levi-Civita connection, real
     (2n, 2n, 2n, 2n), with the classical algebraic symmetries.
 
-    The second-derivative block uses d2g[k, l, i, j] (derivative axes
-    first).  The quadratic block is br[j,l,s] g_inv[s,t] br[i,k,t] minus
-    the same with k and l swapped, from brackets br[j, k, s]: one bracket
-    is raised first, X[i,k,s] = g_inv[s,t] br[i,k,t], then a single
-    (m^2, m) @ (m, m^2) product gives P[j,l,i,k] = br[j,l,s] X[i,k,s],
-    O(m^5) in all.
+    r[i,j,k,l] = V[i,j,k,l] - V[i,j,l,k], antisymmetric in (k, l) bit
+    for bit, with V[i,j,k,l] = (d2g[i,k,j,l] + d2g[j,l,i,k]) / 2 +
+    P[j,l,i,k].  d2g[k, l, i, j] has its derivative axes first, so the
+    second-derivative part is the pair swap S = d2g + d2g^(pairs
+    swapped) read as S[i,k,j,l].  P[j,l,i,k] = br[j,l,s] g_inv[s,t]
+    br[i,k,t] from brackets br[j, k, s]: one bracket is raised first,
+    X[i,k,s] = g_inv[s,t] br[i,k,t], then a single (m^2, m) @ (m, m^2)
+    product gives P, O(m^5) in all.
     """
     d2g = rjet.d2g
     br = rchris.brackets
     m = br.shape[0]
-    second = 0.5 * (
-        np.einsum("jlik->ijkl", d2g)
-        + np.einsum("ikjl->ijkl", d2g)
-        - np.einsum("jkil->ijkl", d2g)
-        - np.einsum("iljk->ijkl", d2g)
-    )
     br2 = br.reshape(m * m, m)
     X = br2 @ rjet.g_inv.T
     P = (br2 @ X.T).reshape(m, m, m, m)
-    quad = P.transpose(2, 0, 3, 1) - P.transpose(2, 0, 1, 3)
-    return second + quad
+    S = d2g + d2g.transpose(2, 3, 0, 1)
+    S /= 2
+    V = S.transpose(0, 2, 1, 3) + P.transpose(2, 0, 3, 1)
+    return V - V.transpose(0, 1, 3, 2)
 
 
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:

@@ -21,18 +21,18 @@ conjugate constants).  Numeric literals must be finite.
 Simplification is restricted to constant folding and 0/1 identities, so
 derivative trees stay semantically transparent.
 
-Evaluation goes through a tape: the unique nodes under some roots, in the
-order a left-to-right, children-first walk first reaches them, as a list
-of instructions run on plain Python complex scalars.  Each
-MetricDefinition compiles the tape of its entries once, with nodes
-hash-consed per definition (keyed by kind, value and the identities of
-the children), so equal subtrees are evaluated once.  The same
-instructions, run forward in second-order Taylor arithmetic, give the
-entries' exact first and second derivatives without derivative trees;
-symbolic derivatives, memoized per (node, kind, index), remain for
-callers that want the expressions.  Every walk over an expression uses
-an explicit stack, so expression depth is bounded by memory, not by the
-interpreter's recursion limit.
+Evaluation goes through a tape (module tape): the unique nodes under
+some roots, in the order a left-to-right, children-first walk first
+reaches them, as a list of instructions run on plain Python complex
+scalars.  Each MetricDefinition compiles the tape of its entries once,
+with nodes hash-consed per definition (keyed by kind, value and the
+identities of the children), so equal subtrees are evaluated once.  The
+same instructions, run forward in second-order Taylor arithmetic one
+level group at a time, give the entries' exact first and second
+derivatives without derivative trees; symbolic derivatives, memoized per
+(node, kind, index), remain for callers that want the expressions.
+Every walk over an expression uses an explicit stack, so expression
+depth is bounded by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DslError, DslEvalError, DslSyntaxError
+from .tape import (
+    _ADD, _CALL, _CONST, _DIV, _MUL, _POW, _SUB, _Z, _ZB, _level_schedule, _run, _taylor_jets,
+)
 
 __all__ = [
     "Node",
@@ -516,7 +519,6 @@ def wirtinger_derivative(node: Node, kind: str, index: int) -> Node:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-_CONST, _Z, _ZB, _ADD, _SUB, _MUL, _DIV, _POW, _CALL = range(9)
 _OPCODES = {"const": _CONST, "z": _Z, "zb": _ZB, "add": _ADD, "sub": _SUB,
             "mul": _MUL, "div": _DIV, "pow": _POW, "call": _CALL}
 
@@ -542,63 +544,6 @@ def _emit(roots, code: list, slots: dict) -> list:
         slots[id(nd)] = len(code)
         code.append(ins)
     return [slots[id(r)] for r in roots]
-
-
-def _power(v: complex, m: int) -> complex:
-    try:
-        return v ** m
-    except ZeroDivisionError:
-        raise DslEvalError("zero raised to a negative power") from None
-    except OverflowError:
-        raise DslEvalError("overflow in power") from None
-
-
-def _run(code: list, zs: list, values: list) -> list:
-    """Execute instructions on the coordinates zs, appending one value per
-    instruction to values, and return values.
-
-    log and sqrt use cmath's principal branch.  Division by zero, log/sqrt
-    of 0, a failed power, and a non-finite result raise DslEvalError.
-    """
-    append = values.append
-    isfinite = cmath.isfinite
-    for op, a, b in code:
-        if op == _MUL:
-            x = values[a] * values[b]
-        elif op == _ADD:
-            x = values[a] + values[b]
-        elif op == _SUB:
-            x = values[a] - values[b]
-        elif op == _DIV:
-            den = values[b]
-            if den == 0:
-                raise DslEvalError("division by zero")
-            x = values[a] / den
-        elif op == _POW:
-            x = _power(values[a], b)
-        elif op == _CONST:
-            append(a)
-            continue
-        elif op == _CALL:
-            arg = values[a]
-            if b in ("log", "sqrt") and arg == 0:
-                raise DslEvalError(f"{b} of 0")
-            try:
-                x = getattr(cmath, b)(arg)
-            except (ValueError, OverflowError) as exc:
-                raise DslEvalError(f"{b} failed: {exc}") from None
-        else:
-            name = "z" if op == _Z else "zb"
-            if a > len(zs):
-                raise DslEvalError(
-                    f"variable {name}{a} needs at least {a} coordinates, got {len(zs)}"
-                )
-            append(zs[a - 1] if op == _Z else zs[a - 1].conjugate())
-            continue
-        if not isfinite(x):
-            raise DslEvalError("expression evaluated to a non-finite value")
-        append(x)
-    return values
 
 
 def _coords(point) -> list:
@@ -727,6 +672,7 @@ class MetricDefinition:
         self.entries = tuple(grid)
         self._code: list = []
         self._roots = _emit([e for row in grid for e in row], self._code, {})
+        self._schedule = _level_schedule(self._code, self._roots, self.n)
         self._check_formal_hermitian()
 
     # -- structure ---------------------------------------------------------
@@ -800,53 +746,20 @@ class MetricDefinition:
         over w = (z_1..z_n, zb_1..zb_n), from the values of entry_values:
         C-contiguous views, (2n, n, n) and (2n, 2n, n, n), of one array.
 
-        One forward pass of second-order Taylor arithmetic over the
-        instructions, each carrying a (2n + 1, 2n) array: gradient g in row
-        0, Hessian H below.  mul adds the symmetrized outer product of the
-        gradients to the product rule, div solves a = q b for q's parts, and
-        pow, exp, log and sqrt give f'(v) H + f''(v) g g^T.  Failures raise
-        DslEvalError: a power as in _run, a non-finite result as such.
+        Second-order Taylor arithmetic over the instructions, each carrying
+        a (2n + 1, 2n) jet, gradient g in row 0 and Hessian H below, run
+        one level group of the definition's schedule at a time
+        (tape._taylor_jets).  An add/sub chain adds its terms in the
+        chain's own order, one call per position across the group.  mul
+        adds the symmetrized outer product of the gradients to the product
+        rule; div solves a = q b for q's parts; and pow, exp, log and sqrt
+        give f'(v) H + f''(v) g g^T, their factors taken per instruction in
+        Python arithmetic.  The result has the bits of the same rules run
+        one instruction at a time.  Failures raise DslEvalError: a power as
+        in _run, a non-finite result as such.
         """
         n = self.n
         m = 2 * n
-        seeds = np.zeros((m + 1, m + 1, m), dtype=complex)  # constant, then each variable
-        seeds[1:, 0] = np.eye(m)
-        jets: list = []
-        with np.errstate(all="ignore"):
-            for (op, a, b), x in zip(self._code, values):
-                if op <= _ZB:
-                    j = seeds[0 if op == _CONST else a if op == _Z else n + a]
-                elif op == _ADD:
-                    j = jets[a] + jets[b]
-                elif op == _SUB:
-                    j = jets[a] - jets[b]
-                elif op == _MUL:
-                    ja, jb = jets[a], jets[b]
-                    j = values[b] * ja + values[a] * jb
-                    outer = ja[0, :, None] * jb[0]
-                    j[1:] += outer + outer.T
-                elif op == _DIV:  # b dq = da - q db, b ddq = dda - q ddb - (dq db^T + db dq^T)
-                    jb, vb = jets[b], values[b]
-                    j = (jets[a] - x * jb) / vb
-                    outer = j[0, :, None] * jb[0]
-                    j[1:] -= (outer + outer.T) / vb
-                else:
-                    v, ja = values[a], jets[a]
-                    if op == _POW:
-                        f1, f2 = b * _power(v, b - 1), b * ((b - 1) * _power(v, b - 2))
-                    elif b == "exp":
-                        f1 = f2 = x
-                    elif b == "log":
-                        f1 = 1 / v
-                        f2 = -f1 * f1
-                    else:  # sqrt
-                        f1 = 0.5 / x
-                        f2 = -f1 / (2 * v)
-                    j = f1 * ja
-                    j[1:] += f2 * (ja[0, :, None] * ja[0])
-                jets.append(j)
-            out = np.array([jets[r] for r in self._roots])
-            if not np.isfinite(out).all():
-                raise DslEvalError("expression evaluated to a non-finite value")
+        out = _taylor_jets(self._schedule, values)
         out = np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(m + 1, m, n, n)
         return out[0], out[1:]

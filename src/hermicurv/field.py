@@ -179,9 +179,11 @@ def jet_at(metric: MetricDefinition, p) -> MetricJet:
     """Evaluate the metric and all first/second Wirtinger derivatives at p.
 
     Derivatives are exact: the definition runs its entries' instructions
-    once more in second-order Taylor arithmetic.  Raises ValueError if h
-    is not Hermitian (1e-12, relative to its largest entry),
-    InadmissiblePointError if it is not positive definite,
+    once more in second-order Taylor arithmetic, one level group of
+    tape._level_schedule at a time, each sum chain by one add per position,
+    with the bits of one pass per instruction.  Raises
+    ValueError if h is not Hermitian (1e-12, relative to its largest
+    entry), InadmissiblePointError if it is not positive definite,
     SingularMetricError if it is not finite or past the conditioning cap,
     and DslEvalError when an entry or a derivative cannot be evaluated at
     p (for instance hopf at the origin).

@@ -9,7 +9,9 @@ index, with none of the staging of the library's products.  The other
 *_ref functions are the earlier, plainer forms of library routines: one
 element or one direction at a time.  symbolic_jet_ref evaluates the
 symbolic derivative trees of the entries, independently of the library's
-forward-mode jets.
+forward-mode jets, and taylor_jets_ref runs those jets' rules one
+instruction at a time, where the library runs them one level group at a
+time.
 """
 
 import json
@@ -17,11 +19,11 @@ import math
 
 import numpy as np
 
-from hermicurv import dsl
+from hermicurv import dsl, tape
 from hermicurv.connection import induced_real_connection
 from hermicurv.core import ChartPoint, _frame, to_real
 from hermicurv.dsl import MetricDefinition
-from hermicurv.errors import HermicurvError
+from hermicurv.errors import DslEvalError, HermicurvError
 from hermicurv.sectional import Plane
 from hermicurv.field import MetricJet, _as_point, _checked_inverse, jet_at
 
@@ -221,7 +223,7 @@ def symbolic_jet_ref(metric: MetricDefinition, p) -> tuple:
     slots: dict = {}
     h = dsl._emit([e for row in metric.entries for e in row], code, slots)
     d = dsl._emit(jet_roots_ref(metric), code, slots)
-    values = dsl._run(code, np.asarray(p.coords, dtype=complex).tolist(), [])
+    values = tape._run(code, np.asarray(p.coords, dtype=complex).tolist(), [])
     H = np.array([values[i] for i in h]).reshape(n, n)
     # D[a, b, g, j]: j = 0 d/dz^g, 1 d/dzb^g, 2 + 3m + t the second
     # derivatives in the order mixed, holo, anti
@@ -229,6 +231,56 @@ def symbolic_jet_ref(metric: MetricDefinition, p) -> tuple:
     D2 = D[..., 2:].reshape(n, n, n, n, 3)
     return (H, D[..., 0].transpose(2, 0, 1), D[..., 1].transpose(2, 0, 1),
             *(D2[..., t].transpose(2, 3, 0, 1) for t in range(3)))
+
+
+def taylor_jets_ref(metric: MetricDefinition, values: list) -> tuple:
+    """MetricDefinition.entry_jets one instruction at a time: the same
+    second-order Taylor rules, each on one (2n + 1, 2n) jet, with every
+    sum a chain of two-term adds and the unary factors in Python complex
+    arithmetic."""
+    n = metric.n
+    m = 2 * n
+    seeds = np.zeros((m + 1, m + 1, m), dtype=complex)  # constant, then each variable
+    seeds[1:, 0] = np.eye(m)
+    jets: list = []
+    with np.errstate(all="ignore"):
+        for (op, a, b), x in zip(metric._code, values):
+            if op <= tape._ZB:
+                j = seeds[0 if op == tape._CONST else a if op == tape._Z else n + a]
+            elif op == tape._ADD:
+                j = jets[a] + jets[b]
+            elif op == tape._SUB:
+                j = jets[a] - jets[b]
+            elif op == tape._MUL:
+                ja, jb = jets[a], jets[b]
+                j = values[b] * ja + values[a] * jb
+                outer = ja[0, :, None] * jb[0]
+                j[1:] += outer + outer.T
+            elif op == tape._DIV:
+                jb, vb = jets[b], values[b]
+                j = (jets[a] - x * jb) / vb
+                outer = j[0, :, None] * jb[0]
+                j[1:] -= (outer + outer.T) / vb
+            else:
+                v, ja = values[a], jets[a]
+                if op == tape._POW:
+                    f1, f2 = b * tape._power(v, b - 1), b * ((b - 1) * tape._power(v, b - 2))
+                elif b == "exp":
+                    f1 = f2 = x
+                elif b == "log":
+                    f1 = 1 / v
+                    f2 = -f1 * f1
+                else:  # sqrt
+                    f1 = 0.5 / x
+                    f2 = -f1 / (2 * v)
+                j = f1 * ja
+                j[1:] += f2 * (ja[0, :, None] * ja[0])
+            jets.append(j)
+        out = np.array([jets[r] for r in metric._roots])
+        if not np.isfinite(out).all():
+            raise DslEvalError("expression evaluated to a non-finite value")
+    out = np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(m + 1, m, n, n)
+    return out[0], out[1:]
 
 
 def _real_blocks_ref(c: np.ndarray) -> np.ndarray:

@@ -97,6 +97,18 @@ def test_pass_fail_decisions_scale_with_the_tensors(tmp_path, capsys):
         assert code == 0 and rep["ok"] is True, command
 
 
+def test_extremal_gap_scales_with_the_curvature(tmp_path, capsys):
+    # fubini_study times 1e-12 has sectional curvatures near 4e12; its exact
+    # gap is 0, and the searches' rounding at that size is about 1e-3
+    f = tmp_path / "scaled.metric"
+    f.write_text(re.sub(r"= (.*);", r"= 1e-12 * (\1);", catalog_source("fubini_study", 2)))
+    code, rep = run(capsys, "extremal", "--metric", str(f), "--point", "[[0.3,0.1],[-0.2,0.05]]")
+    res = rep["results"][0]
+    assert res["applicable"] is True and res["best_value"] > 1e12
+    assert res["gap_ok"] is True
+    assert code == 0 and rep["ok"] is True
+
+
 def test_extremal_command(capsys):
     code, rep = run(
         capsys,

@@ -40,8 +40,8 @@ RTOL = 1e-12
 BATCHES = [(), (3,), (2, 3)]
 SRC = Path(__file__).resolve().parents[1] / "src" / "hermicurv"
 
-# One small form in h: the Hermitian pairing of core.hermitian_pairing.
-ALLOWED_SPECS = {"ab,a,b->"}
+# No multi-operand einsum is allowed in the package.
+ALLOWED_SPECS: set = set()
 
 
 def _assert_close(new, ref, scale=None):
@@ -175,14 +175,14 @@ def test_guard_sees_multiline_and_unplanned_contractions():
         "np.einsum('ij,jk->ik', a, b, optimize=True)\n"
         "einsum(spec, *ops)\n"
         "np.einsum('ijkl,Bkl->Bij', S, VU)\n"
+        "np.einsum('ab,a,b->', h, x,\n"
+        "          y)\n"
     )
     assert [v.split(": ", 1)[0] for v in contraction_violations(bad)] == [
-        "<src>:1", "<src>:5", "<src>:6", "<src>:7"
+        "<src>:1", "<src>:5", "<src>:6", "<src>:7", "<src>:8"
     ]
     good = (
         "np.einsum('ij,jk->ik', a, b)\n"
-        "np.einsum('ab,a,b->', h, x,\n"
-        "          y)\n"
         "np.einsum('la,gmbl->abgm', Hi, d2h)\n"
         "x @ y\n"
     )

@@ -71,6 +71,14 @@ def test_real_curvature_symmetries_and_bianchi():
         assert np.abs(bianchi).max() < 1e-10 * scale
 
 
+@pytest.mark.parametrize("name", ["fubini_study", "poincare_ball", "hopf", "nk_diag"])
+def test_real_curvature_is_antisymmetric_in_k_l_bit_for_bit(name):
+    m = catalog_metric(name, 3)
+    for p in sample_admissible_points(m, 2, seed=12):
+        _, _, r = _geometry(name, 3, p.coords)
+        assert (r == -r.transpose(0, 1, 3, 2)).all()
+
+
 def test_complexified_tensor_keeps_pair_symmetries():
     _, _, rc = _geometry("hopf", 2, [0.9 + 0.2j, 0.5 - 0.4j])
     t = complexify_curvature(rc).tensor

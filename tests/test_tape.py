@@ -6,7 +6,9 @@ library's evaluator, run over the symbolic derivative trees
 (oracles.symbolic_jet_ref), must give the same bits, raise the same
 errors, and keep cmath's branch cuts and signed zeros.  The library's
 jets come from forward-mode Taylor arithmetic instead, and must agree
-with the symbolic route to rounding.
+with the symbolic route to rounding.  They run one level group at a
+time, and must give the bits and errors of the same rules run one
+instruction at a time (oracles.taylor_jets_ref).
 """
 
 import cmath
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 
 import hermicurv.dsl as dsl
+import hermicurv.tape as tape
 from hermicurv import DslEvalError, catalog_metric, geometry_at
 from hermicurv.dsl import parse_expression
 from hermicurv.field import CATALOG_NAMES, jet_at, sample_admissible_points
-from oracles import symbolic_jet_ref
+from oracles import symbolic_jet_ref, taylor_jets_ref
 from test_dsl import _random_expression
 
 
@@ -172,6 +175,147 @@ def test_tape_equals_the_derivative_route(name, n):
     assert metric._code == code
 
 
+def _jets_equal_the_per_instruction_loop(metric, z):
+    values = metric.entry_values(z)[0]
+    got, want = metric.entry_jets(values), taylor_jets_ref(metric, values)
+    return all(same_bits(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_scheduled_jets_equal_the_per_instruction_loop(name, n):
+    metric = catalog_metric(name, n)
+    for p in sample_admissible_points(metric, 3, seed=61):
+        assert _jets_equal_the_per_instruction_loop(metric, p.coords.tolist())
+
+
+def _with_functions(rng, n):
+    """A random expression with log and sqrt of shifted subexpressions."""
+    a, b = _random_expression(rng, n, 2), _random_expression(rng, n, 3)
+    fn = str(rng.choice(["log", "sqrt"]))
+    shifted = dsl.call(fn, dsl.add(dsl.const(3.0), dsl.mul(dsl.const(0.1), a)))
+    return dsl.sub(dsl.mul(shifted, b), dsl.pow_(shifted, int(rng.integers(-2, 3)) or 3))
+
+
+def test_random_expression_jets_equal_the_per_instruction_loop():
+    rng = np.random.default_rng(406)
+    for k in range(300):
+        e = _random_expression(rng, 2, depth=4) if k % 2 else _with_functions(rng, 2)
+        metric = dsl.MetricDefinition(2, {(0, 1): e})
+        z = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        assert _jets_equal_the_per_instruction_loop(metric, z.tolist())
+
+
+def _signed_sum(rng, terms):
+    expr = terms[0]
+    for t in terms[1:]:
+        expr = (dsl.add if rng.random() < 0.5 else dsl.sub)(expr, t)
+    return expr
+
+
+@pytest.mark.parametrize("length", [3, 9, 40, 1500])
+def test_long_signed_sums_equal_the_per_instruction_loop(length):
+    # a chain adds one position at a time across its group, which must
+    # give the bits of one add per term
+    rng = np.random.default_rng(length)
+    pool = [_random_expression(rng, 2, 2) for _ in range(7)]
+    # the synthesized lower entry is a second chain of the same signs
+    entry = _signed_sum(rng, [pool[int(i)] for i in rng.integers(0, 7, length)])
+    metric = dsl.MetricDefinition(2, {(0, 1): entry})
+    z = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    assert _jets_equal_the_per_instruction_loop(metric, z.tolist())
+
+
+def _check_schedule(metric):
+    """Each non-leaf instruction is computed once, by the rule of its
+    opcode, from rows that leaves or earlier groups filled, and every
+    scalar a group reads is the one its rule needs."""
+    code, n = metric._code, metric.n
+    schedule = metric._schedule
+    order = schedule.order
+    row = {i: r for r, i in enumerate(order)}
+    assert len(row) == len(order)
+    assert list(schedule.roots) == [row[r] for r in metric._roots]
+    assert schedule.unary == [(i, *ins) for i, ins in enumerate(code) if ins[0] >= tape._POW]
+    factor = {ins[0]: len(code) + 2 * u for u, ins in enumerate(schedule.unary)}
+    ready = len(schedule.leaf_jets)
+    for i, jet in zip(order[:ready], schedule.leaf_jets):
+        op, a, _ = code[i]
+        assert op <= tape._ZB
+        want = np.zeros((2 * n + 1, 2 * n))
+        if op != tape._CONST:
+            want[0, a - 1 if op == tape._Z else n + a - 1] = 1
+        assert (jet == want).all()
+    computed = order[:ready]
+    for rule, start, stop, jets, aux in schedule.groups:
+        assert start == ready and stop > start
+        assert jets.min() >= 0 and jets.max() < start
+        outs, ready = order[start:stop], stop
+        if rule is tape._sum_rule:
+            k, L = jets.shape
+            assert stop - start == k and len(aux) == L - 1
+            for c in range(k):
+                # walk the chain back from its last instruction
+                i = outs[c]
+                for s in range(L - 1, 0, -1):
+                    op, a, b = code[i]
+                    assert aux[s - 1] is (np.subtract if op == tape._SUB else np.add)
+                    assert op in (tape._ADD, tape._SUB) and row[b] == jets[c, s]
+                    computed.append(i)
+                    i = a
+                assert row[i] == jets[c, 0]
+            continue
+        computed += outs
+        for t, i in enumerate(outs):
+            op, a, b = code[i]
+            if rule is tape._unary_rule:
+                assert op in (tape._POW, tape._CALL) and row[a] == jets[t]
+                assert list(aux[:, t]) == [factor[i], factor[i] + 1]
+            else:
+                assert rule in (tape._mul_rule, tape._div_rule)
+                assert op == (tape._MUL if rule is tape._mul_rule else tape._DIV)
+                assert (row[a], row[b]) == (jets[0, t], jets[1, t])
+                assert list(aux[:, t]) == ([b, a] if rule is tape._mul_rule else [i, b])
+    assert ready == len(order) and sorted(computed) == list(range(len(code)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_schedule_covers_each_instruction_once_from_earlier_groups(name, n):
+    _check_schedule(catalog_metric(name, n))
+
+
+def test_random_schedules_cover_each_instruction_once_from_earlier_groups():
+    rng = np.random.default_rng(407)
+    for k in range(100):
+        e = _random_expression(rng, 2, depth=4) if k % 2 else _with_functions(rng, 2)
+        _check_schedule(dsl.MetricDefinition(2, {(0, 1): e}))
+
+
+def test_schedule_groups_the_catalog_by_level():
+    # fubini_study n=4 has 63 non-leaf instructions in 6 groups
+    metric = catalog_metric("fubini_study", 4)
+    schedule = metric._schedule
+    assert len(metric._code) - len(schedule.leaf_jets) == 63
+    assert [g[0] for g in schedule.groups] == [
+        tape._mul_rule, tape._sum_rule, tape._div_rule, tape._unary_rule, tape._div_rule,
+        tape._sum_rule]
+
+
+@pytest.mark.parametrize("src, z", [
+    ("1 + 1e-300 * z1^-1", 1e-160 + 0j), ("1 + 1e-300 * exp(1000 * z1 * zb1)", 0.8366600265340756 + 0j),
+    ("2 + sqrt(z1*zb1)^1" + "0" * 160, 1 + 0j),
+])
+def test_jet_errors_match_the_per_instruction_loop(src, z):
+    metric = dsl.MetricDefinition(1, {(0, 0): parse_expression(src, 1)})
+    values = metric.entry_values([z])[0]
+    with pytest.raises(DslEvalError) as want:
+        taylor_jets_ref(metric, values)
+    with pytest.raises(DslEvalError) as got:
+        metric.entry_jets(values)
+    assert str(got.value) == str(want.value)
+
+
 def _off_diagonal_jets_match(expr, z):
     """Whether the jets of h[1,2] = expr match its symbolic derivatives at z."""
     metric = dsl.MetricDefinition(2, {(0, 1): expr})
@@ -181,7 +325,7 @@ def _off_diagonal_jets_match(expr, z):
     trees += [metric.derivative(0, 1, [op, other]) for op in ops for other in ops]
     code: list = []
     slots = dsl._emit(trees, code, {})
-    values = dsl._run(code, z, [])
+    values = tape._run(code, z, [])
     want = np.array([values[i] for i in slots])
     return close(dh[:, 0, 1], want[:4]) and close(d2h[:, :, 0, 1], want[4:].reshape(4, 4))
 
@@ -254,6 +398,13 @@ def test_error_paths_match_the_reference(src, z):
     with pytest.raises(DslEvalError) as got:
         dsl.evaluate(e, np.array([z]))
     assert str(got.value) == str(want.value)
+
+
+def test_variable_past_the_dimension_fails_in_the_value_pass():
+    # the definition builds; its jet never runs, since the value fails first
+    metric = dsl.MetricDefinition(1, {(0, 0): parse_expression("2 + z3*zb3")})
+    with pytest.raises(DslEvalError, match="variable z3 needs at least 3 coordinates, got 1"):
+        jet_at(metric, [0.1 + 0j])
 
 
 def test_too_few_coordinates():
