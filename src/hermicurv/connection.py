@@ -81,11 +81,9 @@ def chern_coeffs(jet: MetricJet) -> np.ndarray:
 
 
 def complexified_christoffel(jet: MetricJet) -> ComplexifiedChristoffel:
-    Hi, n = jet.h_inv, jet.n
-    dz, dzb = jet.dh[:n], jet.dh[n:]
-    gamma_hh = 0.5 * (
-        np.einsum("la,gbl->abg", Hi, dz) + np.einsum("la,bgl->abg", Hi, dz)
-    )
+    Hi, dzb = jet.h_inv, jet.dh[jet.n:]
+    c = chern_coeffs(jet)
+    gamma_hh = 0.5 * (c + c.transpose(0, 2, 1))
     gamma_hb = 0.5 * (
         np.einsum("la,bgl->abg", Hi, dzb) - np.einsum("la,lgb->abg", Hi, dzb)
     )
@@ -96,7 +94,7 @@ def real_christoffel(rjet: RealMetricJet) -> RealChristoffel:
     # brackets[j, k, s] = (dg_js/dx^k + dg_ks/dx^j - dg_jk/dx^s) / 2,
     # remembering dg's leading axis is the derivative direction
     dg = rjet.dg
-    brackets = 0.5 * (np.einsum("kjs->jks", dg) + dg - np.einsum("sjk->jks", dg))
+    brackets = 0.5 * (dg.transpose(1, 0, 2) + dg - dg.transpose(1, 2, 0))
     gamma = np.einsum("ks,ijs->ijk", rjet.g_inv, brackets)
     return RealChristoffel(brackets, gamma)
 

@@ -122,7 +122,7 @@ def complexified_11_direct(jet: MetricJet) -> np.ndarray:
     Hi, n = jet.h_inv, jet.n
     dz, dzb, d2m = jet.dh[:n], jet.dh[n:], jet.d2h[:n, n:]
 
-    term1 = -0.5 * (np.einsum("mbav->abmv", d2m) + np.einsum("avmb->abmv", d2m))
+    term1 = -0.5 * (d2m.transpose(2, 1, 0, 3) + d2m.transpose(0, 3, 2, 1))
 
     # each product contracts h_inv into its first factor, then the pair
     S1 = dz + dz.transpose(1, 0, 2)

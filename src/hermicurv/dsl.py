@@ -686,7 +686,9 @@ class MetricDefinition:
 
         Only pairs where both triangles were written explicitly (and
         explicit diagonal entries) can disagree; synthesized entries are
-        Hermitian by construction.
+        Hermitian by construction.  The definition's tape runs once per
+        point; a point where any entry fails to evaluate is skipped for
+        every pair.
         """
         suspects = []
         for a in range(self.n):
@@ -699,15 +701,16 @@ class MetricDefinition:
             return
         rng = np.random.default_rng(1234591)
         pts = 0.45 + 0.55 * rng.random((4, self.n)) + 1j * (0.3 + 0.5 * rng.random((4, self.n)))
+        runs = []
+        for z in pts.tolist():
+            try:
+                runs.append(_run(self._code, z, []))
+            except DslEvalError:
+                continue
+        roots, n = self._roots, self.n
         for a, b in suspects:
-            code: list = []
-            lhs, rhs = _emit([self.entries[a][b], conjugate_node(self.entries[b][a])], code, {})
-            for z in pts.tolist():
-                try:
-                    values = _run(code, z, [])
-                except DslEvalError:
-                    continue
-                va, vb = values[lhs], values[rhs]
+            for values in runs:
+                va, vb = values[roots[a * n + b]], values[roots[b * n + a]].conjugate()
                 if abs(va - vb) > 1e-9 * max(1.0, abs(va), abs(vb)):
                     raise DslError(
                         f"entries ({a + 1},{b + 1}) and ({b + 1},{a + 1}) are not "

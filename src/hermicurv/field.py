@@ -26,6 +26,8 @@ in the coordinate frame is the block matrix
 and its x-derivatives come from the chain rule of the frame in core
 (core._chain) along each derivative axis of dh and d2h:
 d/dx^a = d/dz^a + d/dzbar^a, d/dx^{n+a} = i(d/dz^a - d/dzbar^a).
+The real jet keeps the Wirtinger jet's slice order (value, first
+derivatives, second derivatives row by row) in one real array.
 """
 
 from __future__ import annotations
@@ -139,7 +141,10 @@ class RealMetricJet:
     """g = Re h with first and second coordinate derivatives.
 
     g is 2n x 2n; dg[k, i, j] = dg_ij/dx^k; d2g[k, l, i, j] is the second
-    derivative.  g_inv is kept alongside because every consumer needs it.
+    derivative.  g, dg and d2g are C-contiguous views of one real array
+    that holds g, then dg[k], then d2g[k, l] row by row, the order of the
+    Wirtinger jet.  g_inv = inv(g) is kept alongside for the second-kind
+    Christoffel symbols and real_curvature.
     """
 
     point: ChartPoint
@@ -201,9 +206,11 @@ def jet_at(metric: MetricDefinition, p) -> MetricJet:
 def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     """Assemble g = Re h and its x-derivatives from a Wirtinger jet.
 
-    Every intermediate complex matrix is Hermitian in exact arithmetic;
-    that is checked (1e-10, relative) before the imaginary leakage is
-    dropped by the block split.
+    The slices run in the Wirtinger jet's order: H, then dH[k], then
+    d2H[k, l] row by row.  Every one is Hermitian in exact arithmetic;
+    that is checked (1e-10, relative), naming the first failing slice,
+    before the imaginary leakage is dropped by the block split into one
+    real array of shape (1 + 2n + 4n^2, 2n, 2n).
     """
     n = jet.n
     m = 2 * n
@@ -212,33 +219,26 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     # chain runs over the second derivative index, the outer over the first
     dH = _chain(jet.dh, 0)
     d2H = _chain(_chain(jet.d2h, 1), 0)
+    stack = np.concatenate([jet.h[None], dH, d2H.reshape(m * m, n, n)])
 
-    # stack[0] = H; stack[1 + k(1 + m)] = dH[k]; stack[2 + k(1 + m) + l] = d2H[k, l]
-    per_k = np.concatenate([dH[:, None], d2H], axis=1)
-    stack = np.concatenate([jet.h[None], per_k.reshape(m * (1 + m), n, n)])
-
-    # one check over every slice; the first failing one, in the order
-    # H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., is the one reported
     scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
     defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     bad = np.flatnonzero(defect > 1e-10 * scale)
     if bad.size:
-        i = int(bad[0])
-        k, l = divmod(i - 1, 1 + m)
-        what = ("metric value" if i == 0 else f"first derivative slice {k}" if l == 0
-                else f"second derivative slice ({k},{l - 1})")
+        i = int(bad[0]) - 1
+        what = ("metric value" if i < 0 else f"first derivative slice {i}" if i < m
+                else f"second derivative slice ({(i - m) // m},{(i - m) % m})")
         raise HermicurvError(f"{what} lost Hermitian symmetry; metric entries are inconsistent")
 
     # [[Re M, Im M], [-Im M, Re M]] for every slice M at once
-    re, im = stack.real, stack.imag
-    blocks = np.concatenate(
-        [np.concatenate([re, im], axis=-1), np.concatenate([-im, re], axis=-1)], axis=-2
-    )
-    g = blocks[0]
-    per_k = blocks[1:].reshape(m, 1 + m, m, m)
-    dg = np.ascontiguousarray(per_k[:, 0])
-    d2g = np.ascontiguousarray(per_k[:, 1:])
-    return RealMetricJet(jet.point, g, np.linalg.inv(g), dg, d2g)
+    real = np.empty((len(stack), m, m))
+    real[:, :n, :n] = stack.real
+    real[:, :n, n:] = stack.imag
+    np.negative(stack.imag, out=real[:, n:, :n])
+    real[:, n:, n:] = stack.real
+    g = real[0]
+    return RealMetricJet(jet.point, g, np.linalg.inv(g), real[1:1 + m],
+                         real[1 + m:].reshape(m, m, m, m))
 
 
 def real_jet_at(metric: MetricDefinition, p) -> RealMetricJet:

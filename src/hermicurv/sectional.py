@@ -22,6 +22,7 @@ vanish depends on whether the metric is Kahler, so the caller interprets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,16 @@ def _real_quantity(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that puts its largest real or imaginary
+    part in [0.5, 1).  The scaling is exact, subnormal parts included, so
+    the rescaling-invariant quantities keep their bits on ordinary vectors
+    and no form or Gram underflows or overflows; zero stays zero."""
+    parts = np.ascontiguousarray(x).view(float)
+    top = max(map(abs, parts.tolist()), default=0.0)
+    return np.ldexp(parts, -math.frexp(top)[1]).view(x.dtype)
+
+
 def _gram(aa: float, bb: float, ab: float) -> float:
     """aa bb - ab^2 from the inner products of two vectors; raises when
     they are (numerically) linearly dependent."""
@@ -125,8 +136,8 @@ def plane_gram(g: np.ndarray, u, v) -> float:
 
 def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:
     """K(u, v) from the Riemannian curvature r[i, j, k, l]."""
-    u = _real_comps(plane.u)
-    v = _real_comps(plane.v)
+    u = _unit_scaled(_real_comps(plane.u))
+    v = _unit_scaled(_real_comps(plane.v))
     gram = plane_gram(rjet.g, u, v)
     return float(_form(r, u, v, v, u)) / gram
 
@@ -144,8 +155,8 @@ def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
     """K_D(u, v); symmetric in u and v, invariant under re-spanning."""
-    xi = to_holomorphic(plane.u)
-    eta = to_holomorphic(plane.v)
+    xi = to_holomorphic(_unit_scaled(_real_comps(plane.u)))
+    eta = to_holomorphic(_unit_scaled(_real_comps(plane.v)))
     denom = _gram(hermitian_pairing(h, xi, xi).real, hermitian_pairing(h, eta, eta).real,
                   hermitian_pairing(h, xi, eta).real)
     return chern_quadratic_form(kr, xi, eta) / denom
@@ -158,8 +169,8 @@ def holo_sectional(kr: np.ndarray, h, xi) -> float:
 
 def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     """B(xi, eta); B(xi, xi) recovers H(xi)."""
-    x = _holo_comps(xi)
-    e = _holo_comps(eta)
+    x = _unit_scaled(_holo_comps(xi))
+    e = _unit_scaled(_holo_comps(eta))
     if not np.any(x) or not np.any(e):
         raise ValueError("bisectional curvature of a zero vector")
     nx = hermitian_pairing(h, x, x).real

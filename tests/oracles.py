@@ -11,7 +11,8 @@ element or one direction at a time.  symbolic_jet_ref evaluates the
 symbolic derivative trees of the entries, independently of the library's
 forward-mode jets, and taylor_jets_ref runs those jets' rules one
 instruction at a time, where the library runs them one level group at a
-time.
+time.  real_jet_ref builds the real jet in the earlier interleaved slice
+order.
 """
 
 import json
@@ -21,11 +22,11 @@ import numpy as np
 
 from hermicurv import dsl, tape
 from hermicurv.connection import induced_real_connection
-from hermicurv.core import ChartPoint, _frame, to_real
+from hermicurv.core import ChartPoint, _chain, _frame, to_real
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import DslEvalError, HermicurvError
 from hermicurv.sectional import Plane
-from hermicurv.field import MetricJet, _as_point, _checked_inverse, jet_at
+from hermicurv.field import MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at
 
 
 def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> MetricJet:
@@ -281,6 +282,46 @@ def taylor_jets_ref(metric: MetricDefinition, values: list) -> tuple:
             raise DslEvalError("expression evaluated to a non-finite value")
     out = np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(m + 1, m, n, n)
     return out[0], out[1:]
+
+
+def real_jet_ref(jet: MetricJet) -> RealMetricJet:
+    """field.real_jet_from_complex in its interleaved form: the slices in
+    the order H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., the real blocks
+    glued by concatenation and dg and d2g copied out of them."""
+    n = jet.n
+    m = 2 * n
+
+    # d/dx^k is P^T along each derivative axis (core._chain); the inner
+    # chain runs over the second derivative index, the outer over the first
+    dH = _chain(jet.dh, 0)
+    d2H = _chain(_chain(jet.d2h, 1), 0)
+
+    # stack[0] = H; stack[1 + k(1 + m)] = dH[k]; stack[2 + k(1 + m) + l] = d2H[k, l]
+    per_k = np.concatenate([dH[:, None], d2H], axis=1)
+    stack = np.concatenate([jet.h[None], per_k.reshape(m * (1 + m), n, n)])
+
+    # one check over every slice; the first failing one, in the order
+    # H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., is the one reported
+    scale = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    defect = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(defect > 1e-10 * scale)
+    if bad.size:
+        i = int(bad[0])
+        k, l = divmod(i - 1, 1 + m)
+        what = ("metric value" if i == 0 else f"first derivative slice {k}" if l == 0
+                else f"second derivative slice ({k},{l - 1})")
+        raise HermicurvError(f"{what} lost Hermitian symmetry; metric entries are inconsistent")
+
+    # [[Re M, Im M], [-Im M, Re M]] for every slice M at once
+    re, im = stack.real, stack.imag
+    blocks = np.concatenate(
+        [np.concatenate([re, im], axis=-1), np.concatenate([-im, re], axis=-1)], axis=-2
+    )
+    g = blocks[0]
+    per_k = blocks[1:].reshape(m, 1 + m, m, m)
+    dg = np.ascontiguousarray(per_k[:, 0])
+    d2g = np.ascontiguousarray(per_k[:, 1:])
+    return RealMetricJet(jet.point, g, np.linalg.inv(g), dg, d2g)
 
 
 def _real_blocks_ref(c: np.ndarray) -> np.ndarray:

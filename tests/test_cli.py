@@ -61,6 +61,19 @@ def test_sectional_command(capsys):
     assert vals["B_uv"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_sectional_command_on_tiny_and_huge_spans(capsys, scale):
+    u, v = (scale * np.eye(4)[:2]).tolist()
+    code, rep = run(capsys, "sectional", "--metric", "fubini_study", "--point", "[[0,0],[0,0]]",
+                    "--plane", json.dumps({"u": u, "v": v}))
+    assert code == 0
+    vals = rep["results"][0]["planes"][0]
+    assert vals["K"] == pytest.approx(1.0)
+    assert vals["K_D"] == pytest.approx(1.0)
+    assert vals["H_u"] == pytest.approx(2.0)
+    assert vals["B_uv"] == pytest.approx(1.0)
+
+
 def test_identities_command_on_nk_diag(capsys):
     code, rep = run(capsys, "identities", "--metric", "nk_diag", "--point", NK_POINT)
     assert code == 0

@@ -136,9 +136,10 @@ def _reads_batched_four_slot(spec: str) -> bool:
 
 def contraction_violations(source: str, filename: str = "<src>") -> list:
     """Every optimize= keyword, every einsum call with three or more
-    operands whose subscripts are not in ALLOWED_SPECS, and every einsum
-    that reads a four-index tensor together with a batch of vectors,
-    which must go through sectional._slot_pair."""
+    operands whose subscripts are not in ALLOWED_SPECS, every einsum
+    with one operand, which is a transpose and must be written as one, and
+    every einsum that reads a four-index tensor together with a batch of
+    vectors, which must go through sectional._slot_pair."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         if not isinstance(node, ast.Call):
@@ -154,6 +155,8 @@ def contraction_violations(source: str, filename: str = "<src>") -> list:
         starred = any(isinstance(a, ast.Starred) for a in node.args)
         if (starred or len(node.args) >= 4) and spec not in ALLOWED_SPECS:
             found.append(f"{where}: einsum {spec!r} with {len(node.args) - 1} operands")
+        elif len(node.args) == 2 and not starred:
+            found.append(f"{where}: einsum {spec!r} with one operand is a transpose")
         elif isinstance(spec, str) and _reads_batched_four_slot(spec):
             found.append(f"{where}: einsum {spec!r} bypasses _slot_pair")
     return found
@@ -177,9 +180,10 @@ def test_guard_sees_multiline_and_unplanned_contractions():
         "np.einsum('ijkl,Bkl->Bij', S, VU)\n"
         "np.einsum('ab,a,b->', h, x,\n"
         "          y)\n"
+        "np.einsum('kjs->jks', dg)\n"
     )
     assert [v.split(": ", 1)[0] for v in contraction_violations(bad)] == [
-        "<src>:1", "<src>:5", "<src>:6", "<src>:7", "<src>:8"
+        "<src>:1", "<src>:5", "<src>:6", "<src>:7", "<src>:8", "<src>:10"
     ]
     good = (
         "np.einsum('ij,jk->ik', a, b)\n"

@@ -286,6 +286,15 @@ def test_formally_non_hermitian_metric_rejected():
         parse_metric("dim 1;\nh[1,1] = 1 + i;")
 
 
+def test_formal_hermitian_check_conjugates_entry_values():
+    # conjugate entries written through exp, log and sqrt pass
+    parse_metric("dim 2;\nh[1,2] = log(z1)*sqrt(z2);\nh[2,1] = log(zb1)*sqrt(zb2);\n"
+                 "h[1,1] = exp(z1*zb1);\n")
+    # with two inconsistent pairs, the first in row order is named
+    with pytest.raises(DslError, match=r"entries \(1,3\) and \(3,1\)"):
+        parse_metric("dim 3;\nh[2,3] = z1;\nh[3,2] = z1;\nh[1,3] = z2;\nh[3,1] = z2;\n")
+
+
 def test_derivative_cache_returns_identical_nodes():
     m = parse_metric(FS_1D)
     d1 = m.derivative(0, 0, (("z", 1),))

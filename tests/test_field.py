@@ -26,7 +26,7 @@ from hermicurv.field import (
     real_jet_from_complex,
     sample_admissible_points,
 )
-from oracles import fd_oracle_jet
+from oracles import fd_oracle_jet, real_jet_ref
 
 ORIGIN1 = np.array([0.0 + 0j])
 
@@ -214,6 +214,42 @@ def test_real_jet_names_first_non_hermitian_slice(field, index, what):
     with pytest.raises(HermicurvError) as exc:
         real_jet_from_complex(broken)
     assert str(exc.value) == f"{what} lost Hermitian symmetry; metric entries are inconsistent"
+
+
+def test_real_jet_names_first_slice_in_jet_order():
+    # the bump reaches dH[1] and d2H[0, 1]; the first derivatives come first
+    jet = jet_at(catalog_metric("fubini_study", 2), np.array([0.1 + 0.2j, -0.3j]))
+    bump = np.array([[0.0, 1e-3], [0.0, 0.0]])
+    dh, d2h = jet.dh.copy(), jet.d2h.copy()
+    dh[3] += bump
+    d2h[0, 3] += bump
+    with pytest.raises(HermicurvError) as exc:
+        real_jet_from_complex(replace(jet, dh=dh, d2h=d2h))
+    assert str(exc.value) == ("first derivative slice 1 lost Hermitian symmetry; "
+                              "metric entries are inconsistent")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_real_jet_matches_interleaved_reference_bit_for_bit(name, n):
+    metric = catalog_metric(name, n)
+    for p in sample_admissible_points(metric, 2, seed=n):
+        jet = jet_at(metric, p)
+        new, ref = real_jet_from_complex(jet), real_jet_ref(jet)
+        for field in ("g", "g_inv", "dg", "d2g"):
+            a, b = getattr(new, field), getattr(ref, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def test_real_jet_blocks_are_views_of_one_array():
+    rjet = real_jet_at(catalog_metric("hopf", 3), np.array([0.3 + 0.1j, -0.4j, 0.2]))
+    base = rjet.g.base
+    assert base is not None and base.flags.c_contiguous
+    m = 6
+    assert base.shape == (1 + m + m * m, m, m)
+    for arr in (rjet.g, rjet.dg, rjet.d2g):
+        assert arr.base is base and arr.flags.c_contiguous
+    assert np.shares_memory(rjet.g, base[0]) and np.shares_memory(rjet.d2g, base[-1])
 
 
 def test_catalog_argument_errors():

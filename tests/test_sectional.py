@@ -54,6 +54,20 @@ def test_zero_vector_rejected(geom):
         holo_sectional(g.kr, g.jet.h, np.zeros(1, dtype=complex))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-310, 1e200])
+def test_scalar_curvatures_of_tiny_and_huge_spans(geom, scale):
+    # an orthogonal plane whose Gram determinant and norms underflow or
+    # overflow as floats; every quantity is invariant under rescaling
+    g = geom("fubini_study", [0j, 0j])
+    u, v = scale * np.eye(4)[:2]
+    xi, eta = to_holomorphic(u), to_holomorphic(v)
+    assert riemann_sectional(g.rc, g.rjet, Plane(u, v)) == pytest.approx(1.0)
+    assert chern_sectional(g.kr, g.jet.h, Plane(u, v)) == pytest.approx(1.0)
+    assert holo_sectional(g.kr, g.jet.h, xi) == pytest.approx(2.0)
+    assert holo_bisectional(g.kr, g.jet.h, xi, eta) == pytest.approx(1.0)
+    assert holo_bisectional(g.kr, g.jet.h, 1j * xi, eta) == pytest.approx(1.0)
+
+
 def test_sectional_is_basis_independent(geom):
     rng = np.random.default_rng(17)
     g = geom("hopf", [0.7 + 0.2j, -0.4 + 0.5j])
