@@ -24,13 +24,15 @@ derivative trees stay semantically transparent.
 Evaluation goes through a tape (module tape): the unique nodes under
 some roots, in the order a left-to-right, children-first walk first
 reaches them, as a list of instructions run on plain Python complex
-scalars.  Each MetricDefinition compiles the tape of its entries once,
-with nodes hash-consed per definition (keyed by kind, value and the
+scalars.  Each MetricDefinition compiles the tape of its upper triangle
+once, hash-consing nodes per definition (keyed by kind, value and the
 identities of the children), so equal subtrees are evaluated once.  The
 same instructions, run forward in second-order Taylor arithmetic one
-level group at a time, give the entries' exact first and second
-derivatives without derivative trees; symbolic derivatives, memoized per
-(node, kind, index), remain for callers that want the expressions.
+level group at a time, give those entries' exact first and second
+derivatives without derivative trees.  The lower triangle is their
+conjugate and is never evaluated; stated lower entries give values only.
+Symbolic derivatives, memoized per (node, kind, index), remain for
+callers that want the expressions.
 Every walk over an expression uses an explicit stack, so expression
 depth is bounded by memory, not by the interpreter's recursion limit.
 """
@@ -651,16 +653,23 @@ class MetricDefinition:
     entries is an n x n grid of ASTs; positions never written in the
     source default to the Kronecker delta, and an omitted lower triangle
     mirrors the upper one through the formal conjugate transpose.
+
+    The tape's roots are the entries a <= b, row by row; below the
+    diagonal, entry_values and entry_jets conjugate them over the variables
+    w' = w with z and zb swapped (dh[w, b, a] = conj dh[w', a, b]).  A
+    diagonal entry keeps the jets the tape computes.  Stated lower entries
+    follow the upper prefix on the tape and give values only, written into
+    H for the value check of field.jet_at.
     """
 
     def __init__(self, n: int, explicit: dict):
-        self.n = int(n)
+        self.n = n = int(n)
         self.explicit = frozenset(explicit)
         self._graph = _Graph()
         grid = []
-        for a in range(self.n):
+        for a in range(n):
             row = []
-            for b in range(self.n):
+            for b in range(n):
                 if (a, b) in explicit:
                     node = explicit[(a, b)]
                 elif a > b and (b, a) in explicit:
@@ -670,10 +679,22 @@ class MetricDefinition:
                 row.append(self._graph.adopt(node))
             grid.append(tuple(row))
         self.entries = tuple(grid)
-        self._code: list = []
-        self._roots = _emit([e for row in grid for e in row], self._code, {})
-        self._schedule = _level_schedule(self._code, self._roots, self.n)
-        self._check_formal_hermitian()
+        upper = [(a, b) for a in range(n) for b in range(a, n)]
+        lower = [(a, b) for a in range(n) for b in range(a) if (a, b) in explicit]
+        self._code, slots = [], {}
+        self._roots = _emit([grid[a][b] for a, b in upper], self._code, slots)
+        self._schedule = _level_schedule(self._code, self._roots, n)
+        self._scheduled = len(self._code)
+        self._lower = dict(zip(lower, _emit([grid[a][b] for a, b in lower], self._code, slots)))
+        # entry (a, b) reads root (min, max); below the diagonal, conjugated
+        index = {p: r for r, p in enumerate(upper)}
+        src = np.array([[index[min(a, b), max(a, b)] for b in range(n)] for a in range(n)])
+        m, w = 2 * n, np.r_[n:2 * n, :n]  # w: the half swap
+        jet = np.arange((m + 1) * m).reshape(m + 1, m, 1, 1)
+        self._sign = 1.0 - 2 * np.tri(n, k=-1)
+        self._fill = src * jet.size + np.where(self._sign < 0, jet[np.r_[0, 1 + w]][:, w], jet)
+        self._slots = [self._roots[r] for r in src.flat]
+        self._check_formal_hermitian(upper)
 
     # -- structure ---------------------------------------------------------
 
@@ -681,22 +702,17 @@ class MetricDefinition:
         """AST of h_{a b-bar}, 0-based indices."""
         return self.entries[a][b]
 
-    def _check_formal_hermitian(self):
+    def _check_formal_hermitian(self, upper: list):
         """Spot-check h_{a b-bar} = conj(h_{b a-bar}) at a few sample points.
 
-        Only pairs where both triangles were written explicitly (and
-        explicit diagonal entries) can disagree; synthesized entries are
-        Hermitian by construction.  The definition's tape runs once per
-        point; a point where any entry fails to evaluate is skipped for
-        every pair.
+        Only the pairs (a, b) of upper whose both triangles were written
+        explicitly (and explicit diagonal entries) can disagree; synthesized
+        entries are Hermitian by construction.  The entry matrix is
+        evaluated once per point; a point where any entry fails to evaluate
+        is skipped for every pair.
         """
-        suspects = []
-        for a in range(self.n):
-            for b in range(a, self.n):
-                if a == b and (a, a) in self.explicit:
-                    suspects.append((a, a))
-                elif a != b and (a, b) in self.explicit and (b, a) in self.explicit:
-                    suspects.append((a, b))
+        suspects = [(a, b) for a, b in upper
+                    if (a, b) in self.explicit and (a == b or (b, a) in self._lower)]
         if not suspects:
             return
         rng = np.random.default_rng(1234591)
@@ -704,13 +720,12 @@ class MetricDefinition:
         runs = []
         for z in pts.tolist():
             try:
-                runs.append(_run(self._code, z, []))
+                runs.append(self.entry_values(z)[1].tolist())
             except DslEvalError:
                 continue
-        roots, n = self._roots, self.n
         for a, b in suspects:
-            for values in runs:
-                va, vb = values[roots[a * n + b]], values[roots[b * n + a]].conjugate()
+            for H in runs:
+                va, vb = H[a][b], H[b][a].conjugate()
                 if abs(va - vb) > 1e-9 * max(1.0, abs(va), abs(vb)):
                     raise DslError(
                         f"entries ({a + 1},{b + 1}) and ({b + 1},{a + 1}) are not "
@@ -741,28 +756,23 @@ class MetricDefinition:
     def entry_values(self, zs: list) -> tuple:
         """All instruction values at the coordinates zs, and the entry matrix."""
         values = _run(self._code, zs, [])
-        H = np.array([values[r] for r in self._roots], dtype=complex)
-        return values, H.reshape(self.n, self.n)
+        H = np.array([values[i] for i in self._slots], dtype=complex).reshape(self.n, self.n)
+        H.imag *= self._sign
+        for (a, b), i in self._lower.items():
+            H[a, b] = values[i]
+        return values, H
 
     def entry_jets(self, values: list) -> tuple:
         """Gradients dh[w, a, b] and Hessians d2h[w, v, a, b] of the entries
         over w = (z_1..z_n, zb_1..zb_n), from the values of entry_values:
         C-contiguous views, (2n, n, n) and (2n, 2n, n, n), of one array.
 
-        Second-order Taylor arithmetic over the instructions, each carrying
-        a (2n + 1, 2n) jet, gradient g in row 0 and Hessian H below, run
-        one level group of the definition's schedule at a time
-        (tape._taylor_jets).  An add/sub chain adds its terms in the
-        chain's own order, one call per position across the group.  mul
-        adds the symmetrized outer product of the gradients to the product
-        rule; div solves a = q b for q's parts; and pow, exp, log and sqrt
-        give f'(v) H + f''(v) g g^T, their factors taken per instruction in
-        Python arithmetic.  The result has the bits of the same rules run
-        one instruction at a time.  Failures raise DslEvalError: a power as
-        in _run, a non-finite result as such.
+        The upper triangle's jets come from second-order Taylor arithmetic
+        over the tape (tape._taylor_jets), with the bits of its rules run
+        one instruction at a time; one gather and one sign flip conjugate
+        them into the lower triangle.  Failures raise DslEvalError: a power
+        as in _run, a non-finite result as such.
         """
-        n = self.n
-        m = 2 * n
-        out = _taylor_jets(self._schedule, values)
-        out = np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(m + 1, m, n, n)
+        out = _taylor_jets(self._schedule, values[:self._scheduled]).take(self._fill)
+        out.imag *= self._sign
         return out[0], out[1:]

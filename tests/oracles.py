@@ -11,8 +11,9 @@ element or one direction at a time.  symbolic_jet_ref evaluates the
 symbolic derivative trees of the entries, independently of the library's
 forward-mode jets, and taylor_jets_ref runs those jets' rules one
 instruction at a time, where the library runs them one level group at a
-time.  real_jet_ref builds the real jet in the earlier interleaved slice
-order.
+time.  full_tape_jets_ref evaluates every entry, the lower triangle too,
+where the library conjugates the upper one.  real_jet_ref builds the
+real jet in the earlier interleaved slice order.
 """
 
 import json
@@ -234,18 +235,17 @@ def symbolic_jet_ref(metric: MetricDefinition, p) -> tuple:
             *(D2[..., t].transpose(2, 3, 0, 1) for t in range(3)))
 
 
-def taylor_jets_ref(metric: MetricDefinition, values: list) -> tuple:
-    """MetricDefinition.entry_jets one instruction at a time: the same
-    second-order Taylor rules, each on one (2n + 1, 2n) jet, with every
-    sum a chain of two-term adds and the unary factors in Python complex
-    arithmetic."""
-    n = metric.n
+def _jets_one_at_a_time(code: list, values: list, roots: list, n: int) -> np.ndarray:
+    """The (2n + 1, 2n) second-order Taylor jets of roots, stacked, from
+    the rules of MetricDefinition.entry_jets run one instruction at a
+    time, with every sum a chain of two-term adds and the unary factors in
+    Python complex arithmetic."""
     m = 2 * n
     seeds = np.zeros((m + 1, m + 1, m), dtype=complex)  # constant, then each variable
     seeds[1:, 0] = np.eye(m)
     jets: list = []
     with np.errstate(all="ignore"):
-        for (op, a, b), x in zip(metric._code, values):
+        for (op, a, b), x in zip(code, values):
             if op <= tape._ZB:
                 j = seeds[0 if op == tape._CONST else a if op == tape._Z else n + a]
             elif op == tape._ADD:
@@ -277,11 +277,34 @@ def taylor_jets_ref(metric: MetricDefinition, values: list) -> tuple:
                 j = f1 * ja
                 j[1:] += f2 * (ja[0, :, None] * ja[0])
             jets.append(j)
-        out = np.array([jets[r] for r in metric._roots])
+        out = np.array([jets[r] for r in roots])
         if not np.isfinite(out).all():
             raise DslEvalError("expression evaluated to a non-finite value")
-    out = np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(m + 1, m, n, n)
-    return out[0], out[1:]
+    return out
+
+
+def taylor_jets_ref(metric: MetricDefinition, values: list) -> tuple:
+    """MetricDefinition.entry_jets one instruction at a time, for the
+    tape's roots, the entries (a, b) with a <= b row by row: their
+    gradients (2n, roots) and Hessians (2n, 2n, roots)."""
+    out = _jets_one_at_a_time(metric._code, values, metric._roots, metric.n)
+    return out[:, 0].T, out[:, 1:].transpose(1, 2, 0)
+
+
+def full_tape_jets_ref(metric: MetricDefinition, zs: list) -> tuple:
+    """H, dh and d2h from a tape of every entry: each lower entry is
+    evaluated as the tree of metric.entries (the formal conjugate of the
+    upper entry when the source omits it) with its own jets, run one
+    instruction at a time."""
+    n = metric.n
+    m = 2 * n
+    code: list = []
+    roots = dsl._emit([e for row in metric.entries for e in row], code, {})
+    values = tape._run(code, zs, [])
+    H = np.array([values[r] for r in roots]).reshape(n, n)
+    out = _jets_one_at_a_time(code, values, roots, n)
+    out = out.transpose(1, 2, 0).reshape(m + 1, m, n, n)
+    return H, out[0], out[1:]
 
 
 def real_jet_ref(jet: MetricJet) -> RealMetricJet:

@@ -228,6 +228,48 @@ def test_dimension_mismatch_exit_2(tmp_path, capsys):
     assert "dimension" in rep["error"]["message"]
 
 
+def test_non_hermitian_value_exit_2(tmp_path, capsys):
+    # both triangles pass the parse check, which allows 1e-9, but the
+    # value check at the point allows 1e-12
+    f = tmp_path / "both.metric"
+    f.write_text("dim 2;\nh[1,2] = 0.1*z1;\nh[2,1] = 0.1*zb1 + 1e-10;\n")
+    code, rep = run(capsys, "curvature", "--metric", str(f), "--point", "[[0.2,0.1],[0,-0.3]]")
+    assert code == 2
+    assert rep["error"] == {"type": "ValueError", "message": "metric value is not Hermitian"}
+
+
+def _leaves(obj):
+    """The leaves of a report, depth first."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("command", ["classify", "curvature", "identities"])
+def test_both_triangles_give_the_catalog_report(tmp_path, capsys, command):
+    # the stated lower entry gives the value below the diagonal, the
+    # conjugated upper one its jets
+    f = tmp_path / "fs.metric"
+    q = "(1 + z1*zb1 + z2*zb2)"
+    f.write_text(catalog_source("fubini_study", 2) + f"\nh[2,1] = 0 - z1*zb2/{q}^2;\n")
+    reports = [run(capsys, command, "--metric", metric, "--point", FS_POINT)
+               for metric in ("fubini_study", str(f))]
+    (code, want), (code2, got) = reports
+    assert code == code2 == 0
+    want, got = list(_leaves(want["results"])), list(_leaves(got["results"]))
+    assert len(want) == len(got)
+    for w, g in zip(want, got):
+        if isinstance(w, float):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-14)
+        else:
+            assert g == w
+
+
 def test_unknown_metric_exit_2(capsys):
     code, rep = run(capsys, "classify", "--metric", "heisenberg", "--point", "[[0,0]]")
     assert code == 2

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from hermicurv import (
     CatalogError,
     ChartPoint,
     DslEvalError,
-    HermicurvError,
     InadmissiblePointError,
     SingularMetricError,
     apply_j,
@@ -201,32 +198,34 @@ def test_checked_inverse_rejects_asymmetric():
         _checked_inverse(bad)
 
 
-@pytest.mark.parametrize("field, index, what", [
-    ("dh", (3,), "first derivative slice 1"),  # d/dzbar^2, w = n + 1
-    ("d2h", (1, 1), "second derivative slice (1,1)"),
-])
-def test_real_jet_names_first_non_hermitian_slice(field, index, what):
-    jet = jet_at(catalog_metric("fubini_study", 2), np.array([0.1 + 0.2j, -0.3j]))
-    bump = np.array([[0.0, 1e-3], [0.0, 0.0]])
-    arr = getattr(jet, field).copy()
-    arr[index] += bump
-    broken = replace(jet, **{field: arr})
-    with pytest.raises(HermicurvError) as exc:
-        real_jet_from_complex(broken)
-    assert str(exc.value) == f"{what} lost Hermitian symmetry; metric entries are inconsistent"
+def test_both_triangles_must_agree_at_the_evaluated_point():
+    # within the parse check's 1e-9 at its sample points, not within the
+    # value check's 1e-12 relative
+    m = parse_metric("dim 2;\nh[1,2] = 0.1*z1;\nh[2,1] = 0.1*zb1 + 1e-10;\n")
+    with pytest.raises(ValueError, match="^metric value is not Hermitian$"):
+        jet_at(m, np.array([0.2 + 0.1j, -0.3j]))
 
 
-def test_real_jet_names_first_slice_in_jet_order():
-    # the bump reaches dH[1] and d2H[0, 1]; the first derivatives come first
-    jet = jet_at(catalog_metric("fubini_study", 2), np.array([0.1 + 0.2j, -0.3j]))
-    bump = np.array([[0.0, 1e-3], [0.0, 0.0]])
-    dh, d2h = jet.dh.copy(), jet.d2h.copy()
-    dh[3] += bump
-    d2h[0, 3] += bump
-    with pytest.raises(HermicurvError) as exc:
-        real_jet_from_complex(replace(jet, dh=dh, d2h=d2h))
-    assert str(exc.value) == ("first derivative slice 1 lost Hermitian symmetry; "
-                              "metric entries are inconsistent")
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_jets_are_hermitian_by_construction(name, n):
+    # below the diagonal dh[w, b, a] = conj dh[w', a, b] and
+    # d2h[w, v, b, a] = conj d2h[w', v', a, b] bit for bit, w' being w with
+    # its z and zb halves swapped; then g, dg and d2g equal their
+    # transposes bit for bit but for the sign of zero: the Im block of a
+    # real diagonal entry holds +0 above the diagonal and -0 below
+    metric = catalog_metric(name, n)
+    swap = np.r_[n:2 * n, :n]
+    a, b = np.tril_indices(n, -1)
+    for p in sample_admissible_points(metric, 3, seed=71):
+        jet = jet_at(metric, p)
+        for got, want in ((jet.h[a, b], jet.h[b, a].conj()),
+                          (jet.dh[:, a, b], jet.dh[swap][:, b, a].conj()),
+                          (jet.d2h[:, :, a, b], jet.d2h[swap][:, swap][:, :, b, a].conj())):
+            assert got.tobytes() == want.tobytes()
+        rjet = real_jet_from_complex(jet)
+        for arr, axes in ((rjet.g, (1, 0)), (rjet.dg, (0, 2, 1)), (rjet.d2g, (0, 1, 3, 2))):
+            assert (arr + 0.0).tobytes() == (arr.transpose(axes) + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -8,7 +8,10 @@ errors, and keep cmath's branch cuts and signed zeros.  The library's
 jets come from forward-mode Taylor arithmetic instead, and must agree
 with the symbolic route to rounding.  They run one level group at a
 time, and must give the bits and errors of the same rules run one
-instruction at a time (oracles.taylor_jets_ref).
+instruction at a time (oracles.taylor_jets_ref).  The tape holds only
+the upper triangle; the values and jets below the diagonal, conjugated
+from it, must equal those of a tape of every entry
+(oracles.full_tape_jets_ref).
 """
 
 import cmath
@@ -21,7 +24,7 @@ import hermicurv.tape as tape
 from hermicurv import DslEvalError, catalog_metric, geometry_at
 from hermicurv.dsl import parse_expression
 from hermicurv.field import CATALOG_NAMES, jet_at, sample_admissible_points
-from oracles import symbolic_jet_ref, taylor_jets_ref
+from oracles import full_tape_jets_ref, symbolic_jet_ref, taylor_jets_ref
 from test_dsl import _random_expression
 
 
@@ -128,6 +131,15 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def same_bits_but_zero_signs(x, y):
+    """Equal bits, except that a zero may be 0 on one side and -0 on the
+    other: conjugating a part that is +0 gives -0, where evaluating the
+    conjugate tree may give +0, and a product or sum with such a part may
+    then differ in the sign of its own zeros."""
+    x, y = np.asarray(x), np.asarray(y)
+    return same_bits(x + 0.0, y + 0.0)
+
+
 def _jets(metric, p):
     """H and the five derivative blocks of ref_jet, sliced from the jet."""
     jet = jet_at(metric, p)
@@ -150,8 +162,8 @@ def test_catalog_jets_equal_the_reference(name, n):
         for w, s in zip(want, symbolic_jet_ref(metric, p)):
             assert same_bits(w, s)
         jet = jet_at(metric, p)
-        assert same_bits(want[0], jet.h)
-        assert same_bits(want[0], metric.evaluate_matrix(p))
+        assert same_bits_but_zero_signs(want[0], jet.h)
+        assert same_bits(jet.h, metric.evaluate_matrix(p))
         # both derivative orders are C-contiguous views of one array
         assert jet.dh.flags.c_contiguous and jet.d2h.flags.c_contiguous
         assert jet.dh.base is not None and jet.dh.base is jet.d2h.base
@@ -171,14 +183,22 @@ def test_catalog_jets_match_the_symbolic_route(name, n):
 def test_tape_equals_the_derivative_route(name, n):
     metric = catalog_metric(name, n)
     code: list = []
-    dsl._emit([e for row in catalog_metric(name, n).entries for e in row], code, {})
-    assert metric._code == code
+    entries = catalog_metric(name, n).entries
+    roots = dsl._emit([entries[a][b] for a, b in zip(*np.triu_indices(n))], code, {})
+    assert metric._code == code and metric._roots == roots
 
 
 def _jets_equal_the_per_instruction_loop(metric, z):
-    values = metric.entry_values(z)[0]
-    got, want = metric.entry_jets(values), taylor_jets_ref(metric, values)
-    return all(same_bits(g, w) for g, w in zip(got, want))
+    """The upper triangle has the bits of the per-instruction loop, and
+    every entry the values of a tape of every entry, with its bits but
+    for the sign of zeros."""
+    values, H = metric.entry_values(z)
+    dh, d2h = metric.entry_jets(values)
+    a, b = np.triu_indices(metric.n)
+    want = taylor_jets_ref(metric, values)
+    full = full_tape_jets_ref(metric, z)
+    return (same_bits(dh[:, a, b], want[0]) and same_bits(d2h[..., a, b], want[1])
+            and all(same_bits_but_zero_signs(g, w) for g, w in zip((H, dh, d2h), full)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -219,7 +239,6 @@ def test_long_signed_sums_equal_the_per_instruction_loop(length):
     # give the bits of one add per term
     rng = np.random.default_rng(length)
     pool = [_random_expression(rng, 2, 2) for _ in range(7)]
-    # the synthesized lower entry is a second chain of the same signs
     entry = _signed_sum(rng, [pool[int(i)] for i in rng.integers(0, 7, length)])
     metric = dsl.MetricDefinition(2, {(0, 1): entry})
     z = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
@@ -230,7 +249,7 @@ def _check_schedule(metric):
     """Each non-leaf instruction is computed once, by the rule of its
     opcode, from rows that leaves or earlier groups filled, and every
     scalar a group reads is the one its rule needs."""
-    code, n = metric._code, metric.n
+    code, n = metric._code[:metric._scheduled], metric.n
     schedule = metric._schedule
     order = schedule.order
     row = {i: r for r, i in enumerate(order)}
@@ -293,13 +312,40 @@ def test_random_schedules_cover_each_instruction_once_from_earlier_groups():
 
 
 def test_schedule_groups_the_catalog_by_level():
-    # fubini_study n=4 has 63 non-leaf instructions in 6 groups
+    # fubini_study n=4 has 40 non-leaf instructions in 6 groups
     metric = catalog_metric("fubini_study", 4)
     schedule = metric._schedule
-    assert len(metric._code) - len(schedule.leaf_jets) == 63
+    assert len(metric._code) - len(schedule.leaf_jets) == 40
     assert [g[0] for g in schedule.groups] == [
         tape._mul_rule, tape._sum_rule, tape._div_rule, tape._unary_rule, tape._div_rule,
         tape._sum_rule]
+
+
+# instructions on the tape of each catalog metric at n = 2, 3, 4, 6
+TAPE_SIZES = {"euclidean": [2, 2, 2, 2], "fubini_study": [21, 34, 50, 91],
+              "poincare_ball": [19, 30, 43, 75], "hopf": [10, 14, 18, 26],
+              "nk_diag": [6, 6, 6, 6]}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_tape_holds_the_upper_triangle_only(name):
+    for n, size in zip([2, 3, 4, 6], TAPE_SIZES[name]):
+        metric = catalog_metric(name, n)
+        assert len(metric._roots) == n * (n + 1) // 2
+        assert len(metric._code) == metric._scheduled == size
+
+
+def test_explicit_lower_entries_get_values_and_no_rows():
+    # the explicit lower entry shares 3 + z2*zb2 with the upper one; its
+    # own instructions come after the upper prefix, which the schedule
+    # covers, and it gives the value below the diagonal
+    metric = dsl.parse_metric("dim 2; h[1,2] = z1/(3 + z2*zb2); h[2,1] = log(exp(zb1/(3 + z2*zb2)));")
+    _check_schedule(metric)
+    assert len(metric._code) == metric._scheduled + 4
+    assert max(metric._schedule.order) < metric._scheduled
+    values, H = metric.entry_values([0.3 + 0.1j, -0.2j])
+    assert len(values) == len(metric._code)
+    assert same_bits(H[1, 0], values[-1]) and same_bits(H[0, 1], values[metric._roots[1]])
 
 
 @pytest.mark.parametrize("src, z", [
