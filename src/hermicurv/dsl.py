@@ -659,7 +659,12 @@ class MetricDefinition:
     w' = w with z and zb swapped (dh[w, b, a] = conj dh[w', a, b]).  A
     diagonal entry keeps the jets the tape computes.  Stated lower entries
     follow the upper prefix on the tape and give values only, written into
-    H for the value check of field.jet_at.
+    H for the value check of field.jet_at.  Only values are checked for
+    Hermitian symmetry: each stated lower or diagonal entry against the
+    conjugate of its mirror (stated or default) at parse time, to 1e-9 at
+    four sample points, and H at a point by field.jet_at, to 1e-12.  An
+    entry that passes both keeps the jets above even if its derivatives
+    are not conjugate-symmetric.
     """
 
     def __init__(self, n: int, explicit: dict):
@@ -692,7 +697,8 @@ class MetricDefinition:
         m, w = 2 * n, np.r_[n:2 * n, :n]  # w: the half swap
         jet = np.arange((m + 1) * m).reshape(m + 1, m, 1, 1)
         self._sign = 1.0 - 2 * np.tri(n, k=-1)
-        self._fill = src * jet.size + np.where(self._sign < 0, jet[np.r_[0, 1 + w]][:, w], jet)
+        rows = self._schedule.roots[src] * jet.size
+        self._fill = rows + np.where(self._sign < 0, jet[np.r_[0, 1 + w]][:, w], jet)
         self._slots = [self._roots[r] for r in src.flat]
         self._check_formal_hermitian(upper)
 
@@ -705,14 +711,14 @@ class MetricDefinition:
     def _check_formal_hermitian(self, upper: list):
         """Spot-check h_{a b-bar} = conj(h_{b a-bar}) at a few sample points.
 
-        Only the pairs (a, b) of upper whose both triangles were written
-        explicitly (and explicit diagonal entries) can disagree; synthesized
-        entries are Hermitian by construction.  The entry matrix is
-        evaluated once per point; a point where any entry fails to evaluate
-        is skipped for every pair.
+        Only explicit diagonal entries and the pairs (a, b) of upper whose
+        lower entry was written can disagree, against a written upper entry
+        or its default; a synthesized lower entry is Hermitian by
+        construction.  The entry matrix is evaluated once per point; a point
+        where any entry fails to evaluate is skipped for every pair.
         """
         suspects = [(a, b) for a, b in upper
-                    if (a, b) in self.explicit and (a == b or (b, a) in self._lower)]
+                    if (b, a) in self._lower or (a == b and (a, a) in self.explicit)]
         if not suspects:
             return
         rng = np.random.default_rng(1234591)
@@ -769,10 +775,10 @@ class MetricDefinition:
 
         The upper triangle's jets come from second-order Taylor arithmetic
         over the tape (tape._taylor_jets), with the bits of its rules run
-        one instruction at a time; one gather and one sign flip conjugate
-        them into the lower triangle.  Failures raise DslEvalError: a power
+        one instruction at a time; one gather from the tape's jets lays out
+        both triangles and one sign flip conjugates the lower one.  Failures raise DslEvalError: a power
         as in _run, a non-finite result as such.
         """
-        out = _taylor_jets(self._schedule, values[:self._scheduled]).take(self._fill)
+        out = _taylor_jets(self._schedule, values[:self._scheduled], self._fill)
         out.imag *= self._sign
         return out[0], out[1:]

@@ -235,16 +235,17 @@ def _level_schedule(code: list, roots: list, n: int) -> _Schedule:
     return _Schedule(order, leaf_jets, groups, unary, row[roots])
 
 
-def _taylor_jets(schedule: _Schedule, values: list) -> np.ndarray:
-    """The (2n + 1, 2n) second-order Taylor jets of the roots, stacked
-    (roots, 2n + 1, 2n): gradient in row 0, Hessian below, from the
-    instruction values of _run.
+def _taylor_jets(schedule: _Schedule, values: list, take: np.ndarray) -> np.ndarray:
+    """The elements take of the (2n + 1, 2n) second-order Taylor jets,
+    gradient in row 0, Hessian below, from the instruction values of _run;
+    take indexes the flattened (rows, 2n + 1, 2n) stack of the jets, whose
+    roots sit in the rows schedule.roots.
 
     The jets sit in one (rows, 2n + 1, 2n) array, filled one group at a
     time, with the bits of the same rules run one instruction at a time.
     The unary factors are taken first, in tape order and in Python
-    complex arithmetic, so a power fails as in _run; a non-finite jet
-    raises DslEvalError.
+    complex arithmetic, so a power fails as in _run; a non-finite element
+    taken raises DslEvalError.
     """
     leaf_jets = schedule.leaf_jets
     J = np.empty((len(schedule.order), *leaf_jets.shape[1:]), dtype=complex)
@@ -256,7 +257,7 @@ def _taylor_jets(schedule: _Schedule, values: list) -> np.ndarray:
     with np.errstate(all="ignore"):
         for rule, start, stop, jets, aux in schedule.groups:
             rule(J, J[start:stop], jets, aux, S)
-        out = J.take(schedule.roots, axis=0)
+        out = J.take(take)
         if not np.isfinite(out).all():
             raise DslEvalError("expression evaluated to a non-finite value")
     return out

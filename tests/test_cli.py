@@ -238,6 +238,16 @@ def test_non_hermitian_value_exit_2(tmp_path, capsys):
     assert rep["error"] == {"type": "ValueError", "message": "metric value is not Hermitian"}
 
 
+def test_lower_entry_without_upper_exit_2(tmp_path, capsys):
+    # the stated lower entry is checked against the default zero upper
+    # one at parse time, so the origin, where both are 0, is never reached
+    f = tmp_path / "lower.metric"
+    f.write_text("dim 2;\nh[2,1] = 0.1*z1;\n")
+    code, rep = run(capsys, "curvature", "--metric", str(f), "--point", "[[0,0],[0,0]]")
+    assert code == 2
+    assert rep["error"]["message"] == "entries (1,2) and (2,1) are not formally Hermitian-conjugate"
+
+
 def _leaves(obj):
     """The leaves of a report, depth first."""
     if isinstance(obj, dict):

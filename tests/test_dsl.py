@@ -284,6 +284,10 @@ def test_formally_non_hermitian_metric_rejected():
     # a diagonal entry must be real-valued
     with pytest.raises(DslError):
         parse_metric("dim 1;\nh[1,1] = 1 + i;")
+    # a lower entry stated alone must conjugate the default upper one
+    with pytest.raises(DslError, match=r"entries \(1,2\) and \(2,1\)"):
+        parse_metric("dim 2;\nh[2,1] = 0.1*z1;\n")
+    parse_metric("dim 2;\nh[2,1] = 0;\n")
 
 
 def test_formal_hermitian_check_conjugates_entry_values():

@@ -206,6 +206,20 @@ def test_both_triangles_must_agree_at_the_evaluated_point():
         jet_at(m, np.array([0.2 + 0.1j, -0.3j]))
 
 
+def test_only_values_are_checked_for_hermitian_symmetry():
+    # a diagonal entry real at the point keeps the tape's jets, which are
+    # not conjugate-symmetric: dh[zb1] = 1e-10 i, not conj dh[z1]
+    m = parse_metric("dim 1;\nh[1,1] = 2 + 1e-10*i*(z1 + zb1);\n")
+    jet = jet_at(m, np.array([0.5j]))
+    assert jet.h[0, 0] == 2 and list(jet.dh[:, 0, 0]) == [1e-10j, 1e-10j]
+    # a stated lower entry equal at the point to the conjugated upper one
+    # gives its value only; its jets are the upper entry's, conjugated
+    m = parse_metric("dim 2;\nh[1,2] = 0.1*z1;\nh[2,1] = 0.1*zb1 + 5e-10*(z1 - 0.7 - 0.5*i);\n")
+    jet = jet_at(m, np.array([0.7 + 0.5j, 0.2]))
+    assert jet.h[1, 0] == np.conj(jet.h[0, 1])
+    assert list(jet.dh[:, 1, 0]) == [0, 0, 0.1, 0]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_jets_are_hermitian_by_construction(name, n):
