@@ -659,12 +659,8 @@ class MetricDefinition:
     w' = w with z and zb swapped (dh[w, b, a] = conj dh[w', a, b]).  A
     diagonal entry keeps the jets the tape computes.  Stated lower entries
     follow the upper prefix on the tape and give values only, written into
-    H for the value check of field.jet_at.  Only values are checked for
-    Hermitian symmetry: each stated lower or diagonal entry against the
-    conjugate of its mirror (stated or default) at parse time, to 1e-9 at
-    four sample points, and H at a point by field.jet_at, to 1e-12.  An
-    entry that passes both keeps the jets above even if its derivatives
-    are not conjugate-symmetric.
+    H for the value check of field.jet_at.  Values alone are checked: an
+    entry that passes keeps these jets, whatever its own derivatives.
     """
 
     def __init__(self, n: int, explicit: dict):
@@ -709,13 +705,11 @@ class MetricDefinition:
         return self.entries[a][b]
 
     def _check_formal_hermitian(self, upper: list):
-        """Spot-check h_{a b-bar} = conj(h_{b a-bar}) at a few sample points.
-
-        Only explicit diagonal entries and the pairs (a, b) of upper whose
-        lower entry was written can disagree, against a written upper entry
-        or its default; a synthesized lower entry is Hermitian by
-        construction.  The entry matrix is evaluated once per point; a point
-        where any entry fails to evaluate is skipped for every pair.
+        """Spot-check h_{a b-bar} = conj(h_{b a-bar}) at a few sample points
+        for each stated lower entry, against its upper one stated or not,
+        and each stated diagonal entry.  The entry matrix is evaluated once
+        per point; a point where any entry fails to evaluate is skipped for
+        every pair.
         """
         suspects = [(a, b) for a, b in upper
                     if (b, a) in self._lower or (a == b and (a, a) in self.explicit)]
@@ -776,8 +770,8 @@ class MetricDefinition:
         The upper triangle's jets come from second-order Taylor arithmetic
         over the tape (tape._taylor_jets), with the bits of its rules run
         one instruction at a time; one gather from the tape's jets lays out
-        both triangles and one sign flip conjugates the lower one.  Failures raise DslEvalError: a power
-        as in _run, a non-finite result as such.
+        both triangles, one sign flip conjugates the lower one.  Failures
+        raise DslEvalError: a power as in _run, a non-finite result as such.
         """
         out = _taylor_jets(self._schedule, values[:self._scheduled], self._fill)
         out.imag *= self._sign

@@ -236,10 +236,9 @@ def _level_schedule(code: list, roots: list, n: int) -> _Schedule:
 
 
 def _taylor_jets(schedule: _Schedule, values: list, take: np.ndarray) -> np.ndarray:
-    """The elements take of the (2n + 1, 2n) second-order Taylor jets,
-    gradient in row 0, Hessian below, from the instruction values of _run;
-    take indexes the flattened (rows, 2n + 1, 2n) stack of the jets, whose
-    roots sit in the rows schedule.roots.
+    """The elements take of the flat stack (rows, 2n + 1, 2n) of
+    second-order Taylor jets, gradient in row 0, Hessian below, the roots'
+    in rows schedule.roots, from the instruction values of _run.
 
     The jets sit in one (rows, 2n + 1, 2n) array, filled one group at a
     time, with the bits of the same rules run one instruction at a time.
