@@ -32,11 +32,10 @@ from .core import (
     _holo_comps,
     _real_comps,
     apply_j,
-    hermitian_pairing,
     to_holomorphic,
 )
 from .curvature import ComplexifiedCurvature
-from .errors import DegeneratePlaneError, HermicurvError
+from .errors import DegeneratePlaneError, DimensionMismatch, HermicurvError
 from .field import RealMetricJet
 
 __all__ = [
@@ -108,19 +107,22 @@ def _real_quantity(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that puts its largest real or imaginary
-    part in [0.5, 1).  The scaling is exact, subnormal parts included, so
-    the rescaling-invariant quantities keep their bits on ordinary vectors
-    and no form or Gram underflows or overflows; zero stays zero."""
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x 2^-e, e) for the e that puts the largest real or imaginary part of
+    x in [0.5, 1): exact, subnormal parts included, so the rescaling-invariant
+    quantities keep their bits and no form or Gram underflows or overflows."""
     parts = np.ascontiguousarray(x).view(float)
-    top = max(map(abs, parts.tolist()), default=0.0)
-    return np.ldexp(parts, -math.frexp(top)[1]).view(x.dtype)
+    e = math.frexp(max(map(abs, parts.tolist()), default=0.0))[1]
+    return np.ldexp(parts, -e).view(x.dtype), e
 
 
-def _gram(aa: float, bb: float, ab: float) -> float:
-    """aa bb - ab^2 from the inner products of two vectors; raises when
-    they are (numerically) linearly dependent."""
+def _gram(m: np.ndarray, x, e) -> float:
+    """m(x,x) m(e,e) - Re m(x,e)^2 with m(a,b) = a m conj(b), for a real or
+    a Hermitian m; raises when x and e are (numerically) linearly dependent."""
+    if m.shape != x.shape + e.shape:
+        raise DimensionMismatch("pairing operands do not match the metric dimension")
+    xm, ec = x @ m, e.conj()
+    aa, bb, ab = float((xm @ x.conj()).real), float((e @ m @ ec).real), float((xm @ ec).real)
     gram = aa * bb - ab**2
     if gram <= 1e-12 * max(aa * bb, 1e-300):
         raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
@@ -128,17 +130,19 @@ def _gram(aa: float, bb: float, ab: float) -> float:
 
 
 def plane_gram(g: np.ndarray, u, v) -> float:
-    """Gram determinant g(u,u) g(v,v) - g(u,v)^2; raises on degeneracy."""
-    u = _real_comps(u)
-    v = _real_comps(v)
-    return _gram(float(u @ g @ u), float(v @ g @ v), float(u @ g @ v))
+    """Gram determinant g(u,u) g(v,v) - g(u,v)^2; raises on degeneracy, judged
+    on the exactly rescaled span, while the value may underflow or overflow."""
+    u, eu = _unit_scaled(_real_comps(u))
+    v, ev = _unit_scaled(_real_comps(v))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_gram(np.asarray(g), u, v), 2 * (eu + ev)))
 
 
 def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:
     """K(u, v) from the Riemannian curvature r[i, j, k, l]."""
-    u = _unit_scaled(_real_comps(plane.u))
-    v = _unit_scaled(_real_comps(plane.v))
-    gram = plane_gram(rjet.g, u, v)
+    u = _unit_scaled(_real_comps(plane.u))[0]
+    v = _unit_scaled(_real_comps(plane.v))[0]
+    gram = _gram(rjet.g, u, v)
     return float(_form(r, u, v, v, u)) / gram
 
 
@@ -155,28 +159,34 @@ def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
     """K_D(u, v); symmetric in u and v, invariant under re-spanning."""
-    xi = to_holomorphic(_unit_scaled(_real_comps(plane.u)))
-    eta = to_holomorphic(_unit_scaled(_real_comps(plane.v)))
-    denom = _gram(hermitian_pairing(h, xi, xi).real, hermitian_pairing(h, eta, eta).real,
-                  hermitian_pairing(h, xi, eta).real)
+    xi = to_holomorphic(_unit_scaled(_real_comps(plane.u))[0])
+    eta = to_holomorphic(_unit_scaled(_real_comps(plane.v))[0])
+    denom = _gram(np.asarray(h, dtype=complex), xi, eta)
     return chern_quadratic_form(kr, xi, eta) / denom
+
+
+def _unit_normed(h, xi):
+    """xi rescaled by _unit_scaled, its conjugate and its h-norm; raises on zero."""
+    x = _unit_scaled(_holo_comps(xi))[0]
+    if not np.count_nonzero(x):
+        raise ValueError("bisectional curvature of a zero vector")
+    m, xc = np.asarray(h, dtype=complex), x.conj()
+    if m.shape != x.shape + x.shape:
+        raise DimensionMismatch("pairing operands do not match the metric dimension")
+    return x, xc, float((x @ m @ xc).real)
 
 
 def holo_sectional(kr: np.ndarray, h, xi) -> float:
     """H(xi) = B(xi, xi); invariant under complex rescaling of xi."""
-    return holo_bisectional(kr, h, xi, xi)
+    x, xc, nx = _unit_normed(h, xi)
+    return _real_quantity(_form(kr, x, xc, x, xc), "the B numerator") / (nx * nx)
 
 
 def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     """B(xi, eta); B(xi, xi) recovers H(xi)."""
-    x = _unit_scaled(_holo_comps(xi))
-    e = _unit_scaled(_holo_comps(eta))
-    if not np.any(x) or not np.any(e):
-        raise ValueError("bisectional curvature of a zero vector")
-    nx = hermitian_pairing(h, x, x).real
-    ne = hermitian_pairing(h, e, e).real
-    num = _kr_form(kr, x, x, e, e)
-    return _real_quantity(num, "the B numerator") / (nx * ne)
+    x, xc, nx = _unit_normed(h, xi)
+    e, ec, ne = _unit_normed(h, eta)
+    return _real_quantity(_form(kr, x, xc, e, ec), "the B numerator") / (nx * ne)
 
 
 def induced_curvature_pairing(conn: InducedRealConnection, rjet: RealMetricJet, u, v) -> float:

@@ -13,7 +13,10 @@ forward-mode jets, and taylor_jets_ref runs those jets' rules one
 instruction at a time, where the library runs them one level group at a
 time.  full_tape_jets_ref evaluates every entry, the lower triangle too,
 where the library conjugates the upper one.  real_jet_ref builds the
-real jet in the earlier interleaved slice order.
+real jet in the earlier interleaved slice order.  The four
+*_sectional_ref scalar curvatures are the earlier per-vector routes:
+each vector rescaled through a Python list, every norm through
+core.hermitian_pairing, H as B(xi, xi).
 """
 
 import json
@@ -23,10 +26,11 @@ import numpy as np
 
 from hermicurv import dsl, tape
 from hermicurv.connection import induced_real_connection
-from hermicurv.core import ChartPoint, _chain, _frame, to_real
+from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps,
+                            hermitian_pairing, to_holomorphic, to_real)
 from hermicurv.dsl import MetricDefinition
-from hermicurv.errors import DslEvalError, HermicurvError
-from hermicurv.sectional import Plane
+from hermicurv.errors import DegeneratePlaneError, DslEvalError, HermicurvError
+from hermicurv.sectional import Plane, _form, _kr_form, _real_quantity, chern_quadratic_form
 from hermicurv.field import MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at
 
 
@@ -427,3 +431,49 @@ def render_report_ref(obj) -> str:
     out = []
     _render_ref(obj, out, 0)
     return "".join(out) + "\n"
+
+
+def _unit_scaled_ref(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that puts its largest real or imaginary
+    part in [0.5, 1), found through a Python list."""
+    parts = np.ascontiguousarray(x).view(float)
+    top = max(map(abs, parts.tolist()), default=0.0)
+    return np.ldexp(parts, -math.frexp(top)[1]).view(x.dtype)
+
+
+def _gram_ref(aa: float, bb: float, ab: float) -> float:
+    gram = aa * bb - ab**2
+    if gram <= 1e-12 * max(aa * bb, 1e-300):
+        raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
+    return gram
+
+
+def riemann_sectional_ref(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:
+    u = _unit_scaled_ref(_real_comps(plane.u))
+    v = _unit_scaled_ref(_real_comps(plane.v))
+    g = rjet.g
+    gram = _gram_ref(float(u @ g @ u), float(v @ g @ v), float(u @ g @ v))
+    return float(_form(r, u, v, v, u)) / gram
+
+
+def chern_sectional_ref(kr: np.ndarray, h, plane: Plane) -> float:
+    xi = to_holomorphic(_unit_scaled_ref(_real_comps(plane.u)))
+    eta = to_holomorphic(_unit_scaled_ref(_real_comps(plane.v)))
+    denom = _gram_ref(hermitian_pairing(h, xi, xi).real, hermitian_pairing(h, eta, eta).real,
+                      hermitian_pairing(h, xi, eta).real)
+    return chern_quadratic_form(kr, xi, eta) / denom
+
+
+def holo_bisectional_ref(kr: np.ndarray, h, xi, eta) -> float:
+    x = _unit_scaled_ref(_holo_comps(xi))
+    e = _unit_scaled_ref(_holo_comps(eta))
+    if not np.any(x) or not np.any(e):
+        raise ValueError("bisectional curvature of a zero vector")
+    nx = hermitian_pairing(h, x, x).real
+    ne = hermitian_pairing(h, e, e).real
+    num = _kr_form(kr, x, x, e, e)
+    return _real_quantity(num, "the B numerator") / (nx * ne)
+
+
+def holo_sectional_ref(kr: np.ndarray, h, xi) -> float:
+    return holo_bisectional_ref(kr, h, xi, xi)

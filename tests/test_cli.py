@@ -74,6 +74,16 @@ def test_sectional_command_on_tiny_and_huge_spans(capsys, scale):
     assert vals["B_uv"] == pytest.approx(1.0)
 
 
+def test_sectional_command_with_one_degenerate_plane_exit_2(capsys):
+    planes = ['{"u": [1, 0, 0, 0], "v": [0, 1, 0, 0]}', '{"u": [1, 0, 0, 0], "v": [2, 0, 0, 0]}',
+              '{"u": [0, 0, 1, 0], "v": [0, 1, 0, 1]}']
+    argv = ["sectional", "--metric", "fubini_study", "--point", "[[0,0],[0,0]]"]
+    code, rep = run(capsys, *argv, *(a for p in planes for a in ("--plane", p)))
+    assert code == 2
+    assert rep["error"] == {"type": "DegeneratePlaneError",
+                            "message": "plane span is (numerically) linearly dependent"}
+
+
 def test_identities_command_on_nk_diag(capsys):
     code, rep = run(capsys, "identities", "--metric", "nk_diag", "--point", NK_POINT)
     assert code == 0

@@ -1,12 +1,17 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import rel_err
 from hermicurv import (
     CATALOG_NAMES,
     DegeneratePlaneError,
+    DimensionMismatch,
+    HermicurvError,
     Plane,
     apply_j,
     catalog_metric,
@@ -38,6 +43,13 @@ def test_plane_gram_normalization(geom):
     g = geom("fubini_study", [0j])
     assert plane_gram(g.rjet.g, E1, E2) == pytest.approx(1.0)
     assert plane_gram(g.rjet.g, 2 * E1, E2) == pytest.approx(4.0)
+    # degeneracy is judged on the rescaled span; the value is that of the
+    # span as given, here exactly a subnormal
+    f = geom("fubini_study", [0j, 0j])
+    e1, e2 = np.eye(4)[:2]
+    assert plane_gram(f.rjet.g, 2.0**-260 * e1, 2.0**-260 * e2) == 2.0**-1040
+    with pytest.raises(DegeneratePlaneError):
+        plane_gram(f.rjet.g, 1e-200 * e1, 2e-200 * e1)
 
 
 def test_degenerate_plane_rejected(geom):
@@ -66,6 +78,97 @@ def test_scalar_curvatures_of_tiny_and_huge_spans(geom, scale):
     assert holo_sectional(g.kr, g.jet.h, xi) == pytest.approx(2.0)
     assert holo_bisectional(g.kr, g.jet.h, xi, eta) == pytest.approx(1.0)
     assert holo_bisectional(g.kr, g.jet.h, 1j * xi, eta) == pytest.approx(1.0)
+    # the Gram determinant itself underflows or overflows, its verdict not
+    assert plane_gram(g.rjet.g, u, v) == (0.0 if scale < 1 else math.inf)
+
+
+LIBRARY = {"K": riemann_sectional, "K_D": chern_sectional, "H": holo_sectional,
+           "B": holo_bisectional}
+REFERENCE = {"K": oracles.riemann_sectional_ref, "K_D": oracles.chern_sectional_ref,
+             "H": oracles.holo_sectional_ref, "B": oracles.holo_bisectional_ref}
+
+
+def _quantities(impl, g, u, v, xi, eta):
+    """K, K_D, H and B by impl, each as its repr, which pins the type and
+    every bit, sign of zero included, or as the type and message of the
+    error it raised."""
+    out = []
+    for q, args in (("K", (g.rc, g.rjet, Plane(u, v))), ("K_D", (g.kr, g.jet.h, Plane(u, v))),
+                    ("H", (g.kr, g.jet.h, xi)), ("B", (g.kr, g.jet.h, xi, eta))):
+        try:
+            out.append(repr(impl[q](*args)))
+        except (HermicurvError, ValueError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _spans(rng, n):
+    """One random plane (u, v, xi, eta) in the forms a caller may pass it:
+    as drawn, tiny, subnormal and huge, as strided views and as Python
+    lists; then an integer plane, often degenerate or zero."""
+    u, v = rng.standard_normal((2, 2 * n))
+    xi, eta = to_holomorphic(u), to_holomorphic(v)
+    yield u, v, xi, eta
+    for s in (1e-200, 1e-310, 1e200):
+        yield s * u, s * v, s * xi, s * eta
+    U, X = np.zeros((2, 4 * n)), np.zeros((2, 2 * n), dtype=complex)
+    U[:, ::2], X[:, ::2] = (u, v), (xi, eta)
+    yield U[0, ::2], U[1, ::2], X[0, ::2], X[1, ::2]
+    yield u.tolist(), v.tolist(), xi.tolist(), eta.tolist()
+    a, b = rng.integers(-2, 3, (2, 2 * n))
+    yield a, b, a[:n], b[n:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_scalar_curvatures_keep_the_reference_bits(n):
+    # 100 random planes per n, 20 per catalog metric, each in every form
+    rng = np.random.default_rng(71 + n)
+    for name in CATALOG_NAMES:
+        m = catalog_metric(name, n)
+        g = geometry_at(m, sample_admissible_points(m, 1, seed=73)[0])
+        for _ in range(20):
+            for span in _spans(rng, n):
+                assert _quantities(LIBRARY, g, *span) == _quantities(REFERENCE, g, *span)
+
+
+def _bad_inputs(g):
+    e1, e2 = np.eye(4)[:2]
+    xi, zero = np.array([1.0, 0.5j]), np.zeros(2)
+    degenerate = (DegeneratePlaneError, "plane span is (numerically) linearly dependent")
+    zero_vector = (ValueError, "bisectional curvature of a zero vector")
+    odd = (DimensionMismatch, "expected 2n real components")
+    not_1d = (DimensionMismatch, "expected n complex components")
+    size = (DimensionMismatch, "pairing operands do not match the metric dimension")
+    return [
+        ("K", (g.rc, g.rjet, Plane(e1, 2 * e1)), degenerate),
+        ("K", (g.rc, g.rjet, Plane(e1, 0 * e1)), degenerate),
+        ("K_D", (g.kr, g.jet.h, Plane(e1, -0.5 * e1)), degenerate),
+        ("K_D", (g.kr, g.jet.h, Plane(0 * e1, e2)), degenerate),
+        ("H", (g.kr, g.jet.h, zero), zero_vector),
+        ("B", (g.kr, g.jet.h, zero, xi), zero_vector),
+        ("B", (g.kr, g.jet.h, xi, zero), zero_vector),
+        ("K", (g.rc, g.rjet, Plane(np.ones(3), np.ones(3))), odd),
+        ("K_D", (g.kr, g.jet.h, Plane(e1, np.ones(5))), odd),
+        ("H", (g.kr, g.jet.h, np.ones((1, 2))), not_1d),
+        ("B", (g.kr, g.jet.h, xi, np.ones((2, 2))), not_1d),
+        ("H", (g.kr, g.jet.h, np.ones(3)), size),
+        ("B", (g.kr, g.jet.h, np.ones(3), np.ones(3)), size),
+        ("B", (g.kr, g.jet.h, xi, np.ones(3)), size),
+        ("K_D", (g.kr, g.jet.h, Plane(np.ones(6), np.arange(6.0))), size),
+        ("K_D", (1j * g.kr, g.jet.h, Plane(e1, e2)),
+         (HermicurvError, "the canonical-curvature quadratic form should be real")),
+        ("H", (1j * g.kr, g.jet.h, xi), (HermicurvError, "the B numerator should be real")),
+        ("B", (1j * g.kr, g.jet.h, xi, xi), (HermicurvError, "the B numerator should be real")),
+    ]
+
+
+@pytest.mark.parametrize("impl", [LIBRARY, REFERENCE], ids=["library", "reference"])
+def test_scalar_curvature_errors(geom, impl):
+    g = geom("fubini_study", [0j, 0j])
+    for q, args, (error, message) in _bad_inputs(g):
+        with pytest.raises(error, match="^" + re.escape(message)) as info:
+            impl[q](*args)
+        assert type(info.value) is error, (q, message)
 
 
 def test_sectional_is_basis_independent(geom):
