@@ -21,12 +21,12 @@ conjugate constants).  Numeric literals must be finite.
 Simplification is restricted to constant folding and 0/1 identities, so
 derivative trees stay semantically transparent.
 
-Evaluation goes through a tape (module tape): the unique nodes under
-some roots, in the order a left-to-right, children-first walk first
-reaches them, as a list of instructions run on plain Python complex
-scalars.  Each MetricDefinition compiles the tape of its upper triangle
-once, hash-consing nodes per definition (keyed by kind, value and the
-identities of the children), so equal subtrees are evaluated once.  The
+Evaluation goes through a tape (module tape): the distinct instructions
+under some roots, in the order a left-to-right, children-first walk
+first reaches them, run on plain Python complex scalars.  The tape, not
+the AST, shares equal subexpressions (_emit keys each instruction by its
+opcode and operand slots), so each is evaluated once.  Each
+MetricDefinition compiles the tape of its upper triangle once.  The
 same instructions, run forward in second-order Taylor arithmetic one
 level group at a time, give those entries' exact first and second
 derivatives without derivative trees.  The lower triangle is their
@@ -438,74 +438,44 @@ def parse_metric(source: str) -> "MetricDefinition":
 # Differentiation
 
 
-class _Graph:
-    """Hash-consed nodes with memoized Wirtinger derivatives.
+def _derive(root: Node, kind: str, index: int, memo: dict) -> Node:
+    """Exact d(root)/d(z_index) or d/d(zb_index), memoized in memo.
 
-    A node held here is the only one with its key (kind, value, ids of its
-    children), and its children are held here too, so structurally equal
-    expressions are one object and the ids stay valid while the graph
-    lives.  Constants are keyed by repr, which keeps 0j and -0j apart.
+    memo is keyed by (id(node), kind, index), so every root derived with
+    one memo must outlive it.
     """
-
-    def __init__(self):
-        self._nodes: dict = {}
-        self._derivs: dict = {}
-
-    def intern(self, node: Node) -> Node:
-        """The graph's copy of node, whose children must already be interned."""
-        if node.kind == "const":
-            key = ("const", repr(node.value))
+    if kind not in ("z", "zb"):
+        raise DslError(f"derivative kind must be 'z' or 'zb', got {kind!r}")
+    for nd in _postorder([root], lambda x: (id(x), kind, index) in memo):
+        k = nd.kind
+        if k == "const":
+            d = ZERO
+        elif k == "z" or k == "zb":
+            d = ONE if (k == kind and nd.value == index) else ZERO
         else:
-            key = (node.kind, node.value, *map(id, node.children))
-        return self._nodes.setdefault(key, node)
-
-    def adopt(self, root: Node) -> Node:
-        """The graph's copy of an arbitrary tree."""
-        done: dict = {}
-        for nd in _postorder([root], lambda x: id(x) in done):
-            kids = tuple(done[id(c)] for c in nd.children)
-            same = all(k is c for k, c in zip(kids, nd.children))
-            done[id(nd)] = self.intern(nd if same else Node(nd.kind, nd.value, kids))
-        return done[id(root)]
-
-    def derive(self, root: Node, kind: str, index: int) -> Node:
-        """Exact d(root)/d(z_index) or d/d(zb_index) of an interned root."""
-        if kind not in ("z", "zb"):
-            raise DslError(f"derivative kind must be 'z' or 'zb', got {kind!r}")
-        memo, I = self._derivs, self.intern
-        known = memo.get((id(root), kind, index))
-        if known is not None:
-            return known
-        for nd in _postorder([root], lambda x: (id(x), kind, index) in memo):
-            k = nd.kind
-            if k == "const":
-                d = ZERO
-            elif k == "z" or k == "zb":
-                d = ONE if (k == kind and nd.value == index) else ZERO
-            else:
-                a = nd.children[0]
-                da = memo[(id(a), kind, index)]
-                if k in _BINARY:
-                    b = nd.children[1]
-                    db = memo[(id(b), kind, index)]
-                if k == "add":
-                    d = add(da, db)
-                elif k == "sub":
-                    d = sub(da, db)
-                elif k == "mul":
-                    d = add(I(mul(da, b)), I(mul(a, db)))
-                elif k == "div":
-                    d = sub(I(div(da, b)), I(div(I(mul(a, db)), I(mul(b, b)))))
-                elif k == "pow":
-                    d = mul(I(const(nd.value)), I(mul(I(pow_(a, nd.value - 1)), da)))
-                elif nd.value == "exp":
-                    d = mul(nd, da)
-                elif nd.value == "log":
-                    d = div(da, a)
-                else:  # sqrt
-                    d = div(da, I(mul(I(const(2)), nd)))
-            memo[(id(nd), kind, index)] = I(d)
-        return memo[(id(root), kind, index)]
+            a = nd.children[0]
+            da = memo[(id(a), kind, index)]
+            if k in _BINARY:
+                b = nd.children[1]
+                db = memo[(id(b), kind, index)]
+            if k == "add":
+                d = add(da, db)
+            elif k == "sub":
+                d = sub(da, db)
+            elif k == "mul":
+                d = add(mul(da, b), mul(a, db))
+            elif k == "div":
+                d = sub(div(da, b), div(mul(a, db), mul(b, b)))
+            elif k == "pow":
+                d = mul(const(nd.value), mul(pow_(a, nd.value - 1), da))
+            elif nd.value == "exp":
+                d = mul(nd, da)
+            elif nd.value == "log":
+                d = div(da, a)
+            else:  # sqrt
+                d = div(da, mul(const(2), nd))
+        memo[(id(nd), kind, index)] = d
+    return memo[(id(root), kind, index)]
 
 
 def wirtinger_derivative(node: Node, kind: str, index: int) -> Node:
@@ -514,8 +484,7 @@ def wirtinger_derivative(node: Node, kind: str, index: int) -> Node:
     kind is "z" or "zb"; index is the 1-based variable index, matching the
     source spelling z1, zb1, ...  z and zb are independent variables.
     """
-    graph = _Graph()
-    return graph.derive(graph.adopt(node), kind, index)
+    return _derive(node, kind, index, {})
 
 
 # ---------------------------------------------------------------------------
@@ -526,26 +495,30 @@ _OPCODES = {"const": _CONST, "z": _Z, "zb": _ZB, "add": _ADD, "sub": _SUB,
 
 
 def _emit(roots, code: list, slots: dict) -> list:
-    """Append one instruction to code per node under roots that has no slot
-    yet, in evaluation order, and return the slots of the roots.
+    """Append to code the instructions under roots that it lacks, in
+    evaluation order, and return the slots of the roots.
 
     An instruction is (opcode, a, b): a constant's value or a variable's
     index in a; the operands' slots in a and b; for pow and call, the
-    operand's slot and the exponent or function name.  A node's slot is
-    the position of its instruction, which is also where _run leaves its
-    value.
+    operand's slot and the exponent or function name.  Its slot is its
+    position, which is also where _run leaves its value.  slots maps the
+    instructions of code to their slots, a constant's keyed by the repr of
+    its value to keep 0j and -0j apart; the calls that extend code share it.
     """
-    for nd in _postorder(roots, lambda x: id(x) in slots):
+    seen: dict = {}
+    for nd in _postorder(roots, lambda x: id(x) in seen):
         op = _OPCODES[nd.kind]
         if op <= _ZB:
             ins = (op, nd.value, None)
         elif op >= _POW:
-            ins = (op, slots[id(nd.children[0])], nd.value)
+            ins = (op, seen[id(nd.children[0])], nd.value)
         else:
-            ins = (op, slots[id(nd.children[0])], slots[id(nd.children[1])])
-        slots[id(nd)] = len(code)
-        code.append(ins)
-    return [slots[id(r)] for r in roots]
+            ins = (op, seen[id(nd.children[0])], seen[id(nd.children[1])])
+        key = (op, repr(nd.value)) if op == _CONST else ins
+        slot = seen[id(nd)] = slots.setdefault(key, len(code))
+        if slot == len(code):
+            code.append(ins)
+    return [seen[id(r)] for r in roots]
 
 
 def _coords(point) -> list:
@@ -650,9 +623,10 @@ def unparse(node: Node) -> str:
 class MetricDefinition:
     """A Hermitian metric given by expression entries h_{a b-bar}.
 
-    entries is an n x n grid of ASTs; positions never written in the
-    source default to the Kronecker delta, and an omitted lower triangle
-    mirrors the upper one through the formal conjugate transpose.
+    entries is an n x n grid of ASTs, as parsed; positions never written
+    in the source default to the Kronecker delta, and an omitted lower
+    triangle mirrors the upper one through the formal conjugate transpose.
+    Only the tape shares equal subexpressions, across entries too.
 
     The tape's roots are the entries a <= b, row by row; below the
     diagonal, entry_values and entry_jets conjugate them over the variables
@@ -666,20 +640,16 @@ class MetricDefinition:
     def __init__(self, n: int, explicit: dict):
         self.n = n = int(n)
         self.explicit = frozenset(explicit)
-        self._graph = _Graph()
-        grid = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                if (a, b) in explicit:
-                    node = explicit[(a, b)]
-                elif a > b and (b, a) in explicit:
-                    node = conjugate_node(explicit[(b, a)])
-                else:
-                    node = ONE if a == b else ZERO
-                row.append(self._graph.adopt(node))
-            grid.append(tuple(row))
-        self.entries = tuple(grid)
+        self._derivs: dict = {}
+
+        def node_at(a, b):
+            if (a, b) in explicit:
+                return explicit[(a, b)]
+            if a > b and (b, a) in explicit:
+                return conjugate_node(explicit[(b, a)])
+            return ONE if a == b else ZERO
+
+        self.entries = grid = tuple(tuple(node_at(a, b) for b in range(n)) for a in range(n))
         upper = [(a, b) for a in range(n) for b in range(a, n)]
         lower = [(a, b) for a in range(n) for b in range(a) if (a, b) in explicit]
         self._code, slots = [], {}
@@ -743,7 +713,7 @@ class MetricDefinition:
         """
         node = self.entries[a][b]
         for kind, k in sorted(ops):
-            node = self._graph.derive(node, kind, k)
+            node = _derive(node, kind, k, self._derivs)
         return node
 
     def evaluate_matrix(self, point) -> np.ndarray:

@@ -26,13 +26,12 @@ __all__ = ["PointGeometry", "geometry_at"]
 class PointGeometry:
     """Everything at one point: jets, connections, curvatures.
 
-    jet and rjet are built with the record, since building them runs every
-    input check.  The tensors are computed on first read and kept.
+    jet is built with the record, since building it runs every input
+    check; the rest is computed on first read and kept.
     """
 
     metric: MetricDefinition
     jet: MetricJet
-    rjet: RealMetricJet
 
     @property
     def point(self) -> ChartPoint:
@@ -41,6 +40,10 @@ class PointGeometry:
     @property
     def n(self) -> int:
         return self.point.n
+
+    @cached_property
+    def rjet(self) -> RealMetricJet:
+        return real_jet_from_complex(self.jet)
 
     @cached_property
     def kr(self) -> np.ndarray:
@@ -73,5 +76,4 @@ def geometry_at(metric: MetricDefinition, p) -> PointGeometry:
     forward pass) feeds every downstream object, so calling this once per
     point and sharing the record is the cheap pattern.
     """
-    jet = jet_at(metric, p)
-    return PointGeometry(metric, jet, real_jet_from_complex(jet))
+    return PointGeometry(metric, jet_at(metric, p))

@@ -110,9 +110,17 @@ def _real_quantity(value: complex, what: str) -> float:
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     """(x 2^-e, e) for the e that puts the largest real or imaginary part of
     x in [0.5, 1): exact, subnormal parts included, so the rescaling-invariant
-    quantities keep their bits and no form or Gram underflows or overflows."""
+    quantities keep their bits and no form or Gram underflows or overflows.
+    Raises DimensionMismatch unless x is one vector of finite components."""
+    if x.ndim != 1:
+        raise DimensionMismatch("spanning vectors must be 1-D")
     parts = np.ascontiguousarray(x).view(float)
-    e = math.frexp(max(map(abs, parts.tolist()), default=0.0))[1]
+    comps = parts.tolist()
+    top = max(map(abs, comps), default=0.0)
+    # max passes over a NaN that is not first; the sum never does
+    if not math.isfinite(top) or math.isnan(sum(comps)):
+        raise DimensionMismatch("vector components must be finite")
+    e = math.frexp(top)[1]
     return np.ldexp(parts, -e).view(x.dtype), e
 
 

@@ -12,7 +12,10 @@ symbolic derivative trees of the entries, independently of the library's
 forward-mode jets, and taylor_jets_ref runs those jets' rules one
 instruction at a time, where the library runs them one level group at a
 time.  full_tape_jets_ref evaluates every entry, the lower triangle too,
-where the library conjugates the upper one.  real_jet_ref builds the
+where the library conjugates the upper one.  interned_tape_ref builds a
+definition's tape the earlier way: hash-consing the entries' nodes, then
+one instruction per distinct node, where the library shares equal
+instructions as it writes them.  real_jet_ref builds the
 real jet in the earlier interleaved slice order.  The four
 *_sectional_ref scalar curvatures are the earlier per-vector routes:
 each vector rescaled through a Python list, every norm through
@@ -29,7 +32,7 @@ from hermicurv.connection import induced_real_connection
 from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps,
                             hermitian_pairing, to_holomorphic, to_real)
 from hermicurv.dsl import MetricDefinition
-from hermicurv.errors import DegeneratePlaneError, DslEvalError, HermicurvError
+from hermicurv.errors import DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError
 from hermicurv.sectional import Plane, _form, _kr_form, _real_quantity, chern_quadratic_form
 from hermicurv.field import MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at
 
@@ -311,6 +314,51 @@ def full_tape_jets_ref(metric: MetricDefinition, zs: list) -> tuple:
     return H, out[0], out[1:]
 
 
+def _interned(root, table: dict):
+    """The copy of the tree root in table, which holds one node per key
+    (kind, value, ids of its children), a constant keyed by the repr of
+    its value, and keeps every node it holds alive."""
+    done: dict = {}
+    for nd in dsl._postorder([root], lambda x: id(x) in done):
+        kids = tuple(done[id(c)] for c in nd.children)
+        node = nd if all(k is c for k, c in zip(kids, nd.children)) else dsl.Node(nd.kind, nd.value, kids)
+        key = ("const", repr(nd.value)) if nd.kind == "const" else (nd.kind, nd.value, *map(id, kids))
+        done[id(nd)] = table.setdefault(key, node)
+    return done[id(root)]
+
+
+def _emit_by_identity(roots, code: list, slots: dict) -> list:
+    """One instruction per node under roots whose id has no slot yet, in
+    evaluation order; the slots of the roots."""
+    for nd in dsl._postorder(roots, lambda x: id(x) in slots):
+        op = dsl._OPCODES[nd.kind]
+        if op <= tape._ZB:
+            ins = (op, nd.value, None)
+        elif op >= tape._POW:
+            ins = (op, slots[id(nd.children[0])], nd.value)
+        else:
+            ins = (op, slots[id(nd.children[0])], slots[id(nd.children[1])])
+        slots[id(nd)] = len(code)
+        code.append(ins)
+    return [slots[id(r)] for r in roots]
+
+
+def interned_tape_ref(metric: MetricDefinition) -> tuple:
+    """The tape of MetricDefinition with every entry, the omitted lower
+    ones' formal conjugates included, interned into one node table, row by
+    row, and emitted by node identity: the upper entries, then the stated
+    lower ones.  Returns what the definition keeps as _code, _roots,
+    _lower, _scheduled and _schedule."""
+    n, table = metric.n, {}
+    grid = [[_interned(e, table) for e in row] for row in metric.entries]
+    code, slots = [], {}
+    roots = _emit_by_identity([grid[a][b] for a in range(n) for b in range(a, n)], code, slots)
+    schedule, scheduled = tape._level_schedule(code, roots, n), len(code)
+    lower = [(a, b) for a in range(n) for b in range(a) if (a, b) in metric.explicit]
+    lower = dict(zip(lower, _emit_by_identity([grid[a][b] for a, b in lower], code, slots)))
+    return code, roots, lower, scheduled, schedule
+
+
 def real_jet_ref(jet: MetricJet) -> RealMetricJet:
     """field.real_jet_from_complex in its interleaved form: the slices in
     the order H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., the real blocks
@@ -435,7 +483,11 @@ def render_report_ref(obj) -> str:
 
 def _unit_scaled_ref(x: np.ndarray) -> np.ndarray:
     """x times the power of two that puts its largest real or imaginary
-    part in [0.5, 1), found through a Python list."""
+    part in [0.5, 1), found through a Python list, for one finite vector x."""
+    if x.ndim != 1:
+        raise DimensionMismatch("spanning vectors must be 1-D")
+    if not np.isfinite(x).all():
+        raise DimensionMismatch("vector components must be finite")
     parts = np.ascontiguousarray(x).view(float)
     top = max(map(abs, parts.tolist()), default=0.0)
     return np.ldexp(parts, -math.frexp(top)[1]).view(x.dtype)

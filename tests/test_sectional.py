@@ -50,6 +50,10 @@ def test_plane_gram_normalization(geom):
     assert plane_gram(f.rjet.g, 2.0**-260 * e1, 2.0**-260 * e2) == 2.0**-1040
     with pytest.raises(DegeneratePlaneError):
         plane_gram(f.rjet.g, 1e-200 * e1, 2e-200 * e1)
+    with pytest.raises(DimensionMismatch, match="spanning vectors must be 1-D"):
+        plane_gram(f.rjet.g, np.ones((1, 4)), e2)
+    with pytest.raises(DimensionMismatch, match="vector components must be finite"):
+        plane_gram(f.rjet.g, e1, np.array([0.5, 0, np.nan, 0]))
 
 
 def test_degenerate_plane_rejected(geom):
@@ -139,6 +143,8 @@ def _bad_inputs(g):
     odd = (DimensionMismatch, "expected 2n real components")
     not_1d = (DimensionMismatch, "expected n complex components")
     size = (DimensionMismatch, "pairing operands do not match the metric dimension")
+    flat = (DimensionMismatch, "spanning vectors must be 1-D")
+    finite = (DimensionMismatch, "vector components must be finite")
     return [
         ("K", (g.rc, g.rjet, Plane(e1, 2 * e1)), degenerate),
         ("K", (g.rc, g.rjet, Plane(e1, 0 * e1)), degenerate),
@@ -155,6 +161,12 @@ def _bad_inputs(g):
         ("B", (g.kr, g.jet.h, np.ones(3), np.ones(3)), size),
         ("B", (g.kr, g.jet.h, xi, np.ones(3)), size),
         ("K_D", (g.kr, g.jet.h, Plane(np.ones(6), np.arange(6.0))), size),
+        ("K", (g.rc, g.rjet, Plane(np.ones((1, 4)), e2)), flat),
+        ("K_D", (g.kr, g.jet.h, Plane(e1, np.ones((2, 4)))), flat),
+        ("K", (g.rc, g.rjet, Plane(e1, np.array([1.0, np.nan, 0, 0]))), finite),
+        ("K_D", (g.kr, g.jet.h, Plane(np.array([0, 1.0, 0, -np.inf]), e2)), finite),
+        ("H", (g.kr, g.jet.h, np.array([1.0, complex(0, np.nan)])), finite),
+        ("B", (g.kr, g.jet.h, xi, np.array([np.inf, 0.5j])), finite),
         ("K_D", (1j * g.kr, g.jet.h, Plane(e1, e2)),
          (HermicurvError, "the canonical-curvature quadratic form should be real")),
         ("H", (1j * g.kr, g.jet.h, xi), (HermicurvError, "the B numerator should be real")),

@@ -11,7 +11,9 @@ time, and must give the bits and errors of the same rules run one
 instruction at a time (oracles.taylor_jets_ref).  The tape holds only
 the upper triangle; the values and jets below the diagonal, conjugated
 from it, must equal those of a tape of every entry
-(oracles.full_tape_jets_ref).
+(oracles.full_tape_jets_ref).  The tape shares equal instructions as it
+is written, and must equal the tape of the hash-consed entries
+(oracles.interned_tape_ref).
 """
 
 import cmath
@@ -24,7 +26,7 @@ import hermicurv.tape as tape
 from hermicurv import DslEvalError, catalog_metric, geometry_at
 from hermicurv.dsl import parse_expression
 from hermicurv.field import CATALOG_NAMES, jet_at, sample_admissible_points
-from oracles import full_tape_jets_ref, symbolic_jet_ref, taylor_jets_ref
+from oracles import full_tape_jets_ref, interned_tape_ref, symbolic_jet_ref, taylor_jets_ref
 from test_dsl import _random_expression
 
 
@@ -186,6 +188,49 @@ def test_tape_equals_the_derivative_route(name, n):
     entries = catalog_metric(name, n).entries
     roots = dsl._emit([entries[a][b] for a, b in zip(*np.triu_indices(n))], code, {})
     assert metric._code == code and metric._roots == roots
+
+
+def _equal(x, y) -> bool:
+    """Equal nested tuples and lists of arrays and scalars, dtypes included."""
+    if isinstance(x, (tuple, list)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(_equal, x, y))
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    return x == y
+
+
+def _same_as_interned_tape(metric) -> bool:
+    """The tape shares what hash-consing the entries shared: the same
+    instructions, constants compared by repr, roots, lower slots and schedule."""
+    code, roots, lower, scheduled, schedule = interned_tape_ref(metric)
+    return (repr(metric._code) == repr(code) and metric._roots == roots and metric._lower == lower
+            and metric._scheduled == scheduled and _equal(metric._schedule, schedule))
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in CATALOG_NAMES for n in (1, 2, 3, 4, 6)
+                                     if (name, n) != ("hopf", 1)])
+def test_catalog_tapes_equal_the_interned_reference(name, n):
+    assert _same_as_interned_tape(catalog_metric(name, n))
+
+
+@pytest.mark.parametrize("src", [
+    "dim 2; h[1,2] = z1/(3 + z2*zb2); h[2,1] = log(exp(zb1/(3 + z2*zb2)));",
+    "dim 2; h[1,1] = 1/(1 + z1*zb1 + z2*zb2) - zb1*z1/(1 + z1*zb1 + z2*zb2)^2;"
+    " h[1,2] = 0 - zb1*z2/(1 + z1*zb1 + z2*zb2)^2; h[2,1] = 0 - z1*zb2/(1 + z1*zb1 + z2*zb2)^2;",
+])
+def test_stated_lower_tapes_equal_the_interned_reference(src):
+    # the stated lower entries reuse the instructions of the upper prefix
+    metric = dsl.parse_metric(src)
+    assert metric._lower and _same_as_interned_tape(metric)
+
+
+def test_random_tapes_equal_the_interned_reference():
+    rng = np.random.default_rng(406)
+    for _ in range(100):
+        e, f, g = (_random_expression(rng, 3, depth=3) for _ in range(3))
+        explicit = {(0, 1): e, (0, 2): f, (1, 2): g, (2, 0): dsl.conjugate_node(f)}
+        assert _same_as_interned_tape(dsl.MetricDefinition(3, explicit))
+        assert _same_as_interned_tape(dsl.MetricDefinition(2, {(0, 1): e}))
 
 
 def _jets_equal_the_per_instruction_loop(metric, z):
@@ -396,7 +441,7 @@ def test_geometry_needs_no_symbolic_derivative(monkeypatch):
     def refuse(*args):
         raise AssertionError("symbolic differentiation on the jet path")
 
-    monkeypatch.setattr(dsl._Graph, "derive", refuse)
+    monkeypatch.setattr(dsl, "_derive", refuse)
     for name in CATALOG_NAMES:
         metric = catalog_metric(name, 3)
         geom = geometry_at(metric, sample_admissible_points(metric, 1, seed=8)[0])
@@ -421,16 +466,21 @@ def test_derivative_nodes_are_shared():
     metric = catalog_metric("fubini_study", 2)
     d = metric.derivative(0, 1, (("zb", 2), ("z", 1)))
     assert d is metric.derivative(0, 1, (("z", 1), ("zb", 2)))
-    # the entries' common denominator is one node in every entry
-    q = metric.entry(0, 0).children[0].children[1]
-    assert q is metric.entry(1, 1).children[0].children[1]
+    # the entries' common denominator is one instruction of the tape
+    code, slots = [], {}
+    dsl._emit([metric.entry(0, 0), metric.entry(0, 1), metric.entry(1, 1)], code, slots)
+    assert code == metric._code
+    q = [metric.entry(a, a).children[0].children[1] for a in range(2)]
+    assert q[0] is not q[1]
+    slot, again = dsl._emit(q, code, slots)
+    assert slot == again and code == metric._code
 
 
 def test_signed_zero_constants_stay_apart():
-    graph = dsl._Graph()
-    plus, minus = graph.intern(dsl.const(0j)), graph.intern(dsl.const(complex(0.0, -0.0)))
-    assert plus is not minus
-    assert graph.intern(dsl.const(complex(0.0, -0.0))) is minus
+    code: list = []
+    zeros = [dsl.const(0j), dsl.const(complex(0.0, -0.0)), dsl.const(complex(0.0, -0.0))]
+    assert dsl._emit(zeros, code, {}) == [0, 1, 1]
+    assert [repr(a) for _, a, _ in code] == ["0j", "-0j"]
 
 
 @pytest.mark.parametrize("src, z", [
