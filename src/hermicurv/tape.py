@@ -3,11 +3,11 @@ second-order Taylor pass.
 
 A tape is the list of instructions (opcode, a, b) that dsl._emit writes,
 each after its operands.  _run executes one on Python complex scalars.
-_level_schedule groups the non-leaf instructions by depth and rule and
-lays out the rows of their jets; _taylor_jets runs that schedule, one
-group of second-order Taylor jets as a few numpy calls on stacked
-operands (dsl.MetricDefinition.entry_jets), doing for each element the
-arithmetic of one instruction at a time.
+_level_schedule groups the non-leaf instructions by depth and rule, one
+jet row per instruction; _taylor_jets runs that schedule, one group of
+second-order Taylor jets as a few numpy calls on stacked operands
+(dsl.MetricDefinition.entry_jets), doing for each element the arithmetic
+of one instruction at a time.
 """
 
 from __future__ import annotations
@@ -93,13 +93,16 @@ def _factors(op: int, b, v: complex, x: complex) -> tuple:
     return f1, -f1 / (2 * v)
 
 
-def _sum_rule(J, out, terms, ops, S):
-    """Chains: out[c] is terms[c, 0] through terms[c, -1], each later term
-    added or subtracted by its op, left to right."""
-    t = J.take(terms.T, axis=0)  # term s of every chain in t[s]
-    out[:] = t[0]
-    for op, term in zip(ops, t[1:]):
-        op(out, term, out)
+def _add_rule(J, out, jets, scale, S):
+    """q = a + b."""
+    ab = J.take(jets, axis=0)
+    np.add(ab[0], ab[1], out=out)
+
+
+def _sub_rule(J, out, jets, scale, S):
+    """q = a - b."""
+    ab = J.take(jets, axis=0)
+    np.subtract(ab[0], ab[1], out=out)
 
 
 def _mul_rule(J, out, jets, scale, S):
@@ -130,15 +133,16 @@ def _unary_rule(J, out, jets, scale, S):
     out[:, 1:] += np.multiply(f2, outer, out=outer)
 
 
-_RULES = {"sum": _sum_rule, "mul": _mul_rule, "div": _div_rule, "unary": _unary_rule}
+# rule by opcode, _POW standing for both unary opcodes
+_RULES = {_ADD: _add_rule, _SUB: _sub_rule, _MUL: _mul_rule, _DIV: _div_rule, _POW: _unary_rule}
 
 
 class _Schedule(NamedTuple):
     """The Taylor pass of a tape, for _taylor_jets: order lists the
-    instructions that own a jet row, by row (leaves, then each group's
-    outputs; a sum chain's partial sums own none), the leaves' rows are
-    leaf_jets, roots are the rows of the tape's roots, and unary lists
-    the (i, op, a, b) of the pow and call instructions in tape order."""
+    instructions by row (leaves, then each group's outputs), the leaves'
+    rows are leaf_jets, roots are the rows of the tape's roots, and unary
+    lists the (i, op, a, b) of the pow and call instructions in tape
+    order."""
 
     order: list
     leaf_jets: np.ndarray
@@ -150,56 +154,26 @@ class _Schedule(NamedTuple):
 def _level_schedule(code: list, roots: list, n: int) -> _Schedule:
     """Level groups of the non-leaf instructions of code over n variables.
 
-    A left-associated add/sub chain whose partial sums have no other use
-    is one unit, its terms in order; every other non-leaf instruction is
-    a unit of its own.  A unit's depth is 1 + the largest depth of its
-    operands or terms, leaves being 0.  A group holds the units of one
-    depth and rule ("sum" for chains of one sign pattern, "mul", "div",
-    or "unary" for pow and call), so it reads only leaves and earlier
-    groups.
+    Each non-leaf instruction has a depth, 1 + the largest depth of its
+    operands, leaves being 0, and a row of its own.  A group holds the
+    instructions of one depth and rule (add, sub, mul, div, or unary for
+    pow and call), so it reads only leaves and earlier groups.
 
     A group is (rule, start, stop, jets, aux): rule is the function that
-    fills its output rows start:stop, one per unit, from the rows jets it
-    reads.  For "sum", jets (k, L) are the terms of k chains, whose last
-    instructions own the rows, and aux the L - 1 ufuncs, np.add or
-    np.subtract, that take in terms 1 to L - 1; the partial sums get no
-    row.  For the others aux (2, k) indexes the scalars of _taylor_jets
-    that scale the operands: (b, a) for mul, (the output, b) for div,
-    both instruction values, and (f', f'') for unary; jets are the
-    operand rows, (2, k) a and b or (k,) a.
+    fills its output rows start:stop, one per instruction, from the
+    operand rows jets, (2, k) a and b or (k,) a for unary.  aux (2, k)
+    indexes the scalars of _taylor_jets that scale the operands: (b, a)
+    for mul, (the output, b) for div, both instruction values, and
+    (f', f'') for unary; add and sub read none.
     """
-    uses = [0] * len(code)
-    for op, a, b in code:
-        if op > _ZB:
-            uses[a] += 1
-            if op < _POW:
-                uses[b] += 1
-    for r in roots:
-        uses[r] += 1
     depth = [0] * len(code)
-    chains: dict = {}  # add/sub instruction -> its chain [terms, subtracts, last, depth]
-    units: dict = {}
+    members: dict = {}
     for i, (op, a, b) in enumerate(code):
-        if op <= _ZB:
-            continue
-        if op == _ADD or op == _SUB:
-            chain = chains.get(a) if uses[a] == 1 else None
-            if chain is None:
-                chain = [[a], [], i, depth[a] + 1]
-                units.setdefault("sum", []).append(chain)
-            chain[0].append(b)
-            chain[1].append(op == _SUB)
-            chain[2] = i
-            chain[3] = depth[i] = max(chain[3], depth[b] + 1)
-            chains[i] = chain
-            continue
-        rule = "mul" if op == _MUL else "div" if op == _DIV else "unary"
-        depth[i] = 1 + max(depth[a], depth[b] if op < _POW else 0)
-        units.setdefault((depth[i], rule, 0), []).append(i)
-    for chain in units.pop("sum", []):
-        units.setdefault((chain[3], "sum", tuple(chain[1])), []).append(chain)
+        if op > _ZB:
+            depth[i] = 1 + max(depth[a], depth[b] if op < _POW else 0)
+            members.setdefault((depth[i], min(op, _POW)), []).append(i)
 
-    keys = sorted(units)
+    keys = sorted(members)
     order = [i for i, (op, _, _) in enumerate(code) if op <= _ZB]
     # a constant's jet is zero, and so is a variable past n, whose value
     # fails first; a variable's is a unit gradient
@@ -209,27 +183,23 @@ def _level_schedule(code: list, roots: list, n: int) -> _Schedule:
                        for op, a, _ in (code[i] for i in order)]]
     start = len(order)
     for key in keys:
-        order += [chain[2] for chain in units[key]] if key[1] == "sum" else units[key]
+        order += members[key]
     row = np.full(len(code), -1)
     row[order] = np.arange(len(order))
     unary = [(i, *code[i]) for i in range(len(code)) if code[i][0] >= _POW]
     factor = {ins[0]: len(code) + 2 * u for u, ins in enumerate(unary)}
     groups = []
     for key in keys:
-        rule, unit = key[1], units[key]
-        stop = start + len(unit)
-        if rule == "sum":
-            jets = row[np.array([chain[0] for chain in unit])]
-            aux = tuple(np.subtract if sub else np.add for sub in key[2])
+        rule, outs = key[1], members[key]
+        stop = start + len(outs)
+        a = [code[i][1] for i in outs]
+        if rule == _POW:
+            jets = row[a]
+            aux = np.array([[factor[i] for i in outs], [factor[i] + 1 for i in outs]])
         else:
-            a = [code[i][1] for i in unit]
-            if rule == "unary":
-                jets = row[a]
-                aux = np.array([[factor[i] for i in unit], [factor[i] + 1 for i in unit]])
-            else:
-                b = [code[i][2] for i in unit]
-                jets = row[np.array([a, b])]
-                aux = np.array([b, a] if rule == "mul" else [unit, b])
+            b = [code[i][2] for i in outs]
+            jets = row[np.array([a, b])]
+            aux = np.array([b, a] if rule == _MUL else [outs, b]) if rule in (_MUL, _DIV) else None
         groups.append((_RULES[rule], start, stop, jets, aux))
         start = stop
     return _Schedule(order, leaf_jets, groups, unary, row[roots])

@@ -280,8 +280,8 @@ def _signed_sum(rng, terms):
 
 @pytest.mark.parametrize("length", [3, 9, 40, 1500])
 def test_long_signed_sums_equal_the_per_instruction_loop(length):
-    # a chain adds one position at a time across its group, which must
-    # give the bits of one add per term
+    # each add or sub of the sum is its own group, one level after the
+    # previous partial sum, which must give the bits of one add per term
     rng = np.random.default_rng(length)
     pool = [_random_expression(rng, 2, 2) for _ in range(7)]
     entry = _signed_sum(rng, [pool[int(i)] for i in rng.integers(0, 7, length)])
@@ -311,35 +311,24 @@ def _check_schedule(metric):
             want[0, a - 1 if op == tape._Z else n + a - 1] = 1
         assert (jet == want).all()
     computed = order[:ready]
+    binary = {tape._ADD: tape._add_rule, tape._SUB: tape._sub_rule,
+              tape._MUL: tape._mul_rule, tape._DIV: tape._div_rule}
     for rule, start, stop, jets, aux in schedule.groups:
         assert start == ready and stop > start
         assert jets.min() >= 0 and jets.max() < start
         outs, ready = order[start:stop], stop
-        if rule is tape._sum_rule:
-            k, L = jets.shape
-            assert stop - start == k and len(aux) == L - 1
-            for c in range(k):
-                # walk the chain back from its last instruction
-                i = outs[c]
-                for s in range(L - 1, 0, -1):
-                    op, a, b = code[i]
-                    assert aux[s - 1] is (np.subtract if op == tape._SUB else np.add)
-                    assert op in (tape._ADD, tape._SUB) and row[b] == jets[c, s]
-                    computed.append(i)
-                    i = a
-                assert row[i] == jets[c, 0]
-            continue
         computed += outs
         for t, i in enumerate(outs):
             op, a, b = code[i]
             if rule is tape._unary_rule:
                 assert op in (tape._POW, tape._CALL) and row[a] == jets[t]
                 assert list(aux[:, t]) == [factor[i], factor[i] + 1]
-            else:
-                assert rule in (tape._mul_rule, tape._div_rule)
-                assert op == (tape._MUL if rule is tape._mul_rule else tape._DIV)
-                assert (row[a], row[b]) == (jets[0, t], jets[1, t])
+                continue
+            assert rule is binary[op] and (row[a], row[b]) == (jets[0, t], jets[1, t])
+            if rule is tape._mul_rule or rule is tape._div_rule:
                 assert list(aux[:, t]) == ([b, a] if rule is tape._mul_rule else [i, b])
+            else:
+                assert aux is None
     assert ready == len(order) and sorted(computed) == list(range(len(code)))
 
 
@@ -357,13 +346,14 @@ def test_random_schedules_cover_each_instruction_once_from_earlier_groups():
 
 
 def test_schedule_groups_the_catalog_by_level():
-    # fubini_study n=4 has 40 non-leaf instructions in 6 groups
+    # fubini_study n=4 has 40 non-leaf instructions in 9 groups, one row each
     metric = catalog_metric("fubini_study", 4)
     schedule = metric._schedule
     assert len(metric._code) - len(schedule.leaf_jets) == 40
+    assert len(schedule.order) == 50
     assert [g[0] for g in schedule.groups] == [
-        tape._mul_rule, tape._sum_rule, tape._div_rule, tape._unary_rule, tape._div_rule,
-        tape._sum_rule]
+        tape._mul_rule, *[tape._add_rule] * 4, tape._div_rule, tape._unary_rule,
+        tape._div_rule, tape._sub_rule]
 
 
 # instructions on the tape of each catalog metric at n = 2, 3, 4, 6
