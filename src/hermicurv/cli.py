@@ -65,6 +65,20 @@ def _array_template(shape: tuple) -> str:
     return text
 
 
+# Below this many numbers, np.unique and the object arrays cost more than
+# the one %-format they save.
+_DISTINCT_MIN = 256
+
+
+@functools.lru_cache(maxsize=32)
+def _array_pieces(shape: tuple) -> np.ndarray:
+    """The text of _array_template(shape) between its %.17g, as an object
+    array; equal pieces are one object, so the array holds only pointers."""
+    shared = {}
+    return np.array([shared.setdefault(p, p) for p in _array_template(shape).split("%.17g")],
+                    dtype=object)
+
+
 def _render(obj, out, indent):
     if obj is None:
         out.append("null")
@@ -90,7 +104,19 @@ def _render(obj, out, indent):
             # [re, im] per element, as for a complex scalar
             flat = flat.astype(complex, copy=False).view(float)
             shape += (2,)
-        out.append(_array_template(shape) % tuple(flat.tolist()))
+        flat = flat.astype(float, copy=False)
+        if flat.size < _DISTINCT_MIN:
+            out.append(_array_template(shape) % tuple(flat.tolist()))
+        else:
+            # Format each distinct value once, keyed by its bits so that
+            # -0.0 stays apart from 0.0, and place the digits through the
+            # inverse.
+            bits, inv = np.unique(flat.view(np.int64), return_inverse=True)
+            digits = (", ".join(["%.17g"] * bits.size) % tuple(bits.view(float).tolist())).split(", ")
+            text = np.empty(2 * flat.size + 1, dtype=object)
+            text[0::2] = _array_pieces(shape)
+            text[1::2] = np.array(digits, dtype=object)[inv]
+            out.append("".join(text.tolist()))
     elif isinstance(obj, np.ndarray):
         _render(obj.tolist(), out, indent)
     elif isinstance(obj, ChartPoint):
@@ -118,7 +144,8 @@ def _render(obj, out, indent):
 def render_report(obj) -> str:
     out = []
     _render(obj, out, 0)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _write_output(text: str, path):

@@ -11,7 +11,7 @@ import pytest
 import hermicurv.cli as cli
 from hermicurv import HermicurvError
 from hermicurv.cli import render_report, run_main
-from hermicurv.field import catalog_source
+from hermicurv.field import CATALOG_NAMES, catalog_metric, catalog_source, sample_admissible_points
 from oracles import render_report_ref
 
 FS_POINT = '[[0.1,0.2],[0.0,-0.1]]'
@@ -605,7 +605,10 @@ def test_parser_keeps_no_state_between_calls(capsys):
 
 EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1,
                -1.7976931348623157e308, 1.0, -2.5, 1e-320]
-SHAPES = [(), (0,), (2, 0), (3,), (2, 3, 4), (12, 12, 12, 12)]
+# (3, 5, 17) and (16, 16) hold 255 and 256 numbers, either side of
+# cli._DISTINCT_MIN
+SHAPES = [(), (0,), (2, 0), (3,), (2, 3, 4), (3, 5, 17), (16, 16), (12, 12, 12, 12)]
+FEW_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5, 0.1]
 
 
 def assert_same_text(got, want):
@@ -630,9 +633,12 @@ def _values(shape, rng):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_float_arrays_render_as_element_wise(shape):
-    a = _values(shape, np.random.default_rng(len(shape)))
+    rng = np.random.default_rng(len(shape))
+    a = _values(shape, rng)
+    few = rng.choice(FEW_VALUES, size=shape)
     # transposed and flipped views are not C-contiguous
-    report = {"a": a, "t": a.T, "f": np.flip(a), "nested": [a, {"b": a}]}
+    report = {"a": a, "t": a.T, "f": np.flip(a), "nested": [a, {"b": a}],
+              "few": few, "few_t": few.T}
     assert_same_text(render_report(report), render_report_ref(report))
 
 
@@ -642,15 +648,19 @@ def test_complex_arrays_render_as_element_wise(shape):
     a = np.empty(shape, dtype=complex)
     a.real[...] = _values(shape, rng)
     a.imag[...] = np.flip(_values(shape, rng))
-    report = {"a": a, "t": a.T, "f": np.flip(a), "c": a.conj()}
+    few = np.empty(shape, dtype=complex)
+    few.real[...] = rng.choice(FEW_VALUES, size=shape)
+    few.imag[...] = rng.choice(FEW_VALUES, size=shape)
+    report = {"a": a, "t": a.T, "f": np.flip(a), "c": a.conj(), "few": few, "few_t": few.T}
     assert_same_text(render_report(report), render_report_ref(report))
 
 
 def test_single_precision_arrays_render_as_element_wise():
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 5)).astype(np.float32)
-    c = (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))).astype(np.complex64)
-    assert_same_text(render_report({"a": a, "c": c}), render_report_ref({"a": a, "c": c}))
+    for shape_a, shape_c in (((4, 5), (3, 2)), ((16, 16), (12, 12))):
+        a = rng.standard_normal(shape_a).astype(np.float32)
+        c = (rng.standard_normal(shape_c) + 1j * rng.standard_normal(shape_c)).astype(np.complex64)
+        assert_same_text(render_report({"a": a, "c": c}), render_report_ref({"a": a, "c": c}))
 
 
 def test_int_and_bool_arrays_render_as_before():
@@ -684,3 +694,12 @@ def test_float_arrays_skip_the_element_path(monkeypatch):
     render_report(rng.standard_normal((12, 12, 12, 12)) + 1j)
     render_report(rng.standard_normal((6, 6)))
     assert calls == [np.ndarray, np.ndarray]
+
+
+def test_curvature_reports_render_as_element_wise():
+    for name in CATALOG_NAMES:
+        for n in (2, 3, 6):
+            metric = catalog_metric(name, n)
+            points = sample_admissible_points(metric, 2, seed=5)
+            results, _ = cli._cmd_curvature(None, metric, points)
+            assert_same_text(render_report(results), render_report_ref(results))
