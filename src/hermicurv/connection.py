@@ -37,7 +37,6 @@ __all__ = [
     "complexified_christoffel",
     "real_christoffel",
     "induced_real_connection",
-    "chern_torsion",
 ]
 
 
@@ -91,11 +90,18 @@ def complexified_christoffel(jet: MetricJet) -> ComplexifiedChristoffel:
 
 
 def real_christoffel(rjet: RealMetricJet) -> RealChristoffel:
+    """First- and second-kind Christoffel symbols of g = Re h.
+
+    The brackets' last index is raised once, by one (m^2, m) @ (m, m)
+    product; that is gamma, which real_curvature reads as its raised
+    brackets.
+    """
     # brackets[j, k, s] = (dg_js/dx^k + dg_ks/dx^j - dg_jk/dx^s) / 2,
     # remembering dg's leading axis is the derivative direction
     dg = rjet.dg
+    m = dg.shape[0]
     brackets = 0.5 * (dg.transpose(1, 0, 2) + dg - dg.transpose(1, 2, 0))
-    gamma = np.einsum("ks,ijs->ijk", rjet.g_inv, brackets)
+    gamma = (brackets.reshape(m * m, m) @ rjet.g_inv.T).reshape(m, m, m)
     return RealChristoffel(brackets, gamma)
 
 
@@ -123,13 +129,3 @@ def induced_real_connection(jet: MetricJet) -> InducedRealConnection:
     stacked = np.concatenate([c[..., None], dc], axis=-1).swapaxes(0, 1)
     t = _each_slot(stacked, P[:n], P[n:], P[:n], last).real
     return InducedRealConnection(t[..., 0], t[..., 1:])
-
-
-def chern_torsion(conn: InducedRealConnection) -> np.ndarray:
-    """torsion[i, j, k]: k-th component of T(e_i, e_j) in coordinate fields.
-
-    Coordinate fields commute, so T(e_i, e_j) is the difference of the two
-    covariant derivatives: torsion[i, j, k] = tt[j, k, i] - tt[i, k, j].
-    """
-    tt = conn.theta_tilde
-    return tt.transpose(2, 0, 1) - tt.transpose(0, 2, 1)

@@ -83,16 +83,15 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
     P[j,l,i,k].  d2g[k, l, i, j] has its derivative axes first, so the
     second-derivative part is the pair swap S = d2g + d2g^(pairs
     swapped) read as S[i,k,j,l].  P[j,l,i,k] = br[j,l,s] g_inv[s,t]
-    br[i,k,t] from brackets br[j, k, s]: one bracket is raised first,
-    X[i,k,s] = g_inv[s,t] br[i,k,t], then a single (m^2, m) @ (m, m^2)
-    product gives P, O(m^5) in all.
+    br[i,k,t] from brackets br[j, k, s] and their raised form
+    rchris.gamma[i,k,s] = g_inv[s,t] br[i,k,t], computed once by
+    real_christoffel: a single (m^2, m) @ (m, m^2) product gives P,
+    O(m^5) in all.
     """
     d2g = rjet.d2g
-    br = rchris.brackets
-    m = br.shape[0]
-    br2 = br.reshape(m * m, m)
-    X = br2 @ rjet.g_inv.T
-    P = (br2 @ X.T).reshape(m, m, m, m)
+    m = d2g.shape[0]
+    X = rchris.gamma.reshape(m * m, m)
+    P = (rchris.brackets.reshape(m * m, m) @ X.T).reshape(m, m, m, m)
     S = d2g + d2g.transpose(2, 3, 0, 1)
     S /= 2
     V = S.transpose(0, 2, 1, 3) + P.transpose(2, 0, 3, 1)

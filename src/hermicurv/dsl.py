@@ -31,8 +31,8 @@ same instructions, run forward in second-order Taylor arithmetic one
 level group at a time, give those entries' exact first and second
 derivatives without derivative trees.  The lower triangle is their
 conjugate and is never evaluated; stated lower entries give values only.
-Symbolic derivatives, memoized per (node, kind, index), remain for
-callers that want the expressions.
+MetricDefinition.derivative is the symbolic route: derivative trees,
+memoized per (node, kind, index), for callers that want the expressions.
 Every walk over an expression uses an explicit stack, so expression
 depth is bounded by memory, not by the interpreter's recursion limit.
 """
@@ -43,6 +43,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,6 @@ __all__ = [
     "MetricDefinition",
     "parse_metric",
     "parse_expression",
-    "wirtinger_derivative",
     "evaluate",
     "unparse",
     "conjugate_node",
@@ -478,15 +478,6 @@ def _derive(root: Node, kind: str, index: int, memo: dict) -> Node:
     return memo[(id(root), kind, index)]
 
 
-def wirtinger_derivative(node: Node, kind: str, index: int) -> Node:
-    """Exact partial derivative d(node)/d(z_index) or d/d(zb_index).
-
-    kind is "z" or "zb"; index is the 1-based variable index, matching the
-    source spelling z1, zb1, ...  z and zb are independent variables.
-    """
-    return _derive(node, kind, index, {})
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -623,10 +614,13 @@ def unparse(node: Node) -> str:
 class MetricDefinition:
     """A Hermitian metric given by expression entries h_{a b-bar}.
 
-    entries is an n x n grid of ASTs, as parsed; positions never written
-    in the source default to the Kronecker delta, and an omitted lower
-    triangle mirrors the upper one through the formal conjugate transpose.
-    Only the tape shares equal subexpressions, across entries too.
+    explicit maps the stated positions to their ASTs, as parsed.  entries
+    is the n x n grid of ASTs, built on first read: positions never
+    written in the source default to the Kronecker delta, and an omitted
+    lower triangle mirrors the upper one through the formal conjugate
+    transpose.  The tape is emitted from the stated or default upper
+    trees, so a parse builds no conjugate.  Only the tape shares equal
+    subexpressions, across entries too.
 
     The tape's roots are the entries a <= b, row by row; below the
     diagonal, entry_values and entry_jets conjugate them over the variables
@@ -639,24 +633,16 @@ class MetricDefinition:
 
     def __init__(self, n: int, explicit: dict):
         self.n = n = int(n)
-        self.explicit = frozenset(explicit)
+        self.explicit = explicit
         self._derivs: dict = {}
-
-        def node_at(a, b):
-            if (a, b) in explicit:
-                return explicit[(a, b)]
-            if a > b and (b, a) in explicit:
-                return conjugate_node(explicit[(b, a)])
-            return ONE if a == b else ZERO
-
-        self.entries = grid = tuple(tuple(node_at(a, b) for b in range(n)) for a in range(n))
         upper = [(a, b) for a in range(n) for b in range(a, n)]
         lower = [(a, b) for a in range(n) for b in range(a) if (a, b) in explicit]
         self._code, slots = [], {}
-        self._roots = _emit([grid[a][b] for a, b in upper], self._code, slots)
+        self._roots = _emit([explicit.get((a, b), ONE if a == b else ZERO) for a, b in upper],
+                            self._code, slots)
         self._schedule = _level_schedule(self._code, self._roots, n)
         self._scheduled = len(self._code)
-        self._lower = dict(zip(lower, _emit([grid[a][b] for a, b in lower], self._code, slots)))
+        self._lower = dict(zip(lower, _emit([explicit[p] for p in lower], self._code, slots)))
         # entry (a, b) reads root (min, max); below the diagonal, conjugated
         index = {p: r for r, p in enumerate(upper)}
         src = np.array([[index[min(a, b), max(a, b)] for b in range(n)] for a in range(n)])
@@ -669,6 +655,20 @@ class MetricDefinition:
         self._check_formal_hermitian(upper)
 
     # -- structure ---------------------------------------------------------
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The n x n grid of entry ASTs, built on first read."""
+        explicit = self.explicit
+
+        def node_at(a, b):
+            if (a, b) in explicit:
+                return explicit[(a, b)]
+            if a > b and (b, a) in explicit:
+                return conjugate_node(explicit[(b, a)])
+            return ONE if a == b else ZERO
+
+        return tuple(tuple(node_at(a, b) for b in range(self.n)) for a in range(self.n))
 
     def entry(self, a: int, b: int) -> Node:
         """AST of h_{a b-bar}, 0-based indices."""
@@ -715,13 +715,6 @@ class MetricDefinition:
         for kind, k in sorted(ops):
             node = _derive(node, kind, k, self._derivs)
         return node
-
-    def evaluate_matrix(self, point) -> np.ndarray:
-        """Evaluate all entries at a point into an n x n complex matrix."""
-        zs = _coords(point)
-        if len(zs) != self.n:
-            raise DslEvalError(f"point has {len(zs)} coordinates, metric needs {self.n}")
-        return self.entry_values(zs)[1]
 
     def entry_values(self, zs: list) -> tuple:
         """All instruction values at the coordinates zs, and the entry matrix."""

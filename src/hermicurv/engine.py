@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .connection import InducedRealConnection, induced_real_connection, real_christoffel
+from .connection import real_christoffel
 from .core import ChartPoint
 from .curvature import (
     ComplexifiedCurvature,
@@ -24,7 +24,7 @@ __all__ = ["PointGeometry", "geometry_at"]
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Everything at one point: jets, connections, curvatures.
+    """Everything at one point: jets and curvatures.
 
     jet is built with the record, since building it runs every input
     check; the rest is computed on first read and kept.
@@ -63,10 +63,6 @@ class PointGeometry:
     @cached_property
     def mixed_11_direct(self) -> np.ndarray:
         return complexified_11_direct(self.jet)
-
-    @cached_property
-    def induced(self) -> InducedRealConnection:
-        return induced_real_connection(self.jet)
 
 
 def geometry_at(metric: MetricDefinition, p) -> PointGeometry:

@@ -37,15 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint, _chain, to_holomorphic
+from .core import ChartPoint, _chain
 from .dsl import MetricDefinition, parse_metric
-from .errors import (
-    CatalogError,
-    DslEvalError,
-    HermicurvError,
-    InadmissiblePointError,
-    SingularMetricError,
-)
+from .errors import CatalogError, InadmissiblePointError, SingularMetricError
 
 __all__ = [
     "CATALOG_NAMES",
@@ -54,9 +48,7 @@ __all__ = [
     "MetricJet",
     "RealMetricJet",
     "jet_at",
-    "real_jet_at",
     "real_jet_from_complex",
-    "sample_admissible_points",
 ]
 
 CATALOG_NAMES = ("euclidean", "fubini_study", "poincare_ball", "hopf", "nk_diag")
@@ -229,52 +221,3 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     g = real[0]
     return RealMetricJet(jet.point, g, np.linalg.inv(g), real[1:1 + m],
                          real[1 + m:].reshape(m, m, m, m))
-
-
-def real_jet_at(metric: MetricDefinition, p) -> RealMetricJet:
-    return real_jet_from_complex(jet_at(metric, p))
-
-
-# ---------------------------------------------------------------------------
-# Point sampling
-
-
-def _draw_coords(rng, name, n: int) -> np.ndarray:
-    if name == "poincare_ball":
-        x = rng.standard_normal(2 * n)
-        x *= 0.6 * rng.random() ** (1.0 / (2 * n)) / np.linalg.norm(x)
-        return to_holomorphic(x)
-    if name == "hopf":
-        x = rng.standard_normal(2 * n)
-        x *= rng.uniform(0.4, 1.3) / np.linalg.norm(x)
-        return to_holomorphic(x)
-    return rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
-
-
-def sample_admissible_points(metric: MetricDefinition, count: int, seed: int = 0) -> list:
-    """Deterministically sample points where the metric evaluates and is PD.
-
-    Catalog metrics draw from per-metric domains (a bounded box; a ball of
-    radius 0.6 for poincare_ball; the annulus 0.4 <= |z| <= 1.3 for hopf).
-    Anything else uses the box with rejection on evaluation failure or
-    indefiniteness.
-    """
-    n = metric.n
-    name = getattr(metric, "catalog_name", None)
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(200 * count):
-        if len(points) == count:
-            break
-        z = _draw_coords(rng, name, n)
-        try:
-            H = metric.evaluate_matrix(z)
-            _checked_inverse(H)
-        except (DslEvalError, HermicurvError):
-            continue
-        points.append(ChartPoint(z))
-    if len(points) < count:
-        raise InadmissiblePointError(
-            f"could only sample {len(points)} of {count} admissible points"
-        )
-    return points

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import InducedRealConnection
 from .core import (
     _holo_comps,
     _real_comps,
@@ -46,7 +45,6 @@ __all__ = [
     "chern_sectional",
     "holo_sectional",
     "holo_bisectional",
-    "induced_curvature_pairing",
     "IdentityResiduals",
     "identity_suite",
 ]
@@ -195,28 +193,6 @@ def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     x, xc, nx = _unit_normed(h, xi)
     e, ec, ne = _unit_normed(h, eta)
     return _real_quantity(_form(kr, x, xc, e, ec), "the B numerator") / (nx * ne)
-
-
-def induced_curvature_pairing(conn: InducedRealConnection, rjet: RealMetricJet, u, v) -> float:
-    """g((D^2 u)(v, u), v) for the induced real metric connection D.
-
-    Assembled from the connection coefficients and their exact coordinate
-    derivatives, so it is an entirely real-variable route; its agreement
-    with the quadratic form in kr is the package's central two-sided
-    check.
-    """
-    u = _real_comps(u)
-    v = _real_comps(v)
-    # C[i, j, k]: i-th output component of D_{e_k} e_j
-    C = conn.theta_tilde.transpose(1, 0, 2)
-    Cd = conn.theta_tilde_dx.transpose(1, 0, 2, 3)
-    curv = (
-        Cd.transpose(0, 1, 3, 2)
-        - Cd
-        + np.einsum("ika,kjb->ijab", C, C)
-        - np.einsum("ikb,kja->ijab", C, C)
-    )
-    return float(_form(curv, rjet.g @ v, u, v, u))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ real jet in the earlier interleaved slice order.  The four
 *_sectional_ref scalar curvatures are the earlier per-vector routes:
 each vector rescaled through a Python list, every norm through
 core.hermitian_pairing, H as B(xi, xi).
+
+The rest are routes that only the tests take: the metric's entry matrix
+alone (evaluate_matrix) and a seeded sampler of admissible points over
+it, the real jet of a metric at a point, the symbolic Wirtinger
+derivative of one expression, and the torsion and curvature pairing of
+the induced real connection, connection.induced_real_connection.
 """
 
 import json
@@ -28,13 +34,108 @@ import math
 import numpy as np
 
 from hermicurv import dsl, tape
-from hermicurv.connection import induced_real_connection
+from hermicurv.connection import InducedRealConnection, induced_real_connection
 from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps,
                             hermitian_pairing, to_holomorphic, to_real)
 from hermicurv.dsl import MetricDefinition
-from hermicurv.errors import DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError
+from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
+                              InadmissiblePointError)
 from hermicurv.sectional import Plane, _form, _kr_form, _real_quantity, chern_quadratic_form
-from hermicurv.field import MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at
+from hermicurv.field import (MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at,
+                             real_jet_from_complex)
+
+
+def evaluate_matrix(metric: MetricDefinition, point) -> np.ndarray:
+    """Evaluate all entries at a point into an n x n complex matrix."""
+    zs = dsl._coords(point)
+    if len(zs) != metric.n:
+        raise DslEvalError(f"point has {len(zs)} coordinates, metric needs {metric.n}")
+    return metric.entry_values(zs)[1]
+
+
+def _draw_coords(rng, name, n: int) -> np.ndarray:
+    if name == "poincare_ball":
+        x = rng.standard_normal(2 * n)
+        x *= 0.6 * rng.random() ** (1.0 / (2 * n)) / np.linalg.norm(x)
+        return to_holomorphic(x)
+    if name == "hopf":
+        x = rng.standard_normal(2 * n)
+        x *= rng.uniform(0.4, 1.3) / np.linalg.norm(x)
+        return to_holomorphic(x)
+    return rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
+
+
+def sample_admissible_points(metric: MetricDefinition, count: int, seed: int = 0) -> list:
+    """Deterministically sample points where the metric evaluates and is PD.
+
+    Catalog metrics draw from per-metric domains (a bounded box; a ball of
+    radius 0.6 for poincare_ball; the annulus 0.4 <= |z| <= 1.3 for hopf).
+    Anything else uses the box with rejection on evaluation failure or
+    indefiniteness.
+    """
+    n = metric.n
+    name = getattr(metric, "catalog_name", None)
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(200 * count):
+        if len(points) == count:
+            break
+        z = _draw_coords(rng, name, n)
+        try:
+            _checked_inverse(evaluate_matrix(metric, z))
+        except (DslEvalError, HermicurvError):
+            continue
+        points.append(ChartPoint(z))
+    if len(points) < count:
+        raise InadmissiblePointError(
+            f"could only sample {len(points)} of {count} admissible points"
+        )
+    return points
+
+
+def real_jet_at(metric: MetricDefinition, p) -> RealMetricJet:
+    return real_jet_from_complex(jet_at(metric, p))
+
+
+def wirtinger_derivative(node: dsl.Node, kind: str, index: int) -> dsl.Node:
+    """Exact partial derivative d(node)/d(z_index) or d/d(zb_index).
+
+    kind is "z" or "zb"; index is the 1-based variable index, matching the
+    source spelling z1, zb1, ...  z and zb are independent variables.
+    """
+    return dsl._derive(node, kind, index, {})
+
+
+def chern_torsion(conn: InducedRealConnection) -> np.ndarray:
+    """torsion[i, j, k]: k-th component of T(e_i, e_j) in coordinate fields.
+
+    Coordinate fields commute, so T(e_i, e_j) is the difference of the two
+    covariant derivatives: torsion[i, j, k] = tt[j, k, i] - tt[i, k, j].
+    """
+    tt = conn.theta_tilde
+    return tt.transpose(2, 0, 1) - tt.transpose(0, 2, 1)
+
+
+def induced_curvature_pairing(conn: InducedRealConnection, rjet: RealMetricJet, u, v) -> float:
+    """g((D^2 u)(v, u), v) for the induced real metric connection D.
+
+    Assembled from the connection coefficients and their exact coordinate
+    derivatives, so it is an entirely real-variable route; its agreement
+    with the quadratic form in kr is the package's central two-sided
+    check.
+    """
+    u = _real_comps(u)
+    v = _real_comps(v)
+    # C[i, j, k]: i-th output component of D_{e_k} e_j
+    C = conn.theta_tilde.transpose(1, 0, 2)
+    Cd = conn.theta_tilde_dx.transpose(1, 0, 2, 3)
+    curv = (
+        Cd.transpose(0, 1, 3, 2)
+        - Cd
+        + np.einsum("ika,kjb->ijab", C, C)
+        - np.einsum("ikb,kja->ijab", C, C)
+    )
+    return float(_form(curv, rjet.g @ v, u, v, u))
 
 
 def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> MetricJet:
@@ -54,7 +155,7 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> Met
         step = 1e-5 * max(1.0, float(np.max(np.abs(p.coords))))
 
     def H_of(x):
-        return metric.evaluate_matrix(ChartPoint.from_reals(x))
+        return evaluate_matrix(metric, ChartPoint.from_reals(x))
 
     H = H_of(x0)
     h_inv, cond = _checked_inverse(H)

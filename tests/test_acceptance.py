@@ -31,13 +31,12 @@ from hermicurv import (
     to_holomorphic,
 )
 from hermicurv.cli import run_main
-from hermicurv.connection import chern_torsion, real_christoffel
+from hermicurv.connection import induced_real_connection, real_christoffel
 from hermicurv.curvature import chern_curvature
-from hermicurv.dsl import parse_expression
-from hermicurv.field import sample_admissible_points
-from hermicurv.sectional import chern_quadratic_form, induced_curvature_pairing
+from hermicurv.dsl import MetricDefinition, parse_expression
+from hermicurv.sectional import chern_quadratic_form
 
-from oracles import fd_oracle_jet
+from oracles import chern_torsion, fd_oracle_jet, induced_curvature_pairing, sample_admissible_points
 from test_dsl import _fd_wirtinger, _random_expression
 
 
@@ -130,9 +129,10 @@ def test_criterion_05_kahler_equality_suite():
                 worst_block, float(np.abs(g.cx.tensor[:2, 2:, :2, 2:] - g.kr).max())
             )
             lc = real_christoffel(g.rjet).gamma
-            tt = g.induced.theta_tilde
+            conn = induced_real_connection(g.jet)
+            tt = conn.theta_tilde
             worst_lc = max(worst_lc, float(np.abs(tt - np.einsum("kij->ijk", lc)).max()))
-            worst_tor = max(worst_tor, float(np.abs(chern_torsion(g.induced)).max()))
+            worst_tor = max(worst_tor, float(np.abs(chern_torsion(conn)).max()))
             for _ in range(25):
                 u = rng.standard_normal(4)
                 v = rng.standard_normal(4)
@@ -159,10 +159,11 @@ def test_criterion_06_two_sided_pairing_check():
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 5, seed=106):
             g = geometry_at(m, p)
+            conn = induced_real_connection(g.jet)
             for _ in range(10):
                 u = rng.standard_normal(4)
                 v = rng.standard_normal(4)
-                lhs = induced_curvature_pairing(g.induced, g.rjet, u, v)
+                lhs = induced_curvature_pairing(conn, g.rjet, u, v)
                 rhs = chern_quadratic_form(
                     g.kr, to_holomorphic(u), to_holomorphic(v)
                 )
@@ -311,8 +312,12 @@ def test_criterion_13_dsl_robustness(tmp_path, capsys):
         if e.kind == "const":
             continue
         z = 0.4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        for kind in ("z", "zb"):
-            sym = dsl.evaluate(dsl.wirtinger_derivative(e, kind, 1), z)
+        # the library's derivatives of e as the off-diagonal entry h[1,2]:
+        # dh[0, 0, 1] is d/dz1, dh[2, 0, 1] is d/dzb1
+        metric = MetricDefinition(2, {(0, 1): e})
+        dh = metric.entry_jets(metric.entry_values(z.tolist())[0])[0]
+        for kind, w in (("z", 0), ("zb", 2)):
+            sym = dh[w, 0, 1]
             num = _fd_wirtinger(e, kind, 1, z)
             assert abs(sym - num) <= 1e-6 * max(1.0, abs(sym), abs(num))
         deriv_checked += 1

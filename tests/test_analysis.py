@@ -17,9 +17,8 @@ from hermicurv import (
 from hermicurv import analysis
 from hermicurv.analysis import lu_symmetry_check
 from hermicurv.core import hermitian_pairing
-from hermicurv.field import sample_admissible_points
 from hermicurv.sectional import _kr_form, _w_form
-from oracles import riemannian_fd
+from oracles import riemannian_fd, sample_admissible_points
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 

@@ -11,8 +11,8 @@ import pytest
 import hermicurv.cli as cli
 from hermicurv import HermicurvError
 from hermicurv.cli import render_report, run_main
-from hermicurv.field import CATALOG_NAMES, catalog_metric, catalog_source, sample_admissible_points
-from oracles import render_report_ref
+from hermicurv.field import CATALOG_NAMES, catalog_metric, catalog_source
+from oracles import render_report_ref, sample_admissible_points
 
 FS_POINT = '[[0.1,0.2],[0.0,-0.1]]'
 NK_POINT = '[[1,0],[0,0]]'

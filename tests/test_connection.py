@@ -4,13 +4,19 @@ import pytest
 from hermicurv import catalog_metric, jet_at
 from hermicurv.connection import (
     chern_coeffs,
-    chern_torsion,
     complexified_christoffel,
     induced_real_connection,
     real_christoffel,
 )
-from hermicurv.field import CATALOG_NAMES, real_jet_at, sample_admissible_points
-from oracles import _real_blocks_ref, induced_connection_fd, theta_tilde_dx_ref
+from hermicurv.field import CATALOG_NAMES
+from oracles import (
+    _real_blocks_ref,
+    chern_torsion,
+    induced_connection_fd,
+    real_jet_at,
+    sample_admissible_points,
+    theta_tilde_dx_ref,
+)
 
 
 def test_chern_coefficient_on_projective_line():

@@ -9,7 +9,7 @@ from hermicurv.curvature import (
     complexify_curvature,
     real_curvature,
 )
-from hermicurv.field import real_jet_at, sample_admissible_points
+from oracles import real_jet_at, sample_admissible_points
 
 ORIGIN1 = np.array([0.0 + 0j])
 

@@ -16,14 +16,8 @@ from hermicurv import (
     to_holomorphic,
 )
 from hermicurv.core import hermitian_pairing, to_real
-from hermicurv.field import (
-    _checked_inverse,
-    catalog_source,
-    real_jet_at,
-    real_jet_from_complex,
-    sample_admissible_points,
-)
-from oracles import fd_oracle_jet, real_jet_ref
+from hermicurv.field import _checked_inverse, catalog_source, real_jet_from_complex
+from oracles import fd_oracle_jet, real_jet_at, real_jet_ref, sample_admissible_points
 
 ORIGIN1 = np.array([0.0 + 0j])
 

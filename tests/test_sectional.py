@@ -23,8 +23,9 @@ from hermicurv import (
     riemann_sectional,
     to_holomorphic,
 )
-from hermicurv.field import sample_admissible_points
-from hermicurv.sectional import chern_quadratic_form, induced_curvature_pairing, plane_gram
+from hermicurv.connection import induced_real_connection
+from hermicurv.sectional import chern_quadratic_form, plane_gram
+from oracles import induced_curvature_pairing, sample_admissible_points
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -276,9 +277,11 @@ def test_pairing_values(geom):
     e = geom("euclidean", [0j, 0j])
     rng = np.random.default_rng(31)
     u, v = rng.standard_normal(4), rng.standard_normal(4)
-    assert induced_curvature_pairing(e.induced, e.rjet, u, v) == pytest.approx(0.0, abs=1e-14)
+    conn = induced_real_connection(e.jet)
+    assert induced_curvature_pairing(conn, e.rjet, u, v) == pytest.approx(0.0, abs=1e-14)
     f = geom("fubini_study", [0j])
-    assert induced_curvature_pairing(f.induced, f.rjet, E1, E2) == pytest.approx(4.0)
+    conn = induced_real_connection(f.jet)
+    assert induced_curvature_pairing(conn, f.rjet, E1, E2) == pytest.approx(4.0)
 
 
 def test_pairing_equals_quadratic_form_on_catalog():
@@ -287,10 +290,11 @@ def test_pairing_equals_quadratic_form_on_catalog():
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=43):
             g = geometry_at(m, p)
+            conn = induced_real_connection(g.jet)
             for _ in range(5):
                 u = rng.standard_normal(4)
                 v = rng.standard_normal(4)
-                lhs = induced_curvature_pairing(g.induced, g.rjet, u, v)
+                lhs = induced_curvature_pairing(conn, g.rjet, u, v)
                 rhs = chern_quadratic_form(
                     g.kr, to_holomorphic(u), to_holomorphic(v)
                 )

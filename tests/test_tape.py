@@ -17,6 +17,7 @@ is written, and must equal the tape of the hash-consed entries
 """
 
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -24,9 +25,19 @@ import pytest
 import hermicurv.dsl as dsl
 import hermicurv.tape as tape
 from hermicurv import DslEvalError, catalog_metric, geometry_at
+from hermicurv.cli import run_main
+from hermicurv.connection import induced_real_connection
 from hermicurv.dsl import parse_expression
-from hermicurv.field import CATALOG_NAMES, jet_at, sample_admissible_points
-from oracles import full_tape_jets_ref, interned_tape_ref, symbolic_jet_ref, taylor_jets_ref
+from hermicurv.field import CATALOG_NAMES, jet_at
+from oracles import (
+    evaluate_matrix,
+    full_tape_jets_ref,
+    interned_tape_ref,
+    sample_admissible_points,
+    symbolic_jet_ref,
+    taylor_jets_ref,
+    wirtinger_derivative,
+)
 from test_dsl import _random_expression
 
 
@@ -165,7 +176,7 @@ def test_catalog_jets_equal_the_reference(name, n):
             assert same_bits(w, s)
         jet = jet_at(metric, p)
         assert same_bits_but_zero_signs(want[0], jet.h)
-        assert same_bits(jet.h, metric.evaluate_matrix(p))
+        assert same_bits(jet.h, evaluate_matrix(metric, p))
         # both derivative orders are C-contiguous views of one array
         assert jet.dh.flags.c_contiguous and jet.d2h.flags.c_contiguous
         assert jet.dh.base is not None and jet.dh.base is jet.d2h.base
@@ -436,8 +447,24 @@ def test_geometry_needs_no_symbolic_derivative(monkeypatch):
         metric = catalog_metric(name, 3)
         geom = geometry_at(metric, sample_admissible_points(metric, 1, seed=8)[0])
         for tensor in (geom.kr, geom.rc, geom.cx.tensor, geom.mixed_11_direct,
-                       geom.induced.theta_tilde_dx):
+                       induced_real_connection(geom.jet).theta_tilde_dx):
             assert np.all(np.isfinite(tensor))
+
+
+def test_conjugate_trees_are_built_on_read(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("formal conjugate built by a parse")
+
+    f = tmp_path / "long.metric"
+    f.write_text("dim 2;\nh[1,1] = 2;\nh[2,2] = 2;\nh[1,2] = "
+                 + " + ".join(["z1*zb2/1000"] * 1500) + ";\n")
+    monkeypatch.setattr(dsl, "conjugate_node", refuse)
+    metric = catalog_metric("fubini_study", 6)
+    assert np.all(np.isfinite(geometry_at(metric, np.full(6, 0.1 + 0.05j)).cx.tensor))
+    assert run_main(["curvature", "--metric", str(f), "--point", "[[0.1,0.2],[0.3,-0.1]]"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    monkeypatch.undo()
+    assert metric.entries[1][0] == dsl.conjugate_node(metric.entries[0][1])
 
 
 def test_random_expressions_equal_the_reference():
@@ -447,7 +474,7 @@ def test_random_expressions_equal_the_reference():
         z = 0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         assert same_bits(dsl.evaluate(e, z), ref_eval(e, z))
         for kind in ("z", "zb"):
-            d = dsl.wirtinger_derivative(e, kind, 1)
+            d = wirtinger_derivative(e, kind, 1)
             assert d == ref_derivative(e, kind, 1)
             assert same_bits(dsl.evaluate(d, z), ref_eval(d, z))
 
