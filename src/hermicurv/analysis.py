@@ -32,8 +32,6 @@ from .sectional import (Plane, _form, _kr_form, _slot_pair, _w_form, chern_quadr
 __all__ = [
     "ClassificationReport",
     "classify",
-    "LuSymmetryReport",
-    "lu_symmetry_check",
     "LuInequalityReport",
     "lu_inequality_check",
     "SearchStats",
@@ -57,7 +55,6 @@ class ClassificationReport:
     kahler_like_residual: float
     g_kahler_like: bool
     g_kahler_like_residual: float
-    points: tuple
     tol: float
 
 
@@ -74,11 +71,12 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
     array it measures: dh/dz, the canonical curvature, or the
     complexified curvature.
     """
+    points = list(points)
+    if not points:
+        raise ValueError("points must name at least one point")
     worst = np.zeros((3, 2))  # per condition: largest residual, and residual / max(1, M)
-    pts = []
     for p in points:
         geom = geometry_at(metric, p)
-        pts.append(geom.point)
         dz, kr, cx = geom.jet.dh[:geom.n], geom.kr, geom.cx
         for k, (defect, of) in enumerate((
             (dz - dz.transpose(1, 0, 2), dz),
@@ -87,8 +85,6 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
         )):
             r = float(np.max(np.abs(defect)))
             worst[k] = np.maximum(worst[k], (r, r / max(1.0, float(np.max(np.abs(of))))))
-    if not pts:
-        raise ValueError("points must name at least one point")
     (rk, qk), (rkl, qkl), (rgk, qgk) = worst.tolist()
     return ClassificationReport(
         kahler=qk < tol,
@@ -97,7 +93,6 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
         kahler_like_residual=rkl,
         g_kahler_like=qgk < tol,
         g_kahler_like_residual=rgk,
-        points=tuple(pts),
         tol=tol,
     )
 
@@ -106,39 +101,32 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
 # Curvature-tensor symmetry and inequality checks
 
 
-@dataclass(frozen=True)
-class LuSymmetryReport:
-    passed: bool
-    residual: float
-
-
-# The residual below which lu_symmetry_check passes: at sampled catalog
-# points it is either rounding (below 1e-14) or above 0.3.
+# The residual below which the curvature symmetries pass: at sampled
+# catalog points it is either rounding (below 1e-14) or above 0.3.
 _SYMMETRY_TOL = 1e-9
 
 
-def lu_symmetry_check(A: np.ndarray) -> LuSymmetryReport:
-    """Check the three symmetries required of a curvature-type tensor:
-    swap of unbarred slots, swap of barred slots, and pair conjugation."""
-    A = np.asarray(A, dtype=complex)
-    r = max(
+def _symmetry_residual(A: np.ndarray) -> float:
+    """The largest defect of the three symmetries required of a
+    curvature-type tensor: swap of unbarred slots, swap of barred slots,
+    and pair conjugation."""
+    return max(
         float(np.max(np.abs(A - A.transpose(2, 1, 0, 3)))),
         float(np.max(np.abs(A - A.transpose(0, 3, 2, 1)))),
         float(np.max(np.abs(A - A.transpose(1, 0, 3, 2).conj()))),
     )
-    return LuSymmetryReport(passed=r < _SYMMETRY_TOL, residual=r)
 
 
 @dataclass(frozen=True)
 class LuInequalityReport:
     applicable: bool
-    symmetry: LuSymmetryReport
+    symmetry_residual: float
+    symmetry_passed: bool
     hypothesis_sign: str
     hypothesis_holds: bool
     violations: int
     worst_margin: float
     samples: int
-    seed: int
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
@@ -147,25 +135,23 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg",
-                        seed: int = 0) -> LuInequalityReport:
+def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> LuInequalityReport:
     """Sample the Cauchy-Schwarz-type bound |A(x,x~,e,e~)|^2 <=
     A(x,x~,x,x~) A(e,e~,e,e~) on random pairs.
 
     The bound is only guaranteed under the symmetry conditions of
-    lu_symmetry_check plus a sign condition on the quadratic form built
+    _symmetry_residual plus a sign condition on the quadratic form built
     from x e~ - e x~; both hypotheses are verified on the same samples
     and failure makes the report inapplicable rather than a violation.
-    sign "auto" takes "nonneg" when that hypothesis holds on the samples
-    and "nonpos" otherwise; the report names the sign taken.
+    The sign is "nonneg" when that hypothesis holds on the samples and
+    "nonpos" otherwise; the report names the sign taken.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if sign not in ("nonneg", "nonpos", "auto"):
-        raise ValueError("sign must be 'nonneg', 'nonpos' or 'auto'")
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    sym = lu_symmetry_check(A)
+    residual = _symmetry_residual(A)
+    passed = residual < _SYMMETRY_TOL
     rng = np.random.default_rng(seed)
     X = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
     E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
@@ -173,9 +159,7 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
     q = _w_form(A, X, E)
     qtol = 1e-9 * max(1.0, float(np.max(np.abs(q))))
     nonneg = bool(np.all(q.real >= -qtol))
-    if sign == "auto":
-        sign = "nonneg" if nonneg else "nonpos"
-    hyp = nonneg if sign == "nonneg" else bool(np.all(q.real <= qtol))
+    hyp = nonneg or bool(np.all(q.real <= qtol))
 
     diag_x = _kr_form(A, X, X, X, X).real
     diag_e = _kr_form(A, E, E, E, E).real
@@ -185,14 +169,14 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, sign: str = "nonneg"
     violations = int(np.sum(margins < -mtol))
 
     return LuInequalityReport(
-        applicable=bool(sym.passed and hyp),
-        symmetry=sym,
-        hypothesis_sign=sign,
+        applicable=passed and hyp,
+        symmetry_residual=residual,
+        symmetry_passed=passed,
+        hypothesis_sign="nonneg" if nonneg else "nonpos",
         hypothesis_holds=hyp,
         violations=violations,
         worst_margin=float(np.min(margins)),
         samples=samples,
-        seed=seed,
     )
 
 
@@ -499,7 +483,6 @@ class ExtremalResult:
     converged: bool
     gap: float
     hypothesis_sign: str
-    seed: int
     applicable: bool
     search: SearchStats
     holo_search: SearchStats
@@ -532,7 +515,6 @@ def _extremal(white, mode: str, restarts: int, seed: int, plane: _Quartic, pair:
         converged=converged and holo_conv,
         gap=best_value - holo_value if mode == "max" else holo_value - best_value,
         hypothesis_sign=hypothesis_sign,
-        seed=seed,
         applicable=symmetric and hypothesis_sign in _COVERED_SIGNS[mode],
         search=stats,
         holo_search=holo_stats,
@@ -572,7 +554,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
                          restarts: int = 64, seed: int = 0) -> ExtremalResult:
     """Extremize B over pairs of h-unit vectors, against the H extremum.
 
-    Applicability requires the curvature symmetry of lu_symmetry_check
+    Applicability requires the curvature symmetry of _symmetry_residual
     and a sign-definite quadratic form, both sampled here, with the mode
     covered for that sign.  The attainment statement predicts the B
     extremum occurs at xi = eta (up to phase), which pair_alignment makes
@@ -582,7 +564,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     geom = geometry_at(metric, p)
     kr, g, n = geom.kr, geom.rjet.g, geom.n
 
-    sym = lu_symmetry_check(kr)
+    symmetric = _symmetry_residual(kr) < _SYMMETRY_TOL
     rng = np.random.default_rng(seed + 202)
     Xs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
@@ -592,7 +574,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     K = _real_chern(kr)
     white = _whitening(g)
     plane = _Quartic(K.transpose(0, 2, 3, 1), white[1])
-    res = _extremal(white, mode, restarts, seed, plane, False, K, hypothesis_sign, sym.passed)
+    res = _extremal(white, mode, restarts, seed, plane, False, K, hypothesis_sign, symmetric)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(
         res,
@@ -622,7 +604,6 @@ class GapProbeReport:
     witness_K_D: float
     per_point_gaps: tuple
     samples: int
-    seed: int
     searches: tuple = ()
 
 
@@ -690,6 +671,5 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         witness_K_D=chern_quadratic_form(geom.kr, xi, eta),
         per_point_gaps=tuple(per_point),
         samples=samples,
-        seed=seed,
         searches=tuple(searches),
     )

@@ -31,7 +31,7 @@ from .analysis import (
     lu_inequality_check,
 )
 from .core import ChartPoint, to_holomorphic
-from .dsl import parse_metric
+from .dsl import MetricDefinition, _parse_entries
 from .engine import geometry_at
 from .errors import HermicurvError
 from .field import CATALOG_NAMES, catalog_metric
@@ -172,9 +172,10 @@ def _write_output(text: str, path):
 
 def _finite_reals(arr, length: int) -> bool:
     """Whether arr is a JSON array of length finite reals.  JSON true and
-    false arrive as bool, a subclass of int."""
+    false arrive as bool, a subclass of int; an integer too large for a
+    float is not a finite real, and neither is NaN, which compares false."""
     return isinstance(arr, list) and len(arr) == length and all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+        isinstance(c, (int, float)) and not isinstance(c, bool) and abs(c) <= sys.float_info.max
         for c in arr
     )
 
@@ -215,12 +216,11 @@ def _load_metric(source: str, n: int):
         return catalog_metric(source, n)
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            metric = parse_metric(fh.read())
-        if metric.n != n:
-            raise UsageError(
-                f"metric file declares dimension {metric.n}, points have dimension {n}"
-            )
-        return metric
+            dim, explicit = _parse_entries(fh.read())
+        # checked before the build, whose tables grow like dim^4
+        if dim != n:
+            raise UsageError(f"metric file declares dimension {dim}, points have dimension {n}")
+        return MetricDefinition(dim, explicit)
     raise UsageError(
         f"metric {source!r} is neither a catalog name ({', '.join(CATALOG_NAMES)}) nor a readable file"
     )
@@ -357,16 +357,15 @@ def _cmd_lu(args, metric, points):
     results = []
     ok = True
     for p in points:
-        rep = lu_inequality_check(geometry_at(metric, p).kr, samples=args.samples,
-                                  sign=args.sign, seed=args.seed)
+        rep = lu_inequality_check(geometry_at(metric, p).kr, samples=args.samples, seed=args.seed)
         point_ok = (not rep.applicable) or rep.violations == 0
         ok = ok and point_ok
         results.append(
             {
                 "point": p,
                 "applicable": rep.applicable,
-                "symmetry_residual": rep.symmetry.residual,
-                "symmetry_passed": rep.symmetry.passed,
+                "symmetry_residual": rep.symmetry_residual,
+                "symmetry_passed": rep.symmetry_passed,
                 "hypothesis_sign": rep.hypothesis_sign,
                 "hypothesis_holds": rep.hypothesis_holds,
                 "violations": rep.violations,
@@ -468,7 +467,6 @@ def _build_parser() -> _Parser:
     cmd["extremal"].add_argument("--target", choices=("sectional", "bisectional"),
                                  default="sectional")
     cmd["lu"].add_argument("--samples", type=count, default=1000)
-    cmd["lu"].add_argument("--sign", choices=("nonneg", "nonpos", "auto"), default="auto")
     cmd["probe-corollary"].add_argument("--samples", type=count, default=1000)
     return parser
 

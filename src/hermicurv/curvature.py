@@ -52,11 +52,10 @@ class ComplexifiedCurvature:
     """
 
     tensor: np.ndarray
-    n: int
 
     def block(self, kinds: str) -> np.ndarray:
         """Slice by index type, e.g. block("hhaa") for two of each."""
-        n = self.n
+        n = self.tensor.shape[0] // 2
         sl = {"h": slice(0, n), "a": slice(n, 2 * n)}
         k = kinds.strip().lower()
         if len(k) != 4 or any(c not in sl for c in k):
@@ -105,7 +104,7 @@ def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
     # frame; r is cast first, as a real @ complex product does not reach BLAS
     n = r.shape[0] // 2
     t = _each_slot(r.astype(complex), _frame(n).conj().T / 2)
-    return ComplexifiedCurvature(2.0 * t, n)
+    return ComplexifiedCurvature(2.0 * t)
 
 
 def complexified_11_direct(jet: MetricJet) -> np.ndarray:

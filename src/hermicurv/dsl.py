@@ -398,6 +398,12 @@ def parse_expression(source: str, n: int | None = None) -> Node:
 
 def parse_metric(source: str) -> "MetricDefinition":
     """Parse a full metric definition."""
+    return MetricDefinition(*_parse_entries(source))
+
+
+def _parse_entries(source: str) -> tuple:
+    """(n, explicit) of a metric source, as MetricDefinition takes them;
+    nothing is built, so the declared dimension can be checked first."""
     p = _Parser(_tokenize(source))
     t = p.peek()
     if t.kind != "IDENT" or t.text != "dim":
@@ -431,7 +437,7 @@ def parse_metric(source: str) -> "MetricDefinition":
         saw_entry = True
     if not saw_entry:
         p.error("metric needs at least one entry")
-    return MetricDefinition(n, explicit)
+    return n, explicit
 
 
 # ---------------------------------------------------------------------------

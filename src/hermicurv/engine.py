@@ -30,7 +30,6 @@ class PointGeometry:
     check; the rest is computed on first read and kept.
     """
 
-    metric: MetricDefinition
     jet: MetricJet
 
     @property
@@ -72,4 +71,4 @@ def geometry_at(metric: MetricDefinition, p) -> PointGeometry:
     forward pass) feeds every downstream object, so calling this once per
     point and sharing the record is the cheap pattern.
     """
-    return PointGeometry(metric, jet_at(metric, p))
+    return PointGeometry(jet_at(metric, p))

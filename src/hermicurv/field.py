@@ -140,7 +140,6 @@ class RealMetricJet:
     Christoffel symbols and real_curvature.
     """
 
-    point: ChartPoint
     g: np.ndarray
     g_inv: np.ndarray
     dg: np.ndarray
@@ -219,5 +218,4 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     np.negative(stack.imag, out=real[:, n:, :n])
     real[:, n:, n:] = stack.real
     g = real[0]
-    return RealMetricJet(jet.point, g, np.linalg.inv(g), real[1:1 + m],
-                         real[1 + m:].reshape(m, m, m, m))
+    return RealMetricJet(g, np.linalg.inv(g), real[1:1 + m], real[1 + m:].reshape(m, m, m, m))

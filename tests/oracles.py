@@ -497,7 +497,7 @@ def real_jet_ref(jet: MetricJet) -> RealMetricJet:
     per_k = blocks[1:].reshape(m, 1 + m, m, m)
     dg = np.ascontiguousarray(per_k[:, 0])
     d2g = np.ascontiguousarray(per_k[:, 1:])
-    return RealMetricJet(jet.point, g, np.linalg.inv(g), dg, d2g)
+    return RealMetricJet(g, np.linalg.inv(g), dg, d2g)
 
 
 def _real_blocks_ref(c: np.ndarray) -> np.ndarray:

@@ -287,8 +287,9 @@ def test_criterion_12_lu_inequality():
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=112):
             g = geometry_at(m, p)
-            rep = lu_inequality_check(g.kr, samples=1000, sign=sign, seed=112)
-            assert rep.symmetry.passed
+            rep = lu_inequality_check(g.kr, samples=1000, seed=112)
+            assert rep.hypothesis_sign == sign
+            assert rep.symmetry_passed
             assert rep.hypothesis_holds
             assert rep.violations == 0
     print(

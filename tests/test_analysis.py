@@ -15,7 +15,6 @@ from hermicurv import (
     to_holomorphic,
 )
 from hermicurv import analysis
-from hermicurv.analysis import lu_symmetry_check
 from hermicurv.core import hermitian_pairing
 from hermicurv.sectional import _kr_form, _w_form
 from oracles import riemannian_fd, sample_admissible_points
@@ -96,13 +95,16 @@ def test_g_kahler_like_sectional_reconstruction(geom):
 
 def test_lu_symmetry_detects_kahler_tensors(geom):
     g = geom("fubini_study", [0.2 - 0.1j, 0.3 + 0.2j])
-    rep = lu_symmetry_check(g.kr)
-    assert rep.passed
-    assert rep.residual < 1e-10
+    assert analysis._symmetry_residual(g.kr) < 1e-10
+    rep = lu_inequality_check(g.kr, samples=100)
+    assert rep.symmetry_passed
+    assert rep.symmetry_residual == analysis._symmetry_residual(g.kr)
     ng = geom("nk_diag", [1.0 + 0j, 0.2 + 0.1j])
-    nrep = lu_symmetry_check(ng.kr)
-    assert not nrep.passed
-    assert nrep.residual > 1e-2
+    assert analysis._symmetry_residual(ng.kr) > 1e-2
+    nrep = lu_inequality_check(ng.kr, samples=100)
+    assert not nrep.symmetry_passed
+    assert not nrep.applicable
+    assert nrep.symmetry_residual == analysis._symmetry_residual(ng.kr)
 
 
 def test_lu_inequality_on_sign_definite_tensors(geom):
@@ -111,21 +113,17 @@ def test_lu_inequality_on_sign_definite_tensors(geom):
         m = catalog_metric(name, 2)
         p = sample_admissible_points(m, 1, seed=3)[0]
         g = geometry_at(m, p)
-        rep = lu_inequality_check(g.kr, samples=500, sign=sign, seed=11)
+        rep = lu_inequality_check(g.kr, samples=500, seed=11)
+        assert rep.hypothesis_sign == sign
         assert rep.applicable
-        assert rep.symmetry.passed
+        assert rep.symmetry_passed
         assert rep.hypothesis_holds
         assert rep.violations == 0
-        # wrong sign hypothesis is reported as not holding, not as violations
-        flipped = "nonpos" if sign == "nonneg" else "nonneg"
-        rep2 = lu_inequality_check(g.kr, samples=500, sign=flipped, seed=11)
-        assert not rep2.hypothesis_holds
-        assert not rep2.applicable
 
 
 def test_lu_inequality_flat_case(geom):
     g = geom("euclidean", [0j, 0j])
-    rep = lu_inequality_check(g.kr, samples=100, sign="nonneg", seed=5)
+    rep = lu_inequality_check(g.kr, samples=100, seed=5)
     assert rep.applicable
     assert rep.hypothesis_holds
     assert rep.violations == 0
@@ -137,19 +135,11 @@ def test_lu_inequality_flat_case(geom):
     ("nk_diag", [1.0 + 0j, 0.2 + 0.1j], "nonpos", False),
 ])
 def test_lu_inequality_auto_sign_equals_the_sign_it_takes(geom, name, coords, sign, holds):
-    # nk_diag's quadratic form is indefinite: auto falls back to nonpos,
-    # which does not hold either
-    kr = geom(name, coords).kr
-    rep = lu_inequality_check(kr, samples=300, sign="auto", seed=4)
-    assert rep == lu_inequality_check(kr, samples=300, sign=sign, seed=4)
+    # nk_diag's quadratic form is indefinite: the check falls back to
+    # nonpos, which does not hold either
+    rep = lu_inequality_check(geom(name, coords).kr, samples=300, seed=4)
     assert rep.hypothesis_sign == sign
     assert rep.hypothesis_holds is holds
-
-
-def test_lu_inequality_rejects_unknown_sign(geom):
-    g = geom("euclidean", [0j, 0j])
-    with pytest.raises(ValueError):
-        lu_inequality_check(g.kr, sign="positive")
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -161,13 +151,20 @@ def test_lu_inequality_rejects_samples_below_one(geom, samples):
 
 def test_lu_inequality_seeded_reproducibility(geom):
     g = geom("fubini_study", [0.1 + 0.1j, 0.2 - 0.3j])
-    a = lu_inequality_check(g.kr, samples=200, sign="nonneg", seed=7)
-    b = lu_inequality_check(g.kr, samples=200, sign="nonneg", seed=7)
+    a = lu_inequality_check(g.kr, samples=200, seed=7)
+    b = lu_inequality_check(g.kr, samples=200, seed=7)
     assert a.worst_margin == b.worst_margin
 
 
 # ---------------------------------------------------------------------------
 # Extremal searches
+
+
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_flat_curvature_has_sign_zero_and_is_covered_in_both_modes(mode):
+    res = extremal_sectional(catalog_metric("euclidean", 2), P0, mode=mode, restarts=4)
+    assert res.hypothesis_sign == "zero"
+    assert res.applicable
 
 
 def _check_orthonormal(gmat, plane):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hermicurv.cli as cli
-from hermicurv import HermicurvError
+from hermicurv import HermicurvError, dsl
 from hermicurv.cli import render_report, run_main
 from hermicurv.field import CATALOG_NAMES, catalog_metric, catalog_source
 from oracles import render_report_ref, sample_admissible_points
@@ -188,22 +188,21 @@ def test_lu_auto_sign_is_one_pass(capsys, monkeypatch, metric, points, sign):
     check = cli.lu_inequality_check
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["sign"])
+        calls.append(args)
         return check(*args, **kwargs)
 
     monkeypatch.setattr(cli, "lu_inequality_check", counted)
-    strip = re.compile(r'^\s*"timing_sec".*$', re.M)
     argv = ["lu", "--metric", metric, "--samples", "200"]
     for p in points:
         argv += ["--point", p]
-    codes, texts = [], []
+    run_main(argv)
+    assert len(calls) == len(points)
+    assert json.loads(capsys.readouterr().out)["results"][0]["hypothesis_sign"] == sign
     for choice in ("auto", sign):
-        codes.append(run_main(argv + ["--sign", choice]))
-        texts.append(capsys.readouterr().out)
-    assert calls == ["auto"] * len(points) + [sign] * len(points)
-    assert codes[0] == codes[1]
-    assert strip.sub("", texts[0]) == strip.sub("", texts[1])
-    assert json.loads(texts[0])["results"][0]["hypothesis_sign"] == sign
+        code, rep = run(capsys, *argv, "--sign", choice)
+        assert code == 2
+        assert rep["error"] == {"type": "UsageError",
+                                "message": f"unrecognized arguments: --sign {choice}"}
 
 
 def test_probe_command(capsys):
@@ -236,6 +235,28 @@ def test_dimension_mismatch_exit_2(tmp_path, capsys):
     code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0],[0,0]]")
     assert code == 2
     assert "dimension" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("source, dim", [
+    ("dim 2;\nh[1,1] = 1;\n", 2),
+    ("dim 40;\nh[1,1] = 1;\n", 40),
+    # the pair is not formally Hermitian, which the build would report
+    ("dim 2;\nh[1,2] = z1;\nh[2,1] = 5;\n", 2),
+], ids=["dim_2", "dim_40", "non_hermitian_pair"])
+def test_dimension_is_checked_before_the_metric_is_built(tmp_path, capsys, monkeypatch,
+                                                         source, dim):
+    def unbuilt(*args):
+        raise AssertionError("the tape was scheduled")
+
+    monkeypatch.setattr(dsl, "_level_schedule", unbuilt)
+    f = tmp_path / "wide.metric"
+    f.write_text(source)
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0]]")
+    assert code == 2
+    assert rep["error"] == {
+        "type": "UsageError",
+        "message": f"metric file declares dimension {dim}, points have dimension 1",
+    }
 
 
 def test_non_hermitian_value_exit_2(tmp_path, capsys):
@@ -445,7 +466,7 @@ COMMAND_OPTIONS = {
     "sectional": {"--plane": []},
     "identities": {"--tol": 1e-6, "--samples": 10},
     "extremal": {"--tol": 1e-4, "--restarts": 64, "--mode": "max", "--target": "sectional"},
-    "lu": {"--samples": 1000, "--sign": "auto"},
+    "lu": {"--samples": 1000},
     "probe-corollary": {"--samples": 1000},
 }
 
@@ -490,8 +511,13 @@ def test_tol_rejects_non_numbers(capsys):
     assert rep["error"]["message"] == "argument --tol: invalid float value: 'tight'"
 
 
+# a JSON integer too large for a float
+HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("point", ["[[true,0]]", "[[0.1,false]]", "[[NaN,0]]",
-                                   "[[0,Infinity]]", "[[-Infinity,0]]"])
+                                   "[[0,Infinity]]", "[[-Infinity,0]]",
+                                   pytest.param(f"[[{HUGE},0]]", id="huge_int")])
 def test_point_rejects_booleans_and_non_finite(capsys, point):
     code, rep = run(capsys, "classify", "--metric", "euclidean", "--point", point)
     assert code == 2
@@ -500,13 +526,45 @@ def test_point_rejects_booleans_and_non_finite(capsys, point):
 
 
 @pytest.mark.parametrize("plane", ['{"u":[true,0],"v":[0,1]}', '{"u":[1,0],"v":[0,false]}',
-                                   '{"u":[NaN,0],"v":[0,1]}', '{"u":[1,0],"v":[0,Infinity]}'])
+                                   '{"u":[NaN,0],"v":[0,1]}', '{"u":[1,0],"v":[0,Infinity]}',
+                                   pytest.param(f'{{"u":[{HUGE},0],"v":[0,1]}}', id="huge_int")])
 def test_plane_rejects_booleans_and_non_finite(capsys, plane):
     code, rep = run(capsys, "sectional", "--metric", "euclidean", "--point", "[[0.1,0]]",
                     "--plane", plane)
     assert code == 2
     assert rep["error"]["type"] == "UsageError"
     assert rep["error"]["message"].startswith(f"plane {plane}: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--point", "[[0,0]]", "--point", "[[0,0],[0,0]]"],
+     "all points must have the same dimension"),
+    (["classify", "--point", "[]"], "point must be a nonempty JSON array of [re, im] pairs"),
+    (["sectional", "--point", "[[0,0]]", "--plane", "{u: 1}"],
+     "plane is not valid JSON: "),
+    (["sectional", "--point", "[[0,0]]", "--plane", '[[1,0],[0,1]]'],
+     'plane must be an object {"u": [...], "v": [...]}'),
+    (["sectional", "--point", "[[0,0]]", "--plane", '{"u":[1,0],"w":[0,1]}'],
+     'plane must be an object {"u": [...], "v": [...]}'),
+    (["lu", "--point", "[[0,0]]", "--samples", "abc"],
+     "argument --samples: invalid int value: 'abc'"),
+], ids=["mixed_dimensions", "empty_point", "plane_not_json", "plane_not_object",
+        "plane_wrong_keys", "samples_not_int"])
+def test_usage_errors(capsys, argv, message):
+    # the JSON decoder's own words follow "not valid JSON: "
+    code, rep = run(capsys, *argv, "--metric", "euclidean")
+    assert code == 2
+    assert rep["error"]["type"] == "UsageError"
+    assert rep["error"]["message"].startswith(message)
+
+
+def test_ill_conditioned_metric_file_exit_2(tmp_path, capsys):
+    f = tmp_path / "cond.metric"
+    f.write_text("dim 2; h[1,1] = 1; h[2,2] = 1e-13;")
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0,0],[0,0]]")
+    assert code == 2
+    assert rep["error"] == {"type": "SingularMetricError",
+                            "message": "metric is numerically singular (condition 1.000e+13)"}
 
 
 def test_unwritable_json_path_reports_on_stdout(tmp_path, capsys):

@@ -14,6 +14,17 @@ def test_chart_point_round_trip():
     np.testing.assert_allclose(q.coords, z)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ChartPoint([]),
+    lambda: ChartPoint(np.array([0.1, np.nan])),
+    lambda: ChartPoint(np.array([np.inf * 1j])),
+    lambda: ChartPoint.from_reals([0.1, 0.2, 0.3]),
+], ids=["empty", "nan", "inf", "odd_reals"])
+def test_chart_point_rejects_bad_coordinates(make):
+    with pytest.raises(DimensionMismatch):
+        make()
+
+
 def test_apply_j_squares_to_minus_one():
     rng = np.random.default_rng(42)
     u = rng.standard_normal(6)

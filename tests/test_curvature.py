@@ -88,6 +88,13 @@ def test_complexified_tensor_keeps_pair_symmetries():
     assert np.abs(t - t.transpose(2, 3, 0, 1)).max() < 1e-10 * scale
 
 
+@pytest.mark.parametrize("kinds", ["hha", "hhaaa", "hhab", ""])
+def test_complexified_block_rejects_bad_kinds(kinds):
+    _, _, rc = _geometry("fubini_study", 2, [0.1j, 0.2])
+    with pytest.raises(ValueError, match="four letters"):
+        complexify_curvature(rc).block(kinds)
+
+
 def test_complexified_trace_back_to_real():
     # contracting the complexified tensor with holomorphic embeddings of
     # real vectors must reproduce the real pairing

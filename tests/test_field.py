@@ -186,6 +186,18 @@ def test_non_finite_metric_is_singular(H):
         _checked_inverse(np.array(H, dtype=complex))
 
 
+@pytest.mark.parametrize("p, error, message", [
+    # condition 1e13 is past the cap of 1e12
+    ([0j, 0j], SingularMetricError, r"\(condition 1\.000e\+13\)"),
+    ([0j], InadmissiblePointError, "point has 1 coordinates, metric needs 2"),
+    ([0j, 0j, 0j], InadmissiblePointError, "point has 3 coordinates, metric needs 2"),
+])
+def test_jet_at_error_paths(p, error, message):
+    m = parse_metric("dim 2; h[1,1] = 1; h[2,2] = 1e-13;")
+    with pytest.raises(error, match=message):
+        jet_at(m, np.array(p))
+
+
 def test_checked_inverse_rejects_asymmetric():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="metric value is not Hermitian"):
