@@ -15,6 +15,9 @@ radius until its Riemannian gradient vanishes to rounding.  The winner is
 the best final value, first-found on ties within 1e-10, which keeps
 results reproducible for a fixed seed; it is mapped back to the chart as
 y = x L^-1.
+
+The CLI prints the result records field by field, so each record's field
+order is its report's key order.
 """
 
 from __future__ import annotations
@@ -476,13 +479,13 @@ class ExtremalResult:
 
     mode: str
     best_value: float
-    best_plane: Plane
     holo_best_value: float
-    holo_best_vector: np.ndarray
-    n_restarts: int
-    converged: bool
     gap: float
+    converged: bool
     hypothesis_sign: str
+    n_restarts: int
+    best_plane: Plane
+    holo_best_vector: np.ndarray
     applicable: bool
     search: SearchStats
     holo_search: SearchStats

@@ -121,8 +121,9 @@ def _render(obj, out, indent):
         _render(obj.tolist(), out, indent)
     elif isinstance(obj, ChartPoint):
         _render(obj.coords, out, indent)
-    elif isinstance(obj, Plane):
-        _render({"u": np.asarray(obj.u, dtype=float), "v": np.asarray(obj.v, dtype=float)}, out, indent)
+    elif dataclasses.is_dataclass(obj):
+        # a result record renders as its fields in declaration order
+        _render(vars(obj), out, indent)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -230,18 +231,13 @@ def _load_metric(source: str, n: int):
 # Commands
 
 
+def _fields(rec, *drop) -> dict:
+    """A result record's fields in declaration order, without those named."""
+    return {key: val for key, val in vars(rec).items() if key not in drop}
+
+
 def _cmd_classify(args, metric, points):
-    rep = classify(metric, points, tol=args.tol)
-    result = {
-        "kahler": rep.kahler,
-        "kahler_residual": rep.kahler_residual,
-        "kahler_like": rep.kahler_like,
-        "kahler_like_residual": rep.kahler_like_residual,
-        "g_kahler_like": rep.g_kahler_like,
-        "g_kahler_like_residual": rep.g_kahler_like_residual,
-        "tol": rep.tol,
-    }
-    return [result], True
+    return [classify(metric, points, tol=args.tol)], True
 
 
 def _cmd_curvature(args, metric, points):
@@ -302,7 +298,7 @@ def _cmd_identities(args, metric, points):
         uv = np.random.default_rng(args.seed + k).standard_normal((args.samples, 2, 2 * geom.n))
         uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
         res = identity_suite(geom.rc, geom.kr, geom.cx, uv[:, 0], uv[:, 1])
-        table = {key: float(np.max(val)) for key, val in dataclasses.asdict(res).items()}
+        table = {key: float(np.max(val)) for key, val in vars(res).items()}
         universal_ok = res.universal_max() < args.tol * max(1.0, float(np.max(np.abs(geom.rc))))
         ok = ok and universal_ok
         results.append(
@@ -327,20 +323,8 @@ def _cmd_extremal(args, metric, points):
         else:
             res = extremal_sectional(metric, p, mode=args.mode, restarts=args.restarts,
                                      seed=args.seed + k)
-        entry = {
-            "point": p,
-            "target": args.target,
-            "mode": res.mode,
-            "best_value": res.best_value,
-            "holo_best_value": res.holo_best_value,
-            "gap": res.gap,
-            "converged": res.converged,
-            "hypothesis_sign": res.hypothesis_sign,
-            "n_restarts": res.n_restarts,
-            "best_plane": res.best_plane,
-            "holo_best_vector": np.asarray(res.holo_best_vector),
-            "applicable": res.applicable,
-        }
+        entry = {"point": p, "target": args.target,
+                 **_fields(res, "search", "holo_search", "best_pair", "pair_alignment")}
         if res.best_pair is not None:
             entry["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
             entry["pair_alignment"] = res.pair_alignment
@@ -360,35 +344,13 @@ def _cmd_lu(args, metric, points):
         rep = lu_inequality_check(geometry_at(metric, p).kr, samples=args.samples, seed=args.seed)
         point_ok = (not rep.applicable) or rep.violations == 0
         ok = ok and point_ok
-        results.append(
-            {
-                "point": p,
-                "applicable": rep.applicable,
-                "symmetry_residual": rep.symmetry_residual,
-                "symmetry_passed": rep.symmetry_passed,
-                "hypothesis_sign": rep.hypothesis_sign,
-                "hypothesis_holds": rep.hypothesis_holds,
-                "violations": rep.violations,
-                "worst_margin": rep.worst_margin,
-                "samples": rep.samples,
-                "ok": point_ok,
-            }
-        )
+        results.append({"point": p, **vars(rep), "ok": point_ok})
     return results, ok
 
 
 def _cmd_probe(args, metric, points):
     rep = chern_gap_probe(metric, points, samples=args.samples, seed=args.seed)
-    result = {
-        "max_gap": rep.max_gap,
-        "witness_point": rep.witness_point,
-        "witness_plane": rep.witness_plane,
-        "witness_K": rep.witness_K,
-        "witness_K_D": rep.witness_K_D,
-        "per_point_gaps": list(rep.per_point_gaps),
-        "samples": rep.samples,
-    }
-    return [result], True
+    return [_fields(rep, "searches")], True
 
 
 _COMMANDS = {

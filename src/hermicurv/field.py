@@ -169,7 +169,11 @@ def _checked_inverse(H: np.ndarray):
     # written so that a NaN condition number counts as singular too
     if not cond <= MAX_CONDITION:
         raise SingularMetricError(f"metric is numerically singular (condition {cond:.3e})")
-    return np.linalg.inv(H), cond
+    h_inv = np.linalg.inv(H)
+    # a subnormal h has a fine condition number and an infinite inverse
+    if not np.isfinite(h_inv).all():
+        raise SingularMetricError("metric is numerically singular (non-finite inverse)")
+    return h_inv, cond
 
 
 def jet_at(metric: MetricDefinition, p) -> MetricJet:

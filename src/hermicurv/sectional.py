@@ -23,6 +23,7 @@ vanish depends on whether the metric is Kahler, so the caller interprets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,13 +125,21 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _gram(m: np.ndarray, x, e) -> float:
     """m(x,x) m(e,e) - Re m(x,e)^2 with m(a,b) = a m conj(b), for a real or
-    a Hermitian m; raises when x and e are (numerically) linearly dependent."""
+    a Hermitian m, on unit-scaled x and e; raises when they are (numerically)
+    linearly dependent, and when the metric's scale takes m(x,x) m(e,e) out
+    of the floating-point range."""
     if m.shape != x.shape + e.shape:
         raise DimensionMismatch("pairing operands do not match the metric dimension")
     xm, ec = x @ m, e.conj()
     aa, bb, ab = float((xm @ x.conj()).real), float((e @ m @ ec).real), float((xm @ ec).real)
-    gram = aa * bb - ab**2
-    if gram <= 1e-12 * max(aa * bb, 1e-300):
+    top = aa * bb
+    # x and e are unit-scaled, so only the metric's scale takes top out of
+    # the normal floats; a zero vector is a dependent span at any scale
+    if not sys.float_info.min <= top < math.inf and aa and bb:
+        raise HermicurvError(f"metric scale out of the floating-point range: the span's "
+                             f"squared lengths {aa:.3e} and {bb:.3e} have no normal product")
+    gram = top - ab**2
+    if gram <= 1e-12 * max(top, 1e-300):
         raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
     return gram
 
@@ -179,7 +188,11 @@ def _unit_normed(h, xi):
     m, xc = np.asarray(h, dtype=complex), x.conj()
     if m.shape != x.shape + x.shape:
         raise DimensionMismatch("pairing operands do not match the metric dimension")
-    return x, xc, float((x @ m @ xc).real)
+    nx = float((x @ m @ xc).real)
+    if not sys.float_info.min <= nx * nx < math.inf:
+        raise HermicurvError(f"metric scale out of the floating-point range: a unit-scaled "
+                             f"vector's squared length {nx:.3e} has no normal square")
+    return x, xc, nx
 
 
 def holo_sectional(kr: np.ndarray, h, xi) -> float:

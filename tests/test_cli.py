@@ -212,6 +212,81 @@ def test_probe_command(capsys):
     assert rep["results"][0]["max_gap"] > 1e-3
 
 
+PLANE_12 = '{"u": [1, 0, 0, 0], "v": [0, 1, 0, 0]}'
+EXTREMAL_KEYS = ["point", "target", "mode", "best_value", "holo_best_value", "gap", "converged",
+                 "hypothesis_sign", "n_restarts", "best_plane", "holo_best_vector", "applicable"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["classify"], ["kahler", "kahler_residual", "kahler_like", "kahler_like_residual",
+                    "g_kahler_like", "g_kahler_like_residual", "tol"]),
+    (["curvature"], ["point", "chern_tensor", "real_tensor", "mixed_11_direct",
+                     "cross_check_residual", "gray_residual"]),
+    (["sectional", "--plane", PLANE_12], ["point", "planes"]),
+    (["identities", "--samples", "2"], ["point", "max_residuals", "samples", "universal_ok",
+                                        "tol"]),
+    (["extremal", "--restarts", "2"], EXTREMAL_KEYS + ["gap_ok"]),
+    (["extremal", "--restarts", "2", "--target", "bisectional"],
+     EXTREMAL_KEYS + ["best_pair", "pair_alignment", "gap_ok"]),
+    (["lu", "--samples", "20"], ["point", "applicable", "symmetry_residual", "symmetry_passed",
+                                 "hypothesis_sign", "hypothesis_holds", "violations",
+                                 "worst_margin", "samples", "ok"]),
+    (["probe-corollary", "--samples", "20"], ["max_gap", "witness_point", "witness_plane",
+                                              "witness_K", "witness_K_D", "per_point_gaps",
+                                              "samples"]),
+], ids=["classify", "curvature", "sectional", "identities", "extremal-sectional",
+        "extremal-bisectional", "lu", "probe-corollary"])
+def test_result_keys_are_pinned_in_order(capsys, argv, keys):
+    # records render their fields in declaration order, so a reordered
+    # field must show up here
+    code, rep = run(capsys, *argv, "--metric", "nk_diag", "--point", FS_POINT)
+    assert code in (0, 1)
+    res = rep["results"][0]
+    assert list(res) == keys
+    # a chart point renders as its [re, im] pairs, not as a record
+    for key in ("point", "witness_point"):
+        if key in res:
+            assert res[key] == [[0.1, 0.2], [0.0, -0.1]]
+    if "planes" in res:
+        assert list(res["planes"][0]) == ["plane", "K", "K_D", "H_u", "B_uv"]
+        assert res["planes"][0]["plane"] == {"u": [1.0, 0, 0, 0], "v": [0, 1.0, 0, 0]}
+    for key in ("best_plane", "witness_plane"):
+        if key in res:
+            assert list(res[key]) == ["u", "v"]
+    if "best_pair" in res:
+        assert list(res["best_pair"]) == ["xi", "eta"]
+    if "max_residuals" in res:
+        assert list(res["max_residuals"]) == [
+            "kahler_bisectional", "kahler_sectional", "kahler_holomorphic",
+            "sectional_decomposition", "holomorphic_plane"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_subnormal_metric_is_singular_exit_2(tmp_path, capsys, command):
+    # positive eigenvalues and condition 1, but the inverse is inf
+    f = tmp_path / "subnormal.metric"
+    f.write_text("dim 2; h[1,1] = 1e-320; h[2,2] = 1e-320;")
+    extra = ["--plane", PLANE_12] if command == "sectional" else []
+    code, rep = run(capsys, command, "--metric", str(f), "--point", "[[0.1,0],[0.2,0]]", *extra)
+    assert code == 2
+    assert rep["error"] == {"type": "SingularMetricError",
+                            "message": "metric is numerically singular (non-finite inverse)"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("probe-corollary", ["--samples", "50"]),
+    ("sectional", ["--plane", PLANE_12]),
+])
+def test_metric_scale_past_the_float_range_exit_2(tmp_path, capsys, command, extra):
+    # the Gram determinant of a plane is about 1e610
+    f = tmp_path / "huge.metric"
+    f.write_text("dim 2; h[1,1] = 1e305; h[2,2] = 1e305*exp(z1*zb1);")
+    code, rep = run(capsys, command, "--metric", str(f), "--point", "[[0.1,0],[0.2,0]]", *extra)
+    assert code == 2
+    assert rep["error"]["type"] == "HermicurvError"
+    assert rep["error"]["message"].startswith("metric scale out of the floating-point range")
+
+
 def test_metric_from_file(tmp_path, capsys):
     f = tmp_path / "disc.metric"
     f.write_text("dim 1;\nh[1,1] = 1 / (1 - z1*zb1)^2;\n")

@@ -180,7 +180,9 @@ def test_inadmissible_point_rejected():
         jet_at(m, np.array([1.5 + 0j, 0.0 + 0j]))
 
 
-@pytest.mark.parametrize("H", [[[np.inf]], [[np.nan]], [[1.0, 0.0], [0.0, np.inf]]])
+# the last is subnormal: positive eigenvalues, condition 1, an infinite inverse
+@pytest.mark.parametrize("H", [[[np.inf]], [[np.nan]], [[1.0, 0.0], [0.0, np.inf]],
+                               [[1e-320, 0.0], [0.0, 1e-320]]])
 def test_non_finite_metric_is_singular(H):
     with pytest.raises(SingularMetricError):
         _checked_inverse(np.array(H, dtype=complex))

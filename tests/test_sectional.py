@@ -20,6 +20,7 @@ from hermicurv import (
     holo_bisectional,
     holo_sectional,
     identity_suite,
+    parse_metric,
     riemann_sectional,
     to_holomorphic,
 )
@@ -91,6 +92,26 @@ LIBRARY = {"K": riemann_sectional, "K_D": chern_sectional, "H": holo_sectional,
            "B": holo_bisectional}
 REFERENCE = {"K": oracles.riemann_sectional_ref, "K_D": oracles.chern_sectional_ref,
              "H": oracles.holo_sectional_ref, "B": oracles.holo_bisectional_ref}
+
+
+@pytest.mark.parametrize("e", [1000, -1000])
+def test_metric_scale_past_the_float_range_is_named(e):
+    # nk_diag times 2^e: a unit-scaled vector's squared length is about 2^e,
+    # so the Gram determinant and the squared norms leave the normal floats
+    c = repr(2.0**e)
+    m = parse_metric(f"dim 2; h[1,1] = {c}; h[2,2] = {c}*exp(z1*zb1);")
+    g = geometry_at(m, [0.3 + 0.1j, -0.2 + 0.05j])
+    u, v = np.array([1.0, 0.3, 0.2, -0.1]), np.array([0.1, 1.0, -0.4, 0.2])
+    xi, eta = to_holomorphic(u), to_holomorphic(v)
+    for q, args in (("K", (g.rc, g.rjet, Plane(u, v))), ("K_D", (g.kr, g.jet.h, Plane(u, v))),
+                    ("H", (g.kr, g.jet.h, xi)), ("B", (g.kr, g.jet.h, xi, eta))):
+        with pytest.raises(HermicurvError,
+                           match="^metric scale out of the floating-point range") as info:
+            LIBRARY[q](*args)
+        assert type(info.value) is HermicurvError, q
+    # a zero vector is still a dependent span
+    with pytest.raises(DegeneratePlaneError):
+        riemann_sectional(g.rc, g.rjet, Plane(0 * u, v))
 
 
 def _quantities(impl, g, u, v, xi, eta):
