@@ -29,6 +29,7 @@ import numpy as np
 from .core import ChartPoint, _each_slot, _frame, hermitian_pairing, to_holomorphic
 from .dsl import MetricDefinition
 from .engine import geometry_at
+from .errors import HermicurvError
 from .sectional import (Plane, _form, _kr_form, _slot_pair, _w_form, chern_quadratic_form,
                         riemann_sectional)
 
@@ -72,7 +73,9 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
     indices among the first three.  A condition holds when at every point
     its residual is below tol * max(1, M), M the largest magnitude of the
     array it measures: dh/dz, the canonical curvature, or the
-    complexified curvature.
+    complexified curvature.  The blocks hhha and hhaa are one view of the
+    stored h-first half, cx.tensor[:, :n, :, n:], and the half's largest
+    magnitude is the whole tensor's.
     """
     points = list(points)
     if not points:
@@ -80,11 +83,12 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
     worst = np.zeros((3, 2))  # per condition: largest residual, and residual / max(1, M)
     for p in points:
         geom = geometry_at(metric, p)
-        dz, kr, cx = geom.jet.dh[:geom.n], geom.kr, geom.cx
+        n, kr, cx = geom.n, geom.kr, geom.cx.tensor
+        dz = geom.jet.dh[:n]
         for k, (defect, of) in enumerate((
             (dz - dz.transpose(1, 0, 2), dz),
             (kr - kr.transpose(2, 1, 0, 3), kr),
-            (np.concatenate([cx.block("hhha"), cx.block("hhaa")]), cx.tensor),
+            (cx[:, :n, :, n:], cx),
         )):
             r = float(np.max(np.abs(defect)))
             worst[k] = np.maximum(worst[k], (r, r / max(1.0, float(np.max(np.abs(of))))))
@@ -147,7 +151,9 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
     from x e~ - e x~; both hypotheses are verified on the same samples
     and failure makes the report inapplicable rather than a violation.
     The sign is "nonneg" when that hypothesis holds on the samples and
-    "nonpos" otherwise; the report names the sign taken.
+    "nonpos" otherwise; the report names the sign taken.  A tensor whose
+    scale takes the products of its forms past the finite floats raises
+    HermicurvError.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -167,8 +173,16 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
     diag_x = _kr_form(A, X, X, X, X).real
     diag_e = _kr_form(A, E, E, E, E).real
     cross = _kr_form(A, X, X, E, E)
-    margins = diag_x * diag_e - np.abs(cross) ** 2
-    mtol = 1e-9 * max(1.0, float(np.max(np.abs(diag_x * diag_e))), float(np.max(np.abs(cross) ** 2)))
+    with np.errstate(over="ignore"):
+        top, cross2 = diag_x * diag_e, np.abs(cross) ** 2
+    # X and E are unit vectors, so only the tensor's scale takes the
+    # products out of the finite floats
+    if not (np.all(np.isfinite(top)) and np.all(np.isfinite(cross2))):
+        peak = max(float(np.max(np.abs(d))) for d in (diag_x, diag_e, cross))
+        raise HermicurvError(f"metric scale out of the floating-point range: the tensor's "
+                             f"forms reach {peak:.3e}, and their products overflow")
+    margins = top - cross2
+    mtol = 1e-9 * max(1.0, float(np.max(np.abs(top))), float(np.max(cross2)))
     violations = int(np.sum(margins < -mtol))
 
     return LuInequalityReport(

@@ -241,15 +241,15 @@ def _cmd_classify(args, metric, points):
 
 
 def _cmd_curvature(args, metric, points):
+    """Per point, the two routes' haha difference and Gray's residual
+    max|hhhh|, which is max|aaaa| too, as aaaa = conj(hhhh); each is
+    judged against max(1, max|cx|)."""
     results = []
     ok = True
     for p in points:
         geom = geometry_at(metric, p)
         cross = float(np.max(np.abs(geom.mixed_11_direct - geom.cx.block("haha"))))
-        gray = max(
-            float(np.max(np.abs(geom.cx.block("hhhh")))),
-            float(np.max(np.abs(geom.cx.block("aaaa")))),
-        )
+        gray = float(np.max(np.abs(geom.cx.block("hhhh"))))
         scale = max(1.0, float(np.max(np.abs(geom.cx.tensor))))
         ok = ok and cross < 1e-6 * scale and gray < 1e-7 * scale
         results.append(

@@ -16,6 +16,9 @@
   one product per slot with the inverse P^H / 2 of core's frame P,
   scaled so that on a metric whose canonical connection is torsion free
   the mixed block with alternating conjugations reproduces kr exactly.
+  Only the h-first half, first index holomorphic, is stored: R is real
+  and P's lower rows conjugate its upper ones, so each block with an
+  antiholomorphic first index is the conjugate of a stored block.
 
 The mixed block is also computed a second way, directly from the metric
 jet (a four-term formula involving symmetrized and antisymmetrized first
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import RealChristoffel
-from .core import _each_slot, _frame
+from .core import _frame
 from .field import MetricJet, RealMetricJet
 
 __all__ = [
@@ -44,23 +47,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ComplexifiedCurvature:
-    """tensor[A, B, C, D] over the complex frame, A..D in 0..2n-1.
+    """The complexified curvature over the complex frame, as its h-first half.
 
     Indices below n are the holomorphic directions, indices n..2n-1 the
-    conjugate ones.  A block takes n-vectors: xi in an "h" slot, conj(xi)
-    in an "a" slot.
+    conjugate ones.  tensor[a, B, C, D], complex (n, 2n, 2n, 2n), holds
+    the entries whose first index a is holomorphic; swapping the two kinds
+    in every slot conjugates an entry, so the half determines the whole
+    and max|tensor| is the full tensor's maximum.  A block takes
+    n-vectors: xi in an "h" slot, conj(xi) in an "a" slot.
     """
 
     tensor: np.ndarray
 
     def block(self, kinds: str) -> np.ndarray:
-        """Slice by index type, e.g. block("hhaa") for two of each."""
-        n = self.tensor.shape[0] // 2
+        """Slice by index type, e.g. block("hhaa") for two of each.
+
+        An h-first block is a view of tensor; an a-first block is the
+        conjugated copy of the block with every kind swapped.  The full
+        (2n)^4 tensor is the 16 blocks put together.
+        """
+        n = self.tensor.shape[0]
         sl = {"h": slice(0, n), "a": slice(n, 2 * n)}
         k = kinds.strip().lower()
         if len(k) != 4 or any(c not in sl for c in k):
             raise ValueError("kinds must be four letters drawn from 'h' and 'a'")
-        return self.tensor[sl[k[0]], sl[k[1]], sl[k[2]], sl[k[3]]]
+        if k[0] == "a":
+            return self.block(k.translate(_SWAP_KINDS)).conj()
+        return self.tensor[:, sl[k[1]], sl[k[2]], sl[k[3]]]
+
+
+_SWAP_KINDS = str.maketrans("ha", "ah")
 
 
 def chern_curvature(jet: MetricJet) -> np.ndarray:
@@ -99,12 +115,23 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
 
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
     """Extend r[i, j, k, l] over the complex frame, with the factor-2
-    normalization that makes the alternating mixed block comparable to kr."""
-    # the columns of P^{-1} = P^H / 2 are d/dz^a and d/dzbar^a in the real
-    # frame; r is cast first, as a real @ complex product does not reach BLAS
+    normalization that makes the alternating mixed block comparable to kr;
+    only the h-first half is built."""
+    # the columns of Q = P^{-1} = P^H / 2 are d/dz^a and d/dzbar^a in the
+    # real frame; the first slot's d/dz^a columns are (e_a, -i e_a) / 2, and
+    # the factor 2 cancels the /2, so that slot is written out, not
+    # multiplied, and the other three products, last slot first as in
+    # core._each_slot, see half the tensor
     n = r.shape[0] // 2
-    t = _each_slot(r.astype(complex), _frame(n).conj().T / 2)
-    return ComplexifiedCurvature(2.0 * t)
+    m = 2 * n
+    Q = _frame(n).conj().T / 2
+    t = np.empty((n, m, m, m), complex)
+    t.real = r[:n]
+    np.negative(r[n:], out=t.imag)
+    t = t.reshape(n * m * m, m) @ Q  # [a, j, k, D]
+    t = Q.T @ t.reshape(n * m, m, m)  # [a, j, C, D]
+    t = Q.T @ t.reshape(n, m, m * m)  # [a, B, C, D]
+    return ComplexifiedCurvature(t.reshape(n, m, m, m))
 
 
 def complexified_11_direct(jet: MetricJet) -> np.ndarray:

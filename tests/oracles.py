@@ -5,7 +5,9 @@ differences the connection coefficients across nearby points, so neither
 uses the exact derivative route it checks; riemannian_fd differences
 search values and gradients along retraction curves.  The *_ref contractions are
 each a single plain einsum over all operands: a direct sum over every
-index, with none of the staging of the library's products.  The other
+index, with none of the staging of the library's products (each_slot_ref
+and complexify_ref may instead let numpy pair the operands, which the
+tests do only at n = 6).  The other
 *_ref functions are the earlier, plainer forms of library routines: one
 element or one direction at a time.  symbolic_jet_ref evaluates the
 symbolic derivative trees of the entries, independently of the library's
@@ -20,6 +22,9 @@ real jet in the earlier interleaved slice order.  The four
 *_sectional_ref scalar curvatures are the earlier per-vector routes:
 each vector rescaled through a Python list, every norm through
 core.hermitian_pairing, H as B(xi, xi).
+
+complexified_full puts the full complexified tensor together from the
+16 blocks of the h-first half that the library stores.
 
 The rest are routes that only the tests take: the metric's entry matrix
 alone (evaluate_matrix) and a seeded sampler of admissible points over
@@ -276,14 +281,24 @@ def real_curvature_ref(d2g: np.ndarray, br: np.ndarray, gi: np.ndarray) -> np.nd
     return second + quad
 
 
-def each_slot_ref(t: np.ndarray, A, B, C, D) -> np.ndarray:
-    """t[i,j,k,l] A[i,a] B[j,b] C[k,c] D[l,d]."""
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", t, A, B, C, D)
+def each_slot_ref(t: np.ndarray, A, B, C, D, optimize=False) -> np.ndarray:
+    """t[i,j,k,l] A[i,a] B[j,b] C[k,c] D[l,d].  With optimize, numpy
+    contracts pairwise in an order of its own choosing: at 2n = 12 that
+    takes milliseconds, where the plain sum over (2n)^8 terms takes
+    seconds."""
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", t, A, B, C, D, optimize=optimize)
 
 
-def complexify_ref(r: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """2 r[i,j,k,l] T[i,A] T[j,B] T[k,C] T[l,D]."""
-    return 2.0 * each_slot_ref(r, T, T, T, T)
+def complexify_ref(r: np.ndarray, T: np.ndarray, optimize=False) -> np.ndarray:
+    """2 r[i,j,k,l] T[i,A] T[j,B] T[k,C] T[l,D], the full (2n)^4 tensor."""
+    return 2.0 * each_slot_ref(r, T, T, T, T, optimize)
+
+
+def complexified_full(cx) -> np.ndarray:
+    """The full (2n)^4 complexified tensor put together from the 16
+    blocks of a ComplexifiedCurvature, which stores only the h-first half."""
+    return np.block([[[[cx.block(a + b + c + d) for d in "ha"] for c in "ha"] for b in "ha"]
+                     for a in "ha"])
 
 
 def chern_curvature_ref(d2m, d1h, Hi, d1a) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 from hermicurv import (
     CATALOG_NAMES,
     ChartPoint,
+    HermicurvError,
     apply_j,
     catalog_metric,
     chern_gap_probe,
@@ -12,6 +13,7 @@ from hermicurv import (
     extremal_sectional,
     geometry_at,
     lu_inequality_check,
+    parse_metric,
     to_holomorphic,
 )
 from hermicurv import analysis
@@ -147,6 +149,16 @@ def test_lu_inequality_rejects_samples_below_one(geom, samples):
     g = geom("euclidean", [0j, 0j])
     with pytest.raises(ValueError, match="^samples must be at least 1$"):
         lu_inequality_check(g.kr, samples=samples)
+
+
+def test_lu_inequality_metric_scale_past_the_float_range():
+    # kr is about 1e305, so the products of its forms are about 1e610; the
+    # check raises the scalar curvatures' typed error, and no warning escapes
+    metric = parse_metric("dim 2; h[1,1] = 1e305; h[2,2] = 1e305*exp(z1*zb1);")
+    kr = geometry_at(metric, ChartPoint(np.array([0.1 + 0j, 0.2 + 0j]))).kr
+    with pytest.raises(HermicurvError, match="^metric scale out of the floating-point range") as info:
+        lu_inequality_check(kr, samples=50)
+    assert type(info.value) is HermicurvError
 
 
 def test_lu_inequality_seeded_reproducibility(geom):

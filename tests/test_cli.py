@@ -276,9 +276,10 @@ def test_subnormal_metric_is_singular_exit_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("command, extra", [
     ("probe-corollary", ["--samples", "50"]),
     ("sectional", ["--plane", PLANE_12]),
+    ("lu", ["--samples", "50"]),
 ])
 def test_metric_scale_past_the_float_range_exit_2(tmp_path, capsys, command, extra):
-    # the Gram determinant of a plane is about 1e610
+    # the Gram determinant of a plane, and lu's products of forms, are about 1e610
     f = tmp_path / "huge.metric"
     f.write_text("dim 2; h[1,1] = 1e305; h[2,2] = 1e305*exp(z1*zb1);")
     code, rep = run(capsys, command, "--metric", str(f), "--point", "[[0.1,0],[0.2,0]]", *extra)

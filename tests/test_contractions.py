@@ -3,11 +3,14 @@ source guard that keeps every contraction in the package staged.
 
 Each staged product is compared on every catalog metric at n = 2 and 3
 and on random tensors with no symmetries, since a curvature symmetry can
-hide a swapped slot.  The guard parses the source, so calls that span
-several lines are seen whole.
+hide a swapped slot.  The complexified tensor's stored h-first half and
+its 16 blocks are compared with the full reference tensor as well, at
+n = 6 too, where the reference contracts pairwise.  The guard parses the
+source, so calls that span several lines are seen whole.
 """
 
 import ast
+import itertools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -89,7 +92,7 @@ def test_staged_contractions_match_references_on_catalog(name, n):
     _assert_close(real_curvature(rjet, real_christoffel(rjet)),
                   real_curvature_ref(rjet.d2g, real_christoffel(rjet).brackets, rjet.g_inv))
     _assert_close(complexify_curvature(g.rc).tensor,
-                  complexify_ref(g.rc, _frame(n).conj().T / 2))
+                  complexify_ref(g.rc, _frame(n).conj().T / 2)[:n])
     _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
     _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
     _check_forms(g.rc, g.kr, np.random.default_rng(n))
@@ -106,7 +109,7 @@ def test_staged_contractions_match_references_without_symmetries(n):
     _assert_close(real_curvature(SimpleNamespace(d2g=d2g, g_inv=gi), rchris),
                   real_curvature_ref(d2g, br, gi))
     r = rng.standard_normal((m, m, m, m))
-    _assert_close(complexify_curvature(r).tensor, complexify_ref(r, _frame(n).conj().T / 2))
+    _assert_close(complexify_curvature(r).tensor, complexify_ref(r, _frame(n).conj().T / 2)[:n])
     parts = (_cplx(rng, n, n, n, n), _cplx(rng, n, n, n), _cplx(rng, n, n), _cplx(rng, n, n, n))
     d2h = _cplx(rng, m, m, n, n)
     d2h[:n, n:] = parts[0]
@@ -114,6 +117,35 @@ def test_staged_contractions_match_references_without_symmetries(n):
     _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
     _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
     _check_forms(r, _cplx(rng, n, n, n, n), rng)
+
+
+def _check_half(r):
+    """The stored h-first half against the full reference tensor: each of
+    the 16 blocks, each a-first block as the conjugate of its swapped
+    block, bit for bit, and the largest magnitude."""
+    n = r.shape[0] // 2
+    cx = complexify_curvature(r)
+    full = complexify_ref(r, _frame(n).conj().T / 2, optimize=n > 3)
+    scale = float(np.max(np.abs(full)))
+    sl = {"h": slice(0, n), "a": slice(n, 2 * n)}
+    for kinds in map("".join, itertools.product("ha", repeat=4)):
+        _assert_close(cx.block(kinds), full[tuple(sl[k] for k in kinds)], scale)
+        if kinds[0] == "a":
+            swapped = cx.block(kinds.translate(str.maketrans("ha", "ah")))
+            assert np.array_equal(cx.block(kinds), swapped.conj())
+    assert abs(float(np.max(np.abs(cx.tensor))) - scale) <= RTOL * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_complexified_half_matches_full_tensor_on_catalog(name, n):
+    metric = catalog_metric(name, n)
+    _check_half(geometry_at(metric, sample_admissible_points(metric, 1, seed=n)[0]).rc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_complexified_half_matches_full_tensor_without_symmetries(n):
+    _check_half(np.random.default_rng(20 + n).standard_normal((2 * n,) * 4))
 
 
 def test_each_slot_matches_reference_with_rectangular_matrices():
