@@ -3,18 +3,20 @@ extremal searches over tangent 2-planes.
 
 The searches share one engine: a seeded multi-start Riemannian Newton
 search.  Every objective is a real quartic form, T(U, V, V, U) on a pair
-or T(Y, Y, Y, Y) on one vector, with T built once per point.  Each search
-takes the Cholesky factor g = L L^T at its point and pulls T back through
-L^-T (_Quartic), which turns g-unit vectors and g-orthonormal pairs into
-Euclidean unit vectors and orthonormal pairs; there the constraint has a
-plain retraction (normalize, or Gram-Schmidt) and the textbook Riemannian
-gradient and Hessian (_riemannian).  Restart states are carried as rows
-of one array, so values, gradients, Hessians and one eigh per pass are
-batched; each restart takes saddle-free Newton steps inside its own trust
-radius until its Riemannian gradient vanishes to rounding.  The winner is
-the best final value, first-found on ties within 1e-10, which keeps
-results reproducible for a fixed seed; it is mapped back to the chart as
-y = x L^-1.
+or T(Y, Y, Y, Y) on one vector, with T built once per point.  A search is
+one _Quartic problem: T pulled back through L^-T, L the Cholesky factor
+g = L L^T at the point, with that whitening and its constraint.  This
+turns g-unit vectors and g-orthonormal pairs into Euclidean unit vectors
+and orthonormal pairs; there the constraint has a plain retraction
+(normalize, or Gram-Schmidt) and the textbook Riemannian gradient and
+Hessian (_riemannian).  Restart states are carried as rows of one array,
+so values, gradients, Hessians and one eigh per pass are batched; each
+restart takes saddle-free Newton steps inside its own trust radius until
+its Riemannian gradient vanishes to rounding.  The winner is the best
+final value, first-found on ties within 1e-10, which keeps results
+reproducible for a fixed seed; it is mapped back to the chart as
+y = x L^-1.  A tensor that would overflow the gradient norms raises
+HermicurvError before the first pass.
 
 The CLI prints the result records field by field, so each record's field
 order is its report's key order.
@@ -249,26 +251,44 @@ def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
 
 
 class _Quartic:
-    """f = T(U, V, V, U) on whitened states X, with U = X[:, :m] and
-    V = X[:, -m:]; a one-block state has U = V = Y.  With absolute, f is
+    """One search problem: f = T(U, V, V, U) on whitened states X of
+    dim = blocks * m reals, U = X[:, :m], V = X[:, -m:] (U = V = Y on one
+    block), under the whitening white = (L, L^-1) and a constraint: unit
+    blocks, or an orthonormal pair with pair.  With absolute, f is
     |T(U, V, V, U)|.
 
     With S the pair-symmetrized pull-back of T, the Euclidean gradient is
     gu = 2 S(., V, V, U), gv = 2 S(U, ., V, U), and the Hessian blocks
     are 2 S(., V, V, .), 2 S(U, ., ., U) and, across U and V,
     4 A = 4 S(., ., V, U): three _slot_pair products per evaluation.
-    gtol is the gradient norm that stops a restart.
+    peak is max|S|, and gtol the gradient norm that stops a restart.
     """
 
-    def __init__(self, T: np.ndarray, Li: np.ndarray, absolute: bool = False):
+    def __init__(self, T: np.ndarray, white, blocks: int, pair: bool = False,
+                 absolute: bool = False):
         # L^-T on every slot: S at whitened states x is T at y = x L^-1
-        S = _pair_symmetrized(_each_slot(T, Li.T))
+        S = _pair_symmetrized(_each_slot(T, white[1].T))
+        self.white = white
         self.m = S.shape[0]
+        self.dim = blocks * self.m
+        self.pair = pair
         self.S = S
         self.s_uu = np.ascontiguousarray(S.transpose(0, 3, 1, 2))
         self.s_vv = np.ascontiguousarray(S.transpose(1, 2, 0, 3))
         self.absolute = absolute
-        self.gtol = _GRAD_TOL * max(1.0, float(np.max(np.abs(S))))
+        self.peak = float(np.max(np.abs(S)))
+        self.gtol = _GRAD_TOL * max(1.0, self.peak)
+
+    def draw(self, rng, rows: int) -> np.ndarray:
+        """rows standard normal chart states, taken into whitened
+        coordinates and retracted: the same planes or vectors as g-weighted
+        Gram-Schmidt or normalization of the chart states."""
+        Y = rng.standard_normal((rows, self.dim)).reshape(-1, self.m) @ self.white[0]
+        return _retract(Y.reshape(rows, self.dim), self.m, self.pair)
+
+    def chart(self, x: np.ndarray) -> np.ndarray:
+        """A whitened state back in the chart, y = x L^-1 per block."""
+        return (x.reshape(-1, self.m) @ self.white[1]).reshape(x.shape)
 
     def value(self, X: np.ndarray) -> np.ndarray:
         U, V = X[:, : self.m], X[:, -self.m :]
@@ -363,25 +383,9 @@ def _riemannian(X: np.ndarray, G: np.ndarray, H: np.ndarray, m: int, pair: bool)
     return grad, P @ (H - W) @ P
 
 
-def _draw(rng, rows: int, dim: int, white, pair: bool) -> np.ndarray:
-    """rows standard normal chart states of dim reals, taken into
-    whitened coordinates and retracted: the same planes or vectors as
-    g-weighted Gram-Schmidt or normalization of the chart states."""
-    L = white[0]
-    m = L.shape[0]
-    Y = rng.standard_normal((rows, dim))
-    return _retract((Y.reshape(-1, m) @ L).reshape(Y.shape), m, pair)
-
-
-def _chart(x: np.ndarray, white) -> np.ndarray:
-    """A whitened state back in the chart, y = x L^-1 per block."""
-    Li = white[1]
-    return (x.reshape(-1, Li.shape[0]) @ Li).reshape(x.shape)
-
-
-def _multistart(q: _Quartic, white, pair: bool, dim: int, restarts: int, seed: int, mode: str):
-    """Batched multi-start Riemannian Newton search of q over whitened
-    states of dim reals, seeded with _draw.
+def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
+    """Batched multi-start Riemannian Newton search of q over its whitened
+    states, seeded with q.draw.
 
     Each pass takes one batched eigh of the Riemannian Hessians of the
     restarts still stepping and a saddle-free Newton step: the gradient's
@@ -393,13 +397,19 @@ def _multistart(q: _Quartic, white, pair: bool, dim: int, restarts: int, seed: i
     the step on rejection and doubles, up to _MAX_RADIUS, after an
     accepted capped step.  A restart stops once its Riemannian gradient
     norm is at most q.gtol.
+    A tensor whose scale would take the gradient norms past the finite
+    floats raises HermicurvError before the first pass.
     Returns (best chart state, best value, converged, stats).
     """
+    # at unit states a gradient entry is at most 2 peak dim^1.5, so under
+    # this bound every gradient norm, and its sum of squares, stays finite
+    if not q.peak * q.dim**2 < 2.0**500:
+        raise HermicurvError(f"curvature scale out of the floating-point range: the search's "
+                             f"whitened tensor reaches {q.peak:.3e}")
     sign = 1.0 if mode == "max" else -1.0
-    m = q.m
-    X = _draw(np.random.default_rng(seed), restarts, dim, white, pair)
+    X = q.draw(np.random.default_rng(seed), restarts)
     f, G, H = q.derivatives(X)
-    grad, hess = _riemannian(X, G, H, m, pair)
+    grad, hess = _riemannian(X, G, H, q.m, q.pair)
     gnorm = np.linalg.norm(grad, axis=1)
     radius = np.full(restarts, _RADIUS0)
     iterations, evaluations = 0, restarts
@@ -419,14 +429,14 @@ def _multistart(q: _Quartic, white, pair: bool, dim: int, restarts: int, seed: i
         capped = step > radius[rows]
         a[capped] *= (radius[rows[capped]] / step[capped])[:, None]
         predicted = sign * np.einsum("Bi,Bi->B", a, c + lam * a / 2.0)
-        trial = _retract(X[rows] + np.einsum("Bij,Bj->Bi", Q, a), m, pair)
+        trial = _retract(X[rows] + np.einsum("Bij,Bj->Bi", Q, a), q.m, q.pair)
         ft, Gt, Ht = q.derivatives(trial)
         slack = 1e3 * np.finfo(float).eps * np.maximum(1.0, np.abs(f[rows]))
         ok = sign * (ft - f[rows]) + slack >= 0.1 * (predicted + slack)
 
         acc = rows[ok]
         X[acc], f[acc] = trial[ok], ft[ok]
-        grad[acc], hess[acc] = _riemannian(trial[ok], Gt[ok], Ht[ok], m, pair)
+        grad[acc], hess[acc] = _riemannian(trial[ok], Gt[ok], Ht[ok], q.m, q.pair)
         gnorm[acc] = np.linalg.norm(grad[acc], axis=1)
         radius[rows[~ok]] = np.minimum(radius[rows[~ok]], step[~ok]) / 4.0
         grow = rows[ok & capped]
@@ -437,7 +447,7 @@ def _multistart(q: _Quartic, white, pair: bool, dim: int, restarts: int, seed: i
     idx = int(winners[0])
     done = gnorm <= q.gtol
     stats = SearchStats(iterations, evaluations, int(done.sum()), restarts - int(done.sum()))
-    return _chart(X[idx], white), float(f[idx]), bool(done[idx]), stats
+    return q.chart(X[idx]), float(f[idx]), bool(done[idx]), stats
 
 
 def _real_chern(kr: np.ndarray) -> np.ndarray:
@@ -507,21 +517,19 @@ class ExtremalResult:
     pair_alignment: float | None = None
 
 
-def _extremal(white, mode: str, restarts: int, seed: int, plane: _Quartic, pair: bool,
-              holo_T: np.ndarray, hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
+def _extremal(mode: str, restarts: int, seed: int, plane: _Quartic, holo_T: np.ndarray,
+              hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
     """The two searches behind an ExtremalResult and their oriented gap.
 
-    plane is searched over states [U | V], orthonormal pairs when pair
-    and two unit vectors otherwise; the holomorphic search extremizes
-    holo_T(Y, Y, Y, Y) over g-unit Y.  applicable needs symmetric and a
+    plane is the two-block problem, over orthonormal pairs or two unit
+    vectors; the holomorphic search extremizes holo_T(Y, Y, Y, Y) over
+    g-unit Y, under plane's whitening.  applicable needs symmetric and a
     sampled sign the mode is covered for.
     """
     m = plane.m
-    best_x, best_value, converged, stats = _multistart(plane, white, pair, 2 * m, restarts,
-                                                       seed, mode)
-    best_y, holo_value, holo_conv, holo_stats = _multistart(
-        _Quartic(holo_T, white[1]), white, False, m, restarts, seed + 1, mode
-    )
+    best_x, best_value, converged, stats = _multistart(plane, restarts, seed, mode)
+    holo = _Quartic(holo_T, plane.white, 1)
+    best_y, holo_value, holo_conv, holo_stats = _multistart(holo, restarts, seed + 1, mode)
     return ExtremalResult(
         mode=mode,
         best_value=best_value,
@@ -558,13 +566,10 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
-    g, r = geom.rjet.g, geom.rc
-    white = _whitening(g)
-    plane = _Quartic(r, white[1])
-    sample = _draw(np.random.default_rng(seed + 101), 1000, 2 * g.shape[0], white, True)
-    hypothesis_sign = _sign_label(plane.value(sample))
-    return _extremal(white, mode, restarts, seed, plane, True, _j_folded(r), hypothesis_sign,
-                     True)
+    r = geom.rc
+    plane = _Quartic(r, _whitening(geom.rjet.g), 2, pair=True)
+    hypothesis_sign = _sign_label(plane.value(plane.draw(np.random.default_rng(seed + 101), 1000)))
+    return _extremal(mode, restarts, seed, plane, _j_folded(r), hypothesis_sign, True)
 
 
 def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
@@ -589,9 +594,8 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
     K = _real_chern(kr)
-    white = _whitening(g)
-    plane = _Quartic(K.transpose(0, 2, 3, 1), white[1])
-    res = _extremal(white, mode, restarts, seed, plane, False, K, hypothesis_sign, symmetric)
+    plane = _Quartic(K.transpose(0, 2, 3, 1), _whitening(g), 2)
+    res = _extremal(mode, restarts, seed, plane, K, hypothesis_sign, symmetric)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(
         res,
@@ -652,20 +656,17 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     searches = []
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
-        g = geom.rjet.g
-        m = g.shape[0]
-        white = _whitening(g)
         T = _gap_tensor(geom.rc, geom.kr)
-        q = _Quartic(T, white[1], absolute=True)
+        q = _Quartic(T, _whitening(geom.rjet.g), 2, pair=True, absolute=True)
         scale = max(1.0, np.max(np.abs(geom.rc)))
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * scale
 
-        sample = _draw(np.random.default_rng(seed + k), samples, 2 * m, white, True)
+        sample = q.draw(np.random.default_rng(seed + k), samples)
         gaps = q.value(sample)
-        point_best_x = _chart(sample[int(np.argmax(gaps))], white)
+        point_best_x = q.chart(sample[int(np.argmax(gaps))])
         point_best = float(np.max(gaps))
         if not noise:
-            x, val, _, stats = _multistart(q, white, True, 2 * m, 16, seed + k, "max")
+            x, val, _, stats = _multistart(q, 16, seed + k, "max")
             searches.append(stats)
             if val > point_best:
                 point_best, point_best_x = val, x

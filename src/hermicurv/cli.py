@@ -236,6 +236,14 @@ def _fields(rec, *drop) -> dict:
     return {key: val for key, val in vars(rec).items() if key not in drop}
 
 
+def _each_point(points, entry):
+    """Run entry(k, p) -> (result, ok) on every point, in order, and
+    return the results in point order and whether every point was ok.
+    The first error ends the command."""
+    runs = [entry(k, p) for k, p in enumerate(points)]
+    return [result for result, _ in runs], all(ok for _, ok in runs)
+
+
 def _cmd_classify(args, metric, points):
     return [classify(metric, points, tol=args.tol)], True
 
@@ -244,33 +252,30 @@ def _cmd_curvature(args, metric, points):
     """Per point, the two routes' haha difference and Gray's residual
     max|hhhh|, which is max|aaaa| too, as aaaa = conj(hhhh); each is
     judged against max(1, max|cx|)."""
-    results = []
-    ok = True
-    for p in points:
+
+    def entry(k, p):
         geom = geometry_at(metric, p)
         cross = float(np.max(np.abs(geom.mixed_11_direct - geom.cx.block("haha"))))
         gray = float(np.max(np.abs(geom.cx.block("hhhh"))))
         scale = max(1.0, float(np.max(np.abs(geom.cx.tensor))))
-        ok = ok and cross < 1e-6 * scale and gray < 1e-7 * scale
-        results.append(
-            {
-                "point": p,
-                "chern_tensor": geom.kr,
-                "real_tensor": geom.rc,
-                "mixed_11_direct": geom.mixed_11_direct,
-                "cross_check_residual": cross,
-                "gray_residual": gray,
-            }
-        )
-    return results, ok
+        return {
+            "point": p,
+            "chern_tensor": geom.kr,
+            "real_tensor": geom.rc,
+            "mixed_11_direct": geom.mixed_11_direct,
+            "cross_check_residual": cross,
+            "gray_residual": gray,
+        }, cross < 1e-6 * scale and gray < 1e-7 * scale
+
+    return _each_point(points, entry)
 
 
 def _cmd_sectional(args, metric, points):
     if not args.plane:
         raise UsageError("sectional needs at least one --plane")
     planes = [_parse_plane(text, points[0].n) for text in args.plane]
-    results = []
-    for p in points:
+
+    def entry(k, p):
         geom = geometry_at(metric, p)
         per_plane = []
         for plane in planes:
@@ -285,14 +290,13 @@ def _cmd_sectional(args, metric, points):
                     "B_uv": holo_bisectional(geom.kr, geom.jet.h, xi, eta),
                 }
             )
-        results.append({"point": p, "planes": per_plane})
-    return results, True
+        return {"point": p, "planes": per_plane}, True
+
+    return _each_point(points, entry)
 
 
 def _cmd_identities(args, metric, points):
-    results = []
-    ok = True
-    for k, p in enumerate(points):
+    def entry(k, p):
         geom = geometry_at(metric, p)
         # uv[k] is the pair (u, v), u drawn first
         uv = np.random.default_rng(args.seed + k).standard_normal((args.samples, 2, 2 * geom.n))
@@ -300,52 +304,43 @@ def _cmd_identities(args, metric, points):
         res = identity_suite(geom.rc, geom.kr, geom.cx, uv[:, 0], uv[:, 1])
         table = {key: float(np.max(val)) for key, val in vars(res).items()}
         universal_ok = res.universal_max() < args.tol * max(1.0, float(np.max(np.abs(geom.rc))))
-        ok = ok and universal_ok
-        results.append(
-            {
-                "point": p,
-                "max_residuals": table,
-                "samples": args.samples,
-                "universal_ok": universal_ok,
-                "tol": args.tol,
-            }
-        )
-    return results, ok
+        return {
+            "point": p,
+            "max_residuals": table,
+            "samples": args.samples,
+            "universal_ok": universal_ok,
+            "tol": args.tol,
+        }, universal_ok
+
+    return _each_point(points, entry)
 
 
 def _cmd_extremal(args, metric, points):
-    results = []
-    ok = True
-    for k, p in enumerate(points):
-        if args.target == "bisectional":
-            res = extremal_bisectional(metric, p, mode=args.mode, restarts=args.restarts,
-                                       seed=args.seed + k)
-        else:
-            res = extremal_sectional(metric, p, mode=args.mode, restarts=args.restarts,
-                                     seed=args.seed + k)
-        entry = {"point": p, "target": args.target,
-                 **_fields(res, "search", "holo_search", "best_pair", "pair_alignment")}
+    search = extremal_bisectional if args.target == "bisectional" else extremal_sectional
+
+    def entry(k, p):
+        res = search(metric, p, mode=args.mode, restarts=args.restarts, seed=args.seed + k)
+        result = {"point": p, "target": args.target,
+                  **_fields(res, "search", "holo_search", "best_pair", "pair_alignment")}
         if res.best_pair is not None:
-            entry["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
-            entry["pair_alignment"] = res.pair_alignment
+            result["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
+            result["pair_alignment"] = res.pair_alignment
         # curvatures scale like 1/c when h is multiplied by c, and so does
         # the searches' rounding
         scale = max(1.0, abs(res.best_value), abs(res.holo_best_value))
-        entry["gap_ok"] = (not res.applicable) or res.gap <= args.tol * scale
-        ok = ok and entry["gap_ok"]
-        results.append(entry)
-    return results, ok
+        result["gap_ok"] = (not res.applicable) or res.gap <= args.tol * scale
+        return result, result["gap_ok"]
+
+    return _each_point(points, entry)
 
 
 def _cmd_lu(args, metric, points):
-    results = []
-    ok = True
-    for p in points:
+    def entry(k, p):
         rep = lu_inequality_check(geometry_at(metric, p).kr, samples=args.samples, seed=args.seed)
-        point_ok = (not rep.applicable) or rep.violations == 0
-        ok = ok and point_ok
-        results.append({"point": p, **vars(rep), "ok": point_ok})
-    return results, ok
+        ok = (not rep.applicable) or rep.violations == 0
+        return {"point": p, **vars(rep), "ok": ok}, ok
+
+    return _each_point(points, entry)
 
 
 def _cmd_probe(args, metric, points):

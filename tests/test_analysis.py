@@ -307,7 +307,7 @@ def test_gap_probe_deterministic():
 
 
 def _search_cases(geom):
-    """name -> (quartic, pair, independent objective, state dim).
+    """name -> (quartic, independent objective).
 
     The independent objectives are the search objectives written out
     directly on chart states, without the real 4-tensors the engine
@@ -315,7 +315,7 @@ def _search_cases(geom):
     g, r, kr = geom.rjet.g, geom.rc, geom.kr
     n = geom.n
     m = 2 * n
-    Li = analysis._whitening(g)[1]
+    white = analysis._whitening(g)
     K = analysis._real_chern(kr)
 
     def holo(X):
@@ -350,13 +350,13 @@ def _search_cases(geom):
 
     Q = analysis._Quartic
     return {
-        "generic_pair": (Q(T, Li), True, generic, 2 * m),
-        "generic_two_sphere": (Q(T, Li), False, generic, 2 * m),
-        "sectional": (Q(r, Li), True, sectional, 2 * m),
-        "holo_plane": (Q(analysis._j_folded(r), Li), False, holo_plane, m),
-        "bisectional": (Q(K.transpose(0, 2, 3, 1), Li), False, bisectional, 2 * m),
-        "holomorphic": (Q(K, Li), False, holomorphic, m),
-        "gap": (Q(analysis._gap_tensor(r, kr), Li, absolute=True), True, gap, 2 * m),
+        "generic_pair": (Q(T, white, 2, pair=True), generic),
+        "generic_two_sphere": (Q(T, white, 2), generic),
+        "sectional": (Q(r, white, 2, pair=True), sectional),
+        "holo_plane": (Q(analysis._j_folded(r), white, 1), holo_plane),
+        "bisectional": (Q(K.transpose(0, 2, 3, 1), white, 2), bisectional),
+        "holomorphic": (Q(K, white, 1), holomorphic),
+        "gap": (Q(analysis._gap_tensor(r, kr), white, 2, pair=True, absolute=True), gap),
     }
 
 
@@ -365,22 +365,21 @@ def _search_cases(geom):
 def test_search_gradients_match_finite_differences(name, n):
     m = catalog_metric(name, n)
     geom = geometry_at(m, sample_admissible_points(m, 1, seed=31)[0])
-    white = analysis._whitening(geom.rjet.g)
     rng = np.random.default_rng(37)
-    for case, (q, pair, objective, dim) in _search_cases(geom).items():
+    for case, (q, objective) in _search_cases(geom).items():
 
         def value(X):
-            return objective(analysis._chart(X, white))
+            return objective(q.chart(X))
 
         def gradient(X):
-            return analysis._riemannian(X, *q.derivatives(X)[1:], q.m, pair)[0]
+            return analysis._riemannian(X, *q.derivatives(X)[1:], q.m, q.pair)[0]
 
         def retract(X):
-            return analysis._retract(X, q.m, pair)
+            return analysis._retract(X, q.m, q.pair)
 
-        X = retract(rng.standard_normal((6, dim)))
+        X = retract(rng.standard_normal((6, q.dim)))
         f, G, H = q.derivatives(X)
-        grad, hess = analysis._riemannian(X, G, H, q.m, pair)
+        grad, hess = analysis._riemannian(X, G, H, q.m, q.pair)
         scale = max(1.0, float(np.max(np.abs(value(X)))))
         assert np.max(np.abs(f - value(X))) <= 1e-12 * scale, case
         assert np.max(np.abs(q.value(X) - f)) <= 1e-12 * scale, case
@@ -395,11 +394,11 @@ def test_search_gradients_match_finite_differences(name, n):
 def test_projectors_map_zero_rows_to_unit_vectors(geom):
     g = geom("hopf", [0.3 + 0.1j, -0.2 + 0.05j])
     gm, H = g.rjet.g, g.jet.h
-    white = analysis._whitening(gm)
+    q = analysis._Quartic(np.zeros((4,) * 4), analysis._whitening(gm), 2, pair=True)
     X = np.zeros((2, 8))
     X[1] = np.arange(1.0, 9.0)
     P = analysis._retract(X, 4, True)
-    for row in (P, analysis._chart(P, white)):
+    for row in (P, q.chart(P)):
         for x in row:
             U, V = x[:4], x[4:]
             metric = np.eye(4) if row is P else gm
@@ -413,12 +412,12 @@ def test_projectors_map_zero_rows_to_unit_vectors(geom):
 
     S = analysis._retract(np.zeros((2, 4)), 4, False)
     assert np.einsum("Bi,Bi->B", S, S) == pytest.approx([1.0, 1.0], abs=1e-12)
-    C = analysis._chart(S, white)
+    C = q.chart(S)
     assert np.einsum("Bi,ij,Bj->B", C, gm, C) == pytest.approx([1.0, 1.0], abs=1e-12)
 
     # rows of two [Re z, Im z] blocks, the first zero, become h-unit pairs
-    W = analysis._chart(analysis._retract(
-        np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)), 4, False), white)
+    W = q.chart(analysis._retract(
+        np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)), 4, False))
     Z = W.reshape(-1, 4)[:, :2] + 1j * W.reshape(-1, 4)[:, 2:]
     assert np.einsum("ab,Ba,Bb->B", H, Z, Z.conj()).real == pytest.approx([1.0] * 4, abs=1e-12)
     # the zero block becomes e_1 in whitened coordinates, a multiple of e_1 in the chart

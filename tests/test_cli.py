@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import subprocess
@@ -286,6 +287,128 @@ def test_metric_scale_past_the_float_range_exit_2(tmp_path, capsys, command, ext
     assert code == 2
     assert rep["error"]["type"] == "HermicurvError"
     assert rep["error"]["message"].startswith("metric scale out of the floating-point range")
+
+
+# whitened search tensors near 1e300, where a gradient norm's squares overflow
+HUGE_SEARCH = "dim 2; h[1,1] = 1 + 1e300*z1*zb1;"
+HUGE_SEARCH_2 = "dim 2; h[1,1] = 1; h[2,2] = 1 + 1e300*z1*zb1;"
+TINY_WHITENING = "dim 2; h[1,1] = 1e-300; h[2,2] = 1e-300*exp(z1*zb1);"
+ORIGIN = "[[0,0],[0,0]]"
+OFF_ORIGIN = "[[0.1,0.05],[0.2,-0.1]]"
+
+
+@pytest.mark.parametrize("source, point, argv", [
+    (HUGE_SEARCH, ORIGIN, ["extremal"]),
+    (HUGE_SEARCH, ORIGIN, ["extremal", "--target", "bisectional"]),
+    (HUGE_SEARCH_2, ORIGIN, ["extremal"]),
+    (HUGE_SEARCH_2, ORIGIN, ["probe-corollary", "--samples", "50"]),
+    (TINY_WHITENING, OFF_ORIGIN, ["extremal"]),
+    (TINY_WHITENING, OFF_ORIGIN, ["extremal", "--target", "bisectional", "--mode", "min"]),
+], ids=["huge-sectional", "huge-bisectional", "huge2-sectional", "huge2-probe",
+        "tiny-sectional", "tiny-bisectional-min"])
+def test_search_past_the_float_range_exit_2(tmp_path, capsys, source, point, argv):
+    f = tmp_path / "scale.metric"
+    f.write_text(source)
+    if argv[0] == "extremal":
+        argv = argv + ["--restarts", "4"]
+    code, rep = run(capsys, *argv, "--metric", str(f), "--point", point)
+    assert code == 2
+    assert rep["error"]["type"] == "HermicurvError"
+    assert rep["error"]["message"].startswith("curvature scale out of the floating-point range")
+
+
+def test_searches_below_the_float_range_get_reports(tmp_path, capsys):
+    f = tmp_path / "scale.metric"
+    f.write_text("dim 2; h[1,1] = 1; h[2,2] = 1 + 1e140*z1*zb1;")
+    for argv in (["extremal", "--restarts", "4"], ["probe-corollary", "--samples", "50"]):
+        code, rep = run(capsys, *argv, "--metric", str(f), "--point", ORIGIN)
+        assert code in (0, 1) and "results" in rep, argv
+    # the probe only samples a gap tensor that is rounding noise, so the
+    # search's scale bound does not apply
+    f.write_text(HUGE_SEARCH)
+    code, rep = run(capsys, "probe-corollary", "--samples", "50", "--metric", str(f),
+                    "--point", ORIGIN)
+    assert code == 0 and rep["results"][0]["max_gap"] == 0
+
+
+# one deterministic slice of CLI fuzzing: each command on metrics at the
+# edges of the float range, at two points per run
+EXTREME_METRICS = {
+    "huge-search": HUGE_SEARCH,
+    "huge-search-2": HUGE_SEARCH_2,
+    "tiny-whitening": TINY_WHITENING,
+    "nk-diag-1e305": re.sub(r"= (.*);", r"= 1e305 * (\1);", catalog_source("nk_diag", 2)),
+    "subnormal": "dim 2; h[1,1] = 1e-320; h[2,2] = 1e-320;",
+    "power-40": "dim 2; h[1,1] = (1 + z1*zb1)^40; h[2,2] = (1+z2*zb2)^-40;",
+}
+COMMAND_VARIANTS = [
+    ["classify"],
+    ["curvature"],
+    ["sectional", "--plane", PLANE_12],
+    ["identities", "--samples", "4"],
+    ["extremal", "--restarts", "4"],
+    ["extremal", "--restarts", "4", "--target", "bisectional"],
+    ["lu", "--samples", "50"],
+    ["probe-corollary", "--samples", "50"],
+]
+
+
+@pytest.mark.parametrize("source", list(EXTREME_METRICS.values()), ids=list(EXTREME_METRICS))
+def test_extreme_metrics_end_in_a_report_or_a_typed_error(tmp_path, capsys, source):
+    f = tmp_path / "extreme.metric"
+    f.write_text(source)
+    for argv in COMMAND_VARIANTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_main([*argv, "--metric", str(f), "--point", ORIGIN, "--point", OFF_ORIGIN])
+        rep = json.loads(capsys.readouterr().out)
+        assert isinstance(rep, dict), argv
+        assert code in (0, 1, 2), argv
+        assert ("error" in rep) == (code == 2), argv
+
+
+PAIR_POINTS = [NK_POINT, "[[1,0],[0.2,0.1]]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--samples", "4"],
+    ["extremal", "--restarts", "4"],
+    ["extremal", "--restarts", "4", "--target", "bisectional"],
+], ids=["identities", "extremal-sectional", "extremal-bisectional"])
+def test_point_k_is_seeded_with_seed_plus_k(capsys, argv):
+    base = [*argv, "--metric", "nk_diag"]
+    _, rep = run(capsys, *base, "--seed", "3",
+                 "--point", PAIR_POINTS[0], "--point", PAIR_POINTS[1])
+    assert len(rep["results"]) == 2
+    for k, p in enumerate(PAIR_POINTS):
+        _, one = run(capsys, *base, "--seed", str(3 + k), "--point", p)
+        assert rep["results"][k] == one["results"][0], k
+
+
+def test_lu_seeds_every_point_with_the_shared_seed(capsys):
+    base = ["lu", "--metric", "nk_diag", "--samples", "50", "--seed", "3"]
+    _, rep = run(capsys, *base, "--point", PAIR_POINTS[0], "--point", PAIR_POINTS[1])
+    assert len(rep["results"]) == 2
+    for k, p in enumerate(PAIR_POINTS):
+        _, one = run(capsys, *base, "--point", p)
+        assert rep["results"][k] == one["results"][0], k
+
+
+def test_one_failing_point_fails_the_report_and_keeps_every_point(capsys, monkeypatch):
+    check = cli.lu_inequality_check
+    calls = []
+
+    def second_violates(*args, **kwargs):
+        calls.append(None)
+        return dataclasses.replace(check(*args, **kwargs), applicable=True,
+                                   violations=len(calls) - 1)
+
+    monkeypatch.setattr(cli, "lu_inequality_check", second_violates)
+    code, rep = run(capsys, "lu", "--metric", "nk_diag", "--samples", "50",
+                    "--point", PAIR_POINTS[0], "--point", PAIR_POINTS[1])
+    assert code == 1 and rep["ok"] is False
+    assert [r["ok"] for r in rep["results"]] == [True, False]
+    assert [r["point"] for r in rep["results"]] == [[[1, 0], [0, 0]], [[1, 0], [0.2, 0.1]]]
 
 
 def test_metric_from_file(tmp_path, capsys):
