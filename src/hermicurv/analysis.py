@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartPoint, _each_slot, _frame, hermitian_pairing, to_holomorphic
+from .core import ChartPoint, _each_slot, _frame, _scale, hermitian_pairing, to_holomorphic
 from .dsl import MetricDefinition
 from .engine import geometry_at
 from .errors import HermicurvError
@@ -64,7 +64,10 @@ class ClassificationReport:
     tol: float
 
 
-def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> ClassificationReport:
+_CLASSIFY_TOL = 1e-8
+
+
+def classify(metric: MetricDefinition, points) -> ClassificationReport:
     """Classify a metric from its tensors at the given points.
 
     Three nested symmetry conditions are measured as max-abs residuals,
@@ -73,16 +76,17 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
     canonical curvature under swapping its two unbarred slots; vanishing
     of the complexified-curvature blocks with three or four unbarred
     indices among the first three.  A condition holds when at every point
-    its residual is below tol * max(1, M), M the largest magnitude of the
-    array it measures: dh/dz, the canonical curvature, or the
-    complexified curvature.  The blocks hhha and hhaa are one view of the
-    stored h-first half, cx.tensor[:, :n, :, n:], and the half's largest
-    magnitude is the whole tensor's.
+    its residual is below _CLASSIFY_TOL * core._scale of the array it
+    measures: dh/dz, the canonical curvature, or the complexified
+    curvature; the report's tol echoes _CLASSIFY_TOL.  The blocks hhha
+    and hhaa are one view of the stored h-first half,
+    cx.tensor[:, :n, :, n:], and the half's largest magnitude is the
+    whole tensor's.
     """
     points = list(points)
     if not points:
         raise ValueError("points must name at least one point")
-    worst = np.zeros((3, 2))  # per condition: largest residual, and residual / max(1, M)
+    worst = np.zeros((3, 2))  # per condition: largest residual, and residual / _scale
     for p in points:
         geom = geometry_at(metric, p)
         n, kr, cx = geom.n, geom.kr, geom.cx.tensor
@@ -93,16 +97,16 @@ def classify(metric: MetricDefinition, points, tol: float = 1e-8) -> Classificat
             (cx[:, :n, :, n:], cx),
         )):
             r = float(np.max(np.abs(defect)))
-            worst[k] = np.maximum(worst[k], (r, r / max(1.0, float(np.max(np.abs(of))))))
+            worst[k] = np.maximum(worst[k], (r, r / _scale(of)))
     (rk, qk), (rkl, qkl), (rgk, qgk) = worst.tolist()
     return ClassificationReport(
-        kahler=qk < tol,
+        kahler=qk < _CLASSIFY_TOL,
         kahler_residual=rk,
-        kahler_like=qkl < tol,
+        kahler_like=qkl < _CLASSIFY_TOL,
         kahler_like_residual=rkl,
-        g_kahler_like=qgk < tol,
+        g_kahler_like=qgk < _CLASSIFY_TOL,
         g_kahler_like_residual=rgk,
-        tol=tol,
+        tol=_CLASSIFY_TOL,
     )
 
 
@@ -168,7 +172,7 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
     E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
 
     q = _w_form(A, X, E)
-    qtol = 1e-9 * max(1.0, float(np.max(np.abs(q))))
+    qtol = 1e-9 * _scale(q)
     nonneg = bool(np.all(q.real >= -qtol))
     hyp = nonneg or bool(np.all(q.real <= qtol))
 
@@ -184,7 +188,7 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
         raise HermicurvError(f"metric scale out of the floating-point range: the tensor's "
                              f"forms reach {peak:.3e}, and their products overflow")
     margins = top - cross2
-    mtol = 1e-9 * max(1.0, float(np.max(np.abs(top))), float(np.max(cross2)))
+    mtol = 1e-9 * _scale(top, cross2)
     violations = int(np.sum(margins < -mtol))
 
     return LuInequalityReport(
@@ -206,7 +210,7 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
 # A restart's first trust radius and its cap, in the whitened tangent norm;
 # the eigenvalue floor, relative to the largest |eigenvalue|, below which a
 # Hessian direction is dropped; the Riemannian gradient norm, relative to
-# max(1, max|S|), that stops a restart; and the pass cap
+# _scale(S), that stops a restart; and the pass cap
 _RADIUS0 = 0.5
 _MAX_RADIUS = 1.0
 _EIG_FLOOR = 1e-9
@@ -222,7 +226,7 @@ class SearchStats:
     evaluations counts value, gradient and Hessian evaluations, one per
     restart still stepping in a pass plus one per restart at the start;
     converged restarts ended with their Riemannian gradient norm at most
-    _GRAD_TOL * max(1, max|S|), S the whitened, pair-symmetrized tensor
+    _GRAD_TOL * core._scale(S), S the whitened, pair-symmetrized tensor
     of the objective, and capped ones were still stepping when the
     _MAX_ITER passes ran out.
     """
@@ -277,7 +281,7 @@ class _Quartic:
         self.s_vv = np.ascontiguousarray(S.transpose(1, 2, 0, 3))
         self.absolute = absolute
         self.peak = float(np.max(np.abs(S)))
-        self.gtol = _GRAD_TOL * max(1.0, self.peak)
+        self.gtol = _GRAD_TOL * _scale(self.peak)
 
     def draw(self, rng, rows: int) -> np.ndarray:
         """rows standard normal chart states, taken into whitened
@@ -466,7 +470,7 @@ def _j_folded(r: np.ndarray) -> np.ndarray:
 
 
 def _sign_label(vals: np.ndarray) -> str:
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
+    tol = 1e-10 * _scale(vals)
     if np.all(np.abs(vals) <= tol):
         return "zero"
     if np.all(vals >= -tol):
@@ -492,7 +496,7 @@ class ExtremalResult:
     the sign they find is the one the mode is covered for (nonneg or
     zero for max, nonpos or zero for min).  converged means the winning
     restart of both searches ended with its Riemannian gradient norm at
-    most _GRAD_TOL * max(1, max|S|) (see SearchStats): a local
+    most _GRAD_TOL * core._scale(S) (see SearchStats): a local
     stationarity statement, not a proof that the extremum is global.
     best_plane is g-orthonormal and holo_best_vector g-unit (h-unit for
     the bisectional search).  search and
@@ -658,8 +662,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
         q = _Quartic(T, _whitening(geom.rjet.g), 2, pair=True, absolute=True)
-        scale = max(1.0, np.max(np.abs(geom.rc)))
-        noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * scale
+        noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * _scale(geom.rc)
 
         sample = q.draw(np.random.default_rng(seed + k), samples)
         gaps = q.value(sample)

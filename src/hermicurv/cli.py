@@ -30,7 +30,7 @@ from .analysis import (
     extremal_sectional,
     lu_inequality_check,
 )
-from .core import ChartPoint, to_holomorphic
+from .core import ChartPoint, _scale, to_holomorphic
 from .dsl import MetricDefinition, _parse_entries
 from .engine import geometry_at
 from .errors import HermicurvError
@@ -181,11 +181,19 @@ def _finite_reals(arr, length: int) -> bool:
     )
 
 
-def _parse_point(text: str) -> np.ndarray:
+def _load_json(text: str, what: str):
+    """A JSON argument's value; text that is not JSON, or nests past the
+    decoder's recursion limit, is a usage error."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"point is not valid JSON: {exc}") from None
+        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"{what} is not valid JSON: nested too deeply") from None
+
+
+def _parse_point(text: str) -> np.ndarray:
+    raw = _load_json(text, "point")
     if not isinstance(raw, list) or not raw:
         raise UsageError("point must be a nonempty JSON array of [re, im] pairs")
     coords = []
@@ -198,10 +206,7 @@ def _parse_point(text: str) -> np.ndarray:
 
 
 def _parse_plane(text: str, n: int) -> Plane:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"plane is not valid JSON: {exc}") from None
+    raw = _load_json(text, "plane")
     if not isinstance(raw, dict) or set(raw) != {"u", "v"}:
         raise UsageError('plane must be an object {"u": [...], "v": [...]}')
     vecs = {}
@@ -244,20 +249,29 @@ def _each_point(points, entry):
     return [result for result, _ in runs], all(ok for _, ok in runs)
 
 
+# The pass/fail thresholds of the per-point checks, each relative to
+# core._scale of what it judges: curvature's two-route cross-check and
+# Gray residuals, identities' universal residuals, and extremal's gap.
+_CROSS_CHECK_TOL = 1e-6
+_GRAY_TOL = 1e-7
+_IDENTITIES_TOL = 1e-6
+_GAP_TOL = 1e-4
+
+
 def _cmd_classify(args, metric, points):
-    return [classify(metric, points, tol=args.tol)], True
+    return [classify(metric, points)], True
 
 
 def _cmd_curvature(args, metric, points):
     """Per point, the two routes' haha difference and Gray's residual
     max|hhhh|, which is max|aaaa| too, as aaaa = conj(hhhh); each is
-    judged against max(1, max|cx|)."""
+    judged against _scale(cx)."""
 
     def entry(k, p):
         geom = geometry_at(metric, p)
         cross = float(np.max(np.abs(geom.mixed_11_direct - geom.cx.block("haha"))))
         gray = float(np.max(np.abs(geom.cx.block("hhhh"))))
-        scale = max(1.0, float(np.max(np.abs(geom.cx.tensor))))
+        scale = _scale(geom.cx.tensor)
         return {
             "point": p,
             "chern_tensor": geom.kr,
@@ -265,7 +279,7 @@ def _cmd_curvature(args, metric, points):
             "mixed_11_direct": geom.mixed_11_direct,
             "cross_check_residual": cross,
             "gray_residual": gray,
-        }, cross < 1e-6 * scale and gray < 1e-7 * scale
+        }, cross < _CROSS_CHECK_TOL * scale and gray < _GRAY_TOL * scale
 
     return _each_point(points, entry)
 
@@ -303,13 +317,13 @@ def _cmd_identities(args, metric, points):
         uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
         res = identity_suite(geom.rc, geom.kr, geom.cx, uv[:, 0], uv[:, 1])
         table = {key: float(np.max(val)) for key, val in vars(res).items()}
-        universal_ok = res.universal_max() < args.tol * max(1.0, float(np.max(np.abs(geom.rc))))
+        universal_ok = res.universal_max() < _IDENTITIES_TOL * _scale(geom.rc)
         return {
             "point": p,
             "max_residuals": table,
             "samples": args.samples,
             "universal_ok": universal_ok,
-            "tol": args.tol,
+            "tol": _IDENTITIES_TOL,
         }, universal_ok
 
     return _each_point(points, entry)
@@ -327,8 +341,8 @@ def _cmd_extremal(args, metric, points):
             result["pair_alignment"] = res.pair_alignment
         # curvatures scale like 1/c when h is multiplied by c, and so does
         # the searches' rounding
-        scale = max(1.0, abs(res.best_value), abs(res.holo_best_value))
-        result["gap_ok"] = (not res.applicable) or res.gap <= args.tol * scale
+        scale = _scale(res.best_value, res.holo_best_value)
+        result["gap_ok"] = (not res.applicable) or res.gap <= _GAP_TOL * scale
         return result, result["gap_ok"]
 
     return _each_point(points, entry)
@@ -385,17 +399,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        # the message argparse gives for type=float
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """The argument parser, built once; parse_args keeps no state between
@@ -413,12 +416,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the report to this file instead of stdout")
-    cmd["classify"].add_argument("--tol", type=_positive_float, default=1e-8)
     cmd["sectional"].add_argument("--plane", action="append", default=[],
                                   help='plane as JSON {"u": [...], "v": [...]} with 2n reals each')
-    cmd["identities"].add_argument("--tol", type=_positive_float, default=1e-6)
     cmd["identities"].add_argument("--samples", type=count, default=10)
-    cmd["extremal"].add_argument("--tol", type=_positive_float, default=1e-4)
     cmd["extremal"].add_argument("--restarts", type=count, default=64)
     cmd["extremal"].add_argument("--mode", choices=("max", "min"), default="max")
     cmd["extremal"].add_argument("--target", choices=("sectional", "bisectional"),

@@ -28,7 +28,6 @@ __all__ = [
     "ChartPoint",
     "apply_j",
     "to_holomorphic",
-    "to_real",
     "hermitian_pairing",
 ]
 
@@ -50,13 +49,6 @@ class ChartPoint:
     @property
     def n(self) -> int:
         return self.coords.size
-
-    @staticmethod
-    def from_reals(x: np.ndarray) -> "ChartPoint":
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size % 2:
-            raise DimensionMismatch("real coordinates must form a vector of even length")
-        return ChartPoint(to_holomorphic(x))
 
 
 def _real_comps(u) -> np.ndarray:
@@ -94,13 +86,6 @@ def to_holomorphic(u) -> np.ndarray:
     a = _real_comps(u)
     n = a.shape[-1] // 2
     return a[..., :n] + 1j * a[..., n:]
-
-
-def to_real(xi) -> np.ndarray:
-    """Inverse of :func:`to_holomorphic`: u^a = Re xi^a, u^{n+a} = Im xi^a,
-    that is u = P^H (xi, conj(xi)) / 2 (see _frame)."""
-    x = _holo_comps(xi)
-    return np.concatenate([x.real, x.imag])
 
 
 def _frame(n: int) -> np.ndarray:
@@ -148,3 +133,22 @@ def hermitian_pairing(h, xi, eta) -> complex:
     if m.shape != (x.size, e.size):
         raise DimensionMismatch("pairing operands do not match the metric dimension")
     return complex(x @ m @ e.conj())
+
+
+def _scale(*parts) -> float:
+    """max(1, M), M the largest magnitude over the parts: an array's
+    largest |entry|, or a plain number's abs.  Every relative pass/fail
+    threshold in the package is a fixed constant times this scale.  1.0
+    comes first, so a NaN part is passed over: the builtin max never
+    replaces its running maximum with a NaN.
+
+    The decision rules that do not take this scale:
+    analysis._SYMMETRY_TOL, absolute on the curvature symmetries; the
+    search's 1e-10 tie rule, absolute on the restarts' values, and its
+    acceptance slack, floored at 1 per restart; sectional._gram's
+    degeneracy rule, relative to the Gram product; analysis._EIG_FLOOR,
+    relative to the largest Hessian eigenvalue; and analysis._unit's
+    1e-12, absolute on a row's squared norm.
+    """
+    return max(1.0, *(float(np.max(np.abs(p))) if isinstance(p, np.ndarray) else abs(p)
+                      for p in parts))

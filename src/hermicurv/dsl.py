@@ -47,6 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import _scale
 from .errors import DslError, DslEvalError, DslSyntaxError
 from .tape import (
     _ADD, _CALL, _CONST, _DIV, _MUL, _POW, _SUB, _Z, _ZB, _level_schedule, _run, _taylor_jets,
@@ -702,7 +703,7 @@ class MetricDefinition:
         for a, b in suspects:
             for H in runs:
                 va, vb = H[a][b], H[b][a].conjugate()
-                if abs(va - vb) > 1e-9 * max(1.0, abs(va), abs(vb)):
+                if abs(va - vb) > 1e-9 * _scale(va, vb):
                     raise DslError(
                         f"entries ({a + 1},{b + 1}) and ({b + 1},{a + 1}) are not "
                         "formally Hermitian-conjugate"

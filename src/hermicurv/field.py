@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint, _chain
+from .core import ChartPoint, _chain, _scale
 from .dsl import MetricDefinition, parse_metric
 from .errors import CatalogError, InadmissiblePointError, SingularMetricError
 
@@ -157,8 +157,7 @@ def _as_point(p, n: int) -> ChartPoint:
 def _checked_inverse(H: np.ndarray):
     if not np.all(np.isfinite(H)):
         raise SingularMetricError("metric is numerically singular (non-finite entries)")
-    scale = max(1.0, float(np.abs(H).max()))
-    if np.abs(H - H.conj().T).max() > 1e-12 * scale:
+    if np.abs(H - H.conj().T).max() > 1e-12 * _scale(H):
         raise ValueError("metric value is not Hermitian")
     w = np.linalg.eigvalsh(H)
     if w[0] <= 0.0:

@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     _holo_comps,
     _real_comps,
+    _scale,
     apply_j,
     to_holomorphic,
 )
@@ -40,7 +41,6 @@ from .field import RealMetricJet
 
 __all__ = [
     "Plane",
-    "plane_gram",
     "riemann_sectional",
     "chern_quadratic_form",
     "chern_sectional",
@@ -101,7 +101,7 @@ def _kr_form(kr: np.ndarray, a, b, c, d):
 
 
 def _real_quantity(value: complex, what: str) -> float:
-    if abs(value.imag) > _IM_TOL * max(1.0, abs(value)):
+    if abs(value.imag) > _IM_TOL * _scale(value):
         raise HermicurvError(f"{what} should be real, got imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -142,15 +142,6 @@ def _gram(m: np.ndarray, x, e) -> float:
     if gram <= 1e-12 * max(top, 1e-300):
         raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
     return gram
-
-
-def plane_gram(g: np.ndarray, u, v) -> float:
-    """Gram determinant g(u,u) g(v,v) - g(u,v)^2; raises on degeneracy, judged
-    on the exactly rescaled span, while the value may underflow or overflow."""
-    u, eu = _unit_scaled(_real_comps(u))
-    v, ev = _unit_scaled(_real_comps(v))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(_gram(np.asarray(g), u, v), 2 * (eu + ev)))
 
 
 def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:

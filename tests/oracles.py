@@ -29,8 +29,10 @@ complexified_full puts the full complexified tensor together from the
 The rest are routes that only the tests take: the metric's entry matrix
 alone (evaluate_matrix) and a seeded sampler of admissible points over
 it, the real jet of a metric at a point, the symbolic Wirtinger
-derivative of one expression, and the torsion and curvature pairing of
-the induced real connection, connection.induced_real_connection.
+derivative of one expression, the torsion and curvature pairing of
+the induced real connection, connection.induced_real_connection, the
+real coordinates of a holomorphic vector and back (to_real, from_reals),
+and the Gram determinant of a real span (plane_gram).
 """
 
 import json
@@ -41,11 +43,12 @@ import numpy as np
 from hermicurv import dsl, tape
 from hermicurv.connection import InducedRealConnection, induced_real_connection
 from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps,
-                            hermitian_pairing, to_holomorphic, to_real)
+                            hermitian_pairing, to_holomorphic)
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
                               InadmissiblePointError)
-from hermicurv.sectional import Plane, _form, _kr_form, _real_quantity, chern_quadratic_form
+from hermicurv.sectional import (Plane, _form, _gram, _kr_form, _real_quantity, _unit_scaled,
+                                 chern_quadratic_form)
 from hermicurv.field import (MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at,
                              real_jet_from_complex)
 
@@ -100,6 +103,31 @@ def sample_admissible_points(metric: MetricDefinition, count: int, seed: int = 0
 
 def real_jet_at(metric: MetricDefinition, p) -> RealMetricJet:
     return real_jet_from_complex(jet_at(metric, p))
+
+
+def to_real(xi) -> np.ndarray:
+    """Inverse of core.to_holomorphic: u^a = Re xi^a, u^{n+a} = Im xi^a,
+    that is u = P^H (xi, conj(xi)) / 2 (see core._frame)."""
+    x = _holo_comps(xi)
+    return np.concatenate([x.real, x.imag])
+
+
+def from_reals(x) -> ChartPoint:
+    """The chart point whose real coordinates are x = (Re z, Im z)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size % 2:
+        raise DimensionMismatch("real coordinates must form a vector of even length")
+    return ChartPoint(to_holomorphic(x))
+
+
+def plane_gram(g: np.ndarray, u, v) -> float:
+    """Gram determinant g(u,u) g(v,v) - g(u,v)^2 through the library's
+    sectional._gram; raises on degeneracy, judged on the exactly rescaled
+    span, while the value may underflow or overflow."""
+    u, eu = _unit_scaled(_real_comps(u))
+    v, ev = _unit_scaled(_real_comps(v))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_gram(np.asarray(g), u, v), 2 * (eu + ev)))
 
 
 def wirtinger_derivative(node: dsl.Node, kind: str, index: int) -> dsl.Node:
@@ -160,7 +188,7 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> Met
         step = 1e-5 * max(1.0, float(np.max(np.abs(p.coords))))
 
     def H_of(x):
-        return evaluate_matrix(metric, ChartPoint.from_reals(x))
+        return evaluate_matrix(metric, from_reals(x))
 
     H = H_of(x0)
     h_inv, cond = _checked_inverse(H)
@@ -213,8 +241,8 @@ def induced_connection_fd(metric, p, step: float = 1e-5) -> np.ndarray:
     for a in range(m):
         e = np.zeros(m)
         e[a] = step
-        tp = induced_real_connection(jet_at(metric, ChartPoint.from_reals(x0 + e))).theta_tilde
-        tm = induced_real_connection(jet_at(metric, ChartPoint.from_reals(x0 - e))).theta_tilde
+        tp = induced_real_connection(jet_at(metric, from_reals(x0 + e))).theta_tilde
+        tm = induced_real_connection(jet_at(metric, from_reals(x0 - e))).theta_tilde
         if out is None:
             out = np.empty(tp.shape + (m,))
         out[:, :, :, a] = (tp - tm) / (2.0 * step)

@@ -95,16 +95,12 @@ def test_identities_command_on_nk_diag(capsys):
     assert table["kahler_sectional"] > 1e-3
 
 
-def test_identities_failing_tolerance_gives_exit_1(capsys):
-    code, rep = run(
-        capsys,
-        "identities",
-        "--metric", "nk_diag",
-        "--point", NK_POINT,
-        "--tol", "1e-30",
-    )
+def test_identities_failing_tolerance_gives_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_IDENTITIES_TOL", 1e-30)
+    code, rep = run(capsys, "identities", "--metric", "nk_diag", "--point", NK_POINT)
     assert code == 1
     assert rep["ok"] is False
+    assert rep["results"][0]["tol"] == 1e-30
 
 
 def test_pass_fail_decisions_scale_with_the_tensors(tmp_path, capsys):
@@ -660,11 +656,11 @@ def test_seed_must_be_non_negative(capsys, command):
 # The options each command reads besides --metric, --point, --seed and
 # --json, with their defaults
 COMMAND_OPTIONS = {
-    "classify": {"--tol": 1e-8},
+    "classify": {},
     "curvature": {},
     "sectional": {"--plane": []},
-    "identities": {"--tol": 1e-6, "--samples": 10},
-    "extremal": {"--tol": 1e-4, "--restarts": 64, "--mode": "max", "--target": "sectional"},
+    "identities": {"--samples": 10},
+    "extremal": {"--restarts": 64, "--mode": "max", "--target": "sectional"},
     "lu": {"--samples": 1000},
     "probe-corollary": {"--samples": 1000},
 }
@@ -683,9 +679,10 @@ def test_each_command_declares_only_the_options_it_reads():
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("classify", "--samples"), ("classify", "--restarts"), ("curvature", "--tol"),
-    ("sectional", "--samples"), ("identities", "--restarts"), ("extremal", "--samples"),
-    ("lu", "--tol"), ("probe-corollary", "--restarts"),
+    ("classify", "--samples"), ("classify", "--restarts"), ("classify", "--tol"),
+    ("curvature", "--tol"), ("sectional", "--samples"), ("identities", "--restarts"),
+    ("identities", "--tol"), ("extremal", "--samples"), ("extremal", "--tol"), ("lu", "--tol"),
+    ("probe-corollary", "--restarts"),
 ])
 def test_command_rejects_options_it_does_not_read(capsys, command, flag):
     code, rep = run(capsys, command, "--metric", "fubini_study", "--point", FS_POINT,
@@ -694,24 +691,10 @@ def test_command_rejects_options_it_does_not_read(capsys, command, flag):
     assert rep["error"] == {"type": "UsageError", "message": f"unrecognized arguments: {flag} 5"}
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-def test_tol_must_be_finite_and_positive(capsys, value):
-    code, rep = run(capsys, "classify", "--metric", "euclidean", "--point", "[[0.1,0]]",
-                    "--tol", value)
-    assert code == 2
-    assert rep["error"]["type"] == "UsageError"
-    assert "argument --tol: must be a finite number > 0" in rep["error"]["message"]
-
-
-def test_tol_rejects_non_numbers(capsys):
-    code, rep = run(capsys, "identities", "--metric", "euclidean", "--point", "[[0.1,0]]",
-                    "--tol", "tight")
-    assert code == 2
-    assert rep["error"]["message"] == "argument --tol: invalid float value: 'tight'"
-
-
 # a JSON integer too large for a float
 HUGE = "1" + "0" * 400
+# JSON nested past the decoder's recursion limit
+DEEP = "[" * 2000 + "]" * 2000
 
 
 @pytest.mark.parametrize("point", ["[[true,0]]", "[[0.1,false]]", "[[NaN,0]]",
@@ -747,8 +730,12 @@ def test_plane_rejects_booleans_and_non_finite(capsys, plane):
      'plane must be an object {"u": [...], "v": [...]}'),
     (["lu", "--point", "[[0,0]]", "--samples", "abc"],
      "argument --samples: invalid int value: 'abc'"),
+    (["classify", "--point", DEEP], "point is not valid JSON: nested too deeply"),
+    (["sectional", "--point", "[[0,0]]", "--plane", DEEP],
+     "plane is not valid JSON: nested too deeply"),
 ], ids=["mixed_dimensions", "empty_point", "plane_not_json", "plane_not_object",
-        "plane_wrong_keys", "samples_not_int"])
+        "plane_wrong_keys", "samples_not_int", "point_nested_too_deeply",
+        "plane_nested_too_deeply"])
 def test_usage_errors(capsys, argv, message):
     # the JSON decoder's own words follow "not valid JSON: "
     code, rep = run(capsys, *argv, "--metric", "euclidean")

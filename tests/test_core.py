@@ -1,8 +1,13 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hermicurv import ChartPoint, DimensionMismatch, apply_j, to_holomorphic
-from hermicurv.core import _chain, _frame, hermitian_pairing, to_real
+from hermicurv.core import _chain, _frame, _scale, hermitian_pairing
+from oracles import from_reals, to_real
 
 
 def test_chart_point_round_trip():
@@ -10,7 +15,7 @@ def test_chart_point_round_trip():
     p = ChartPoint(z)
     assert p.n == 2
     np.testing.assert_allclose(to_real(p.coords), [0.3, -1.2, 0.7, 0.1])
-    q = ChartPoint.from_reals(to_real(p.coords))
+    q = from_reals(to_real(p.coords))
     np.testing.assert_allclose(q.coords, z)
 
 
@@ -18,7 +23,7 @@ def test_chart_point_round_trip():
     lambda: ChartPoint([]),
     lambda: ChartPoint(np.array([0.1, np.nan])),
     lambda: ChartPoint(np.array([np.inf * 1j])),
-    lambda: ChartPoint.from_reals([0.1, 0.2, 0.3]),
+    lambda: from_reals([0.1, 0.2, 0.3]),
 ], ids=["empty", "nan", "inf", "odd_reals"])
 def test_chart_point_rejects_bad_coordinates(make):
     with pytest.raises(DimensionMismatch):
@@ -102,3 +107,56 @@ def test_chain_is_the_frame_transpose_along_one_axis(axis):
     d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.moveaxis(np.tensordot(_frame(n).T, d, (1, axis)), 0, axis)
     np.testing.assert_allclose(_chain(d, axis), want, rtol=0, atol=1e-14)
+
+
+def test_scale_is_the_largest_magnitude_floored_at_one():
+    assert _scale(np.array([[0.5, -3.0], [2.0, 1.0]])) == 3.0
+    assert _scale(np.array([1e-300])) == 1.0
+    assert _scale(3 - 4j, np.array([2j])) == 5.0
+    assert _scale(-0.25, 0.5) == 1.0
+    # 1.0 comes first, so a NaN part is passed over
+    assert _scale(math.nan, 2.0) == 2.0
+    assert _scale(np.array([np.nan, 7.0])) == 1.0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hermicurv"
+
+
+def scale_floor_violations(source: str, filename: str = "<src>") -> list:
+    """Every builtin max call whose first argument is the literal 1 or 1.0,
+    outside the module function _scale of core.py: a relative threshold
+    takes its floor of 1 from core._scale alone."""
+    tree = ast.parse(source, filename)
+    exempt = set()
+    if filename == "core.py":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "_scale":
+                exempt |= {id(n) for n in ast.walk(node)}
+    lines = sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "max" and node.args and isinstance(node.args[0], ast.Constant)
+        and type(node.args[0].value) in (int, float) and node.args[0].value == 1
+        and id(node) not in exempt
+    )
+    return [f"{filename}:{line}" for line in lines]
+
+
+def test_package_floors_scales_only_in_scale():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [v for f in files for v in scale_floor_violations(f.read_text(), f.name)] == []
+
+
+def test_scale_guard_sees_floors_outside_scale():
+    bad = (
+        "t = 1e-9 * max(1, abs(a))\n"
+        "s = max(\n"
+        "    1.0, float(np.max(np.abs(b))))\n"
+        "def _scale(*parts):\n"
+        "    return max(1.0, *parts)\n"
+    )
+    assert scale_floor_violations(bad) == ["<src>:1", "<src>:2", "<src>:5"]
+    assert scale_floor_violations(bad, "core.py") == ["core.py:1", "core.py:2"]
+    good = "max(a, 1.0)\nnp.maximum(1.0, a)\nmax(2, a)\nmax(True, a)\nmax(top, 1e-300)\n"
+    assert scale_floor_violations(good) == []

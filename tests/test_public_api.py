@@ -28,7 +28,7 @@ PUBLIC = {
         "ComplexifiedChristoffel", "RealChristoffel", "InducedRealConnection", "chern_coeffs",
         "complexified_christoffel", "real_christoffel", "induced_real_connection",
     ],
-    "hermicurv.core": ["ChartPoint", "apply_j", "to_holomorphic", "to_real", "hermitian_pairing"],
+    "hermicurv.core": ["ChartPoint", "apply_j", "to_holomorphic", "hermitian_pairing"],
     "hermicurv.curvature": [
         "ComplexifiedCurvature", "chern_curvature", "real_curvature", "complexify_curvature",
         "complexified_11_direct",
@@ -45,7 +45,7 @@ PUBLIC = {
         "jet_at", "real_jet_from_complex",
     ],
     "hermicurv.sectional": [
-        "Plane", "plane_gram", "riemann_sectional", "chern_quadratic_form", "chern_sectional",
+        "Plane", "riemann_sectional", "chern_quadratic_form", "chern_sectional",
         "holo_sectional", "holo_bisectional", "IdentityResiduals", "identity_suite",
     ],
     "hermicurv.tape": None,

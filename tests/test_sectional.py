@@ -25,8 +25,8 @@ from hermicurv import (
     to_holomorphic,
 )
 from hermicurv.connection import induced_real_connection
-from hermicurv.sectional import chern_quadratic_form, plane_gram
-from oracles import induced_curvature_pairing, sample_admissible_points
+from hermicurv.sectional import chern_quadratic_form
+from oracles import induced_curvature_pairing, plane_gram, sample_admissible_points
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
