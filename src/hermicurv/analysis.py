@@ -15,8 +15,11 @@ restart takes saddle-free Newton steps inside its own trust radius until
 its Riemannian gradient vanishes to rounding.  The winner is the best
 final value, first-found on ties within 1e-10, which keeps results
 reproducible for a fixed seed; it is mapped back to the chart as
-y = x L^-1.  A tensor that would overflow the gradient norms raises
-HermicurvError before the first pass.
+y = x L^-1.  The search runs on the pull-back and on L each rescaled by
+the power of two that puts its largest |entry| in [0.5, 1) (_unit_power),
+so every rule in it sees unit-scale values, and a metric multiplied by
+2^k searches the same bits; values return in the metric's units through
+np.ldexp.  A pull-back that is not finite raises HermicurvError.
 
 The CLI prints the result records field by field, so each record's field
 order is its report's key order.
@@ -24,6 +27,7 @@ order is its report's key order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,11 +118,6 @@ def classify(metric: MetricDefinition, points) -> ClassificationReport:
 # Curvature-tensor symmetry and inequality checks
 
 
-# The residual below which the curvature symmetries pass: at sampled
-# catalog points it is either rounding (below 1e-14) or above 0.3.
-_SYMMETRY_TOL = 1e-9
-
-
 def _symmetry_residual(A: np.ndarray) -> float:
     """The largest defect of the three symmetries required of a
     curvature-type tensor: swap of unbarred slots, swap of barred slots,
@@ -128,6 +127,29 @@ def _symmetry_residual(A: np.ndarray) -> float:
         float(np.max(np.abs(A - A.transpose(0, 3, 2, 1)))),
         float(np.max(np.abs(A - A.transpose(1, 0, 3, 2).conj()))),
     )
+
+
+def _sign_label(vals: np.ndarray) -> str:
+    """The sign of sampled real values, judged against the largest
+    |value|: scale-free, and only an exact zero is "zero"."""
+    tol = 1e-10 * float(np.max(np.abs(vals)))
+    if np.all(np.abs(vals) <= tol):
+        return "zero"
+    if np.all(vals >= -tol):
+        return "nonneg"
+    if np.all(vals <= tol):
+        return "nonpos"
+    return "indefinite"
+
+
+def _hypotheses(kr: np.ndarray, X: np.ndarray, E: np.ndarray):
+    """(residual, symmetric, sign) of the hypotheses that lu and the
+    bisectional search share: the _symmetry_residual of kr, whether it
+    passes classify's Kahler-like rule (below _CLASSIFY_TOL *
+    core._scale(kr)), and the _sign_label of Re _w_form(kr, X, E)."""
+    residual = _symmetry_residual(kr)
+    return (residual, residual < _CLASSIFY_TOL * _scale(kr),
+            _sign_label(_w_form(kr, X, E).real))
 
 
 @dataclass(frozen=True)
@@ -154,27 +176,22 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
 
     The bound is only guaranteed under the symmetry conditions of
     _symmetry_residual plus a sign condition on the quadratic form built
-    from x e~ - e x~; both hypotheses are verified on the same samples
-    and failure makes the report inapplicable rather than a violation.
-    The sign is "nonneg" when that hypothesis holds on the samples and
-    "nonpos" otherwise; the report names the sign taken.  A tensor whose
-    scale takes the products of its forms past the finite floats raises
-    HermicurvError.
+    from x e~ - e x~; both hypotheses are checked by _hypotheses on the
+    same samples, and failure makes the report inapplicable rather than
+    a violation.  The sign is "nonneg" when the sampled form is zero or
+    nonnegative and "nonpos" otherwise; the report names the sign taken.
+    A tensor whose scale takes the products of its forms past the finite
+    floats raises HermicurvError.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    residual = _symmetry_residual(A)
-    passed = residual < _SYMMETRY_TOL
     rng = np.random.default_rng(seed)
     X = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
     E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
-
-    q = _w_form(A, X, E)
-    qtol = 1e-9 * _scale(q)
-    nonneg = bool(np.all(q.real >= -qtol))
-    hyp = nonneg or bool(np.all(q.real <= qtol))
+    residual, passed, sign = _hypotheses(A, X, E)
+    hyp = sign != "indefinite"
 
     diag_x = _kr_form(A, X, X, X, X).real
     diag_e = _kr_form(A, E, E, E, E).real
@@ -195,7 +212,7 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
         applicable=passed and hyp,
         symmetry_residual=residual,
         symmetry_passed=passed,
-        hypothesis_sign="nonneg" if nonneg else "nonpos",
+        hypothesis_sign="nonneg" if sign in ("zero", "nonneg") else "nonpos",
         hypothesis_holds=hyp,
         violations=violations,
         worst_margin=float(np.min(margins)),
@@ -209,8 +226,8 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
 
 # A restart's first trust radius and its cap, in the whitened tangent norm;
 # the eigenvalue floor, relative to the largest |eigenvalue|, below which a
-# Hessian direction is dropped; the Riemannian gradient norm, relative to
-# _scale(S), that stops a restart; and the pass cap
+# Hessian direction is dropped; the Riemannian gradient norm of the
+# rescaled problem that stops a restart; and the pass cap
 _RADIUS0 = 0.5
 _MAX_RADIUS = 1.0
 _EIG_FLOOR = 1e-9
@@ -226,9 +243,10 @@ class SearchStats:
     evaluations counts value, gradient and Hessian evaluations, one per
     restart still stepping in a pass plus one per restart at the start;
     converged restarts ended with their Riemannian gradient norm at most
-    _GRAD_TOL * core._scale(S), S the whitened, pair-symmetrized tensor
-    of the objective, and capped ones were still stepping when the
-    _MAX_ITER passes ran out.
+    _GRAD_TOL on the rescaled problem, where S, the whitened,
+    pair-symmetrized tensor of the objective, has its largest |entry| in
+    [0.5, 1); capped ones were still stepping when the _MAX_ITER passes
+    ran out.  A metric multiplied by 2^k gives the same stats.
     """
 
     iterations: int
@@ -248,6 +266,13 @@ def _whitening(g: np.ndarray):
     return L, np.linalg.inv(L)
 
 
+def _unit_power(a: np.ndarray):
+    """(a 2^-e, e) for the e that puts max|a| in [0.5, 1); e = 0 for a
+    zero a.  Exact, so a multiple of a by 2^k gives the same bits."""
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    return np.ldexp(a, -e), e
+
+
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
     """T averaged over swapping slots 1 and 4 and slots 2 and 3, which
     leaves T(u, v, v, u) unchanged."""
@@ -261,18 +286,24 @@ class _Quartic:
     blocks, or an orthonormal pair with pair.  With absolute, f is
     |T(U, V, V, U)|.
 
-    With S the pair-symmetrized pull-back of T, the Euclidean gradient is
-    gu = 2 S(., V, V, U), gv = 2 S(U, ., V, U), and the Hessian blocks
-    are 2 S(., V, V, .), 2 S(U, ., ., U) and, across U and V,
-    4 A = 4 S(., ., V, U): three _slot_pair products per evaluation.
-    peak is max|S|, and gtol the gradient norm that stops a restart.
+    With S the pair-symmetrized pull-back of T, times 2^-exp by
+    _unit_power, the Euclidean gradient is gu = 2 S(., V, V, U),
+    gv = 2 S(U, ., V, U), and the Hessian blocks are 2 S(., V, V, .),
+    2 S(U, ., ., U) and, across U and V, 4 A = 4 S(., ., V, U): three
+    _slot_pair products per evaluation.  derivatives are those of the
+    rescaled f, and value is f times 2^exp, in the metric's units.
     """
 
     def __init__(self, T: np.ndarray, white, blocks: int, pair: bool = False,
                  absolute: bool = False):
         # L^-T on every slot: S at whitened states x is T at y = x L^-1
         S = _pair_symmetrized(_each_slot(T, white[1].T))
+        if not np.all(np.isfinite(S)):
+            raise HermicurvError("curvature scale out of the floating-point range: the search's "
+                                 "whitened tensor is not finite")
+        S, self.exp = _unit_power(S)
         self.white = white
+        self.lift = _unit_power(white[0])[0]
         self.m = S.shape[0]
         self.dim = blocks * self.m
         self.pair = pair
@@ -280,14 +311,13 @@ class _Quartic:
         self.s_uu = np.ascontiguousarray(S.transpose(0, 3, 1, 2))
         self.s_vv = np.ascontiguousarray(S.transpose(1, 2, 0, 3))
         self.absolute = absolute
-        self.peak = float(np.max(np.abs(S)))
-        self.gtol = _GRAD_TOL * _scale(self.peak)
 
     def draw(self, rng, rows: int) -> np.ndarray:
         """rows standard normal chart states, taken into whitened
-        coordinates and retracted: the same planes or vectors as g-weighted
-        Gram-Schmidt or normalization of the chart states."""
-        Y = rng.standard_normal((rows, self.dim)).reshape(-1, self.m) @ self.white[0]
+        coordinates by L rescaled with _unit_power, and retracted: the same
+        planes or vectors as g-weighted Gram-Schmidt or normalization of
+        the chart states."""
+        Y = rng.standard_normal((rows, self.dim)).reshape(-1, self.m) @ self.lift
         return _retract(Y.reshape(rows, self.dim), self.m, self.pair)
 
     def chart(self, x: np.ndarray) -> np.ndarray:
@@ -297,7 +327,7 @@ class _Quartic:
     def value(self, X: np.ndarray) -> np.ndarray:
         U, V = X[:, : self.m], X[:, -self.m :]
         f = _form(self.S, U, V, V, U)
-        return np.abs(f) if self.absolute else f
+        return np.ldexp(np.abs(f) if self.absolute else f, self.exp)
 
     def derivatives(self, X: np.ndarray):
         """(B,) values, (B, d) gradients and (B, d, d) Hessians at X."""
@@ -400,16 +430,10 @@ def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
     predicted gain, up to rounding.  The radius shrinks to a quarter of
     the step on rejection and doubles, up to _MAX_RADIUS, after an
     accepted capped step.  A restart stops once its Riemannian gradient
-    norm is at most q.gtol.
-    A tensor whose scale would take the gradient norms past the finite
-    floats raises HermicurvError before the first pass.
+    norm is at most _GRAD_TOL.  All of this runs on q's rescaled values;
+    the best value returns in the metric's units.
     Returns (best chart state, best value, converged, stats).
     """
-    # at unit states a gradient entry is at most 2 peak dim^1.5, so under
-    # this bound every gradient norm, and its sum of squares, stays finite
-    if not q.peak * q.dim**2 < 2.0**500:
-        raise HermicurvError(f"curvature scale out of the floating-point range: the search's "
-                             f"whitened tensor reaches {q.peak:.3e}")
     sign = 1.0 if mode == "max" else -1.0
     X = q.draw(np.random.default_rng(seed), restarts)
     f, G, H = q.derivatives(X)
@@ -419,7 +443,7 @@ def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
     iterations, evaluations = 0, restarts
 
     for _ in range(_MAX_ITER):
-        rows = np.nonzero(gnorm > q.gtol)[0]
+        rows = np.nonzero(gnorm > _GRAD_TOL)[0]
         if rows.size == 0:
             break
         iterations += 1
@@ -449,9 +473,9 @@ def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
     key = sign * f
     winners = np.nonzero(key >= np.max(key) - 1e-10)[0]
     idx = int(winners[0])
-    done = gnorm <= q.gtol
+    done = gnorm <= _GRAD_TOL
     stats = SearchStats(iterations, evaluations, int(done.sum()), restarts - int(done.sum()))
-    return q.chart(X[idx]), float(f[idx]), bool(done[idx]), stats
+    return q.chart(X[idx]), float(np.ldexp(f[idx], q.exp)), bool(done[idx]), stats
 
 
 def _real_chern(kr: np.ndarray) -> np.ndarray:
@@ -467,17 +491,6 @@ def _j_folded(r: np.ndarray) -> np.ndarray:
     n = r.shape[0] // 2
     rj = np.concatenate([r[:, n:], -r[:, :n]], axis=1)
     return np.concatenate([rj[:, :, n:], -rj[:, :, :n]], axis=2)
-
-
-def _sign_label(vals: np.ndarray) -> str:
-    tol = 1e-10 * _scale(vals)
-    if np.all(np.abs(vals) <= tol):
-        return "zero"
-    if np.all(vals >= -tol):
-        return "nonneg"
-    if np.all(vals <= tol):
-        return "nonpos"
-    return "indefinite"
 
 
 # The attainment statements cover the max on nonnegative curvature and
@@ -496,8 +509,9 @@ class ExtremalResult:
     the sign they find is the one the mode is covered for (nonneg or
     zero for max, nonpos or zero for min).  converged means the winning
     restart of both searches ended with its Riemannian gradient norm at
-    most _GRAD_TOL * core._scale(S) (see SearchStats): a local
-    stationarity statement, not a proof that the extremum is global.
+    most _GRAD_TOL on the rescaled problem (see SearchStats), so it does
+    not move when the metric is multiplied by 2^k: a local stationarity
+    statement, not a proof that the extremum is global.
     best_plane is g-orthonormal and holo_best_vector g-unit (h-unit for
     the bisectional search).  search and
     holo_search count the work of the two searches.  The bisectional
@@ -580,21 +594,20 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
                          restarts: int = 64, seed: int = 0) -> ExtremalResult:
     """Extremize B over pairs of h-unit vectors, against the H extremum.
 
-    Applicability requires the curvature symmetry of _symmetry_residual
-    and a sign-definite quadratic form, both sampled here, with the mode
-    covered for that sign.  The attainment statement predicts the B
-    extremum occurs at xi = eta (up to phase), which pair_alignment makes
-    checkable.
+    Applicability requires the curvature symmetry and a sign-definite
+    quadratic form, both checked by _hypotheses on draws of its own,
+    with the mode covered for that sign.  The attainment statement
+    predicts the B extremum occurs at xi = eta (up to phase), which
+    pair_alignment makes checkable.
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
     kr, g, n = geom.kr, geom.rjet.g, geom.n
 
-    symmetric = _symmetry_residual(kr) < _SYMMETRY_TOL
     rng = np.random.default_rng(seed + 202)
     Xs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
-    hypothesis_sign = _sign_label(_w_form(kr, Xs, Es).real)
+    _, symmetric, hypothesis_sign = _hypotheses(kr, Xs, Es)
 
     # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
     K = _real_chern(kr)

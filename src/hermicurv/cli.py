@@ -4,8 +4,9 @@ Numbers are serialized with 17 significant digits, complex values as
 [re, im] pairs, so a report is byte-stable for a fixed request and seed
 on one platform.  The timing_sec field is the one exception and is
 documented as excluded from determinism comparisons.  Exit codes:
-0 success, 1 a semantic check failed, 2 usage or input error (an error
-object is emitted instead of a partial report).
+0 success, 1 a semantic check failed, 2 usage or input error, or a
+request too large for memory (an error object is emitted instead of a
+partial report).
 """
 
 from __future__ import annotations
@@ -453,8 +454,10 @@ def run_main(argv=None) -> int:
         }
         _write_output(render_report(report), json_path)
         return 0 if ok else 1
-    except (UsageError, HermicurvError, OSError, ValueError) as exc:
-        error = render_report({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    except (UsageError, HermicurvError, OSError, ValueError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        error = render_report({"error": {"type": kind, "message": str(exc)}})
         try:
             _write_output(error, json_path)
         except UsageError:

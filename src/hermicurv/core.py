@@ -142,13 +142,10 @@ def _scale(*parts) -> float:
     comes first, so a NaN part is passed over: the builtin max never
     replaces its running maximum with a NaN.
 
-    The decision rules that do not take this scale:
-    analysis._SYMMETRY_TOL, absolute on the curvature symmetries; the
-    search's 1e-10 tie rule, absolute on the restarts' values, and its
-    acceptance slack, floored at 1 per restart; sectional._gram's
-    degeneracy rule, relative to the Gram product; analysis._EIG_FLOOR,
-    relative to the largest Hessian eigenvalue; and analysis._unit's
-    1e-12, absolute on a row's squared norm.
+    The decision rules that do not take this scale: sectional._gram's
+    degeneracy rule, relative to the Gram product, and analysis._EIG_FLOOR,
+    relative to the largest Hessian eigenvalue.  The searches and the
+    sign labels work on exactly rescaled values and need no scale.
     """
     return max(1.0, *(float(np.max(np.abs(p))) if isinstance(p, np.ndarray) else abs(p)
                       for p in parts))

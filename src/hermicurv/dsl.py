@@ -57,9 +57,7 @@ __all__ = [
     "Node",
     "MetricDefinition",
     "parse_metric",
-    "parse_expression",
     "evaluate",
-    "unparse",
     "conjugate_node",
 ]
 
@@ -387,16 +385,6 @@ class _Parser:
         self.error(f"unexpected token {t.text!r}" if t.kind != "EOF" else "unexpected end of input")
 
 
-def parse_expression(source: str, n: int | None = None) -> Node:
-    """Parse a single expression (mostly for tests and tooling)."""
-    p = _Parser(_tokenize(source), n)
-    node = p.top_expr()
-    t = p.peek()
-    if t.kind != "EOF":
-        p.error(f"unexpected trailing input {t.text!r}")
-    return node
-
-
 def parse_metric(source: str) -> "MetricDefinition":
     """Parse a full metric definition."""
     return MetricDefinition(*_parse_entries(source))
@@ -535,83 +523,6 @@ def evaluate(node: Node, point) -> complex:
     code: list = []
     (root,) = _emit([node], code, {})
     return _run(code, _coords(point), [])[root]
-
-
-# ---------------------------------------------------------------------------
-# Unparsing
-
-
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 3}
-_ATOM = 4
-_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-
-
-def _prec(node: Node) -> int:
-    return _PREC.get(node.kind, _ATOM)
-
-
-def _fmt_nonneg(v: float) -> str:
-    # repr gives the shortest digits that round-trip
-    return repr(float(v))
-
-
-def _fmt_real(v: float) -> str:
-    if v >= 0:
-        return _fmt_nonneg(v)
-    return f"(0 - {_fmt_nonneg(-v)})"
-
-
-def _fmt_const(c: complex) -> str:
-    re, im = c.real, c.imag
-    if im == 0:
-        return _fmt_real(re)
-    if re == 0:
-        if im == 1:
-            return "i"
-        if im > 0:
-            return f"{_fmt_nonneg(im)}*i"
-        return f"(0 - {_fmt_nonneg(-im) + '*i' if im != -1 else 'i'})"
-    op = "+" if im > 0 else "-"
-    mag = abs(im)
-    part = "i" if mag == 1 else f"{_fmt_nonneg(mag)}*i"
-    return f"({_fmt_real(re)} {op} {part})"
-
-
-def unparse(node: Node) -> str:
-    """Render an AST back to grammar-conformant source.
-
-    Reparsing the output yields a structurally identical tree (the parser
-    applies the same folding constructors), so unparse/parse is a fixpoint.
-    """
-    done: dict = {}
-    for nd in _postorder([node], lambda x: id(x) in done):
-        k = nd.kind
-        if k == "const":
-            text = _fmt_const(nd.value)
-        elif k in ("z", "zb"):
-            text = f"{k}{nd.value}"
-        elif k == "call":
-            text = f"{nd.value}({done[id(nd.children[0])]})"
-        elif k == "pow":
-            base = nd.children[0]
-            text = done[id(base)]
-            if _prec(base) < _ATOM:
-                text = f"({text})"
-            text = f"{text}^{nd.value}"
-        else:
-            a, b = nd.children
-            mine = _PREC[k]
-            astr, bstr = done[id(a)], done[id(b)]
-            if _prec(a) < mine:
-                astr = f"({astr})"
-            # The grammar is left-associative, so a right child at equal
-            # precedence needs parens even for + and * or the reparse
-            # would re-bracket it.
-            if _prec(b) <= mine:
-                bstr = f"({bstr})"
-            text = f"{astr} {_SYMBOL[k]} {bstr}"
-        done[id(nd)] = text
-    return done[id(node)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ it, the real jet of a metric at a point, the symbolic Wirtinger
 derivative of one expression, the torsion and curvature pairing of
 the induced real connection, connection.induced_real_connection, the
 real coordinates of a holomorphic vector and back (to_real, from_reals),
-and the Gram determinant of a real span (plane_gram).
+the Gram determinant of a real span (plane_gram), and one expression
+parsed alone (parse_expression) and rendered back to source (unparse).
 """
 
 import json
@@ -128,6 +129,90 @@ def plane_gram(g: np.ndarray, u, v) -> float:
     v, ev = _unit_scaled(_real_comps(v))
     with np.errstate(over="ignore"):
         return float(np.ldexp(_gram(np.asarray(g), u, v), 2 * (eu + ev)))
+
+
+def parse_expression(source: str, n: int | None = None) -> dsl.Node:
+    """Parse one expression with the library's parser; n, when given,
+    bounds the variable indices as a metric's dimension does."""
+    p = dsl._Parser(dsl._tokenize(source), n)
+    node = p.top_expr()
+    t = p.peek()
+    if t.kind != "EOF":
+        p.error(f"unexpected trailing input {t.text!r}")
+    return node
+
+
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 3}
+_ATOM = 4
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def _prec(node: dsl.Node) -> int:
+    return _PREC.get(node.kind, _ATOM)
+
+
+def _fmt_nonneg(v: float) -> str:
+    # repr gives the shortest digits that round-trip
+    return repr(float(v))
+
+
+def _fmt_real(v: float) -> str:
+    if v >= 0:
+        return _fmt_nonneg(v)
+    return f"(0 - {_fmt_nonneg(-v)})"
+
+
+def _fmt_const(c: complex) -> str:
+    re, im = c.real, c.imag
+    if im == 0:
+        return _fmt_real(re)
+    if re == 0:
+        if im == 1:
+            return "i"
+        if im > 0:
+            return f"{_fmt_nonneg(im)}*i"
+        return f"(0 - {_fmt_nonneg(-im) + '*i' if im != -1 else 'i'})"
+    op = "+" if im > 0 else "-"
+    mag = abs(im)
+    part = "i" if mag == 1 else f"{_fmt_nonneg(mag)}*i"
+    return f"({_fmt_real(re)} {op} {part})"
+
+
+def unparse(node: dsl.Node) -> str:
+    """Render an AST back to grammar-conformant source.
+
+    Reparsing the output yields a structurally identical tree (the parser
+    applies the same folding constructors), so unparse/parse is a fixpoint.
+    """
+    done: dict = {}
+    for nd in dsl._postorder([node], lambda x: id(x) in done):
+        k = nd.kind
+        if k == "const":
+            text = _fmt_const(nd.value)
+        elif k in ("z", "zb"):
+            text = f"{k}{nd.value}"
+        elif k == "call":
+            text = f"{nd.value}({done[id(nd.children[0])]})"
+        elif k == "pow":
+            base = nd.children[0]
+            text = done[id(base)]
+            if _prec(base) < _ATOM:
+                text = f"({text})"
+            text = f"{text}^{nd.value}"
+        else:
+            a, b = nd.children
+            mine = _PREC[k]
+            astr, bstr = done[id(a)], done[id(b)]
+            if _prec(a) < mine:
+                astr = f"({astr})"
+            # The grammar is left-associative, so a right child at equal
+            # precedence needs parens even for + and * or the reparse
+            # would re-bracket it.
+            if _prec(b) <= mine:
+                bstr = f"({bstr})"
+            text = f"{astr} {_SYMBOL[k]} {bstr}"
+        done[id(nd)] = text
+    return done[id(node)]
 
 
 def wirtinger_derivative(node: dsl.Node, kind: str, index: int) -> dsl.Node:

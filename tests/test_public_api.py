@@ -34,8 +34,7 @@ PUBLIC = {
         "complexified_11_direct",
     ],
     "hermicurv.dsl": [
-        "Node", "MetricDefinition", "parse_metric", "parse_expression", "evaluate", "unparse",
-        "conjugate_node",
+        "Node", "MetricDefinition", "parse_metric", "evaluate", "conjugate_node",
     ],
     "hermicurv.engine": ["PointGeometry", "geometry_at"],
     # every name of errors is public; tape is internal to dsl

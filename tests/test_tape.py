@@ -27,12 +27,12 @@ import hermicurv.tape as tape
 from hermicurv import DslEvalError, catalog_metric, geometry_at
 from hermicurv.cli import run_main
 from hermicurv.connection import induced_real_connection
-from hermicurv.dsl import parse_expression
 from hermicurv.field import CATALOG_NAMES, jet_at
 from oracles import (
     evaluate_matrix,
     full_tape_jets_ref,
     interned_tape_ref,
+    parse_expression,
     sample_admissible_points,
     symbolic_jet_ref,
     taylor_jets_ref,
