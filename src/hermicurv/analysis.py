@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChartPoint, _each_slot, _frame, _scale, hermitian_pairing, to_holomorphic
+from .core import (ChartPoint, _each_slot, _frame, _in_range, _scale, hermitian_pairing,
+                   to_holomorphic)
 from .dsl import MetricDefinition
 from .engine import geometry_at
 from .errors import HermicurvError
@@ -146,10 +147,10 @@ def _hypotheses(kr: np.ndarray, X: np.ndarray, E: np.ndarray):
     """(residual, symmetric, sign) of the hypotheses that lu and the
     bisectional search share: the _symmetry_residual of kr, whether it
     passes classify's Kahler-like rule (below _CLASSIFY_TOL *
-    core._scale(kr)), and the _sign_label of Re _w_form(kr, X, E)."""
+    core._scale(kr)), and the _sign_label of Re _w_form on _unit_power(kr)."""
     residual = _symmetry_residual(kr)
     return (residual, residual < _CLASSIFY_TOL * _scale(kr),
-            _sign_label(_w_form(kr, X, E).real))
+            _sign_label(_w_form(_unit_power(kr)[0], X, E).real))
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,8 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
     same samples, and failure makes the report inapplicable rather than
     a violation.  The sign is "nonneg" when the sampled form is zero or
     nonnegative and "nonpos" otherwise; the report names the sign taken.
-    A tensor whose scale takes the products of its forms past the finite
-    floats raises HermicurvError.
+    The forms are taken on A rescaled by _unit_power; a margin below -1e-9
+    there is a violation, and worst_margin is scaled back by np.ldexp.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -193,20 +194,11 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
     residual, passed, sign = _hypotheses(A, X, E)
     hyp = sign != "indefinite"
 
-    diag_x = _kr_form(A, X, X, X, X).real
-    diag_e = _kr_form(A, E, E, E, E).real
-    cross = _kr_form(A, X, X, E, E)
-    with np.errstate(over="ignore"):
-        top, cross2 = diag_x * diag_e, np.abs(cross) ** 2
-    # X and E are unit vectors, so only the tensor's scale takes the
-    # products out of the finite floats
-    if not (np.all(np.isfinite(top)) and np.all(np.isfinite(cross2))):
-        peak = max(float(np.max(np.abs(d))) for d in (diag_x, diag_e, cross))
-        raise HermicurvError(f"metric scale out of the floating-point range: the tensor's "
-                             f"forms reach {peak:.3e}, and their products overflow")
-    margins = top - cross2
-    mtol = 1e-9 * _scale(top, cross2)
-    violations = int(np.sum(margins < -mtol))
+    S, e = _unit_power(A)
+    margins = (_kr_form(S, X, X, X, X).real * _kr_form(S, E, E, E, E).real
+               - np.abs(_kr_form(S, X, X, E, E)) ** 2)
+    with _in_range("metric scale out of the floating-point range: the worst margin overflows"):
+        worst = float(np.ldexp(np.min(margins), 2 * e))
 
     return LuInequalityReport(
         applicable=passed and hyp,
@@ -214,8 +206,8 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
         symmetry_passed=passed,
         hypothesis_sign="nonneg" if sign in ("zero", "nonneg") else "nonpos",
         hypothesis_holds=hyp,
-        violations=violations,
-        worst_margin=float(np.min(margins)),
+        violations=int(np.sum(margins < -1e-9)),
+        worst_margin=worst,
         samples=samples,
     )
 
@@ -267,10 +259,12 @@ def _whitening(g: np.ndarray):
 
 
 def _unit_power(a: np.ndarray):
-    """(a 2^-e, e) for the e that puts max|a| in [0.5, 1); e = 0 for a
-    zero a.  Exact, so a multiple of a by 2^k gives the same bits."""
-    e = math.frexp(float(np.max(np.abs(a))))[1]
-    return np.ldexp(a, -e), e
+    """(a 2^-e, e) for the e that puts the largest |entry| of a's float view
+    (real and imaginary parts) in [0.5, 1), e = 0 for a zero a: exact, so a
+    multiple of a by 2^k gives the same bits."""
+    parts = np.ascontiguousarray(a).view(float)
+    e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+    return np.ldexp(parts, -e).view(a.dtype), e
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -297,10 +291,12 @@ class _Quartic:
     def __init__(self, T: np.ndarray, white, blocks: int, pair: bool = False,
                  absolute: bool = False):
         # L^-T on every slot: S at whitened states x is T at y = x L^-1
-        S = _pair_symmetrized(_each_slot(T, white[1].T))
+        message = ("curvature scale out of the floating-point range: the search's whitened "
+                   "tensor is not finite")
+        with _in_range(message):
+            S = _pair_symmetrized(_each_slot(T, white[1].T))
         if not np.all(np.isfinite(S)):
-            raise HermicurvError("curvature scale out of the floating-point range: the search's "
-                                 "whitened tensor is not finite")
+            raise HermicurvError(message)
         S, self.exp = _unit_power(S)
         self.white = white
         self.lift = _unit_power(white[0])[0]
@@ -663,7 +659,8 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     is sampled and sharpened by a 16-restart Newton search.
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the search, which would only
-    refine noise; a genuinely non-Kahler metric yields a witness gap
+    refine noise: those whose pair-symmetrized gap tensor is at most
+    1e-12 max|R|.  A genuinely non-Kahler metric yields a witness gap
     bounded away from zero.
     """
     if samples < 1:
@@ -675,7 +672,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
         q = _Quartic(T, _whitening(geom.rjet.g), 2, pair=True, absolute=True)
-        noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * _scale(geom.rc)
+        noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * np.max(np.abs(geom.rc))
 
         sample = q.draw(np.random.default_rng(seed + k), samples)
         gaps = q.value(sample)

@@ -18,11 +18,12 @@ curvature.complexify_curvature writes its first slot out the same way.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, HermicurvError
 
 __all__ = [
     "ChartPoint",
@@ -135,17 +136,23 @@ def hermitian_pairing(h, xi, eta) -> complex:
     return complex(x @ m @ e.conj())
 
 
+@contextmanager
+def _in_range(message: str):
+    """HermicurvError(message), not a warning, where numpy arithmetic in the
+    block or decorated function overflows or turns invalid (einsum never)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise HermicurvError(message) from None
+
+
 def _scale(*parts) -> float:
     """max(1, M), M the largest magnitude over the parts: an array's
-    largest |entry|, or a plain number's abs.  Every relative pass/fail
-    threshold in the package is a fixed constant times this scale.  1.0
-    comes first, so a NaN part is passed over: the builtin max never
-    replaces its running maximum with a NaN.
-
-    The decision rules that do not take this scale: sectional._gram's
-    degeneracy rule, relative to the Gram product, and analysis._EIG_FLOOR,
-    relative to the largest Hessian eigenvalue.  The searches and the
-    sign labels work on exactly rescaled values and need no scale.
-    """
+    largest |entry|, or a plain number's abs.  1.0 comes first, so a NaN
+    part is passed over: the builtin max never replaces its running
+    maximum with a NaN.  Only the five flag rules that judge an output
+    tensor take it: classify, analysis._hypotheses, and the CLI's
+    curvature, identities and gap_ok checks."""
     return max(1.0, *(float(np.max(np.abs(p))) if isinstance(p, np.ndarray) else abs(p)
                       for p in parts))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import RealChristoffel
-from .core import _frame
+from .core import _frame, _in_range
 from .field import MetricJet, RealMetricJet
 
 __all__ = [
@@ -89,6 +89,7 @@ def chern_curvature(jet: MetricJet) -> np.ndarray:
     )
 
 
+@_in_range("metric scale out of the floating-point range: the Riemannian curvature overflows")
 def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
     """Curvature r[i, j, k, l] of the Levi-Civita connection, real
     (2n, 2n, 2n, 2n), with the classical algebraic symmetries.
@@ -134,6 +135,7 @@ def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
     return ComplexifiedCurvature(t.reshape(n, m, m, m))
 
 
+@_in_range("metric scale out of the floating-point range: the direct mixed block overflows")
 def complexified_11_direct(jet: MetricJet) -> np.ndarray:
     """The alternating mixed block straight from the metric jet.
 

@@ -47,7 +47,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _scale
 from .errors import DslError, DslEvalError, DslSyntaxError
 from .tape import (
     _ADD, _CALL, _CONST, _DIV, _MUL, _POW, _SUB, _Z, _ZB, _level_schedule, _run, _taylor_jets,
@@ -595,9 +594,9 @@ class MetricDefinition:
     def _check_formal_hermitian(self, upper: list):
         """Spot-check h_{a b-bar} = conj(h_{b a-bar}) at a few sample points
         for each stated lower entry, against its upper one stated or not,
-        and each stated diagonal entry.  The entry matrix is evaluated once
-        per point; a point where any entry fails to evaluate is skipped for
-        every pair.
+        and each stated diagonal entry, within 1e-9 of the largest |entry| at
+        the point.  The entry matrix is evaluated once per point; a point
+        where any entry fails to evaluate is skipped for every pair.
         """
         suspects = [(a, b) for a, b in upper
                     if (b, a) in self._lower or (a == b and (a, a) in self.explicit)]
@@ -608,17 +607,14 @@ class MetricDefinition:
         runs = []
         for z in pts.tolist():
             try:
-                runs.append(self.entry_values(z)[1].tolist())
+                H = self.entry_values(z)[1]
             except DslEvalError:
                 continue
+            runs.append((H.tolist(), 1e-9 * np.abs(H).max()))
         for a, b in suspects:
-            for H in runs:
-                va, vb = H[a][b], H[b][a].conjugate()
-                if abs(va - vb) > 1e-9 * _scale(va, vb):
-                    raise DslError(
-                        f"entries ({a + 1},{b + 1}) and ({b + 1},{a + 1}) are not "
-                        "formally Hermitian-conjugate"
-                    )
+            if any(abs(H[a][b] - H[b][a].conjugate()) > tol for H, tol in runs):
+                raise DslError(f"entries ({a + 1},{b + 1}) and ({b + 1},{a + 1}) are not "
+                               "formally Hermitian-conjugate")
 
     # -- calculus ----------------------------------------------------------
 

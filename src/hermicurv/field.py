@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint, _chain, _scale
+from .core import ChartPoint, _chain, _in_range
 from .dsl import MetricDefinition, parse_metric
 from .errors import CatalogError, InadmissiblePointError, SingularMetricError
 
@@ -157,7 +157,7 @@ def _as_point(p, n: int) -> ChartPoint:
 def _checked_inverse(H: np.ndarray):
     if not np.all(np.isfinite(H)):
         raise SingularMetricError("metric is numerically singular (non-finite entries)")
-    if np.abs(H - H.conj().T).max() > 1e-12 * _scale(H):
+    if np.abs(H - H.conj().T).max() > 1e-12 * np.abs(H).max():
         raise ValueError("metric value is not Hermitian")
     w = np.linalg.eigvalsh(H)
     if w[0] <= 0.0:
@@ -197,13 +197,14 @@ def jet_at(metric: MetricDefinition, p) -> MetricJet:
 # Real form
 
 
+@_in_range("metric scale out of the floating-point range: the real jet overflows")
 def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     """Assemble g = Re h and its x-derivatives from a Wirtinger jet.
 
     The slices run in the Wirtinger jet's order: H, then dH[k], then
     d2H[k, l] row by row, split into one real array of shape
-    (1 + 2n + 4n^2, 2n, 2n).  Nothing is checked: the jets of jet_at are
-    Hermitian by construction, and jet_at checks the value.
+    (1 + 2n + 4n^2, 2n, 2n).  The jets of jet_at are Hermitian by
+    construction, and jet_at checks the value.
     """
     n = jet.n
     m = 2 * n

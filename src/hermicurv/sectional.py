@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    _holo_comps,
-    _real_comps,
-    _scale,
-    apply_j,
-    to_holomorphic,
-)
+from .core import _holo_comps, _in_range, _real_comps, apply_j, to_holomorphic
 from .curvature import ComplexifiedCurvature
 from .errors import DegeneratePlaneError, DimensionMismatch, HermicurvError
 from .field import RealMetricJet
@@ -100,8 +94,11 @@ def _kr_form(kr: np.ndarray, a, b, c, d):
     return _form(kr, a, b.conj(), c, d.conj())
 
 
-def _real_quantity(value: complex, what: str) -> float:
-    if abs(value.imag) > _IM_TOL * _scale(value):
+def _real_quantity(value: complex, kr: np.ndarray, what: str) -> float:
+    """Re value, for a form of kr on unit-scaled vectors: Im value must be below
+    _IM_TOL times |value| or, read only then, max|kr|, the size of its terms."""
+    im = abs(value.imag)
+    if im > _IM_TOL * abs(value) and im > _IM_TOL * float(np.max(np.abs(kr))):
         raise HermicurvError(f"{what} should be real, got imaginary part {value.imag:.3e}")
     return float(value.real)
 
@@ -123,23 +120,28 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, -e).view(x.dtype), e
 
 
-def _gram(m: np.ndarray, x, e) -> float:
-    """m(x,x) m(e,e) - Re m(x,e)^2 with m(a,b) = a m conj(b), for a real or
-    a Hermitian m, on unit-scaled x and e; raises when they are (numerically)
-    linearly dependent, and when the metric's scale takes m(x,x) m(e,e) out
-    of the floating-point range."""
+def _pairings(m: np.ndarray, x, e):
+    """(m(x,x), m(e,e), Re m(x,e)) with m(a,b) = a m conj(b), for a real or
+    a Hermitian m, on unit-scaled x and e; raises when the metric's scale
+    takes m(x,x) m(e,e) out of the floating-point range."""
     if m.shape != x.shape + e.shape:
         raise DimensionMismatch("pairing operands do not match the metric dimension")
     xm, ec = x @ m, e.conj()
-    aa, bb, ab = float((xm @ x.conj()).real), float((e @ m @ ec).real), float((xm @ ec).real)
-    top = aa * bb
-    # x and e are unit-scaled, so only the metric's scale takes top out of
-    # the normal floats; a zero vector is a dependent span at any scale
-    if not sys.float_info.min <= top < math.inf and aa and bb:
-        raise HermicurvError(f"metric scale out of the floating-point range: the span's "
-                             f"squared lengths {aa:.3e} and {bb:.3e} have no normal product")
-    gram = top - ab**2
-    if gram <= 1e-12 * max(top, 1e-300):
+    aa, bb = float((xm @ x.conj()).real), float((e @ m @ ec).real)
+    # x and e are unit-scaled, so only the metric's scale takes the product
+    # out of the normal floats; a zero vector is its callers' to judge
+    if not sys.float_info.min <= aa * bb < math.inf and x.any() and e.any():
+        raise HermicurvError(f"metric scale out of the floating-point range: the squared "
+                             f"lengths {aa:.3e} and {bb:.3e} have no normal product")
+    return aa, bb, float((xm @ ec).real)
+
+
+def _gram(m: np.ndarray, x, e) -> float:
+    """m(x,x) m(e,e) - Re m(x,e)^2 from _pairings; raises when x and e are
+    (numerically) linearly dependent."""
+    aa, bb, ab = _pairings(m, x, e)
+    gram = aa * bb - ab**2
+    if gram <= 1e-12 * max(aa * bb, 1e-300):
         raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
     return gram
 
@@ -152,15 +154,23 @@ def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float
     return float(_form(r, u, v, v, u)) / gram
 
 
+def _chern_numerator(kr: np.ndarray, x, e) -> float:
+    """chern_quadratic_form on unit-scaled x and e."""
+    return _real_quantity(_w_form(kr, x, e) / 2, kr, "the canonical-curvature quadratic form")
+
+
 def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
     """The numerator of K_D: a real quadratic pairing in kr.
 
     Equal to half the kr contraction against W ox conj(W) with
     W = xi eta~ - eta xi~; realness follows from pair-Hermitian symmetry
-    and is checked, not assumed.
+    and is checked, not assumed.  The form is taken on xi and eta rescaled
+    by _unit_scaled, and its value is scaled back through ldexp.
     """
-    q = _w_form(kr, _holo_comps(xi), _holo_comps(eta)) / 2
-    return _real_quantity(q, "the canonical-curvature quadratic form")
+    x, ex = _unit_scaled(_holo_comps(xi))
+    e, ee = _unit_scaled(_holo_comps(eta))
+    with _in_range("metric scale out of the floating-point range: the form overflows"):
+        return float(np.ldexp(_chern_numerator(kr, x, e), 2 * (ex + ee)))
 
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
@@ -168,35 +178,25 @@ def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
     xi = to_holomorphic(_unit_scaled(_real_comps(plane.u))[0])
     eta = to_holomorphic(_unit_scaled(_real_comps(plane.v))[0])
     denom = _gram(np.asarray(h, dtype=complex), xi, eta)
-    return chern_quadratic_form(kr, xi, eta) / denom
-
-
-def _unit_normed(h, xi):
-    """xi rescaled by _unit_scaled, its conjugate and its h-norm; raises on zero."""
-    x = _unit_scaled(_holo_comps(xi))[0]
-    if not np.count_nonzero(x):
-        raise ValueError("bisectional curvature of a zero vector")
-    m, xc = np.asarray(h, dtype=complex), x.conj()
-    if m.shape != x.shape + x.shape:
-        raise DimensionMismatch("pairing operands do not match the metric dimension")
-    nx = float((x @ m @ xc).real)
-    if not sys.float_info.min <= nx * nx < math.inf:
-        raise HermicurvError(f"metric scale out of the floating-point range: a unit-scaled "
-                             f"vector's squared length {nx:.3e} has no normal square")
-    return x, xc, nx
+    return _chern_numerator(kr, xi, eta) / denom
 
 
 def holo_sectional(kr: np.ndarray, h, xi) -> float:
     """H(xi) = B(xi, xi); invariant under complex rescaling of xi."""
-    x, xc, nx = _unit_normed(h, xi)
-    return _real_quantity(_form(kr, x, xc, x, xc), "the B numerator") / (nx * nx)
+    x = _unit_scaled(_holo_comps(xi))[0]
+    if not x.any():
+        raise ValueError("bisectional curvature of a zero vector")
+    xc, nx = x.conj(), _pairings(np.asarray(h, dtype=complex), x, x)[0]
+    return _real_quantity(_form(kr, x, xc, x, xc), kr, "the B numerator") / (nx * nx)
 
 
 def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     """B(xi, eta); B(xi, xi) recovers H(xi)."""
-    x, xc, nx = _unit_normed(h, xi)
-    e, ec, ne = _unit_normed(h, eta)
-    return _real_quantity(_form(kr, x, xc, e, ec), "the B numerator") / (nx * ne)
+    x, e = (_unit_scaled(_holo_comps(v))[0] for v in (xi, eta))
+    if not (x.any() and e.any()):
+        raise ValueError("bisectional curvature of a zero vector")
+    nx, ne, _ = _pairings(np.asarray(h, dtype=complex), x, e)
+    return _real_quantity(_form(kr, x, x.conj(), e, e.conj()), kr, "the B numerator") / (nx * ne)
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,8 @@ class IdentityResiduals:
 
     kahler_bisectional, kahler_sectional, kahler_holomorphic vanish when
     the metric is Kahler; sectional_decomposition and holomorphic_plane
-    vanish for every Hermitian metric.  The two maxima are taken over
-    the identities and all pairs.
+    vanish for every Hermitian metric; universal_max is the largest of
+    these two over all pairs.
     """
 
     kahler_bisectional: np.ndarray
@@ -218,10 +218,6 @@ class IdentityResiduals:
 
     def universal_max(self) -> float:
         return float(np.max([self.sectional_decomposition, self.holomorphic_plane]))
-
-    def kahler_max(self) -> float:
-        return float(np.max([self.kahler_bisectional, self.kahler_sectional,
-                             self.kahler_holomorphic]))
 
 
 def identity_suite(r: np.ndarray, kr: np.ndarray, cx: ComplexifiedCurvature,

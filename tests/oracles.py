@@ -32,8 +32,9 @@ it, the real jet of a metric at a point, the symbolic Wirtinger
 derivative of one expression, the torsion and curvature pairing of
 the induced real connection, connection.induced_real_connection, the
 real coordinates of a holomorphic vector and back (to_real, from_reals),
-the Gram determinant of a real span (plane_gram), and one expression
-parsed alone (parse_expression) and rendered back to source (unparse).
+the Gram determinant of a real span (plane_gram), the largest of the
+Kahler-only identity residuals (kahler_max), and one expression parsed
+alone (parse_expression) and rendered back to source (unparse).
 """
 
 import json
@@ -48,8 +49,8 @@ from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
                               InadmissiblePointError)
-from hermicurv.sectional import (Plane, _form, _gram, _kr_form, _real_quantity, _unit_scaled,
-                                 chern_quadratic_form)
+from hermicurv.sectional import (IdentityResiduals, Plane, _form, _gram, _kr_form, _real_quantity,
+                                 _unit_scaled, chern_quadratic_form)
 from hermicurv.field import (MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at,
                              real_jet_from_complex)
 
@@ -129,6 +130,13 @@ def plane_gram(g: np.ndarray, u, v) -> float:
     v, ev = _unit_scaled(_real_comps(v))
     with np.errstate(over="ignore"):
         return float(np.ldexp(_gram(np.asarray(g), u, v), 2 * (eu + ev)))
+
+
+def kahler_max(res: IdentityResiduals) -> float:
+    """The largest of the three Kahler-only residuals of an identity_suite
+    result over all pairs."""
+    return float(np.max([res.kahler_bisectional, res.kahler_sectional,
+                         res.kahler_holomorphic]))
 
 
 def parse_expression(source: str, n: int | None = None) -> dsl.Node:
@@ -753,7 +761,7 @@ def holo_bisectional_ref(kr: np.ndarray, h, xi, eta) -> float:
     nx = hermitian_pairing(h, x, x).real
     ne = hermitian_pairing(h, e, e).real
     num = _kr_form(kr, x, x, e, e)
-    return _real_quantity(num, "the B numerator") / (nx * ne)
+    return _real_quantity(num, kr, "the B numerator") / (nx * ne)
 
 
 def holo_sectional_ref(kr: np.ndarray, h, xi) -> float:

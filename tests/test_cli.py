@@ -367,6 +367,8 @@ EXTREME_METRICS = {
     "nk-diag-1e305": re.sub(r"= (.*);", r"= 1e305 * (\1);", catalog_source("nk_diag", 2)),
     "subnormal": "dim 2; h[1,1] = 1e-320; h[2,2] = 1e-320;",
     "power-40": "dim 2; h[1,1] = (1 + z1*zb1)^40; h[2,2] = (1+z2*zb2)^-40;",
+    "top-of-range": "dim 2; h[1,1] = 1 + 2^1022*z1*zb1;",
+    "top-of-range-2": "dim 2; h[1,1] = 1 + 2^1023*z1*zb1;",
 }
 COMMAND_VARIANTS = [
     ["classify"],
@@ -451,11 +453,6 @@ def scale_reports(tmp_path_factory):
     return runs
 
 
-# corpus entries that still end differently at some scale: the curvature
-# realness check of the probe's witness is floored at 1 (ROADMAP item 2)
-SCALE_FLOORED = {("hopf", 3, -40, "probe")}
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_reports_scale_exactly_with_the_metric(scale_reports, name, n):
@@ -463,11 +460,14 @@ def test_reports_scale_exactly_with_the_metric(scale_reports, name, n):
     for k in SCALE_K:
         scaled = scale_reports(name, n, k)
         for variant, (code, rep) in scaled.items():
-            if (name, n, k, variant) in SCALE_FLOORED:
-                continue
             assert code == plain[variant][0], (k, variant, rep.get("error"))
             if code != 2:
                 _assert_rescaled(rep, plain[variant][1], 2.0**-k, (k, variant))
+        # lu's forms are taken on the exactly rescaled tensor, and the
+        # margins are products of two forms
+        for a, b in zip(scaled["lu"][1]["results"], plain["lu"][1]["results"]):
+            assert a["violations"] == b["violations"], k
+            assert a["worst_margin"] == 2.0**(2 * k) * b["worst_margin"], k
         # lu judges the curvature symmetry by classify's Kahler-like rule
         for i, res in enumerate(scaled["lu"][1]["results"]):
             assert res["symmetry_passed"] == scaled[f"classify-{i}"][1]["results"][0]["kahler_like"]
@@ -483,7 +483,6 @@ def test_lu_symmetry_verdict_does_not_move_at_small_scale(scale_reports, name, n
     assert verdicts(-40) == verdicts(0)
 
 
-@pytest.mark.xfail(strict=True, reason="the realness check of K_D is floored at 1")
 def test_probe_at_small_scale_gets_a_report(scale_reports):
     code, rep = scale_reports("hopf", 3, -40)["probe"]
     assert code == 0, rep
@@ -580,14 +579,32 @@ def test_dimension_is_checked_before_the_metric_is_built(tmp_path, capsys, monke
     }
 
 
-def test_non_hermitian_value_exit_2(tmp_path, capsys):
+def _non_hermitian_pair(c: str, defect: str) -> str:
+    """c times a metric whose entry (2,1) is the conjugate of (1,2) plus defect."""
+    return (f"dim 2; h[1,1] = {c}; h[2,2] = {c}; h[1,2] = {c}*0.1*z1;"
+            f"h[2,1] = {c}*(0.1*zb1 + {defect});")
+
+
+@pytest.mark.parametrize("c", ["1", "2^-40"])
+def test_non_hermitian_value_exit_2(tmp_path, capsys, c):
     # both triangles pass the parse check, which allows 1e-9, but the
-    # value check at the point allows 1e-12
+    # value check at the point allows 1e-12, each of the largest |entry|
     f = tmp_path / "both.metric"
-    f.write_text("dim 2;\nh[1,2] = 0.1*z1;\nh[2,1] = 0.1*zb1 + 1e-10;\n")
+    f.write_text(_non_hermitian_pair(c, "1e-10"))
     code, rep = run(capsys, "curvature", "--metric", str(f), "--point", "[[0.2,0.1],[0,-0.3]]")
     assert code == 2
     assert rep["error"] == {"type": "ValueError", "message": "metric value is not Hermitian"}
+
+
+@pytest.mark.parametrize("c", ["1", "2^-40"])
+def test_non_hermitian_pair_exit_2_at_parse(tmp_path, capsys, c):
+    # past the parse check's 1e-9 of the largest |entry| at its sample points
+    f = tmp_path / "both.metric"
+    f.write_text(_non_hermitian_pair(c, "1e-6"))
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0.2,0.1],[0,-0.3]]")
+    assert code == 2
+    assert rep["error"] == {"type": "DslError", "message":
+                            "entries (1,2) and (2,1) are not formally Hermitian-conjugate"}
 
 
 def test_lower_entry_without_upper_exit_2(tmp_path, capsys):

@@ -160,3 +160,47 @@ def test_scale_guard_sees_floors_outside_scale():
     assert scale_floor_violations(bad, "core.py") == ["core.py:1", "core.py:2"]
     good = "max(a, 1.0)\nnp.maximum(1.0, a)\nmax(2, a)\nmax(True, a)\nmax(top, 1e-300)\n"
     assert scale_floor_violations(good) == []
+
+
+# The flag rules that still take core._scale's floor of 1, one use each, as
+# (module, top-level definition): each waits for a scale of its own inputs
+SCALE_USERS = [("analysis.py", "_hypotheses"), ("analysis.py", "classify"),
+               ("cli.py", "_cmd_curvature"), ("cli.py", "_cmd_extremal"),
+               ("cli.py", "_cmd_identities")]
+
+
+def scale_uses(source: str, filename: str = "<src>") -> list:
+    """(filename, top-level definition, line) for every read of the name
+    _scale, bare or as an attribute; the definition is None at module
+    level.  Imports and the def itself are not reads."""
+    uses = []
+    for top in ast.parse(source, filename).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "_scale"
+                    or isinstance(node, ast.Attribute) and node.attr == "_scale"):
+                uses.append((filename, getattr(top, "name", None), node.lineno))
+    return uses
+
+
+def test_only_the_flag_rules_take_the_scale_floor():
+    uses = [use for f in sorted(SRC.glob("*.py")) for use in scale_uses(f.read_text(), f.name)]
+    assert sorted(use[:2] for use in uses) == SCALE_USERS
+
+
+def test_scale_use_guard_names_every_read():
+    src = (
+        "from .core import _scale\n"
+        "def classify(a):\n"
+        "    def entry():\n"
+        "        return _scale(a)\n"
+        "    return entry\n"
+        "def other(b):\n"
+        "    f = core._scale\n"
+        "    return f(b)\n"
+        "t = _scale(c)\n"
+        "def _scale(*parts):\n"
+        "    return parts\n"
+    )
+    assert scale_uses(src, "analysis.py") == [("analysis.py", "classify", 4),
+                                              ("analysis.py", "other", 7),
+                                              ("analysis.py", None, 9)]
