@@ -16,10 +16,17 @@ its Riemannian gradient vanishes to rounding.  The winner is the best
 final value, first-found on ties within 1e-10, which keeps results
 reproducible for a fixed seed; it is mapped back to the chart as
 y = x L^-1.  The search runs on the pull-back and on L each rescaled by
-the power of two that puts its largest |entry| in [0.5, 1) (_unit_power),
-so every rule in it sees unit-scale values, and a metric multiplied by
-2^k searches the same bits; values return in the metric's units through
-np.ldexp.  A pull-back that is not finite raises HermicurvError.
+the power of two that puts its largest |entry| in [0.5, 1)
+(core._unit_power), so every rule in it sees unit-scale values, and a
+metric multiplied by 2^k searches the same bits; values return in the
+metric's units through np.ldexp.  A pull-back that is not finite raises
+HermicurvError.
+
+Every flag derived from a point's tensors or searches (classify's
+curvature conditions, the symmetry verdict of lu and the bisectional
+search, lu's margins, gap_ok and the probe's noise gate) compares its
+residual, with <=, against a fixed constant times the point's one
+rounding scale, engine.PointGeometry.scale.
 
 The CLI prints the result records field by field, so each record's field
 order is its report's key order.
@@ -27,12 +34,11 @@ order is its report's key order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ChartPoint, _each_slot, _frame, _in_range, _scale, hermitian_pairing,
+from .core import (ChartPoint, _each_slot, _frame, _in_range, _unit_power, hermitian_pairing,
                    to_holomorphic)
 from .dsl import MetricDefinition
 from .engine import geometry_at
@@ -81,36 +87,35 @@ def classify(metric: MetricDefinition, points) -> ClassificationReport:
     canonical curvature under swapping its two unbarred slots; vanishing
     of the complexified-curvature blocks with three or four unbarred
     indices among the first three.  A condition holds when at every point
-    its residual is below _CLASSIFY_TOL * core._scale of the array it
-    measures: dh/dz, the canonical curvature, or the complexified
-    curvature; the report's tol echoes _CLASSIFY_TOL.  The blocks hhha
+    its residual is at most _CLASSIFY_TOL times max|dh/dz|, the first
+    condition's exact input, or times the point's PointGeometry.scale for
+    the other two; the report's tol echoes _CLASSIFY_TOL.  The blocks hhha
     and hhaa are one view of the stored h-first half,
-    cx.tensor[:, :n, :, n:], and the half's largest magnitude is the
-    whole tensor's.
+    cx.tensor[:, :n, :, n:].
     """
     points = list(points)
     if not points:
         raise ValueError("points must name at least one point")
-    worst = np.zeros((3, 2))  # per condition: largest residual, and residual / _scale
+    worst, holds = [0.0] * 3, [True] * 3  # per condition
     for p in points:
         geom = geometry_at(metric, p)
         n, kr, cx = geom.n, geom.kr, geom.cx.tensor
         dz = geom.jet.dh[:n]
-        for k, (defect, of) in enumerate((
-            (dz - dz.transpose(1, 0, 2), dz),
-            (kr - kr.transpose(2, 1, 0, 3), kr),
-            (cx[:, :n, :, n:], cx),
+        for k, (defect, scale) in enumerate((
+            (dz - dz.transpose(1, 0, 2), float(np.max(np.abs(dz)))),
+            (kr - kr.transpose(2, 1, 0, 3), geom.scale),
+            (cx[:, :n, :, n:], geom.scale),
         )):
             r = float(np.max(np.abs(defect)))
-            worst[k] = np.maximum(worst[k], (r, r / _scale(of)))
-    (rk, qk), (rkl, qkl), (rgk, qgk) = worst.tolist()
+            worst[k] = max(worst[k], r)
+            holds[k] = holds[k] and r <= _CLASSIFY_TOL * scale
     return ClassificationReport(
-        kahler=qk < _CLASSIFY_TOL,
-        kahler_residual=rk,
-        kahler_like=qkl < _CLASSIFY_TOL,
-        kahler_like_residual=rkl,
-        g_kahler_like=qgk < _CLASSIFY_TOL,
-        g_kahler_like_residual=rgk,
+        kahler=holds[0],
+        kahler_residual=worst[0],
+        kahler_like=holds[1],
+        kahler_like_residual=worst[1],
+        g_kahler_like=holds[2],
+        g_kahler_like_residual=worst[2],
         tol=_CLASSIFY_TOL,
     )
 
@@ -143,13 +148,14 @@ def _sign_label(vals: np.ndarray) -> str:
     return "indefinite"
 
 
-def _hypotheses(kr: np.ndarray, X: np.ndarray, E: np.ndarray):
+def _hypotheses(kr: np.ndarray, scale: float, X: np.ndarray, E: np.ndarray):
     """(residual, symmetric, sign) of the hypotheses that lu and the
     bisectional search share: the _symmetry_residual of kr, whether it
-    passes classify's Kahler-like rule (below _CLASSIFY_TOL *
-    core._scale(kr)), and the _sign_label of Re _w_form on _unit_power(kr)."""
+    passes classify's Kahler-like rule (at most _CLASSIFY_TOL * scale, the
+    point's PointGeometry.scale), and the _sign_label of Re _w_form on
+    _unit_power(kr)."""
     residual = _symmetry_residual(kr)
-    return (residual, residual < _CLASSIFY_TOL * _scale(kr),
+    return (residual, residual <= _CLASSIFY_TOL * scale,
             _sign_label(_w_form(_unit_power(kr)[0], X, E).real))
 
 
@@ -171,9 +177,11 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> LuInequalityReport:
+def lu_inequality_check(metric: MetricDefinition, p, samples: int = 1000,
+                        seed: int = 0) -> LuInequalityReport:
     """Sample the Cauchy-Schwarz-type bound |A(x,x~,e,e~)|^2 <=
-    A(x,x~,x,x~) A(e,e~,e,e~) on random pairs.
+    A(x,x~,x,x~) A(e,e~,e,e~) on random pairs, A the Chern curvature kr of
+    the metric at p.
 
     The bound is only guaranteed under the symmetry conditions of
     _symmetry_residual plus a sign condition on the quadratic form built
@@ -181,17 +189,18 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
     same samples, and failure makes the report inapplicable rather than
     a violation.  The sign is "nonneg" when the sampled form is zero or
     nonnegative and "nonpos" otherwise; the report names the sign taken.
-    The forms are taken on A rescaled by _unit_power; a margin below -1e-9
-    there is a violation, and worst_margin is scaled back by np.ldexp.
+    The forms are taken on A rescaled by _unit_power; a margin there below
+    -1e-9 s^2, s the point's PointGeometry.scale rescaled alike, is a
+    violation, and worst_margin is scaled back by np.ldexp.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
+    geom = geometry_at(metric, p)
+    A, n = geom.kr, geom.n
     rng = np.random.default_rng(seed)
     X = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
     E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
-    residual, passed, sign = _hypotheses(A, X, E)
+    residual, passed, sign = _hypotheses(A, geom.scale, X, E)
     hyp = sign != "indefinite"
 
     S, e = _unit_power(A)
@@ -199,6 +208,7 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
                - np.abs(_kr_form(S, X, X, E, E)) ** 2)
     with _in_range("metric scale out of the floating-point range: the worst margin overflows"):
         worst = float(np.ldexp(np.min(margins), 2 * e))
+        s = float(np.ldexp(geom.scale, -e))
 
     return LuInequalityReport(
         applicable=passed and hyp,
@@ -206,7 +216,7 @@ def lu_inequality_check(A: np.ndarray, samples: int = 1000, seed: int = 0) -> Lu
         symmetry_passed=passed,
         hypothesis_sign="nonneg" if sign in ("zero", "nonneg") else "nonpos",
         hypothesis_holds=hyp,
-        violations=int(np.sum(margins < -1e-9)),
+        violations=int(np.sum(margins < -1e-9 * s * s)),
         worst_margin=worst,
         samples=samples,
     )
@@ -256,15 +266,6 @@ def _whitening(g: np.ndarray):
     """
     L = np.linalg.cholesky(g)
     return L, np.linalg.inv(L)
-
-
-def _unit_power(a: np.ndarray):
-    """(a 2^-e, e) for the e that puts the largest |entry| of a's float view
-    (real and imaginary parts) in [0.5, 1), e = 0 for a zero a: exact, so a
-    multiple of a by 2^k gives the same bits."""
-    parts = np.ascontiguousarray(a).view(float)
-    e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
-    return np.ldexp(parts, -e).view(a.dtype), e
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -492,6 +493,8 @@ def _j_folded(r: np.ndarray) -> np.ndarray:
 # The attainment statements cover the max on nonnegative curvature and
 # the min on nonpositive curvature; elsewhere they predict nothing.
 _COVERED_SIGNS = {"max": ("nonneg", "zero"), "min": ("nonpos", "zero")}
+# gap_ok's threshold, relative to the point's scale (see ExtremalResult)
+_GAP_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -503,7 +506,9 @@ class ExtremalResult:
     pointwise attainment statements predict gap <= tolerance when
     applicable, i.e. when the sampled hypotheses of the search hold and
     the sign they find is the one the mode is covered for (nonneg or
-    zero for max, nonpos or zero for min).  converged means the winning
+    zero for max, nonpos or zero for min).  gap_ok: not applicable, or a
+    gap at most _GAP_TOL (scale hi) hi, the point's PointGeometry.scale in
+    the units of a curvature, hi = max|h_inv|.  converged means the winning
     restart of both searches ended with its Riemannian gradient norm at
     most _GRAD_TOL on the rescaled problem (see SearchStats), so it does
     not move when the metric is multiplied by 2^k: a local stationarity
@@ -527,13 +532,15 @@ class ExtremalResult:
     applicable: bool
     search: SearchStats
     holo_search: SearchStats
-    best_pair: tuple | None = None
-    pair_alignment: float | None = None
+    best_pair: tuple | None
+    pair_alignment: float | None
+    gap_ok: bool
 
 
-def _extremal(mode: str, restarts: int, seed: int, plane: _Quartic, holo_T: np.ndarray,
-              hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
-    """The two searches behind an ExtremalResult and their oriented gap.
+def _extremal(mode: str, restarts: int, seed: int, geom, plane: _Quartic,
+              holo_T: np.ndarray, hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
+    """The two searches behind an ExtremalResult at geom's point, their
+    oriented gap, and gap_ok.
 
     plane is the two-block problem, over orthonormal pairs or two unit
     vectors; the holomorphic search extremizes holo_T(Y, Y, Y, Y) over
@@ -544,6 +551,9 @@ def _extremal(mode: str, restarts: int, seed: int, plane: _Quartic, holo_T: np.n
     best_x, best_value, converged, stats = _multistart(plane, restarts, seed, mode)
     holo = _Quartic(holo_T, plane.white, 1)
     best_y, holo_value, holo_conv, holo_stats = _multistart(holo, restarts, seed + 1, mode)
+    gap = best_value - holo_value if mode == "max" else holo_value - best_value
+    applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
+    hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats
     return ExtremalResult(
         mode=mode,
         best_value=best_value,
@@ -552,11 +562,14 @@ def _extremal(mode: str, restarts: int, seed: int, plane: _Quartic, holo_T: np.n
         holo_best_vector=best_y,
         n_restarts=restarts,
         converged=converged and holo_conv,
-        gap=best_value - holo_value if mode == "max" else holo_value - best_value,
+        gap=gap,
         hypothesis_sign=hypothesis_sign,
-        applicable=symmetric and hypothesis_sign in _COVERED_SIGNS[mode],
+        applicable=applicable,
         search=stats,
         holo_search=holo_stats,
+        best_pair=None,
+        pair_alignment=None,
+        gap_ok=not applicable or gap <= _GAP_TOL * (geom.scale * hi * hi),
     )
 
 
@@ -583,7 +596,7 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     r = geom.rc
     plane = _Quartic(r, _whitening(geom.rjet.g), 2, pair=True)
     hypothesis_sign = _sign_label(plane.value(plane.draw(np.random.default_rng(seed + 101), 1000)))
-    return _extremal(mode, restarts, seed, plane, _j_folded(r), hypothesis_sign, True)
+    return _extremal(mode, restarts, seed, geom, plane, _j_folded(r), hypothesis_sign, True)
 
 
 def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
@@ -603,12 +616,12 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     rng = np.random.default_rng(seed + 202)
     Xs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
     Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
-    _, symmetric, hypothesis_sign = _hypotheses(kr, Xs, Es)
+    _, symmetric, hypothesis_sign = _hypotheses(kr, geom.scale, Xs, Es)
 
     # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
     K = _real_chern(kr)
     plane = _Quartic(K.transpose(0, 2, 3, 1), _whitening(g), 2)
-    res = _extremal(mode, restarts, seed, plane, K, hypothesis_sign, symmetric)
+    res = _extremal(mode, restarts, seed, geom, plane, K, hypothesis_sign, symmetric)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(
         res,
@@ -660,8 +673,8 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the search, which would only
     refine noise: those whose pair-symmetrized gap tensor is at most
-    1e-12 max|R|.  A genuinely non-Kahler metric yields a witness gap
-    bounded away from zero.
+    1e-12 times the point's PointGeometry.scale.  A genuinely non-Kahler
+    metric yields a witness gap bounded away from zero.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -672,7 +685,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
         q = _Quartic(T, _whitening(geom.rjet.g), 2, pair=True, absolute=True)
-        noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * np.max(np.abs(geom.rc))
+        noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * geom.scale
 
         sample = q.draw(np.random.default_rng(seed + k), samples)
         gaps = q.value(sample)

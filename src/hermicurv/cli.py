@@ -3,10 +3,12 @@
 Numbers are serialized with 17 significant digits, complex values as
 [re, im] pairs, so a report is byte-stable for a fixed request and seed
 on one platform.  The timing_sec field is the one exception and is
-documented as excluded from determinism comparisons.  Exit codes:
-0 success, 1 a semantic check failed, 2 usage or input error, or a
-request too large for memory (an error object is emitted instead of a
-partial report).
+documented as excluded from determinism comparisons.  Each per-point
+pass/fail rule compares a residual with a fixed constant times the
+point's engine.PointGeometry.scale, in this module for curvature and
+identities, in analysis for the rest.  Exit codes: 0 success, 1 a
+semantic check failed, 2 usage or input error, or a request too large
+for memory (an error object is emitted instead of a partial report).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .analysis import (
     extremal_sectional,
     lu_inequality_check,
 )
-from .core import ChartPoint, _scale, to_holomorphic
+from .core import ChartPoint, to_holomorphic
 from .dsl import MetricDefinition, _parse_entries
 from .engine import geometry_at
 from .errors import HermicurvError
@@ -250,13 +252,13 @@ def _each_point(points, entry):
     return [result for result, _ in runs], all(ok for _, ok in runs)
 
 
-# The pass/fail thresholds of the per-point checks, each relative to
-# core._scale of what it judges: curvature's two-route cross-check and
-# Gray residuals, identities' universal residuals, and extremal's gap.
+# The pass/fail thresholds of the per-point checks, each relative to the
+# point's PointGeometry.scale: curvature's two-route cross-check and Gray
+# residuals, and identities' universal residuals.  extremal's gap_ok comes
+# with its result.
 _CROSS_CHECK_TOL = 1e-6
 _GRAY_TOL = 1e-7
 _IDENTITIES_TOL = 1e-6
-_GAP_TOL = 1e-4
 
 
 def _cmd_classify(args, metric, points):
@@ -266,13 +268,12 @@ def _cmd_classify(args, metric, points):
 def _cmd_curvature(args, metric, points):
     """Per point, the two routes' haha difference and Gray's residual
     max|hhhh|, which is max|aaaa| too, as aaaa = conj(hhhh); each is
-    judged against _scale(cx)."""
+    judged against geom.scale."""
 
     def entry(k, p):
         geom = geometry_at(metric, p)
         cross = float(np.max(np.abs(geom.mixed_11_direct - geom.cx.block("haha"))))
         gray = float(np.max(np.abs(geom.cx.block("hhhh"))))
-        scale = _scale(geom.cx.tensor)
         return {
             "point": p,
             "chern_tensor": geom.kr,
@@ -280,7 +281,7 @@ def _cmd_curvature(args, metric, points):
             "mixed_11_direct": geom.mixed_11_direct,
             "cross_check_residual": cross,
             "gray_residual": gray,
-        }, cross < _CROSS_CHECK_TOL * scale and gray < _GRAY_TOL * scale
+        }, cross <= _CROSS_CHECK_TOL * geom.scale and gray <= _GRAY_TOL * geom.scale
 
     return _each_point(points, entry)
 
@@ -318,7 +319,7 @@ def _cmd_identities(args, metric, points):
         uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
         res = identity_suite(geom.rc, geom.kr, geom.cx, uv[:, 0], uv[:, 1])
         table = {key: float(np.max(val)) for key, val in vars(res).items()}
-        universal_ok = res.universal_max() < _IDENTITIES_TOL * _scale(geom.rc)
+        universal_ok = res.universal_max() <= _IDENTITIES_TOL * geom.scale
         return {
             "point": p,
             "max_residuals": table,
@@ -335,23 +336,19 @@ def _cmd_extremal(args, metric, points):
 
     def entry(k, p):
         res = search(metric, p, mode=args.mode, restarts=args.restarts, seed=args.seed + k)
-        result = {"point": p, "target": args.target,
-                  **_fields(res, "search", "holo_search", "best_pair", "pair_alignment")}
-        if res.best_pair is not None:
+        result = {"point": p, "target": args.target, **_fields(res, "search", "holo_search")}
+        if res.best_pair is None:
+            del result["best_pair"], result["pair_alignment"]
+        else:
             result["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
-            result["pair_alignment"] = res.pair_alignment
-        # curvatures scale like 1/c when h is multiplied by c, and so does
-        # the searches' rounding
-        scale = _scale(res.best_value, res.holo_best_value)
-        result["gap_ok"] = (not res.applicable) or res.gap <= _GAP_TOL * scale
-        return result, result["gap_ok"]
+        return result, res.gap_ok
 
     return _each_point(points, entry)
 
 
 def _cmd_lu(args, metric, points):
     def entry(k, p):
-        rep = lu_inequality_check(geometry_at(metric, p).kr, samples=args.samples, seed=args.seed)
+        rep = lu_inequality_check(metric, p, samples=args.samples, seed=args.seed)
         ok = (not rep.applicable) or rep.violations == 0
         return {"point": p, **vars(rep), "ok": ok}, ok
 

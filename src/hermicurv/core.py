@@ -18,7 +18,8 @@ curvature.complexify_curvature writes its first slot out the same way.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,23 +137,38 @@ def hermitian_pairing(h, xi, eta) -> complex:
     return complex(x @ m @ e.conj())
 
 
-@contextmanager
-def _in_range(message: str):
+class _in_range:
     """HermicurvError(message), not a warning, where numpy arithmetic in the
-    block or decorated function overflows or turns invalid (einsum never)."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise HermicurvError(message) from None
+    block or decorated function overflows or turns invalid, or the function
+    returns a non-finite float or array (einsum sets no flags)."""
+
+    def __init__(self, message: str):
+        self.message, self.state = message, np.errstate(over="raise", invalid="raise")
+
+    def __enter__(self):
+        self.state.__enter__()
+
+    def __exit__(self, kind, *rest):
+        self.state.__exit__(kind, *rest)
+        if kind is FloatingPointError:
+            raise HermicurvError(self.message) from None
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            with _in_range(self.message):
+                out = fn(*args, **kwargs)
+            if isinstance(out, (float, np.ndarray)) and not np.isfinite(out).all():
+                raise HermicurvError(self.message)
+            return out
+
+        return checked
 
 
-def _scale(*parts) -> float:
-    """max(1, M), M the largest magnitude over the parts: an array's
-    largest |entry|, or a plain number's abs.  1.0 comes first, so a NaN
-    part is passed over: the builtin max never replaces its running
-    maximum with a NaN.  Only the five flag rules that judge an output
-    tensor take it: classify, analysis._hypotheses, and the CLI's
-    curvature, identities and gap_ok checks."""
-    return max(1.0, *(float(np.max(np.abs(p))) if isinstance(p, np.ndarray) else abs(p)
-                      for p in parts))
+def _unit_power(a: np.ndarray):
+    """(a 2^-e, e) for the e that puts the largest |entry| of a's float view
+    (real and imaginary parts) in [0.5, 1), e = 0 for a zero a: exact, so a
+    multiple of a by 2^k gives the same bits."""
+    parts = np.ascontiguousarray(a).view(float)
+    e = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    return np.ldexp(parts, -e).view(a.dtype), e

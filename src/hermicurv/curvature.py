@@ -79,6 +79,7 @@ class ComplexifiedCurvature:
 _SWAP_KINDS = str.maketrans("ha", "ah")
 
 
+@_in_range("metric scale out of the floating-point range: the Chern curvature overflows")
 def chern_curvature(jet: MetricJet) -> np.ndarray:
     """kr[a, b, g, d], complex (n, n, n, n), conjugate-linear in slots b
     and d.  Pair-Hermitian: kr[a,b,g,d] = conj(kr[b,a,d,g])."""

@@ -1,4 +1,6 @@
-"""One-stop access to every pointwise object the package computes."""
+"""One-stop access to every pointwise object the package computes, and
+the one rounding scale that every curvature flag rule at a point judges
+its residual against."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .connection import real_christoffel
-from .core import ChartPoint
+from .core import ChartPoint, _in_range
 from .curvature import (
     ComplexifiedCurvature,
     chern_curvature,
@@ -39,6 +41,17 @@ class PointGeometry:
     @property
     def n(self) -> int:
         return self.point.n
+
+    @cached_property
+    @_in_range("metric scale out of the floating-point range: the curvature scale overflows")
+    def scale(self) -> float:
+        """max|d2h| + max|dh| (max|dh| max|h_inv|), the size of the terms whose
+        cancellation gives kr, which bounds rc and cx too up to constant
+        factors: exactly 2^k times larger for 2^k h, and zero only for a
+        constant metric, whose tensors are exact zeros."""
+        jet = self.jet
+        d1 = float(np.max(np.abs(jet.dh)))
+        return float(np.max(np.abs(jet.d2h))) + d1 * (d1 * float(np.max(np.abs(jet.h_inv))))
 
     @cached_property
     def rjet(self) -> RealMetricJet:

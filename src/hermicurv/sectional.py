@@ -22,13 +22,14 @@ vanish depends on whether the metric is Kahler, so the caller interprets.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _holo_comps, _in_range, _real_comps, apply_j, to_holomorphic
+from .core import _holo_comps, _in_range, _real_comps, _unit_power, apply_j, to_holomorphic
 from .curvature import ComplexifiedCurvature
 from .errors import DegeneratePlaneError, DimensionMismatch, HermicurvError
 from .field import RealMetricJet
@@ -104,20 +105,16 @@ def _real_quantity(value: complex, kr: np.ndarray, what: str) -> float:
 
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x 2^-e, e) for the e that puts the largest real or imaginary part of
-    x in [0.5, 1): exact, subnormal parts included, so the rescaling-invariant
-    quantities keep their bits and no form or Gram underflows or overflows.
-    Raises DimensionMismatch unless x is one vector of finite components."""
+    """core._unit_power of one vector of finite components, subnormal parts
+    included, so the rescaling-invariant quantities keep their bits and no
+    form or Gram underflows or overflows; raises DimensionMismatch for any
+    other x."""
     if x.ndim != 1:
         raise DimensionMismatch("spanning vectors must be 1-D")
-    parts = np.ascontiguousarray(x).view(float)
-    comps = parts.tolist()
-    top = max(map(abs, comps), default=0.0)
-    # max passes over a NaN that is not first; the sum never does
-    if not math.isfinite(top) or math.isnan(sum(comps)):
+    # one pass over the Python numbers: cheaper than numpy's on a short vector
+    if not all(map(cmath.isfinite, x.tolist())):
         raise DimensionMismatch("vector components must be finite")
-    e = math.frexp(top)[1]
-    return np.ldexp(parts, -e).view(x.dtype), e
+    return _unit_power(x)
 
 
 def _pairings(m: np.ndarray, x, e):

@@ -286,8 +286,7 @@ def test_criterion_12_lu_inequality():
     for name, sign in (("fubini_study", "nonneg"), ("poincare_ball", "nonpos")):
         m = catalog_metric(name, 2)
         for p in sample_admissible_points(m, 2, seed=112):
-            g = geometry_at(m, p)
-            rep = lu_inequality_check(g.kr, samples=1000, seed=112)
+            rep = lu_inequality_check(m, p, samples=1000, seed=112)
             assert rep.hypothesis_sign == sign
             assert rep.symmetry_passed
             assert rep.hypothesis_holds

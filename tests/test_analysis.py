@@ -66,9 +66,8 @@ def test_classify_respects_tolerance(monkeypatch):
     assert loose.tol == 1e6
 
 
-# Multiplying h by 2^k multiplies kr and rc by exactly 2^k, so no verdict
-# should move with k.  Thresholds floored at 1, or absolute, still move:
-# a small-scale metric is judged absolutely.
+# Multiplying h by 2^k multiplies kr, rc and the point's scale by exactly
+# 2^k, so no verdict moves with k.
 SCALE_POINT = [0.3 + 0.1j, -0.2 + 0.05j]
 
 
@@ -82,7 +81,6 @@ def _classify_flags(metric):
     return rep.kahler, rep.kahler_like, rep.g_kahler_like
 
 
-@pytest.mark.xfail(strict=True, reason="classify's thresholds are floored at 1")
 @pytest.mark.parametrize("name", ["nk_diag", "hopf"])
 def test_classify_flags_do_not_move_with_metric_scale(name):
     assert _classify_flags(_scaled(name, -40)) == _classify_flags(catalog_metric(name, 2))
@@ -90,7 +88,7 @@ def test_classify_flags_do_not_move_with_metric_scale(name):
 
 def test_lu_symmetry_verdict_does_not_move_with_metric_scale():
     def verdict(metric):
-        rep = lu_inequality_check(geometry_at(metric, SCALE_POINT).kr, samples=200)
+        rep = lu_inequality_check(metric, SCALE_POINT, samples=200)
         return rep.symmetry_passed, rep.applicable
 
     assert verdict(_scaled("fubini_study", 40)) == verdict(catalog_metric("fubini_study", 2))
@@ -133,24 +131,23 @@ def test_g_kahler_like_sectional_reconstruction(geom):
 def test_lu_symmetry_detects_kahler_tensors(geom):
     g = geom("fubini_study", [0.2 - 0.1j, 0.3 + 0.2j])
     assert analysis._symmetry_residual(g.kr) < 1e-10
-    rep = lu_inequality_check(g.kr, samples=100)
+    rep = lu_inequality_check(catalog_metric("fubini_study", 2), g.point, samples=100)
     assert rep.symmetry_passed
     assert rep.symmetry_residual == analysis._symmetry_residual(g.kr)
     ng = geom("nk_diag", [1.0 + 0j, 0.2 + 0.1j])
     assert analysis._symmetry_residual(ng.kr) > 1e-2
-    nrep = lu_inequality_check(ng.kr, samples=100)
+    nrep = lu_inequality_check(catalog_metric("nk_diag", 2), ng.point, samples=100)
     assert not nrep.symmetry_passed
     assert not nrep.applicable
     assert nrep.symmetry_residual == analysis._symmetry_residual(ng.kr)
 
 
-def test_lu_inequality_on_sign_definite_tensors(geom):
+def test_lu_inequality_on_sign_definite_tensors():
     cases = (("fubini_study", "nonneg"), ("poincare_ball", "nonpos"))
     for name, sign in cases:
         m = catalog_metric(name, 2)
         p = sample_admissible_points(m, 1, seed=3)[0]
-        g = geometry_at(m, p)
-        rep = lu_inequality_check(g.kr, samples=500, seed=11)
+        rep = lu_inequality_check(m, p, samples=500, seed=11)
         assert rep.hypothesis_sign == sign
         assert rep.applicable
         assert rep.symmetry_passed
@@ -158,9 +155,8 @@ def test_lu_inequality_on_sign_definite_tensors(geom):
         assert rep.violations == 0
 
 
-def test_lu_inequality_flat_case(geom):
-    g = geom("euclidean", [0j, 0j])
-    rep = lu_inequality_check(g.kr, samples=100, seed=5)
+def test_lu_inequality_flat_case():
+    rep = lu_inequality_check(catalog_metric("euclidean", 2), [0j, 0j], samples=100, seed=5)
     assert rep.applicable
     assert rep.hypothesis_holds
     assert rep.violations == 0
@@ -171,35 +167,33 @@ def test_lu_inequality_flat_case(geom):
     ("poincare_ball", [0.2 + 0.1j, 0.3j], "nonpos", True),
     ("nk_diag", [1.0 + 0j, 0.2 + 0.1j], "nonpos", False),
 ])
-def test_lu_inequality_auto_sign_equals_the_sign_it_takes(geom, name, coords, sign, holds):
+def test_lu_inequality_auto_sign_equals_the_sign_it_takes(name, coords, sign, holds):
     # nk_diag's quadratic form is indefinite: the check falls back to
     # nonpos, which does not hold either
-    rep = lu_inequality_check(geom(name, coords).kr, samples=300, seed=4)
+    rep = lu_inequality_check(catalog_metric(name, 2), coords, samples=300, seed=4)
     assert rep.hypothesis_sign == sign
     assert rep.hypothesis_holds is holds
 
 
 @pytest.mark.parametrize("samples", [0, -3])
-def test_lu_inequality_rejects_samples_below_one(geom, samples):
-    g = geom("euclidean", [0j, 0j])
+def test_lu_inequality_rejects_samples_below_one(samples):
     with pytest.raises(ValueError, match="^samples must be at least 1$"):
-        lu_inequality_check(g.kr, samples=samples)
+        lu_inequality_check(catalog_metric("euclidean", 2), [0j, 0j], samples=samples)
 
 
 def test_lu_inequality_metric_scale_past_the_float_range():
     # kr is about 1e305, so the products of its forms are about 1e610; the
     # check raises the scalar curvatures' typed error, and no warning escapes
     metric = parse_metric("dim 2; h[1,1] = 1e305; h[2,2] = 1e305*exp(z1*zb1);")
-    kr = geometry_at(metric, ChartPoint(np.array([0.1 + 0j, 0.2 + 0j]))).kr
     with pytest.raises(HermicurvError, match="^metric scale out of the floating-point range") as info:
-        lu_inequality_check(kr, samples=50)
+        lu_inequality_check(metric, [0.1 + 0j, 0.2 + 0j], samples=50)
     assert type(info.value) is HermicurvError
 
 
-def test_lu_inequality_seeded_reproducibility(geom):
-    g = geom("fubini_study", [0.1 + 0.1j, 0.2 - 0.3j])
-    a = lu_inequality_check(g.kr, samples=200, seed=7)
-    b = lu_inequality_check(g.kr, samples=200, seed=7)
+def test_lu_inequality_seeded_reproducibility():
+    m = catalog_metric("fubini_study", 2)
+    a = lu_inequality_check(m, [0.1 + 0.1j, 0.2 - 0.3j], samples=200, seed=7)
+    b = lu_inequality_check(m, [0.1 + 0.1j, 0.2 - 0.3j], samples=200, seed=7)
     assert a.worst_margin == b.worst_margin
 
 

@@ -1,12 +1,11 @@
 import ast
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hermicurv import ChartPoint, DimensionMismatch, apply_j, to_holomorphic
-from hermicurv.core import _chain, _frame, _scale, hermitian_pairing
+from hermicurv.core import _chain, _frame, hermitian_pairing
 from oracles import from_reals, to_real
 
 
@@ -109,35 +108,18 @@ def test_chain_is_the_frame_transpose_along_one_axis(axis):
     np.testing.assert_allclose(_chain(d, axis), want, rtol=0, atol=1e-14)
 
 
-def test_scale_is_the_largest_magnitude_floored_at_one():
-    assert _scale(np.array([[0.5, -3.0], [2.0, 1.0]])) == 3.0
-    assert _scale(np.array([1e-300])) == 1.0
-    assert _scale(3 - 4j, np.array([2j])) == 5.0
-    assert _scale(-0.25, 0.5) == 1.0
-    # 1.0 comes first, so a NaN part is passed over
-    assert _scale(math.nan, 2.0) == 2.0
-    assert _scale(np.array([np.nan, 7.0])) == 1.0
-
-
 SRC = Path(__file__).resolve().parents[1] / "src" / "hermicurv"
 
 
 def scale_floor_violations(source: str, filename: str = "<src>") -> list:
-    """Every builtin max call whose first argument is the literal 1 or 1.0,
-    outside the module function _scale of core.py: a relative threshold
-    takes its floor of 1 from core._scale alone."""
+    """Every builtin max call whose first argument is the literal 1 or 1.0:
+    a relative threshold takes a scale of its point, never a floor of 1."""
     tree = ast.parse(source, filename)
-    exempt = set()
-    if filename == "core.py":
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == "_scale":
-                exempt |= {id(n) for n in ast.walk(node)}
     lines = sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "max" and node.args and isinstance(node.args[0], ast.Constant)
         and type(node.args[0].value) in (int, float) and node.args[0].value == 1
-        and id(node) not in exempt
     )
     return [f"{filename}:{line}" for line in lines]
 
@@ -157,50 +139,6 @@ def test_scale_guard_sees_floors_outside_scale():
         "    return max(1.0, *parts)\n"
     )
     assert scale_floor_violations(bad) == ["<src>:1", "<src>:2", "<src>:5"]
-    assert scale_floor_violations(bad, "core.py") == ["core.py:1", "core.py:2"]
+    assert scale_floor_violations(bad, "core.py") == ["core.py:1", "core.py:2", "core.py:5"]
     good = "max(a, 1.0)\nnp.maximum(1.0, a)\nmax(2, a)\nmax(True, a)\nmax(top, 1e-300)\n"
     assert scale_floor_violations(good) == []
-
-
-# The flag rules that still take core._scale's floor of 1, one use each, as
-# (module, top-level definition): each waits for a scale of its own inputs
-SCALE_USERS = [("analysis.py", "_hypotheses"), ("analysis.py", "classify"),
-               ("cli.py", "_cmd_curvature"), ("cli.py", "_cmd_extremal"),
-               ("cli.py", "_cmd_identities")]
-
-
-def scale_uses(source: str, filename: str = "<src>") -> list:
-    """(filename, top-level definition, line) for every read of the name
-    _scale, bare or as an attribute; the definition is None at module
-    level.  Imports and the def itself are not reads."""
-    uses = []
-    for top in ast.parse(source, filename).body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Name) and node.id == "_scale"
-                    or isinstance(node, ast.Attribute) and node.attr == "_scale"):
-                uses.append((filename, getattr(top, "name", None), node.lineno))
-    return uses
-
-
-def test_only_the_flag_rules_take_the_scale_floor():
-    uses = [use for f in sorted(SRC.glob("*.py")) for use in scale_uses(f.read_text(), f.name)]
-    assert sorted(use[:2] for use in uses) == SCALE_USERS
-
-
-def test_scale_use_guard_names_every_read():
-    src = (
-        "from .core import _scale\n"
-        "def classify(a):\n"
-        "    def entry():\n"
-        "        return _scale(a)\n"
-        "    return entry\n"
-        "def other(b):\n"
-        "    f = core._scale\n"
-        "    return f(b)\n"
-        "t = _scale(c)\n"
-        "def _scale(*parts):\n"
-        "    return parts\n"
-    )
-    assert scale_uses(src, "analysis.py") == [("analysis.py", "classify", 4),
-                                              ("analysis.py", "other", 7),
-                                              ("analysis.py", None, 9)]

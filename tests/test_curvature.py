@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hermicurv import catalog_metric, jet_at
+from hermicurv import HermicurvError, catalog_metric, classify, geometry_at, jet_at, parse_metric
 from hermicurv.connection import real_christoffel
 from hermicurv.curvature import (
     chern_curvature,
@@ -156,3 +158,26 @@ def test_constant_holomorphic_curvature_off_origin():
         for _ in range(4):
             xi = rng.standard_normal(1) + 1j * rng.standard_normal(1)
             assert holo_sectional(kr, jet.h, xi) == pytest.approx(value, rel=1e-10)
+
+
+def test_point_scale_is_exact_and_zero_for_a_constant_metric():
+    src = "dim 2; h[1,1] = 1 + z1*zb1; h[1,2] = 0.5*z2; h[2,2] = 2 + z2*zb2;"
+    p = [0.3 + 0.1j, -0.2 + 0.05j]
+    scale = geometry_at(parse_metric(src), p).scale
+    assert scale > 0
+    scaled = parse_metric(re.sub(r"= (.*?);", r"= 2^-40 * (\1);", src))
+    assert geometry_at(scaled, p).scale == 2.0**-40 * scale
+    # the tensors of a constant metric are exact zeros, and the rules judge
+    # with <=, so a scale of zero passes them
+    constant = parse_metric("dim 2; h[1,1] = 2; h[2,2] = 3;")
+    assert geometry_at(constant, p).scale == 0.0
+    rep = classify(constant, [p])
+    assert rep.kahler and rep.kahler_like and rep.g_kahler_like
+
+
+def test_chern_curvature_and_the_point_scale_overflow_to_the_typed_error():
+    # kr = dh h_inv dh is about 1e400; einsum sets no floating-point flags
+    geom = geometry_at(parse_metric("dim 2; h[1,1] = 1 + 1e200*(z1 + zb1);"), [0j, 0j])
+    for read in ("kr", "scale"):
+        with pytest.raises(HermicurvError, match="^metric scale out of the floating-point range"):
+            getattr(geom, read)
