@@ -1,26 +1,34 @@
 """Metric classification, curvature-tensor inequality checks, and
 extremal searches over tangent 2-planes.
 
-The searches share one engine: a seeded multi-start Riemannian Newton
-search.  Every objective is a real quartic form, T(U, V, V, U) on a pair
-or T(Y, Y, Y, Y) on one vector, with T built once per point.  A search is
-one _Quartic problem: T pulled back through L^-T, L the Cholesky factor
+Every search objective is a real quartic form, T(U, V, V, U) on a pair
+or T(Y, Y, Y, Y) on one vector, with T built once per point.  A search
+is one _Quartic problem: T pulled back through L^-T, L a factor of
 g = L L^T at the point, with that whitening and its constraint.  This
-turns g-unit vectors and g-orthonormal pairs into Euclidean unit vectors
-and orthonormal pairs; there the constraint has a plain retraction
-(normalize, or Gram-Schmidt) and the textbook Riemannian gradient and
-Hessian (_riemannian).  Restart states are carried as rows of one array,
-so values, gradients, Hessians and one eigh per pass are batched; each
-restart takes saddle-free Newton steps inside its own trust radius until
-its Riemannian gradient vanishes to rounding.  The winner is the best
-final value, first-found on ties within 1e-10, which keeps results
-reproducible for a fixed seed; it is mapped back to the chart as
-y = x L^-1.  The search runs on the pull-back and on L each rescaled by
+turns g-unit vectors and g-orthonormal pairs into Euclidean unit
+vectors and orthonormal pairs; a result is mapped back to the chart as
+y = x L^-1.  The problem runs on the pull-back and on L each rescaled by
 the power of two that puts its largest |entry| in [0.5, 1)
 (core._unit_power), so every rule in it sees unit-scale values, and a
 metric multiplied by 2^k searches the same bits; values return in the
 metric's units through np.ldexp.  A pull-back that is not finite raises
 HermicurvError.
+
+Two routes solve a problem (_search).  At n = 2 the plane problems of
+sectional K and of the probe's |K - K_D|, and the two holomorphic
+quartics, are quadratic forms on a small constraint set, and their
+extremes are exact (_exact): one eigenvalue minimax (_minimax) each, on
+the bivectors of R^4 under the Hodge star (Thorpe), or on (1, Bloch
+vector) under the light cone (the S-lemma).  Everywhere else, n >= 3 and
+the bisectional plane problem at n = 2, a seeded multi-start Riemannian
+Newton search runs (_multistart), with L the Cholesky factor of g: it
+has the plain retraction (normalize, or Gram-Schmidt) and the textbook
+Riemannian gradient and Hessian (_riemannian).  Restart states are
+carried as rows of one array, so values, gradients, Hessians and one
+eigh per pass are batched; each restart takes saddle-free Newton steps
+inside its own trust radius until its Riemannian gradient vanishes to
+rounding.  The winner is the best final value, first-found on ties
+within 1e-10, which keeps results reproducible for a fixed seed.
 
 Every flag derived from a point's tensors or searches (classify's
 curvature conditions, the symmetry verdict of lu and the bisectional
@@ -34,6 +42,7 @@ order is its report's key order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -248,7 +257,10 @@ class SearchStats:
     _GRAD_TOL on the rescaled problem, where S, the whitened,
     pair-symmetrized tensor of the objective, has its largest |entry| in
     [0.5, 1); capped ones were still stepping when the _MAX_ITER passes
-    ran out.  A metric multiplied by 2^k gives the same stats.
+    ran out.  A metric multiplied by 2^k gives the same stats.  An exact
+    route (_exact) reports one run: its eigh steps, one evaluation, and
+    converged or capped 1 as its witness does or does not reproduce the
+    extremum.
     """
 
     iterations: int
@@ -321,10 +333,14 @@ class _Quartic:
         """A whitened state back in the chart, y = x L^-1 per block."""
         return (x.reshape(-1, self.m) @ self.white[1]).reshape(x.shape)
 
-    def value(self, X: np.ndarray) -> np.ndarray:
+    def rescaled(self, X: np.ndarray) -> np.ndarray:
+        """f at whitened states X on the rescaled problem, times 2^-exp."""
         U, V = X[:, : self.m], X[:, -self.m :]
         f = _form(self.S, U, V, V, U)
-        return np.ldexp(np.abs(f) if self.absolute else f, self.exp)
+        return np.abs(f) if self.absolute else f
+
+    def value(self, X: np.ndarray) -> np.ndarray:
+        return np.ldexp(self.rescaled(X), self.exp)
 
     def derivatives(self, X: np.ndarray):
         """(B,) values, (B, d) gradients and (B, d, d) Hessians at X."""
@@ -475,6 +491,208 @@ def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
     return q.chart(X[idx]), float(np.ldexp(f[idx], q.exp)), bool(done[idx]), stats
 
 
+# ---------------------------------------------------------------------------
+# Exact extremes at n = 2
+
+
+# The steps of one minimax; its cluster tolerance, relative to the
+# largest |eigenvalue|; and how close, on the rescaled problem, the
+# witness's value must come to the minimax value for the route to count
+# as converged
+_MINIMAX_STEPS = 64
+_CLUSTER_TOL = 64 * np.finfo(float).eps
+_WITNESS_TOL = 1e-12
+# the bivectors e_i ^ e_j, i < j, of R^4, and the Hodge star on them:
+# w . star w = 2 Pf(w), zero exactly on the decomposable w = u ^ v
+_PAIRS = np.triu_indices(4, 1)
+_HODGE = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+# (1, x) on the light cone of diag(-1, 1, 1, 1) exactly when x is a unit
+# Bloch vector; the Pauli matrices after the identity
+_CONE = np.diag([-1.0, 1.0, 1.0, 1.0])
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _minimax(A: np.ndarray, C: np.ndarray):
+    """(lam, w, steps): lam = min over t of lambda_max(A + t C), for a small
+    symmetric A and a fixed symmetric C with eigenvalues +-1, a unit
+    witness w in the top eigenspace there with w . C w as near 0 as the
+    eigenspace allows, and the eigh calls taken.
+
+    lambda_max(A + t C) is convex in t, with slopes the eigenvalues of C
+    restricted to the top eigen-cluster (eigenvalues within _CLUSTER_TOL
+    max|lambda(A)| of the top); its minimum lies where they straddle 0,
+    within |t| <= spread = lambda_max(A) - lambda_min(A).  Each step keeps
+    a bracket on t and takes a Newton step where the cluster moves as one
+    (its slopes agree), its second derivative
+    2 sum_j (q_j . C v)^2 / (lam - lam_j) over the eigenpairs outside it,
+    while the step is inside the bracket and at most half the last one;
+    else a cutting-plane step, where the tangent lines at the bracket's
+    two ends cross, or with one end known, the other end's bound; else
+    bisection.  It stops when the slopes straddle 0, w then the
+    combination of the extreme ones' eigenvectors on which C vanishes;
+    else, w the eigenvector of the slope s nearest 0, when
+    s^2 spread is at most the cluster tolerance, so that w is off the
+    null set by an error that small, or when the bracket closes or the
+    steps run out.
+    """
+    lo = hi = None  # (t, lam, slope) at the ends of the bracket
+    t, moved = 0.0, np.inf
+    for steps in range(1, _MINIMAX_STEPS + 1):
+        lam, Q = np.linalg.eigh(A + t * C)
+        if steps == 1:
+            tol = _CLUSTER_TOL * max(-lam[0], lam[-1])
+            spread = lam[-1] - lam[0]
+        k = int(np.sum(lam >= lam[-1] - tol))
+        V = Q[:, -k:]
+        c, E = np.linalg.eigh(V.T @ C @ V)
+        if c[0] <= 0.0 <= c[-1]:
+            # the combination of the extreme eigenvectors on which C vanishes
+            a, b = -c[0], c[-1]
+            w = E[:, 0]
+            if a + b > 0:
+                w = (np.sqrt(a) * E[:, -1] + np.sqrt(b) * w) / np.sqrt(a + b)
+            return lam[-1], V @ w, steps
+        j = 0 if c[0] > 0 else -1
+        s, v = c[j], V @ E[:, j]
+        if s * s * spread <= tol:
+            return lam[-1], v, steps
+        if s > 0:
+            hi = (t, lam[-1], s)
+        else:
+            lo = (t, lam[-1], s)
+        a = lo[0] if lo else -spread
+        b = hi[0] if hi else spread
+        nxt = None
+        if (c[-1] - c[0]) ** 2 * spread <= tol:
+            cv = Q[:, :-k].T @ (C @ v)
+            curvature = 2.0 * np.sum(cv * cv / (lam[-1] - lam[:-k]))
+            if curvature > 0:
+                nxt = t - s / curvature
+        if nxt is None or not a < nxt < b or abs(nxt - t) > moved / 2:
+            if lo and hi:
+                nxt = (hi[1] - lo[1] + lo[2] * lo[0] - hi[2] * hi[0]) / (lo[2] - hi[2])
+            else:
+                nxt = a if hi else b
+            if not a <= nxt <= b or nxt == t:
+                nxt = (a + b) / 2
+        if b - a <= tol or nxt == t:
+            break
+        moved, t = abs(nxt - t), nxt
+    return lam[-1], v, steps
+
+
+def _bivector_form(S: np.ndarray) -> np.ndarray:
+    """M (6, 6) with w M w = S(u, v, v, u) on w = u ^ v in the basis
+    _PAIRS, for S pair-symmetrized (_Quartic.S) with S(u, v, v, u) a
+    quadratic form in u ^ v, as for K and K - K_D.  Then S(u, v, u, v) =
+    -S(u, v, v, u) / 2, so S antisymmetrized in slots (1, 2) and (3, 4)
+    gives 3/4 of it."""
+    R = (S - S.transpose(1, 0, 2, 3) - S.transpose(0, 1, 3, 2) + S.transpose(1, 0, 3, 2)) / 4
+    i, j = _PAIRS
+    return -4.0 / 3.0 * R[i, j][:, i, j]
+
+
+def _plane_state(w: np.ndarray) -> np.ndarray:
+    """An orthonormal pair [u | v] spanning the plane of a decomposable
+    unit bivector w: the top two eigenvectors of W^T W, W the
+    antisymmetric 4 x 4 matrix of w, span its range."""
+    W = np.zeros((4, 4))
+    W[_PAIRS] = w
+    W = W - W.T
+    Q = np.linalg.eigh(W.T @ W)[1]
+    return np.concatenate([Q[:, 3], Q[:, 2]])
+
+
+def _real_form(A: np.ndarray) -> np.ndarray:
+    """The real 2n x 2n matrix of the complex-linear map A on (Re, Im)."""
+    re, im = A.real, A.imag
+    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
+
+
+def _hermitian_whitening(h: np.ndarray):
+    """(L, L^-1) with g = L L^T and L complex-linear: the real forms of
+    conj(C) and its inverse, h = C C^H the complex Cholesky factor.  A
+    whitened state x = (Re zeta, Im zeta) is the chart vector of
+    xi = C^-T zeta, and h(xi, xi) = |zeta|^2, so this is a unitary frame of
+    h: a phase of zeta is a phase of xi."""
+    C = np.linalg.cholesky(h).conj()
+    return _real_form(C), _real_form(np.linalg.inv(C))
+
+
+def _bloch_form(S: np.ndarray) -> np.ndarray:
+    """A (4, 4) with y A y = S(z, z, z, z) for y = (1, x) / sqrt(2), x the
+    Bloch vector zeta^H sigma zeta of a unit zeta in C^2 and
+    z = (Re zeta, Im zeta), for S phase-invariant, as the holomorphic
+    quartics are in a unitary frame (_hermitian_whitening).
+
+    With z = N (zeta, conj(zeta)), N = P^-1 of core's frame, the terms
+    of S(z, z, z, z) with two zeta and two conj(zeta) are
+    G[a, b, c, d] rho[a, c] rho[b, d], rho = zeta zeta^H =
+    sum_mu y_mu sigma_mu / sqrt(2); the others cancel.
+    """
+    T = _each_slot(S, _frame(2).conj().T / 2)
+    half = (slice(0, 2), slice(2, 4))
+    G = 0
+    for pair in itertools.combinations(range(4), 2):  # the two zeta slots
+        rest = tuple(k for k in range(4) if k not in pair)
+        G = G + T[tuple(half[k in rest] for k in range(4))].transpose(pair + rest)
+    sigma = _PAULI.reshape(4, 4)
+    A = (sigma @ G.transpose(0, 2, 1, 3).reshape(4, 4) @ sigma.T).real / 2
+    return (A + A.T) / 2
+
+
+def _bloch_state(y: np.ndarray) -> np.ndarray:
+    """A unit state z = (Re zeta, Im zeta) whose Bloch vector is the
+    direction of y[1:], y a light-cone vector with y[0] > 0 (or its
+    negative): zeta is the normalized larger column of rho =
+    (1 + x . sigma) / 2."""
+    x = np.sign(y[0]) * y[1:] / np.linalg.norm(y[1:])
+    if x[2] >= 0:
+        r = np.sqrt((1 + x[2]) / 2)
+        zeta = np.array([r, (x[0] + 1j * x[1]) / (2 * r)])
+    else:
+        r = np.sqrt((1 - x[2]) / 2)
+        zeta = np.array([(x[0] - 1j * x[1]) / (2 * r), r])
+    return np.concatenate([zeta.real, zeta.imag])
+
+
+def _exact(q: _Quartic, mode: str):
+    """The extreme of an n = 2 problem q without a search: the plane
+    problem over orthonormal pairs, as the minimax of _bivector_form
+    under the Hodge star, or the unit-vector problem of a phase-invariant
+    quartic in a unitary frame, as the minimax of _bloch_form on the
+    light cone.  max f is the minimax of the form, min f minus that of
+    its negative, and with q.absolute, max |f| is the larger of the two.
+
+    The witness state is built from the minimax witness, and the value
+    returned is q's value there; converged means that value, on the
+    rescaled problem, is within _WITNESS_TOL of the minimax value.
+    Returns, as _multistart does, (chart state, value, converged, stats),
+    the stats of one run: iterations counts the eigh steps of the
+    minimaxes, evaluations is 1, and converged or capped is 1.
+    """
+    sign = 1.0 if mode == "max" else -1.0
+    if q.pair:
+        A, C, state = _bivector_form(q.S), _HODGE, _plane_state
+    else:
+        A, C, state = _bloch_form(q.S), _CONE, _bloch_state
+    runs = [_minimax(s * A, C) for s in ((1.0, -1.0) if q.absolute else (sign,))]
+    lam, w, _ = max(runs, key=lambda run: run[0])
+    x = state(w)
+    f = float(q.rescaled(x[None])[0])
+    converged = bool(abs(sign * f - lam) <= _WITNESS_TOL)
+    stats = SearchStats(sum(run[2] for run in runs), 1, int(converged), int(not converged))
+    return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
+
+
+def _search(q: _Quartic, restarts: int, seed: int, mode: str):
+    """_exact where it applies, at n = 2 (m = 4) for a plane problem over
+    orthonormal pairs or a unit-vector problem, else _multistart."""
+    if q.m == 4 and (q.pair or q.dim == q.m):
+        return _exact(q, mode)
+    return _multistart(q, restarts, seed, mode)
+
+
 def _real_chern(kr: np.ndarray) -> np.ndarray:
     """The real 4-tensor K with K(a, b, c, d) = Re kr(xi_a, xi_b~, xi_c, xi_d~),
     where xi_u = E u, E = P[:n], for real 2n-vectors u."""
@@ -508,11 +726,14 @@ class ExtremalResult:
     the sign they find is the one the mode is covered for (nonneg or
     zero for max, nonpos or zero for min).  gap_ok: not applicable, or a
     gap at most _GAP_TOL (scale hi) hi, the point's PointGeometry.scale in
-    the units of a curvature, hi = max|h_inv|.  converged means the winning
-    restart of both searches ended with its Riemannian gradient norm at
-    most _GRAD_TOL on the rescaled problem (see SearchStats), so it does
-    not move when the metric is multiplied by 2^k: a local stationarity
-    statement, not a proof that the extremum is global.
+    the units of a curvature, hi = max|h_inv|.  converged holds when both
+    searches converged, on their rescaled problems, so it does not move
+    when the metric is multiplied by 2^k.  A Newton search converged when
+    its winning restart ended with its Riemannian gradient norm at most
+    _GRAD_TOL (see SearchStats): a local stationarity statement, not a
+    proof that the extremum is global.  An exact route (_exact, every
+    search at n = 2 but the bisectional plane search) converged when its
+    witness reproduces the global extremum within _WITNESS_TOL.
     best_plane is g-orthonormal and holo_best_vector g-unit (h-unit for
     the bisectional search).  search and
     holo_search count the work of the two searches.  The bisectional
@@ -538,19 +759,23 @@ class ExtremalResult:
 
 
 def _extremal(mode: str, restarts: int, seed: int, geom, plane: _Quartic,
-              holo_T: np.ndarray, hypothesis_sign: str, symmetric: bool) -> ExtremalResult:
+              holo_T: np.ndarray, hypothesis_sign: str, symmetric: bool,
+              found=None) -> ExtremalResult:
     """The two searches behind an ExtremalResult at geom's point, their
     oriented gap, and gap_ok.
 
     plane is the two-block problem, over orthonormal pairs or two unit
-    vectors; the holomorphic search extremizes holo_T(Y, Y, Y, Y) over
-    g-unit Y, under plane's whitening.  applicable needs symmetric and a
-    sampled sign the mode is covered for.
+    vectors, and found its _search result if already run; the
+    holomorphic search extremizes holo_T(Y, Y, Y, Y) over g-unit Y, under
+    plane's whitening, or at n = 2 under the unitary frame of h that
+    _exact needs.  applicable needs symmetric and a sign the mode is
+    covered for.
     """
     m = plane.m
-    best_x, best_value, converged, stats = _multistart(plane, restarts, seed, mode)
-    holo = _Quartic(holo_T, plane.white, 1)
-    best_y, holo_value, holo_conv, holo_stats = _multistart(holo, restarts, seed + 1, mode)
+    best_x, best_value, converged, stats = found or _search(plane, restarts, seed, mode)
+    white = _hermitian_whitening(geom.jet.h) if m == 4 else plane.white
+    holo = _Quartic(holo_T, white, 1)
+    best_y, holo_value, holo_conv, holo_stats = _search(holo, restarts, seed + 1, mode)
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
     applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
     hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats
@@ -587,16 +812,24 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     The pointwise attainment statement (for metrics with the required
     symmetry and a sign-definite curvature) predicts that the full-plane
     maximum of nonnegative, or minimum of nonpositive, curvature is
-    achieved on a holomorphic plane; the sign hypothesis is sampled and
-    reported, never assumed, and the result is applicable when the mode
-    is covered for the sign found.
+    achieved on a holomorphic plane; the sign hypothesis is reported,
+    never assumed, and the result is applicable when the mode is covered
+    for the sign found.  At n = 2 the sign is the _sign_label of the
+    exact min and max of K; beyond, of K on 1000 drawn planes.
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
     r = geom.rc
     plane = _Quartic(r, _whitening(geom.rjet.g), 2, pair=True)
-    hypothesis_sign = _sign_label(plane.value(plane.draw(np.random.default_rng(seed + 101), 1000)))
-    return _extremal(mode, restarts, seed, geom, plane, _j_folded(r), hypothesis_sign, True)
+    found = None
+    if geom.n == 2:
+        ends = {end: _exact(plane, end) for end in ("min", "max")}
+        hypothesis_sign = _sign_label(np.array([ends["min"][1], ends["max"][1]]))
+        found = ends[mode]
+    else:
+        draws = plane.draw(np.random.default_rng(seed + 101), 1000)
+        hypothesis_sign = _sign_label(plane.value(draws))
+    return _extremal(mode, restarts, seed, geom, plane, _j_folded(r), hypothesis_sign, True, found)
 
 
 def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
@@ -669,7 +902,9 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
 
     For g-orthonormal pairs both normalizations have denominator one, so
     the gap is just the difference of the two numerators; that quantity
-    is sampled and sharpened by a 16-restart Newton search.
+    is sampled and sharpened by _search: exact at n = 2, the larger of
+    the minimaxes of its form on bivectors and of its negative, and a
+    16-restart Newton search beyond.
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the search, which would only
     refine noise: those whose pair-symmetrized gap tensor is at most
@@ -692,7 +927,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         point_best_x = q.chart(sample[int(np.argmax(gaps))])
         point_best = float(np.max(gaps))
         if not noise:
-            x, val, _, stats = _multistart(q, 16, seed + k, "max")
+            x, val, _, stats = _search(q, 16, seed + k, "max")
             searches.append(stats)
             if val > point_best:
                 point_best, point_best_x = val, x

@@ -24,7 +24,11 @@ each vector rescaled through a Python list, every norm through
 core.hermitian_pairing, H as B(xi, xi).
 
 complexified_full puts the full complexified tensor together from the
-16 blocks of the h-first half that the library stores.
+16 blocks of the h-first half that the library stores, and
+complexified_ref reaches the full tensor by a second route, straight
+from the Wirtinger jet: the Levi-Civita curvature in the coordinates
+w = (z, zbar), with none of the real jet, the real curvature or the
+complexification the library takes.
 
 The rest are routes that only the tests take: the metric's entry matrix
 alone (evaluate_matrix) and a seeded sampler of admissible points over
@@ -420,6 +424,34 @@ def complexified_full(cx) -> np.ndarray:
     blocks of a ComplexifiedCurvature, which stores only the h-first half."""
     return np.block([[[[cx.block(a + b + c + d) for d in "ha"] for c in "ha"] for b in "ha"]
                      for a in "ha"])
+
+
+def complexified_ref(jet: MetricJet) -> np.ndarray:
+    """The full (2n)^4 complexified curvature from the Wirtinger jet alone.
+
+    The Levi-Civita formulas hold in any coordinates, the complex
+    w = (z, zbar) too.  There g is G = [[0, h], [h^T, 0]] / 2, with
+    G^-1 = 2 [[0, h^-T], [h^-1, 0]], and the derivatives of G along w are
+    those of h, placed in the same two blocks.  real_curvature_ref's
+    brackets and formula on these complex arrays give the curvature
+    components R_w along d/dw, and the complexified tensor is 2 R_w.
+    """
+    n = jet.n
+
+    def placed(a):
+        """G's blocks for each trailing (n, n) slice of a."""
+        G = np.zeros(a.shape[:-2] + (2 * n, 2 * n), complex)
+        G[..., :n, n:] = a / 2
+        G[..., n:, :n] = np.swapaxes(a, -1, -2) / 2
+        return G
+
+    Gi = np.zeros((2 * n, 2 * n), complex)
+    Gi[:n, n:] = 2 * jet.h_inv.T
+    Gi[n:, :n] = 2 * jet.h_inv
+    dG = placed(jet.dh)
+    # brackets[j, k, s] = (dG_js/dw^k + dG_ks/dw^j - dG_jk/dw^s) / 2
+    br = 0.5 * (dG.transpose(1, 0, 2) + dG - dG.transpose(1, 2, 0))
+    return 2.0 * real_curvature_ref(placed(jet.d2h), br, Gi)
 
 
 def chern_curvature_ref(d2m, d1h, Hi, d1a) -> np.ndarray:

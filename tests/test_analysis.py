@@ -7,6 +7,7 @@ from hermicurv import (
     CATALOG_NAMES,
     ChartPoint,
     HermicurvError,
+    Plane,
     apply_j,
     catalog_metric,
     chern_gap_probe,
@@ -21,7 +22,8 @@ from hermicurv import (
 from hermicurv import analysis
 from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
-from hermicurv.sectional import _kr_form, _w_form
+from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_sectional,
+                                 riemann_sectional)
 from oracles import riemannian_fd, sample_admissible_points
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
@@ -208,11 +210,11 @@ def test_flat_curvature_has_sign_zero_and_is_covered_in_both_modes(mode):
     assert res.applicable
 
 
-def _check_orthonormal(gmat, plane):
+def _check_orthonormal(gmat, plane, tol=1e-8):
     u, v = plane.u, plane.v
-    assert float(u @ gmat @ u) == pytest.approx(1.0, abs=1e-8)
-    assert float(v @ gmat @ v) == pytest.approx(1.0, abs=1e-8)
-    assert float(u @ gmat @ v) == pytest.approx(0.0, abs=1e-8)
+    assert float(u @ gmat @ u) == pytest.approx(1.0, abs=tol)
+    assert float(v @ gmat @ v) == pytest.approx(1.0, abs=tol)
+    assert float(u @ gmat @ v) == pytest.approx(0.0, abs=tol)
 
 
 def test_extremal_sectional_fubini_study_max():
@@ -463,13 +465,18 @@ def _stats_ok(s, restarts):
     assert s.converged + s.capped == restarts
 
 
+# Newton searches run at n >= 3 (and for the bisectional plane problem at
+# n = 2), so the Newton diagnostics are pinned at n = 3 points
+P3 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j, 0.08 - 0.05j]))
+
+
 def test_search_diagnostics_are_positive_and_seeded():
-    m = catalog_metric("nk_diag", 2)
+    m = catalog_metric("nk_diag", 3)
     runs = []
     for _ in range(2):
-        sec = extremal_sectional(m, P0, mode="min", restarts=8, seed=5)
-        bis = extremal_bisectional(m, P0, mode="max", restarts=8, seed=5)
-        probe = chern_gap_probe(m, [P0, ChartPoint(np.array([1.0 + 0j, 0.0 + 0j]))],
+        sec = extremal_sectional(m, P3, mode="min", restarts=8, seed=5)
+        bis = extremal_bisectional(m, P3, mode="max", restarts=8, seed=5)
+        probe = chern_gap_probe(m, [P3, ChartPoint(np.array([1.0 + 0j, 0.0 + 0j, 0.0 + 0j]))],
                                 samples=50, seed=5)
         for s in (sec.search, sec.holo_search, bis.search, bis.holo_search):
             _stats_ok(s, 8)
@@ -486,8 +493,163 @@ def test_nk_diag_minimum_converges_without_capped_restarts():
     m = catalog_metric("nk_diag", 2)
     res = extremal_sectional(m, P0, mode="min", restarts=8, seed=5)
     assert res.converged
-    assert res.search.capped == 0
     assert abs(res.best_value + 1.0125) <= 1e-10
-    probe = chern_gap_probe(m, [P0], samples=50, seed=5)
+    # the Newton half, at n = 3
+    m3 = catalog_metric("nk_diag", 3)
+    res = extremal_sectional(m3, P3, mode="min", restarts=8, seed=5)
+    assert res.converged
+    assert res.search.capped == 0
+    probe = chern_gap_probe(m3, [P3], samples=50, seed=5)
     assert len(probe.searches) == 1
     assert probe.searches[0].converged == 16
+
+
+def test_exact_route_stats_read_one_run_and_ignore_the_seed():
+    # at n = 2 the sectional, holomorphic and gap extremes take no search:
+    # their stats describe one minimax run, which draws nothing
+    m = catalog_metric("nk_diag", 2)
+    points = [P0, ChartPoint(np.array([1.0 + 0j, 0.0 + 0j]))]
+    runs = []
+    for seed in (5, 6):
+        sec = extremal_sectional(m, P0, mode="min", restarts=8, seed=seed)
+        bis = extremal_bisectional(m, P0, mode="max", restarts=8, seed=seed)
+        probe = chern_gap_probe(m, points, samples=50, seed=seed)
+        exact = (sec.search, sec.holo_search, bis.holo_search) + probe.searches
+        assert len(probe.searches) == 2
+        for s in exact:
+            assert 1 <= s.iterations <= analysis._MINIMAX_STEPS
+            assert (s.evaluations, s.converged, s.capped) == (1, 1, 0)
+        _stats_ok(bis.search, 8)  # the bisectional plane search is still Newton
+        runs.append((exact, sec.best_value, sec.holo_best_value, bis.holo_best_value,
+                     probe.per_point_gaps))
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Exact routes at n = 2 against the Newton search
+
+
+def _minimax_cases(C, rng, count):
+    """Symmetric forms for _minimax against C: generic ones; ones that
+    commute with C, whose lambda_max(A + t C) is a V with a kink at its
+    minimum; those perturbed by 1e-6 to 1e-13, whose top two eigenvalues
+    nearly cross there; and integer spectra, with repeated eigenvalues."""
+    d = C.shape[0]
+    P, N = (np.eye(d) + C) / 2, (np.eye(d) - C) / 2
+    for k in range(count):
+        X = rng.standard_normal((d, d))
+        A = (X + X.T) / 2
+        kind = k % 4
+        if kind:
+            A = P @ A @ P + N @ A @ N + (kind == 2) * 10.0 ** -rng.integers(6, 14) * A
+        if kind == 3:
+            lam, U = np.linalg.eigh(A)
+            A = U @ np.diag(np.round(lam)) @ U.T
+        yield A
+
+
+def test_minimax_witnesses_reach_the_minimax_value():
+    # the witness, made decomposable or put on the light cone the way
+    # _exact does it, is a feasible point whose value matches the minimax
+    # value, an upper bound on the constrained maximum: both are the maximum
+    rng = np.random.default_rng(53)
+    pauli = analysis._PAULI
+    for A in _minimax_cases(analysis._HODGE, rng, 200):
+        lam, w, steps = analysis._minimax(A, analysis._HODGE)
+        x = analysis._plane_state(w)
+        W = np.outer(x[:4], x[4:]) - np.outer(x[4:], x[:4])
+        value = W[analysis._PAIRS] @ A @ W[analysis._PAIRS]
+        assert abs(value - lam) <= 1e-12 * max(1.0, abs(lam)) and steps <= 64
+    for A in _minimax_cases(analysis._CONE, rng, 200):
+        lam, w, steps = analysis._minimax(A, analysis._CONE)
+        z = analysis._bloch_state(w)
+        zeta = z[:2] + 1j * z[2:]
+        y = np.einsum("a,kab,b->k", zeta.conj(), pauli, zeta).real / np.sqrt(2)
+        assert abs(y @ A @ y - lam) <= 1e-12 * max(1.0, abs(lam)) and steps <= 64
+
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_exact_routes_match_a_64_restart_newton_search(name):
+    m = catalog_metric(name, 2)
+    for k, p in enumerate(sample_admissible_points(m, 4, seed=29)):
+        geom = geometry_at(m, p)
+        r, kr, g, h = geom.rc, geom.kr, geom.rjet.g, geom.jet.h
+        white = analysis._whitening(g)
+        Q = analysis._Quartic
+        newton = {
+            "K": Q(r, white, 2, pair=True),
+            "H_sectional": Q(analysis._j_folded(r), white, 1),
+            "H_bisectional": Q(analysis._real_chern(kr), white, 1),
+        }
+
+        def agree(exact, q, mode, what):
+            value = analysis._multistart(q, 64, k, mode)[1]
+            assert abs(exact - value) <= 1e-12 * max(1.0, abs(value)), (what, mode, exact, value)
+
+        for mode in ("max", "min"):
+            sec = extremal_sectional(m, p, mode=mode, restarts=1)
+            bis = extremal_bisectional(m, p, mode=mode, restarts=1)
+            assert sec.converged and bis.holo_search.converged == 1
+            agree(sec.best_value, newton["K"], mode, "K")
+            agree(sec.holo_best_value, newton["H_sectional"], mode, "H_sectional")
+            agree(bis.holo_best_value, newton["H_bisectional"], mode, "H_bisectional")
+
+            # each witness reproduces its value
+            plane = sec.best_plane
+            _check_orthonormal(g, plane, 1e-12)
+            assert riemann_sectional(r, geom.rjet, plane) == pytest.approx(
+                sec.best_value, rel=1e-12, abs=1e-12)
+            y = sec.holo_best_vector
+            assert riemann_sectional(r, geom.rjet, Plane(y, apply_j(y))) == pytest.approx(
+                sec.holo_best_value, rel=1e-12, abs=1e-12)
+            assert holo_sectional(kr, h, bis.holo_best_vector) == pytest.approx(
+                bis.holo_best_value, rel=1e-12, abs=1e-12)
+
+        T = analysis._gap_tensor(r, kr)
+        gap = Q(T, white, 2, pair=True, absolute=True)
+        x, value, converged, _ = analysis._exact(gap, "max")
+        # a gap tensor of rounding noise, which the probe does not refine,
+        # is no quadratic form on bivectors
+        noise = np.max(np.abs(analysis._pair_symmetrized(T))) <= 1e-12 * geom.scale
+        assert converged or noise
+        agree(value, gap, "max", "|K - K_D|")
+        plane = Plane(x[:4], x[4:])
+        _check_orthonormal(g, plane, 1e-12)
+        xi, eta = to_holomorphic(x.reshape(2, 4))
+        K_D = chern_quadratic_form(kr, xi, eta)
+        assert abs(riemann_sectional(r, geom.rjet, plane) - K_D) == pytest.approx(
+            value, rel=1e-12, abs=1e-12)
+
+
+def test_only_the_bisectional_plane_search_runs_newton_at_n2(monkeypatch):
+    calls = []
+    newton = analysis._multistart
+
+    def counted(*args):
+        calls.append(args[0])
+        return newton(*args)
+
+    monkeypatch.setattr(analysis, "_multistart", counted)
+    for n, point, expected in ((3, P3, (2, 1, 2)), (2, P0, (0, 0, 1))):
+        m = catalog_metric("nk_diag", n)
+        found = []
+        for run in (extremal_sectional, chern_gap_probe, extremal_bisectional):
+            calls.clear()
+            if run is chern_gap_probe:
+                assert run(m, [point], samples=20).searches
+            else:
+                run(m, point, restarts=2)
+            found.append(len(calls))
+        assert tuple(found) == expected, n
+
+    # the two that take no search at n = 2 run with no Newton engine at all
+    def refuse(*args):
+        raise AssertionError("_multistart called")
+
+    monkeypatch.setattr(analysis, "_multistart", refuse)
+    m = catalog_metric("nk_diag", 2)
+    extremal_sectional(m, P0, restarts=2)
+    chern_gap_probe(m, [P0], samples=20)
+    with pytest.raises(AssertionError, match="_multistart called"):
+        extremal_bisectional(m, P0, restarts=2)

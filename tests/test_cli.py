@@ -840,9 +840,11 @@ def test_counts_must_be_positive(capsys, command, flag, value):
 ])
 def test_count_too_large_for_memory_exit_2(capsys, command, flag):
     # 10^16 rows need more bytes than any x86-64 address space holds, so
-    # the allocation fails before any memory is touched
+    # the allocation fails before any memory is touched; at n = 2 only the
+    # bisectional plane search draws restarts
+    extra = ["--target", "bisectional"] if command == "extremal" else []
     code, rep = run(capsys, command, "--metric", "fubini_study", "--point", FS_POINT,
-                    flag, str(10**16))
+                    flag, str(10**16), *extra)
     assert code == 2
     assert rep["error"]["type"] == "MemoryError"
     assert rep["error"]["message"].startswith("Unable to allocate")

@@ -11,7 +11,8 @@ from hermicurv.curvature import (
     complexify_curvature,
     real_curvature,
 )
-from oracles import complexified_full, real_jet_at, sample_admissible_points
+from hermicurv import CATALOG_NAMES
+from oracles import complexified_full, complexified_ref, real_jet_at, sample_admissible_points
 
 ORIGIN1 = np.array([0.0 + 0j])
 
@@ -181,3 +182,16 @@ def test_chern_curvature_and_the_point_scale_overflow_to_the_typed_error():
     for read in ("kr", "scale"):
         with pytest.raises(HermicurvError, match="^metric scale out of the floating-point range"):
             getattr(geom, read)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_every_complexified_block_matches_the_complex_coordinate_route(name, n):
+    # the route through w = (z, zbar) shares nothing with the library's
+    # real jet, real curvature and complexification, so each of the 16
+    # blocks, not only the haha block that complexified_11_direct checks,
+    # gets a check independent of rc
+    m = catalog_metric(name, n)
+    geom = geometry_at(m, sample_admissible_points(m, 1, seed=47)[0])
+    ref = complexified_ref(geom.jet)
+    assert np.max(np.abs(complexified_full(geom.cx) - ref)) <= 1e-12 * geom.scale
