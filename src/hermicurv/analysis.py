@@ -14,17 +14,18 @@ metric multiplied by 2^k searches the same bits; values return in the
 metric's units through np.ldexp.  A pull-back that is not finite raises
 HermicurvError.
 
-Two routes solve a problem (_search).  At n = 2 the plane problems of
-sectional K and of the probe's |K - K_D|, and the two holomorphic
-quartics, are quadratic forms on a small constraint set, and their
-extremes are exact (_exact): one eigenvalue minimax (_minimax) each, on
-the bivectors of R^4 under the Hodge star (Thorpe), or on (1, Bloch
-vector) under the light cone (the S-lemma).  Everywhere else, n >= 3 and
-the bisectional plane problem at n = 2, a seeded multi-start Riemannian
-Newton search runs (_multistart), with L the Cholesky factor of g: it
-has the plain retraction (normalize, or Gram-Schmidt) and the textbook
-Riemannian gradient and Hessian (_riemannian).  Restart states are
-carried as rows of one array, so values, gradients, Hessians and one
+Two routes solve a problem (_search).  At n = 2 every search is exact.
+The plane problems of sectional K and of the probe's |K - K_D|, and the
+two holomorphic quartics, are quadratic forms on a small constraint set
+(_exact): one eigenvalue minimax (_minimax) each, on the bivectors of
+R^4 under the Hodge star (Thorpe), or on (1, Bloch vector) under the
+light cone (the S-lemma).  The bisectional B(xi, eta) is bilinear in the
+two Bloch vectors, and its extremes are the roots of a minimax in the
+level (_finsler, Finsler's lemma).  At n >= 3 a seeded multi-start
+Riemannian Newton search runs (_multistart), with L the Cholesky factor
+of g: it has the plain retraction (normalize, or Gram-Schmidt) and the
+textbook Riemannian gradient and Hessian (_riemannian).  Restart states
+are carried as rows of one array, so values, gradients, Hessians and one
 eigh per pass are batched; each restart takes saddle-free Newton steps
 inside its own trust radius until its Riemannian gradient vanishes to
 rounding.  The winner is the best final value, first-found on ties
@@ -157,15 +158,43 @@ def _sign_label(vals: np.ndarray) -> str:
     return "indefinite"
 
 
-def _hypotheses(kr: np.ndarray, scale: float, X: np.ndarray, E: np.ndarray):
+def _cone_sign(F: np.ndarray) -> str:
+    """The sign of z F z on the cone z _CONE z >= 0, by the S-lemma (a
+    Slater point is e_1): F >= 0 there exactly when
+    m = min over t >= 0 of lambda_max(-F + t _CONE) is <= 0, and F <= 0
+    when that of F is.  Each is one-sided: at t = 0 when the top
+    cluster's largest slope there is >= 0, else the _minimax.  The label
+    is the _sign_label of the two ends, -m for -F and m for F."""
+    F = (F + F.T) / 2
+    lam, Q = np.linalg.eigh(F)
+    tol = _CLUSTER_TOL * max(-lam[0], lam[-1])
+    ends = []
+    for s in (-1, 1):
+        eig = s * lam[::s], Q[:, ::s]  # of s F, ascending
+        top = _top_slopes(*eig, _CONE, tol)[1][-1]
+        ends.append(eig[0][-1] if top >= 0 else _minimax(s * F, _CONE)[0])
+    return _sign_label(np.array([-ends[0], ends[1]]))
+
+
+def _hypotheses(kr: np.ndarray, scale: float, draws):
     """(residual, symmetric, sign) of the hypotheses that lu and the
     bisectional search share: the _symmetry_residual of kr, whether it
     passes classify's Kahler-like rule (at most _CLASSIFY_TOL * scale, the
-    point's PointGeometry.scale), and the _sign_label of Re _w_form on
-    _unit_power(kr)."""
+    point's PointGeometry.scale), and the sign of Re _w_form on
+    _unit_power(kr).
+
+    At n = 2 the sign is exact: i W = i (x e~ - e x~) ranges over exactly
+    the Hermitian 2 x 2 matrices with det <= 0, so the W-form is the
+    _pauli_form of kr on the cone z _CONE z >= 0 of their Pauli
+    coordinates z (_cone_sign).  Beyond, it is the _sign_label of the
+    values on the pairs (X, E) that draws() returns."""
     residual = _symmetry_residual(kr)
-    return (residual, residual <= _CLASSIFY_TOL * scale,
-            _sign_label(_w_form(_unit_power(kr)[0], X, E).real))
+    S = _unit_power(kr)[0]
+    if kr.shape[0] == 2:
+        sign = _cone_sign(_pauli_form(S))
+    else:
+        sign = _sign_label(_w_form(S, *draws()).real)
+    return residual, residual <= _CLASSIFY_TOL * scale, sign
 
 
 @dataclass(frozen=True)
@@ -194,9 +223,9 @@ def lu_inequality_check(metric: MetricDefinition, p, samples: int = 1000,
 
     The bound is only guaranteed under the symmetry conditions of
     _symmetry_residual plus a sign condition on the quadratic form built
-    from x e~ - e x~; both hypotheses are checked by _hypotheses on the
-    same samples, and failure makes the report inapplicable rather than
-    a violation.  The sign is "nonneg" when the sampled form is zero or
+    from x e~ - e x~; both hypotheses are checked by _hypotheses, the sign
+    exactly at n = 2 and on the same samples beyond, and failure makes
+    the report inapplicable rather than a violation.  The sign is "nonneg" when the sampled form is zero or
     nonnegative and "nonpos" otherwise; the report names the sign taken.
     The forms are taken on A rescaled by _unit_power; a margin there below
     -1e-9 s^2, s the point's PointGeometry.scale rescaled alike, is a
@@ -209,7 +238,7 @@ def lu_inequality_check(metric: MetricDefinition, p, samples: int = 1000,
     rng = np.random.default_rng(seed)
     X = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
     E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
-    residual, passed, sign = _hypotheses(A, geom.scale, X, E)
+    residual, passed, sign = _hypotheses(A, geom.scale, lambda: (X, E))
     hyp = sign != "indefinite"
 
     S, e = _unit_power(A)
@@ -258,9 +287,9 @@ class SearchStats:
     pair-symmetrized tensor of the objective, has its largest |entry| in
     [0.5, 1); capped ones were still stepping when the _MAX_ITER passes
     ran out.  A metric multiplied by 2^k gives the same stats.  An exact
-    route (_exact) reports one run: its eigh steps, one evaluation, and
-    converged or capped 1 as its witness does or does not reproduce the
-    extremum.
+    route (_exact, _finsler) reports one run: the eigh steps of its
+    minimaxes, one evaluation, and converged or capped 1 as its witness
+    does or does not reproduce the extremum.
     """
 
     iterations: int
@@ -507,9 +536,23 @@ _WITNESS_TOL = 1e-12
 _PAIRS = np.triu_indices(4, 1)
 _HODGE = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 # (1, x) on the light cone of diag(-1, 1, 1, 1) exactly when x is a unit
-# Bloch vector; the Pauli matrices after the identity
+# Bloch vector; the Pauli matrices after the identity; and P^-1 = P^H / 2
+# of core's frame at n = 2, z = P^-1 (zeta, conj(zeta))
 _CONE = np.diag([-1.0, 1.0, 1.0, 1.0])
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_FRAME_INV = _frame(2).conj().T / 2
+
+
+def _top_slopes(lam: np.ndarray, Q: np.ndarray, C: np.ndarray, tol: float):
+    """(V, c, E) for a symmetric matrix with eigenpairs (lam, Q), ascending:
+    V its top eigen-cluster, the eigenvectors of the eigenvalues within tol
+    of the top, and (c, E) the eigenpairs of C restricted to it, c the
+    slopes of lambda_max along C."""
+    V = Q[:, np.searchsorted(lam, lam[-1] - tol):]
+    if V.shape[1] == 1:  # the eigenpair of a 1 x 1 matrix, without a LAPACK call
+        return V, (V.T @ C @ V)[0], np.ones((1, 1))
+    c, E = np.linalg.eigh(V.T @ C @ V)
+    return V, c, E
 
 
 def _minimax(A: np.ndarray, C: np.ndarray):
@@ -542,9 +585,8 @@ def _minimax(A: np.ndarray, C: np.ndarray):
         if steps == 1:
             tol = _CLUSTER_TOL * max(-lam[0], lam[-1])
             spread = lam[-1] - lam[0]
-        k = int(np.sum(lam >= lam[-1] - tol))
-        V = Q[:, -k:]
-        c, E = np.linalg.eigh(V.T @ C @ V)
+        V, c, E = _top_slopes(lam, Q, C, tol)
+        k = V.shape[1]
         if c[0] <= 0.0 <= c[-1]:
             # the combination of the extreme eigenvectors on which C vanishes
             a, b = -c[0], c[-1]
@@ -619,34 +661,51 @@ def _hermitian_whitening(h: np.ndarray):
     return _real_form(C), _real_form(np.linalg.inv(C))
 
 
-def _bloch_form(S: np.ndarray) -> np.ndarray:
-    """A (4, 4) with y A y = S(z, z, z, z) for y = (1, x) / sqrt(2), x the
-    Bloch vector zeta^H sigma zeta of a unit zeta in C^2 and
-    z = (Re zeta, Im zeta), for S phase-invariant, as the holomorphic
-    quartics are in a unitary frame (_hermitian_whitening).
+def _pauli_form(G: np.ndarray) -> np.ndarray:
+    """(4, 4) Re sum G[a, b, c, d] sigma_mu[a, b] sigma_nu[c, d] for a
+    (2, 2, 2, 2) G: the real form of G on the Pauli coordinates of two
+    Hermitian 2 x 2 matrices, rho[a, b] and rho'[c, d]."""
+    sigma = _PAULI.reshape(4, 4)
+    return (sigma @ G.reshape(4, 4) @ sigma.T).real
+
+
+def _bloch_form(S: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """The Pauli form of a phase-invariant quartic S on unit vectors of
+    C^2 in a unitary frame (_hermitian_whitening), as the holomorphic
+    quartics and B are: with one block, the symmetric A with
+    y A y = S(z, z, z, z) for y = (1, x) / sqrt(2), x the Bloch vector
+    zeta^H sigma zeta of zeta and z = (Re zeta, Im zeta); with two, the T
+    with (1, x) T (1, y) = S(z, z, w, w), x and y the Bloch vectors of zeta
+    and of omega, w = (Re omega, Im omega).
 
     With z = N (zeta, conj(zeta)), N = P^-1 of core's frame, the terms
-    of S(z, z, z, z) with two zeta and two conj(zeta) are
-    G[a, b, c, d] rho[a, c] rho[b, d], rho = zeta zeta^H =
-    sum_mu y_mu sigma_mu / sqrt(2); the others cancel.
+    of S with one zeta and one conj(zeta) per block (two of each on one
+    block) are G[a, b, c, d] rho[a, c] rho'[b, d], rho = zeta zeta^H =
+    sum_mu (1, x)_mu sigma_mu / 2 and rho' alike; the others cancel.
     """
-    T = _each_slot(S, _frame(2).conj().T / 2)
+    T = _each_slot(S, _FRAME_INV)
     half = (slice(0, 2), slice(2, 4))
+    # the slots of zeta, then of omega: any two, or one in each block
+    pairs = itertools.combinations(range(4), 2) if blocks == 1 else itertools.product((0, 1), (2, 3))
     G = 0
-    for pair in itertools.combinations(range(4), 2):  # the two zeta slots
+    for pair in pairs:
         rest = tuple(k for k in range(4) if k not in pair)
         G = G + T[tuple(half[k in rest] for k in range(4))].transpose(pair + rest)
-    sigma = _PAULI.reshape(4, 4)
-    A = (sigma @ G.transpose(0, 2, 1, 3).reshape(4, 4) @ sigma.T).real / 2
-    return (A + A.T) / 2
+    A = _pauli_form(G.transpose(0, 2, 1, 3)) / 2
+    return (A + A.T) / 2 if blocks == 1 else A / 2
+
+
+def _bloch_vector(y: np.ndarray) -> np.ndarray:
+    """The unit Bloch vector of a light-cone vector y with y[0] > 0 (or of
+    its negative): the direction of y[1:]."""
+    return np.sign(y[0]) * y[1:] / np.linalg.norm(y[1:])
 
 
 def _bloch_state(y: np.ndarray) -> np.ndarray:
-    """A unit state z = (Re zeta, Im zeta) whose Bloch vector is the
-    direction of y[1:], y a light-cone vector with y[0] > 0 (or its
-    negative): zeta is the normalized larger column of rho =
+    """A unit state z = (Re zeta, Im zeta) whose Bloch vector is
+    _bloch_vector(y): zeta is the normalized larger column of rho =
     (1 + x . sigma) / 2."""
-    x = np.sign(y[0]) * y[1:] / np.linalg.norm(y[1:])
+    x = _bloch_vector(y)
     if x[2] >= 0:
         r = np.sqrt((1 + x[2]) / 2)
         zeta = np.array([r, (x[0] + 1j * x[1]) / (2 * r)])
@@ -685,11 +744,83 @@ def _exact(q: _Quartic, mode: str):
     return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
 
 
+def _finsler(q: _Quartic, mode: str):
+    """The extreme of an n = 2 problem q over two unit vectors without a
+    search, for B in a unitary frame: B = (1, x) T (1, y), T the
+    two-block _bloch_form and x, y the Bloch vectors of the two states.
+
+    For fixed x the max over y is alpha + |beta|, the top eigenvalue of
+    M(x) = sum_nu ((1, x) T)_nu sigma_nu, alpha and beta affine in x.  A
+    level lam is at or above every value when (alpha - lam)^2 >= |beta|^2
+    on the unit sphere: Q_lam = u u^T - T1 T1^T, u the first column of T
+    minus lam e_0 and T1 its other three, nonnegative on the light cone
+    of _CONE.  By Finsler's lemma that holds exactly when
+    phi(lam) = -_minimax(-Q_lam, _CONE) >= 0, so the max is a root of phi.
+
+    It starts from the top of B(x, x), one _minimax of T + T^T, and keeps
+    a bracket: as its upper end a level where phi is at least
+    -_CLUSTER_TOL (|T1|^2 + |u|^2), from 2 |T|_F, above every value since
+    |(1, x)| = sqrt(2); as its lower end the best value alpha + |beta| at
+    a witness x.  Each step tests one level, and the light-cone witness
+    there gives an x.  The next level is the lower end, an ascent, when it
+    rose and the last ascent's rise was at most half the one before; else
+    the bracket's midpoint.  It stops when the bracket is within
+    _WITNESS_TOL or after _MINIMAX_STEPS levels; min is the max of -T.
+    The witness pair is the best x and the top eigenvector of its M(x),
+    and the value is q's there; converged means that value, on the
+    rescaled problem, is within _WITNESS_TOL of the upper end.  Returns,
+    as _exact does, (chart state, value, converged, stats), iterations
+    counting the eigh steps of every minimax.
+    """
+    sign = 1.0 if mode == "max" else -1.0
+    T = sign * _bloch_form(q.S.transpose(0, 3, 1, 2), 2)  # slots U, U, V, V
+    T1 = T[:, 1:]
+    P, size = T1 @ T1.T, np.sum(T1 * T1)
+
+    def top(x):
+        """alpha + |beta|, the max over y of (1, x) T (1, y)."""
+        m = T[0] + x @ T[1:]
+        return m[0] + np.linalg.norm(m[1:])
+
+    _, w, calls = _minimax(T + T.T, _CONE)
+    best = _bloch_vector(w)
+    lo, hi = top(best), 2.0 * np.linalg.norm(T)
+    level = tried = lo  # tried: the last level tested as an ascent
+    last, steps = np.inf, 0  # last: that ascent's rise
+    while hi - lo > _WITNESS_TOL and steps < _MINIMAX_STEPS:
+        steps += 1
+        u = T[:, 0] - [level, 0.0, 0.0, 0.0]
+        lam, w, k = _minimax(P - np.outer(u, u), _CONE)
+        calls += k
+        if lam <= _CLUSTER_TOL * (size + u @ u):
+            hi = level
+        x = _bloch_vector(w)
+        b = top(x)
+        rise = b - lo
+        if rise > 0:
+            lo, best = b, x
+        slow = False
+        if level == tried:
+            slow, last = rise > last / 2, max(rise, 0.0)
+        if lo > tried and not slow:
+            level = tried = lo
+        else:
+            level = (lo + hi) / 2
+    m = T[0] + best @ T[1:]
+    omega = np.linalg.eigh(np.einsum("n,nab->ab", m, _PAULI))[1][:, -1]
+    x = np.concatenate([_bloch_state(np.concatenate([[1.0], best])), omega.real, omega.imag])
+    f = float(q.rescaled(x[None])[0])
+    converged = bool(hi - sign * f <= _WITNESS_TOL)
+    stats = SearchStats(calls, 1, int(converged), int(not converged))
+    return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
+
+
 def _search(q: _Quartic, restarts: int, seed: int, mode: str):
-    """_exact where it applies, at n = 2 (m = 4) for a plane problem over
-    orthonormal pairs or a unit-vector problem, else _multistart."""
-    if q.m == 4 and (q.pair or q.dim == q.m):
-        return _exact(q, mode)
+    """At n = 2 (m = 4) an exact route: _exact for a plane problem over
+    orthonormal pairs or a unit-vector problem, _finsler for one over two
+    unit vectors; else _multistart."""
+    if q.m == 4:
+        return (_exact if q.pair or q.dim == q.m else _finsler)(q, mode)
     return _multistart(q, restarts, seed, mode)
 
 
@@ -731,9 +862,11 @@ class ExtremalResult:
     when the metric is multiplied by 2^k.  A Newton search converged when
     its winning restart ended with its Riemannian gradient norm at most
     _GRAD_TOL (see SearchStats): a local stationarity statement, not a
-    proof that the extremum is global.  An exact route (_exact, every
-    search at n = 2 but the bisectional plane search) converged when its
-    witness reproduces the global extremum within _WITNESS_TOL.
+    proof that the extremum is global.  An exact route (every search at
+    n = 2: _exact, and _finsler for the bisectional plane problem)
+    converged when its witness reproduces the global extremum within
+    _WITNESS_TOL.  n_restarts counts the restarts each search ran: the
+    requested ones at n >= 3, none at n = 2.
     best_plane is g-orthonormal and holo_best_vector g-unit (h-unit for
     the bisectional search).  search and
     holo_search count the work of the two searches.  The bisectional
@@ -773,7 +906,8 @@ def _extremal(mode: str, restarts: int, seed: int, geom, plane: _Quartic,
     """
     m = plane.m
     best_x, best_value, converged, stats = found or _search(plane, restarts, seed, mode)
-    white = _hermitian_whitening(geom.jet.h) if m == 4 else plane.white
+    # at n = 2 in a unitary frame of h, which a bisectional plane has already
+    white = _hermitian_whitening(geom.jet.h) if m == 4 and plane.pair else plane.white
     holo = _Quartic(holo_T, white, 1)
     best_y, holo_value, holo_conv, holo_stats = _search(holo, restarts, seed + 1, mode)
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
@@ -785,7 +919,7 @@ def _extremal(mode: str, restarts: int, seed: int, geom, plane: _Quartic,
         best_plane=Plane(best_x[:m], best_x[m:]),
         holo_best_value=holo_value,
         holo_best_vector=best_y,
-        n_restarts=restarts,
+        n_restarts=0 if m == 4 else restarts,  # at n = 2 no search restarts
         converged=converged and holo_conv,
         gap=gap,
         hypothesis_sign=hypothesis_sign,
@@ -837,23 +971,28 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     """Extremize B over pairs of h-unit vectors, against the H extremum.
 
     Applicability requires the curvature symmetry and a sign-definite
-    quadratic form, both checked by _hypotheses on draws of its own,
-    with the mode covered for that sign.  The attainment statement
+    quadratic form, both checked by _hypotheses (exactly at n = 2, which
+    draws nothing; beyond on draws of its own), with the mode covered for
+    that sign.  The attainment statement
     predicts the B extremum occurs at xi = eta (up to phase), which
     pair_alignment makes checkable.
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
-    kr, g, n = geom.kr, geom.rjet.g, geom.n
+    kr, n = geom.kr, geom.n
 
-    rng = np.random.default_rng(seed + 202)
-    Xs = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
-    Es = rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
-    _, symmetric, hypothesis_sign = _hypotheses(kr, geom.scale, Xs, Es)
+    def draws():
+        rng = np.random.default_rng(seed + 202)
+        return tuple(rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
+                     for _ in range(2))
 
-    # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
+    _, symmetric, hypothesis_sign = _hypotheses(kr, geom.scale, draws)
+
+    # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y); _finsler
+    # needs B in a unitary frame
     K = _real_chern(kr)
-    plane = _Quartic(K.transpose(0, 2, 3, 1), _whitening(g), 2)
+    white = _hermitian_whitening(geom.jet.h) if n == 2 else _whitening(geom.rjet.g)
+    plane = _Quartic(K.transpose(0, 2, 3, 1), white, 2)
     res = _extremal(mode, restarts, seed, geom, plane, K, hypothesis_sign, symmetric)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -22,8 +23,8 @@ from hermicurv import (
 from hermicurv import analysis
 from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
-from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_sectional,
-                                 riemann_sectional)
+from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
+                                 holo_sectional, riemann_sectional)
 from oracles import riemannian_fd, sample_admissible_points
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
@@ -465,8 +466,8 @@ def _stats_ok(s, restarts):
     assert s.converged + s.capped == restarts
 
 
-# Newton searches run at n >= 3 (and for the bisectional plane problem at
-# n = 2), so the Newton diagnostics are pinned at n = 3 points
+# Newton searches run only at n >= 3, so the Newton diagnostics are pinned
+# at n = 3 points
 P3 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j, 0.08 - 0.05j]))
 
 
@@ -505,8 +506,9 @@ def test_nk_diag_minimum_converges_without_capped_restarts():
 
 
 def test_exact_route_stats_read_one_run_and_ignore_the_seed():
-    # at n = 2 the sectional, holomorphic and gap extremes take no search:
-    # their stats describe one minimax run, which draws nothing
+    # at n = 2 the sectional, bisectional, holomorphic and gap extremes
+    # take no search: their stats describe one exact run, which draws
+    # nothing, and the bisectional report is the same for every seed
     m = catalog_metric("nk_diag", 2)
     points = [P0, ChartPoint(np.array([1.0 + 0j, 0.0 + 0j]))]
     runs = []
@@ -514,14 +516,14 @@ def test_exact_route_stats_read_one_run_and_ignore_the_seed():
         sec = extremal_sectional(m, P0, mode="min", restarts=8, seed=seed)
         bis = extremal_bisectional(m, P0, mode="max", restarts=8, seed=seed)
         probe = chern_gap_probe(m, points, samples=50, seed=seed)
-        exact = (sec.search, sec.holo_search, bis.holo_search) + probe.searches
+        exact = (sec.search, sec.holo_search, bis.search, bis.holo_search) + probe.searches
         assert len(probe.searches) == 2
         for s in exact:
             assert 1 <= s.iterations <= analysis._MINIMAX_STEPS
             assert (s.evaluations, s.converged, s.capped) == (1, 1, 0)
-        _stats_ok(bis.search, 8)  # the bisectional plane search is still Newton
-        runs.append((exact, sec.best_value, sec.holo_best_value, bis.holo_best_value,
-                     probe.per_point_gaps))
+        assert sec.n_restarts == bis.n_restarts == 0
+        runs.append((exact, sec.best_value, sec.holo_best_value, probe.per_point_gaps,
+                     pickle.dumps(bis)))
     assert runs[0] == runs[1]
 
 
@@ -622,7 +624,125 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
             value, rel=1e-12, abs=1e-12)
 
 
-def test_only_the_bisectional_plane_search_runs_newton_at_n2(monkeypatch):
+def _bisectional_plane(kr, h, unitary):
+    """The bisectional plane problem B(xi, eta) = K(U, U, V, V) of kr, as
+    extremal_bisectional builds it: in a unitary frame of h, the exact
+    route's, or under the Cholesky factor of g = Re(E h E^H), xi_u = E^T u,
+    the Newton search's."""
+    K = analysis._real_chern(kr)
+    E = to_holomorphic(np.eye(4))
+    white = (analysis._hermitian_whitening(h) if unitary
+             else analysis._whitening((E @ h @ E.conj().T).real))
+    return analysis._Quartic(K.transpose(0, 2, 3, 1), white, 2)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_bisectional_route_matches_a_64_restart_newton_search(name):
+    m = catalog_metric(name, 2)
+    for k, p in enumerate(sample_admissible_points(m, 4, seed=29)):
+        geom = geometry_at(m, p)
+        kr, h = geom.kr, geom.jet.h
+        newton = _bisectional_plane(kr, h, False)
+        for mode in ("max", "min"):
+            res = extremal_bisectional(m, p, mode=mode, restarts=1)
+            assert res.converged and res.search.converged == 1 and res.n_restarts == 0
+            value = analysis._multistart(newton, 64, k, mode)[1]
+            assert abs(res.best_value - value) <= 1e-12 * max(1.0, abs(value)), (mode, value)
+            # the witness pair is h-unit and reproduces the value
+            xi, eta = res.best_pair
+            assert abs(hermitian_pairing(h, xi, xi) - 1) <= 1e-12
+            assert abs(hermitian_pairing(h, eta, eta) - 1) <= 1e-12
+            assert holo_bisectional(kr, h, xi, eta) == pytest.approx(
+                res.best_value, rel=1e-12, abs=1e-12)
+
+
+def _kr_of_pauli_form(T, h):
+    """The pair-Hermitian kr whose B in the unitary frame zeta = L^T xi of
+    h = L L^H is (1, x) T (1, y), x and y the Bloch vectors of zeta and
+    omega: with rho = zeta zeta^H = (1, x) . sigma / 2, B = sum
+    kr'[a, b, c, d] rho[a, b] rho'[c, d] for kr' = T . conj(sigma) conj(sigma)."""
+    pauli = analysis._PAULI
+    frame = np.einsum("mn,mab,ncd->abcd", T, pauli.conj(), pauli.conj())
+    Lt = np.linalg.cholesky(h).T
+    return analysis._each_slot(frame, Lt, Lt.conj(), Lt, Lt.conj())
+
+
+def test_bisectional_route_matches_dense_sampling_on_random_tensors():
+    # random pair-Hermitian kr under random h, and planted ones whose
+    # maximizing x zeroes beta: there phi has a double root at the max
+    rng = np.random.default_rng(71)
+    cases = []
+    for _ in range(12):
+        Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        cases.append((rng.standard_normal((4, 4)), Z @ Z.conj().T + 0.5 * np.eye(2), None))
+    for _ in range(3):
+        # alpha = a0 + c x* . x, beta = v (x* . x - 1): max a0 + c at x*
+        xs = rng.standard_normal(3)
+        xs /= np.linalg.norm(xs)
+        v = rng.standard_normal(3) / 2
+        a0, c = rng.standard_normal(), np.linalg.norm(v) + rng.uniform(0.1, 1.0)
+        T = np.block([[np.array([[a0]]), -v[None]], [c * xs[:, None], np.outer(xs, v)]])
+        Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        cases.append((T, Z @ Z.conj().T + 0.5 * np.eye(2), a0 + c))
+    draws = rng.standard_normal((4, 100_000, 2))
+    for k, (T, h, planted) in enumerate(cases):
+        kr = _kr_of_pauli_form(T, h)
+        exact = _bisectional_plane(kr, h, True)
+        newton = _bisectional_plane(kr, h, False)
+        xi, eta = draws[0] + 1j * draws[1], draws[2] + 1j * draws[3]
+        norms = (np.einsum("Ba,ab,Bb->B", xi, h, xi.conj()).real
+                 * np.einsum("Ba,ab,Bb->B", eta, h, eta.conj()).real)
+        sampled = _kr_form(kr, xi, xi, eta, eta).real / norms
+        for sign, mode in ((1.0, "max"), (-1.0, "min")):
+            x, value, converged, stats = analysis._search(exact, 1, 0, mode)
+            polished = analysis._multistart(newton, 64, k, mode)[1]
+            ref = sign * max(sign * polished, np.max(sign * sampled))
+            if planted is not None and mode == "max":
+                assert abs(polished - planted) <= 1e-12 * max(1.0, abs(planted))
+            assert converged and stats.iterations <= 4 * analysis._MINIMAX_STEPS
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (k, mode, value, ref)
+            # the witness is a pair of h-unit vectors with that value
+            pair = to_holomorphic(x.reshape(2, 4))
+            assert holo_bisectional(kr, h, *pair) == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_s_lemma_sign_matches_the_sampled_sign_on_the_catalog(name):
+    m = catalog_metric(name, 2)
+    rng = np.random.default_rng(37)
+    for p in sample_admissible_points(m, 4, seed=31):
+        kr = geometry_at(m, p).kr
+        X, E = (rng.standard_normal((4000, 2)) + 1j * rng.standard_normal((4000, 2))
+                for _ in range(2))
+        sampled = analysis._sign_label(_w_form(analysis._unit_power(kr)[0], X, E).real)
+        assert analysis._hypotheses(kr, 1.0, None)[2] == sampled
+
+
+def test_s_lemma_sign_finds_a_small_negative_region():
+    # z F z with F = C + mu I is positive on the cone z C z >= 0; taking
+    # nu (d . z)^2 off, d = (1, 0, 0, 1) / sqrt(2) on the cone's rim, makes
+    # it -1e-3 at d and negative only on a thin sliver around it
+    pauli = analysis._PAULI
+    d = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    labels = []
+    for nu in (0.0, 2e-3):
+        F = analysis._CONE + 1e-3 * np.eye(4) - nu * np.outer(d, d)
+        kr = np.einsum("mn,mab,ncd->abcd", F, pauli.conj(), pauli.conj()) / 4
+        assert np.abs(analysis._pauli_form(kr) - F).max() <= 1e-15
+        labels.append(analysis._hypotheses(kr, 1.0, None)[2])
+        # the pair x = i e, e = (1, 0) has i W = -2 e e^H = -(sigma_0 + sigma_3),
+        # whose Pauli coordinates are -sqrt(2) d
+        e = np.array([1.0 + 0j, 0.0])
+        assert _w_form(kr, 1j * e, e).real == pytest.approx(2 * (1e-3 - nu), abs=1e-15)
+        # lu's 1000 default draws at seed 0 miss the sliver
+        rng = np.random.default_rng(0)
+        X, E = (rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
+                for _ in range(2))
+        assert analysis._sign_label(_w_form(kr, X, E).real) == "nonneg"
+    assert labels == ["nonneg", "indefinite"]
+
+
+def test_no_search_runs_newton_at_n2(monkeypatch):
     calls = []
     newton = analysis._multistart
 
@@ -631,7 +751,7 @@ def test_only_the_bisectional_plane_search_runs_newton_at_n2(monkeypatch):
         return newton(*args)
 
     monkeypatch.setattr(analysis, "_multistart", counted)
-    for n, point, expected in ((3, P3, (2, 1, 2)), (2, P0, (0, 0, 1))):
+    for n, point, expected in ((3, P3, (2, 1, 2)), (2, P0, (0, 0, 0))):
         m = catalog_metric("nk_diag", n)
         found = []
         for run in (extremal_sectional, chern_gap_probe, extremal_bisectional):
@@ -643,13 +763,20 @@ def test_only_the_bisectional_plane_search_runs_newton_at_n2(monkeypatch):
             found.append(len(calls))
         assert tuple(found) == expected, n
 
-    # the two that take no search at n = 2 run with no Newton engine at all
+    # at n = 2 every search runs with no Newton engine at all, and the
+    # bisectional search draws no sign samples either
     def refuse(*args):
         raise AssertionError("_multistart called")
 
+    def no_draws(kr, scale, draws):
+        return hypotheses(kr, scale, lambda: refuse())
+
+    hypotheses = analysis._hypotheses
     monkeypatch.setattr(analysis, "_multistart", refuse)
+    monkeypatch.setattr(analysis, "_hypotheses", no_draws)
     m = catalog_metric("nk_diag", 2)
-    extremal_sectional(m, P0, restarts=2)
+    for mode in ("max", "min"):
+        extremal_sectional(m, P0, mode=mode, restarts=2)
+        res = extremal_bisectional(m, P0, mode=mode, restarts=2)
+        assert res.converged and res.n_restarts == 0
     chern_gap_probe(m, [P0], samples=20)
-    with pytest.raises(AssertionError, match="_multistart called"):
-        extremal_bisectional(m, P0, restarts=2)

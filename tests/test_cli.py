@@ -18,6 +18,7 @@ from hermicurv.field import CATALOG_NAMES, catalog_metric, catalog_source
 from oracles import render_report_ref, sample_admissible_points
 
 FS_POINT = '[[0.1,0.2],[0.0,-0.1]]'
+FS3_POINT = '[[0.1,0.2],[0.0,-0.1],[0.05,0.05]]'
 NK_POINT = '[[1,0],[0,0]]'
 
 
@@ -840,11 +841,11 @@ def test_counts_must_be_positive(capsys, command, flag, value):
 ])
 def test_count_too_large_for_memory_exit_2(capsys, command, flag):
     # 10^16 rows need more bytes than any x86-64 address space holds, so
-    # the allocation fails before any memory is touched; at n = 2 only the
-    # bisectional plane search draws restarts
-    extra = ["--target", "bisectional"] if command == "extremal" else []
-    code, rep = run(capsys, command, "--metric", "fubini_study", "--point", FS_POINT,
-                    flag, str(10**16), *extra)
+    # the allocation fails before any memory is touched; at n = 2 no
+    # extremal search draws restarts, so extremal runs at an n = 3 point
+    point = FS3_POINT if command == "extremal" else FS_POINT
+    code, rep = run(capsys, command, "--metric", "fubini_study", "--point", point,
+                    flag, str(10**16))
     assert code == 2
     assert rep["error"]["type"] == "MemoryError"
     assert rep["error"]["message"].startswith("Unable to allocate")
