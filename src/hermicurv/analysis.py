@@ -767,10 +767,12 @@ def _finsler(q: _Quartic, mode: str):
     the bracket's midpoint.  It stops when the bracket is within
     _WITNESS_TOL or after _MINIMAX_STEPS levels; min is the max of -T.
     The witness pair is the best x and the top eigenvector of its M(x),
-    and the value is q's there; converged means that value, on the
-    rescaled problem, is within _WITNESS_TOL of the upper end.  Returns,
-    as _exact does, (chart state, value, converged, stats), iterations
-    counting the eigh steps of every minimax.
+    or x's own state where M(x)'s two eigenvalues lie within
+    _CLUSTER_TOL |T|_F of each other, and the value is q's there;
+    converged means that value, on the rescaled problem, is within
+    _WITNESS_TOL of the upper end.  Returns, as _exact does, (chart
+    state, value, converged, stats), iterations counting the eigh steps
+    of every minimax.
     """
     sign = 1.0 if mode == "max" else -1.0
     T = sign * _bloch_form(q.S.transpose(0, 3, 1, 2), 2)  # slots U, U, V, V
@@ -807,8 +809,15 @@ def _finsler(q: _Quartic, mode: str):
         else:
             level = (lo + hi) / 2
     m = T[0] + best @ T[1:]
-    omega = np.linalg.eigh(np.einsum("n,nab->ab", m, _PAULI))[1][:, -1]
-    x = np.concatenate([_bloch_state(np.concatenate([[1.0], best])), omega.real, omega.imag])
+    zeta = _bloch_state(np.concatenate([[1.0], best]))
+    lam, vecs = np.linalg.eigh(np.einsum("n,nab->ab", m, _PAULI))
+    if lam[1] - lam[0] <= _CLUSTER_TOL * np.linalg.norm(T):
+        # alpha + beta . sigma is alpha times the identity: every eta
+        # attains the value, and eta = xi is the one the attainment
+        # statement names
+        x = np.concatenate([zeta, zeta])
+    else:
+        x = np.concatenate([zeta, vecs[:, -1].real, vecs[:, -1].imag])
     f = float(q.rescaled(x[None])[0])
     converged = bool(hi - sign * f <= _WITNESS_TOL)
     stats = SearchStats(calls, 1, int(converged), int(not converged))

@@ -90,12 +90,15 @@ def to_holomorphic(u) -> np.ndarray:
     return a[..., :n] + 1j * a[..., n:]
 
 
+@functools.lru_cache(maxsize=None)
 def _frame(n: int) -> np.ndarray:
     """P, complex (2n, 2n): rows dz^a then dzbar^a in the real coframe,
     so (xi, conj(xi)) = P u and d/dx^k = sum_w P[w, k] d/dw.  The inverse
-    is P^H / 2 exactly."""
+    is P^H / 2 exactly.  Built once per n and read-only."""
     I = np.eye(n)
-    return np.vstack([np.hstack([I, 1j * I]), np.hstack([I, -1j * I])])
+    P = np.vstack([np.hstack([I, 1j * I]), np.hstack([I, -1j * I])])
+    P.flags.writeable = False
+    return P
 
 
 def _chain(d: np.ndarray, axis: int) -> np.ndarray:

@@ -6,6 +6,9 @@
       kr = -d2 h[a,b] / dz^g dzbar^d
            + (dh[a,l]/dz^g) h_inv[l,k] (dh[k,b]/dzbar^d)
 
+  averaged with its pair-swapped conjugate, so that it is pair-Hermitian
+  bit for bit;
+
 * the Riemannian curvature R[i, j, k, l] of g = Re h, from the second
   derivatives of g plus bracket-symbol products; the index and sign
   convention is pinned so that the pairing R(u, v, v, u) =
@@ -24,6 +27,10 @@ The mixed block is also computed a second way, directly from the metric
 jet (a four-term formula involving symmetrized and antisymmetrized first
 derivatives); agreement between the two routes is the module's central
 consistency check, exercised heavily by the tests.
+
+Every contraction here is a BLAS product of reshaped arrays: kr and the
+direct block's two products are (n^2, n) @ (n, n^2) products (_pair),
+and no einsum is called (tests/test_contractions.py checks that).
 """
 
 from __future__ import annotations
@@ -79,15 +86,26 @@ class ComplexifiedCurvature:
 _SWAP_KINDS = str.maketrans("ha", "ah")
 
 
+def _pair(x: np.ndarray, Hi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[p, q, l] Hi[l, k] y[r, k, s] as the (n^2, n^2) matrix with rows
+    (p, q) and columns (r, s): two BLAS products, h_inv into x first."""
+    n = Hi.shape[0]
+    return (x.reshape(n * n, n) @ Hi) @ y.transpose(1, 0, 2).reshape(n, n * n)
+
+
 @_in_range("metric scale out of the floating-point range: the Chern curvature overflows")
 def chern_curvature(jet: MetricJet) -> np.ndarray:
     """kr[a, b, g, d], complex (n, n, n, n), conjugate-linear in slots b
-    and d.  Pair-Hermitian: kr[a,b,g,d] = conj(kr[b,a,d,g])."""
-    # (dh/dz^g h_inv)[a, k], then one contraction over k with dh/dzbar^d
+    and d.  Pair-Hermitian bit for bit, kr[a,b,g,d] = conj(kr[b,a,d,g]):
+    the formula's value averaged with its pair-swapped conjugate."""
+    # kr as the matrix M[(g, a), (d, b)], whose conjugate transpose is the
+    # pair swap, so M + M^H is Hermitian exactly
     n = jet.n
-    return -jet.d2h[:n, n:].transpose(2, 3, 0, 1) + np.einsum(
-        "gak,dkb->abgd", jet.dh[:n] @ jet.h_inv, jet.dh[n:]
-    )
+    M = _pair(jet.dh[:n], jet.h_inv, jet.dh[n:])
+    M -= jet.d2h[:n, n:].transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    M += M.conj().T
+    M *= 0.5
+    return np.ascontiguousarray(M.reshape(n, n, n, n).transpose(1, 3, 0, 2))
 
 
 @_in_range("metric scale out of the floating-point range: the Riemannian curvature overflows")
@@ -103,7 +121,8 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
     br[i,k,t] from brackets br[j, k, s] and their raised form
     rchris.gamma[i,k,s] = g_inv[s,t] br[i,k,t], computed once by
     real_christoffel: a single (m^2, m) @ (m, m^2) product gives P,
-    O(m^5) in all.
+    O(m^5) in all.  V - V^T is written into S, so P, S and V are the
+    only m^4 arrays built.
     """
     d2g = rjet.d2g
     m = d2g.shape[0]
@@ -112,7 +131,7 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
     S = d2g + d2g.transpose(2, 3, 0, 1)
     S /= 2
     V = S.transpose(0, 2, 1, 3) + P.transpose(2, 0, 3, 1)
-    return V - V.transpose(0, 1, 3, 2)
+    return np.subtract(V, V.transpose(0, 1, 3, 2), out=S)
 
 
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:
@@ -145,22 +164,26 @@ def complexified_11_direct(jet: MetricJet) -> np.ndarray:
     Hermitian metric; under the torsion-free (Kahler) degeneration it
     collapses to the canonical curvature kr.  Four pieces: mixed second
     derivatives, a symmetrized product, and two antisymmetrized
-    correction products.
+    correction products, the last two transposed views of one product:
+
+        out = -(d2m[m,b,a,v] + d2m[a,v,m,b]) / 2
+              + (P2[m,a,b,v] - G[b,m,a,v] - G[v,a,m,b]) / 4
     """
     Hi, n = jet.h_inv, jet.n
     dz, dzb, d2m = jet.dh[:n], jet.dh[n:], jet.d2h[:n, n:]
 
-    term1 = -0.5 * (d2m.transpose(2, 1, 0, 3) + d2m.transpose(0, 3, 2, 1))
-
-    # each product contracts h_inv into its first factor, then the pair
+    # P2[m, a, b, v] = (S1 h_inv)[m, a, k] S2[b, k, v] and
+    # G[x, y, z, w] = (F1 h_inv)[x, y, k] F2[z, k, w]
     S1 = dz + dz.transpose(1, 0, 2)
     S2 = dzb + dzb.transpose(2, 1, 0)
-    term2 = 0.25 * np.einsum("mak,bkv->abmv", S1 @ Hi, S2)
-
     F1 = dzb - dzb.transpose(2, 1, 0)
     F2 = dz - dz.transpose(1, 0, 2)
-    F1Hi = F1 @ Hi
-    term3 = -0.25 * np.einsum("bmk,akv->abmv", F1Hi, F2)
-    term4 = -0.25 * np.einsum("vak,mkb->abmv", F1Hi, F2)
-
-    return term1 + term2 + term3 + term4
+    P2 = _pair(S1, Hi, S2).reshape(n, n, n, n)
+    G = _pair(F1, Hi, F2).reshape(n, n, n, n)
+    out = P2.transpose(1, 2, 0, 3) - G.transpose(2, 0, 1, 3)
+    out -= G.transpose(1, 3, 2, 0)
+    out *= 0.25
+    term1 = d2m.transpose(2, 1, 0, 3) + d2m.transpose(0, 3, 2, 1)
+    term1 *= 0.5
+    out -= term1
+    return out

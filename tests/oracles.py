@@ -406,6 +406,17 @@ def real_curvature_ref(d2g: np.ndarray, br: np.ndarray, gi: np.ndarray) -> np.nd
     return second + quad
 
 
+def real_curvature_staged_ref(d2g: np.ndarray, br: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """real_curvature's staged expression returning a fresh V - V^T; the
+    package writes V - V^T into S's buffer and must keep these bits."""
+    m = d2g.shape[0]
+    P = (br.reshape(m * m, m) @ gamma.reshape(m * m, m).T).reshape(m, m, m, m)
+    S = d2g + d2g.transpose(2, 3, 0, 1)
+    S /= 2
+    V = S.transpose(0, 2, 1, 3) + P.transpose(2, 0, 3, 1)
+    return V - V.transpose(0, 1, 3, 2)
+
+
 def each_slot_ref(t: np.ndarray, A, B, C, D, optimize=False) -> np.ndarray:
     """t[i,j,k,l] A[i,a] B[j,b] C[k,c] D[l,d].  With optimize, numpy
     contracts pairwise in an order of its own choosing: at 2n = 12 that
@@ -457,6 +468,11 @@ def complexified_ref(jet: MetricJet) -> np.ndarray:
 def chern_curvature_ref(d2m, d1h, Hi, d1a) -> np.ndarray:
     """kr[a, b, g, d] from the mixed second, first and inverse jet parts."""
     return -d2m.transpose(2, 3, 0, 1) + np.einsum("gal,lk,dkb->abgd", d1h, Hi, d1a)
+
+
+def pair_hermitian_ref(t: np.ndarray) -> np.ndarray:
+    """(t + t^dagger) / 2, with t^dagger[a,b,g,d] = conj(t[b,a,d,g])."""
+    return (t + np.einsum("badg->abgd", t).conj()) / 2
 
 
 def complexified_11_direct_ref(d2m, d1h, Hi, d1a) -> np.ndarray:

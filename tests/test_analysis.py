@@ -277,6 +277,19 @@ def test_extremal_bisectional_pair_is_h_unit():
     assert hermitian_pairing(h, eta, eta).real == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("name", ["nk_diag", "euclidean"])
+@pytest.mark.parametrize("point", [[0.3 + 0.1j, 0.2 - 0.4j], [1.0, 0.2 + 0.1j]])
+def test_bisectional_max_at_a_tie_is_attained_at_eta_equal_xi(name, point):
+    # alpha + beta . sigma is a multiple of the identity at the maximizing
+    # xi (max B = 0 on both), so every eta attains the max and the
+    # witness pair is the aligned one that the attainment statement names
+    res = extremal_bisectional(catalog_metric(name, 2), point, mode="max")
+    assert res.best_value == 0.0
+    assert res.pair_alignment == 1.0
+    xi, eta = res.best_pair
+    assert np.array_equal(xi, eta)
+
+
 def test_extremal_mode_validation():
     m = catalog_metric("fubini_study", 2)
     with pytest.raises(ValueError):

@@ -525,8 +525,6 @@ def test_flat_metric_in_curved_coordinates_passes(capsys, flat_curved, command, 
     assert {key: res[key] for key in fields} == fields
 
 
-@pytest.mark.xfail(strict=True, reason="K_D's realness is judged against max|kr|, which is "
-                                       "rounding noise on this metric")
 @pytest.mark.parametrize("argv", [
     ["sectional", "--plane", '{"u":[0.3,-0.2,0.5,0.1],"v":[0.1,0.7,-0.2,0.4]}',
      "--point", FLAT_POINTS[0]],

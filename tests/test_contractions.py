@@ -1,12 +1,17 @@
 """The staged contractions against plain single-einsum references, and a
 source guard that keeps every contraction in the package staged.
 
-Each staged product is compared on every catalog metric at n = 2 and 3
-and on random tensors with no symmetries, since a curvature symmetry can
-hide a swapped slot.  The complexified tensor's stored h-first half and
-its 16 blocks are compared with the full reference tensor as well, at
-n = 6 too, where the reference contracts pairwise.  The guard parses the
-source, so calls that span several lines are seen whole.
+Each staged product is compared on every catalog metric at n = 2, 3 and
+6 and on random tensors with no symmetries at n = 2, 3 and 4, since a
+curvature symmetry can hide a swapped slot.  On the random jets, which
+have no Hermitian symmetry, the Chern curvature is compared with the
+pair-Hermitian part of its reference.  The complexified tensor's stored
+h-first half and its 16 blocks are compared with the full reference
+tensor as well, at n = 6 too, where the reference contracts pairwise.
+The real curvature keeps the bits of the staged form that returns a
+fresh array.  The guard parses the source, so calls that span several
+lines are seen whole; it also keeps every einsum out of the curvature
+module.
 """
 
 import ast
@@ -34,7 +39,9 @@ from oracles import (
     each_slot_ref,
     form_ref,
     kr_form_ref,
+    pair_hermitian_ref,
     real_curvature_ref,
+    real_curvature_staged_ref,
     sample_admissible_points,
     w_form_ref,
 )
@@ -82,7 +89,7 @@ def _check_forms(r, kr, rng):
         _assert_close(_w_form(kr, a, b), w_form_ref(kr, a, b), scale)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 6])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_staged_contractions_match_references_on_catalog(name, n):
     metric = catalog_metric(name, n)
@@ -92,13 +99,13 @@ def test_staged_contractions_match_references_on_catalog(name, n):
     _assert_close(real_curvature(rjet, real_christoffel(rjet)),
                   real_curvature_ref(rjet.d2g, real_christoffel(rjet).brackets, rjet.g_inv))
     _assert_close(complexify_curvature(g.rc).tensor,
-                  complexify_ref(g.rc, _frame(n).conj().T / 2)[:n])
+                  complexify_ref(g.rc, _frame(n).conj().T / 2, optimize=n > 3)[:n])
     _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
     _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
     _check_forms(g.rc, g.kr, np.random.default_rng(n))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_staged_contractions_match_references_without_symmetries(n):
     rng = np.random.default_rng(10 + n)
     m = 2 * n
@@ -109,14 +116,38 @@ def test_staged_contractions_match_references_without_symmetries(n):
     _assert_close(real_curvature(SimpleNamespace(d2g=d2g, g_inv=gi), rchris),
                   real_curvature_ref(d2g, br, gi))
     r = rng.standard_normal((m, m, m, m))
-    _assert_close(complexify_curvature(r).tensor, complexify_ref(r, _frame(n).conj().T / 2)[:n])
+    _assert_close(complexify_curvature(r).tensor,
+                  complexify_ref(r, _frame(n).conj().T / 2, optimize=n > 3)[:n])
     parts = (_cplx(rng, n, n, n, n), _cplx(rng, n, n, n), _cplx(rng, n, n), _cplx(rng, n, n, n))
     d2h = _cplx(rng, m, m, n, n)
     d2h[:n, n:] = parts[0]
     jet = SimpleNamespace(n=n, dh=np.concatenate([parts[1], parts[3]]), d2h=d2h, h_inv=parts[2])
-    _assert_close(chern_curvature(jet), chern_curvature_ref(*parts))
+    _assert_close(chern_curvature(jet), pair_hermitian_ref(chern_curvature_ref(*parts)))
     _assert_close(complexified_11_direct(jet), complexified_11_direct_ref(*parts))
     _check_forms(r, _cplx(rng, n, n, n, n), rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_curvature_keeps_the_staged_bits_and_exact_antisymmetry(n):
+    rng = np.random.default_rng(30 + n)
+    m = 2 * n
+    d2g = rng.standard_normal((m, m, m, m))
+    br = rng.standard_normal((m, m, m))
+    gamma = rng.standard_normal((m, m, m))
+    r = real_curvature(SimpleNamespace(d2g=d2g), SimpleNamespace(brackets=br, gamma=gamma))
+    assert r.flags.c_contiguous
+    assert r.tobytes() == real_curvature_staged_ref(d2g, br, gamma).tobytes()
+    assert np.array_equal(r, -r.transpose(0, 1, 3, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_real_curvature_keeps_the_staged_bits_on_catalog(name, n):
+    metric = catalog_metric(name, n)
+    g = geometry_at(metric, sample_admissible_points(metric, 1, seed=n)[0])
+    rchris = real_christoffel(g.rjet)
+    want = real_curvature_staged_ref(g.rjet.d2g, rchris.brackets, rchris.gamma)
+    assert g.rc.tobytes() == want.tobytes()
 
 
 def _check_half(r):
@@ -167,6 +198,12 @@ def _reads_batched_four_slot(spec: str) -> bool:
     return bool(batched) and any(len(t) == 4 and t not in batched for t in terms)
 
 
+def _called_name(call: ast.Call):
+    """The name a call is made by: f for f(...) and m.f(...)."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def contraction_violations(source: str, filename: str = "<src>") -> list:
     """Every optimize= keyword, every einsum call with three or more
     operands whose subscripts are not in ALLOWED_SPECS, every einsum
@@ -180,9 +217,7 @@ def contraction_violations(source: str, filename: str = "<src>") -> list:
         where = f"{filename}:{node.lineno}"
         if any(kw.arg == "optimize" for kw in node.keywords):
             found.append(f"{where}: optimize= keyword")
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name != "einsum" or not node.args:
+        if _called_name(node) != "einsum" or not node.args:
             continue
         spec = node.args[0].value if isinstance(node.args[0], ast.Constant) else None
         starred = any(isinstance(a, ast.Starred) for a in node.args)
@@ -200,6 +235,21 @@ def test_package_contractions_are_staged():
     assert files
     found = [v for f in files for v in contraction_violations(f.read_text(), f.name)]
     assert found == []
+
+
+def einsum_calls(source: str, filename: str = "<src>") -> list:
+    """Every call of a function named einsum, however it is spelled."""
+    return [f"{filename}:{node.lineno}" for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.Call) and _called_name(node) == "einsum"]
+
+
+def test_curvature_module_calls_no_einsum():
+    """kr, the direct mixed block, rc and cx are BLAS products only."""
+    path = SRC / "curvature.py"
+    assert einsum_calls(path.read_text(), path.name) == []
+    assert einsum_calls("x @ y\nnp.einsum('ij,jk->ik', a,\n          b)\neinsum('i->', v)\n") == [
+        "<src>:2", "<src>:4"
+    ]
 
 
 def test_guard_sees_multiline_and_unplanned_contractions():

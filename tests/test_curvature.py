@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,6 +62,33 @@ def test_chern_tensor_conjugation_symmetry():
     jet, _, _ = _geometry("nk_diag", 2, [1.0 + 0.3j, 0.4 - 0.2j])
     kr = chern_curvature(jet)
     assert np.abs(kr - np.conj(kr.transpose(1, 0, 3, 2))).max() < 1e-12
+
+
+def _is_pair_hermitian(kr):
+    return np.array_equal(kr, kr.transpose(1, 0, 3, 2).conj())
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_chern_tensor_is_pair_hermitian_bit_for_bit_on_catalog(name, n):
+    m = catalog_metric(name, n)
+    for p in sample_admissible_points(m, 2, seed=5 + n):
+        assert _is_pair_hermitian(geometry_at(m, p).kr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chern_tensor_is_pair_hermitian_bit_for_bit_on_random_jets(n):
+    # jets with no Hermitian symmetry at all: the symmetrization alone
+    # makes kr pair-Hermitian
+    rng = np.random.default_rng(40 + n)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for _ in range(3):
+        jet = SimpleNamespace(n=n, dh=cplx(2 * n, n, n), d2h=cplx(2 * n, 2 * n, n, n),
+                              h_inv=cplx(n, n))
+        assert _is_pair_hermitian(chern_curvature(jet))
 
 
 def test_real_curvature_symmetries_and_bianchi():
@@ -177,7 +205,7 @@ def test_point_scale_is_exact_and_zero_for_a_constant_metric():
 
 
 def test_chern_curvature_and_the_point_scale_overflow_to_the_typed_error():
-    # kr = dh h_inv dh is about 1e400; einsum sets no floating-point flags
+    # kr = dh h_inv dh is about 1e400; a BLAS product sets no floating-point flags
     geom = geometry_at(parse_metric("dim 2; h[1,1] = 1 + 1e200*(z1 + zb1);"), [0j, 0j])
     for read in ("kr", "scale"):
         with pytest.raises(HermicurvError, match="^metric scale out of the floating-point range"):
