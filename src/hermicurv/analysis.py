@@ -3,16 +3,17 @@ extremal searches over tangent 2-planes.
 
 Every search objective is a real quartic form, T(U, V, V, U) on a pair
 or T(Y, Y, Y, Y) on one vector, with T built once per point.  A search
-is one _Quartic problem: T pulled back through L^-T, L a factor of
-g = L L^T at the point, with that whitening and its constraint.  This
-turns g-unit vectors and g-orthonormal pairs into Euclidean unit
-vectors and orthonormal pairs; a result is mapped back to the chart as
-y = x L^-1.  The problem runs on the pull-back and on L each rescaled by
-the power of two that puts its largest |entry| in [0.5, 1)
-(core._unit_power), so every rule in it sees unit-scale values, and a
-metric multiplied by 2^k searches the same bits; values return in the
-metric's units through np.ldexp.  A pull-back that is not finite raises
-HermicurvError.
+is one _Quartic problem: T pulled back through L^-T, with that whitening
+and its constraint.  Every search has the one frame of _whitening: L is
+the real form of conj(C), h = C C^H at the point, so g = L L^T and the
+frame is unitary for h.  This turns g-unit vectors and g-orthonormal
+pairs into Euclidean unit vectors and orthonormal pairs; a result is
+mapped back to the chart as y = x L^-1.  The problem runs on the
+pull-back and on L each rescaled by the power of two that puts its
+largest |entry| in [0.5, 1) (core._unit_power), so every rule in it
+sees unit-scale values, and a metric multiplied by 2^k searches the
+same bits; values return in the metric's units through np.ldexp.  A
+pull-back that is not finite raises HermicurvError.
 
 Two routes solve a problem (_search).  At n = 2 every search is exact.
 The plane problems of sectional K and of the probe's |K - K_D|, and the
@@ -22,14 +23,14 @@ R^4 under the Hodge star (Thorpe), or on (1, Bloch vector) under the
 light cone (the S-lemma).  The bisectional B(xi, eta) is bilinear in the
 two Bloch vectors, and its extremes are the roots of a minimax in the
 level (_finsler, Finsler's lemma).  At n >= 3 a seeded multi-start
-Riemannian Newton search runs (_multistart), with L the Cholesky factor
-of g: it has the plain retraction (normalize, or Gram-Schmidt) and the
-textbook Riemannian gradient and Hessian (_riemannian).  Restart states
-are carried as rows of one array, so values, gradients, Hessians and one
-eigh per pass are batched; each restart takes saddle-free Newton steps
-inside its own trust radius until its Riemannian gradient vanishes to
-rounding.  The winner is the best final value, first-found on ties
-within 1e-10, which keeps results reproducible for a fixed seed.
+Riemannian Newton search runs (_multistart): it has the plain
+retraction (normalize, or Gram-Schmidt) and the textbook Riemannian
+gradient and Hessian (_riemannian).  Restart states are carried as rows
+of one array, so values, gradients, Hessians and one eigh per pass are
+batched; each restart takes saddle-free Newton steps inside its own
+trust radius until its Riemannian gradient vanishes to rounding.  The
+winner is the best final value, first-found on ties within 1e-10,
+which keeps results reproducible for a fixed seed.
 
 Every flag derived from a point's tensors or searches (classify's
 curvature conditions, the symmetry verdict of lu and the bisectional
@@ -134,17 +135,6 @@ def classify(metric: MetricDefinition, points) -> ClassificationReport:
 # Curvature-tensor symmetry and inequality checks
 
 
-def _symmetry_residual(A: np.ndarray) -> float:
-    """The largest defect of the three symmetries required of a
-    curvature-type tensor: swap of unbarred slots, swap of barred slots,
-    and pair conjugation."""
-    return max(
-        float(np.max(np.abs(A - A.transpose(2, 1, 0, 3)))),
-        float(np.max(np.abs(A - A.transpose(0, 3, 2, 1)))),
-        float(np.max(np.abs(A - A.transpose(1, 0, 3, 2).conj()))),
-    )
-
-
 def _sign_label(vals: np.ndarray) -> str:
     """The sign of sampled real values, judged against the largest
     |value|: scale-free, and only an exact zero is "zero"."""
@@ -178,17 +168,20 @@ def _cone_sign(F: np.ndarray) -> str:
 
 def _hypotheses(kr: np.ndarray, scale: float, draws):
     """(residual, symmetric, sign) of the hypotheses that lu and the
-    bisectional search share: the _symmetry_residual of kr, whether it
-    passes classify's Kahler-like rule (at most _CLASSIFY_TOL * scale, the
-    point's PointGeometry.scale), and the sign of Re _w_form on
-    _unit_power(kr).
+    bisectional search share: classify's Kahler-like residual of kr, the
+    defect of its swap of unbarred slots, whether it passes classify's
+    rule (at most _CLASSIFY_TOL * scale, the point's PointGeometry.scale),
+    and the sign of Re _w_form on _unit_power(kr).  kr is pair-Hermitian
+    bit for bit (curvature.chern_curvature), so the swap of barred slots
+    has the same defect, conjugated and pair-swapped, and pair
+    conjugation none.
 
     At n = 2 the sign is exact: i W = i (x e~ - e x~) ranges over exactly
     the Hermitian 2 x 2 matrices with det <= 0, so the W-form is the
     _pauli_form of kr on the cone z _CONE z >= 0 of their Pauli
     coordinates z (_cone_sign).  Beyond, it is the _sign_label of the
     values on the pairs (X, E) that draws() returns."""
-    residual = _symmetry_residual(kr)
+    residual = float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3))))
     S = _unit_power(kr)[0]
     if kr.shape[0] == 2:
         sign = _cone_sign(_pauli_form(S))
@@ -221,12 +214,13 @@ def lu_inequality_check(metric: MetricDefinition, p, samples: int = 1000,
     A(x,x~,x,x~) A(e,e~,e,e~) on random pairs, A the Chern curvature kr of
     the metric at p.
 
-    The bound is only guaranteed under the symmetry conditions of
-    _symmetry_residual plus a sign condition on the quadratic form built
-    from x e~ - e x~; both hypotheses are checked by _hypotheses, the sign
-    exactly at n = 2 and on the same samples beyond, and failure makes
-    the report inapplicable rather than a violation.  The sign is "nonneg" when the sampled form is zero or
-    nonnegative and "nonpos" otherwise; the report names the sign taken.
+    The bound is only guaranteed when A is Kahler-like (symmetric under
+    the swap of its unbarred slots) and a quadratic form built from
+    x e~ - e x~ has a sign; both hypotheses are checked by _hypotheses,
+    the sign exactly at n = 2 and on the same samples beyond, and failure
+    makes the report inapplicable rather than a violation.  The sign is
+    "nonneg" when the sampled form is zero or nonnegative and "nonpos"
+    otherwise; the report names the sign taken.
     The forms are taken on A rescaled by _unit_power; a margin there below
     -1e-9 s^2, s the point's PointGeometry.scale rescaled alike, is a
     violation, and worst_margin is scaled back by np.ldexp.
@@ -298,15 +292,24 @@ class SearchStats:
     capped: int
 
 
-def _whitening(g: np.ndarray):
-    """(L, L^-1) for the Cholesky factor g = L L^T.
+def _real_form(A: np.ndarray) -> np.ndarray:
+    """The real 2n x 2n matrix of the complex-linear map A on (Re, Im)."""
+    re, im = A.real, A.imag
+    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
+
+
+def _whitening(h: np.ndarray):
+    """(L, L^-1) with g = L L^T and L complex-linear: the real forms of
+    conj(C) and its inverse, h = C C^H the complex Cholesky factor.
 
     A row state x in whitened coordinates is the row y = x L^-1 in the
     chart, and g(y, y) = x . x, so g-unit vectors and g-orthonormal
-    pairs become Euclidean ones.
+    pairs become Euclidean ones.  A whitened state x = (Re zeta, Im zeta)
+    is the chart vector of xi = C^-T zeta, and h(xi, xi) = |zeta|^2, so
+    this is a unitary frame of h: a phase of zeta is a phase of xi.
     """
-    L = np.linalg.cholesky(g)
-    return L, np.linalg.inv(L)
+    C = np.linalg.cholesky(h).conj()
+    return _real_form(C), _real_form(np.linalg.inv(C))
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -645,22 +648,6 @@ def _plane_state(w: np.ndarray) -> np.ndarray:
     return np.concatenate([Q[:, 3], Q[:, 2]])
 
 
-def _real_form(A: np.ndarray) -> np.ndarray:
-    """The real 2n x 2n matrix of the complex-linear map A on (Re, Im)."""
-    re, im = A.real, A.imag
-    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
-
-
-def _hermitian_whitening(h: np.ndarray):
-    """(L, L^-1) with g = L L^T and L complex-linear: the real forms of
-    conj(C) and its inverse, h = C C^H the complex Cholesky factor.  A
-    whitened state x = (Re zeta, Im zeta) is the chart vector of
-    xi = C^-T zeta, and h(xi, xi) = |zeta|^2, so this is a unitary frame of
-    h: a phase of zeta is a phase of xi."""
-    C = np.linalg.cholesky(h).conj()
-    return _real_form(C), _real_form(np.linalg.inv(C))
-
-
 def _pauli_form(G: np.ndarray) -> np.ndarray:
     """(4, 4) Re sum G[a, b, c, d] sigma_mu[a, b] sigma_nu[c, d] for a
     (2, 2, 2, 2) G: the real form of G on the Pauli coordinates of two
@@ -671,7 +658,7 @@ def _pauli_form(G: np.ndarray) -> np.ndarray:
 
 def _bloch_form(S: np.ndarray, blocks: int = 1) -> np.ndarray:
     """The Pauli form of a phase-invariant quartic S on unit vectors of
-    C^2 in a unitary frame (_hermitian_whitening), as the holomorphic
+    C^2 in a unitary frame (_whitening), as the holomorphic
     quartics and B are: with one block, the symmetric A with
     y A y = S(z, z, z, z) for y = (1, x) / sqrt(2), x the Bloch vector
     zeta^H sigma zeta of zeta and z = (Re zeta, Im zeta); with two, the T
@@ -909,15 +896,12 @@ def _extremal(mode: str, restarts: int, seed: int, geom, plane: _Quartic,
     plane is the two-block problem, over orthonormal pairs or two unit
     vectors, and found its _search result if already run; the
     holomorphic search extremizes holo_T(Y, Y, Y, Y) over g-unit Y, under
-    plane's whitening, or at n = 2 under the unitary frame of h that
-    _exact needs.  applicable needs symmetric and a sign the mode is
-    covered for.
+    plane's whitening, the unitary frame of h that _exact needs at n = 2.
+    applicable needs symmetric and a sign the mode is covered for.
     """
     m = plane.m
     best_x, best_value, converged, stats = found or _search(plane, restarts, seed, mode)
-    # at n = 2 in a unitary frame of h, which a bisectional plane has already
-    white = _hermitian_whitening(geom.jet.h) if m == 4 and plane.pair else plane.white
-    holo = _Quartic(holo_T, white, 1)
+    holo = _Quartic(holo_T, plane.white, 1)
     best_y, holo_value, holo_conv, holo_stats = _search(holo, restarts, seed + 1, mode)
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
     applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
@@ -963,7 +947,7 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
     r = geom.rc
-    plane = _Quartic(r, _whitening(geom.rjet.g), 2, pair=True)
+    plane = _Quartic(r, _whitening(geom.jet.h), 2, pair=True)
     found = None
     if geom.n == 2:
         ends = {end: _exact(plane, end) for end in ("min", "max")}
@@ -997,11 +981,9 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     _, symmetric, hypothesis_sign = _hypotheses(kr, geom.scale, draws)
 
-    # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y); _finsler
-    # needs B in a unitary frame
+    # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
     K = _real_chern(kr)
-    white = _hermitian_whitening(geom.jet.h) if n == 2 else _whitening(geom.rjet.g)
-    plane = _Quartic(K.transpose(0, 2, 3, 1), white, 2)
+    plane = _Quartic(K.transpose(0, 2, 3, 1), _whitening(geom.jet.h), 2)
     res = _extremal(mode, restarts, seed, geom, plane, K, hypothesis_sign, symmetric)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(
@@ -1067,7 +1049,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
-        q = _Quartic(T, _whitening(geom.rjet.g), 2, pair=True, absolute=True)
+        q = _Quartic(T, _whitening(geom.jet.h), 2, pair=True, absolute=True)
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * geom.scale
 
         sample = q.draw(np.random.default_rng(seed + k), samples)

@@ -45,9 +45,6 @@ __all__ = [
     "identity_suite",
 ]
 
-_IM_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class Plane:
     """A real tangent 2-plane given by a (not necessarily orthonormal) span."""
@@ -93,15 +90,6 @@ def _form(T: np.ndarray, a, b, c, d):
 def _kr_form(kr: np.ndarray, a, b, c, d):
     """kr(a, b~, c, d~); batched over any leading axes of the vectors."""
     return _form(kr, a, b.conj(), c, d.conj())
-
-
-def _real_quantity(value: complex, kr: np.ndarray, what: str) -> float:
-    """Re value, for a form of kr on unit-scaled vectors: Im value must be below
-    _IM_TOL times |value| or, read only then, max|kr|, the size of its terms."""
-    im = abs(value.imag)
-    if im > _IM_TOL * abs(value) and im > _IM_TOL * float(np.max(np.abs(kr))):
-        raise HermicurvError(f"{what} should be real, got imaginary part {value.imag:.3e}")
-    return float(value.real)
 
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -151,23 +139,20 @@ def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float
     return float(_form(r, u, v, v, u)) / gram
 
 
-def _chern_numerator(kr: np.ndarray, x, e) -> float:
-    """chern_quadratic_form on unit-scaled x and e."""
-    return _real_quantity(_w_form(kr, x, e) / 2, kr, "the canonical-curvature quadratic form")
-
-
 def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
     """The numerator of K_D: a real quadratic pairing in kr.
 
     Equal to half the kr contraction against W ox conj(W) with
-    W = xi eta~ - eta xi~; realness follows from pair-Hermitian symmetry
-    and is checked, not assumed.  The form is taken on xi and eta rescaled
-    by _unit_scaled, and its value is scaled back through ldexp.
+    W = xi eta~ - eta xi~, real because kr is pair-Hermitian, which
+    curvature.chern_curvature makes exact: the value is the real part,
+    its imaginary part contraction rounding.  The form is taken on xi and
+    eta rescaled by _unit_scaled, and its value is scaled back through
+    ldexp.
     """
     x, ex = _unit_scaled(_holo_comps(xi))
     e, ee = _unit_scaled(_holo_comps(eta))
     with _in_range("metric scale out of the floating-point range: the form overflows"):
-        return float(np.ldexp(_chern_numerator(kr, x, e), 2 * (ex + ee)))
+        return float(np.ldexp((_w_form(kr, x, e) / 2).real, 2 * (ex + ee)))
 
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
@@ -175,25 +160,27 @@ def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
     xi = to_holomorphic(_unit_scaled(_real_comps(plane.u))[0])
     eta = to_holomorphic(_unit_scaled(_real_comps(plane.v))[0])
     denom = _gram(np.asarray(h, dtype=complex), xi, eta)
-    return _chern_numerator(kr, xi, eta) / denom
+    return float((_w_form(kr, xi, eta) / 2).real) / denom
+
+
+def _bisectional(kr: np.ndarray, h, x, e) -> float:
+    """B(x, e) on unit-scaled vectors, from the real part of its numerator."""
+    if not (x.any() and e.any()):
+        raise ValueError("bisectional curvature of a zero vector")
+    nx, ne, _ = _pairings(np.asarray(h, dtype=complex), x, e)
+    return float(_form(kr, x, x.conj(), e, e.conj()).real) / (nx * ne)
 
 
 def holo_sectional(kr: np.ndarray, h, xi) -> float:
     """H(xi) = B(xi, xi); invariant under complex rescaling of xi."""
     x = _unit_scaled(_holo_comps(xi))[0]
-    if not x.any():
-        raise ValueError("bisectional curvature of a zero vector")
-    xc, nx = x.conj(), _pairings(np.asarray(h, dtype=complex), x, x)[0]
-    return _real_quantity(_form(kr, x, xc, x, xc), kr, "the B numerator") / (nx * nx)
+    return _bisectional(kr, h, x, x)
 
 
 def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     """B(xi, eta); B(xi, xi) recovers H(xi)."""
     x, e = (_unit_scaled(_holo_comps(v))[0] for v in (xi, eta))
-    if not (x.any() and e.any()):
-        raise ValueError("bisectional curvature of a zero vector")
-    nx, ne, _ = _pairings(np.asarray(h, dtype=complex), x, e)
-    return _real_quantity(_form(kr, x, x.conj(), e, e.conj()), kr, "the B numerator") / (nx * ne)
+    return _bisectional(kr, h, x, e)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 fd_oracle_jet only evaluates the metric, and induced_connection_fd
 differences the connection coefficients across nearby points, so neither
 uses the exact derivative route it checks; riemannian_fd differences
-search values and gradients along retraction curves.  The *_ref contractions are
+search values and gradients along retraction curves, and cholesky_frame
+is a second search frame, the real Cholesky factor of g, for Newton
+references that search in a frame other than the library's.  The *_ref contractions are
 each a single plain einsum over all operands: a direct sum over every
 index, with none of the staging of the library's products (each_slot_ref
 and complexify_ref may instead let numpy pair the operands, which the
@@ -53,8 +55,8 @@ from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
                               InadmissiblePointError)
-from hermicurv.sectional import (IdentityResiduals, Plane, _form, _gram, _kr_form, _real_quantity,
-                                 _unit_scaled, chern_quadratic_form)
+from hermicurv.sectional import (IdentityResiduals, Plane, _form, _gram, _kr_form, _unit_scaled,
+                                 chern_quadratic_form)
 from hermicurv.field import (MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at,
                              real_jet_from_complex)
 
@@ -376,6 +378,13 @@ def riemannian_fd(value, gradient, retract, X: np.ndarray, eps: float = 1e-5):
         grads[b] = Q @ c
         hessians[b] = Q @ (Q.T @ D) @ Q.T
     return grads, hessians
+
+
+def cholesky_frame(g: np.ndarray):
+    """(L, L^-1) for the real Cholesky factor g = L L^T: a whitening of
+    the real metric g that is not a unitary frame of h."""
+    L = np.linalg.cholesky(g)
+    return L, np.linalg.inv(L)
 
 
 def form_ref(T: np.ndarray, a, b, c, d):
@@ -808,8 +817,7 @@ def holo_bisectional_ref(kr: np.ndarray, h, xi, eta) -> float:
         raise ValueError("bisectional curvature of a zero vector")
     nx = hermitian_pairing(h, x, x).real
     ne = hermitian_pairing(h, e, e).real
-    num = _kr_form(kr, x, x, e, e)
-    return _real_quantity(num, kr, "the B numerator") / (nx * ne)
+    return float(_kr_form(kr, x, x, e, e).real) / (nx * ne)
 
 
 def holo_sectional_ref(kr: np.ndarray, h, xi) -> float:

@@ -25,7 +25,7 @@ from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
-from oracles import riemannian_fd, sample_admissible_points
+from oracles import cholesky_frame, riemannian_fd, sample_admissible_points
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -131,18 +131,34 @@ def test_g_kahler_like_sectional_reconstruction(geom):
 # Lu symmetry and inequality
 
 
-def test_lu_symmetry_detects_kahler_tensors(geom):
-    g = geom("fubini_study", [0.2 - 0.1j, 0.3 + 0.2j])
-    assert analysis._symmetry_residual(g.kr) < 1e-10
-    rep = lu_inequality_check(catalog_metric("fubini_study", 2), g.point, samples=100)
+def test_lu_symmetry_detects_kahler_tensors():
+    fs, nk = catalog_metric("fubini_study", 2), catalog_metric("nk_diag", 2)
+    p = ChartPoint(np.array([0.2 - 0.1j, 0.3 + 0.2j]))
+    residual = classify(fs, [p]).kahler_like_residual
+    assert residual < 1e-10
+    rep = lu_inequality_check(fs, p, samples=100)
     assert rep.symmetry_passed
-    assert rep.symmetry_residual == analysis._symmetry_residual(g.kr)
-    ng = geom("nk_diag", [1.0 + 0j, 0.2 + 0.1j])
-    assert analysis._symmetry_residual(ng.kr) > 1e-2
-    nrep = lu_inequality_check(catalog_metric("nk_diag", 2), ng.point, samples=100)
+    assert rep.symmetry_residual == residual
+    p = ChartPoint(np.array([1.0 + 0j, 0.2 + 0.1j]))
+    residual = classify(nk, [p]).kahler_like_residual
+    assert residual > 1e-2
+    nrep = lu_inequality_check(nk, p, samples=100)
     assert not nrep.symmetry_passed
     assert not nrep.applicable
-    assert nrep.symmetry_residual == analysis._symmetry_residual(ng.kr)
+    assert nrep.symmetry_residual == residual
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_lu_symmetry_check_is_classify_kahler_like(n):
+    # kr is pair-Hermitian bit for bit, so the swap of unbarred slots is
+    # the one symmetry left to check, with classify's residual and rule
+    for name in CATALOG_NAMES:
+        m = catalog_metric(name, n)
+        for p in sample_admissible_points(m, 3, seed=43):
+            c = classify(m, [p])
+            rep = lu_inequality_check(m, p, samples=10)
+            assert rep.symmetry_residual == c.kahler_like_residual, (name, p)
+            assert rep.symmetry_passed == c.kahler_like, (name, p)
 
 
 def test_lu_inequality_on_sign_definite_tensors():
@@ -356,11 +372,12 @@ def _search_cases(geom):
 
     The independent objectives are the search objectives written out
     directly on chart states, without the real 4-tensors the engine
-    folds them into or the whitening it searches in."""
+    folds them into or the whitening it searches in; the quartics search
+    in the Cholesky frame of g."""
     g, r, kr = geom.rjet.g, geom.rc, geom.kr
     n = geom.n
     m = 2 * n
-    white = analysis._whitening(g)
+    white = cholesky_frame(g)
     K = analysis._real_chern(kr)
 
     def holo(X):
@@ -443,17 +460,18 @@ def test_search_gradients_match_finite_differences(name, n):
 def test_projectors_map_zero_rows_to_unit_vectors(geom):
     g = geom("hopf", [0.3 + 0.1j, -0.2 + 0.05j])
     gm, H = g.rjet.g, g.jet.h
-    q = analysis._Quartic(np.zeros((4,) * 4), analysis._whitening(gm), 2, pair=True)
     X = np.zeros((2, 8))
     X[1] = np.arange(1.0, 9.0)
     P = analysis._retract(X, 4, True)
-    for row in (P, q.chart(P)):
-        for x in row:
-            U, V = x[:4], x[4:]
-            metric = np.eye(4) if row is P else gm
-            assert U @ metric @ U == pytest.approx(1.0, abs=1e-12)
-            assert V @ metric @ V == pytest.approx(1.0, abs=1e-12)
-            assert U @ metric @ V == pytest.approx(0.0, abs=1e-12)
+    for white in (analysis._whitening(H), cholesky_frame(gm)):
+        q = analysis._Quartic(np.zeros((4,) * 4), white, 2, pair=True)
+        for row in (P, q.chart(P)):
+            for x in row:
+                U, V = x[:4], x[4:]
+                metric = np.eye(4) if row is P else gm
+                assert U @ metric @ U == pytest.approx(1.0, abs=1e-12)
+                assert V @ metric @ V == pytest.approx(1.0, abs=1e-12)
+                assert U @ metric @ V == pytest.approx(0.0, abs=1e-12)
     # a partner parallel to U falls back to a unit vector orthogonal to U
     Y = analysis._retract(np.concatenate([X[1:, :4], X[1:, :4]], axis=1), 4, True)[0]
     assert Y[4:] @ Y[4:] == pytest.approx(1.0, abs=1e-12)
@@ -590,7 +608,9 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
     for k, p in enumerate(sample_admissible_points(m, 4, seed=29)):
         geom = geometry_at(m, p)
         r, kr, g, h = geom.rc, geom.kr, geom.rjet.g, geom.jet.h
-        white = analysis._whitening(g)
+        # the Newton references search in the Cholesky frame of g, the
+        # exact routes in the library's unitary frame of h
+        white = cholesky_frame(g)
         Q = analysis._Quartic
         newton = {
             "K": Q(r, white, 2, pair=True),
@@ -622,13 +642,13 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
                 bis.holo_best_value, rel=1e-12, abs=1e-12)
 
         T = analysis._gap_tensor(r, kr)
-        gap = Q(T, white, 2, pair=True, absolute=True)
+        gap = Q(T, analysis._whitening(h), 2, pair=True, absolute=True)
         x, value, converged, _ = analysis._exact(gap, "max")
         # a gap tensor of rounding noise, which the probe does not refine,
         # is no quadratic form on bivectors
         noise = np.max(np.abs(analysis._pair_symmetrized(T))) <= 1e-12 * geom.scale
         assert converged or noise
-        agree(value, gap, "max", "|K - K_D|")
+        agree(value, Q(T, white, 2, pair=True, absolute=True), "max", "|K - K_D|")
         plane = Plane(x[:4], x[4:])
         _check_orthonormal(g, plane, 1e-12)
         xi, eta = to_holomorphic(x.reshape(2, 4))
@@ -638,14 +658,13 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
 
 
 def _bisectional_plane(kr, h, unitary):
-    """The bisectional plane problem B(xi, eta) = K(U, U, V, V) of kr, as
-    extremal_bisectional builds it: in a unitary frame of h, the exact
-    route's, or under the Cholesky factor of g = Re(E h E^H), xi_u = E^T u,
-    the Newton search's."""
+    """The bisectional plane problem B(xi, eta) = K(U, U, V, V) of kr: in
+    the unitary frame of h, as extremal_bisectional builds it, or under
+    the Cholesky factor of g = Re(E h E^H), xi_u = E^T u, as the Newton
+    references search it."""
     K = analysis._real_chern(kr)
     E = to_holomorphic(np.eye(4))
-    white = (analysis._hermitian_whitening(h) if unitary
-             else analysis._whitening((E @ h @ E.conj().T).real))
+    white = analysis._whitening(h) if unitary else cholesky_frame((E @ h @ E.conj().T).real)
     return analysis._Quartic(K.transpose(0, 2, 3, 1), white, 2)
 
 
@@ -667,6 +686,32 @@ def test_bisectional_route_matches_a_64_restart_newton_search(name):
             assert abs(hermitian_pairing(h, eta, eta) - 1) <= 1e-12
             assert holo_bisectional(kr, h, xi, eta) == pytest.approx(
                 res.best_value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_searches_match_a_64_restart_newton_search_in_another_frame(name):
+    # at n = 3 the library's Newton searches run in the unitary frame of h;
+    # references in the Cholesky frame of g, from other start states, find
+    # the same extremes
+    m = catalog_metric(name, 3)
+    for k, p in enumerate(sample_admissible_points(m, 2, seed=29)):
+        geom = geometry_at(m, p)
+        white = cholesky_frame(geom.rjet.g)
+        K = analysis._real_chern(geom.kr)
+        Q = analysis._Quartic
+        newton = {
+            "K": Q(geom.rc, white, 2, pair=True),
+            "H_sectional": Q(analysis._j_folded(geom.rc), white, 1),
+            "B": Q(K.transpose(0, 2, 3, 1), white, 2),
+            "H_bisectional": Q(K, white, 1),
+        }
+        for mode in ("max", "min"):
+            sec = extremal_sectional(m, p, mode=mode, seed=k)
+            bis = extremal_bisectional(m, p, mode=mode, seed=k)
+            for what, value in (("K", sec.best_value), ("H_sectional", sec.holo_best_value),
+                                ("B", bis.best_value), ("H_bisectional", bis.holo_best_value)):
+                ref = analysis._multistart(newton[what], 64, 100 + k, mode)[1]
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(value)), (what, mode, value, ref)
 
 
 def _kr_of_pauli_form(T, h):

@@ -252,6 +252,27 @@ def test_curvature_module_calls_no_einsum():
     ]
 
 
+def cholesky_callers(source: str, filename: str = "<src>") -> list:
+    """The function around each call of a function named cholesky, in
+    line order, None at module level."""
+    tree = ast.parse(source, filename)
+    defs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and _called_name(node) == "cholesky")
+    return [next((f.name for f in defs if f.lineno <= k <= f.end_lineno), None) for k in lines]
+
+
+def test_one_search_frame_calls_cholesky():
+    """Every search whitens in the one frame analysis._whitening builds,
+    the only Cholesky factorization in the package."""
+    found = [(f.stem, name) for f in sorted(SRC.glob("*.py"))
+             for name in cholesky_callers(f.read_text(), f.name)]
+    assert found == [("analysis", "_whitening")]
+    assert cholesky_callers("def f(h):\n    return np.linalg.cholesky(h)\ncholesky(g)\n") == [
+        "f", None
+    ]
+
+
 def test_guard_sees_multiline_and_unplanned_contractions():
     bad = (
         "np.einsum(\n"
