@@ -13,7 +13,7 @@ pull-back and on L each rescaled by the power of two that puts its
 largest |entry| in [0.5, 1) (core._unit_power), so every rule in it
 sees unit-scale values, and a metric multiplied by 2^k searches the
 same bits; values return in the metric's units through np.ldexp.  A
-pull-back that is not finite raises HermicurvError.
+pull-back that is not finite raises HermicurvError (_whitened).
 
 Two routes solve a problem (_search).  At n = 2 every search is exact.
 The plane problems of sectional K and of the probe's |K - K_D|, and the
@@ -53,7 +53,6 @@ from .core import (ChartPoint, _each_slot, _frame, _in_range, _unit_power, hermi
                    to_holomorphic)
 from .dsl import MetricDefinition
 from .engine import geometry_at
-from .errors import HermicurvError
 from .sectional import (Plane, _form, _kr_form, _slot_pair, _w_form, chern_quadratic_form,
                         riemann_sectional)
 
@@ -152,18 +151,11 @@ def _cone_sign(F: np.ndarray) -> str:
     """The sign of z F z on the cone z _CONE z >= 0, by the S-lemma (a
     Slater point is e_1): F >= 0 there exactly when
     m = min over t >= 0 of lambda_max(-F + t _CONE) is <= 0, and F <= 0
-    when that of F is.  Each is one-sided: at t = 0 when the top
-    cluster's largest slope there is >= 0, else the _minimax.  The label
-    is the _sign_label of the two ends, -m for -F and m for F."""
+    when that of F is; each m is one _minimax with nonneg.  The label is
+    the _sign_label of the two ends, -m for -F and m for F."""
     F = (F + F.T) / 2
-    lam, Q = np.linalg.eigh(F)
-    tol = _CLUSTER_TOL * max(-lam[0], lam[-1])
-    ends = []
-    for s in (-1, 1):
-        eig = s * lam[::s], Q[:, ::s]  # of s F, ascending
-        top = _top_slopes(*eig, _CONE, tol)[1][-1]
-        ends.append(eig[0][-1] if top >= 0 else _minimax(s * F, _CONE)[0])
-    return _sign_label(np.array([-ends[0], ends[1]]))
+    m = [_minimax(s * F, _CONE, nonneg=True)[0] for s in (-1.0, 1.0)]
+    return _sign_label(np.array([-m[0], m[1]]))
 
 
 def _hypotheses(kr: np.ndarray, scale: float, draws):
@@ -202,10 +194,11 @@ class LuInequalityReport:
     samples: int
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return X / norms
+@_in_range("metric scale out of the floating-point range: the worst margin overflows")
+def _scaled_back(worst, scale, e: int):
+    """(worst 2^(2e), scale 2^-e): lu's worst margin in the metric's units,
+    and the point's scale in those of A 2^-e."""
+    return float(np.ldexp(worst, 2 * e)), float(np.ldexp(scale, -e))
 
 
 def lu_inequality_check(metric: MetricDefinition, p, samples: int = 1000,
@@ -230,17 +223,17 @@ def lu_inequality_check(metric: MetricDefinition, p, samples: int = 1000,
     geom = geometry_at(metric, p)
     A, n = geom.kr, geom.n
     rng = np.random.default_rng(seed)
-    X = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
-    E = _unit_rows(rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
+    X, E = (rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+            for _ in range(2))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
     residual, passed, sign = _hypotheses(A, geom.scale, lambda: (X, E))
     hyp = sign != "indefinite"
 
     S, e = _unit_power(A)
     margins = (_kr_form(S, X, X, X, X).real * _kr_form(S, E, E, E, E).real
                - np.abs(_kr_form(S, X, X, E, E)) ** 2)
-    with _in_range("metric scale out of the floating-point range: the worst margin overflows"):
-        worst = float(np.ldexp(np.min(margins), 2 * e))
-        s = float(np.ldexp(geom.scale, -e))
+    worst, s = _scaled_back(np.min(margins), geom.scale, e)
 
     return LuInequalityReport(
         applicable=passed and hyp,
@@ -318,6 +311,14 @@ def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
     return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
 
 
+@_in_range("curvature scale out of the floating-point range: the search's whitened "
+           "tensor is not finite")
+def _whitened(T: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """The pair-symmetrized pull-back of T through L^-T on every slot, for
+    inverse = L^-1: S at whitened states x is T at y = x L^-1."""
+    return _pair_symmetrized(_each_slot(T, inverse.T))
+
+
 class _Quartic:
     """One search problem: f = T(U, V, V, U) on whitened states X of
     dim = blocks * m reals, U = X[:, :m], V = X[:, -m:] (U = V = Y on one
@@ -335,14 +336,7 @@ class _Quartic:
 
     def __init__(self, T: np.ndarray, white, blocks: int, pair: bool = False,
                  absolute: bool = False):
-        # L^-T on every slot: S at whitened states x is T at y = x L^-1
-        message = ("curvature scale out of the floating-point range: the search's whitened "
-                   "tensor is not finite")
-        with _in_range(message):
-            S = _pair_symmetrized(_each_slot(T, white[1].T))
-        if not np.all(np.isfinite(S)):
-            raise HermicurvError(message)
-        S, self.exp = _unit_power(S)
+        S, self.exp = _unit_power(_whitened(T, white[1]))
         self.white = white
         self.lift = _unit_power(white[0])[0]
         self.m = S.shape[0]
@@ -546,23 +540,13 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 _FRAME_INV = _frame(2).conj().T / 2
 
 
-def _top_slopes(lam: np.ndarray, Q: np.ndarray, C: np.ndarray, tol: float):
-    """(V, c, E) for a symmetric matrix with eigenpairs (lam, Q), ascending:
-    V its top eigen-cluster, the eigenvectors of the eigenvalues within tol
-    of the top, and (c, E) the eigenpairs of C restricted to it, c the
-    slopes of lambda_max along C."""
-    V = Q[:, np.searchsorted(lam, lam[-1] - tol):]
-    if V.shape[1] == 1:  # the eigenpair of a 1 x 1 matrix, without a LAPACK call
-        return V, (V.T @ C @ V)[0], np.ones((1, 1))
-    c, E = np.linalg.eigh(V.T @ C @ V)
-    return V, c, E
-
-
-def _minimax(A: np.ndarray, C: np.ndarray):
+def _minimax(A: np.ndarray, C: np.ndarray, nonneg: bool = False):
     """(lam, w, steps): lam = min over t of lambda_max(A + t C), for a small
     symmetric A and a fixed symmetric C with eigenvalues +-1, a unit
     witness w in the top eigenspace there with w . C w as near 0 as the
-    eigenspace allows, and the eigh calls taken.
+    eigenspace allows, and the eigh calls taken.  With nonneg the min is
+    over t >= 0 only: when every slope at t = 0 is positive, lam is
+    lambda_max(A) there and w the eigenvector of the smallest slope.
 
     lambda_max(A + t C) is convex in t, with slopes the eigenvalues of C
     restricted to the top eigen-cluster (eigenvalues within _CLUSTER_TOL
@@ -574,12 +558,13 @@ def _minimax(A: np.ndarray, C: np.ndarray):
     while the step is inside the bracket and at most half the last one;
     else a cutting-plane step, where the tangent lines at the bracket's
     two ends cross, or with one end known, the other end's bound; else
-    bisection.  It stops when the slopes straddle 0, w then the
-    combination of the extreme ones' eigenvectors on which C vanishes;
-    else, w the eigenvector of the slope s nearest 0, when
-    s^2 spread is at most the cluster tolerance, so that w is off the
-    null set by an error that small, or when the bracket closes or the
-    steps run out.
+    bisection.  Once the slopes at t = 0 are negative, the bracket keeps
+    t > 0, so nonneg changes nothing else.  It stops when the slopes
+    straddle 0, w then the combination of the extreme ones' eigenvectors
+    on which C vanishes; else, w the eigenvector of the slope s nearest
+    0, when s^2 spread is at most the cluster tolerance, so that w is off
+    the null set by an error that small, or when the bracket closes or
+    the steps run out.
     """
     lo = hi = None  # (t, lam, slope) at the ends of the bracket
     t, moved = 0.0, np.inf
@@ -588,8 +573,14 @@ def _minimax(A: np.ndarray, C: np.ndarray):
         if steps == 1:
             tol = _CLUSTER_TOL * max(-lam[0], lam[-1])
             spread = lam[-1] - lam[0]
-        V, c, E = _top_slopes(lam, Q, C, tol)
+        # the top eigen-cluster V, within tol of the top, and the
+        # eigenpairs (c, E) of C restricted to it: c the slopes
+        V = Q[:, np.searchsorted(lam, lam[-1] - tol):]
         k = V.shape[1]
+        if k == 1:  # the eigenpair of a 1 x 1 matrix, without a LAPACK call
+            c, E = (V.T @ C @ V)[0], np.ones((1, 1))
+        else:
+            c, E = np.linalg.eigh(V.T @ C @ V)
         if c[0] <= 0.0 <= c[-1]:
             # the combination of the extreme eigenvectors on which C vanishes
             a, b = -c[0], c[-1]
@@ -599,7 +590,7 @@ def _minimax(A: np.ndarray, C: np.ndarray):
             return lam[-1], V @ w, steps
         j = 0 if c[0] > 0 else -1
         s, v = c[j], V @ E[:, j]
-        if s * s * spread <= tol:
+        if s * s * spread <= tol or (nonneg and steps == 1 and s > 0):
             return lam[-1], v, steps
         if s > 0:
             hi = (t, lam[-1], s)
@@ -702,6 +693,18 @@ def _bloch_state(y: np.ndarray) -> np.ndarray:
     return np.concatenate([zeta.real, zeta.imag])
 
 
+def _witnessed(q: _Quartic, x: np.ndarray, sign: float, bound: float, calls: int):
+    """An exact route's result at its witness state x, as _multistart
+    returns one: (chart state, q's value at x, converged, stats).
+    converged means sign times that value, on the rescaled problem, is
+    within _WITNESS_TOL of the route's bound; the stats are those of one
+    run: calls eigh steps, one evaluation, and converged or capped 1."""
+    f = float(q.rescaled(x[None])[0])
+    converged = bool(abs(sign * f - bound) <= _WITNESS_TOL)
+    stats = SearchStats(calls, 1, int(converged), int(not converged))
+    return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
+
+
 def _exact(q: _Quartic, mode: str):
     """The extreme of an n = 2 problem q without a search: the plane
     problem over orthonormal pairs, as the minimax of _bivector_form
@@ -710,12 +713,8 @@ def _exact(q: _Quartic, mode: str):
     light cone.  max f is the minimax of the form, min f minus that of
     its negative, and with q.absolute, max |f| is the larger of the two.
 
-    The witness state is built from the minimax witness, and the value
-    returned is q's value there; converged means that value, on the
-    rescaled problem, is within _WITNESS_TOL of the minimax value.
-    Returns, as _multistart does, (chart state, value, converged, stats),
-    the stats of one run: iterations counts the eigh steps of the
-    minimaxes, evaluations is 1, and converged or capped is 1.
+    The witness state is built from the minimax witness, and _witnessed
+    checks q's value there against the minimax value.
     """
     sign = 1.0 if mode == "max" else -1.0
     if q.pair:
@@ -724,11 +723,7 @@ def _exact(q: _Quartic, mode: str):
         A, C, state = _bloch_form(q.S), _CONE, _bloch_state
     runs = [_minimax(s * A, C) for s in ((1.0, -1.0) if q.absolute else (sign,))]
     lam, w, _ = max(runs, key=lambda run: run[0])
-    x = state(w)
-    f = float(q.rescaled(x[None])[0])
-    converged = bool(abs(sign * f - lam) <= _WITNESS_TOL)
-    stats = SearchStats(sum(run[2] for run in runs), 1, int(converged), int(not converged))
-    return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
+    return _witnessed(q, state(w), sign, lam, sum(run[2] for run in runs))
 
 
 def _finsler(q: _Quartic, mode: str):
@@ -755,11 +750,9 @@ def _finsler(q: _Quartic, mode: str):
     _WITNESS_TOL or after _MINIMAX_STEPS levels; min is the max of -T.
     The witness pair is the best x and the top eigenvector of its M(x),
     or x's own state where M(x)'s two eigenvalues lie within
-    _CLUSTER_TOL |T|_F of each other, and the value is q's there;
-    converged means that value, on the rescaled problem, is within
-    _WITNESS_TOL of the upper end.  Returns, as _exact does, (chart
-    state, value, converged, stats), iterations counting the eigh steps
-    of every minimax.
+    _CLUSTER_TOL |T|_F of each other, and _witnessed checks q's value
+    there against the upper end, counting the eigh steps of every
+    minimax.
     """
     sign = 1.0 if mode == "max" else -1.0
     T = sign * _bloch_form(q.S.transpose(0, 3, 1, 2), 2)  # slots U, U, V, V
@@ -805,10 +798,7 @@ def _finsler(q: _Quartic, mode: str):
         x = np.concatenate([zeta, zeta])
     else:
         x = np.concatenate([zeta, vecs[:, -1].real, vecs[:, -1].imag])
-    f = float(q.rescaled(x[None])[0])
-    converged = bool(hi - sign * f <= _WITNESS_TOL)
-    stats = SearchStats(calls, 1, int(converged), int(not converged))
-    return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
+    return _witnessed(q, x, sign, hi, calls)
 
 
 def _search(q: _Quartic, restarts: int, seed: int, mode: str):
@@ -1000,11 +990,11 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
 @dataclass(frozen=True)
 class GapProbeReport:
-    """Largest observed |K - K_D| over sampled planes at the given points.
+    """Largest |K - K_D| found over planes at the given points.
 
-    searches holds the work of the refining search, one entry per refined
-    point.  A point whose gap tensor is rounding noise, as on a Kahler
-    metric, keeps its sampled gap and is not refined.
+    searches holds the work of the search, one entry per searched point.
+    A point whose gap tensor is rounding noise, as on a Kahler metric, is
+    not searched and keeps the largest gap of samples drawn planes.
     """
 
     max_gap: float
@@ -1031,15 +1021,16 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     """Search for planes separating the two sectional curvatures.
 
     For g-orthonormal pairs both normalizations have denominator one, so
-    the gap is just the difference of the two numerators; that quantity
-    is sampled and sharpened by _search: exact at n = 2, the larger of
-    the minimaxes of its form on bivectors and of its negative, and a
+    the gap is just the difference of the two numerators; _search
+    maximizes it at each point: exact at n = 2, the larger of the
+    minimaxes of its form on bivectors and of its negative, and a
     16-restart Newton search beyond.
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the search, which would only
     refine noise: those whose pair-symmetrized gap tensor is at most
-    1e-12 times the point's PointGeometry.scale.  A genuinely non-Kahler
-    metric yields a witness gap bounded away from zero.
+    1e-12 times the point's PointGeometry.scale.  Only they are valued
+    on samples drawn planes.  A genuinely non-Kahler metric yields a
+    witness gap bounded away from zero.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -1052,15 +1043,14 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         q = _Quartic(T, _whitening(geom.jet.h), 2, pair=True, absolute=True)
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * geom.scale
 
-        sample = q.draw(np.random.default_rng(seed + k), samples)
-        gaps = q.value(sample)
-        point_best_x = q.chart(sample[int(np.argmax(gaps))])
-        point_best = float(np.max(gaps))
-        if not noise:
-            x, val, _, stats = _search(q, 16, seed + k, "max")
+        if noise:
+            sample = q.draw(np.random.default_rng(seed + k), samples)
+            gaps = q.value(sample)
+            point_best_x = q.chart(sample[int(np.argmax(gaps))])
+            point_best = float(np.max(gaps))
+        else:
+            point_best_x, point_best, _, stats = _search(q, 16, seed + k, "max")
             searches.append(stats)
-            if val > point_best:
-                point_best, point_best_x = val, x
         per_point.append(point_best)
         if best is None or point_best > best[0]:
             best = (point_best, geom, point_best_x)

@@ -140,32 +140,26 @@ def hermitian_pairing(h, xi, eta) -> complex:
     return complex(x @ m @ e.conj())
 
 
-class _in_range:
-    """HermicurvError(message), not a warning, where numpy arithmetic in the
-    block or decorated function overflows or turns invalid, or the function
+def _in_range(message: str):
+    """Decorator: HermicurvError(message), not a warning, where numpy
+    arithmetic in the function overflows or turns invalid, or the function
     returns a non-finite float or array (einsum sets no flags)."""
 
-    def __init__(self, message: str):
-        self.message, self.state = message, np.errstate(over="raise", invalid="raise")
-
-    def __enter__(self):
-        self.state.__enter__()
-
-    def __exit__(self, kind, *rest):
-        self.state.__exit__(kind, *rest)
-        if kind is FloatingPointError:
-            raise HermicurvError(self.message) from None
-
-    def __call__(self, fn):
+    def decorate(fn):
         @functools.wraps(fn)
         def checked(*args, **kwargs):
-            with _in_range(self.message):
-                out = fn(*args, **kwargs)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    out = fn(*args, **kwargs)
+            except FloatingPointError:
+                raise HermicurvError(message) from None
             if isinstance(out, (float, np.ndarray)) and not np.isfinite(out).all():
-                raise HermicurvError(self.message)
+                raise HermicurvError(message)
             return out
 
         return checked
+
+    return decorate
 
 
 def _unit_power(a: np.ndarray):

@@ -139,6 +139,7 @@ def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float
     return float(_form(r, u, v, v, u)) / gram
 
 
+@_in_range("metric scale out of the floating-point range: the form overflows")
 def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
     """The numerator of K_D: a real quadratic pairing in kr.
 
@@ -151,8 +152,7 @@ def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
     """
     x, ex = _unit_scaled(_holo_comps(xi))
     e, ee = _unit_scaled(_holo_comps(eta))
-    with _in_range("metric scale out of the floating-point range: the form overflows"):
-        return float(np.ldexp((_w_form(kr, x, e) / 2).real, 2 * (ex + ee)))
+    return float(np.ldexp((_w_form(kr, x, e) / 2).real, 2 * (ex + ee)))
 
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:

@@ -23,7 +23,10 @@ instructions as it writes them.  real_jet_ref builds the
 real jet in the earlier interleaved slice order.  The four
 *_sectional_ref scalar curvatures are the earlier per-vector routes:
 each vector rescaled through a Python list, every norm through
-core.hermitian_pairing, H as B(xi, xi).
+core.hermitian_pairing, H as B(xi, xi).  cone_sign_ref is the earlier
+S-lemma route of analysis._cone_sign: one eigh of the form, its own
+slope test at t = 0, and the plain minimax over all t where that slope
+is negative.
 
 complexified_full puts the full complexified tensor together from the
 16 blocks of the h-first half that the library stores, and
@@ -48,7 +51,7 @@ import math
 
 import numpy as np
 
-from hermicurv import dsl, tape
+from hermicurv import analysis, dsl, tape
 from hermicurv.connection import InducedRealConnection, induced_real_connection
 from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps,
                             hermitian_pairing, to_holomorphic)
@@ -385,6 +388,23 @@ def cholesky_frame(g: np.ndarray):
     the real metric g that is not a unitary frame of h."""
     L = np.linalg.cholesky(g)
     return L, np.linalg.inv(L)
+
+
+def cone_sign_ref(F: np.ndarray) -> str:
+    """The sign of z F z on the cone z _CONE z >= 0: for s F, s = -1 and 1,
+    lambda_max at t = 0 when the largest slope of the top eigen-cluster
+    there is >= 0, else the unconstrained analysis._minimax; the label is
+    the _sign_label of the two ends."""
+    F = (F + F.T) / 2
+    lam, Q = np.linalg.eigh(F)
+    tol = analysis._CLUSTER_TOL * max(-lam[0], lam[-1])
+    ends = []
+    for s in (-1, 1):
+        top, vecs = s * lam[::s], Q[:, ::s]  # of s F, ascending
+        V = vecs[:, np.searchsorted(top, top[-1] - tol):]
+        slope = np.linalg.eigvalsh(V.T @ analysis._CONE @ V)[-1]
+        ends.append(top[-1] if slope >= 0 else analysis._minimax(s * F, analysis._CONE)[0])
+    return analysis._sign_label(np.array([-ends[0], ends[1]]))
 
 
 def form_ref(T: np.ndarray, a, b, c, d):

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import re
 
@@ -25,7 +26,7 @@ from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
-from oracles import cholesky_frame, riemannian_fd, sample_admissible_points
+from oracles import cholesky_frame, cone_sign_ref, riemannian_fd, sample_admissible_points
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -343,6 +344,19 @@ def test_gap_probe_clean_on_kahler():
     assert rep.searches == ()
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["hopf", "nk_diag"])
+def test_gap_probe_values_searched_points_without_samples(name, n):
+    # every point of a non-Kahler metric is searched, and the search alone
+    # values it: one sample or 500 give the same report
+    m = catalog_metric(name, n)
+    pts = sample_admissible_points(m, 2, seed=41)
+    one = chern_gap_probe(m, pts, samples=1, seed=3)
+    many = chern_gap_probe(m, pts, samples=500, seed=3)
+    assert len(one.searches) == len(pts) and (one.samples, many.samples) == (1, 500)
+    assert pickle.dumps(dataclasses.replace(one, samples=500)) == pickle.dumps(many)
+
+
 def test_gap_probe_rejects_empty_points():
     with pytest.raises(ValueError, match="points"):
         chern_gap_probe(catalog_metric("nk_diag", 2), [])
@@ -600,6 +614,114 @@ def test_minimax_witnesses_reach_the_minimax_value():
         y = np.einsum("a,kab,b->k", zeta.conj(), pauli, zeta).real / np.sqrt(2)
         assert abs(y @ A @ y - lam) <= 1e-12 * max(1.0, abs(lam)) and steps <= 64
 
+
+
+def _brute_minimax(A, C, lo=-np.inf):
+    """min over t >= lo of lambda_max(A + t C), by brute force: the least
+    value on a dense grid of |t| <= 2 |A|_2 + 1, beyond which
+    lambda_max(A + t C) >= |t| - |A|_2 exceeds its value at 0, refined by
+    golden-section steps on the convex function around it."""
+    bound = 2 * np.linalg.norm(A, 2) + 1
+
+    def top(t):
+        return np.linalg.eigvalsh(A + t * C)[-1]
+
+    grid = np.linspace(max(lo, -bound), bound, 801)
+    vals = np.linalg.eigvalsh(A + grid[:, None, None] * C)[:, -1]
+    i = int(np.argmin(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    r = (np.sqrt(5) - 1) / 2
+    for _ in range(60):
+        c, d = b - r * (b - a), a + r * (b - a)
+        if top(c) <= top(d):
+            b = d
+        else:
+            a = c
+    return min(vals[i], top((a + b) / 2))
+
+
+def _planted_minimax_cases(C, rng, count):
+    """Forms whose top eigenvector w is well separated and has w . C w > 0:
+    lambda_max(A + t C) falls as t falls below 0, so its minimum over all
+    t lies at t < 0, and its minimum over t >= 0 at t = 0."""
+    d = C.shape[0]
+    P, N = (np.eye(d) + C) / 2, (np.eye(d) - C) / 2
+    for _ in range(count):
+        g = rng.standard_normal(d)
+        w = P @ g + 0.3 * N @ g
+        X = rng.standard_normal((d, d))
+        yield 3.0 * np.outer(w, w) / (w @ w) + 0.05 * (X + X.T)
+
+
+@pytest.mark.parametrize("C", ["_CONE", "_HODGE"])
+def test_minimax_matches_a_brute_force_minimum_over_t(C):
+    # both sides of the engine, the minimum over all t and over t >= 0,
+    # against a dense grid of t refined locally
+    C = getattr(analysis, C)
+    rng = np.random.default_rng(59)
+    for A in _minimax_cases(C, rng, 60):
+        tol = 1e-10 * np.max(np.abs(A))
+        assert abs(analysis._minimax(A, C)[0] - _brute_minimax(A, C)) <= tol
+        assert abs(analysis._minimax(A, C, nonneg=True)[0] - _brute_minimax(A, C, 0.0)) <= tol
+    for A in _planted_minimax_cases(C, rng, 20):
+        tol = 1e-10 * np.max(np.abs(A))
+        top = np.linalg.eigh(A)[0][-1]
+        free = _brute_minimax(A, C)
+        assert free < top - 1e-3  # the unconstrained minimizer has t < 0
+        assert abs(analysis._minimax(A, C)[0] - free) <= tol
+        assert analysis._minimax(A, C, nonneg=True)[0] == top
+        assert abs(_brute_minimax(A, C, 0.0) - top) <= tol
+
+
+def _cone_forms(rng, count):
+    """Symmetric 4 x 4 forms of every sign on the cone z _CONE z >= 0:
+    generic ones; c _CONE + R R^T, c > 0, nonnegative there by the S-lemma,
+    and their negatives; and _CONE + eps I - nu d d^T for d on the rim,
+    negative on the cone only on a thin sliver around d when nu > eps; the
+    planted sliver of test_s_lemma_sign_finds_a_small_negative_region; and
+    the zero form."""
+    C = analysis._CONE
+    d = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    yield from (C + 1e-3 * np.eye(4) - nu * np.outer(d, d) for nu in (0.0, 2e-3))
+    yield np.zeros((4, 4))
+    for k in range(count - 3):
+        X = rng.standard_normal((4, 4))
+        kind = k % 4
+        if kind == 0:
+            yield (X + X.T) / 2
+        elif kind < 3:
+            R = X[:, :2]
+            yield (3 - 2 * kind) * (rng.uniform(0.01, 1.0) * C + R @ R.T)
+        else:
+            x = X[0, 1:] / np.linalg.norm(X[0, 1:])
+            rim = np.concatenate([[1.0], x]) / np.sqrt(2)
+            eps = 10.0 ** -rng.uniform(2, 4)
+            yield C + eps * np.eye(4) - eps * rng.uniform(0.5, 1.5) * np.outer(rim, rim)
+
+
+def test_cone_sign_matches_the_earlier_route(monkeypatch):
+    # on random forms, and on every form that lu and the bisectional search
+    # label on catalog points at n = 2
+    labels = [analysis._cone_sign(F) for F in _cone_forms(np.random.default_rng(61), 1000)]
+    assert labels == [cone_sign_ref(F) for F in _cone_forms(np.random.default_rng(61), 1000)]
+    assert labels[:3] == ["nonneg", "indefinite", "zero"]
+    assert {"nonneg", "nonpos", "indefinite"} <= set(labels[3:])
+
+    seen = []
+    cone_sign = analysis._cone_sign
+
+    def checked(F):
+        seen.append((cone_sign(F), cone_sign_ref(F)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(analysis, "_cone_sign", checked)
+    for name in CATALOG_NAMES:
+        m = catalog_metric(name, 2)
+        for p in sample_admissible_points(m, 3, seed=43):
+            lu_inequality_check(m, p, samples=10)
+            extremal_bisectional(m, p, restarts=1)
+    assert len(seen) == 2 * 3 * len(CATALOG_NAMES)
+    assert all(new == ref for new, ref in seen)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

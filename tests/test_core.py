@@ -1,11 +1,13 @@
 import ast
+import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hermicurv import ChartPoint, DimensionMismatch, apply_j, to_holomorphic
-from hermicurv.core import _chain, _frame, hermitian_pairing
+from hermicurv import ChartPoint, DimensionMismatch, HermicurvError, apply_j, to_holomorphic
+from hermicurv.core import _chain, _frame, _in_range, hermitian_pairing
 from oracles import from_reals, to_real
 
 
@@ -142,3 +144,104 @@ def test_scale_guard_sees_floors_outside_scale():
     assert scale_floor_violations(bad, "core.py") == ["core.py:1", "core.py:2", "core.py:5"]
     good = "max(a, 1.0)\nnp.maximum(1.0, a)\nmax(2, a)\nmax(True, a)\nmax(top, 1e-300)\n"
     assert scale_floor_violations(good) == []
+
+
+@dataclasses.dataclass
+class _Record:
+    value: float
+
+
+def _overflowing_exp():
+    return np.exp(np.array([1000.0]))
+
+
+def _overflowing_einsum():
+    # einsum's own loops overflow to inf and set no floating-point flag
+    a = np.full((3, 3), 1e200)
+    return np.einsum("ij,jk->ik", a, a)
+
+
+def _mismatch():
+    raise DimensionMismatch("inner")
+
+
+@pytest.mark.parametrize("fn, raised", [
+    (_overflowing_exp, HermicurvError),
+    (_overflowing_einsum, HermicurvError),
+    (lambda: np.arange(3.0), None),
+    (lambda: _Record(float("inf")), None),
+    (_mismatch, DimensionMismatch),
+], ids=["ufunc-overflow", "einsum-overflow", "finite-array", "dataclass", "inner-error"])
+def test_in_range_raises_only_on_out_of_range_arithmetic(fn, raised):
+    guarded = _in_range("out of range")(fn)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if raised is None:
+            out, want = guarded(), fn()
+            assert type(out) is type(want)
+            assert np.array_equal(out, want) if isinstance(want, np.ndarray) else out == want
+        else:
+            with pytest.raises(raised) as info:
+                guarded()
+            assert type(info.value) is raised
+            assert str(info.value) == ("out of range" if raised is HermicurvError else "inner")
+    assert np.geterr() == before
+    assert guarded.__name__ == fn.__name__
+
+
+RANGE_PHRASE = "scale out of the floating-point range"
+
+
+def range_guard_violations(source: str, filename: str = "<src>") -> list:
+    """Every `with _in_range(...)` block, and every literal naming a scale
+    out of the floating-point range that is not an _in_range argument: a
+    range check is one decorated function.  The f-string in
+    sectional._pairings, which reports the squared lengths it found, is
+    the one exception."""
+    tree = ast.parse(source, filename)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_in_range":
+            allowed.update(id(sub) for arg in node.args for sub in ast.walk(arg))
+        if (filename == "sectional.py" and isinstance(node, ast.FunctionDef)
+                and node.name == "_pairings"):
+            allowed.update(id(sub) for f in ast.walk(node) if isinstance(f, ast.JoinedStr)
+                           for sub in ast.walk(f))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.With) and any(
+            getattr(getattr(item.context_expr, "func", None), "id", None) == "_in_range"
+            for item in node.items)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and RANGE_PHRASE in node.value and id(node) not in allowed
+    ]
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_package_checks_ranges_only_in_decorators():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [v for f in files for v in range_guard_violations(f.read_text(), f.name)] == []
+
+
+def test_range_guard_sees_blocks_and_loose_messages():
+    bad = (
+        "with _in_range('metric scale out of the floating-point range: a'):\n"
+        "    pass\n"
+        "raise HermicurvError('metric scale out of the floating-point range: b')\n"
+        "def _pairings(x):\n"
+        "    raise HermicurvError(f'metric scale out of the floating-point range: {x}')\n"
+    )
+    assert range_guard_violations(bad) == ["<src>:1", "<src>:3", "<src>:5"]
+    assert range_guard_violations(bad, "sectional.py") == ["sectional.py:1", "sectional.py:3"]
+    good = (
+        "@_in_range('metric scale out of the floating-point range: c')\n"
+        "def f():\n"
+        "    pass\n"
+        "@_in_range('curvature scale out of the floating-point range: '\n"
+        "           'split')\n"
+        "def g():\n"
+        "    pass\n"
+    )
+    assert range_guard_violations(good) == []

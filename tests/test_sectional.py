@@ -114,6 +114,18 @@ def test_metric_scale_past_the_float_range_is_named(e):
         riemann_sectional(g.rc, g.rjet, Plane(0 * u, v))
 
 
+def test_quadratic_form_overflow_is_named():
+    # kr times 1e300 and vectors near 1e10: the form is finite on the
+    # vectors, and past the floats when scaled back by |xi|^2 |eta|^2
+    kr = 1e300 * geometry_at(catalog_metric("nk_diag", 2), [0.3 + 0.1j, -0.2 + 0.05j]).kr
+    xi, eta = np.array([1.0, 0.3 + 0.2j]), np.array([0.1 - 0.4j, 1.0])
+    assert 1e290 < abs(chern_quadratic_form(kr, xi, eta)) < math.inf
+    with pytest.raises(HermicurvError) as info:
+        chern_quadratic_form(kr, 1e10 * xi, 1e10 * eta)
+    assert type(info.value) is HermicurvError
+    assert str(info.value) == "metric scale out of the floating-point range: the form overflows"
+
+
 def _quantities(impl, g, u, v, xi, eta):
     """K, K_D, H and B by impl, each as its repr, which pins the type and
     every bit, sign of zero included, or as the type and message of the
