@@ -20,9 +20,11 @@ The plane problems of sectional K and of the probe's |K - K_D|, and the
 two holomorphic quartics, are quadratic forms on a small constraint set
 (_exact): one eigenvalue minimax (_minimax) each, on the bivectors of
 R^4 under the Hodge star (Thorpe), or on (1, Bloch vector) under the
-light cone (the S-lemma).  The bisectional B(xi, eta) is bilinear in the
-two Bloch vectors, and its extremes are the roots of a minimax in the
-level (_finsler, Finsler's lemma).  At n >= 3 a seeded multi-start
+light cone (the S-lemma), each form one product of S with a constant
+map (_form_map).  The bisectional B(xi, eta) is bilinear in the two
+Bloch vectors, and its extremes are the roots of a minimax in the level
+(_finsler, Finsler's lemma), searched from the holomorphic quartic's
+minimax witness.  At n >= 3 a seeded multi-start
 Riemannian Newton search runs (_multistart): it has the plain
 retraction (normalize, or Gram-Schmidt) and the textbook Riemannian
 gradient and Hessian (_riemannian).  Restart states are carried as rows
@@ -44,7 +46,10 @@ order is its report's key order.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,13 +175,13 @@ def _hypotheses(kr: np.ndarray, scale: float, draws):
 
     At n = 2 the sign is exact: i W = i (x e~ - e x~) ranges over exactly
     the Hermitian 2 x 2 matrices with det <= 0, so the W-form is the
-    _pauli_form of kr on the cone z _CONE z >= 0 of their Pauli
-    coordinates z (_cone_sign).  Beyond, it is the _sign_label of the
+    _pauli_form of kr, taken by its _form_map, on the cone z _CONE z >= 0
+    of their Pauli coordinates z (_cone_sign).  Beyond, it is the _sign_label of the
     values on the pairs (X, E) that draws() returns."""
     residual = float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3))))
     S = _unit_power(kr)[0]
     if kr.shape[0] == 2:
-        sign = _cone_sign(_pauli_form(S))
+        sign = _cone_sign(_formed("pauli", S))
     else:
         sign = _sign_label(_w_form(S, *draws()).real)
     return residual, residual <= _CLASSIFY_TOL * scale, sign
@@ -260,6 +265,8 @@ _MAX_RADIUS = 1.0
 _EIG_FLOOR = 1e-9
 _GRAD_TOL = 1e-12
 _MAX_ITER = 200
+# the orientation of each mode: every route maximizes sign times its value
+_SIGN = {"max": 1.0, "min": -1.0}
 
 
 @dataclass(frozen=True)
@@ -330,8 +337,10 @@ class _Quartic:
     _unit_power, the Euclidean gradient is gu = 2 S(., V, V, U),
     gv = 2 S(U, ., V, U), and the Hessian blocks are 2 S(., V, V, .),
     2 S(U, ., ., U) and, across U and V, 4 A = 4 S(., ., V, U): three
-    _slot_pair products per evaluation.  derivatives are those of the
-    rescaled f, and value is f times 2^exp, in the metric's units.
+    _slot_pair products per evaluation, the Hessian ones on S with its
+    slots reordered (s_uu, s_vv), built on the first Newton evaluation.
+    derivatives are those of the rescaled f, and value is f times 2^exp,
+    in the metric's units.
     """
 
     def __init__(self, T: np.ndarray, white, blocks: int, pair: bool = False,
@@ -343,9 +352,17 @@ class _Quartic:
         self.dim = blocks * self.m
         self.pair = pair
         self.S = S
-        self.s_uu = np.ascontiguousarray(S.transpose(0, 3, 1, 2))
-        self.s_vv = np.ascontiguousarray(S.transpose(1, 2, 0, 3))
         self.absolute = absolute
+
+    # S with its slots reordered for the Hessian blocks: read only by
+    # derivatives, so a problem an exact route solves never builds them
+    @functools.cached_property
+    def s_uu(self) -> np.ndarray:
+        return np.ascontiguousarray(self.S.transpose(0, 3, 1, 2))
+
+    @functools.cached_property
+    def s_vv(self) -> np.ndarray:
+        return np.ascontiguousarray(self.S.transpose(1, 2, 0, 3))
 
     def draw(self, rng, rows: int) -> np.ndarray:
         """rows standard normal chart states, taken into whitened
@@ -473,7 +490,7 @@ def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
     the best value returns in the metric's units.
     Returns (best chart state, best value, converged, stats).
     """
-    sign = 1.0 if mode == "max" else -1.0
+    sign = _SIGN[mode]
     X = q.draw(np.random.default_rng(seed), restarts)
     f, G, H = q.derivatives(X)
     grad, hess = _riemannian(X, G, H, q.m, q.pair)
@@ -564,44 +581,51 @@ def _minimax(A: np.ndarray, C: np.ndarray, nonneg: bool = False):
     on which C vanishes; else, w the eigenvector of the slope s nearest
     0, when s^2 spread is at most the cluster tolerance, so that w is off
     the null set by an error that small, or when the bracket closes or
-    the steps run out.
+    the steps run out.  Each step takes these decisions on Python floats,
+    from the eigenvalues as a list.
     """
     lo = hi = None  # (t, lam, slope) at the ends of the bracket
-    t, moved = 0.0, np.inf
+    t, moved, d = 0.0, math.inf, len(A)
     for steps in range(1, _MINIMAX_STEPS + 1):
         lam, Q = np.linalg.eigh(A + t * C)
+        ev = lam.tolist()
+        top = ev[-1]
         if steps == 1:
-            tol = _CLUSTER_TOL * max(-lam[0], lam[-1])
-            spread = lam[-1] - lam[0]
-        # the top eigen-cluster V, within tol of the top, and the
-        # eigenpairs (c, E) of C restricted to it: c the slopes
-        V = Q[:, np.searchsorted(lam, lam[-1] - tol):]
-        k = V.shape[1]
-        if k == 1:  # the eigenpair of a 1 x 1 matrix, without a LAPACK call
-            c, E = (V.T @ C @ V)[0], np.ones((1, 1))
+            tol = _CLUSTER_TOL * max(-ev[0], top)
+            spread = top - ev[0]
+        # the top eigen-cluster V = Q[:, first:], within tol of the top,
+        # and the eigenpairs (c, E) of C restricted to it: the slopes, of
+        # which c_lo and c_hi are the extremes
+        first = bisect.bisect_left(ev, top - tol)
+        if first == d - 1:  # one eigenvector, one slope: no LAPACK call
+            v = Q[:, -1]
+            c_lo = c_hi = s = float(v @ C @ v)
+            if s == 0.0:
+                return top, v, steps
         else:
+            V = Q[:, first:]
             c, E = np.linalg.eigh(V.T @ C @ V)
-        if c[0] <= 0.0 <= c[-1]:
-            # the combination of the extreme eigenvectors on which C vanishes
-            a, b = -c[0], c[-1]
-            w = E[:, 0]
-            if a + b > 0:
-                w = (np.sqrt(a) * E[:, -1] + np.sqrt(b) * w) / np.sqrt(a + b)
-            return lam[-1], V @ w, steps
-        j = 0 if c[0] > 0 else -1
-        s, v = c[j], V @ E[:, j]
+            c_lo, c_hi = float(c[0]), float(c[-1])
+            if c_lo <= 0.0 <= c_hi:
+                # the combination of the extreme eigenvectors on which C vanishes
+                a, b = -c_lo, c_hi
+                w = E[:, 0]
+                if a + b > 0:
+                    w = (math.sqrt(a) * E[:, -1] + math.sqrt(b) * w) / math.sqrt(a + b)
+                return top, V @ w, steps
+            s, v = (c_lo, V @ E[:, 0]) if c_lo > 0 else (c_hi, V @ E[:, -1])
         if s * s * spread <= tol or (nonneg and steps == 1 and s > 0):
-            return lam[-1], v, steps
+            return top, v, steps
         if s > 0:
-            hi = (t, lam[-1], s)
+            hi = (t, top, s)
         else:
-            lo = (t, lam[-1], s)
+            lo = (t, top, s)
         a = lo[0] if lo else -spread
         b = hi[0] if hi else spread
         nxt = None
-        if (c[-1] - c[0]) ** 2 * spread <= tol:
-            cv = Q[:, :-k].T @ (C @ v)
-            curvature = 2.0 * np.sum(cv * cv / (lam[-1] - lam[:-k]))
+        if (c_hi - c_lo) * (c_hi - c_lo) * spread <= tol:
+            cv = Q[:, :first].T @ (C @ v)
+            curvature = 2.0 * float(np.sum(cv * cv / (top - lam[:first])))
             if curvature > 0:
                 nxt = t - s / curvature
         if nxt is None or not a < nxt < b or abs(nxt - t) > moved / 2:
@@ -614,18 +638,24 @@ def _minimax(A: np.ndarray, C: np.ndarray, nonneg: bool = False):
         if b - a <= tol or nxt == t:
             break
         moved, t = abs(nxt - t), nxt
-    return lam[-1], v, steps
+    return top, v, steps
+
+
+def _slots(S: np.ndarray, order) -> np.ndarray:
+    """S.transpose(order) on the last four axes, any leading ones kept."""
+    lead = S.ndim - 4
+    return S.transpose(tuple(range(lead)) + tuple(lead + k for k in order))
 
 
 def _bivector_form(S: np.ndarray) -> np.ndarray:
     """M (6, 6) with w M w = S(u, v, v, u) on w = u ^ v in the basis
     _PAIRS, for S pair-symmetrized (_Quartic.S) with S(u, v, v, u) a
-    quadratic form in u ^ v, as for K and K - K_D.  Then S(u, v, u, v) =
-    -S(u, v, v, u) / 2, so S antisymmetrized in slots (1, 2) and (3, 4)
-    gives 3/4 of it."""
-    R = (S - S.transpose(1, 0, 2, 3) - S.transpose(0, 1, 3, 2) + S.transpose(1, 0, 3, 2)) / 4
+    quadratic form in u ^ v, as for K and K - K_D; batched over any
+    leading axes of S.  Then S(u, v, u, v) = -S(u, v, v, u) / 2, so S
+    antisymmetrized in slots (1, 2) and (3, 4) gives 3/4 of it."""
+    R = (S - _slots(S, (1, 0, 2, 3)) - _slots(S, (0, 1, 3, 2)) + _slots(S, (1, 0, 3, 2))) / 4
     i, j = _PAIRS
-    return -4.0 / 3.0 * R[i, j][:, i, j]
+    return -4.0 / 3.0 * R[..., i, j, :, :][..., i, j]
 
 
 def _plane_state(w: np.ndarray) -> np.ndarray:
@@ -642,9 +672,10 @@ def _plane_state(w: np.ndarray) -> np.ndarray:
 def _pauli_form(G: np.ndarray) -> np.ndarray:
     """(4, 4) Re sum G[a, b, c, d] sigma_mu[a, b] sigma_nu[c, d] for a
     (2, 2, 2, 2) G: the real form of G on the Pauli coordinates of two
-    Hermitian 2 x 2 matrices, rho[a, b] and rho'[c, d]."""
+    Hermitian 2 x 2 matrices, rho[a, b] and rho'[c, d]; batched over any
+    leading axes of G."""
     sigma = _PAULI.reshape(4, 4)
-    return (sigma @ G.reshape(4, 4) @ sigma.T).real
+    return (sigma @ G.reshape(G.shape[:-4] + (4, 4)) @ sigma.T).real
 
 
 def _bloch_form(S: np.ndarray, blocks: int = 1) -> np.ndarray:
@@ -660,17 +691,49 @@ def _bloch_form(S: np.ndarray, blocks: int = 1) -> np.ndarray:
     of S with one zeta and one conj(zeta) per block (two of each on one
     block) are G[a, b, c, d] rho[a, c] rho'[b, d], rho = zeta zeta^H =
     sum_mu (1, x)_mu sigma_mu / 2 and rho' alike; the others cancel.
+    Batched over any leading axes of S.
     """
-    T = _each_slot(S, _FRAME_INV)
+    T = S.astype(complex)  # complex @ complex is one BLAS product
+    for _ in range(4):  # N on the last slot, which then moves to the first
+        T = _slots((T.reshape(-1, 4) @ _FRAME_INV).reshape(T.shape), (3, 0, 1, 2))
     half = (slice(0, 2), slice(2, 4))
     # the slots of zeta, then of omega: any two, or one in each block
     pairs = itertools.combinations(range(4), 2) if blocks == 1 else itertools.product((0, 1), (2, 3))
     G = 0
     for pair in pairs:
         rest = tuple(k for k in range(4) if k not in pair)
-        G = G + T[tuple(half[k in rest] for k in range(4))].transpose(pair + rest)
-    A = _pauli_form(G.transpose(0, 2, 1, 3)) / 2
-    return (A + A.T) / 2 if blocks == 1 else A / 2
+        G = G + _slots(T[(...,) + tuple(half[k in rest] for k in range(4))], pair + rest)
+    A = _pauli_form(_slots(G, (0, 2, 1, 3))) / 2
+    return (A + A.swapaxes(-1, -2)) / 2 if blocks == 1 else A / 2
+
+
+@functools.cache
+def _form_map(name: str) -> np.ndarray:
+    """The constant matrix M of one n = 2 form, which is linear in its
+    tensor: M @ S.reshape(256) is _bivector_form(S) ("bivector"),
+    _bloch_form(S) ("bloch") or B's T, _bloch_form(S.transpose(0, 3, 1, 2),
+    2) ("bloch2"), flattened, and M @ G.reshape(16).view(float) is
+    _pauli_form(G) of a complex (2, 2, 2, 2) G ("pauli").  Built on first
+    use by the builder on the basis tensors stacked on a leading axis, in
+    calls of 32 so that no temporary reaches 128 KB (glibc's first mmap
+    threshold) and the build leaves the peak memory as it was; column k is
+    the form of basis tensor k.  Read-only, as every caller shares it."""
+    if name == "pauli":
+        F = _pauli_form(np.eye(32).view(complex).reshape(32, 2, 2, 2, 2))
+    else:
+        build = {"bivector": _bivector_form, "bloch": _bloch_form,
+                 "bloch2": lambda S: _bloch_form(_slots(S, (0, 3, 1, 2)), 2)}[name]
+        F = np.concatenate([build(np.eye(32, 256, k).reshape(32, 4, 4, 4, 4))
+                            for k in range(0, 256, 32)])
+    M = np.ascontiguousarray(F.reshape(len(F), -1).T)
+    M.flags.writeable = False
+    return M
+
+
+def _formed(name: str, S: np.ndarray) -> np.ndarray:
+    """The square form _form_map(name) of a contiguous S."""
+    F = _form_map(name) @ S.reshape(-1).view(float)
+    return F.reshape(6, 6) if name == "bivector" else F.reshape(4, 4)
 
 
 def _bloch_vector(y: np.ndarray) -> np.ndarray:
@@ -705,28 +768,41 @@ def _witnessed(q: _Quartic, x: np.ndarray, sign: float, bound: float, calls: int
     return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
 
 
-def _exact(q: _Quartic, mode: str):
+# The two routes of _exact, by whether the problem is over orthonormal
+# pairs: (form map, constraint, witness state)
+_EXACT = {True: ("bivector", _HODGE, _plane_state), False: ("bloch", _CONE, _bloch_state)}
+
+
+def _exact_minimax(q: _Quartic, mode: str):
+    """(lam, w, steps): the minimax of q's row of _EXACT, the form of q.S
+    times the mode's sign under its constraint, or with q.absolute the
+    larger of those of the form and of its negative, with the eigh steps
+    of every minimax run."""
+    name, C, _ = _EXACT[q.pair]
+    A = _formed(name, q.S)
+    runs = [_minimax(s * A, C) for s in ((1.0, -1.0) if q.absolute else (_SIGN[mode],))]
+    lam, w, _ = max(runs, key=lambda run: run[0])
+    return lam, w, sum(run[2] for run in runs)
+
+
+def _exact(q: _Quartic, mode: str, run=None):
     """The extreme of an n = 2 problem q without a search: the plane
     problem over orthonormal pairs, as the minimax of _bivector_form
     under the Hodge star, or the unit-vector problem of a phase-invariant
     quartic in a unitary frame, as the minimax of _bloch_form on the
-    light cone.  max f is the minimax of the form, min f minus that of
-    its negative, and with q.absolute, max |f| is the larger of the two.
+    light cone, each form one product with its _form_map (_EXACT).  max f
+    is the minimax of the form, min f minus that of its negative, and
+    with q.absolute, max |f| is the larger of the two.
 
-    The witness state is built from the minimax witness, and _witnessed
-    checks q's value there against the minimax value.
+    run is that _exact_minimax, if already taken.  The witness state is
+    built from the minimax witness, and _witnessed checks q's value there
+    against the minimax value.
     """
-    sign = 1.0 if mode == "max" else -1.0
-    if q.pair:
-        A, C, state = _bivector_form(q.S), _HODGE, _plane_state
-    else:
-        A, C, state = _bloch_form(q.S), _CONE, _bloch_state
-    runs = [_minimax(s * A, C) for s in ((1.0, -1.0) if q.absolute else (sign,))]
-    lam, w, _ = max(runs, key=lambda run: run[0])
-    return _witnessed(q, state(w), sign, lam, sum(run[2] for run in runs))
+    lam, w, steps = run or _exact_minimax(q, mode)
+    return _witnessed(q, _EXACT[q.pair][2](w), _SIGN[mode], lam, steps)
 
 
-def _finsler(q: _Quartic, mode: str):
+def _finsler(q: _Quartic, mode: str, start=None):
     """The extreme of an n = 2 problem q over two unit vectors without a
     search, for B in a unitary frame: B = (1, x) T (1, y), T the
     two-block _bloch_form and x, y the Bloch vectors of the two states.
@@ -739,8 +815,13 @@ def _finsler(q: _Quartic, mode: str):
     of _CONE.  By Finsler's lemma that holds exactly when
     phi(lam) = -_minimax(-Q_lam, _CONE) >= 0, so the max is a root of phi.
 
-    It starts from the top of B(x, x), one _minimax of T + T^T, and keeps
-    a bracket: as its upper end a level where phi is at least
+    It starts from the top of B(x, x) = H(x): start, the _exact_minimax
+    of the one-unit-vector problem of the same tensor in the same frame
+    (its one-block _bloch_form is T + T^T up to a positive factor and a
+    multiple of _CONE, which vanishes on the light cone, so its witness
+    is that of _minimax(T + T^T, _CONE)), or that minimax when no start is
+    given; a shared start's steps count in both records.  It keeps a
+    bracket: as its upper end a level where phi is at least
     -_CLUSTER_TOL (|T1|^2 + |u|^2), from 2 |T|_F, above every value since
     |(1, x)| = sqrt(2); as its lower end the best value alpha + |beta| at
     a witness x.  Each step tests one level, and the light-cone witness
@@ -754,8 +835,8 @@ def _finsler(q: _Quartic, mode: str):
     there against the upper end, counting the eigh steps of every
     minimax.
     """
-    sign = 1.0 if mode == "max" else -1.0
-    T = sign * _bloch_form(q.S.transpose(0, 3, 1, 2), 2)  # slots U, U, V, V
+    sign = _SIGN[mode]
+    T = sign * _formed("bloch2", q.S)  # of S on slots U, U, V, V
     T1 = T[:, 1:]
     P, size = T1 @ T1.T, np.sum(T1 * T1)
 
@@ -764,7 +845,7 @@ def _finsler(q: _Quartic, mode: str):
         m = T[0] + x @ T[1:]
         return m[0] + np.linalg.norm(m[1:])
 
-    _, w, calls = _minimax(T + T.T, _CONE)
+    _, w, calls = start or _minimax(T + T.T, _CONE)
     best = _bloch_vector(w)
     lo, hi = top(best), 2.0 * np.linalg.norm(T)
     level = tried = lo  # tried: the last level tested as an ascent
@@ -887,12 +968,19 @@ def _extremal(mode: str, restarts: int, seed: int, geom, plane: _Quartic,
     vectors, and found its _search result if already run; the
     holomorphic search extremizes holo_T(Y, Y, Y, Y) over g-unit Y, under
     plane's whitening, the unitary frame of h that _exact needs at n = 2.
-    applicable needs symmetric and a sign the mode is covered for.
+    There the bisectional plane problem runs after the holomorphic one,
+    from its minimax witness (_finsler's start).  applicable needs
+    symmetric and a sign the mode is covered for.
     """
     m = plane.m
-    best_x, best_value, converged, stats = found or _search(plane, restarts, seed, mode)
     holo = _Quartic(holo_T, plane.white, 1)
-    best_y, holo_value, holo_conv, holo_stats = _search(holo, restarts, seed + 1, mode)
+    holo_found = None
+    if m == 4 and not plane.pair:
+        run = _exact_minimax(holo, mode)
+        holo_found, found = _exact(holo, mode, run), _finsler(plane, mode, run)
+    best_x, best_value, converged, stats = found or _search(plane, restarts, seed, mode)
+    best_y, holo_value, holo_conv, holo_stats = (holo_found
+                                                 or _search(holo, restarts, seed + 1, mode))
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
     applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
     hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats

@@ -22,14 +22,13 @@ vanish depends on whether the metric is Kahler, so the caller interprets.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _holo_comps, _in_range, _real_comps, _unit_power, apply_j, to_holomorphic
+from .core import _holo_comps, _in_range, _real_comps, apply_j, to_holomorphic
 from .curvature import ComplexifiedCurvature
 from .errors import DegeneratePlaneError, DimensionMismatch, HermicurvError
 from .field import RealMetricJet
@@ -93,16 +92,20 @@ def _kr_form(kr: np.ndarray, a, b, c, d):
 
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """core._unit_power of one vector of finite components, subnormal parts
-    included, so the rescaling-invariant quantities keep their bits and no
-    form or Gram underflows or overflows; raises DimensionMismatch for any
-    other x."""
+    """(x 2^-e, e) as core._unit_power gives them, for one vector of finite
+    components, subnormal parts included, so the rescaling-invariant
+    quantities keep their bits and no form or Gram underflows or
+    overflows; raises DimensionMismatch for any other x."""
     if x.ndim != 1:
         raise DimensionMismatch("spanning vectors must be 1-D")
-    # one pass over the Python numbers: cheaper than numpy's on a short vector
-    if not all(map(cmath.isfinite, x.tolist())):
+    # the finiteness check and the exponent from one list of the float
+    # view's Python numbers: cheaper than numpy's passes on a short vector
+    parts = np.ascontiguousarray(x).view(float)
+    values = parts.tolist()
+    if not all(map(math.isfinite, values)):
         raise DimensionMismatch("vector components must be finite")
-    return _unit_power(x)
+    e = math.frexp(max(map(abs, values), default=0.0))[1]
+    return np.ldexp(parts, -e).view(x.dtype), e
 
 
 def _pairings(m: np.ndarray, x, e):

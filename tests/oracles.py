@@ -26,7 +26,9 @@ each vector rescaled through a Python list, every norm through
 core.hermitian_pairing, H as B(xi, xi).  cone_sign_ref is the earlier
 S-lemma route of analysis._cone_sign: one eigh of the form, its own
 slope test at t = 0, and the plain minimax over all t where that slope
-is negative.
+is negative.  minimax_ref is the earlier step of analysis._minimax: the
+same decisions, taken on numpy arrays and scalars, with searchsorted for
+the top cluster and a 1 x 1 eigenpair written out as arrays.
 
 complexified_full puts the full complexified tensor together from the
 16 blocks of the h-first half that the library stores, and
@@ -405,6 +407,56 @@ def cone_sign_ref(F: np.ndarray) -> str:
         slope = np.linalg.eigvalsh(V.T @ analysis._CONE @ V)[-1]
         ends.append(top[-1] if slope >= 0 else analysis._minimax(s * F, analysis._CONE)[0])
     return analysis._sign_label(np.array([-ends[0], ends[1]]))
+
+
+def minimax_ref(A: np.ndarray, C: np.ndarray, nonneg: bool = False):
+    """(lam, w, steps) of analysis._minimax, step by step on numpy arrays."""
+    lo = hi = None  # (t, lam, slope) at the ends of the bracket
+    t, moved = 0.0, np.inf
+    for steps in range(1, analysis._MINIMAX_STEPS + 1):
+        lam, Q = np.linalg.eigh(A + t * C)
+        if steps == 1:
+            tol = analysis._CLUSTER_TOL * max(-lam[0], lam[-1])
+            spread = lam[-1] - lam[0]
+        V = Q[:, np.searchsorted(lam, lam[-1] - tol):]
+        k = V.shape[1]
+        if k == 1:
+            c, E = (V.T @ C @ V)[0], np.ones((1, 1))
+        else:
+            c, E = np.linalg.eigh(V.T @ C @ V)
+        if c[0] <= 0.0 <= c[-1]:
+            a, b = -c[0], c[-1]
+            w = E[:, 0]
+            if a + b > 0:
+                w = (np.sqrt(a) * E[:, -1] + np.sqrt(b) * w) / np.sqrt(a + b)
+            return lam[-1], V @ w, steps
+        j = 0 if c[0] > 0 else -1
+        s, v = c[j], V @ E[:, j]
+        if s * s * spread <= tol or (nonneg and steps == 1 and s > 0):
+            return lam[-1], v, steps
+        if s > 0:
+            hi = (t, lam[-1], s)
+        else:
+            lo = (t, lam[-1], s)
+        a = lo[0] if lo else -spread
+        b = hi[0] if hi else spread
+        nxt = None
+        if (c[-1] - c[0]) ** 2 * spread <= tol:
+            cv = Q[:, :-k].T @ (C @ v)
+            curvature = 2.0 * np.sum(cv * cv / (lam[-1] - lam[:-k]))
+            if curvature > 0:
+                nxt = t - s / curvature
+        if nxt is None or not a < nxt < b or abs(nxt - t) > moved / 2:
+            if lo and hi:
+                nxt = (hi[1] - lo[1] + lo[2] * lo[0] - hi[2] * hi[0]) / (lo[2] - hi[2])
+            else:
+                nxt = a if hi else b
+            if not a <= nxt <= b or nxt == t:
+                nxt = (a + b) / 2
+        if b - a <= tol or nxt == t:
+            break
+        moved, t = abs(nxt - t), nxt
+    return lam[-1], v, steps
 
 
 def form_ref(T: np.ndarray, a, b, c, d):

@@ -26,7 +26,8 @@ from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
-from oracles import cholesky_frame, cone_sign_ref, riemannian_fd, sample_admissible_points
+from oracles import (cholesky_frame, cone_sign_ref, minimax_ref, riemannian_fd,
+                     sample_admissible_points)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -673,6 +674,35 @@ def test_minimax_matches_a_brute_force_minimum_over_t(C):
         assert abs(_brute_minimax(A, C, 0.0) - top) <= tol
 
 
+def _repeated_top_cases(C, rng, count):
+    """Forms whose top eigenvalue is planted with multiplicity 2 or 3,
+    some of them exactly so and some split by 1e-15 to 1e-9, in a random
+    orthonormal basis."""
+    d = C.shape[0]
+    for k in range(count):
+        U = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        lam = np.sort(rng.standard_normal(d))
+        r = 2 + k % 2
+        lam[-r:] = lam[-1] + (k % 3 == 2) * 10.0 ** -rng.uniform(9, 15) * np.arange(r)
+        yield U @ np.diag(lam) @ U.T
+
+
+@pytest.mark.parametrize("C", ["_CONE", "_HODGE"])
+def test_minimax_takes_the_steps_of_the_earlier_route(C):
+    # the same (lam, w, steps), bit for bit, as the step written on numpy
+    # arrays, on both sides of the engine
+    C = getattr(analysis, C)
+    rng = np.random.default_rng(67)
+    cases = [*_minimax_cases(C, rng, 300), *_planted_minimax_cases(C, rng, 100),
+             *_repeated_top_cases(C, rng, 150)]
+    assert len(cases) == 550
+    for A in cases:
+        for nonneg in (False, True):
+            lam, w, steps = analysis._minimax(A, C, nonneg)
+            ref = minimax_ref(A, C, nonneg)
+            assert (lam, steps) == (ref[0], ref[2]) and np.array_equal(w, ref[1])
+
+
 def _cone_forms(rng, count):
     """Symmetric 4 x 4 forms of every sign on the cone z _CONE z >= 0:
     generic ones; c _CONE + R R^T, c > 0, nonnegative there by the S-lemma,
@@ -834,6 +864,60 @@ def test_searches_match_a_64_restart_newton_search_in_another_frame(name):
                                 ("B", bis.best_value), ("H_bisectional", bis.holo_best_value)):
                 ref = analysis._multistart(newton[what], 64, 100 + k, mode)[1]
                 assert abs(value - ref) <= 1e-12 * max(1.0, abs(value)), (what, mode, value, ref)
+
+
+def test_form_maps_match_their_builders():
+    # each map against its builder: to rounding on random pair-symmetrized
+    # tensors, and exactly on the basis tensors it is built from
+    rng = np.random.default_rng(89)
+    eps = np.finfo(float).eps
+    builders = {
+        "bivector": analysis._bivector_form,
+        "bloch": analysis._bloch_form,
+        "bloch2": lambda S: analysis._bloch_form(S.transpose(0, 3, 1, 2), 2),
+        "pauli": analysis._pauli_form,
+    }
+    for name, build in builders.items():
+        shape, kind = ((2, 2, 2, 2), complex) if name == "pauli" else ((4, 4, 4, 4), float)
+        for _ in range(40):
+            S = rng.standard_normal(shape)
+            if kind is complex:
+                S = S + 1j * rng.standard_normal(shape)
+            S = np.ascontiguousarray(analysis._pair_symmetrized(S)) * 10.0 ** rng.uniform(-3, 3)
+            bound = 8 * eps * np.max(np.abs(S))
+            assert np.abs(analysis._formed(name, S) - build(S)).max() <= bound, name
+        units = np.eye(32 if kind is complex else 256)
+        for e in (units.view(complex) if kind is complex else units):
+            E = e.reshape(shape)
+            assert np.array_equal(analysis._formed(name, E), build(E)), name
+
+
+def test_bisectional_op_solves_h_once_at_n2(monkeypatch):
+    # the W-form sign (two minimaxes), one Finsler level and the H
+    # extreme, whose witness is the level search's start: four minimaxes
+    # an op, one fewer than a separate start took; no exact problem
+    # builds the Newton-only arrays
+    calls, quartics = [], []
+    minimax, witnessed = analysis._minimax, analysis._witnessed
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return minimax(*args, **kwargs)
+
+    def seen(q, *args):
+        quartics.append(q)
+        return witnessed(q, *args)
+
+    monkeypatch.setattr(analysis, "_minimax", counted)
+    monkeypatch.setattr(analysis, "_witnessed", seen)
+    for name in ("fubini_study", "poincare_ball", "hopf", "nk_diag"):
+        m = catalog_metric(name, 2)
+        for mode in ("max", "min"):
+            calls.clear()
+            res = extremal_bisectional(m, P0, mode=mode, restarts=1)
+            assert len(calls) == 4 and res.converged, (name, mode)
+    assert len(quartics) == 16
+    assert not any({"s_uu", "s_vv"} & vars(q).keys() for q in quartics)
 
 
 def _kr_of_pauli_form(T, h):

@@ -252,14 +252,19 @@ def test_curvature_module_calls_no_einsum():
     ]
 
 
-def cholesky_callers(source: str, filename: str = "<src>") -> list:
-    """The function around each call of a function named cholesky, in
-    line order, None at module level."""
+def callers(source: str, names, filename: str = "<src>") -> list:
+    """The outermost function around each call of a function named in
+    names, in line order, None at module level."""
     tree = ast.parse(source, filename)
     defs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
     lines = sorted(node.lineno for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and _called_name(node) == "cholesky")
+                   if isinstance(node, ast.Call) and _called_name(node) in names)
     return [next((f.name for f in defs if f.lineno <= k <= f.end_lineno), None) for k in lines]
+
+
+def cholesky_callers(source: str, filename: str = "<src>") -> list:
+    """The function around each call of a function named cholesky."""
+    return callers(source, {"cholesky"}, filename)
 
 
 def test_one_search_frame_calls_cholesky():
@@ -271,6 +276,20 @@ def test_one_search_frame_calls_cholesky():
     assert cholesky_callers("def f(h):\n    return np.linalg.cholesky(h)\ncholesky(g)\n") == [
         "f", None
     ]
+
+
+def test_form_builders_run_only_where_their_maps_are_built():
+    """The n = 2 forms are products with analysis._form_map's constant
+    maps; the builders they come from run nowhere else, so no search op
+    rebuilds a form term by term."""
+    builders = {"_bivector_form", "_bloch_form"}
+    found = [(f.stem, name) for f in sorted(SRC.glob("*.py"))
+             for name in callers(f.read_text(), builders, f.name)]
+    assert found and set(found) == {("analysis", "_form_map")}
+    source = ("def _form_map(name):\n    return [_bloch_form(b) for b in bases]\n"
+              "def _exact(q):\n    A = analysis._bivector_form(q.S)\n"
+              "_bloch_form(S, 2)\n")
+    assert callers(source, builders) == ["_form_map", "_exact", None]
 
 
 def test_guard_sees_multiline_and_unplanned_contractions():
