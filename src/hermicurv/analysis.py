@@ -21,10 +21,10 @@ two holomorphic quartics, are quadratic forms on a small constraint set
 (_exact): one eigenvalue minimax (_minimax) each, on the bivectors of
 R^4 under the Hodge star (Thorpe), or on (1, Bloch vector) under the
 light cone (the S-lemma), each form one product of S with a constant
-map (_form_map).  The bisectional B(xi, eta) is bilinear in the two
-Bloch vectors, and its extremes are the roots of a minimax in the level
-(_finsler, Finsler's lemma), searched from the holomorphic quartic's
-minimax witness.  At n >= 3 a seeded multi-start
+map built at import (_BIVECTOR, _BLOCH).  The bisectional B(xi, eta) is
+bilinear in the two Bloch vectors, and its extremes are the roots of a
+minimax in the level (_finsler, Finsler's lemma), searched from the
+holomorphic quartic's minimax witness.  At n >= 3 a seeded multi-start
 Riemannian Newton search runs (_multistart): it has the plain
 retraction (normalize, or Gram-Schmidt) and the textbook Riemannian
 gradient and Hessian (_riemannian).  Restart states are carried as rows
@@ -174,14 +174,14 @@ def _hypotheses(kr: np.ndarray, scale: float, draws):
     conjugation none.
 
     At n = 2 the sign is exact: i W = i (x e~ - e x~) ranges over exactly
-    the Hermitian 2 x 2 matrices with det <= 0, so the W-form is the
-    _pauli_form of kr, taken by its _form_map, on the cone z _CONE z >= 0
-    of their Pauli coordinates z (_cone_sign).  Beyond, it is the _sign_label of the
+    the Hermitian 2 x 2 matrices with det <= 0, so the W-form is kr's
+    _PAULI_MAP form on the cone z _CONE z >= 0 of their Pauli
+    coordinates z (_cone_sign).  Beyond, it is the _sign_label of the
     values on the pairs (X, E) that draws() returns."""
     residual = float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3))))
     S = _unit_power(kr)[0]
     if kr.shape[0] == 2:
-        sign = _cone_sign(_formed("pauli", S))
+        sign = _cone_sign(_formed(_PAULI_MAP, S))
     else:
         sign = _sign_label(_w_form(S, *draws()).real)
     return residual, residual <= _CLASSIFY_TOL * scale, sign
@@ -550,11 +550,9 @@ _WITNESS_TOL = 1e-12
 _PAIRS = np.triu_indices(4, 1)
 _HODGE = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 # (1, x) on the light cone of diag(-1, 1, 1, 1) exactly when x is a unit
-# Bloch vector; the Pauli matrices after the identity; and P^-1 = P^H / 2
-# of core's frame at n = 2, z = P^-1 (zeta, conj(zeta))
+# Bloch vector; and the Pauli matrices after the identity
 _CONE = np.diag([-1.0, 1.0, 1.0, 1.0])
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_FRAME_INV = _frame(2).conj().T / 2
 
 
 def _minimax(A: np.ndarray, C: np.ndarray, nonneg: bool = False):
@@ -641,23 +639,6 @@ def _minimax(A: np.ndarray, C: np.ndarray, nonneg: bool = False):
     return top, v, steps
 
 
-def _slots(S: np.ndarray, order) -> np.ndarray:
-    """S.transpose(order) on the last four axes, any leading ones kept."""
-    lead = S.ndim - 4
-    return S.transpose(tuple(range(lead)) + tuple(lead + k for k in order))
-
-
-def _bivector_form(S: np.ndarray) -> np.ndarray:
-    """M (6, 6) with w M w = S(u, v, v, u) on w = u ^ v in the basis
-    _PAIRS, for S pair-symmetrized (_Quartic.S) with S(u, v, v, u) a
-    quadratic form in u ^ v, as for K and K - K_D; batched over any
-    leading axes of S.  Then S(u, v, u, v) = -S(u, v, v, u) / 2, so S
-    antisymmetrized in slots (1, 2) and (3, 4) gives 3/4 of it."""
-    R = (S - _slots(S, (1, 0, 2, 3)) - _slots(S, (0, 1, 3, 2)) + _slots(S, (1, 0, 3, 2))) / 4
-    i, j = _PAIRS
-    return -4.0 / 3.0 * R[..., i, j, :, :][..., i, j]
-
-
 def _plane_state(w: np.ndarray) -> np.ndarray:
     """An orthonormal pair [u | v] spanning the plane of a decomposable
     unit bivector w: the top two eigenvectors of W^T W, W the
@@ -669,71 +650,66 @@ def _plane_state(w: np.ndarray) -> np.ndarray:
     return np.concatenate([Q[:, 3], Q[:, 2]])
 
 
-def _pauli_form(G: np.ndarray) -> np.ndarray:
-    """(4, 4) Re sum G[a, b, c, d] sigma_mu[a, b] sigma_nu[c, d] for a
-    (2, 2, 2, 2) G: the real form of G on the Pauli coordinates of two
-    Hermitian 2 x 2 matrices, rho[a, b] and rho'[c, d]; batched over any
-    leading axes of G."""
-    sigma = _PAULI.reshape(4, 4)
-    return (sigma @ G.reshape(G.shape[:-4] + (4, 4)) @ sigma.T).real
+def _alpha(m: int) -> np.ndarray:
+    """(m^2, C(m, 2)): the coordinates, in the basis e_i ^ e_j, i < j, of
+    the antisymmetric part of an m x m matrix, flattened; column (i, j)
+    has 1/2 at (i, j) and -1/2 at (j, i)."""
+    i, j = np.triu_indices(m, 1)
+    a = np.zeros((m, m, i.size))
+    a[i, j, np.arange(i.size)], a[j, i, np.arange(i.size)] = 0.5, -0.5
+    return a.reshape(m * m, -1)
 
 
-def _bloch_form(S: np.ndarray, blocks: int = 1) -> np.ndarray:
-    """The Pauli form of a phase-invariant quartic S on unit vectors of
-    C^2 in a unitary frame (_whitening), as the holomorphic
-    quartics and B are: with one block, the symmetric A with
-    y A y = S(z, z, z, z) for y = (1, x) / sqrt(2), x the Bloch vector
-    zeta^H sigma zeta of zeta and z = (Re zeta, Im zeta); with two, the T
-    with (1, x) T (1, y) = S(z, z, w, w), x and y the Bloch vectors of zeta
-    and of omega, w = (Re omega, Im omega).
-
-    With z = N (zeta, conj(zeta)), N = P^-1 of core's frame, the terms
-    of S with one zeta and one conj(zeta) per block (two of each on one
-    block) are G[a, b, c, d] rho[a, c] rho'[b, d], rho = zeta zeta^H =
-    sum_mu (1, x)_mu sigma_mu / 2 and rho' alike; the others cancel.
-    Batched over any leading axes of S.
-    """
-    T = S.astype(complex)  # complex @ complex is one BLAS product
-    for _ in range(4):  # N on the last slot, which then moves to the first
-        T = _slots((T.reshape(-1, 4) @ _FRAME_INV).reshape(T.shape), (3, 0, 1, 2))
-    half = (slice(0, 2), slice(2, 4))
-    # the slots of zeta, then of omega: any two, or one in each block
-    pairs = itertools.combinations(range(4), 2) if blocks == 1 else itertools.product((0, 1), (2, 3))
-    G = 0
-    for pair in pairs:
-        rest = tuple(k for k in range(4) if k not in pair)
-        G = G + _slots(T[(...,) + tuple(half[k in rest] for k in range(4))], pair + rest)
-    A = _pauli_form(_slots(G, (0, 2, 1, 3))) / 2
-    return (A + A.swapaxes(-1, -2)) / 2 if blocks == 1 else A / 2
-
-
-@functools.cache
-def _form_map(name: str) -> np.ndarray:
-    """The constant matrix M of one n = 2 form, which is linear in its
-    tensor: M @ S.reshape(256) is _bivector_form(S) ("bivector"),
-    _bloch_form(S) ("bloch") or B's T, _bloch_form(S.transpose(0, 3, 1, 2),
-    2) ("bloch2"), flattened, and M @ G.reshape(16).view(float) is
-    _pauli_form(G) of a complex (2, 2, 2, 2) G ("pauli").  Built on first
-    use by the builder on the basis tensors stacked on a leading axis, in
-    calls of 32 so that no temporary reaches 128 KB (glibc's first mmap
-    threshold) and the build leaves the peak memory as it was; column k is
-    the form of basis tensor k.  Read-only, as every caller shares it."""
-    if name == "pauli":
-        F = _pauli_form(np.eye(32).view(complex).reshape(32, 2, 2, 2, 2))
-    else:
-        build = {"bivector": _bivector_form, "bloch": _bloch_form,
-                 "bloch2": lambda S: _bloch_form(_slots(S, (0, 3, 1, 2)), 2)}[name]
-        F = np.concatenate([build(np.eye(32, 256, k).reshape(32, 4, 4, 4, 4))
-                            for k in range(0, 256, 32)])
-    M = np.ascontiguousarray(F.reshape(len(F), -1).T)
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """M contiguous and read-only, a constant every caller shares."""
+    M = np.ascontiguousarray(M)
     M.flags.writeable = False
     return M
 
 
-def _formed(name: str, S: np.ndarray) -> np.ndarray:
-    """The square form _form_map(name) of a contiguous S."""
-    F = _form_map(name) @ S.reshape(-1).view(float)
-    return F.reshape(6, 6) if name == "bivector" else F.reshape(4, 4)
+def _bloch_map(slots: str, pairings, symmetric: bool = False) -> np.ndarray:
+    """(16, 256) Re sum over pairings (a, b) of K[mu, s_a, s_c] K[nu, s_b, s_d]
+    / 4, (c, d) the other two slots and s = slots the letters of S's
+    slots, plus its swap of mu and nu with symmetric; read-only.
+    K = N[:, :2] sigma N[:, 2:]^T, N = P^-1 of core's frame: with
+    z = N (zeta, conj(zeta)), the terms of S(z, z, z, z) with one zeta and
+    one conj(zeta) in each pair of slots (a, c) and (b, d) are
+    rho[a', c'] rho[b', d'] times S's entries, rho = zeta zeta^H =
+    sum_mu (1, x)_mu sigma_mu / 2; the others cancel."""
+    N = _frame(2).conj().T / 2
+    K = N[:, :2] @ _PAULI @ N[:, 2:].T
+    M = 0
+    for a, b in pairings:
+        c, d = (k for k in range(4) if k not in (a, b))
+        M = M + np.einsum(f"m{slots[a]}{slots[c]},n{slots[b]}{slots[d]}->mnijkl", K, K)
+    M = M.real.reshape(4, 4, 256)
+    return _frozen((M + M.swapaxes(0, 1) if symmetric else M).reshape(16, 256) / 4)
+
+
+# The n = 2 forms, each linear in its tensor S and so one constant map
+# (_formed), built here once.  _BIVECTOR: M (6, 6) with w M w =
+# S(u, v, v, u) on w = u ^ v in the basis _PAIRS, for S pair-symmetrized
+# (_Quartic.S) with S(u, v, v, u) a quadratic form in u ^ v, as for K and
+# K - K_D; then S(u, v, u, v) = -S(u, v, v, u) / 2, so S antisymmetrized
+# in slots (1, 2) and (3, 4) gives 3/4 of it.  _BLOCH: the symmetric A
+# with y A y = S(z, z, z, z) for y = (1, x) / sqrt(2), x the Bloch vector
+# zeta^H sigma zeta of a unit zeta in a unitary frame (_whitening) and
+# z = (Re zeta, Im zeta), for a phase-invariant quartic S, as the
+# holomorphic quartics are.  _BLOCH2: the T with (1, x) T (1, y) =
+# S(z, w, w, z), B as _Quartic stores it, x and y the Bloch vectors of
+# zeta and omega.  _PAULI_MAP: Re sum G[a, b, c, d] sigma_mu[a, b]
+# sigma_nu[c, d] of a complex (2, 2, 2, 2) G, on its float view: the
+# form of G on the Pauli coordinates of two Hermitian 2 x 2 matrices.
+_BIVECTOR = _frozen(-4.0 / 3.0 * np.kron(_alpha(4), _alpha(4)).T)
+_BLOCH = _bloch_map("ijkl", itertools.combinations(range(4), 2), symmetric=True)
+_BLOCH2 = _bloch_map("iljk", itertools.product((0, 1), (2, 3)))
+_PAULI_MAP = _frozen(np.kron(np.kron(_PAULI.reshape(4, 4), _PAULI.reshape(4, 4)), [1, 1j]).real)
+
+
+def _formed(M: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The square form of a contiguous S under one of the constant maps."""
+    d = math.isqrt(len(M))
+    return (M @ S.reshape(-1).view(float)).reshape(d, d)
 
 
 def _bloch_vector(y: np.ndarray) -> np.ndarray:
@@ -770,7 +746,7 @@ def _witnessed(q: _Quartic, x: np.ndarray, sign: float, bound: float, calls: int
 
 # The two routes of _exact, by whether the problem is over orthonormal
 # pairs: (form map, constraint, witness state)
-_EXACT = {True: ("bivector", _HODGE, _plane_state), False: ("bloch", _CONE, _bloch_state)}
+_EXACT = {True: (_BIVECTOR, _HODGE, _plane_state), False: (_BLOCH, _CONE, _bloch_state)}
 
 
 def _exact_minimax(q: _Quartic, mode: str):
@@ -778,8 +754,8 @@ def _exact_minimax(q: _Quartic, mode: str):
     times the mode's sign under its constraint, or with q.absolute the
     larger of those of the form and of its negative, with the eigh steps
     of every minimax run."""
-    name, C, _ = _EXACT[q.pair]
-    A = _formed(name, q.S)
+    M, C, _ = _EXACT[q.pair]
+    A = _formed(M, q.S)
     runs = [_minimax(s * A, C) for s in ((1.0, -1.0) if q.absolute else (_SIGN[mode],))]
     lam, w, _ = max(runs, key=lambda run: run[0])
     return lam, w, sum(run[2] for run in runs)
@@ -787,12 +763,12 @@ def _exact_minimax(q: _Quartic, mode: str):
 
 def _exact(q: _Quartic, mode: str, run=None):
     """The extreme of an n = 2 problem q without a search: the plane
-    problem over orthonormal pairs, as the minimax of _bivector_form
+    problem over orthonormal pairs, as the minimax of its _BIVECTOR form
     under the Hodge star, or the unit-vector problem of a phase-invariant
-    quartic in a unitary frame, as the minimax of _bloch_form on the
-    light cone, each form one product with its _form_map (_EXACT).  max f
-    is the minimax of the form, min f minus that of its negative, and
-    with q.absolute, max |f| is the larger of the two.
+    quartic in a unitary frame, as the minimax of its _BLOCH form on the
+    light cone (_EXACT).  max f is the minimax of the form, min f minus
+    that of its negative, and with q.absolute, max |f| is the larger of
+    the two.
 
     run is that _exact_minimax, if already taken.  The witness state is
     built from the minimax witness, and _witnessed checks q's value there
@@ -804,8 +780,8 @@ def _exact(q: _Quartic, mode: str, run=None):
 
 def _finsler(q: _Quartic, mode: str, start=None):
     """The extreme of an n = 2 problem q over two unit vectors without a
-    search, for B in a unitary frame: B = (1, x) T (1, y), T the
-    two-block _bloch_form and x, y the Bloch vectors of the two states.
+    search, for B in a unitary frame: B = (1, x) T (1, y), T the _BLOCH2
+    form and x, y the Bloch vectors of the two states.
 
     For fixed x the max over y is alpha + |beta|, the top eigenvalue of
     M(x) = sum_nu ((1, x) T)_nu sigma_nu, alpha and beta affine in x.  A
@@ -815,28 +791,27 @@ def _finsler(q: _Quartic, mode: str, start=None):
     of _CONE.  By Finsler's lemma that holds exactly when
     phi(lam) = -_minimax(-Q_lam, _CONE) >= 0, so the max is a root of phi.
 
-    It starts from the top of B(x, x) = H(x): start, the _exact_minimax
-    of the one-unit-vector problem of the same tensor in the same frame
-    (its one-block _bloch_form is T + T^T up to a positive factor and a
-    multiple of _CONE, which vanishes on the light cone, so its witness
-    is that of _minimax(T + T^T, _CONE)), or that minimax when no start is
-    given; a shared start's steps count in both records.  It keeps a
-    bracket: as its upper end a level where phi is at least
-    -_CLUSTER_TOL (|T1|^2 + |u|^2), from 2 |T|_F, above every value since
-    |(1, x)| = sqrt(2); as its lower end the best value alpha + |beta| at
-    a witness x.  Each step tests one level, and the light-cone witness
-    there gives an x.  The next level is the lower end, an ascent, when it
-    rose and the last ascent's rise was at most half the one before; else
-    the bracket's midpoint.  It stops when the bracket is within
-    _WITNESS_TOL or after _MINIMAX_STEPS levels; min is the max of -T.
-    The witness pair is the best x and the top eigenvector of its M(x),
-    or x's own state where M(x)'s two eigenvalues lie within
-    _CLUSTER_TOL |T|_F of each other, and _witnessed checks q's value
-    there against the upper end, counting the eigh steps of every
-    minimax.
+    It starts from the top of B(x, x) = H(x): start, the _exact_minimax of
+    the one-unit-vector problem of the same tensor in the same frame (its
+    _BLOCH form is T + T^T up to a positive factor and a multiple of
+    _CONE, which vanishes on the light cone, so its witness is that of
+    _minimax(T + T^T, _CONE)), or that minimax when no start is given; a
+    shared start's steps count in both records.  It keeps a bracket: as
+    its upper end a level where phi is at least -_CLUSTER_TOL (|T1|^2 +
+    |u|^2), from 2 |T|_F, above every value since |(1, x)| = sqrt(2); as
+    its lower end the best value alpha + |beta| at a witness x.  Each step
+    tests one level, and the light-cone witness there gives an x.  The
+    next level is the lower end, an ascent, when it rose and the last
+    ascent's rise was at most half the one before; else the bracket's
+    midpoint.  It stops when the bracket is within _WITNESS_TOL or after
+    _MINIMAX_STEPS levels; min is the max of -T.  The witness pair is the
+    best x and the top eigenvector of its M(x), or x's own state where
+    M(x)'s two eigenvalues lie within _CLUSTER_TOL |T|_F of each other,
+    and _witnessed checks q's value there against the upper end, counting
+    the eigh steps of every minimax.
     """
     sign = _SIGN[mode]
-    T = sign * _formed("bloch2", q.S)  # of S on slots U, U, V, V
+    T = sign * _formed(_BLOCH2, q.S)  # of S on slots U, U, V, V
     T1 = T[:, 1:]
     P, size = T1 @ T1.T, np.sum(T1 * T1)
 
@@ -871,7 +846,7 @@ def _finsler(q: _Quartic, mode: str, start=None):
             level = (lo + hi) / 2
     m = T[0] + best @ T[1:]
     zeta = _bloch_state(np.concatenate([[1.0], best]))
-    lam, vecs = np.linalg.eigh(np.einsum("n,nab->ab", m, _PAULI))
+    lam, vecs = np.linalg.eigh((m @ _PAULI.reshape(4, 4)).reshape(2, 2))
     if lam[1] - lam[0] <= _CLUSTER_TOL * np.linalg.norm(T):
         # alpha + beta . sigma is alpha times the identity: every eta
         # attains the value, and eta = xi is the one the attainment

@@ -26,8 +26,8 @@ from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
-from oracles import (cholesky_frame, cone_sign_ref, minimax_ref, riemannian_fd,
-                     sample_admissible_points)
+from oracles import (bivector_form_ref, bloch_form_ref, cholesky_frame, cone_sign_ref,
+                     minimax_ref, pauli_form_ref, riemannian_fd, sample_admissible_points)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -867,29 +867,53 @@ def test_searches_match_a_64_restart_newton_search_in_another_frame(name):
 
 
 def test_form_maps_match_their_builders():
-    # each map against its builder: to rounding on random pair-symmetrized
-    # tensors, and exactly on the basis tensors it is built from
+    # each constant map against its builder, one tensor at a time: exactly
+    # on every basis tensor, and to rounding on random pair-symmetrized
+    # tensors
     rng = np.random.default_rng(89)
     eps = np.finfo(float).eps
     builders = {
-        "bivector": analysis._bivector_form,
-        "bloch": analysis._bloch_form,
-        "bloch2": lambda S: analysis._bloch_form(S.transpose(0, 3, 1, 2), 2),
-        "pauli": analysis._pauli_form,
+        "_BIVECTOR": bivector_form_ref,
+        "_BLOCH": bloch_form_ref,
+        "_BLOCH2": lambda S: bloch_form_ref(S.transpose(0, 3, 1, 2), 2),
+        "_PAULI_MAP": pauli_form_ref,
     }
     for name, build in builders.items():
-        shape, kind = ((2, 2, 2, 2), complex) if name == "pauli" else ((4, 4, 4, 4), float)
+        M = getattr(analysis, name)
+        shape, kind = ((2, 2, 2, 2), complex) if name == "_PAULI_MAP" else ((4, 4, 4, 4), float)
         for _ in range(40):
             S = rng.standard_normal(shape)
             if kind is complex:
                 S = S + 1j * rng.standard_normal(shape)
             S = np.ascontiguousarray(analysis._pair_symmetrized(S)) * 10.0 ** rng.uniform(-3, 3)
             bound = 8 * eps * np.max(np.abs(S))
-            assert np.abs(analysis._formed(name, S) - build(S)).max() <= bound, name
+            assert np.abs(analysis._formed(M, S) - build(S)).max() <= bound, name
         units = np.eye(32 if kind is complex else 256)
         for e in (units.view(complex) if kind is complex else units):
             E = e.reshape(shape)
-            assert np.array_equal(analysis._formed(name, E), build(E)), name
+            assert np.array_equal(analysis._formed(M, E), build(E)), name
+
+
+def test_plain_thorpe_form_bounds_the_n3_sectional_extremes():
+    # at n = 3 the bivector form of the plane quartic, with no Hodge
+    # constraint, bounds K on every plane: its extreme eigenvalues enclose
+    # the extremes a 64-restart Newton search finds, and meet them where
+    # its top and bottom eigenvectors are decomposable
+    alpha = analysis._alpha(6)
+    for name in CATALOG_NAMES:
+        m = catalog_metric(name, 3)
+        for p in sample_admissible_points(m, 2, seed=41):
+            geom = geometry_at(m, p)
+            q = analysis._Quartic(geom.rc, analysis._whitening(geom.jet.h), 2, pair=True)
+            M = -4.0 / 3.0 * alpha.T @ q.S.reshape(36, 36) @ alpha
+            lo, hi = np.ldexp(np.linalg.eigvalsh(M)[[0, -1]], q.exp)
+            for mode, bound in (("max", hi), ("min", lo)):
+                value = analysis._multistart(q, 64, 0, mode)[1]
+                tol = 1e-12 * max(1.0, abs(bound))
+                sign = analysis._SIGN[mode]
+                assert sign * (value - bound) <= tol, (name, mode, value, bound)
+                if name in ("hopf", "nk_diag"):
+                    assert abs(value - bound) <= tol, (name, mode, value, bound)
 
 
 def test_bisectional_op_solves_h_once_at_n2(monkeypatch):
@@ -992,7 +1016,7 @@ def test_s_lemma_sign_finds_a_small_negative_region():
     for nu in (0.0, 2e-3):
         F = analysis._CONE + 1e-3 * np.eye(4) - nu * np.outer(d, d)
         kr = np.einsum("mn,mab,ncd->abcd", F, pauli.conj(), pauli.conj()) / 4
-        assert np.abs(analysis._pauli_form(kr) - F).max() <= 1e-15
+        assert np.abs(pauli_form_ref(kr) - F).max() <= 1e-15
         labels.append(analysis._hypotheses(kr, 1.0, None)[2])
         # the pair x = i e, e = (1, 0) has i W = -2 e e^H = -(sigma_0 + sigma_3),
         # whose Pauli coordinates are -sqrt(2) d

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hermicurv import CATALOG_NAMES, catalog_metric, geometry_at
+from hermicurv import CATALOG_NAMES, analysis, catalog_metric, geometry_at
 from hermicurv.connection import real_christoffel
 from hermicurv.core import _each_slot, _frame
 from hermicurv.curvature import (
@@ -278,18 +278,20 @@ def test_one_search_frame_calls_cholesky():
     ]
 
 
-def test_form_builders_run_only_where_their_maps_are_built():
-    """The n = 2 forms are products with analysis._form_map's constant
-    maps; the builders they come from run nowhere else, so no search op
-    rebuilds a form term by term."""
-    builders = {"_bivector_form", "_bloch_form"}
+def test_form_maps_are_read_only_constants_built_at_import():
+    """The n = 2 forms are products with analysis's four constant maps;
+    their factor builders run only at module level, so no op builds a
+    map, and the maps, shared by every caller, are read-only."""
+    builders = {"_alpha", "_bloch_map"}
     found = [(f.stem, name) for f in sorted(SRC.glob("*.py"))
              for name in callers(f.read_text(), builders, f.name)]
-    assert found and set(found) == {("analysis", "_form_map")}
-    source = ("def _form_map(name):\n    return [_bloch_form(b) for b in bases]\n"
-              "def _exact(q):\n    A = analysis._bivector_form(q.S)\n"
-              "_bloch_form(S, 2)\n")
-    assert callers(source, builders) == ["_form_map", "_exact", None]
+    assert found and set(found) == {("analysis", None)}
+    for name in ("_BIVECTOR", "_BLOCH", "_BLOCH2", "_PAULI_MAP"):
+        assert not getattr(analysis, name).flags.writeable, name
+    source = ("_BLOCH = _bloch_map('ijkl', pairs)\n"
+              "def _exact(q):\n    A = analysis._alpha(4)\n"
+              "M = _alpha(4)\n")
+    assert callers(source, builders) == [None, "_exact", None]
 
 
 def test_guard_sees_multiline_and_unplanned_contractions():
