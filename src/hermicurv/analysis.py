@@ -1,38 +1,38 @@
 """Metric classification, curvature-tensor inequality checks, and
 extremal searches over tangent 2-planes.
 
-Every search objective is a real quartic form, T(U, V, V, U) on a pair
-or T(Y, Y, Y, Y) on one vector, with T built once per point.  A search
-is one _Quartic problem: T pulled back through L^-T, with that whitening
-and its constraint.  Every search has the one frame of _whitening: L is
-the real form of conj(C), h = C C^H at the point, so g = L L^T and the
-frame is unitary for h.  This turns g-unit vectors and g-orthonormal
-pairs into Euclidean unit vectors and orthonormal pairs; a result is
-mapped back to the chart as y = x L^-1.  The problem runs on the
-pull-back and on L each rescaled by the power of two that puts its
-largest |entry| in [0.5, 1) (core._unit_power), so every rule in it
+Every search objective is a quartic form, T(U, V, V, U) on a pair or
+T(Y, Y, Y, Y) on one vector, with T built once per point, and every
+search has the one frame of _whitening: L is the real form of conj(C),
+h = C C^H at the point, so g = L L^T and the frame is unitary for h.
+This turns g-unit vectors and g-orthonormal pairs into Euclidean unit
+vectors and orthonormal pairs; a whitened state x = (Re zeta, Im zeta)
+is the chart state y = x L^-1, the vector xi = F zeta.  Each problem
+runs on its tensor in that frame rescaled by the power of two that puts
+its largest |entry| in [0.5, 1) (core._unit_power), so every rule in it
 sees unit-scale values, and a metric multiplied by 2^k searches the
 same bits; values return in the metric's units through np.ldexp.  A
-pull-back that is not finite raises HermicurvError (_whitened).
+tensor that is not finite there raises HermicurvError.
 
-Two routes solve a problem (_search).  At n = 2 every search is exact.
-The plane problems of sectional K and of the probe's |K - K_D|, and the
-two holomorphic quartics, are quadratic forms on a small constraint set
-(_exact): one eigenvalue minimax (_minimax) each, on the bivectors of
-R^4 under the Hodge star (Thorpe), or on (1, Bloch vector) under the
-light cone (the S-lemma), each form one product of S with a constant
-map built at import (_BIVECTOR, _BLOCH).  The bisectional B(xi, eta) is
-bilinear in the two Bloch vectors, and its extremes are the roots of a
-minimax in the level (_finsler, Finsler's lemma), searched from the
-holomorphic quartic's minimax witness.  At n >= 3 a seeded multi-start
-Riemannian Newton search runs (_multistart): it has the plain
-retraction (normalize, or Gram-Schmidt) and the textbook Riemannian
-gradient and Hessian (_riemannian).  Restart states are carried as rows
-of one array, so values, gradients, Hessians and one eigh per pass are
-batched; each restart takes saddle-free Newton steps inside its own
-trust radius until its Riemannian gradient vanishes to rounding.  The
-winner is the best final value, first-found on ties within 1e-10,
-which keeps results reproducible for a fixed seed.
+At n = 2 every search is exact: one eigenvalue minimax (_minimax) per
+quadratic form on a small constraint set, each form one product with a
+constant map built at import.  The plane problems of sectional K and of
+the probe's |K - K_D| are _Quartic problems, the real T pulled back
+through L^-T, with their _BIVECTOR form on the bivectors of R^4 under
+the Hodge star (Thorpe, _exact).  The holomorphic problems read their
+complex tensor through F (_holomorphic), and its _PAULI_MAP form A on
+(1, Bloch vector) gives B = (1, x) A (1, y): H and H_R are the minimax
+of A + A^T on the light cone (the S-lemma, _unit_extreme), and B's
+extremes are the roots of a minimax in the level (_finsler, Finsler's
+lemma), searched from H's minimax witness.  At n >= 3 every search is a
+_Quartic problem and a seeded multi-start Riemannian Newton search
+(_multistart): it has the plain retraction (normalize, or Gram-Schmidt)
+and the textbook Riemannian gradient and Hessian (_riemannian).  Restart
+states are carried as rows of one array, so values, gradients, Hessians
+and one eigh per pass are batched; each restart takes saddle-free Newton
+steps inside its own trust radius until its Riemannian gradient
+vanishes to rounding.  The winner is the best final value, first-found
+on ties within 1e-10, which keeps results reproducible for a fixed seed.
 
 Every flag derived from a point's tensors or searches (classify's
 curvature conditions, the symmetry verdict of lu and the bisectional
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -175,9 +174,10 @@ def _hypotheses(kr: np.ndarray, scale: float, draws):
 
     At n = 2 the sign is exact: i W = i (x e~ - e x~) ranges over exactly
     the Hermitian 2 x 2 matrices with det <= 0, so the W-form is kr's
-    _PAULI_MAP form on the cone z _CONE z >= 0 of their Pauli
-    coordinates z (_cone_sign).  Beyond, it is the _sign_label of the
-    values on the pairs (X, E) that draws() returns."""
+    _PAULI_MAP form, the map that also gives B and H (_holomorphic), on
+    the cone z _CONE z >= 0 of their Pauli coordinates z (_cone_sign).
+    Beyond, it is the _sign_label of the values on the pairs (X, E) that
+    draws() returns."""
     residual = float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3))))
     S = _unit_power(kr)[0]
     if kr.shape[0] == 2:
@@ -281,9 +281,9 @@ class SearchStats:
     pair-symmetrized tensor of the objective, has its largest |entry| in
     [0.5, 1); capped ones were still stepping when the _MAX_ITER passes
     ran out.  A metric multiplied by 2^k gives the same stats.  An exact
-    route (_exact, _finsler) reports one run: the eigh steps of its
-    minimaxes, one evaluation, and converged or capped 1 as its witness
-    does or does not reproduce the extremum.
+    route (_exact, _unit_extreme, _finsler) reports one run: the eigh
+    steps of its minimaxes, one evaluation, and converged or capped 1 as
+    its witness does or does not reproduce the extremum.
     """
 
     iterations: int
@@ -299,17 +299,19 @@ def _real_form(A: np.ndarray) -> np.ndarray:
 
 
 def _whitening(h: np.ndarray):
-    """(L, L^-1) with g = L L^T and L complex-linear: the real forms of
-    conj(C) and its inverse, h = C C^H the complex Cholesky factor.
+    """(L, L^-1, F) with g = L L^T and L complex-linear: the real forms of
+    conj(C) and its inverse, h = C C^H the complex Cholesky factor, and
+    F = C^-H, the complex map that L^-1 applies.
 
     A row state x in whitened coordinates is the row y = x L^-1 in the
     chart, and g(y, y) = x . x, so g-unit vectors and g-orthonormal
     pairs become Euclidean ones.  A whitened state x = (Re zeta, Im zeta)
-    is the chart vector of xi = C^-T zeta, and h(xi, xi) = |zeta|^2, so
+    is the chart vector of xi = F zeta, and h(xi, xi) = |zeta|^2, so
     this is a unitary frame of h: a phase of zeta is a phase of xi.
     """
     C = np.linalg.cholesky(h).conj()
-    return _real_form(C), _real_form(np.linalg.inv(C))
+    inverse = np.linalg.inv(C)
+    return _real_form(C), _real_form(inverse), inverse.conj().T
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -329,9 +331,9 @@ def _whitened(T: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 class _Quartic:
     """One search problem: f = T(U, V, V, U) on whitened states X of
     dim = blocks * m reals, U = X[:, :m], V = X[:, -m:] (U = V = Y on one
-    block), under the whitening white = (L, L^-1) and a constraint: unit
-    blocks, or an orthonormal pair with pair.  With absolute, f is
-    |T(U, V, V, U)|.
+    block), under the whitening white, L and L^-1 first, and a
+    constraint: unit blocks, or an orthonormal pair with pair.  With
+    absolute, f is |T(U, V, V, U)|.
 
     With S the pair-symmetrized pull-back of T, times 2^-exp by
     _unit_power, the Euclidean gradient is gu = 2 S(., V, V, U),
@@ -667,42 +669,16 @@ def _frozen(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _bloch_map(slots: str, pairings, symmetric: bool = False) -> np.ndarray:
-    """(16, 256) Re sum over pairings (a, b) of K[mu, s_a, s_c] K[nu, s_b, s_d]
-    / 4, (c, d) the other two slots and s = slots the letters of S's
-    slots, plus its swap of mu and nu with symmetric; read-only.
-    K = N[:, :2] sigma N[:, 2:]^T, N = P^-1 of core's frame: with
-    z = N (zeta, conj(zeta)), the terms of S(z, z, z, z) with one zeta and
-    one conj(zeta) in each pair of slots (a, c) and (b, d) are
-    rho[a', c'] rho[b', d'] times S's entries, rho = zeta zeta^H =
-    sum_mu (1, x)_mu sigma_mu / 2; the others cancel."""
-    N = _frame(2).conj().T / 2
-    K = N[:, :2] @ _PAULI @ N[:, 2:].T
-    M = 0
-    for a, b in pairings:
-        c, d = (k for k in range(4) if k not in (a, b))
-        M = M + np.einsum(f"m{slots[a]}{slots[c]},n{slots[b]}{slots[d]}->mnijkl", K, K)
-    M = M.real.reshape(4, 4, 256)
-    return _frozen((M + M.swapaxes(0, 1) if symmetric else M).reshape(16, 256) / 4)
-
-
-# The n = 2 forms, each linear in its tensor S and so one constant map
+# The n = 2 forms, each linear in its tensor and so one constant map
 # (_formed), built here once.  _BIVECTOR: M (6, 6) with w M w =
 # S(u, v, v, u) on w = u ^ v in the basis _PAIRS, for S pair-symmetrized
 # (_Quartic.S) with S(u, v, v, u) a quadratic form in u ^ v, as for K and
 # K - K_D; then S(u, v, u, v) = -S(u, v, v, u) / 2, so S antisymmetrized
-# in slots (1, 2) and (3, 4) gives 3/4 of it.  _BLOCH: the symmetric A
-# with y A y = S(z, z, z, z) for y = (1, x) / sqrt(2), x the Bloch vector
-# zeta^H sigma zeta of a unit zeta in a unitary frame (_whitening) and
-# z = (Re zeta, Im zeta), for a phase-invariant quartic S, as the
-# holomorphic quartics are.  _BLOCH2: the T with (1, x) T (1, y) =
-# S(z, w, w, z), B as _Quartic stores it, x and y the Bloch vectors of
-# zeta and omega.  _PAULI_MAP: Re sum G[a, b, c, d] sigma_mu[a, b]
-# sigma_nu[c, d] of a complex (2, 2, 2, 2) G, on its float view: the
-# form of G on the Pauli coordinates of two Hermitian 2 x 2 matrices.
+# in slots (1, 2) and (3, 4) gives 3/4 of it.  _PAULI_MAP: Re sum
+# G[a, b, c, d] sigma_mu[a, b] sigma_nu[c, d] of a complex (2, 2, 2, 2) G,
+# on its float view: the form of G on the Pauli coordinates of two
+# Hermitian 2 x 2 matrices.
 _BIVECTOR = _frozen(-4.0 / 3.0 * np.kron(_alpha(4), _alpha(4)).T)
-_BLOCH = _bloch_map("ijkl", itertools.combinations(range(4), 2), symmetric=True)
-_BLOCH2 = _bloch_map("iljk", itertools.product((0, 1), (2, 3)))
 _PAULI_MAP = _frozen(np.kron(np.kron(_PAULI.reshape(4, 4), _PAULI.reshape(4, 4)), [1, 1j]).real)
 
 
@@ -712,6 +688,19 @@ def _formed(M: np.ndarray, S: np.ndarray) -> np.ndarray:
     return (M @ S.reshape(-1).view(float)).reshape(d, d)
 
 
+@_in_range("curvature scale out of the floating-point range: the search's whitened "
+           "tensor is not finite")
+def _holomorphic(T: np.ndarray, F: np.ndarray):
+    """(A, G, e) for a 4-tensor T at n = 2 read through a complex frame F:
+    G 2^e = T(F ., conj(F) ., F ., conj(F) .), rescaled exactly by
+    _unit_power, and A = _formed(_PAULI_MAP, G) / 4.  With rho =
+    zeta zeta^H = (1, x) . sigma / 2 for a unit zeta, x its Bloch vector,
+    (1, x) A (1, y) = Re sum G[a, b, c, d] rho[a, b] rho'[c, d] =
+    Re G(zeta, conj(zeta), omega, conj(omega)), y the Bloch vector of omega."""
+    G, e = _unit_power(_each_slot(T, F, F.conj(), F, F.conj()))
+    return _formed(_PAULI_MAP, G) / 4, G, e
+
+
 def _bloch_vector(y: np.ndarray) -> np.ndarray:
     """The unit Bloch vector of a light-cone vector y with y[0] > 0 (or of
     its negative): the direction of y[1:]."""
@@ -719,69 +708,70 @@ def _bloch_vector(y: np.ndarray) -> np.ndarray:
 
 
 def _bloch_state(y: np.ndarray) -> np.ndarray:
-    """A unit state z = (Re zeta, Im zeta) whose Bloch vector is
-    _bloch_vector(y): zeta is the normalized larger column of rho =
-    (1 + x . sigma) / 2."""
+    """A unit zeta whose Bloch vector is _bloch_vector(y): the normalized
+    larger column of rho = (1 + x . sigma) / 2."""
     x = _bloch_vector(y)
     if x[2] >= 0:
         r = np.sqrt((1 + x[2]) / 2)
-        zeta = np.array([r, (x[0] + 1j * x[1]) / (2 * r)])
-    else:
-        r = np.sqrt((1 - x[2]) / 2)
-        zeta = np.array([(x[0] - 1j * x[1]) / (2 * r), r])
-    return np.concatenate([zeta.real, zeta.imag])
+        return np.array([r, (x[0] + 1j * x[1]) / (2 * r)])
+    r = np.sqrt((1 - x[2]) / 2)
+    return np.array([(x[0] - 1j * x[1]) / (2 * r), r])
 
 
-def _witnessed(q: _Quartic, x: np.ndarray, sign: float, bound: float, calls: int):
-    """An exact route's result at its witness state x, as _multistart
-    returns one: (chart state, q's value at x, converged, stats).
-    converged means sign times that value, on the rescaled problem, is
-    within _WITNESS_TOL of the route's bound; the stats are those of one
-    run: calls eigh steps, one evaluation, and converged or capped 1."""
-    f = float(q.rescaled(x[None])[0])
+def _charted(F: np.ndarray, *zetas) -> np.ndarray:
+    """The chart state of unit states zeta in the frame F of _whitening:
+    each xi = F zeta as (Re xi, Im xi), as _Quartic.chart maps them."""
+    xis = [F @ zeta for zeta in zetas]
+    return np.concatenate([part for xi in xis for part in (xi.real, xi.imag)])
+
+
+def _witnessed(f: float, e: int, sign: float, bound: float, calls: int):
+    """An exact route's (value, converged, stats) from its witness's value
+    f on the rescaled problem, times 2^-e: f 2^e; whether sign f is within
+    _WITNESS_TOL of the route's bound; and the stats of one run: calls
+    eigh steps, one evaluation, and converged or capped 1."""
     converged = bool(abs(sign * f - bound) <= _WITNESS_TOL)
     stats = SearchStats(calls, 1, int(converged), int(not converged))
-    return q.chart(x), float(np.ldexp(f, q.exp)), converged, stats
+    return float(np.ldexp(f, e)), converged, stats
 
 
-# The two routes of _exact, by whether the problem is over orthonormal
-# pairs: (form map, constraint, witness state)
-_EXACT = {True: (_BIVECTOR, _HODGE, _plane_state), False: (_BLOCH, _CONE, _bloch_state)}
-
-
-def _exact_minimax(q: _Quartic, mode: str):
-    """(lam, w, steps): the minimax of q's row of _EXACT, the form of q.S
-    times the mode's sign under its constraint, or with q.absolute the
-    larger of those of the form and of its negative, with the eigh steps
-    of every minimax run."""
-    M, C, _ = _EXACT[q.pair]
-    A = _formed(M, q.S)
-    runs = [_minimax(s * A, C) for s in ((1.0, -1.0) if q.absolute else (_SIGN[mode],))]
+def _exact(q: _Quartic, mode: str):
+    """The extreme of an n = 2 plane problem q over orthonormal pairs
+    without a search, as the minimax of its _BIVECTOR form under the Hodge
+    star: max f is the minimax of the form, min f minus that of its
+    negative, and with q.absolute, max |f| is the larger of the two.
+    Returns (chart state, value, converged, stats) at the plane of the
+    minimax witness, with the eigh steps of every minimax run; _witnessed
+    checks q's value there against the minimax value."""
+    A = _formed(_BIVECTOR, q.S)
+    runs = [_minimax(s * A, _HODGE) for s in ((1.0, -1.0) if q.absolute else (_SIGN[mode],))]
     lam, w, _ = max(runs, key=lambda run: run[0])
-    return lam, w, sum(run[2] for run in runs)
+    x = _plane_state(w)
+    f = float(q.rescaled(x[None])[0])
+    return (q.chart(x), *_witnessed(f, q.exp, _SIGN[mode], lam, sum(run[2] for run in runs)))
 
 
-def _exact(q: _Quartic, mode: str, run=None):
-    """The extreme of an n = 2 problem q without a search: the plane
-    problem over orthonormal pairs, as the minimax of its _BIVECTOR form
-    under the Hodge star, or the unit-vector problem of a phase-invariant
-    quartic in a unitary frame, as the minimax of its _BLOCH form on the
-    light cone (_EXACT).  max f is the minimax of the form, min f minus
-    that of its negative, and with q.absolute, max |f| is the larger of
-    the two.
+def _unit_extreme(form, F: np.ndarray, mode: str):
+    """(run, result): the extreme of G(zeta, conj(zeta), zeta, conj(zeta))
+    over unit zeta without a search, for a _holomorphic form (A, G, e) in
+    the frame F.  The value is (1, x) A (1, x) on unit Bloch vectors x, so
+    its max is the minimax of A + A^T on the light cone of _CONE (the
+    S-lemma), and its min minus that of the negative: run, (lam, w, steps).
+    result is (chart state, value, converged, stats) at the unit state of
+    the minimax witness, valued on G and checked by _witnessed."""
+    A, G, e = form
+    sign = _SIGN[mode]
+    run = _minimax(sign * (A + A.T), _CONE)
+    zeta = _bloch_state(run[1])
+    f = float(_kr_form(G, zeta, zeta, zeta, zeta).real)
+    return run, (_charted(F, zeta), *_witnessed(f, e, sign, run[0], run[2]))
 
-    run is that _exact_minimax, if already taken.  The witness state is
-    built from the minimax witness, and _witnessed checks q's value there
-    against the minimax value.
-    """
-    lam, w, steps = run or _exact_minimax(q, mode)
-    return _witnessed(q, _EXACT[q.pair][2](w), _SIGN[mode], lam, steps)
 
-
-def _finsler(q: _Quartic, mode: str, start=None):
-    """The extreme of an n = 2 problem q over two unit vectors without a
-    search, for B in a unitary frame: B = (1, x) T (1, y), T the _BLOCH2
-    form and x, y the Bloch vectors of the two states.
+def _finsler(form, F: np.ndarray, mode: str, start):
+    """The extreme of B over two unit states without a search, for the
+    _holomorphic form (A, G, e) of kr in the unitary frame F of h:
+    B = (1, x) A (1, y), x and y the Bloch vectors of the two states, and
+    T = A times the mode's sign.
 
     For fixed x the max over y is alpha + |beta|, the top eigenvalue of
     M(x) = sum_nu ((1, x) T)_nu sigma_nu, alpha and beta affine in x.  A
@@ -791,13 +781,10 @@ def _finsler(q: _Quartic, mode: str, start=None):
     of _CONE.  By Finsler's lemma that holds exactly when
     phi(lam) = -_minimax(-Q_lam, _CONE) >= 0, so the max is a root of phi.
 
-    It starts from the top of B(x, x) = H(x): start, the _exact_minimax of
-    the one-unit-vector problem of the same tensor in the same frame (its
-    _BLOCH form is T + T^T up to a positive factor and a multiple of
-    _CONE, which vanishes on the light cone, so its witness is that of
-    _minimax(T + T^T, _CONE)), or that minimax when no start is given; a
-    shared start's steps count in both records.  It keeps a bracket: as
-    its upper end a level where phi is at least -_CLUSTER_TOL (|T1|^2 +
+    It starts from the top of B(x, x) = H(x): start, the minimax of
+    T + T^T on the light cone that _unit_extreme runs for H on the same
+    form, whose steps count in both records.  It keeps a bracket: as its
+    upper end a level where phi is at least -_CLUSTER_TOL (|T1|^2 +
     |u|^2), from 2 |T|_F, above every value since |(1, x)| = sqrt(2); as
     its lower end the best value alpha + |beta| at a witness x.  Each step
     tests one level, and the light-cone witness there gives an x.  The
@@ -806,12 +793,14 @@ def _finsler(q: _Quartic, mode: str, start=None):
     midpoint.  It stops when the bracket is within _WITNESS_TOL or after
     _MINIMAX_STEPS levels; min is the max of -T.  The witness pair is the
     best x and the top eigenvector of its M(x), or x's own state where
-    M(x)'s two eigenvalues lie within _CLUSTER_TOL |T|_F of each other,
-    and _witnessed checks q's value there against the upper end, counting
-    the eigh steps of every minimax.
+    M(x)'s two eigenvalues lie within _CLUSTER_TOL |T|_F of each other.
+    It returns (chart state, value, converged, stats) there: B valued on
+    G, checked by _witnessed against the upper end, and the eigh steps of
+    every minimax.
     """
+    A, G, e = form
     sign = _SIGN[mode]
-    T = sign * _formed(_BLOCH2, q.S)  # of S on slots U, U, V, V
+    T = sign * A
     T1 = T[:, 1:]
     P, size = T1 @ T1.T, np.sum(T1 * T1)
 
@@ -820,7 +809,7 @@ def _finsler(q: _Quartic, mode: str, start=None):
         m = T[0] + x @ T[1:]
         return m[0] + np.linalg.norm(m[1:])
 
-    _, w, calls = start or _minimax(T + T.T, _CONE)
+    _, w, calls = start
     best = _bloch_vector(w)
     lo, hi = top(best), 2.0 * np.linalg.norm(T)
     level = tried = lo  # tried: the last level tested as an ascent
@@ -847,23 +836,12 @@ def _finsler(q: _Quartic, mode: str, start=None):
     m = T[0] + best @ T[1:]
     zeta = _bloch_state(np.concatenate([[1.0], best]))
     lam, vecs = np.linalg.eigh((m @ _PAULI.reshape(4, 4)).reshape(2, 2))
-    if lam[1] - lam[0] <= _CLUSTER_TOL * np.linalg.norm(T):
-        # alpha + beta . sigma is alpha times the identity: every eta
-        # attains the value, and eta = xi is the one the attainment
-        # statement names
-        x = np.concatenate([zeta, zeta])
-    else:
-        x = np.concatenate([zeta, vecs[:, -1].real, vecs[:, -1].imag])
-    return _witnessed(q, x, sign, hi, calls)
-
-
-def _search(q: _Quartic, restarts: int, seed: int, mode: str):
-    """At n = 2 (m = 4) an exact route: _exact for a plane problem over
-    orthonormal pairs or a unit-vector problem, _finsler for one over two
-    unit vectors; else _multistart."""
-    if q.m == 4:
-        return (_exact if q.pair or q.dim == q.m else _finsler)(q, mode)
-    return _multistart(q, restarts, seed, mode)
+    # where alpha + beta . sigma is alpha times the identity, every eta
+    # attains the value, and eta = xi is the one the attainment statement
+    # names
+    omega = zeta if lam[1] - lam[0] <= _CLUSTER_TOL * np.linalg.norm(T) else vecs[:, -1]
+    f = float(_kr_form(G, zeta, zeta, omega, omega).real)
+    return (_charted(F, zeta, omega), *_witnessed(f, e, sign, hi, calls))
 
 
 def _real_chern(kr: np.ndarray) -> np.ndarray:
@@ -905,13 +883,12 @@ class ExtremalResult:
     its winning restart ended with its Riemannian gradient norm at most
     _GRAD_TOL (see SearchStats): a local stationarity statement, not a
     proof that the extremum is global.  An exact route (every search at
-    n = 2: _exact, and _finsler for the bisectional plane problem)
+    n = 2: _exact for K, _unit_extreme for H_R and H, _finsler for B)
     converged when its witness reproduces the global extremum within
     _WITNESS_TOL.  n_restarts counts the restarts each search ran: the
-    requested ones at n >= 3, none at n = 2.
-    best_plane is g-orthonormal and holo_best_vector g-unit (h-unit for
-    the bisectional search).  search and
-    holo_search count the work of the two searches.  The bisectional
+    requested ones at n >= 3, none at n = 2.  best_plane is g-orthonormal
+    and holo_best_vector g-unit (h-unit for the bisectional search).
+    search and holo_search count the work of the two searches.  The bisectional
     search also reports the optimizing vector pair and how aligned it is
     (|h(xi, eta)| for unit vectors, 1 means proportional).
     """
@@ -933,39 +910,26 @@ class ExtremalResult:
     gap_ok: bool
 
 
-def _extremal(mode: str, restarts: int, seed: int, geom, plane: _Quartic,
-              holo_T: np.ndarray, hypothesis_sign: str, symmetric: bool,
-              found=None) -> ExtremalResult:
-    """The two searches behind an ExtremalResult at geom's point, their
-    oriented gap, and gap_ok.
-
-    plane is the two-block problem, over orthonormal pairs or two unit
-    vectors, and found its _search result if already run; the
-    holomorphic search extremizes holo_T(Y, Y, Y, Y) over g-unit Y, under
-    plane's whitening, the unitary frame of h that _exact needs at n = 2.
-    There the bisectional plane problem runs after the holomorphic one,
-    from its minimax witness (_finsler's start).  applicable needs
-    symmetric and a sign the mode is covered for.
+def _extremal(mode: str, restarts: int, geom, found, holo_found, hypothesis_sign: str,
+              symmetric: bool) -> ExtremalResult:
+    """The ExtremalResult at geom's point from its two searches' results,
+    (chart state, value, converged, stats) each: found over orthonormal
+    pairs or two unit vectors, holo_found over one unit vector; their
+    oriented gap, and gap_ok.  applicable needs symmetric and a sign the
+    mode is covered for.
     """
-    m = plane.m
-    holo = _Quartic(holo_T, plane.white, 1)
-    holo_found = None
-    if m == 4 and not plane.pair:
-        run = _exact_minimax(holo, mode)
-        holo_found, found = _exact(holo, mode, run), _finsler(plane, mode, run)
-    best_x, best_value, converged, stats = found or _search(plane, restarts, seed, mode)
-    best_y, holo_value, holo_conv, holo_stats = (holo_found
-                                                 or _search(holo, restarts, seed + 1, mode))
+    best_x, best_value, converged, stats = found
+    best_y, holo_value, holo_conv, holo_stats = holo_found
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
     applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
     hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats
     return ExtremalResult(
         mode=mode,
         best_value=best_value,
-        best_plane=Plane(best_x[:m], best_x[m:]),
+        best_plane=Plane(*np.split(best_x, 2)),
         holo_best_value=holo_value,
         holo_best_vector=best_y,
-        n_restarts=0 if m == 4 else restarts,  # at n = 2 no search restarts
+        n_restarts=0 if geom.n == 2 else restarts,  # at n = 2 no search restarts
         converged=converged and holo_conv,
         gap=gap,
         hypothesis_sign=hypothesis_sign,
@@ -999,17 +963,21 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
-    r = geom.rc
-    plane = _Quartic(r, _whitening(geom.jet.h), 2, pair=True)
-    found = None
+    r, white = geom.rc, _whitening(geom.jet.h)
+    plane = _Quartic(r, white, 2, pair=True)
     if geom.n == 2:
         ends = {end: _exact(plane, end) for end in ("min", "max")}
         hypothesis_sign = _sign_label(np.array([ends["min"][1], ends["max"][1]]))
-        found = ends[mode]
+        # H_R(y) = r(y, Jy, Jy, y) = r(v, v~, v, v~) / 4 on v = y - iJy =
+        # P^H[:, :2] xi, the universal identity that identity_suite checks
+        A, G, e = _holomorphic(r, _frame(2).conj().T[:, :2] @ white[2])
+        found, holo_found = ends[mode], _unit_extreme((A, G, e - 2), white[2], mode)[1]
     else:
         draws = plane.draw(np.random.default_rng(seed + 101), 1000)
         hypothesis_sign = _sign_label(plane.value(draws))
-    return _extremal(mode, restarts, seed, geom, plane, _j_folded(r), hypothesis_sign, True, found)
+        found = _multistart(plane, restarts, seed, mode)
+        holo_found = _multistart(_Quartic(_j_folded(r), white, 1), restarts, seed + 1, mode)
+    return _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, True)
 
 
 def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
@@ -1034,10 +1002,17 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     _, symmetric, hypothesis_sign = _hypotheses(kr, geom.scale, draws)
 
-    # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
-    K = _real_chern(kr)
-    plane = _Quartic(K.transpose(0, 2, 3, 1), _whitening(geom.jet.h), 2)
-    res = _extremal(mode, restarts, seed, geom, plane, K, hypothesis_sign, symmetric)
+    white = _whitening(geom.jet.h)
+    if n == 2:
+        form = _holomorphic(kr, white[2])
+        run, holo_found = _unit_extreme(form, white[2], mode)
+        found = _finsler(form, white[2], mode, run)
+    else:
+        # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
+        K = _real_chern(kr)
+        found = _multistart(_Quartic(K.transpose(0, 2, 3, 1), white, 2), restarts, seed, mode)
+        holo_found = _multistart(_Quartic(K, white, 1), restarts, seed + 1, mode)
+    res = _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, symmetric)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(
         res,
@@ -1084,10 +1059,10 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     """Search for planes separating the two sectional curvatures.
 
     For g-orthonormal pairs both normalizations have denominator one, so
-    the gap is just the difference of the two numerators; _search
-    maximizes it at each point: exact at n = 2, the larger of the
-    minimaxes of its form on bivectors and of its negative, and a
-    16-restart Newton search beyond.
+    the gap is just the difference of the two numerators, maximized at
+    each point: exactly at n = 2 (_exact), the larger of the minimaxes of
+    its form on bivectors and of its negative, and by a 16-restart Newton
+    search (_multistart) beyond.
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the search, which would only
     refine noise: those whose pair-symmetrized gap tensor is at most
@@ -1112,7 +1087,8 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
             point_best_x = q.chart(sample[int(np.argmax(gaps))])
             point_best = float(np.max(gaps))
         else:
-            point_best_x, point_best, _, stats = _search(q, 16, seed + k, "max")
+            point_best_x, point_best, _, stats = (
+                _exact(q, "max") if geom.n == 2 else _multistart(q, 16, seed + k, "max"))
             searches.append(stats)
         per_point.append(point_best)
         if best is None or point_best > best[0]:

@@ -143,7 +143,8 @@ def hermitian_pairing(h, xi, eta) -> complex:
 def _in_range(message: str):
     """Decorator: HermicurvError(message), not a warning, where numpy
     arithmetic in the function overflows or turns invalid, or the function
-    returns a non-finite float or array (einsum sets no flags)."""
+    returns a non-finite float or array, or a tuple holding one (einsum
+    sets no flags)."""
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -153,8 +154,9 @@ def _in_range(message: str):
                     out = fn(*args, **kwargs)
             except FloatingPointError:
                 raise HermicurvError(message) from None
-            if isinstance(out, (float, np.ndarray)) and not np.isfinite(out).all():
-                raise HermicurvError(message)
+            for part in out if isinstance(out, tuple) else (out,):
+                if isinstance(part, (float, np.ndarray)) and not np.isfinite(part).all():
+                    raise HermicurvError(message)
             return out
 
         return checked

@@ -29,8 +29,8 @@ slope test at t = 0, and the plain minimax over all t where that slope
 is negative.  minimax_ref is the earlier step of analysis._minimax: the
 same decisions, taken on numpy arrays and scalars, with searchsorted for
 the top cluster and a 1 x 1 eigenpair written out as arrays.
-bivector_form_ref, bloch_form_ref and pauli_form_ref are the earlier
-builders of analysis's constant n = 2 maps, on one tensor at a time.
+bivector_form_ref and pauli_form_ref are the earlier builders of
+analysis's constant n = 2 maps, on one tensor at a time.
 
 complexified_full puts the full complexified tensor together from the
 16 blocks of the h-first half that the library stores, and
@@ -50,7 +50,6 @@ Kahler-only identity residuals (kahler_max), and one expression parsed
 alone (parse_expression) and rendered back to source (unparse).
 """
 
-import itertools
 import json
 import math
 
@@ -476,28 +475,6 @@ def pauli_form_ref(G: np.ndarray) -> np.ndarray:
     complex (2, 2, 2, 2) G: analysis._PAULI_MAP's form."""
     sigma = analysis._PAULI.reshape(4, 4)
     return (sigma @ G.reshape(4, 4) @ sigma.T).real
-
-
-def bloch_form_ref(S: np.ndarray, blocks: int = 1) -> np.ndarray:
-    """The (4, 4) form of one (4, 4, 4, 4) S that analysis._BLOCH maps to
-    (one block) or, on S.transpose(0, 3, 1, 2), analysis._BLOCH2 (two),
-    by a sum over the slot pairs of zeta: S taken to (zeta, conj(zeta))
-    by N = P^-1 of core's frame on every slot, the zeta slots of each
-    pairing with their conj(zeta) partners contracted with the Pauli
-    matrices."""
-    N = _frame(2).conj().T / 2
-    T = S.astype(complex)
-    for _ in range(4):  # N on the last slot, which then moves to the first
-        T = (T.reshape(-1, 4) @ N).reshape(T.shape).transpose(3, 0, 1, 2)
-    half = (slice(0, 2), slice(2, 4))
-    pairs = (itertools.combinations(range(4), 2) if blocks == 1
-             else itertools.product((0, 1), (2, 3)))
-    G = 0
-    for pair in pairs:
-        rest = tuple(k for k in range(4) if k not in pair)
-        G = G + T[tuple(half[k in rest] for k in range(4))].transpose(pair + rest)
-    A = pauli_form_ref(G.transpose(0, 2, 1, 3)) / 2
-    return (A + A.T) / 2 if blocks == 1 else A / 2
 
 
 def form_ref(T: np.ndarray, a, b, c, d):

@@ -26,8 +26,8 @@ from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
-from oracles import (bivector_form_ref, bloch_form_ref, cholesky_frame, cone_sign_ref,
-                     minimax_ref, pauli_form_ref, riemannian_fd, sample_admissible_points)
+from oracles import (bivector_form_ref, cholesky_frame, cone_sign_ref, minimax_ref,
+                     pair_hermitian_ref, pauli_form_ref, riemannian_fd, sample_admissible_points)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -597,9 +597,10 @@ def _minimax_cases(C, rng, count):
 
 
 def test_minimax_witnesses_reach_the_minimax_value():
-    # the witness, made decomposable or put on the light cone the way
-    # _exact does it, is a feasible point whose value matches the minimax
-    # value, an upper bound on the constrained maximum: both are the maximum
+    # the witness, made decomposable the way _exact does it or taken to a
+    # unit state the way _unit_extreme does it, is a feasible point whose
+    # value matches the minimax value, an upper bound on the constrained
+    # maximum: both are the maximum
     rng = np.random.default_rng(53)
     pauli = analysis._PAULI
     for A in _minimax_cases(analysis._HODGE, rng, 200):
@@ -610,8 +611,8 @@ def test_minimax_witnesses_reach_the_minimax_value():
         assert abs(value - lam) <= 1e-12 * max(1.0, abs(lam)) and steps <= 64
     for A in _minimax_cases(analysis._CONE, rng, 200):
         lam, w, steps = analysis._minimax(A, analysis._CONE)
-        z = analysis._bloch_state(w)
-        zeta = z[:2] + 1j * z[2:]
+        zeta = analysis._bloch_state(w)
+        assert abs(np.linalg.norm(zeta) - 1.0) <= 1e-15
         y = np.einsum("a,kab,b->k", zeta.conj(), pauli, zeta).real / np.sqrt(2)
         assert abs(y @ A @ y - lam) <= 1e-12 * max(1.0, abs(lam)) and steps <= 64
 
@@ -809,14 +810,13 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
             value, rel=1e-12, abs=1e-12)
 
 
-def _bisectional_plane(kr, h, unitary):
-    """The bisectional plane problem B(xi, eta) = K(U, U, V, V) of kr: in
-    the unitary frame of h, as extremal_bisectional builds it, or under
-    the Cholesky factor of g = Re(E h E^H), xi_u = E^T u, as the Newton
-    references search it."""
+def _bisectional_plane(kr, h):
+    """The bisectional plane problem B(xi, eta) = K(U, U, V, V) of kr, as
+    the Newton engine searches it, under the Cholesky factor of
+    g = Re(E h E^H), xi_u = E^T u."""
     K = analysis._real_chern(kr)
     E = to_holomorphic(np.eye(4))
-    white = analysis._whitening(h) if unitary else cholesky_frame((E @ h @ E.conj().T).real)
+    white = cholesky_frame((E @ h @ E.conj().T).real)
     return analysis._Quartic(K.transpose(0, 2, 3, 1), white, 2)
 
 
@@ -826,7 +826,7 @@ def test_bisectional_route_matches_a_64_restart_newton_search(name):
     for k, p in enumerate(sample_admissible_points(m, 4, seed=29)):
         geom = geometry_at(m, p)
         kr, h = geom.kr, geom.jet.h
-        newton = _bisectional_plane(kr, h, False)
+        newton = _bisectional_plane(kr, h)
         for mode in ("max", "min"):
             res = extremal_bisectional(m, p, mode=mode, restarts=1)
             assert res.converged and res.search.converged == 1 and res.n_restarts == 0
@@ -872,12 +872,7 @@ def test_form_maps_match_their_builders():
     # tensors
     rng = np.random.default_rng(89)
     eps = np.finfo(float).eps
-    builders = {
-        "_BIVECTOR": bivector_form_ref,
-        "_BLOCH": bloch_form_ref,
-        "_BLOCH2": lambda S: bloch_form_ref(S.transpose(0, 3, 1, 2), 2),
-        "_PAULI_MAP": pauli_form_ref,
-    }
+    builders = {"_BIVECTOR": bivector_form_ref, "_PAULI_MAP": pauli_form_ref}
     for name, build in builders.items():
         M = getattr(analysis, name)
         shape, kind = ((2, 2, 2, 2), complex) if name == "_PAULI_MAP" else ((4, 4, 4, 4), float)
@@ -892,6 +887,65 @@ def test_form_maps_match_their_builders():
         for e in (units.view(complex) if kind is complex else units):
             E = e.reshape(shape)
             assert np.array_equal(analysis._formed(M, E), build(E)), name
+
+
+def _holomorphic_cases():
+    """(kr, r, h): the catalog at n = 2, four points each, then random
+    pair-Hermitian kr under random h, with r None."""
+    for name in CATALOG_NAMES:
+        m = catalog_metric(name, 2)
+        for p in sample_admissible_points(m, 4, seed=59):
+            geom = geometry_at(m, p)
+            yield geom.kr, geom.rc, geom.jet.h
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        kr = pair_hermitian_ref(rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4))
+        Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        yield kr, None, Z @ Z.conj().T + 0.5 * np.eye(2)
+
+
+def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
+    # B, H and H_R read from the complex tensors through _PAULI_MAP, on
+    # random unit states zeta and omega, against the real-tensor problems
+    # the Newton engine searches, valued at the same whitened states; and
+    # F zeta is the chart vector that L^-1 gives
+    rng = np.random.default_rng(67)
+    Q = analysis._Quartic
+    eps = np.finfo(float).eps
+    for kr, r, h in _holomorphic_cases():
+        white = analysis._whitening(h)
+        F = white[2]
+        zeta, omega = (rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+                       for _ in range(2))
+        zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
+        omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+        # (1, x) with x the Bloch vector zeta^H sigma zeta
+        x, y = (np.einsum("Ba,kab,Bb->Bk", s.conj(), analysis._PAULI, s).real
+                for s in (zeta, omega))
+        X = np.concatenate([zeta.real, zeta.imag, omega.real, omega.imag], axis=1)
+        K = analysis._real_chern(kr)
+        xi = zeta @ F.T
+        charted = np.concatenate([xi.real, xi.imag], axis=1)
+        assert np.abs(Q(K, white, 1).chart(X[:, :4]) - charted).max() <= (
+            8 * eps * np.abs(charted).max())
+        A, _, e = analysis._holomorphic(kr, F)
+        forms = [
+            ("B", np.ldexp(np.einsum("Bi,ij,Bj->B", x, A, y), e),
+             Q(K.transpose(0, 2, 3, 1), white, 2).value(X)),
+            ("H", np.ldexp(np.einsum("Bi,ij,Bj->B", x, A, x), e), Q(K, white, 1).value(X[:, :4])),
+        ]
+        if r is not None:
+            A, _, e = analysis._holomorphic(r, analysis._frame(2).conj().T[:, :2] @ F)
+            forms.append(("H_R", np.ldexp(np.einsum("Bi,ij,Bj->B", x, A, x), e - 2),
+                          Q(analysis._j_folded(r), white, 1).value(X[:, :4])))
+        for what, new, ref in forms:
+            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), what
+
+
+def test_holomorphic_form_out_of_range_raises():
+    kr = geometry_at(catalog_metric("nk_diag", 2), P0).kr
+    with pytest.raises(HermicurvError, match="whitened tensor is not finite"):
+        analysis._holomorphic(2.0**1000 * kr, 2.0**10 * np.eye(2))
 
 
 def test_plain_thorpe_form_bounds_the_n3_sectional_extremes():
@@ -916,32 +970,62 @@ def test_plain_thorpe_form_bounds_the_n3_sectional_extremes():
                     assert abs(value - bound) <= tol, (name, mode, value, bound)
 
 
+@pytest.mark.parametrize("name", ["fubini_study", "poincare_ball", "hopf", "nk_diag"])
+def test_newton_extremes_on_h_plus_flat_c_are_the_exact_n2_ones(name):
+    # a catalog n = 2 source declared dim 3 is h + flat C, since unstated
+    # entries default to delta: K, H_R, B, H and |K - K_D| at n = 3 are
+    # the n = 2 factor's values times weights reaching every value in
+    # [0, 1], so the 16-restart Newton extremes are the exact n = 2 ones
+    # or 0, whichever lies further out
+    source = catalog_source(name, 2)
+    assert source.startswith("dim 2;")
+    m2, m3 = catalog_metric(name, 2), parse_metric("dim 3;" + source[len("dim 2;"):])
+    for k, p in enumerate(sample_admissible_points(m2, 2, seed=73)):
+        p3 = ChartPoint(np.append(p.coords, 0.2 - 0.1j))
+        pairs = []
+        for mode, end in (("max", max), ("min", min)):
+            for run in (extremal_sectional, extremal_bisectional):
+                exact = run(m2, p, mode=mode)
+                newton = run(m3, p3, mode=mode, restarts=16, seed=k)
+                assert newton.n_restarts == 16
+                pairs += [(end(exact.best_value, 0.0), newton.best_value),
+                          (end(exact.holo_best_value, 0.0), newton.holo_best_value)]
+        gap = chern_gap_probe(m2, [p], samples=50).max_gap
+        pairs.append((max(gap, 0.0), chern_gap_probe(m3, [p3], samples=50, seed=k).max_gap))
+        for want, got in pairs:
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, k, want, got)
+
+
 def test_bisectional_op_solves_h_once_at_n2(monkeypatch):
     # the W-form sign (two minimaxes), one Finsler level and the H
     # extreme, whose witness is the level search's start: four minimaxes
-    # an op, one fewer than a separate start took; no exact problem
-    # builds the Newton-only arrays
+    # an op, one fewer than a separate start took.  The holomorphic forms
+    # are read from the complex tensors, so a bisectional op builds no
+    # real-tensor problem, and a sectional op one, for K's planes, which
+    # builds none of the Newton-only arrays
     calls, quartics = [], []
-    minimax, witnessed = analysis._minimax, analysis._witnessed
+    minimax, quartic = analysis._minimax, analysis._Quartic
 
     def counted(*args, **kwargs):
         calls.append(args)
         return minimax(*args, **kwargs)
 
-    def seen(q, *args):
-        quartics.append(q)
-        return witnessed(q, *args)
+    def built(*args, **kwargs):
+        quartics.append(quartic(*args, **kwargs))
+        return quartics[-1]
 
     monkeypatch.setattr(analysis, "_minimax", counted)
-    monkeypatch.setattr(analysis, "_witnessed", seen)
+    monkeypatch.setattr(analysis, "_Quartic", built)
     for name in ("fubini_study", "poincare_ball", "hopf", "nk_diag"):
         m = catalog_metric(name, 2)
         for mode in ("max", "min"):
             calls.clear()
             res = extremal_bisectional(m, P0, mode=mode, restarts=1)
             assert len(calls) == 4 and res.converged, (name, mode)
-    assert len(quartics) == 16
-    assert not any({"s_uu", "s_vv"} & vars(q).keys() for q in quartics)
+            assert quartics == [], (name, mode)
+            assert extremal_sectional(m, P0, mode=mode, restarts=1).converged
+            assert len(quartics) == 1, (name, mode)
+            assert not {"s_uu", "s_vv"} & vars(quartics.pop()).keys(), (name, mode)
 
 
 def _kr_of_pauli_form(T, h):
@@ -973,16 +1057,22 @@ def test_bisectional_route_matches_dense_sampling_on_random_tensors():
         Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         cases.append((T, Z @ Z.conj().T + 0.5 * np.eye(2), a0 + c))
     draws = rng.standard_normal((4, 100_000, 2))
+    eps = np.finfo(float).eps
     for k, (T, h, planted) in enumerate(cases):
         kr = _kr_of_pauli_form(T, h)
-        exact = _bisectional_plane(kr, h, True)
-        newton = _bisectional_plane(kr, h, False)
+        # read in the unitary frame of h, kr's form is T again
+        F = analysis._whitening(h)[2]
+        form = analysis._holomorphic(kr, F)
+        A, _, e = form
+        assert np.abs(np.ldexp(A, e) - T).max() <= 8 * eps * np.abs(T).max(), k
+        newton = _bisectional_plane(kr, h)
         xi, eta = draws[0] + 1j * draws[1], draws[2] + 1j * draws[3]
         norms = (np.einsum("Ba,ab,Bb->B", xi, h, xi.conj()).real
                  * np.einsum("Ba,ab,Bb->B", eta, h, eta.conj()).real)
         sampled = _kr_form(kr, xi, xi, eta, eta).real / norms
         for sign, mode in ((1.0, "max"), (-1.0, "min")):
-            x, value, converged, stats = analysis._search(exact, 1, 0, mode)
+            start = analysis._minimax(sign * (A + A.T), analysis._CONE)
+            x, value, converged, stats = analysis._finsler(form, F, mode, start)
             polished = analysis._multistart(newton, 64, k, mode)[1]
             ref = sign * max(sign * polished, np.max(sign * sampled))
             if planted is not None and mode == "max":

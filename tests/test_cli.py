@@ -401,6 +401,20 @@ def test_extreme_metrics_end_in_a_report_or_a_typed_error(tmp_path, capsys, sour
         assert ("error" in rep) == (code == 2), argv
 
 
+def test_top_of_range_bisectional_extremes_are_exact(tmp_path, capsys):
+    # kr = -2^1022 at the origin: its holomorphic forms, read in the
+    # complex frame, stay in range where the real tensor's form overflowed
+    f = tmp_path / "top.metric"
+    f.write_text(EXTREME_METRICS["top-of-range"])
+    for mode, value in (("max", 0.0), ("min", -2.0**1022)):
+        code, rep = run(capsys, "extremal", "--target", "bisectional", "--mode", mode,
+                        "--restarts", "4", "--metric", str(f), "--point", ORIGIN)
+        assert code == 0, mode
+        res = rep["results"][0]
+        assert res["best_value"] == res["holo_best_value"] == value, mode
+        assert res["converged"] and res["gap_ok"], mode
+
+
 # The scale corpus: the eight command variants on every catalog metric at
 # n = 2 and 3, two sampled points each, with h multiplied by 2^k.  classify
 # runs once per point, so that its Kahler-like verdict is per point too.

@@ -279,19 +279,19 @@ def test_one_search_frame_calls_cholesky():
 
 
 def test_form_maps_are_read_only_constants_built_at_import():
-    """The n = 2 forms are products with analysis's four constant maps;
-    their factor builders run only at module level, so no op builds a
+    """The n = 2 forms are products with analysis's two constant maps;
+    their factor builder runs only at module level, so no op builds a
     map, and the maps, shared by every caller, are read-only."""
-    builders = {"_alpha", "_bloch_map"}
+    builders = {"_alpha"}
     found = [(f.stem, name) for f in sorted(SRC.glob("*.py"))
              for name in callers(f.read_text(), builders, f.name)]
     assert found and set(found) == {("analysis", None)}
-    for name in ("_BIVECTOR", "_BLOCH", "_BLOCH2", "_PAULI_MAP"):
+    for name in ("_BIVECTOR", "_PAULI_MAP"):
         assert not getattr(analysis, name).flags.writeable, name
-    source = ("_BLOCH = _bloch_map('ijkl', pairs)\n"
+    source = ("_BIVECTOR = kron(_alpha(4), _alpha(4))\n"
               "def _exact(q):\n    A = analysis._alpha(4)\n"
               "M = _alpha(4)\n")
-    assert callers(source, builders) == [None, "_exact", None]
+    assert callers(source, builders) == [None, None, "_exact", None]
 
 
 def test_guard_sees_multiline_and_unplanned_contractions():

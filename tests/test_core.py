@@ -171,7 +171,10 @@ def _mismatch():
     (lambda: np.arange(3.0), None),
     (lambda: _Record(float("inf")), None),
     (_mismatch, DimensionMismatch),
-], ids=["ufunc-overflow", "einsum-overflow", "finite-array", "dataclass", "inner-error"])
+    (lambda: (_overflowing_einsum(), 3), HermicurvError),
+    (lambda: (1.5, np.arange(3.0)[-1]), None),
+], ids=["ufunc-overflow", "einsum-overflow", "finite-array", "dataclass", "inner-error",
+        "tuple-einsum-overflow", "finite-tuple"])
 def test_in_range_raises_only_on_out_of_range_arithmetic(fn, raised):
     guarded = _in_range("out of range")(fn)
     before = np.geterr()
