@@ -115,23 +115,24 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
 
     r[i,j,k,l] = V[i,j,k,l] - V[i,j,l,k], antisymmetric in (k, l) bit
     for bit, with V[i,j,k,l] = (d2g[i,k,j,l] + d2g[j,l,i,k]) / 2 +
-    P[j,l,i,k].  d2g[k, l, i, j] has its derivative axes first, so the
-    second-derivative part is the pair swap S = d2g + d2g^(pairs
-    swapped) read as S[i,k,j,l].  P[j,l,i,k] = br[j,l,s] g_inv[s,t]
-    br[i,k,t] from brackets br[j, k, s] and their raised form
-    rchris.gamma[i,k,s] = g_inv[s,t] br[i,k,t], computed once by
-    real_christoffel: a single (m^2, m) @ (m, m^2) product gives P,
-    O(m^5) in all.  V - V^T is written into S, so P, S and V are the
-    only m^4 arrays built.
+    P[j,l,i,k], its second-derivative part read from two transposed views
+    of d2g[k, l, i, j].  P[j,l,i,k] = br[j,l,s] g_inv[s,t] br[i,k,t] from
+    brackets br[j, k, s] and their raised form rchris.gamma[i,k,s] =
+    g_inv[s,t] br[i,k,t], computed once by real_christoffel: a single
+    (m^2, m) @ (m, m^2) product gives P, O(m^5) in all.  P is written
+    into the buffer that becomes r, and V - V^T over it once V has read
+    P, so r and V are the only m^4 arrays built.
     """
     d2g = rjet.d2g
     m = d2g.shape[0]
+    r = np.empty((m, m, m, m))
     X = rchris.gamma.reshape(m * m, m)
-    P = (rchris.brackets.reshape(m * m, m) @ X.T).reshape(m, m, m, m)
-    S = d2g + d2g.transpose(2, 3, 0, 1)
-    S /= 2
-    V = S.transpose(0, 2, 1, 3) + P.transpose(2, 0, 3, 1)
-    return np.subtract(V, V.transpose(0, 1, 3, 2), out=S)
+    np.matmul(rchris.brackets.reshape(m * m, m), X.T, out=r.reshape(m * m, m * m))
+    V = d2g.transpose(0, 2, 1, 3).copy()
+    V += d2g.transpose(2, 0, 3, 1)
+    V /= 2
+    V += r.transpose(2, 0, 3, 1)
+    return np.subtract(V, V.transpose(0, 1, 3, 2), out=r)
 
 
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:

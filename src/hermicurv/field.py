@@ -202,7 +202,7 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     """Assemble g = Re h and its x-derivatives from a Wirtinger jet.
 
     The slices run in the Wirtinger jet's order: H, then dH[k], then
-    d2H[k, l] row by row, split into one real array of shape
+    d2H[k, l] row by row, written into one real array of shape
     (1 + 2n + 4n^2, 2n, 2n).  The jets of jet_at are Hermitian by
     construction, and jet_at checks the value.
     """
@@ -211,15 +211,15 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
 
     # d/dx^k is P^T along each derivative axis (core._chain); the inner
     # chain runs over the second derivative index, the outer over the first
-    dH = _chain(jet.dh, 0)
-    d2H = _chain(_chain(jet.d2h, 1), 0)
-    stack = np.concatenate([jet.h[None], dH, d2H.reshape(m * m, n, n)])
+    first = np.concatenate([jet.h[None], _chain(jet.dh, 0)])
+    d2H = _chain(_chain(jet.d2h, 1), 0).reshape(m * m, n, n)
 
-    # [[Re M, Im M], [-Im M, Re M]] for every slice M at once
-    real = np.empty((len(stack), m, m))
-    real[:, :n, :n] = stack.real
-    real[:, :n, n:] = stack.imag
-    np.negative(stack.imag, out=real[:, n:, :n])
-    real[:, n:, n:] = stack.real
+    # [[Re M, Im M], [-Im M, Re M]] for every slice M: of H and dH, then of d2H
+    real = np.empty((1 + m + m * m, m, m))
+    for M, out in ((first, real[:1 + m]), (d2H, real[1 + m:])):
+        out[:, :n, :n] = M.real
+        out[:, :n, n:] = M.imag
+        np.negative(M.imag, out=out[:, n:, :n])
+        out[:, n:, n:] = M.real
     g = real[0]
     return RealMetricJet(g, np.linalg.inv(g), real[1:1 + m], real[1 + m:].reshape(m, m, m, m))

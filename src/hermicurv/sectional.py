@@ -91,11 +91,11 @@ def _kr_form(kr: np.ndarray, a, b, c, d):
     return _form(kr, a, b.conj(), c, d.conj())
 
 
-def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x 2^-e, e) as core._unit_power gives them, for one vector of finite
-    components, subnormal parts included, so the rescaling-invariant
-    quantities keep their bits and no form or Gram underflows or
-    overflows; raises DimensionMismatch for any other x."""
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(x 2^-e, e, largest |part|) as core._unit_power gives the first two,
+    for one vector of finite components, subnormal parts included, so the
+    rescaling-invariant quantities keep their bits and no form or Gram
+    underflows or overflows; raises DimensionMismatch for any other x."""
     if x.ndim != 1:
         raise DimensionMismatch("spanning vectors must be 1-D")
     # the finiteness check and the exponent from one list of the float
@@ -104,31 +104,34 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     values = parts.tolist()
     if not all(map(math.isfinite, values)):
         raise DimensionMismatch("vector components must be finite")
-    e = math.frexp(max(map(abs, values), default=0.0))[1]
-    return np.ldexp(parts, -e).view(x.dtype), e
+    top = max(map(abs, values), default=0.0)
+    e = math.frexp(top)[1]
+    return np.ldexp(parts, -e).view(x.dtype), e, top
 
 
 def _pairings(m: np.ndarray, x, e):
-    """(m(x,x), m(e,e), Re m(x,e)) with m(a,b) = a m conj(b), for a real or
-    a Hermitian m, on unit-scaled x and e; raises when the metric's scale
-    takes m(x,x) m(e,e) out of the floating-point range."""
+    """(m(x,x), m(e,e), x m) with m(a,b) = a m conj(b), for a real or a
+    Hermitian m, on unit-scaled x and e, pairing x once when e is x;
+    raises when the metric's scale takes m(x,x) m(e,e) out of the
+    floating-point range."""
     if m.shape != x.shape + e.shape:
         raise DimensionMismatch("pairing operands do not match the metric dimension")
-    xm, ec = x @ m, e.conj()
-    aa, bb = float((xm @ x.conj()).real), float((e @ m @ ec).real)
+    xm = x @ m
+    aa = float((xm @ x.conj()).real)
+    bb = aa if e is x else float((e @ m @ e.conj()).real)
     # x and e are unit-scaled, so only the metric's scale takes the product
     # out of the normal floats; a zero vector is its callers' to judge
     if not sys.float_info.min <= aa * bb < math.inf and x.any() and e.any():
         raise HermicurvError(f"metric scale out of the floating-point range: the squared "
                              f"lengths {aa:.3e} and {bb:.3e} have no normal product")
-    return aa, bb, float((xm @ ec).real)
+    return aa, bb, xm
 
 
 def _gram(m: np.ndarray, x, e) -> float:
     """m(x,x) m(e,e) - Re m(x,e)^2 from _pairings; raises when x and e are
     (numerically) linearly dependent."""
-    aa, bb, ab = _pairings(m, x, e)
-    gram = aa * bb - ab**2
+    aa, bb, xm = _pairings(m, x, e)
+    gram = aa * bb - float((xm @ e.conj()).real) ** 2
     if gram <= 1e-12 * max(aa * bb, 1e-300):
         raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
     return gram
@@ -153,22 +156,24 @@ def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
     eta rescaled by _unit_scaled, and its value is scaled back through
     ldexp.
     """
-    x, ex = _unit_scaled(_holo_comps(xi))
-    e, ee = _unit_scaled(_holo_comps(eta))
+    x, ex, _ = _unit_scaled(_holo_comps(xi))
+    e, ee, _ = _unit_scaled(_holo_comps(eta))
     return float(np.ldexp((_w_form(kr, x, e) / 2).real, 2 * (ex + ee)))
 
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
     """K_D(u, v); symmetric in u and v, invariant under re-spanning."""
-    xi = to_holomorphic(_unit_scaled(_real_comps(plane.u))[0])
-    eta = to_holomorphic(_unit_scaled(_real_comps(plane.v))[0])
+    u = _unit_scaled(_real_comps(plane.u))[0]
+    v = _unit_scaled(_real_comps(plane.v))[0]
+    n = u.shape[0] // 2
+    xi, eta = u[:n] + 1j * u[n:], v[:n] + 1j * v[n:]
     denom = _gram(np.asarray(h, dtype=complex), xi, eta)
     return float((_w_form(kr, xi, eta) / 2).real) / denom
 
 
-def _bisectional(kr: np.ndarray, h, x, e) -> float:
+def _bisectional(kr: np.ndarray, h, x, e, nonzero) -> float:
     """B(x, e) on unit-scaled vectors, from the real part of its numerator."""
-    if not (x.any() and e.any()):
+    if not nonzero:
         raise ValueError("bisectional curvature of a zero vector")
     nx, ne, _ = _pairings(np.asarray(h, dtype=complex), x, e)
     return float(_form(kr, x, x.conj(), e, e.conj()).real) / (nx * ne)
@@ -176,14 +181,14 @@ def _bisectional(kr: np.ndarray, h, x, e) -> float:
 
 def holo_sectional(kr: np.ndarray, h, xi) -> float:
     """H(xi) = B(xi, xi); invariant under complex rescaling of xi."""
-    x = _unit_scaled(_holo_comps(xi))[0]
-    return _bisectional(kr, h, x, x)
+    x, _, top = _unit_scaled(_holo_comps(xi))
+    return _bisectional(kr, h, x, x, top)
 
 
 def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     """B(xi, eta); B(xi, xi) recovers H(xi)."""
-    x, e = (_unit_scaled(_holo_comps(v))[0] for v in (xi, eta))
-    return _bisectional(kr, h, x, e)
+    (x, _, tx), (e, _, te) = (_unit_scaled(_holo_comps(v)) for v in (xi, eta))
+    return _bisectional(kr, h, x, e, tx and te)
 
 
 @dataclass(frozen=True)

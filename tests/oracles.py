@@ -139,8 +139,8 @@ def plane_gram(g: np.ndarray, u, v) -> float:
     """Gram determinant g(u,u) g(v,v) - g(u,v)^2 through the library's
     sectional._gram; raises on degeneracy, judged on the exactly rescaled
     span, while the value may underflow or overflow."""
-    u, eu = _unit_scaled(_real_comps(u))
-    v, ev = _unit_scaled(_real_comps(v))
+    u, eu, _ = _unit_scaled(_real_comps(u))
+    v, ev, _ = _unit_scaled(_real_comps(v))
     with np.errstate(over="ignore"):
         return float(np.ldexp(_gram(np.asarray(g), u, v), 2 * (eu + ev)))
 

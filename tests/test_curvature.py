@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hermicurv.curvature import (
     complexify_curvature,
     real_curvature,
 )
+from hermicurv.field import real_jet_from_complex
 from hermicurv import CATALOG_NAMES
 from oracles import complexified_full, complexified_ref, real_jet_at, sample_admissible_points
 
@@ -223,3 +225,25 @@ def test_every_complexified_block_matches_the_complex_coordinate_route(name, n):
     geom = geometry_at(m, sample_admissible_points(m, 1, seed=47)[0])
     ref = complexified_ref(geom.jet)
     assert np.max(np.abs(complexified_full(geom.cx) - ref)) <= 1e-12 * geom.scale
+
+
+def test_real_curvature_and_real_jet_build_few_m4_arrays():
+    # the traced peak of each call, in (2n)^4 floats, at hopf n = 6: r and V
+    # are real_curvature's only m^4 arrays (3.68 when P, S and V were), and
+    # real_jet_from_complex writes d2H's quadrants without a stacked copy
+    # (2.46 with one); numpy reports its buffers to tracemalloc
+    metric = catalog_metric("hopf", 6)
+    jet = jet_at(metric, sample_admissible_points(metric, 1, seed=6)[0])
+    rjet = real_jet_from_complex(jet)
+    rchris = real_christoffel(rjet)
+    m4 = 12**4 * np.dtype(float).itemsize
+    for call, bound in ((lambda: real_curvature(rjet, rchris), 3.0),
+                        (lambda: real_jet_from_complex(jet), 2.2)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * m4, (peak / m4, bound)

@@ -126,24 +126,27 @@ def test_quadratic_form_overflow_is_named():
     assert str(info.value) == "metric scale out of the floating-point range: the form overflows"
 
 
+def _outcome(f, *args):
+    """f(*args) as its repr, which pins the type and every bit, sign of zero
+    included, or as the type and message of the error it raised."""
+    try:
+        return repr(f(*args))
+    except (HermicurvError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def _quantities(impl, g, u, v, xi, eta):
-    """K, K_D, H and B by impl, each as its repr, which pins the type and
-    every bit, sign of zero included, or as the type and message of the
-    error it raised."""
-    out = []
-    for q, args in (("K", (g.rc, g.rjet, Plane(u, v))), ("K_D", (g.kr, g.jet.h, Plane(u, v))),
-                    ("H", (g.kr, g.jet.h, xi)), ("B", (g.kr, g.jet.h, xi, eta))):
-        try:
-            out.append(repr(impl[q](*args)))
-        except (HermicurvError, ValueError) as exc:
-            out.append((type(exc), str(exc)))
-    return out
+    """The _outcome of K, K_D, H and B by impl."""
+    return [_outcome(impl[q], *args) for q, args in (
+        ("K", (g.rc, g.rjet, Plane(u, v))), ("K_D", (g.kr, g.jet.h, Plane(u, v))),
+        ("H", (g.kr, g.jet.h, xi)), ("B", (g.kr, g.jet.h, xi, eta)))]
 
 
 def _spans(rng, n):
     """One random plane (u, v, xi, eta) in the forms a caller may pass it:
-    as drawn, tiny, subnormal and huge, as strided views and as Python
-    lists; then an integer plane, often degenerate or zero."""
+    as drawn, tiny, subnormal and huge, as strided and negative-stride
+    views and as Python lists; then an integer plane, often degenerate or
+    zero, and a small-integer-dtype one."""
     u, v = rng.standard_normal((2, 2 * n))
     xi, eta = to_holomorphic(u), to_holomorphic(v)
     yield u, v, xi, eta
@@ -152,8 +155,11 @@ def _spans(rng, n):
     U, X = np.zeros((2, 4 * n)), np.zeros((2, 2 * n), dtype=complex)
     U[:, ::2], X[:, ::2] = (u, v), (xi, eta)
     yield U[0, ::2], U[1, ::2], X[0, ::2], X[1, ::2]
+    yield tuple(w[::-1].copy()[::-1] for w in (u, v, xi, eta))
     yield u.tolist(), v.tolist(), xi.tolist(), eta.tolist()
     a, b = rng.integers(-2, 3, (2, 2 * n))
+    yield a, b, a[:n], b[n:]
+    a, b = rng.integers(-100, 100, (2, 2 * n), dtype=np.int8)
     yield a, b, a[:n], b[n:]
 
 
@@ -167,6 +173,19 @@ def test_scalar_curvatures_keep_the_reference_bits(n):
         for _ in range(20):
             for span in _spans(rng, n):
                 assert _quantities(LIBRARY, g, *span) == _quantities(REFERENCE, g, *span)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_holo_sectional_is_the_diagonal_bisectional_bit_for_bit(n):
+    # H pairs its vector once, B pairs each of its two; both give one repr
+    rng = np.random.default_rng(89 + n)
+    for name in CATALOG_NAMES:
+        m = catalog_metric(name, n)
+        g = geometry_at(m, sample_admissible_points(m, 1, seed=97)[0])
+        for _ in range(5):
+            for xi in (span[2] for span in _spans(rng, n)):
+                assert (_outcome(holo_sectional, g.kr, g.jet.h, xi)
+                        == _outcome(holo_bisectional, g.kr, g.jet.h, xi, xi))
 
 
 # The Euclidean metric pulled back by (z1 + z2^2, z2), whose kr is
@@ -224,6 +243,15 @@ def _bad_inputs(g):
         ("K_D", (g.kr, g.jet.h, Plane(np.ones(6), np.arange(6.0))), size),
         ("K", (g.rc, g.rjet, Plane(np.ones((1, 4)), e2)), flat),
         ("K_D", (g.kr, g.jet.h, Plane(e1, np.ones((2, 4)))), flat),
+        ("K", (g.rc, g.rjet, Plane(np.float64(1.0), e2)), odd),
+        ("K_D", (g.kr, g.jet.h, Plane(e1, np.array(2.0))), odd),
+        ("H", (g.kr, g.jet.h, np.complex128(1j)), size),
+        ("H", (g.kr, g.jet.h, np.array(0j)), zero_vector),
+        ("B", (g.kr, g.jet.h, xi, np.array(1.0)), size),
+        ("K", (g.rc, g.rjet, Plane(e1, np.ones((2, 3)))), odd),
+        ("K_D", (g.kr, g.jet.h, Plane(np.ones((3, 4)), e2)), flat),
+        ("H", (g.kr, g.jet.h, np.ones((2, 1))), not_1d),
+        ("B", (g.kr, g.jet.h, np.ones((2, 2)), xi), not_1d),
         ("K", (g.rc, g.rjet, Plane(e1, np.array([1.0, np.nan, 0, 0]))), finite),
         ("K_D", (g.kr, g.jet.h, Plane(np.array([0, 1.0, 0, -np.inf]), e2)), finite),
         ("H", (g.kr, g.jet.h, np.array([1.0, complex(0, np.nan)])), finite),
