@@ -162,12 +162,12 @@ def _cone_sign(F: np.ndarray) -> str:
     return _sign_label(np.array([-m[0], m[1]]))
 
 
-def _hypotheses(kr: np.ndarray, scale: float, draws):
+def _hypotheses(kr: np.ndarray, S: np.ndarray, scale: float, draws):
     """(residual, symmetric, sign) of the hypotheses that lu and the
     bisectional search share: classify's Kahler-like residual of kr, the
     defect of its swap of unbarred slots, whether it passes classify's
     rule (at most _CLASSIFY_TOL * scale, the point's PointGeometry.scale),
-    and the sign of Re _w_form on _unit_power(kr).  kr is pair-Hermitian
+    and the sign of Re _w_form on S = _unit_power(kr)[0].  kr is pair-Hermitian
     bit for bit (curvature.chern_curvature), so the swap of barred slots
     has the same defect, conjugated and pair-swapped, and pair
     conjugation none.
@@ -179,7 +179,6 @@ def _hypotheses(kr: np.ndarray, scale: float, draws):
     Beyond, it is the _sign_label of the values on the pairs (X, E) that
     draws() returns."""
     residual = float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3))))
-    S = _unit_power(kr)[0]
     if kr.shape[0] == 2:
         sign = _cone_sign(_formed(_PAULI_MAP, S))
     else:
@@ -232,12 +231,13 @@ def lu_inequality_check(metric: MetricDefinition, p, samples: int = 1000,
             for _ in range(2))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     E /= np.linalg.norm(E, axis=1, keepdims=True)
-    residual, passed, sign = _hypotheses(A, geom.scale, lambda: (X, E))
+    S, e = _unit_power(A)
+    residual, passed, sign = _hypotheses(A, S, geom.scale, lambda: (X, E))
     hyp = sign != "indefinite"
 
-    S, e = _unit_power(A)
-    margins = (_kr_form(S, X, X, X, X).real * _kr_form(S, E, E, E, E).real
-               - np.abs(_kr_form(S, X, X, E, E)) ** 2)
+    # A(e,e~,e,e~) and A(x,x~,e,e~) from one _slot_pair of A with e, e~
+    ee, xe = _kr_form(S, np.stack((E, X)), np.stack((E, X)), E, E)
+    margins = _kr_form(S, X, X, X, X).real * ee.real - np.abs(xe) ** 2
     worst, s = _scaled_back(np.min(margins), geom.scale, e)
 
     return LuInequalityReport(
@@ -1000,7 +1000,7 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
         return tuple(rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
                      for _ in range(2))
 
-    _, symmetric, hypothesis_sign = _hypotheses(kr, geom.scale, draws)
+    _, symmetric, hypothesis_sign = _hypotheses(kr, _unit_power(kr)[0], geom.scale, draws)
 
     white = _whitening(geom.jet.h)
     if n == 2:

@@ -54,15 +54,17 @@ class ChartPoint:
 
 
 def _real_comps(u) -> np.ndarray:
-    """u as a float array of shape (..., 2n)."""
-    a = np.atleast_1d(np.asarray(u, dtype=float))
+    """u as a float array of shape (..., 2n), a 0-d u as one component."""
+    a = np.asarray(u, dtype=float)
+    a = a if a.ndim else a.reshape(1)
     if a.shape[-1] % 2:
         raise DimensionMismatch("expected 2n real components")
     return a
 
 
 def _holo_comps(x) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(x, dtype=complex))
+    a = np.asarray(x, dtype=complex)
+    a = a if a.ndim else a.reshape(1)
     if a.ndim != 1:
         raise DimensionMismatch("expected n complex components")
     return a

@@ -54,15 +54,11 @@ class Plane:
 
 def _w_form(kr: np.ndarray, x, e):
     """-kr[a,b,g,d] W[a,b] W[g,d] with W = x e~ - e x~, summed; batched
-    over any leading axes of x and e.
-
-    W is flattened to (..., n^2), and the quadratic form of
-    kr.reshape(n^2, n^2) takes one product and one dot.
-    """
-    n = kr.shape[0]
+    over any leading axes of x and e: W flattened to (..., n^2) times
+    kr.reshape(n^2, n^2), then a row times a column."""
     W = x[..., :, None] * e.conj()[..., None, :] - e[..., :, None] * x.conj()[..., None, :]
-    W = W.reshape(W.shape[:-2] + (n * n,))
-    return -np.einsum("...p,...p->...", W @ kr.reshape(n * n, n * n), W)
+    W = W.reshape(W.shape[:-2] + (-1,))
+    return -((W @ kr.reshape(W.shape[-1], -1))[..., None, :] @ W[..., :, None])[..., 0, 0]
 
 
 def _slot_pair(T: np.ndarray, c, d):
@@ -91,58 +87,67 @@ def _kr_form(kr: np.ndarray, a, b, c, d):
     return _form(kr, a, b.conj(), c, d.conj())
 
 
-def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """(x 2^-e, e, largest |part|) as core._unit_power gives the first two,
-    for one vector of finite components, subnormal parts included, so the
-    rescaling-invariant quantities keep their bits and no form or Gram
-    underflows or overflows; raises DimensionMismatch for any other x."""
-    if x.ndim != 1:
-        raise DimensionMismatch("spanning vectors must be 1-D")
-    # the finiteness check and the exponent from one list of the float
-    # view's Python numbers: cheaper than numpy's passes on a short vector
-    parts = np.ascontiguousarray(x).view(float)
-    values = parts.tolist()
-    if not all(map(math.isfinite, values)):
-        raise DimensionMismatch("vector components must be finite")
-    top = max(map(abs, values), default=0.0)
-    e = math.frexp(top)[1]
-    return np.ldexp(parts, -e).view(x.dtype), e, top
-
-
-def _pairings(m: np.ndarray, x, e):
-    """(m(x,x), m(e,e), x m) with m(a,b) = a m conj(b), for a real or a
-    Hermitian m, on unit-scaled x and e, pairing x once when e is x;
-    raises when the metric's scale takes m(x,x) m(e,e) out of the
-    floating-point range."""
-    if m.shape != x.shape + e.shape:
+def _unit_rows(vectors, dtype) -> tuple[np.ndarray, list, bool]:
+    """(w, e, nonzero): one or two vectors read by core._real_comps (dtype
+    float) or _holo_comps (complex), stacked in w with row i times the 2^-e[i]
+    that puts its largest real or imaginary part in [0.5, 1) (e[i] = 0 for
+    a zero row), exactly, so no Gram or form under- or overflows, and whether
+    no row is zero.  Raises as checking each vector in turn would."""
+    try:
+        w = np.array(vectors, dtype)
+        w = w if w.ndim != 1 else w[:, None]  # 0-d vectors: one component
+    except (TypeError, ValueError):
+        w = None
+    if w is None or w.ndim != 2 or dtype is float and w.shape[1] % 2:
+        for a in map(_real_comps if dtype is float else _holo_comps, vectors):
+            if a.ndim != 1:
+                raise DimensionMismatch("spanning vectors must be 1-D")
+            _unit_rows((a,), dtype)  # its finiteness check
         raise DimensionMismatch("pairing operands do not match the metric dimension")
-    xm = x @ m
-    aa = float((xm @ x.conj()).real)
-    bb = aa if e is x else float((e @ m @ e.conj()).real)
-    # x and e are unit-scaled, so only the metric's scale takes the product
-    # out of the normal floats; a zero vector is its callers' to judge
-    if not sys.float_info.min <= aa * bb < math.inf and x.any() and e.any():
+    # one list of Python numbers: cheaper than numpy's passes on short rows
+    parts = w.view(float)
+    values = parts.tolist()
+    if not all(map(math.isfinite, values[0] + values[-1])):
+        raise DimensionMismatch("vector components must be finite")
+    e = [math.frexp(max(max(row), -min(row)) if row else 0.0)[1] for row in values]
+    w = np.ldexp(parts, -e[0] if e[0] == e[-1] else [[-k] for k in e]).view(w.dtype)
+    return w, e, all(map(any, values))
+
+
+def _pairings(m: np.ndarray, w, nonzero: bool = True):
+    """(m(x,x), m(e,e), Re m(x,e), P) for a real or Hermitian m, m(a,b) =
+    a m conj(b), the unit-scaled first and last rows x, e of w and P[i r + j]
+    = w[i] ox conj(w[j]) flattened (r rows): each pairing its own dot of P
+    with m flattened, so x gets the same bits with or without e.  Raises if
+    m(x,x) m(e,e) leaves the floating-point range, unless a row is zero."""
+    r, k = w.shape
+    if m.shape != (k, k):
+        raise DimensionMismatch("pairing operands do not match the metric dimension")
+    P = (w[:, None, :, None] * w.conj()[None, :, None, :]).reshape(r * r, 1, k * k)
+    G = (P @ m.reshape(k * k, 1)).real.ravel().tolist()
+    aa, bb = G[0], G[-1]
+    if nonzero and not sys.float_info.min <= aa * bb < math.inf:
         raise HermicurvError(f"metric scale out of the floating-point range: the squared "
                              f"lengths {aa:.3e} and {bb:.3e} have no normal product")
-    return aa, bb, xm
+    return aa, bb, G[r - 1], P[:, 0]
 
 
-def _gram(m: np.ndarray, x, e) -> float:
-    """m(x,x) m(e,e) - Re m(x,e)^2 from _pairings; raises when x and e are
-    (numerically) linearly dependent."""
-    aa, bb, xm = _pairings(m, x, e)
-    gram = aa * bb - float((xm @ e.conj()).real) ** 2
+def _gram(m: np.ndarray, w, nonzero: bool) -> tuple[float, np.ndarray]:
+    """(m(x,x) m(e,e) - Re m(x,e)^2, P) from _pairings; raises when x and e
+    are (numerically) linearly dependent."""
+    aa, bb, ab, P = _pairings(m, w, nonzero)
+    gram = aa * bb - ab ** 2
     if gram <= 1e-12 * max(aa * bb, 1e-300):
         raise DegeneratePlaneError("plane span is (numerically) linearly dependent")
-    return gram
+    return gram, P
 
 
 def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:
-    """K(u, v) from the Riemannian curvature r[i, j, k, l]."""
-    u = _unit_scaled(_real_comps(plane.u))[0]
-    v = _unit_scaled(_real_comps(plane.v))[0]
-    gram = _gram(rjet.g, u, v)
-    return float(_form(r, u, v, v, u)) / gram
+    """K(u, v) from the Riemannian curvature r[i, j, k, l], antisymmetric in
+    (k, l): R(u,v,v,u) = -c r2 c, c = u ox v and r2 = r as (m^2, m^2)."""
+    w, _, nonzero = _unit_rows((plane.u, plane.v), float)
+    gram, P = _gram(rjet.g, w, nonzero)
+    return -float(P[1] @ r.reshape(P.shape[1], -1) @ P[1]) / gram
 
 
 @_in_range("metric scale out of the floating-point range: the form overflows")
@@ -153,42 +158,40 @@ def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
     W = xi eta~ - eta xi~, real because kr is pair-Hermitian, which
     curvature.chern_curvature makes exact: the value is the real part,
     its imaginary part contraction rounding.  The form is taken on xi and
-    eta rescaled by _unit_scaled, and its value is scaled back through
+    eta rescaled by _unit_rows, and its value is scaled back through
     ldexp.
     """
-    x, ex, _ = _unit_scaled(_holo_comps(xi))
-    e, ee, _ = _unit_scaled(_holo_comps(eta))
-    return float(np.ldexp((_w_form(kr, x, e) / 2).real, 2 * (ex + ee)))
+    w, e, _ = _unit_rows((xi, eta), complex)
+    return float(np.ldexp((_w_form(kr, w[0], w[1]) / 2).real, 2 * (e[0] + e[1])))
 
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:
     """K_D(u, v); symmetric in u and v, invariant under re-spanning."""
-    u = _unit_scaled(_real_comps(plane.u))[0]
-    v = _unit_scaled(_real_comps(plane.v))[0]
-    n = u.shape[0] // 2
-    xi, eta = u[:n] + 1j * u[n:], v[:n] + 1j * v[n:]
-    denom = _gram(np.asarray(h, dtype=complex), xi, eta)
-    return float((_w_form(kr, xi, eta) / 2).real) / denom
+    w, _, nonzero = _unit_rows((plane.u, plane.v), float)
+    gram, P = _gram(np.asarray(h, dtype=complex), to_holomorphic(w), nonzero)
+    W = P[1] - P[2]  # xi eta~ - eta xi~ flattened, as _w_form builds it
+    return -float((W @ kr.reshape(W.size, -1) @ W).real) / 2 / gram
 
 
-def _bisectional(kr: np.ndarray, h, x, e, nonzero) -> float:
-    """B(x, e) on unit-scaled vectors, from the real part of its numerator."""
+def _bisectional(kr: np.ndarray, h, vectors) -> float:
+    """B(x, e) = Re p kr2 q / (h(x,x) h(e,e)) for the unit-scaled first and
+    last vectors x, e, with p = x ox x~ and q = e ox e~ from _pairings and
+    kr2 = kr as (n^2, n^2); one vector takes the bits of two equal ones."""
+    w, _, nonzero = _unit_rows(vectors, complex)
     if not nonzero:
         raise ValueError("bisectional curvature of a zero vector")
-    nx, ne, _ = _pairings(np.asarray(h, dtype=complex), x, e)
-    return float(_form(kr, x, x.conj(), e, e.conj()).real) / (nx * ne)
+    nx, ne, _, P = _pairings(np.asarray(h, dtype=complex), w)
+    return float((P[0] @ kr.reshape(P.shape[1], -1) @ P[-1]).real) / (nx * ne)
 
 
 def holo_sectional(kr: np.ndarray, h, xi) -> float:
     """H(xi) = B(xi, xi); invariant under complex rescaling of xi."""
-    x, _, top = _unit_scaled(_holo_comps(xi))
-    return _bisectional(kr, h, x, x, top)
+    return _bisectional(kr, h, (xi,))
 
 
 def holo_bisectional(kr: np.ndarray, h, xi, eta) -> float:
     """B(xi, eta); B(xi, xi) recovers H(xi)."""
-    (x, _, tx), (e, _, te) = (_unit_scaled(_holo_comps(v)) for v in (xi, eta))
-    return _bisectional(kr, h, x, e, tx and te)
+    return _bisectional(kr, h, (xi, eta))
 
 
 @dataclass(frozen=True)
@@ -216,14 +219,9 @@ def identity_suite(r: np.ndarray, kr: np.ndarray, cx: ComplexifiedCurvature,
                    u, v) -> IdentityResiduals:
     """Evaluate the five point identities on the pairs (u, v), arrays of
     shape (..., 2n)."""
-    u = _real_comps(u)
-    v = _real_comps(v)
-    ju = apply_j(u)
-    jv = apply_j(v)
-    xi = to_holomorphic(u)
-    eta = to_holomorphic(v)
-    xb = xi.conj()
-    eb = eta.conj()
+    u, v = _real_comps(u), _real_comps(v)
+    ju, jv, xi, eta = apply_j(u), apply_j(v), to_holomorphic(u), to_holomorphic(v)
+    xb, eb = xi.conj(), eta.conj()
     r_uvvu = _form(r, u, v, v, u)
 
     # Kahler-only identities

@@ -21,12 +21,16 @@ definition's tape the earlier way: hash-consing the entries' nodes, then
 one instruction per distinct node, where the library shares equal
 instructions as it writes them.  real_jet_ref builds the
 real jet in the earlier interleaved slice order.  The four
-*_sectional_ref scalar curvatures are the earlier per-vector routes:
-each vector rescaled through a Python list, every norm through
-core.hermitian_pairing, H as B(xi, xi).  cone_sign_ref is the earlier
-S-lemma route of analysis._cone_sign: one eigh of the form, its own
-slope test at t = 0, and the plain minimax over all t where that slope
-is negative.  minimax_ref is the earlier step of analysis._minimax: the
+*_sectional_ref scalar curvatures check and rescale each vector on its
+own, through a Python list, then take the library's products pair by
+pair: the outer products of the rescaled vectors, each pairing with the
+metric as its own dot, the numerator as the flattened tensor between two
+of them, H as B(xi, xi).  The four *_sectional_old are the earlier
+arithmetic: every norm through core.hermitian_pairing, K and B through
+the batched _form, K_D through the earlier einsum W-form (_w_form_old).
+cone_sign_ref is the earlier S-lemma route of analysis._cone_sign: one
+eigh of the form, its own slope test at t = 0, and the plain minimax
+over all t where that slope is negative.  minimax_ref is the earlier step of analysis._minimax: the
 same decisions, taken on numpy arrays and scalars, with searchsorted for
 the top cluster and a 1 x 1 eigenpair written out as arrays.
 bivector_form_ref and pauli_form_ref are the earlier builders of
@@ -62,8 +66,7 @@ from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
                               InadmissiblePointError)
-from hermicurv.sectional import (IdentityResiduals, Plane, _form, _gram, _kr_form, _unit_scaled,
-                                 chern_quadratic_form)
+from hermicurv.sectional import IdentityResiduals, Plane, _form, _gram, _kr_form, _unit_rows
 from hermicurv.field import (MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at,
                              real_jet_from_complex)
 
@@ -139,10 +142,9 @@ def plane_gram(g: np.ndarray, u, v) -> float:
     """Gram determinant g(u,u) g(v,v) - g(u,v)^2 through the library's
     sectional._gram; raises on degeneracy, judged on the exactly rescaled
     span, while the value may underflow or overflow."""
-    u, eu, _ = _unit_scaled(_real_comps(u))
-    v, ev, _ = _unit_scaled(_real_comps(v))
+    w, e, nonzero = _unit_rows((u, v), float)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(_gram(np.asarray(g), u, v), 2 * (eu + ev)))
+        return float(np.ldexp(_gram(np.asarray(g), w, nonzero)[0], 2 * (e[0] + e[1])))
 
 
 def kahler_max(res: IdentityResiduals) -> float:
@@ -884,7 +886,54 @@ def _gram_ref(aa: float, bb: float, ab: float) -> float:
     return gram
 
 
+def _pair_products_ref(m: np.ndarray, *rows):
+    """(P, G): the pair products P[i r + j] = rows[i] ox conj(rows[j])
+    flattened, for r rows, and G[i r + j] = Re m(rows[i], rows[j]), each
+    its own dot of P with m flattened, as the library pairs; after the
+    size check of the pairings."""
+    if m.shape != (rows[0].size, rows[-1].size):
+        raise DimensionMismatch("pairing operands do not match the metric dimension")
+    P = np.array([np.outer(a, b.conj()).ravel() for a in rows for b in rows])
+    return P, [float((p[None] @ m.reshape(-1, 1)).real[0, 0]) for p in P]
+
+
 def riemann_sectional_ref(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:
+    u = _unit_scaled_ref(_real_comps(plane.u))
+    v = _unit_scaled_ref(_real_comps(plane.v))
+    P, G = _pair_products_ref(rjet.g, u, v)
+    return -float(P[1] @ r.reshape(P.shape[1], -1) @ P[1]) / _gram_ref(G[0], G[3], G[1])
+
+
+def chern_sectional_ref(kr: np.ndarray, h, plane: Plane) -> float:
+    xi = to_holomorphic(_unit_scaled_ref(_real_comps(plane.u)))
+    eta = to_holomorphic(_unit_scaled_ref(_real_comps(plane.v)))
+    P, G = _pair_products_ref(np.asarray(h, dtype=complex), xi, eta)
+    W = P[1] - P[2]
+    return -float((W @ kr.reshape(W.size, -1) @ W).real) / 2 / _gram_ref(G[0], G[3], G[1])
+
+
+def holo_bisectional_ref(kr: np.ndarray, h, xi, eta) -> float:
+    x = _unit_scaled_ref(_holo_comps(xi))
+    e = _unit_scaled_ref(_holo_comps(eta))
+    if not np.any(x) or not np.any(e):
+        raise ValueError("bisectional curvature of a zero vector")
+    P, G = _pair_products_ref(np.asarray(h, dtype=complex), x, e)
+    return float((P[0] @ kr.reshape(P.shape[1], -1) @ P[3]).real) / (G[0] * G[3])
+
+
+def holo_sectional_ref(kr: np.ndarray, h, xi) -> float:
+    return holo_bisectional_ref(kr, h, xi, xi)
+
+
+def _w_form_old(kr: np.ndarray, x, e):
+    """The earlier _w_form: W = x e~ - e x~ from two outer products, and
+    the form as an einsum of W kr2 with W."""
+    n = kr.shape[0]
+    W = (x[:, None] * e.conj()[None, :] - e[:, None] * x.conj()[None, :]).reshape(n * n)
+    return -np.einsum("p,p->", W @ kr.reshape(n * n, n * n), W)
+
+
+def riemann_sectional_old(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float:
     u = _unit_scaled_ref(_real_comps(plane.u))
     v = _unit_scaled_ref(_real_comps(plane.v))
     g = rjet.g
@@ -892,15 +941,15 @@ def riemann_sectional_ref(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> f
     return float(_form(r, u, v, v, u)) / gram
 
 
-def chern_sectional_ref(kr: np.ndarray, h, plane: Plane) -> float:
+def chern_sectional_old(kr: np.ndarray, h, plane: Plane) -> float:
     xi = to_holomorphic(_unit_scaled_ref(_real_comps(plane.u)))
     eta = to_holomorphic(_unit_scaled_ref(_real_comps(plane.v)))
     denom = _gram_ref(hermitian_pairing(h, xi, xi).real, hermitian_pairing(h, eta, eta).real,
                       hermitian_pairing(h, xi, eta).real)
-    return chern_quadratic_form(kr, xi, eta) / denom
+    return float((_w_form_old(kr, xi, eta) / 2).real) / denom
 
 
-def holo_bisectional_ref(kr: np.ndarray, h, xi, eta) -> float:
+def holo_bisectional_old(kr: np.ndarray, h, xi, eta) -> float:
     x = _unit_scaled_ref(_holo_comps(xi))
     e = _unit_scaled_ref(_holo_comps(eta))
     if not np.any(x) or not np.any(e):
@@ -910,5 +959,5 @@ def holo_bisectional_ref(kr: np.ndarray, h, xi, eta) -> float:
     return float(_kr_form(kr, x, x, e, e).real) / (nx * ne)
 
 
-def holo_sectional_ref(kr: np.ndarray, h, xi) -> float:
-    return holo_bisectional_ref(kr, h, xi, xi)
+def holo_sectional_old(kr: np.ndarray, h, xi) -> float:
+    return holo_bisectional_old(kr, h, xi, xi)

@@ -1093,7 +1093,7 @@ def test_s_lemma_sign_matches_the_sampled_sign_on_the_catalog(name):
         X, E = (rng.standard_normal((4000, 2)) + 1j * rng.standard_normal((4000, 2))
                 for _ in range(2))
         sampled = analysis._sign_label(_w_form(analysis._unit_power(kr)[0], X, E).real)
-        assert analysis._hypotheses(kr, 1.0, None)[2] == sampled
+        assert analysis._hypotheses(kr, analysis._unit_power(kr)[0], 1.0, None)[2] == sampled
 
 
 def test_s_lemma_sign_finds_a_small_negative_region():
@@ -1107,7 +1107,7 @@ def test_s_lemma_sign_finds_a_small_negative_region():
         F = analysis._CONE + 1e-3 * np.eye(4) - nu * np.outer(d, d)
         kr = np.einsum("mn,mab,ncd->abcd", F, pauli.conj(), pauli.conj()) / 4
         assert np.abs(pauli_form_ref(kr) - F).max() <= 1e-15
-        labels.append(analysis._hypotheses(kr, 1.0, None)[2])
+        labels.append(analysis._hypotheses(kr, analysis._unit_power(kr)[0], 1.0, None)[2])
         # the pair x = i e, e = (1, 0) has i W = -2 e e^H = -(sigma_0 + sigma_3),
         # whose Pauli coordinates are -sqrt(2) d
         e = np.array([1.0 + 0j, 0.0])
@@ -1146,8 +1146,8 @@ def test_no_search_runs_newton_at_n2(monkeypatch):
     def refuse(*args):
         raise AssertionError("_multistart called")
 
-    def no_draws(kr, scale, draws):
-        return hypotheses(kr, scale, lambda: refuse())
+    def no_draws(kr, S, scale, draws):
+        return hypotheses(kr, S, scale, lambda: refuse())
 
     hypotheses = analysis._hypotheses
     monkeypatch.setattr(analysis, "_multistart", refuse)

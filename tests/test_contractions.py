@@ -11,7 +11,7 @@ tensor as well, at n = 6 too, where the reference contracts pairwise.
 The real curvature keeps the bits of the staged form that returns a
 fresh array.  The guard parses the source, so calls that span several
 lines are seen whole; it also keeps every einsum out of the curvature
-module.
+and sectional modules, and every numpy 2 API out of the package.
 """
 
 import ast
@@ -244,12 +244,38 @@ def einsum_calls(source: str, filename: str = "<src>") -> list:
 
 
 def test_curvature_module_calls_no_einsum():
-    """kr, the direct mixed block, rc and cx are BLAS products only."""
-    path = SRC / "curvature.py"
-    assert einsum_calls(path.read_text(), path.name) == []
+    """kr, the direct mixed block, rc and cx, and the scalar curvatures and
+    forms built on them, are BLAS products only."""
+    for name in ("curvature.py", "sectional.py"):
+        path = SRC / name
+        assert einsum_calls(path.read_text(), path.name) == []
     assert einsum_calls("x @ y\nnp.einsum('ij,jk->ik', a,\n          b)\neinsum('i->', v)\n") == [
         "<src>:2", "<src>:4"
     ]
+
+
+# numpy 2 added these; pyproject.toml allows numpy 1.24 and later
+NUMPY2_FUNCTIONS = {"vecdot", "matvec", "vecmat"}
+
+
+def numpy2_calls(source: str, filename: str = "<src>") -> list:
+    """Every call of a function that only numpy 2 has, and every copy=None
+    keyword, which numpy 1.x rejects."""
+    return [f"{filename}:{node.lineno}" for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.Call) and (
+                _called_name(node) in NUMPY2_FUNCTIONS
+                or any(kw.arg == "copy" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is None for kw in node.keywords))]
+
+
+def test_package_runs_on_numpy_1():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [v for f in files for v in numpy2_calls(f.read_text(), f.name)] == []
+    source = ("np.vecdot(a, b)\nx @ y\nnp.linalg.matvec(\n    A, x)\nvecmat(x, A)\n"
+              "np.array(x, dtype=float, copy=None)\nnp.array(x, copy=False)\n"
+              "a.astype(float, copy=None)\n")
+    assert numpy2_calls(source) == ["<src>:1", "<src>:3", "<src>:5", "<src>:6", "<src>:8"]
 
 
 def callers(source: str, names, filename: str = "<src>") -> list:

@@ -25,7 +25,8 @@ from hermicurv import (
     to_holomorphic,
 )
 from hermicurv.connection import induced_real_connection
-from hermicurv.sectional import _kr_form, _unit_scaled, _w_form, chern_quadratic_form
+from hermicurv.core import _holo_comps, _real_comps, hermitian_pairing
+from hermicurv.sectional import _kr_form, _unit_rows, _w_form, chern_quadratic_form
 from oracles import induced_curvature_pairing, kahler_max, plane_gram, sample_admissible_points
 
 E1 = np.array([1.0, 0.0])
@@ -92,6 +93,8 @@ LIBRARY = {"K": riemann_sectional, "K_D": chern_sectional, "H": holo_sectional,
            "B": holo_bisectional}
 REFERENCE = {"K": oracles.riemann_sectional_ref, "K_D": oracles.chern_sectional_ref,
              "H": oracles.holo_sectional_ref, "B": oracles.holo_bisectional_ref}
+OLD = {"K": oracles.riemann_sectional_old, "K_D": oracles.chern_sectional_old,
+       "H": oracles.holo_sectional_old, "B": oracles.holo_bisectional_old}
 
 
 @pytest.mark.parametrize("e", [1000, -1000])
@@ -177,15 +180,60 @@ def test_scalar_curvatures_keep_the_reference_bits(n):
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_holo_sectional_is_the_diagonal_bisectional_bit_for_bit(n):
-    # H pairs its vector once, B pairs each of its two; both give one repr
+    # H takes xi once, B each of its two equal vectors, xi itself or a
+    # copy; all three give one repr
     rng = np.random.default_rng(89 + n)
     for name in CATALOG_NAMES:
         m = catalog_metric(name, n)
         g = geometry_at(m, sample_admissible_points(m, 1, seed=97)[0])
         for _ in range(5):
             for xi in (span[2] for span in _spans(rng, n)):
-                assert (_outcome(holo_sectional, g.kr, g.jet.h, xi)
-                        == _outcome(holo_bisectional, g.kr, g.jet.h, xi, xi))
+                copy = np.array(xi, dtype=complex)
+                outcome = _outcome(holo_sectional, g.kr, g.jet.h, xi)
+                assert outcome == _outcome(holo_bisectional, g.kr, g.jet.h, xi, xi)
+                assert outcome == _outcome(holo_bisectional, g.kr, g.jet.h, xi, copy)
+
+
+def _unit_denominators(g, u, v, xi, eta):
+    """The denominators of K, K_D, H and B on the unit-scaled vectors, by
+    the old route's pairings."""
+    us, vs = (oracles._unit_scaled_ref(_real_comps(w)) for w in (u, v))
+    zu, zv = to_holomorphic(us), to_holomorphic(vs)
+    x, e = (oracles._unit_scaled_ref(_holo_comps(w)) for w in (xi, eta))
+    G = g.rjet.g
+
+    def hh(a, b):
+        return hermitian_pairing(g.jet.h, a, b).real
+
+    return {"K": (us @ G @ us) * (vs @ G @ vs) - (us @ G @ vs) ** 2,
+            "K_D": hh(zu, zu) * hh(zv, zv) - hh(zu, zv) ** 2,
+            "H": hh(x, x) ** 2, "B": hh(x, x) * hh(e, e)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_scalar_curvatures_stay_within_contraction_rounding_of_the_old_route(n):
+    # the library's products sum in another order than the earlier route's
+    # (oracles.*_old), numerators and denominators alike; each value may
+    # move by 32 eps m^2 max|T| over its denominator on the unit-scaled
+    # vectors, T the tensor of its numerator (r with m = 2n, kr with m = n),
+    # where the catalog reads at most 4.5 eps m^2 max|T|.  Every error stays
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(101 + n)
+    for name in CATALOG_NAMES:
+        m = catalog_metric(name, n)
+        g = geometry_at(m, sample_admissible_points(m, 1, seed=103)[0])
+        scale = {"K": 4 * n * n * float(np.max(np.abs(g.rc))),
+                 "K_D": n * n * float(np.max(np.abs(g.kr)))}
+        scale["H"] = scale["B"] = scale["K_D"]
+        for _ in range(20):
+            for span in _spans(rng, n):
+                old, new = _quantities(OLD, g, *span), _quantities(LIBRARY, g, *span)
+                den = _unit_denominators(g, *span)
+                for q, a, b in zip(LIBRARY, old, new):
+                    if isinstance(a, tuple):
+                        assert b == a, (name, q)
+                    else:
+                        assert abs(float(b) - float(a)) * den[q] <= 32 * eps * scale[q], (name, q)
 
 
 # The Euclidean metric pulled back by (z1 + z2^2, z2), whose kr is
@@ -208,8 +256,8 @@ def test_forms_are_real_to_contraction_rounding(n):
             kr = geometry_at(m, p).kr
             bound = 64 * np.finfo(float).eps * float(np.max(np.abs(kr)))
             for _ in range(20):
-                x, e = (_unit_scaled(rng.standard_normal(n) + 1j * rng.standard_normal(n))[0]
-                        for _ in range(2))
+                x, e = _unit_rows([rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                                   for _ in range(2)], complex)[0]
                 for num in (_w_form(kr, x, e) / 2, _kr_form(kr, x, x, x, x),
                             _kr_form(kr, x, x, e, e)):
                     assert abs(num.imag) <= bound, (m, p, num)
