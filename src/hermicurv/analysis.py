@@ -14,25 +14,27 @@ sees unit-scale values, and a metric multiplied by 2^k searches the
 same bits; values return in the metric's units through np.ldexp.  A
 tensor that is not finite there raises HermicurvError.
 
-At n = 2 every search is exact: one eigenvalue minimax (_minimax) per
-quadratic form on a small constraint set, each form one product with a
-constant map built at import.  The plane problems of sectional K and of
-the probe's |K - K_D| are _Quartic problems, the real T pulled back
-through L^-T, with their _BIVECTOR form on the bivectors of R^4 under
-the Hodge star (Thorpe, _exact).  The holomorphic problems read their
-complex tensor through F (_holomorphic), and its _PAULI_MAP form A on
-(1, Bloch vector) gives B = (1, x) A (1, y): H and H_R are the minimax
-of A + A^T on the light cone (the S-lemma, _unit_extreme), and B's
-extremes are the roots of a minimax in the level (_finsler, Finsler's
-lemma), searched from H's minimax witness.  At n >= 3 every search is a
-_Quartic problem and a seeded multi-start Riemannian Newton search
-(_multistart): it has the plain retraction (normalize, or Gram-Schmidt)
-and the textbook Riemannian gradient and Hessian (_riemannian).  Restart
-states are carried as rows of one array, so values, gradients, Hessians
-and one eigh per pass are batched; each restart takes saddle-free Newton
-steps inside its own trust radius until its Riemannian gradient
-vanishes to rounding.  The winner is the best final value, first-found
-on ties within 1e-10, which keeps results reproducible for a fixed seed.
+The plane problems of K and of the probe's |K - K_D| read the real T
+pulled back through L^-T (_whitened); at every n the holomorphic ones
+read their complex tensor through F (_holomorphic): kr for B and H, and
+for H_R the real r on the (1, 0) vectors P^H[:, :n] F zeta.  At n = 2
+every search is exact: one eigenvalue minimax (_minimax) per quadratic
+form on a small constraint set, each form one product with a constant
+map built at import.  The planes' _BIVECTOR form runs on the bivectors
+of R^4 under the Hodge star (Thorpe, _exact); the frame tensor's
+_PAULI_MAP form A on (1, Bloch vector) gives B = (1, x) A (1, y): H and
+H_R are the minimax of A + A^T on the light cone (the S-lemma,
+_unit_extreme), and B's extremes are the roots of a minimax in the level
+(_finsler, Finsler's lemma), searched from H's minimax witness.  At
+n >= 3 every search is a _Quartic problem, the holomorphic ones on the
+frame tensor's real part (_real_chern), and a seeded multi-start
+Riemannian Newton search (_multistart) with the plain retraction and the
+textbook Riemannian gradient and Hessian (_riemannian).  Restart states
+are rows of one array, so each pass is batched, with one eigh; each
+restart takes saddle-free Newton steps inside its own trust radius until
+its Riemannian gradient vanishes to rounding.  The winner is the best
+final value, first-found on ties within 1e-10, which keeps results
+reproducible for a fixed seed.
 
 Every flag derived from a point's tensors or searches (classify's
 curvature conditions, the symmetry verdict of lu and the bisectional
@@ -329,31 +331,30 @@ def _whitened(T: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 
 
 class _Quartic:
-    """One search problem: f = T(U, V, V, U) on whitened states X of
-    dim = blocks * m reals, U = X[:, :m], V = X[:, -m:] (U = V = Y on one
-    block), under the whitening white, L and L^-1 first, and a
-    constraint: unit blocks, or an orthonormal pair with pair.  With
-    absolute, f is |T(U, V, V, U)|.
+    """One search problem: f = S(U, V, V, U) 2^exp, or its absolute value
+    with absolute, on whitened states X of dim = blocks * m reals,
+    U = X[:, :m], V = X[:, -m:] (U = V = Y on one block), for S
+    pair-symmetrized and in the frame of the whitening white, L and L^-1
+    first, and a constraint: unit blocks, or an orthonormal pair with pair.
 
-    With S the pair-symmetrized pull-back of T, times 2^-exp by
-    _unit_power, the Euclidean gradient is gu = 2 S(., V, V, U),
-    gv = 2 S(U, ., V, U), and the Hessian blocks are 2 S(., V, V, .),
-    2 S(U, ., ., U) and, across U and V, 4 A = 4 S(., ., V, U): three
-    _slot_pair products per evaluation, the Hessian ones on S with its
-    slots reordered (s_uu, s_vv), built on the first Newton evaluation.
-    derivatives are those of the rescaled f, and value is f times 2^exp,
-    in the metric's units.
+    With S rescaled by _unit_power, its power added to exp, the Euclidean
+    gradient is gu = 2 S(., V, V, U), gv = 2 S(U, ., V, U), and the
+    Hessian blocks are 2 S(., V, V, .), 2 S(U, ., ., U) and, across U and
+    V, 4 A = 4 S(., ., V, U): three _slot_pair products per evaluation,
+    the Hessian ones on S with its slots reordered (s_uu, s_vv), built on
+    the first Newton evaluation.  derivatives are those of the rescaled f,
+    and value is f times 2^exp, in the metric's units.
     """
 
-    def __init__(self, T: np.ndarray, white, blocks: int, pair: bool = False,
+    def __init__(self, S: np.ndarray, exp: int, white, blocks: int, pair: bool = False,
                  absolute: bool = False):
-        S, self.exp = _unit_power(_whitened(T, white[1]))
+        self.S, e = _unit_power(S)
+        self.exp = exp + e
         self.white = white
         self.lift = _unit_power(white[0])[0]
         self.m = S.shape[0]
         self.dim = blocks * self.m
         self.pair = pair
-        self.S = S
         self.absolute = absolute
 
     # S with its slots reordered for the Hessian blocks: read only by
@@ -691,14 +692,11 @@ def _formed(M: np.ndarray, S: np.ndarray) -> np.ndarray:
 @_in_range("curvature scale out of the floating-point range: the search's whitened "
            "tensor is not finite")
 def _holomorphic(T: np.ndarray, F: np.ndarray):
-    """(A, G, e) for a 4-tensor T at n = 2 read through a complex frame F:
+    """(G, e) for a 4-tensor T read through a complex frame F:
     G 2^e = T(F ., conj(F) ., F ., conj(F) .), rescaled exactly by
-    _unit_power, and A = _formed(_PAULI_MAP, G) / 4.  With rho =
-    zeta zeta^H = (1, x) . sigma / 2 for a unit zeta, x its Bloch vector,
-    (1, x) A (1, y) = Re sum G[a, b, c, d] rho[a, b] rho'[c, d] =
-    Re G(zeta, conj(zeta), omega, conj(omega)), y the Bloch vector of omega."""
-    G, e = _unit_power(_each_slot(T, F, F.conj(), F, F.conj()))
-    return _formed(_PAULI_MAP, G) / 4, G, e
+    _unit_power.  In the unitary frame F of _whitening, _real_chern(G) is
+    the real tensor of T's form at whitened states."""
+    return _unit_power(_each_slot(T, F, F.conj(), F, F.conj()))
 
 
 def _bloch_vector(y: np.ndarray) -> np.ndarray:
@@ -753,13 +751,16 @@ def _exact(q: _Quartic, mode: str):
 
 def _unit_extreme(form, F: np.ndarray, mode: str):
     """(run, result): the extreme of G(zeta, conj(zeta), zeta, conj(zeta))
-    over unit zeta without a search, for a _holomorphic form (A, G, e) in
-    the frame F.  The value is (1, x) A (1, x) on unit Bloch vectors x, so
-    its max is the minimax of A + A^T on the light cone of _CONE (the
-    S-lemma), and its min minus that of the negative: run, (lam, w, steps).
+    over unit zeta without a search, for an n = 2 _holomorphic form (G, e)
+    in the frame F.  For A = _formed(_PAULI_MAP, G) / 4 and x, y the Bloch
+    vectors of zeta, omega, rho = zeta zeta^H = (1, x) . sigma / 2 gives
+    (1, x) A (1, y) = Re G(zeta, conj(zeta), omega, conj(omega)).  So the
+    max is the minimax of A + A^T on the light cone of _CONE (the
+    S-lemma), and the min minus that of the negative: run, (lam, w, steps).
     result is (chart state, value, converged, stats) at the unit state of
     the minimax witness, valued on G and checked by _witnessed."""
-    A, G, e = form
+    G, e = form
+    A = _formed(_PAULI_MAP, G) / 4
     sign = _SIGN[mode]
     run = _minimax(sign * (A + A.T), _CONE)
     zeta = _bloch_state(run[1])
@@ -769,9 +770,9 @@ def _unit_extreme(form, F: np.ndarray, mode: str):
 
 def _finsler(form, F: np.ndarray, mode: str, start):
     """The extreme of B over two unit states without a search, for the
-    _holomorphic form (A, G, e) of kr in the unitary frame F of h:
-    B = (1, x) A (1, y), x and y the Bloch vectors of the two states, and
-    T = A times the mode's sign.
+    _holomorphic form (G, e) of kr in the unitary frame F of h:
+    B = (1, x) A (1, y), A of G as in _unit_extreme, x and y the Bloch
+    vectors of the two states, and T = A times the mode's sign.
 
     For fixed x the max over y is alpha + |beta|, the top eigenvalue of
     M(x) = sum_nu ((1, x) T)_nu sigma_nu, alpha and beta affine in x.  A
@@ -798,9 +799,9 @@ def _finsler(form, F: np.ndarray, mode: str, start):
     G, checked by _witnessed against the upper end, and the eigh steps of
     every minimax.
     """
-    A, G, e = form
+    G, e = form
     sign = _SIGN[mode]
-    T = sign * A
+    T = sign * (_formed(_PAULI_MAP, G) / 4)
     T1 = T[:, 1:]
     P, size = T1 @ T1.T, np.sum(T1 * T1)
 
@@ -850,13 +851,6 @@ def _real_chern(kr: np.ndarray) -> np.ndarray:
     n = kr.shape[0]
     E = _frame(n)[:n]
     return _each_slot(kr, E, E.conj(), E, E.conj()).real
-
-
-def _j_folded(r: np.ndarray) -> np.ndarray:
-    """r with J folded into slots 2 and 3: T(y, y, y, y) = r(y, Jy, Jy, y)."""
-    n = r.shape[0] // 2
-    rj = np.concatenate([r[:, n:], -r[:, :n]], axis=1)
-    return np.concatenate([rj[:, :, n:], -rj[:, :, :n]], axis=2)
 
 
 # The attainment statements cover the max on nonnegative curvature and
@@ -963,20 +957,21 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
-    r, white = geom.rc, _whitening(geom.jet.h)
-    plane = _Quartic(r, white, 2, pair=True)
-    if geom.n == 2:
+    r, n, white = geom.rc, geom.n, _whitening(geom.jet.h)
+    plane = _Quartic(_whitened(r, white[1]), 0, white, 2, pair=True)
+    # H_R(y) = r(y, Jy, Jy, y) = r(v, v~, v, v~) / 4 on v = y - iJy =
+    # P^H[:, :n] xi, the universal identity that identity_suite checks
+    G, e = _holomorphic(r, _frame(n).conj().T[:, :n] @ white[2])
+    if n == 2:
         ends = {end: _exact(plane, end) for end in ("min", "max")}
         hypothesis_sign = _sign_label(np.array([ends["min"][1], ends["max"][1]]))
-        # H_R(y) = r(y, Jy, Jy, y) = r(v, v~, v, v~) / 4 on v = y - iJy =
-        # P^H[:, :2] xi, the universal identity that identity_suite checks
-        A, G, e = _holomorphic(r, _frame(2).conj().T[:, :2] @ white[2])
-        found, holo_found = ends[mode], _unit_extreme((A, G, e - 2), white[2], mode)[1]
+        found, holo_found = ends[mode], _unit_extreme((G, e - 2), white[2], mode)[1]
     else:
         draws = plane.draw(np.random.default_rng(seed + 101), 1000)
         hypothesis_sign = _sign_label(plane.value(draws))
         found = _multistart(plane, restarts, seed, mode)
-        holo_found = _multistart(_Quartic(_j_folded(r), white, 1), restarts, seed + 1, mode)
+        holo = _Quartic(_pair_symmetrized(_real_chern(G)), e - 2, white, 1)
+        holo_found = _multistart(holo, restarts, seed + 1, mode)
     return _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, True)
 
 
@@ -1003,15 +998,17 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     _, symmetric, hypothesis_sign = _hypotheses(kr, _unit_power(kr)[0], geom.scale, draws)
 
     white = _whitening(geom.jet.h)
+    G, e = form = _holomorphic(kr, white[2])
     if n == 2:
-        form = _holomorphic(kr, white[2])
         run, holo_found = _unit_extreme(form, white[2], mode)
         found = _finsler(form, white[2], mode, run)
     else:
-        # B(xi, eta) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
-        K = _real_chern(kr)
-        found = _multistart(_Quartic(K.transpose(0, 2, 3, 1), white, 2), restarts, seed, mode)
-        holo_found = _multistart(_Quartic(K, white, 1), restarts, seed + 1, mode)
+        # B(zeta, omega) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
+        K = _real_chern(G)
+        bis = _Quartic(_pair_symmetrized(K.transpose(0, 2, 3, 1)), e, white, 2)
+        holo = _Quartic(_pair_symmetrized(K), e, white, 1)
+        found = _multistart(bis, restarts, seed, mode)
+        holo_found = _multistart(holo, restarts, seed + 1, mode)
     res = _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, symmetric)
     xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
     return replace(
@@ -1078,7 +1075,8 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
-        q = _Quartic(T, _whitening(geom.jet.h), 2, pair=True, absolute=True)
+        white = _whitening(geom.jet.h)
+        q = _Quartic(_whitened(T, white[1]), 0, white, 2, pair=True, absolute=True)
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * geom.scale
 
         if noise:

@@ -89,7 +89,9 @@ def to_holomorphic(u) -> np.ndarray:
     """
     a = _real_comps(u)
     n = a.shape[-1] // 2
-    return a[..., :n] + 1j * a[..., n:]
+    xi = np.empty(a.shape[:-1] + (n,), complex)
+    xi.real, xi.imag = a[..., :n], a[..., n:]
+    return xi
 
 
 @functools.lru_cache(maxsize=None)

@@ -396,6 +396,21 @@ def cholesky_frame(g: np.ndarray):
     return L, np.linalg.inv(L)
 
 
+def chart_quartic(T: np.ndarray, white, blocks: int, pair: bool = False,
+                  absolute: bool = False):
+    """The analysis._Quartic of a chart-frame tensor T under a whitening
+    white, (L, L^-1) first: T pulled back through L^-T (analysis._whitened)."""
+    return analysis._Quartic(analysis._whitened(T, white[1]), 0, white, blocks, pair, absolute)
+
+
+def j_folded_ref(r: np.ndarray) -> np.ndarray:
+    """r with J folded into slots 2 and 3, T(y, y, y, y) = r(y, Jy, Jy, y):
+    H_R's real tensor, against the frame read of analysis.extremal_sectional."""
+    n = r.shape[0] // 2
+    rj = np.concatenate([r[:, n:], -r[:, :n]], axis=1)
+    return np.concatenate([rj[:, :, n:], -rj[:, :, :n]], axis=2)
+
+
 def cone_sign_ref(F: np.ndarray) -> str:
     """The sign of z F z on the cone z _CONE z >= 0: for s F, s = -1 and 1,
     lambda_max at t = 0 when the largest slope of the top eigen-cluster

@@ -26,8 +26,9 @@ from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
-from oracles import (bivector_form_ref, cholesky_frame, cone_sign_ref, minimax_ref,
-                     pair_hermitian_ref, pauli_form_ref, riemannian_fd, sample_admissible_points)
+from oracles import (bivector_form_ref, chart_quartic, cholesky_frame, cone_sign_ref,
+                     j_folded_ref, minimax_ref, pair_hermitian_ref, pauli_form_ref,
+                     riemannian_fd, sample_admissible_points)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -425,12 +426,12 @@ def _search_cases(geom):
         U, V = X[:, :m], X[:, m:]
         return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", T, U, V, V, U)
 
-    Q = analysis._Quartic
+    Q = chart_quartic
     return {
         "generic_pair": (Q(T, white, 2, pair=True), generic),
         "generic_two_sphere": (Q(T, white, 2), generic),
         "sectional": (Q(r, white, 2, pair=True), sectional),
-        "holo_plane": (Q(analysis._j_folded(r), white, 1), holo_plane),
+        "holo_plane": (Q(j_folded_ref(r), white, 1), holo_plane),
         "bisectional": (Q(K.transpose(0, 2, 3, 1), white, 2), bisectional),
         "holomorphic": (Q(K, white, 1), holomorphic),
         "gap": (Q(analysis._gap_tensor(r, kr), white, 2, pair=True, absolute=True), gap),
@@ -479,7 +480,7 @@ def test_projectors_map_zero_rows_to_unit_vectors(geom):
     X[1] = np.arange(1.0, 9.0)
     P = analysis._retract(X, 4, True)
     for white in (analysis._whitening(H), cholesky_frame(gm)):
-        q = analysis._Quartic(np.zeros((4,) * 4), white, 2, pair=True)
+        q = chart_quartic(np.zeros((4,) * 4), white, 2, pair=True)
         for row in (P, q.chart(P)):
             for x in row:
                 U, V = x[:4], x[4:]
@@ -764,10 +765,10 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
         # the Newton references search in the Cholesky frame of g, the
         # exact routes in the library's unitary frame of h
         white = cholesky_frame(g)
-        Q = analysis._Quartic
+        Q = chart_quartic
         newton = {
             "K": Q(r, white, 2, pair=True),
-            "H_sectional": Q(analysis._j_folded(r), white, 1),
+            "H_sectional": Q(j_folded_ref(r), white, 1),
             "H_bisectional": Q(analysis._real_chern(kr), white, 1),
         }
 
@@ -817,7 +818,7 @@ def _bisectional_plane(kr, h):
     K = analysis._real_chern(kr)
     E = to_holomorphic(np.eye(4))
     white = cholesky_frame((E @ h @ E.conj().T).real)
-    return analysis._Quartic(K.transpose(0, 2, 3, 1), white, 2)
+    return chart_quartic(K.transpose(0, 2, 3, 1), white, 2)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -850,10 +851,10 @@ def test_searches_match_a_64_restart_newton_search_in_another_frame(name):
         geom = geometry_at(m, p)
         white = cholesky_frame(geom.rjet.g)
         K = analysis._real_chern(geom.kr)
-        Q = analysis._Quartic
+        Q = chart_quartic
         newton = {
             "K": Q(geom.rc, white, 2, pair=True),
-            "H_sectional": Q(analysis._j_folded(geom.rc), white, 1),
+            "H_sectional": Q(j_folded_ref(geom.rc), white, 1),
             "B": Q(K.transpose(0, 2, 3, 1), white, 2),
             "H_bisectional": Q(K, white, 1),
         }
@@ -889,57 +890,68 @@ def test_form_maps_match_their_builders():
             assert np.array_equal(analysis._formed(M, E), build(E)), name
 
 
-def _holomorphic_cases():
-    """(kr, r, h): the catalog at n = 2, four points each, then random
+def _holomorphic_cases(n):
+    """(kr, r, h): the catalog at n, four points each, then random
     pair-Hermitian kr under random h, with r None."""
     for name in CATALOG_NAMES:
-        m = catalog_metric(name, 2)
+        m = catalog_metric(name, n)
         for p in sample_admissible_points(m, 4, seed=59):
             geom = geometry_at(m, p)
             yield geom.kr, geom.rc, geom.jet.h
-    rng = np.random.default_rng(61)
+    rng = np.random.default_rng(59 + n)
     for _ in range(12):
-        kr = pair_hermitian_ref(rng.standard_normal((2,) * 4) + 1j * rng.standard_normal((2,) * 4))
-        Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        yield kr, None, Z @ Z.conj().T + 0.5 * np.eye(2)
+        kr = pair_hermitian_ref(rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4))
+        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        yield kr, None, Z @ Z.conj().T + 0.5 * np.eye(n)
 
 
 def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
-    # B, H and H_R read from the complex tensors through _PAULI_MAP, on
-    # random unit states zeta and omega, against the real-tensor problems
-    # the Newton engine searches, valued at the same whitened states; and
-    # F zeta is the chart vector that L^-1 gives
+    # B, H and H_R read from the complex tensors in the unitary frame of h
+    # (_holomorphic), on random unit states zeta and omega, against the
+    # real-tensor problems pulled back through L^-T, valued at the same
+    # whitened states: at n = 2 through _PAULI_MAP, beyond as the Newton
+    # engine's problems on the frame tensor's real part; and F zeta is the
+    # chart vector that L^-1 gives
     rng = np.random.default_rng(67)
-    Q = analysis._Quartic
+    Q = chart_quartic
     eps = np.finfo(float).eps
-    for kr, r, h in _holomorphic_cases():
-        white = analysis._whitening(h)
-        F = white[2]
-        zeta, omega = (rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
-                       for _ in range(2))
-        zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
-        omega /= np.linalg.norm(omega, axis=1, keepdims=True)
-        # (1, x) with x the Bloch vector zeta^H sigma zeta
-        x, y = (np.einsum("Ba,kab,Bb->Bk", s.conj(), analysis._PAULI, s).real
-                for s in (zeta, omega))
-        X = np.concatenate([zeta.real, zeta.imag, omega.real, omega.imag], axis=1)
-        K = analysis._real_chern(kr)
-        xi = zeta @ F.T
-        charted = np.concatenate([xi.real, xi.imag], axis=1)
-        assert np.abs(Q(K, white, 1).chart(X[:, :4]) - charted).max() <= (
-            8 * eps * np.abs(charted).max())
-        A, _, e = analysis._holomorphic(kr, F)
-        forms = [
-            ("B", np.ldexp(np.einsum("Bi,ij,Bj->B", x, A, y), e),
-             Q(K.transpose(0, 2, 3, 1), white, 2).value(X)),
-            ("H", np.ldexp(np.einsum("Bi,ij,Bj->B", x, A, x), e), Q(K, white, 1).value(X[:, :4])),
-        ]
-        if r is not None:
-            A, _, e = analysis._holomorphic(r, analysis._frame(2).conj().T[:, :2] @ F)
-            forms.append(("H_R", np.ldexp(np.einsum("Bi,ij,Bj->B", x, A, x), e - 2),
-                          Q(analysis._j_folded(r), white, 1).value(X[:, :4])))
-        for what, new, ref in forms:
-            assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max(), what
+    for n in (2, 3, 4, 6):
+        m = 2 * n
+        for kr, r, h in _holomorphic_cases(n):
+            white = analysis._whitening(h)
+            F = white[2]
+            zeta, omega = (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+                           for _ in range(2))
+            zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
+            omega /= np.linalg.norm(omega, axis=1, keepdims=True)
+            X = np.concatenate([zeta.real, zeta.imag, omega.real, omega.imag], axis=1)
+            K = analysis._real_chern(kr)
+            xi = zeta @ F.T
+            charted = np.concatenate([xi.real, xi.imag], axis=1)
+            assert np.abs(Q(K, white, 1).chart(X[:, :m]) - charted).max() <= (
+                8 * eps * np.abs(charted).max())
+            form = analysis._holomorphic(kr, F)
+            reads = [("B", form, Q(K.transpose(0, 2, 3, 1), white, 2), X),
+                     ("H", form, Q(K, white, 1), X[:, :m])]
+            if r is not None:
+                G, e = analysis._holomorphic(r, analysis._frame(n).conj().T[:, :n] @ F)
+                reads.append(("H_R", (G, e - 2), Q(j_folded_ref(r), white, 1), X[:, :m]))
+            for what, (G, e), ref, states in reads:
+                if n == 2:
+                    # (1, x) with x the Bloch vector zeta^H sigma zeta
+                    x, y = (np.einsum("Ba,kab,Bb->Bk", s.conj(), analysis._PAULI, s).real
+                            for s in (zeta, omega if what == "B" else zeta))
+                    A = analysis._formed(analysis._PAULI_MAP, G) / 4
+                    new = np.ldexp(np.einsum("Bi,ij,Bj->B", x, A, y), e)
+                    bound = 1e-12 * np.abs(ref.value(states)).max()
+                else:
+                    # the sums of (2n)^4 terms round to a few eps of max|S|
+                    S = analysis._real_chern(G)
+                    S = S.transpose(0, 2, 3, 1) if what == "B" else S
+                    q = analysis._Quartic(analysis._pair_symmetrized(S), e, white, ref.dim // m)
+                    new = q.value(states)
+                    bound = 16 * eps * np.ldexp(np.abs(ref.S).max(), ref.exp)
+                assert np.abs(new - ref.value(states)).max() <= bound, (n, what)
 
 
 def test_holomorphic_form_out_of_range_raises():
@@ -958,7 +970,7 @@ def test_plain_thorpe_form_bounds_the_n3_sectional_extremes():
         m = catalog_metric(name, 3)
         for p in sample_admissible_points(m, 2, seed=41):
             geom = geometry_at(m, p)
-            q = analysis._Quartic(geom.rc, analysis._whitening(geom.jet.h), 2, pair=True)
+            q = chart_quartic(geom.rc, analysis._whitening(geom.jet.h), 2, pair=True)
             M = -4.0 / 3.0 * alpha.T @ q.S.reshape(36, 36) @ alpha
             lo, hi = np.ldexp(np.linalg.eigvalsh(M)[[0, -1]], q.exp)
             for mode, bound in (("max", hi), ("min", lo)):
@@ -968,6 +980,34 @@ def test_plain_thorpe_form_bounds_the_n3_sectional_extremes():
                 assert sign * (value - bound) <= tol, (name, mode, value, bound)
                 if name in ("hopf", "nk_diag"):
                     assert abs(value - bound) <= tol, (name, mode, value, bound)
+
+
+# (min, max) of K, H_R, B and H on the catalog at every n: fubini_study
+# and poincare_ball are Kahler with constant holomorphic sectional
+# curvature 4 and -4, and hopf, delta / |z|^2, is locally the unit sphere
+# S^(2n-1) times a line
+CLOSED_FORMS = {
+    "fubini_study": {"K": (1.0, 4.0), "H_R": (4.0, 4.0), "B": (1.0, 2.0), "H": (2.0, 2.0)},
+    "poincare_ball": {"K": (-4.0, -1.0), "H_R": (-4.0, -4.0), "B": (-2.0, -1.0),
+                      "H": (-2.0, -2.0)},
+    "hopf": dict.fromkeys(("K", "H_R", "B", "H"), (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_newton_extremes_meet_the_catalog_closed_forms(name, n):
+    # every 16-restart Newton extreme beyond n = 2, in both modes, is the
+    # closed form; a mismatch is a search defect, not a tolerance to widen
+    m = catalog_metric(name, n)
+    p = sample_admissible_points(m, 1, seed=83)[0]
+    for end, mode in enumerate(("min", "max")):
+        sec = extremal_sectional(m, p, mode=mode, restarts=16)
+        bis = extremal_bisectional(m, p, mode=mode, restarts=16)
+        for what, value in (("K", sec.best_value), ("H_R", sec.holo_best_value),
+                            ("B", bis.best_value), ("H", bis.holo_best_value)):
+            want = CLOSED_FORMS[name][what][end]
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (what, mode, value, want)
 
 
 @pytest.mark.parametrize("name", ["fubini_study", "poincare_ball", "hopf", "nk_diag"])
@@ -1063,7 +1103,8 @@ def test_bisectional_route_matches_dense_sampling_on_random_tensors():
         # read in the unitary frame of h, kr's form is T again
         F = analysis._whitening(h)[2]
         form = analysis._holomorphic(kr, F)
-        A, _, e = form
+        G, e = form
+        A = analysis._formed(analysis._PAULI_MAP, G) / 4
         assert np.abs(np.ldexp(A, e) - T).max() <= 8 * eps * np.abs(T).max(), k
         newton = _bisectional_plane(kr, h)
         xi, eta = draws[0] + 1j * draws[1], draws[2] + 1j * draws[3]

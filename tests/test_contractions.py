@@ -304,6 +304,39 @@ def test_one_search_frame_calls_cholesky():
     ]
 
 
+def quartic_tensors(source: str, filename: str = "<src>") -> list:
+    """The name of the call that each call of a function named _Quartic
+    takes as its first positional argument, in line order; None where
+    that argument is missing or no call."""
+    calls = sorted((node for node in ast.walk(ast.parse(source, filename))
+                    if isinstance(node, ast.Call) and _called_name(node) == "_Quartic"),
+                   key=lambda node: node.lineno)
+    return [_called_name(c.args[0]) if c.args and isinstance(c.args[0], ast.Call) else None
+            for c in calls]
+
+
+def test_search_tensors_are_read_in_the_search_frame():
+    """The four-slot products stay in the frame readers: the pull-back
+    through L^-T and the frame read of the searches, the real Chern
+    tensor and the induced connection.  _Quartic takes its tensor in the
+    whitened frame and pulls nothing back, so each of its problems is
+    built on a _whitened tensor or a pair-symmetrized frame read; a chart
+    tensor passed there would give wrong extremes without an error."""
+    files = sorted(SRC.glob("*.py"))
+    found = [(f.stem, name) for f in files
+             for name in callers(f.read_text(), {"_each_slot"}, f.name)]
+    assert found == [("analysis", "_whitened"), ("analysis", "_holomorphic"),
+                     ("analysis", "_real_chern"), ("connection", "induced_real_connection")]
+    tensors = [name for f in files for name in quartic_tensors(f.read_text(), f.name)]
+    assert tensors and set(tensors) <= {"_whitened", "_pair_symmetrized"}
+    source = ("q = _Quartic(_whitened(T, white[1]), 0, white, 2, pair=True)\n"
+              "def f(T):\n    return analysis._Quartic(T, 0, white, 1)\n"
+              "_Quartic(\n    _pair_symmetrized(_real_chern(G)), e, white, 1)\n"
+              "_Quartic(S=_whitened(T, inverse), exp=0)\n"
+              "_Quartic(np.asarray(T), 0, white, 1)\n")
+    assert quartic_tensors(source) == ["_whitened", None, "_pair_symmetrized", None, "asarray"]
+
+
 def test_form_maps_are_read_only_constants_built_at_import():
     """The n = 2 forms are products with analysis's two constant maps;
     their factor builder runs only at module level, so no op builds a

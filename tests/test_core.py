@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import math
 import warnings
 from pathlib import Path
 
@@ -58,6 +59,24 @@ def test_holomorphic_round_trip():
     back = to_real(xi)
     assert back.dtype == float
     np.testing.assert_allclose(back, u, atol=1e-15)
+
+
+def test_holomorphic_parts_keep_their_bits_and_signs_of_zero():
+    # each part is copied, so a -0.0 keeps its sign, where
+    # a[..., :n] + 1j * a[..., n:] adds 0 * a[..., n:] - 0 to the real part;
+    # on values without zeros the two agree bit for bit
+    for u, want in (([-0.0, 1.0], (-0.0, 1.0)), ([-0.0, -0.0], (-0.0, -0.0)),
+                    ([0.0, -0.0], (0.0, -0.0))):
+        xi = to_holomorphic(u)[0]
+        assert [math.copysign(1.0, part) for part in (xi.real, xi.imag)] == [
+            math.copysign(1.0, part) for part in want], u
+    rng = np.random.default_rng(9)
+    for shape in ((6,), (2, 8), (3, 2, 4)):
+        a = rng.standard_normal(shape)
+        n = shape[-1] // 2
+        xi = to_holomorphic(a)
+        assert xi.shape == shape[:-1] + (n,) and xi.dtype == complex
+        assert np.array_equal(xi.view(float), (a[..., :n] + 1j * a[..., n:]).view(float))
 
 
 def test_j_becomes_multiplication_by_i():
