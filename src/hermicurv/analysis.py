@@ -3,16 +3,17 @@ extremal searches over tangent 2-planes.
 
 Every search objective is a quartic form, T(U, V, V, U) on a pair or
 T(Y, Y, Y, Y) on one vector, with T built once per point, and every
-search has the one frame of _whitening: L is the real form of conj(C),
-h = C C^H at the point, so g = L L^T and the frame is unitary for h.
-This turns g-unit vectors and g-orthonormal pairs into Euclidean unit
-vectors and orthonormal pairs; a whitened state x = (Re zeta, Im zeta)
-is the chart state y = x L^-1, the vector xi = F zeta.  Each problem
-runs on its tensor in that frame rescaled by the power of two that puts
-its largest |entry| in [0.5, 1) (core._unit_power), so every rule in it
-sees unit-scale values, and a metric multiplied by 2^k searches the
-same bits; values return in the metric's units through np.ldexp.  A
-tensor that is not finite there raises HermicurvError.
+search has the one frame of _whitening: the jet's unitary frame F of h
+(field.MetricJet.frame), whose real form L^-1 has g = L L^T.  This turns
+g-unit vectors and g-orthonormal pairs into Euclidean unit vectors and
+orthonormal pairs; a whitened state x = (Re zeta, Im zeta) is the chart
+state y = x L^-1, the vector xi = F zeta.  Each problem runs on its
+tensor in that frame rescaled by the power of two that puts its largest
+|entry| in [0.5, 1) (core._unit_power), so every rule in it sees
+unit-scale values, and a metric multiplied by 4^k searches the same
+bits (2^k only to rounding, through the square root in F); values return
+in the metric's units through np.ldexp.  A tensor that is not finite
+there raises HermicurvError.
 
 The plane problems of K and of the probe's |K - K_D| read the real T
 pulled back through L^-T (_whitened); at every n the holomorphic ones
@@ -282,7 +283,7 @@ class SearchStats:
     _GRAD_TOL on the rescaled problem, where S, the whitened,
     pair-symmetrized tensor of the objective, has its largest |entry| in
     [0.5, 1); capped ones were still stepping when the _MAX_ITER passes
-    ran out.  A metric multiplied by 2^k gives the same stats.  An exact
+    ran out.  A metric multiplied by 4^k gives the same stats.  An exact
     route (_exact, _unit_extreme, _finsler) reports one run: the eigh
     steps of its minimaxes, one evaluation, and converged or capped 1 as
     its witness does or does not reproduce the extremum.
@@ -294,26 +295,16 @@ class SearchStats:
     capped: int
 
 
-def _real_form(A: np.ndarray) -> np.ndarray:
-    """The real 2n x 2n matrix of the complex-linear map A on (Re, Im)."""
-    re, im = A.real, A.imag
-    return np.concatenate([np.concatenate([re, -im], axis=1), np.concatenate([im, re], axis=1)])
-
-
-def _whitening(h: np.ndarray):
-    """(L, L^-1, F) with g = L L^T and L complex-linear: the real forms of
-    conj(C) and its inverse, h = C C^H the complex Cholesky factor, and
-    F = C^-H, the complex map that L^-1 applies.
-
-    A row state x in whitened coordinates is the row y = x L^-1 in the
-    chart, and g(y, y) = x . x, so g-unit vectors and g-orthonormal
-    pairs become Euclidean ones.  A whitened state x = (Re zeta, Im zeta)
-    is the chart vector of xi = F zeta, and h(xi, xi) = |zeta|^2, so
-    this is a unitary frame of h: a phase of zeta is a phase of xi.
-    """
-    C = np.linalg.cholesky(h).conj()
-    inverse = np.linalg.inv(C)
-    return _real_form(C), _real_form(inverse), inverse.conj().T
+def _whitening(jet):
+    """(L^-1, F): the jet's unitary frame F of h (field.MetricJet.frame)
+    and the real 2n x 2n matrix of F^H on (Re, Im), factoring nothing.  A
+    whitened row state x = (Re zeta, Im zeta) is the chart row
+    y = x L^-1, the vector xi = F zeta, and g(y, y) = h(xi, xi) = |zeta|^2:
+    g-unit vectors and g-orthonormal pairs become Euclidean ones, and a
+    phase of zeta is a phase of xi."""
+    F = jet.frame
+    re, im = F.real.T, F.imag.T
+    return np.concatenate([np.concatenate([re, im], 1), np.concatenate([-im, re], 1)]), F
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -334,8 +325,8 @@ class _Quartic:
     """One search problem: f = S(U, V, V, U) 2^exp, or its absolute value
     with absolute, on whitened states X of dim = blocks * m reals,
     U = X[:, :m], V = X[:, -m:] (U = V = Y on one block), for S
-    pair-symmetrized and in the frame of the whitening white, L and L^-1
-    first, and a constraint: unit blocks, or an orthonormal pair with pair.
+    pair-symmetrized and in the frame whose chart rows are inverse = L^-1,
+    and a constraint: unit blocks, or an orthonormal pair with pair.
 
     With S rescaled by _unit_power, its power added to exp, the Euclidean
     gradient is gu = 2 S(., V, V, U), gv = 2 S(U, ., V, U), and the
@@ -346,12 +337,11 @@ class _Quartic:
     and value is f times 2^exp, in the metric's units.
     """
 
-    def __init__(self, S: np.ndarray, exp: int, white, blocks: int, pair: bool = False,
-                 absolute: bool = False):
+    def __init__(self, S: np.ndarray, exp: int, inverse: np.ndarray, blocks: int,
+                 pair: bool = False, absolute: bool = False):
         self.S, e = _unit_power(S)
         self.exp = exp + e
-        self.white = white
-        self.lift = _unit_power(white[0])[0]
+        self.inverse = inverse
         self.m = S.shape[0]
         self.dim = blocks * self.m
         self.pair = pair
@@ -368,16 +358,14 @@ class _Quartic:
         return np.ascontiguousarray(self.S.transpose(1, 2, 0, 3))
 
     def draw(self, rng, rows: int) -> np.ndarray:
-        """rows standard normal chart states, taken into whitened
-        coordinates by L rescaled with _unit_power, and retracted: the same
-        planes or vectors as g-weighted Gram-Schmidt or normalization of
-        the chart states."""
-        Y = rng.standard_normal((rows, self.dim)).reshape(-1, self.m) @ self.lift
-        return _retract(Y.reshape(rows, self.dim), self.m, self.pair)
+        """rows standard normal whitened states, retracted: uniform on the
+        g-orthonormal pairs or the g-unit vectors, so the draws do not
+        depend on the chart's coordinates or on how h weighs them."""
+        return _retract(rng.standard_normal((rows, self.dim)), self.m, self.pair)
 
     def chart(self, x: np.ndarray) -> np.ndarray:
         """A whitened state back in the chart, y = x L^-1 per block."""
-        return (x.reshape(-1, self.m) @ self.white[1]).reshape(x.shape)
+        return (x.reshape(-1, self.m) @ self.inverse).reshape(x.shape)
 
     def rescaled(self, X: np.ndarray) -> np.ndarray:
         """f at whitened states X on the rescaled problem, times 2^-exp."""
@@ -957,20 +945,20 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
-    r, n, white = geom.rc, geom.n, _whitening(geom.jet.h)
-    plane = _Quartic(_whitened(r, white[1]), 0, white, 2, pair=True)
+    r, n, (inverse, F) = geom.rc, geom.n, _whitening(geom.jet)
+    plane = _Quartic(_whitened(r, inverse), 0, inverse, 2, pair=True)
     # H_R(y) = r(y, Jy, Jy, y) = r(v, v~, v, v~) / 4 on v = y - iJy =
     # P^H[:, :n] xi, the universal identity that identity_suite checks
-    G, e = _holomorphic(r, _frame(n).conj().T[:, :n] @ white[2])
+    G, e = _holomorphic(r, _frame(n).conj().T[:, :n] @ F)
     if n == 2:
         ends = {end: _exact(plane, end) for end in ("min", "max")}
         hypothesis_sign = _sign_label(np.array([ends["min"][1], ends["max"][1]]))
-        found, holo_found = ends[mode], _unit_extreme((G, e - 2), white[2], mode)[1]
+        found, holo_found = ends[mode], _unit_extreme((G, e - 2), F, mode)[1]
     else:
         draws = plane.draw(np.random.default_rng(seed + 101), 1000)
         hypothesis_sign = _sign_label(plane.value(draws))
         found = _multistart(plane, restarts, seed, mode)
-        holo = _Quartic(_pair_symmetrized(_real_chern(G)), e - 2, white, 1)
+        holo = _Quartic(_pair_symmetrized(_real_chern(G)), e - 2, inverse, 1)
         holo_found = _multistart(holo, restarts, seed + 1, mode)
     return _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, True)
 
@@ -997,16 +985,16 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     _, symmetric, hypothesis_sign = _hypotheses(kr, _unit_power(kr)[0], geom.scale, draws)
 
-    white = _whitening(geom.jet.h)
-    G, e = form = _holomorphic(kr, white[2])
+    inverse, F = _whitening(geom.jet)
+    G, e = form = _holomorphic(kr, F)
     if n == 2:
-        run, holo_found = _unit_extreme(form, white[2], mode)
-        found = _finsler(form, white[2], mode, run)
+        run, holo_found = _unit_extreme(form, F, mode)
+        found = _finsler(form, F, mode, run)
     else:
         # B(zeta, omega) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
         K = _real_chern(G)
-        bis = _Quartic(_pair_symmetrized(K.transpose(0, 2, 3, 1)), e, white, 2)
-        holo = _Quartic(_pair_symmetrized(K), e, white, 1)
+        bis = _Quartic(_pair_symmetrized(K.transpose(0, 2, 3, 1)), e, inverse, 2)
+        holo = _Quartic(_pair_symmetrized(K), e, inverse, 1)
         found = _multistart(bis, restarts, seed, mode)
         holo_found = _multistart(holo, restarts, seed + 1, mode)
     res = _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, symmetric)
@@ -1075,8 +1063,8 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
-        white = _whitening(geom.jet.h)
-        q = _Quartic(_whitened(T, white[1]), 0, white, 2, pair=True, absolute=True)
+        inverse = _whitening(geom.jet)[0]
+        q = _Quartic(_whitened(T, inverse), 0, inverse, 2, pair=True, absolute=True)
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * geom.scale
 
         if noise:

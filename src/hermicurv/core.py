@@ -12,8 +12,10 @@ then dzbar^a, in the real coframe, so that (xi, conj(xi)) = P u; its
 columns are the chain rule d/dx^k = sum_w P[w, k] d/dw; and
 P^{-1} = P^H / 2.  The vector forms below write its rows out; every
 tensor conversion in the package is a product with P in each slot
-(_each_slot) or its chain rule along one axis (_chain), except that
-curvature.complexify_curvature writes its first slot out the same way.
+(_each_slot) or its chain rule along one axis (_chain), except the
+quadrants written out by hand: curvature.complexify_curvature's first
+slot, the blocks [[Re, Im], [-Im, Re]] of g, its derivatives and g^-1 in
+field.real_jet_from_complex, and L^-1 in analysis._whitening.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ Jet index conventions (0-based, derivative indices first):
     h_inv                   matrix inverse of h, so h @ h_inv = identity;
                             the contraction "upper (l, a)" used downstream
                             is h_inv[l, a]
+    frame                   F = conj(V) W^-1/2 for h = V W V^H, a unitary
+                            frame of h: F^T h conj(F) = identity
     dh[w, a, b]             d h[a,b] / dw, w in (z^1..z^n, zbar^1..zbar^n)
     d2h[w, v, a, b]         d2 h[a,b] / dw dv
 
@@ -29,6 +31,12 @@ and its x-derivatives come from the chain rule of the frame in core
 d/dx^a = d/dz^a + d/dzbar^a, d/dx^{n+a} = i(d/dz^a - d/dzbar^a).
 The real jet keeps the Wirtinger jet's slice order (value, first
 derivatives, second derivatives row by row) in one real array.
+
+h is factored once per point, by the eigh of _checked_inverse: its
+eigenvalues give positivity and cond, its eigenvectors h_inv and the
+frame.  eigh of 2^k h gives 2^k times the eigenvalues and the same
+eigenvectors, to the sign of zero, so h_inv scales exactly for every k,
+and the frame, through the square root, for even k.
 """
 
 from __future__ import annotations
@@ -123,6 +131,7 @@ class MetricJet:
     dh: np.ndarray
     d2h: np.ndarray
     cond: float
+    frame: np.ndarray
 
     @property
     def n(self) -> int:
@@ -136,8 +145,9 @@ class RealMetricJet:
     g is 2n x 2n; dg[k, i, j] = dg_ij/dx^k; d2g[k, l, i, j] is the second
     derivative.  g, dg and d2g are C-contiguous views of one real array
     that holds g, then dg[k], then d2g[k, l] row by row, the order of the
-    Wirtinger jet.  g_inv = inv(g) is kept alongside for the second-kind
-    Christoffel symbols and real_curvature.
+    Wirtinger jet.  g_inv, the block form of h_inv, is the inverse of g,
+    since the block form is multiplicative; it is kept alongside for the
+    second-kind Christoffel symbols and real_curvature.
     """
 
     g: np.ndarray
@@ -159,7 +169,7 @@ def _checked_inverse(H: np.ndarray):
         raise SingularMetricError("metric is numerically singular (non-finite entries)")
     if np.abs(H - H.conj().T).max() > 1e-12 * np.abs(H).max():
         raise ValueError("metric value is not Hermitian")
-    w = np.linalg.eigvalsh(H)
+    w, V = np.linalg.eigh(H)
     if w[0] <= 0.0:
         raise InadmissiblePointError(
             f"metric is not positive definite here (min eigenvalue {w[0]:.3e})"
@@ -168,11 +178,12 @@ def _checked_inverse(H: np.ndarray):
     # written so that a NaN condition number counts as singular too
     if not cond <= MAX_CONDITION:
         raise SingularMetricError(f"metric is numerically singular (condition {cond:.3e})")
-    h_inv = np.linalg.inv(H)
     # a subnormal h has a fine condition number and an infinite inverse
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h_inv = (V / w) @ V.conj().T
     if not np.isfinite(h_inv).all():
         raise SingularMetricError("metric is numerically singular (non-finite inverse)")
-    return h_inv, cond
+    return h_inv, cond, V.conj() / np.sqrt(w)
 
 
 def jet_at(metric: MetricDefinition, p) -> MetricJet:
@@ -189,8 +200,8 @@ def jet_at(metric: MetricDefinition, p) -> MetricJet:
     """
     p = _as_point(p, metric.n)
     values, H = metric.entry_values(p.coords.tolist())
-    h_inv, cond = _checked_inverse(H)
-    return MetricJet(p, H, h_inv, *metric.entry_jets(values), cond)
+    h_inv, cond, frame = _checked_inverse(H)
+    return MetricJet(p, H, h_inv, *metric.entry_jets(values), cond, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +225,11 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     first = np.concatenate([jet.h[None], _chain(jet.dh, 0)])
     d2H = _chain(_chain(jet.d2h, 1), 0).reshape(m * m, n, n)
 
-    # [[Re M, Im M], [-Im M, Re M]] for every slice M: of H and dH, then of d2H
-    real = np.empty((1 + m + m * m, m, m))
-    for M, out in ((first, real[:1 + m]), (d2H, real[1 + m:])):
+    # [[Re M, Im M], [-Im M, Re M]] for every slice M of H and dH, of d2H, and of h_inv
+    real, g_inv = np.empty((1 + m + m * m, m, m)), np.empty((1, m, m))
+    for M, out in ((first, real[:1 + m]), (d2H, real[1 + m:]), (jet.h_inv[None], g_inv)):
         out[:, :n, :n] = M.real
         out[:, :n, n:] = M.imag
         np.negative(M.imag, out=out[:, n:, :n])
         out[:, n:, n:] = M.real
-    g = real[0]
-    return RealMetricJet(g, np.linalg.inv(g), real[1:1 + m], real[1 + m:].reshape(m, m, m, m))
+    return RealMetricJet(real[0], g_inv[0], real[1:1 + m], real[1 + m:].reshape(m, m, m, m))

@@ -5,7 +5,9 @@ differences the connection coefficients across nearby points, so neither
 uses the exact derivative route it checks; riemannian_fd differences
 search values and gradients along retraction curves, and cholesky_frame
 is a second search frame, the real Cholesky factor of g, for Newton
-references that search in a frame other than the library's.  The *_ref contractions are
+references that search in a frame other than the library's, and
+frame_jet gives a bare Hermitian matrix the library's frame.  The *_ref
+contractions are
 each a single plain einsum over all operands: a direct sum over every
 index, with none of the staging of the library's products (each_slot_ref
 and complexify_ref may instead let numpy pair the operands, which the
@@ -45,7 +47,8 @@ complexification the library takes.
 
 The rest are routes that only the tests take: the metric's entry matrix
 alone (evaluate_matrix) and a seeded sampler of admissible points over
-it, the real jet of a metric at a point, the symbolic Wirtinger
+it, block-diagonal products of catalog metrics (product_metric), the
+real jet of a metric at a point, the symbolic Wirtinger
 derivative of one expression, the torsion and curvature pairing of
 the induced real connection, connection.induced_real_connection, the
 real coordinates of a holomorphic vector and back (to_real, from_reals),
@@ -56,10 +59,12 @@ alone (parse_expression) and rendered back to source (unparse).
 
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 
-from hermicurv import analysis, dsl, tape
+from hermicurv import analysis, dsl, field, tape
 from hermicurv.connection import InducedRealConnection, induced_real_connection
 from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps,
                             hermitian_pairing, to_holomorphic)
@@ -89,6 +94,24 @@ def _draw_coords(rng, name, n: int) -> np.ndarray:
         x *= rng.uniform(0.4, 1.3) / np.linalg.norm(x)
         return to_holomorphic(x)
     return rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
+
+
+def product_metric(parts) -> MetricDefinition:
+    """The block-diagonal product h_1 + h_2 + ... of catalog metrics, for
+    parts a sequence of (name, n): each factor's source with its indices
+    and variables shifted past those of the factors before it."""
+    lines, offset = [], 0
+    for name, n in parts:
+        body = field.catalog_source(name, n).split(";", 1)[1]
+
+        def shifted(match, k=offset):
+            return f"{match[1]}{int(match[2]) + k}"
+
+        lines.append(re.sub(r"\b(zb|z)(\d+)\b", shifted, re.sub(
+            r"h\[(\d+),(\d+)\]", lambda m, k=offset: f"h[{int(m[1]) + k},{int(m[2]) + k}]",
+            body)))
+        offset += n
+    return dsl.parse_metric(f"dim {offset};" + "\n".join(lines))
 
 
 def sample_admissible_points(metric: MetricDefinition, count: int, seed: int = 0) -> list:
@@ -299,7 +322,7 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> Met
         return evaluate_matrix(metric, from_reals(x))
 
     H = H_of(x0)
-    h_inv, cond = _checked_inverse(H)
+    h_inv, cond, frame = _checked_inverse(H)
 
     m = 2 * n
     plus = np.empty((m, n, n), dtype=complex)
@@ -333,7 +356,7 @@ def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> Met
     Q = _frame(n).conj() / 2
     dh = np.einsum("wk,kab->wab", Q, d1x)
     d2h = np.einsum("wk,vl,klab->wvab", Q, Q, d2x)
-    return MetricJet(p, H, h_inv, dh, d2h, cond)
+    return MetricJet(p, H, h_inv, dh, d2h, cond, frame)
 
 
 def induced_connection_fd(metric, p, step: float = 1e-5) -> np.ndarray:
@@ -389,18 +412,24 @@ def riemannian_fd(value, gradient, retract, X: np.ndarray, eps: float = 1e-5):
     return grads, hessians
 
 
-def cholesky_frame(g: np.ndarray):
-    """(L, L^-1) for the real Cholesky factor g = L L^T: a whitening of
-    the real metric g that is not a unitary frame of h."""
-    L = np.linalg.cholesky(g)
-    return L, np.linalg.inv(L)
+def cholesky_frame(g: np.ndarray) -> np.ndarray:
+    """L^-1 for the real Cholesky factor g = L L^T: a whitening of the real
+    metric g that is not a unitary frame of h."""
+    return np.linalg.inv(np.linalg.cholesky(g))
 
 
-def chart_quartic(T: np.ndarray, white, blocks: int, pair: bool = False,
+def frame_jet(h: np.ndarray):
+    """A stand-in for a field.MetricJet that carries only a Hermitian h and
+    its unitary frame, for analysis._whitening on a matrix with no jet."""
+    return SimpleNamespace(h=h, frame=_checked_inverse(h)[2])
+
+
+def chart_quartic(T: np.ndarray, inverse: np.ndarray, blocks: int, pair: bool = False,
                   absolute: bool = False):
     """The analysis._Quartic of a chart-frame tensor T under a whitening
-    white, (L, L^-1) first: T pulled back through L^-T (analysis._whitened)."""
-    return analysis._Quartic(analysis._whitened(T, white[1]), 0, white, blocks, pair, absolute)
+    with chart rows inverse = L^-1: T pulled back through L^-T
+    (analysis._whitened)."""
+    return analysis._Quartic(analysis._whitened(T, inverse), 0, inverse, blocks, pair, absolute)
 
 
 def j_folded_ref(r: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
 from oracles import (bivector_form_ref, chart_quartic, cholesky_frame, cone_sign_ref,
-                     j_folded_ref, minimax_ref, pair_hermitian_ref, pauli_form_ref,
-                     riemannian_fd, sample_admissible_points)
+                     frame_jet, j_folded_ref, minimax_ref, pair_hermitian_ref, pauli_form_ref,
+                     product_metric, riemannian_fd, sample_admissible_points)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -479,7 +479,7 @@ def test_projectors_map_zero_rows_to_unit_vectors(geom):
     X = np.zeros((2, 8))
     X[1] = np.arange(1.0, 9.0)
     P = analysis._retract(X, 4, True)
-    for white in (analysis._whitening(H), cholesky_frame(gm)):
+    for white in (analysis._whitening(g.jet)[0], cholesky_frame(gm)):
         q = chart_quartic(np.zeros((4,) * 4), white, 2, pair=True)
         for row in (P, q.chart(P)):
             for x in row:
@@ -796,7 +796,7 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
                 bis.holo_best_value, rel=1e-12, abs=1e-12)
 
         T = analysis._gap_tensor(r, kr)
-        gap = Q(T, analysis._whitening(h), 2, pair=True, absolute=True)
+        gap = Q(T, analysis._whitening(geom.jet)[0], 2, pair=True, absolute=True)
         x, value, converged, _ = analysis._exact(gap, "max")
         # a gap tensor of rounding noise, which the probe does not refine,
         # is no quadratic form on bivectors
@@ -891,18 +891,18 @@ def test_form_maps_match_their_builders():
 
 
 def _holomorphic_cases(n):
-    """(kr, r, h): the catalog at n, four points each, then random
-    pair-Hermitian kr under random h, with r None."""
+    """(kr, r, jet): the catalog at n, four points each, then random
+    pair-Hermitian kr under random h (frame_jet), with r None."""
     for name in CATALOG_NAMES:
         m = catalog_metric(name, n)
         for p in sample_admissible_points(m, 4, seed=59):
             geom = geometry_at(m, p)
-            yield geom.kr, geom.rc, geom.jet.h
+            yield geom.kr, geom.rc, geom.jet
     rng = np.random.default_rng(59 + n)
     for _ in range(12):
         kr = pair_hermitian_ref(rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4))
         Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        yield kr, None, Z @ Z.conj().T + 0.5 * np.eye(n)
+        yield kr, None, frame_jet(Z @ Z.conj().T + 0.5 * np.eye(n))
 
 
 def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
@@ -917,9 +917,8 @@ def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
     eps = np.finfo(float).eps
     for n in (2, 3, 4, 6):
         m = 2 * n
-        for kr, r, h in _holomorphic_cases(n):
-            white = analysis._whitening(h)
-            F = white[2]
+        for kr, r, jet in _holomorphic_cases(n):
+            white, F = analysis._whitening(jet)
             zeta, omega = (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
                            for _ in range(2))
             zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
@@ -970,7 +969,7 @@ def test_plain_thorpe_form_bounds_the_n3_sectional_extremes():
         m = catalog_metric(name, 3)
         for p in sample_admissible_points(m, 2, seed=41):
             geom = geometry_at(m, p)
-            q = chart_quartic(geom.rc, analysis._whitening(geom.jet.h), 2, pair=True)
+            q = chart_quartic(geom.rc, analysis._whitening(geom.jet)[0], 2, pair=True)
             M = -4.0 / 3.0 * alpha.T @ q.S.reshape(36, 36) @ alpha
             lo, hi = np.ldexp(np.linalg.eigvalsh(M)[[0, -1]], q.exp)
             for mode, bound in (("max", hi), ("min", lo)):
@@ -1036,6 +1035,79 @@ def test_newton_extremes_on_h_plus_flat_c_are_the_exact_n2_ones(name):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, k, want, got)
 
 
+def _fubini_study_ends(n: int) -> dict:
+    """CLOSED_FORMS for fubini_study, where at n = 1 the one plane is
+    holomorphic, so K = H_R and B = H."""
+    ends = dict(CLOSED_FORMS["fubini_study"], gap=(0.0, 0.0))
+    return ends if n > 1 else dict(ends, K=ends["H_R"], B=ends["H"])
+
+
+def _factor_ends(name: str, n: int, p) -> dict:
+    """(min, max) of K, H_R, B and H and the max gap of a product's factor
+    at p: the exact n = 2 routes, or fubini_study's closed forms."""
+    if name == "fubini_study" and n != 2:
+        return _fubini_study_ends(n)
+    m = catalog_metric(name, n)
+    ends = {}
+    for mode in ("min", "max"):
+        sec, bis = extremal_sectional(m, p, mode=mode), extremal_bisectional(m, p, mode=mode)
+        for what, value in (("K", sec.best_value), ("H_R", sec.holo_best_value),
+                            ("B", bis.best_value), ("H", bis.holo_best_value)):
+            ends.setdefault(what, []).append(value)
+    gap = chern_gap_probe(m, [p], samples=50).max_gap
+    return dict({what: tuple(v) for what, v in ends.items()}, gap=(gap, gap))
+
+
+def _product_ends(one: dict, two: dict) -> dict:
+    """The closed forms of a product's extremes in its factors' ones.  K
+    and B weigh the factors' values by weights in a simplex with 0 at a
+    vertex, so their ends are the factors' ends or 0; H and H_R at a unit
+    (xi_1, xi_2) with |xi_1|^2 = t are t^2 a + (1 - t)^2 b, so the max is
+    max(a, b) if that is >= 0, else ab / (a + b) at t = b / (a + b), and
+    the min mirrors it; the gap is the larger factor gap."""
+    def quadratic(a, b, end):
+        best = end(a, b)
+        return best if end(best, 0.0) == best else a * b / (a + b)
+
+    ends = {}
+    for what in ("K", "B"):
+        ends[what] = (min(one[what][0], two[what][0], 0.0), max(one[what][1], two[what][1], 0.0))
+    for what in ("H", "H_R"):
+        ends[what] = (quadratic(one[what][0], two[what][0], min),
+                      quadratic(one[what][1], two[what][1], max))
+    return dict(ends, gap=(0.0, max(one["gap"][1], two["gap"][1])))
+
+
+@pytest.mark.parametrize("parts", [
+    (("fubini_study", 1), ("hopf", 2)),
+    (("hopf", 2), ("nk_diag", 2)),
+    (("fubini_study", 2), ("hopf", 2)),
+    (("fubini_study", 4), ("hopf", 2)),
+], ids=lambda parts: "+".join(f"{name}{n}" for name, n in parts))
+def test_newton_extremes_on_products_meet_their_factors_closed_forms(parts):
+    # block-diagonal products h_1 + h_2 at n = 3, 4 and 6: their curvatures
+    # split, so the 16-restart Newton extremes and the probe's max gap are
+    # closed forms in the factors' extremes, values no Newton search
+    # produces; a mismatch is a search defect, not a tolerance to widen
+    points = [sample_admissible_points(catalog_metric(name, n), 1, seed=97)[0].coords
+              for name, n in parts]
+    want = _product_ends(*(_factor_ends(name, n, ChartPoint(z))
+                           for (name, n), z in zip(parts, points)))
+    m, p = product_metric(parts), ChartPoint(np.concatenate(points))
+    got = {}
+    for mode in ("min", "max"):
+        sec = extremal_sectional(m, p, mode=mode, restarts=16)
+        bis = extremal_bisectional(m, p, mode=mode, restarts=16)
+        for what, value in (("K", sec.best_value), ("H_R", sec.holo_best_value),
+                            ("B", bis.best_value), ("H", bis.holo_best_value)):
+            got.setdefault(what, []).append(value)
+    got["gap"] = [0.0, chern_gap_probe(m, [p], samples=50).max_gap]
+    for what, (lo, hi) in want.items():
+        for end, value in (("min", lo), ("max", hi)):
+            new = got[what][end == "max"]
+            assert abs(new - value) <= 1e-12 * max(1.0, abs(value)), (what, end, new, value)
+
+
 def test_bisectional_op_solves_h_once_at_n2(monkeypatch):
     # the W-form sign (two minimaxes), one Finsler level and the H
     # extreme, whose witness is the level search's start: four minimaxes
@@ -1068,15 +1140,15 @@ def test_bisectional_op_solves_h_once_at_n2(monkeypatch):
             assert not {"s_uu", "s_vv"} & vars(quartics.pop()).keys(), (name, mode)
 
 
-def _kr_of_pauli_form(T, h):
-    """The pair-Hermitian kr whose B in the unitary frame zeta = L^T xi of
-    h = L L^H is (1, x) T (1, y), x and y the Bloch vectors of zeta and
-    omega: with rho = zeta zeta^H = (1, x) . sigma / 2, B = sum
+def _kr_of_pauli_form(T, F):
+    """The pair-Hermitian kr whose B in the unitary frame xi = F zeta of h
+    is (1, x) T (1, y), x and y the Bloch vectors of zeta and omega: with
+    rho = zeta zeta^H = (1, x) . sigma / 2, B = sum
     kr'[a, b, c, d] rho[a, b] rho'[c, d] for kr' = T . conj(sigma) conj(sigma)."""
     pauli = analysis._PAULI
     frame = np.einsum("mn,mab,ncd->abcd", T, pauli.conj(), pauli.conj())
-    Lt = np.linalg.cholesky(h).T
-    return analysis._each_slot(frame, Lt, Lt.conj(), Lt, Lt.conj())
+    Fi = np.linalg.inv(F)
+    return analysis._each_slot(frame, Fi, Fi.conj(), Fi, Fi.conj())
 
 
 def test_bisectional_route_matches_dense_sampling_on_random_tensors():
@@ -1099,9 +1171,9 @@ def test_bisectional_route_matches_dense_sampling_on_random_tensors():
     draws = rng.standard_normal((4, 100_000, 2))
     eps = np.finfo(float).eps
     for k, (T, h, planted) in enumerate(cases):
-        kr = _kr_of_pauli_form(T, h)
+        F = analysis._whitening(frame_jet(h))[1]
+        kr = _kr_of_pauli_form(T, F)
         # read in the unitary frame of h, kr's form is T again
-        F = analysis._whitening(h)[2]
         form = analysis._holomorphic(kr, F)
         G, e = form
         A = analysis._formed(analysis._PAULI_MAP, G) / 4

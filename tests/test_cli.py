@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hermicurv.cli as cli
-from hermicurv import HermicurvError, dsl
+from hermicurv import HermicurvError, analysis, dsl
 from hermicurv.cli import render_report, run_main
 from hermicurv.field import CATALOG_NAMES, catalog_metric, catalog_source
 from oracles import render_report_ref, sample_admissible_points
@@ -490,6 +490,57 @@ def test_reports_scale_exactly_with_the_metric(scale_reports, name, n):
         # lu judges the curvature symmetry by classify's Kahler-like rule
         for i, res in enumerate(scaled["lu"][1]["results"]):
             assert res["symmetry_passed"] == scaled[f"classify-{i}"][1]["results"][0]["kahler_like"]
+
+
+# An odd power of two moves the searches' values by rounding: the unitary
+# frame of 2^k h divides by the square root of 2^k
+SCALE_ODD_K = (1, -7)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_reports_scale_to_rounding_at_odd_powers(scale_reports, name, n):
+    # exit codes, ok and the flags do not move, and each value is within
+    # 1e-14 of the largest of its result's values, or of 1: the worst seen
+    # is 2.3e-15
+    plain = scale_reports(name, n, 0)
+    for k in SCALE_ODD_K:
+        for variant, (code, rep) in scale_reports(name, n, k).items():
+            assert code == plain[variant][0], (k, variant, rep.get("error"))
+            if code == 2:
+                continue
+            want = plain[variant][1]
+            assert rep["ok"] == want["ok"], (k, variant)
+            for a, b in zip(rep["results"], want["results"]):
+                values = [key for key in SCALED_VALUES if key in b]
+                scale = max([1.0] + [abs(b[key]) for key in values])
+                for key in values:
+                    assert abs(2.0**k * a[key] - b[key]) <= 1e-14 * scale, (k, variant, key)
+                for key in SCALE_FREE_FLAGS:
+                    if key in b:
+                        assert a[key] == b[key], (k, variant, key)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_searches_do_the_same_work_at_powers_of_four(name, n):
+    # the scale corpus's searches, through the library: 4^k h searches the
+    # same bits, so its SearchStats are equal; at an odd power a tie of
+    # rounding may take one more evaluation or minimax step
+    points = sample_admissible_points(catalog_metric(name, n), 2, seed=5)
+
+    def work(metric):
+        found = [analysis.chern_gap_probe(metric, points, samples=200).searches]
+        for i, p in enumerate(points):
+            for run, mode in ((analysis.extremal_sectional, "max"),
+                              (analysis.extremal_bisectional, "min")):
+                res = run(metric, p, mode=mode, restarts=8, seed=i)
+                found.append((res.search, res.holo_search))
+        return found
+
+    want = work(catalog_metric(name, n))
+    for k in (2, -8):
+        assert work(dsl.parse_metric(_scaled_source(name, n, k))) == want, k
 
 
 @pytest.mark.parametrize("n", [2, 3])

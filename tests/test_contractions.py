@@ -11,7 +11,9 @@ tensor as well, at n = 6 too, where the reference contracts pairwise.
 The real curvature keeps the bits of the staged form that returns a
 fresh array.  The guard parses the source, so calls that span several
 lines are seen whole; it also keeps every einsum out of the curvature
-and sectional modules, and every numpy 2 API out of the package.
+and sectional modules, every numpy 2 API out of the package, and every
+matrix inverse and Cholesky factor too: the metric is factored once per
+op, which a count of numpy.linalg's calls on it checks.
 """
 
 import ast
@@ -31,6 +33,7 @@ from hermicurv.curvature import (
     complexify_curvature,
     real_curvature,
 )
+from hermicurv.field import jet_at, real_jet_from_complex
 from hermicurv.sectional import _form, _kr_form, _w_form
 from oracles import (
     chern_curvature_ref,
@@ -288,20 +291,80 @@ def callers(source: str, names, filename: str = "<src>") -> list:
     return [next((f.name for f in defs if f.lineno <= k <= f.end_lineno), None) for k in lines]
 
 
-def cholesky_callers(source: str, filename: str = "<src>") -> list:
-    """The function around each call of a function named cholesky."""
-    return callers(source, {"cholesky"}, filename)
+# The calls that would factor a matrix a second time: field._checked_inverse
+# takes the one eigh of h, and h_inv, g^-1 and the search frame all come
+# from it
+REFACTORIZATIONS = {"inv", "cholesky", "eigvalsh", "solve"}
 
 
-def test_one_search_frame_calls_cholesky():
-    """Every search whitens in the one frame analysis._whitening builds,
-    the only Cholesky factorization in the package."""
-    found = [(f.stem, name) for f in sorted(SRC.glob("*.py"))
-             for name in cholesky_callers(f.read_text(), f.name)]
-    assert found == [("analysis", "_whitening")]
-    assert cholesky_callers("def f(h):\n    return np.linalg.cholesky(h)\ncholesky(g)\n") == [
-        "f", None
-    ]
+def refactorizations(source: str, filename: str = "<src>") -> list:
+    """The line of each call of a function named in REFACTORIZATIONS."""
+    return sorted((node.lineno for node in ast.walk(ast.parse(source, filename))
+                   if isinstance(node, ast.Call) and _called_name(node) in REFACTORIZATIONS))
+
+
+def test_no_inverse_or_cholesky_factor_in_the_package():
+    found = [f"{f.name}:{k}" for f in sorted(SRC.glob("*.py"))
+             for k in refactorizations(f.read_text(), f.name)]
+    assert found == []
+    source = ("def f(h):\n    return np.linalg.cholesky(h)\ninv(g)\n"
+              "np.linalg.eigh(h)\nx = np.linalg.solve(\n    a, b)\nla.eigvalsh(h)\n")
+    assert refactorizations(source) == [2, 3, 5, 7]
+
+
+# numpy.linalg's factorizations and solvers: any of them could read the
+# metric a second time
+LINALG = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "pinv", "qr",
+          "slogdet", "solve", "svd")
+
+
+def _reads_metric(a, h: np.ndarray, g: np.ndarray) -> bool:
+    """Whether a is h, conj(h) or g, or a factor C of one of them, C C^H."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    for t in (h, h.conj(), g):
+        if t.shape == a.shape:
+            tol = 1e-12 * np.abs(t).max()
+            if np.allclose(a, t, rtol=0, atol=tol) or np.allclose(a @ a.conj().T, t, rtol=0,
+                                                                    atol=tol):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_metric_is_factored_once_per_op(monkeypatch, n):
+    """numpy.linalg wrapped, each op factors h, g or a factor of them
+    exactly once: jet_at's eigh."""
+    metric = catalog_metric("nk_diag", n)
+    p = sample_admissible_points(metric, 1, seed=3)[0]
+    jet = jet_at(metric, p)
+    h, g = jet.h, real_jet_from_complex(jet).g
+    calls = []
+    for name in LINALG:
+        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            calls.extend([_fn.__name__] * _reads_metric(a, h, g))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def geometry():
+        geom = geometry_at(metric, p)
+        return geom.rc, geom.kr, geom.cx, geom.mixed_11_direct, geom.scale
+
+    ops = {
+        "geometry": geometry,
+        "extremal_sectional": lambda: analysis.extremal_sectional(metric, p, restarts=2),
+        "extremal_bisectional": lambda: analysis.extremal_bisectional(metric, p, restarts=2),
+        "chern_gap_probe": lambda: analysis.chern_gap_probe(metric, [p], samples=20),
+        "lu_inequality_check": lambda: analysis.lu_inequality_check(metric, p, samples=20),
+    }
+    found = {}
+    for name, op in ops.items():
+        calls.clear()
+        op()
+        found[name] = list(calls)
+    assert found == dict.fromkeys(ops, ["eigh"])
 
 
 def quartic_tensors(source: str, filename: str = "<src>") -> list:

@@ -14,8 +14,9 @@ from hermicurv import (
     parse_metric,
     to_holomorphic,
 )
-from hermicurv.core import hermitian_pairing
-from hermicurv.field import _checked_inverse, catalog_source, real_jet_from_complex
+from hermicurv import analysis
+from hermicurv.core import ChartPoint, hermitian_pairing
+from hermicurv.field import MetricJet, _checked_inverse, catalog_source, real_jet_from_complex
 from oracles import (fd_oracle_jet, from_reals, real_jet_at, real_jet_ref,
                      sample_admissible_points, to_real)
 
@@ -257,9 +258,73 @@ def test_real_jet_matches_interleaved_reference_bit_for_bit(name, n):
     for p in sample_admissible_points(metric, 2, seed=n):
         jet = jet_at(metric, p)
         new, ref = real_jet_from_complex(jet), real_jet_ref(jet)
-        for field in ("g", "g_inv", "dg", "d2g"):
+        for field in ("g", "dg", "d2g"):
             a, b = getattr(new, field), getattr(ref, field)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def _conditioned(rng, n: int, cond: float) -> np.ndarray:
+    """A random Hermitian n x n matrix with eigenvalues from 1 to cond."""
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    H = (Q * np.geomspace(1.0, cond, n)) @ Q.conj().T
+    return (H + H.conj().T) / 2
+
+
+def _factored_jets():
+    """Jets of the catalog at n = 2, 3 and 6, two points each, then of
+    constant random metrics with condition numbers 1 to 1e11."""
+    for name in CATALOG_NAMES:
+        for n in (2, 3, 6):
+            metric = catalog_metric(name, n)
+            for p in sample_admissible_points(metric, 2, seed=7):
+                yield jet_at(metric, p)
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 6):
+        for cond in (1.0, 1e3, 1e7, 1e11):
+            for _ in range(3):
+                H = _conditioned(rng, n, cond)
+                flat = np.zeros((2 * n, n, n), complex), np.zeros((2 * n, 2 * n, n, n), complex)
+                h_inv, c, frame = _checked_inverse(H)
+                yield MetricJet(ChartPoint(np.zeros(n)), H, h_inv, *flat, c, frame)
+
+
+def _realified(M: np.ndarray) -> np.ndarray:
+    return np.block([[M.real, M.imag], [-M.imag, M.real]])
+
+
+def test_one_eigh_gives_both_inverses_and_the_search_frame():
+    # every residual within 8 n eps cond: the worst seen is about 5
+    eps = np.finfo(float).eps
+    for jet in _factored_jets():
+        n, cond = jet.n, jet.cond
+        rjet = real_jet_from_complex(jet)
+        g, m = rjet.g, 2 * jet.n
+        L_inv, F = analysis._whitening(jet)
+        bound = 8 * n * eps * cond
+        assert rjet.g_inv.tobytes() == _realified(jet.h_inv).tobytes()
+        assert np.abs(jet.h_inv @ jet.h - np.eye(n)).max() <= bound
+        assert np.abs(rjet.g_inv @ g - np.eye(m)).max() <= bound
+        # the chart rows of the whitened unit vectors are g-orthonormal,
+        # and F is unitary for h
+        assert np.abs(L_inv @ g @ L_inv.T - np.eye(m)).max() <= bound
+        assert np.abs(F.T @ jet.h @ F.conj() - np.eye(n)).max() <= bound
+        # the chart row x L^-1 of x = (Re zeta, Im zeta) is F zeta
+        zeta = np.exp(1j * np.arange(n)) / np.sqrt(n)
+        xi = F @ zeta
+        x = np.concatenate([zeta.real, zeta.imag]) @ L_inv
+        assert np.abs(x - np.concatenate([xi.real, xi.imag])).max() <= 8 * eps * np.abs(xi).max()
+
+
+def test_inverse_scales_exactly_with_the_metric():
+    # eigh of 2^k h returns 2^k times the eigenvalues and the same
+    # eigenvectors, so h_inv scales bit for bit for every k, and the
+    # frame, through its square root, for even k (to the sign of zero)
+    for jet in _factored_jets():
+        for k in (-40, -3, 5, 40):
+            h_inv, _, frame = _checked_inverse(2.0**k * jet.h)
+            assert h_inv.tobytes() == (2.0**-k * jet.h_inv).tobytes(), k
+            if k % 2 == 0:
+                assert np.array_equal(frame, 2.0**(-k // 2) * jet.frame), k
 
 
 def test_real_jet_blocks_are_views_of_one_array():
