@@ -2,23 +2,26 @@
 extremal searches over tangent 2-planes.
 
 Every search objective is a quartic form, T(U, V, V, U) on a pair or
-T(Y, Y, Y, Y) on one vector, with T built once per point, and every
-search has the one frame of _whitening: the jet's unitary frame F of h
-(field.MetricJet.frame), whose real form L^-1 has g = L L^T.  This turns
-g-unit vectors and g-orthonormal pairs into Euclidean unit vectors and
-orthonormal pairs; a whitened state x = (Re zeta, Im zeta) is the chart
-state y = x L^-1, the vector xi = F zeta.  Each problem runs on its
-tensor in that frame rescaled by the power of two that puts its largest
-|entry| in [0.5, 1) (core._unit_power), so every rule in it sees
-unit-scale values, and a metric multiplied by 4^k searches the same
-bits (2^k only to rounding, through the square root in F); values return
-in the metric's units through np.ldexp.  A tensor that is not finite
-there raises HermicurvError.
+T(Y, Y, Y, Y) on one vector, with T built once per point, and the one
+frame the searches take is the jet's unitary frame F of h
+(field.MetricJet.frame).  It turns g-unit vectors and g-orthonormal
+pairs into Euclidean unit vectors and orthonormal pairs: a whitened
+state x = (Re zeta, Im zeta) is the vector xi = F zeta, and every route
+returns whitened states, which _chart maps to the chart state
+(Re xi, Im xi) once per winner, through the real form of F
+(core._block_form).  Each problem runs on its tensor in that frame
+rescaled by the power of two that puts its largest |entry| in [0.5, 1)
+(core._unit_power), so every rule in it sees unit-scale values, and a
+metric multiplied by 4^k searches the same bits (2^k only to rounding,
+through the square root in F); values return in the metric's units
+through np.ldexp.  A tensor that is not finite there raises
+HermicurvError.
 
 The plane problems of K and of the probe's |K - K_D| read the real T
-pulled back through L^-T (_whitened); at every n the holomorphic ones
-read their complex tensor through F (_holomorphic): kr for B and H, and
-for H_R the real r on the (1, 0) vectors P^H[:, :n] F zeta.  At n = 2
+through the real form of F on every slot (_whitened); at every n the
+holomorphic ones read their complex tensor through F (_holomorphic): kr
+for B and H, and for H_R the real r on the (1, 0) vectors
+P^H[:, :n] F zeta.  At n = 2
 every search is exact: one eigenvalue minimax (_minimax) per quadratic
 form on a small constraint set, each form one product with a constant
 map built at import.  The planes' _BIVECTOR form runs on the bivectors
@@ -56,11 +59,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ChartPoint, _each_slot, _frame, _in_range, _unit_power, hermitian_pairing,
-                   to_holomorphic)
+from .core import (ChartPoint, _block_form, _each_slot, _frame, _in_range, _real_parts,
+                   _unit_power, hermitian_pairing, to_holomorphic)
 from .dsl import MetricDefinition
 from .engine import geometry_at
-from .sectional import (Plane, _form, _kr_form, _slot_pair, _w_form, chern_quadratic_form,
+from .sectional import (Plane, _form, _kr_form, _slot_pair, _w_form, chern_sectional,
                         riemann_sectional)
 
 __all__ = [
@@ -295,16 +298,13 @@ class SearchStats:
     capped: int
 
 
-def _whitening(jet):
-    """(L^-1, F): the jet's unitary frame F of h (field.MetricJet.frame)
-    and the real 2n x 2n matrix of F^H on (Re, Im), factoring nothing.  A
-    whitened row state x = (Re zeta, Im zeta) is the chart row
-    y = x L^-1, the vector xi = F zeta, and g(y, y) = h(xi, xi) = |zeta|^2:
-    g-unit vectors and g-orthonormal pairs become Euclidean ones, and a
+def _chart(F: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whitened states x in the chart, block by block: each (Re zeta, Im zeta)
+    becomes y = (Re xi, Im xi) for xi = F zeta, through the real form of F,
+    core._block_form of conj(F).  g(y, y) = h(xi, xi) = |zeta|^2, and a
     phase of zeta is a phase of xi."""
-    F = jet.frame
-    re, im = F.real.T, F.imag.T
-    return np.concatenate([np.concatenate([re, im], 1), np.concatenate([-im, re], 1)]), F
+    R = _block_form(F.conj())
+    return (x.reshape(-1, len(R)) @ R.T).reshape(x.shape)
 
 
 def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
@@ -315,18 +315,19 @@ def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
 
 @_in_range("curvature scale out of the floating-point range: the search's whitened "
            "tensor is not finite")
-def _whitened(T: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """The pair-symmetrized pull-back of T through L^-T on every slot, for
-    inverse = L^-1: S at whitened states x is T at y = x L^-1."""
-    return _pair_symmetrized(_each_slot(T, inverse.T))
+def _whitened(T: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The pair-symmetrized T read through the real form of F on every
+    slot: S at whitened states x is T at their chart states _chart(F, x)."""
+    return _pair_symmetrized(_each_slot(T, _block_form(F.conj())))
 
 
 class _Quartic:
     """One search problem: f = S(U, V, V, U) 2^exp, or its absolute value
     with absolute, on whitened states X of dim = blocks * m reals,
     U = X[:, :m], V = X[:, -m:] (U = V = Y on one block), for S
-    pair-symmetrized and in the frame whose chart rows are inverse = L^-1,
-    and a constraint: unit blocks, or an orthonormal pair with pair.
+    pair-symmetrized and read in the search frame (_whitened, or the real
+    part of a _holomorphic read), and a constraint: unit blocks, or an
+    orthonormal pair with pair.
 
     With S rescaled by _unit_power, its power added to exp, the Euclidean
     gradient is gu = 2 S(., V, V, U), gv = 2 S(U, ., V, U), and the
@@ -337,11 +338,10 @@ class _Quartic:
     and value is f times 2^exp, in the metric's units.
     """
 
-    def __init__(self, S: np.ndarray, exp: int, inverse: np.ndarray, blocks: int,
-                 pair: bool = False, absolute: bool = False):
+    def __init__(self, S: np.ndarray, exp: int, blocks: int, pair: bool = False,
+                 absolute: bool = False):
         self.S, e = _unit_power(S)
         self.exp = exp + e
-        self.inverse = inverse
         self.m = S.shape[0]
         self.dim = blocks * self.m
         self.pair = pair
@@ -362,10 +362,6 @@ class _Quartic:
         g-orthonormal pairs or the g-unit vectors, so the draws do not
         depend on the chart's coordinates or on how h weighs them."""
         return _retract(rng.standard_normal((rows, self.dim)), self.m, self.pair)
-
-    def chart(self, x: np.ndarray) -> np.ndarray:
-        """A whitened state back in the chart, y = x L^-1 per block."""
-        return (x.reshape(-1, self.m) @ self.inverse).reshape(x.shape)
 
     def rescaled(self, X: np.ndarray) -> np.ndarray:
         """f at whitened states X on the rescaled problem, times 2^-exp."""
@@ -402,27 +398,13 @@ class _Quartic:
 
 def _unit(Y: np.ndarray, partner: np.ndarray | None = None) -> np.ndarray:
     """Rows of Y scaled to unit length, after removing their component
-    along the unit rows of partner.  A zero row becomes e_1, or, with a
-    partner, e_j minus its partner component for the j where the partner
-    is smallest, which keeps at least half of e_j."""
+    along the unit rows of partner.  No search meets a zero row: draws are
+    Gaussian, and a Newton step s is tangent and at most _MAX_RADIUS = 1
+    long, so |U + s_U| >= 1, and (U + s_U) . (V + s_V) = s_U . s_V, at most
+    1/2 in size, keeps V off U."""
     if partner is not None:
         Y = Y - np.einsum("Bi,Bi->B", Y, partner)[:, None] * partner
-    norm2 = np.einsum("Bi,Bi->B", Y, Y)
-    bad = norm2 < 1e-12
-    if bad.any():
-        Y = Y.copy()
-        rows = np.nonzero(bad)[0]
-        cand = np.zeros((rows.size, Y.shape[1]))
-        if partner is None:
-            cand[:, 0] = 1.0
-        else:
-            P = partner[rows]
-            j = np.argmin(np.abs(P), axis=1)
-            cand = -P[np.arange(rows.size), j][:, None] * P
-            cand[np.arange(rows.size), j] += 1.0
-        Y[rows] = cand
-        norm2[rows] = np.einsum("Bi,Bi->B", cand, cand)
-    return Y / np.sqrt(norm2)[:, None]
+    return Y / np.sqrt(np.einsum("Bi,Bi->B", Y, Y))[:, None]
 
 
 def _retract(X: np.ndarray, m: int, pair: bool) -> np.ndarray:
@@ -479,7 +461,7 @@ def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
     accepted capped step.  A restart stops once its Riemannian gradient
     norm is at most _GRAD_TOL.  All of this runs on q's rescaled values;
     the best value returns in the metric's units.
-    Returns (best chart state, best value, converged, stats).
+    Returns (best whitened state, best value, converged, stats).
     """
     sign = _SIGN[mode]
     X = q.draw(np.random.default_rng(seed), restarts)
@@ -522,7 +504,7 @@ def _multistart(q: _Quartic, restarts: int, seed: int, mode: str):
     idx = int(winners[0])
     done = gnorm <= _GRAD_TOL
     stats = SearchStats(iterations, evaluations, int(done.sum()), restarts - int(done.sum()))
-    return q.chart(X[idx]), float(np.ldexp(f[idx], q.exp)), bool(done[idx]), stats
+    return X[idx], float(np.ldexp(f[idx], q.exp)), bool(done[idx]), stats
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +664,8 @@ def _formed(M: np.ndarray, S: np.ndarray) -> np.ndarray:
 def _holomorphic(T: np.ndarray, F: np.ndarray):
     """(G, e) for a 4-tensor T read through a complex frame F:
     G 2^e = T(F ., conj(F) ., F ., conj(F) .), rescaled exactly by
-    _unit_power.  In the unitary frame F of _whitening, _real_chern(G) is
-    the real tensor of T's form at whitened states."""
+    _unit_power.  In the jet's unitary frame F, _real_chern(G) is the real
+    tensor of T's form at whitened states."""
     return _unit_power(_each_slot(T, F, F.conj(), F, F.conj()))
 
 
@@ -704,13 +686,6 @@ def _bloch_state(y: np.ndarray) -> np.ndarray:
     return np.array([(x[0] - 1j * x[1]) / (2 * r), r])
 
 
-def _charted(F: np.ndarray, *zetas) -> np.ndarray:
-    """The chart state of unit states zeta in the frame F of _whitening:
-    each xi = F zeta as (Re xi, Im xi), as _Quartic.chart maps them."""
-    xis = [F @ zeta for zeta in zetas]
-    return np.concatenate([part for xi in xis for part in (xi.real, xi.imag)])
-
-
 def _witnessed(f: float, e: int, sign: float, bound: float, calls: int):
     """An exact route's (value, converged, stats) from its witness's value
     f on the rescaled problem, times 2^-e: f 2^e; whether sign f is within
@@ -726,7 +701,7 @@ def _exact(q: _Quartic, mode: str):
     without a search, as the minimax of its _BIVECTOR form under the Hodge
     star: max f is the minimax of the form, min f minus that of its
     negative, and with q.absolute, max |f| is the larger of the two.
-    Returns (chart state, value, converged, stats) at the plane of the
+    Returns (whitened state, value, converged, stats) at the plane of the
     minimax witness, with the eigh steps of every minimax run; _witnessed
     checks q's value there against the minimax value."""
     A = _formed(_BIVECTOR, q.S)
@@ -734,29 +709,29 @@ def _exact(q: _Quartic, mode: str):
     lam, w, _ = max(runs, key=lambda run: run[0])
     x = _plane_state(w)
     f = float(q.rescaled(x[None])[0])
-    return (q.chart(x), *_witnessed(f, q.exp, _SIGN[mode], lam, sum(run[2] for run in runs)))
+    return (x, *_witnessed(f, q.exp, _SIGN[mode], lam, sum(run[2] for run in runs)))
 
 
-def _unit_extreme(form, F: np.ndarray, mode: str):
-    """(run, result): the extreme of G(zeta, conj(zeta), zeta, conj(zeta))
-    over unit zeta without a search, for an n = 2 _holomorphic form (G, e)
-    in the frame F.  For A = _formed(_PAULI_MAP, G) / 4 and x, y the Bloch
+def _unit_extreme(form, mode: str):
+    """((A, run), result): the extreme of G(zeta, conj(zeta), zeta,
+    conj(zeta)) over unit zeta without a search, for an n = 2 _holomorphic
+    form (G, e).  For A = _formed(_PAULI_MAP, G) / 4 and x, y the Bloch
     vectors of zeta, omega, rho = zeta zeta^H = (1, x) . sigma / 2 gives
     (1, x) A (1, y) = Re G(zeta, conj(zeta), omega, conj(omega)).  So the
     max is the minimax of A + A^T on the light cone of _CONE (the
     S-lemma), and the min minus that of the negative: run, (lam, w, steps).
-    result is (chart state, value, converged, stats) at the unit state of
-    the minimax witness, valued on G and checked by _witnessed."""
+    result is (whitened state, value, converged, stats) at the unit state
+    of the minimax witness, valued on G and checked by _witnessed."""
     G, e = form
     A = _formed(_PAULI_MAP, G) / 4
     sign = _SIGN[mode]
     run = _minimax(sign * (A + A.T), _CONE)
     zeta = _bloch_state(run[1])
     f = float(_kr_form(G, zeta, zeta, zeta, zeta).real)
-    return run, (_charted(F, zeta), *_witnessed(f, e, sign, run[0], run[2]))
+    return (A, run), (_real_parts(zeta), *_witnessed(f, e, sign, run[0], run[2]))
 
 
-def _finsler(form, F: np.ndarray, mode: str, start):
+def _finsler(form, mode: str, start):
     """The extreme of B over two unit states without a search, for the
     _holomorphic form (G, e) of kr in the unitary frame F of h:
     B = (1, x) A (1, y), A of G as in _unit_extreme, x and y the Bloch
@@ -770,26 +745,26 @@ def _finsler(form, F: np.ndarray, mode: str, start):
     of _CONE.  By Finsler's lemma that holds exactly when
     phi(lam) = -_minimax(-Q_lam, _CONE) >= 0, so the max is a root of phi.
 
-    It starts from the top of B(x, x) = H(x): start, the minimax of
-    T + T^T on the light cone that _unit_extreme runs for H on the same
-    form, whose steps count in both records.  It keeps a bracket: as its
-    upper end a level where phi is at least -_CLUSTER_TOL (|T1|^2 +
-    |u|^2), from 2 |T|_F, above every value since |(1, x)| = sqrt(2); as
-    its lower end the best value alpha + |beta| at a witness x.  Each step
-    tests one level, and the light-cone witness there gives an x.  The
-    next level is the lower end, an ascent, when it rose and the last
-    ascent's rise was at most half the one before; else the bracket's
-    midpoint.  It stops when the bracket is within _WITNESS_TOL or after
+    It starts from the top of B(x, x) = H(x): start = (A, run) from
+    _unit_extreme for H on the same form, run the minimax of T + T^T on
+    the light cone, whose steps count in both records.  It keeps a
+    bracket: as its upper end a level where phi is at least -_CLUSTER_TOL
+    (|T1|^2 + |u|^2), from 2 |T|_F, above every value since
+    |(1, x)| = sqrt(2); as its lower end the best value alpha + |beta| at
+    a witness x.  Each step tests one level, and the light-cone witness
+    there gives an x.  The next level is the lower end, an ascent, when it
+    rose and the last ascent's rise was at most half the one before; else
+    the bracket's midpoint.  It stops when the bracket is within _WITNESS_TOL or after
     _MINIMAX_STEPS levels; min is the max of -T.  The witness pair is the
     best x and the top eigenvector of its M(x), or x's own state where
     M(x)'s two eigenvalues lie within _CLUSTER_TOL |T|_F of each other.
-    It returns (chart state, value, converged, stats) there: B valued on
-    G, checked by _witnessed against the upper end, and the eigh steps of
-    every minimax.
+    It returns (whitened state, value, converged, stats) there: B valued
+    on G, checked by _witnessed against the upper end, and the eigh steps
+    of every minimax.
     """
     G, e = form
-    sign = _SIGN[mode]
-    T = sign * (_formed(_PAULI_MAP, G) / 4)
+    (A, (_, w, calls)), sign = start, _SIGN[mode]
+    T = sign * A
     T1 = T[:, 1:]
     P, size = T1 @ T1.T, np.sum(T1 * T1)
 
@@ -798,7 +773,6 @@ def _finsler(form, F: np.ndarray, mode: str, start):
         m = T[0] + x @ T[1:]
         return m[0] + np.linalg.norm(m[1:])
 
-    _, w, calls = start
     best = _bloch_vector(w)
     lo, hi = top(best), 2.0 * np.linalg.norm(T)
     level = tried = lo  # tried: the last level tested as an ascent
@@ -830,7 +804,7 @@ def _finsler(form, F: np.ndarray, mode: str, start):
     # names
     omega = zeta if lam[1] - lam[0] <= _CLUSTER_TOL * np.linalg.norm(T) else vecs[:, -1]
     f = float(_kr_form(G, zeta, zeta, omega, omega).real)
-    return (_charted(F, zeta, omega), *_witnessed(f, e, sign, hi, calls))
+    return (_real_parts(np.stack([zeta, omega])).ravel(), *_witnessed(f, e, sign, hi, calls))
 
 
 def _real_chern(kr: np.ndarray) -> np.ndarray:
@@ -895,22 +869,23 @@ class ExtremalResult:
 def _extremal(mode: str, restarts: int, geom, found, holo_found, hypothesis_sign: str,
               symmetric: bool) -> ExtremalResult:
     """The ExtremalResult at geom's point from its two searches' results,
-    (chart state, value, converged, stats) each: found over orthonormal
+    (whitened state, value, converged, stats) each: found over orthonormal
     pairs or two unit vectors, holo_found over one unit vector; their
-    oriented gap, and gap_ok.  applicable needs symmetric and a sign the
-    mode is covered for.
+    witnesses charted by _chart, their oriented gap, and gap_ok.
+    applicable needs symmetric and a sign the mode is covered for.
     """
     best_x, best_value, converged, stats = found
     best_y, holo_value, holo_conv, holo_stats = holo_found
+    F = geom.jet.frame
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
     applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
     hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats
     return ExtremalResult(
         mode=mode,
         best_value=best_value,
-        best_plane=Plane(*np.split(best_x, 2)),
+        best_plane=Plane(*np.split(_chart(F, best_x), 2)),
         holo_best_value=holo_value,
-        holo_best_vector=best_y,
+        holo_best_vector=_chart(F, best_y),
         n_restarts=0 if geom.n == 2 else restarts,  # at n = 2 no search restarts
         converged=converged and holo_conv,
         gap=gap,
@@ -945,20 +920,20 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
     """
     _check_search(mode, restarts)
     geom = geometry_at(metric, p)
-    r, n, (inverse, F) = geom.rc, geom.n, _whitening(geom.jet)
-    plane = _Quartic(_whitened(r, inverse), 0, inverse, 2, pair=True)
+    r, n, F = geom.rc, geom.n, geom.jet.frame
+    plane = _Quartic(_whitened(r, F), 0, 2, pair=True)
     # H_R(y) = r(y, Jy, Jy, y) = r(v, v~, v, v~) / 4 on v = y - iJy =
     # P^H[:, :n] xi, the universal identity that identity_suite checks
     G, e = _holomorphic(r, _frame(n).conj().T[:, :n] @ F)
     if n == 2:
         ends = {end: _exact(plane, end) for end in ("min", "max")}
         hypothesis_sign = _sign_label(np.array([ends["min"][1], ends["max"][1]]))
-        found, holo_found = ends[mode], _unit_extreme((G, e - 2), F, mode)[1]
+        found, holo_found = ends[mode], _unit_extreme((G, e - 2), mode)[1]
     else:
         draws = plane.draw(np.random.default_rng(seed + 101), 1000)
         hypothesis_sign = _sign_label(plane.value(draws))
         found = _multistart(plane, restarts, seed, mode)
-        holo = _Quartic(_pair_symmetrized(_real_chern(G)), e - 2, inverse, 1)
+        holo = _Quartic(_pair_symmetrized(_real_chern(G)), e - 2, 1)
         holo_found = _multistart(holo, restarts, seed + 1, mode)
     return _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, True)
 
@@ -985,16 +960,15 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
 
     _, symmetric, hypothesis_sign = _hypotheses(kr, _unit_power(kr)[0], geom.scale, draws)
 
-    inverse, F = _whitening(geom.jet)
-    G, e = form = _holomorphic(kr, F)
+    G, e = form = _holomorphic(kr, geom.jet.frame)
     if n == 2:
-        run, holo_found = _unit_extreme(form, F, mode)
-        found = _finsler(form, F, mode, run)
+        start, holo_found = _unit_extreme(form, mode)
+        found = _finsler(form, mode, start)
     else:
         # B(zeta, omega) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
         K = _real_chern(G)
-        bis = _Quartic(_pair_symmetrized(K.transpose(0, 2, 3, 1)), e, inverse, 2)
-        holo = _Quartic(_pair_symmetrized(K), e, inverse, 1)
+        bis = _Quartic(_pair_symmetrized(K.transpose(0, 2, 3, 1)), e, 2)
+        holo = _Quartic(_pair_symmetrized(K), e, 1)
         found = _multistart(bis, restarts, seed, mode)
         holo_found = _multistart(holo, restarts, seed + 1, mode)
     res = _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, symmetric)
@@ -1063,14 +1037,13 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
-        inverse = _whitening(geom.jet)[0]
-        q = _Quartic(_whitened(T, inverse), 0, inverse, 2, pair=True, absolute=True)
+        q = _Quartic(_whitened(T, geom.jet.frame), 0, 2, pair=True, absolute=True)
         noise = np.max(np.abs(_pair_symmetrized(T))) <= 1e-12 * geom.scale
 
         if noise:
             sample = q.draw(np.random.default_rng(seed + k), samples)
             gaps = q.value(sample)
-            point_best_x = q.chart(sample[int(np.argmax(gaps))])
+            point_best_x = sample[int(np.argmax(gaps))]
             point_best = float(np.max(gaps))
         else:
             point_best_x, point_best, _, stats = (
@@ -1083,16 +1056,13 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         raise ValueError("points must name at least one point")
 
     gap, geom, x = best
-    m = geom.rjet.g.shape[0]
-    plane = Plane(x[:m], x[m:])
-    K = riemann_sectional(geom.rc, geom.rjet, plane)
-    xi, eta = to_holomorphic(x.reshape(2, m))
+    plane = Plane(*np.split(_chart(geom.jet.frame, x), 2))
     return GapProbeReport(
         max_gap=gap,
         witness_point=geom.point,
         witness_plane=plane,
-        witness_K=K,
-        witness_K_D=chern_quadratic_form(geom.kr, xi, eta),
+        witness_K=riemann_sectional(geom.rc, geom.rjet, plane),
+        witness_K_D=chern_sectional(geom.kr, geom.jet.h, plane),
         per_point_gaps=tuple(per_point),
         samples=samples,
         searches=tuple(searches),

@@ -12,10 +12,11 @@ then dzbar^a, in the real coframe, so that (xi, conj(xi)) = P u; its
 columns are the chain rule d/dx^k = sum_w P[w, k] d/dw; and
 P^{-1} = P^H / 2.  The vector forms below write its rows out; every
 tensor conversion in the package is a product with P in each slot
-(_each_slot) or its chain rule along one axis (_chain), except the
-quadrants written out by hand: curvature.complexify_curvature's first
-slot, the blocks [[Re, Im], [-Im, Re]] of g, its derivatives and g^-1 in
-field.real_jet_from_complex, and L^-1 in analysis._whitening.
+(_each_slot), its chain rule along one axis (_chain), or the real block
+form [[Re M, Im M], [-Im M, Re M]] of a complex matrix (_block_form),
+which writes g, its derivatives and g^-1 and the real form of the
+searches' frame; the one exception written out by hand is the first slot
+of curvature.complexify_curvature.
 """
 
 from __future__ import annotations
@@ -96,6 +97,15 @@ def to_holomorphic(u) -> np.ndarray:
     return xi
 
 
+def _real_parts(xi: np.ndarray) -> np.ndarray:
+    """(Re xi, Im xi) along the last axis: the real vectors (..., 2n) whose
+    holomorphic parts are xi, the inverse of to_holomorphic."""
+    n = xi.shape[-1]
+    u = np.empty(xi.shape[:-1] + (2 * n,))
+    u[..., :n], u[..., n:] = xi.real, xi.imag
+    return u
+
+
 @functools.lru_cache(maxsize=None)
 def _frame(n: int) -> np.ndarray:
     """P, complex (2n, 2n): rows dz^a then dzbar^a in the real coframe,
@@ -113,6 +123,20 @@ def _chain(d: np.ndarray, axis: int) -> np.ndarray:
     n, lead = d.shape[axis] // 2, (slice(None),) * axis
     dz, dzb = d[lead + (slice(None, n),)], d[lead + (slice(n, None),)]
     return np.concatenate([dz + dzb, 1j * (dz - dzb)], axis)
+
+
+def _block_form(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[[Re M, Im M], [-Im M, Re M]] for complex M (..., n, n), written into
+    out (..., 2n, 2n) when given: the real matrix of z -> z M on rows
+    (Re z, Im z), so the block form of h is g, and that of conj(F) maps
+    columns (Re zeta, Im zeta) to (Re F zeta, Im F zeta)."""
+    n = M.shape[-1]
+    out = np.empty(M.shape[:-2] + (2 * n, 2 * n)) if out is None else out
+    out[..., :n, :n] = M.real
+    out[..., :n, n:] = M.imag
+    np.negative(M.imag, out=out[..., n:, :n])
+    out[..., n:, n:] = M.real
+    return out
 
 
 def _each_slot(t: np.ndarray, A: np.ndarray, B=None, C=None, D=None) -> np.ndarray:

@@ -21,7 +21,7 @@ dsl.MetricDefinition makes the jet Hermitian; jet_at checks the value.
 
 The real form g = Re h lives on the 2n real coordinates (x, y) with
 z^a = x^a + i x^{n+a}.  Writing H for the complex matrix, the real metric
-in the coordinate frame is the block matrix
+in the coordinate frame is the block matrix (core._block_form)
 
     g = [[ Re H, Im H ],
          [-Im H, Re H ]]
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChartPoint, _chain, _in_range
+from .core import ChartPoint, _block_form, _chain, _in_range
 from .dsl import MetricDefinition, parse_metric
 from .errors import CatalogError, InadmissiblePointError, SingularMetricError
 
@@ -213,23 +213,20 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     """Assemble g = Re h and its x-derivatives from a Wirtinger jet.
 
     The slices run in the Wirtinger jet's order: H, then dH[k], then
-    d2H[k, l] row by row, written into one real array of shape
-    (1 + 2n + 4n^2, 2n, 2n).  The jets of jet_at are Hermitian by
+    d2H[k, l] row by row, their block forms (core._block_form) written
+    into one real array of shape (1 + 2n + 4n^2, 2n, 2n); g_inv is the
+    block form of h_inv.  The jets of jet_at are Hermitian by
     construction, and jet_at checks the value.
     """
-    n = jet.n
-    m = 2 * n
+    n, m = jet.n, 2 * jet.n
 
     # d/dx^k is P^T along each derivative axis (core._chain); the inner
     # chain runs over the second derivative index, the outer over the first
     first = np.concatenate([jet.h[None], _chain(jet.dh, 0)])
     d2H = _chain(_chain(jet.d2h, 1), 0).reshape(m * m, n, n)
 
-    # [[Re M, Im M], [-Im M, Re M]] for every slice M of H and dH, of d2H, and of h_inv
-    real, g_inv = np.empty((1 + m + m * m, m, m)), np.empty((1, m, m))
-    for M, out in ((first, real[:1 + m]), (d2H, real[1 + m:]), (jet.h_inv[None], g_inv)):
-        out[:, :n, :n] = M.real
-        out[:, :n, n:] = M.imag
-        np.negative(M.imag, out=out[:, n:, :n])
-        out[:, n:, n:] = M.real
-    return RealMetricJet(real[0], g_inv[0], real[1:1 + m], real[1 + m:].reshape(m, m, m, m))
+    real = np.empty((1 + m + m * m, m, m))
+    _block_form(first, real[:1 + m])
+    _block_form(d2H, real[1 + m:])
+    return RealMetricJet(real[0], _block_form(jet.h_inv), real[1:1 + m],
+                         real[1 + m:].reshape(m, m, m, m))

@@ -5,8 +5,9 @@ differences the connection coefficients across nearby points, so neither
 uses the exact derivative route it checks; riemannian_fd differences
 search values and gradients along retraction curves, and cholesky_frame
 is a second search frame, the real Cholesky factor of g, for Newton
-references that search in a frame other than the library's, and
-frame_jet gives a bare Hermitian matrix the library's frame.  The *_ref
+references that search in a frame other than the library's (chart_quartic),
+and unitary_frame gives a bare Hermitian matrix the library's frame
+(frame_quartic).  The *_ref
 contractions are
 each a single plain einsum over all operands: a direct sum over every
 index, with none of the staging of the library's products (each_slot_ref
@@ -60,13 +61,12 @@ alone (parse_expression) and rendered back to source (unparse).
 import json
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 
 from hermicurv import analysis, dsl, field, tape
 from hermicurv.connection import InducedRealConnection, induced_real_connection
-from hermicurv.core import (ChartPoint, _chain, _frame, _holo_comps, _real_comps,
+from hermicurv.core import (ChartPoint, _chain, _each_slot, _frame, _holo_comps, _real_comps,
                             hermitian_pairing, to_holomorphic)
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
@@ -418,18 +418,26 @@ def cholesky_frame(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(g))
 
 
-def frame_jet(h: np.ndarray):
-    """A stand-in for a field.MetricJet that carries only a Hermitian h and
-    its unitary frame, for analysis._whitening on a matrix with no jet."""
-    return SimpleNamespace(h=h, frame=_checked_inverse(h)[2])
+def unitary_frame(h: np.ndarray) -> np.ndarray:
+    """The library's unitary frame F of a bare Hermitian matrix h, the one
+    field.MetricJet.frame carries."""
+    return _checked_inverse(h)[2]
 
 
-def chart_quartic(T: np.ndarray, inverse: np.ndarray, blocks: int, pair: bool = False,
+def frame_quartic(T: np.ndarray, F: np.ndarray, blocks: int, pair: bool = False,
                   absolute: bool = False):
-    """The analysis._Quartic of a chart-frame tensor T under a whitening
-    with chart rows inverse = L^-1: T pulled back through L^-T
-    (analysis._whitened)."""
-    return analysis._Quartic(analysis._whitened(T, inverse), 0, inverse, blocks, pair, absolute)
+    """The analysis._Quartic of a chart-frame tensor T in the library's
+    search frame F (analysis._whitened)."""
+    return analysis._Quartic(analysis._whitened(T, F), 0, blocks, pair, absolute)
+
+
+def chart_quartic(T: np.ndarray, white: np.ndarray, blocks: int, pair: bool = False,
+                  absolute: bool = False):
+    """The analysis._Quartic of a chart-frame tensor T under a real
+    whitening with chart rows y = x white, such as white = L^-1 from
+    cholesky_frame: T pulled back through white^T on every slot."""
+    S = analysis._pair_symmetrized(_each_slot(T, white.T))
+    return analysis._Quartic(S, 0, blocks, pair, absolute)
 
 
 def j_folded_ref(r: np.ndarray) -> np.ndarray:

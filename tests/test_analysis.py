@@ -27,8 +27,8 @@ from hermicurv.field import catalog_source
 from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
                                  holo_sectional, riemann_sectional)
 from oracles import (bivector_form_ref, chart_quartic, cholesky_frame, cone_sign_ref,
-                     frame_jet, j_folded_ref, minimax_ref, pair_hermitian_ref, pauli_form_ref,
-                     product_metric, riemannian_fd, sample_admissible_points)
+                     frame_quartic, j_folded_ref, minimax_ref, pair_hermitian_ref, pauli_form_ref,
+                     product_metric, riemannian_fd, sample_admissible_points, unitary_frame)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -384,12 +384,12 @@ def test_gap_probe_deterministic():
 
 
 def _search_cases(geom):
-    """name -> (quartic, independent objective).
+    """name -> (quartic, independent objective at its whitened states).
 
     The independent objectives are the search objectives written out
     directly on chart states, without the real 4-tensors the engine
-    folds them into or the whitening it searches in; the quartics search
-    in the Cholesky frame of g."""
+    folds them into, and read at the chart states x L^-1 of the whitened
+    ones; the quartics search in the Cholesky frame of g."""
     g, r, kr = geom.rjet.g, geom.rc, geom.kr
     n = geom.n
     m = 2 * n
@@ -427,7 +427,7 @@ def _search_cases(geom):
         return np.einsum("ijkl,Bi,Bj,Bk,Bl->B", T, U, V, V, U)
 
     Q = chart_quartic
-    return {
+    cases = {
         "generic_pair": (Q(T, white, 2, pair=True), generic),
         "generic_two_sphere": (Q(T, white, 2), generic),
         "sectional": (Q(r, white, 2, pair=True), sectional),
@@ -437,6 +437,11 @@ def _search_cases(geom):
         "gap": (Q(analysis._gap_tensor(r, kr), white, 2, pair=True, absolute=True), gap),
     }
 
+    def charted(objective):
+        return lambda X: objective((X.reshape(-1, m) @ white).reshape(X.shape))
+
+    return {case: (q, charted(objective)) for case, (q, objective) in cases.items()}
+
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -444,10 +449,7 @@ def test_search_gradients_match_finite_differences(name, n):
     m = catalog_metric(name, n)
     geom = geometry_at(m, sample_admissible_points(m, 1, seed=31)[0])
     rng = np.random.default_rng(37)
-    for case, (q, objective) in _search_cases(geom).items():
-
-        def value(X):
-            return objective(q.chart(X))
+    for case, (q, value) in _search_cases(geom).items():
 
         def derivatives(X):
             # those of the rescaled problem, back in the metric's units
@@ -473,38 +475,34 @@ def test_search_gradients_match_finite_differences(name, n):
         assert np.all(err <= bound), (case, err)
 
 
-def test_projectors_map_zero_rows_to_unit_vectors(geom):
+def test_projectors_map_rows_to_orthonormal_chart_states(geom):
+    # whitened states retract to orthonormal pairs and unit vectors, which
+    # the chart maps of the library frame (_chart) and of a Cholesky
+    # whitening take to g-orthonormal pairs and g-unit, h-unit vectors
     g = geom("hopf", [0.3 + 0.1j, -0.2 + 0.05j])
-    gm, H = g.rjet.g, g.jet.h
-    X = np.zeros((2, 8))
-    X[1] = np.arange(1.0, 9.0)
+    gm, H, F, white = g.rjet.g, g.jet.h, g.jet.frame, cholesky_frame(g.rjet.g)
+    X = np.stack([np.arange(1.0, 9.0), np.cos(np.arange(8.0))])
+    charts = (lambda x: analysis._chart(F, x),
+              lambda x: (x.reshape(-1, 4) @ white).reshape(x.shape))
     P = analysis._retract(X, 4, True)
-    for white in (analysis._whitening(g.jet)[0], cholesky_frame(gm)):
-        q = chart_quartic(np.zeros((4,) * 4), white, 2, pair=True)
-        for row in (P, q.chart(P)):
-            for x in row:
-                U, V = x[:4], x[4:]
-                metric = np.eye(4) if row is P else gm
-                assert U @ metric @ U == pytest.approx(1.0, abs=1e-12)
-                assert V @ metric @ V == pytest.approx(1.0, abs=1e-12)
-                assert U @ metric @ V == pytest.approx(0.0, abs=1e-12)
-    # a partner parallel to U falls back to a unit vector orthogonal to U
-    Y = analysis._retract(np.concatenate([X[1:, :4], X[1:, :4]], axis=1), 4, True)[0]
-    assert Y[4:] @ Y[4:] == pytest.approx(1.0, abs=1e-12)
-    assert Y[:4] @ Y[4:] == pytest.approx(0.0, abs=1e-12)
+    for row in (P, *(chart(P) for chart in charts)):
+        for x in row:
+            U, V = x[:4], x[4:]
+            metric = np.eye(4) if row is P else gm
+            assert U @ metric @ U == pytest.approx(1.0, abs=1e-12)
+            assert V @ metric @ V == pytest.approx(1.0, abs=1e-12)
+            assert U @ metric @ V == pytest.approx(0.0, abs=1e-12)
 
-    S = analysis._retract(np.zeros((2, 4)), 4, False)
+    S = analysis._retract(X[:, :4], 4, False)
     assert np.einsum("Bi,Bi->B", S, S) == pytest.approx([1.0, 1.0], abs=1e-12)
-    C = q.chart(S)
-    assert np.einsum("Bi,ij,Bj->B", C, gm, C) == pytest.approx([1.0, 1.0], abs=1e-12)
-
-    # rows of two [Re z, Im z] blocks, the first zero, become h-unit pairs
-    W = q.chart(analysis._retract(
-        np.tile([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0], (2, 1)), 4, False))
-    Z = W.reshape(-1, 4)[:, :2] + 1j * W.reshape(-1, 4)[:, 2:]
-    assert np.einsum("ab,Ba,Bb->B", H, Z, Z.conj()).real == pytest.approx([1.0] * 4, abs=1e-12)
-    # the zero block becomes e_1 in whitened coordinates, a multiple of e_1 in the chart
-    assert np.all(W[:, 1:4] == 0.0)
+    for chart in charts:
+        C = chart(S)
+        assert np.einsum("Bi,ij,Bj->B", C, gm, C) == pytest.approx([1.0, 1.0], abs=1e-12)
+        # rows of two [Re z, Im z] blocks become h-unit pairs
+        W = chart(analysis._retract(X, 4, False))
+        Z = W.reshape(-1, 4)[:, :2] + 1j * W.reshape(-1, 4)[:, 2:]
+        assert np.einsum("ab,Ba,Bb->B", H, Z, Z.conj()).real == pytest.approx([1.0] * 4,
+                                                                              abs=1e-12)
 
 
 def _stats_ok(s, restarts):
@@ -796,8 +794,9 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
                 bis.holo_best_value, rel=1e-12, abs=1e-12)
 
         T = analysis._gap_tensor(r, kr)
-        gap = Q(T, analysis._whitening(geom.jet)[0], 2, pair=True, absolute=True)
+        gap = frame_quartic(T, geom.jet.frame, 2, pair=True, absolute=True)
         x, value, converged, _ = analysis._exact(gap, "max")
+        x = analysis._chart(geom.jet.frame, x)
         # a gap tensor of rounding noise, which the probe does not refine,
         # is no quadratic form on bivectors
         noise = np.max(np.abs(analysis._pair_symmetrized(T))) <= 1e-12 * geom.scale
@@ -891,34 +890,33 @@ def test_form_maps_match_their_builders():
 
 
 def _holomorphic_cases(n):
-    """(kr, r, jet): the catalog at n, four points each, then random
-    pair-Hermitian kr under random h (frame_jet), with r None."""
+    """(kr, r, F): the catalog at n, four points each, then random
+    pair-Hermitian kr under random h and its unitary frame, with r None."""
     for name in CATALOG_NAMES:
         m = catalog_metric(name, n)
         for p in sample_admissible_points(m, 4, seed=59):
             geom = geometry_at(m, p)
-            yield geom.kr, geom.rc, geom.jet
+            yield geom.kr, geom.rc, geom.jet.frame
     rng = np.random.default_rng(59 + n)
     for _ in range(12):
         kr = pair_hermitian_ref(rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4))
         Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        yield kr, None, frame_jet(Z @ Z.conj().T + 0.5 * np.eye(n))
+        yield kr, None, unitary_frame(Z @ Z.conj().T + 0.5 * np.eye(n))
 
 
 def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
     # B, H and H_R read from the complex tensors in the unitary frame of h
     # (_holomorphic), on random unit states zeta and omega, against the
-    # real-tensor problems pulled back through L^-T, valued at the same
-    # whitened states: at n = 2 through _PAULI_MAP, beyond as the Newton
-    # engine's problems on the frame tensor's real part; and F zeta is the
-    # chart vector that L^-1 gives
+    # real-tensor problems read through the real form of F (_whitened),
+    # valued at the same whitened states: at n = 2 through _PAULI_MAP,
+    # beyond as the Newton engine's problems on the frame tensor's real
+    # part; and F zeta is the chart vector that _chart gives
     rng = np.random.default_rng(67)
-    Q = chart_quartic
+    Q = frame_quartic
     eps = np.finfo(float).eps
     for n in (2, 3, 4, 6):
         m = 2 * n
-        for kr, r, jet in _holomorphic_cases(n):
-            white, F = analysis._whitening(jet)
+        for kr, r, F in _holomorphic_cases(n):
             zeta, omega = (rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
                            for _ in range(2))
             zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
@@ -927,14 +925,14 @@ def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
             K = analysis._real_chern(kr)
             xi = zeta @ F.T
             charted = np.concatenate([xi.real, xi.imag], axis=1)
-            assert np.abs(Q(K, white, 1).chart(X[:, :m]) - charted).max() <= (
+            assert np.abs(analysis._chart(F, X[:, :m]) - charted).max() <= (
                 8 * eps * np.abs(charted).max())
             form = analysis._holomorphic(kr, F)
-            reads = [("B", form, Q(K.transpose(0, 2, 3, 1), white, 2), X),
-                     ("H", form, Q(K, white, 1), X[:, :m])]
+            reads = [("B", form, Q(K.transpose(0, 2, 3, 1), F, 2), X),
+                     ("H", form, Q(K, F, 1), X[:, :m])]
             if r is not None:
                 G, e = analysis._holomorphic(r, analysis._frame(n).conj().T[:, :n] @ F)
-                reads.append(("H_R", (G, e - 2), Q(j_folded_ref(r), white, 1), X[:, :m]))
+                reads.append(("H_R", (G, e - 2), Q(j_folded_ref(r), F, 1), X[:, :m]))
             for what, (G, e), ref, states in reads:
                 if n == 2:
                     # (1, x) with x the Bloch vector zeta^H sigma zeta
@@ -947,7 +945,7 @@ def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
                     # the sums of (2n)^4 terms round to a few eps of max|S|
                     S = analysis._real_chern(G)
                     S = S.transpose(0, 2, 3, 1) if what == "B" else S
-                    q = analysis._Quartic(analysis._pair_symmetrized(S), e, white, ref.dim // m)
+                    q = analysis._Quartic(analysis._pair_symmetrized(S), e, ref.dim // m)
                     new = q.value(states)
                     bound = 16 * eps * np.ldexp(np.abs(ref.S).max(), ref.exp)
                 assert np.abs(new - ref.value(states)).max() <= bound, (n, what)
@@ -969,7 +967,7 @@ def test_plain_thorpe_form_bounds_the_n3_sectional_extremes():
         m = catalog_metric(name, 3)
         for p in sample_admissible_points(m, 2, seed=41):
             geom = geometry_at(m, p)
-            q = chart_quartic(geom.rc, analysis._whitening(geom.jet)[0], 2, pair=True)
+            q = frame_quartic(geom.rc, geom.jet.frame, 2, pair=True)
             M = -4.0 / 3.0 * alpha.T @ q.S.reshape(36, 36) @ alpha
             lo, hi = np.ldexp(np.linalg.eigvalsh(M)[[0, -1]], q.exp)
             for mode, bound in (("max", hi), ("min", lo)):
@@ -1171,7 +1169,7 @@ def test_bisectional_route_matches_dense_sampling_on_random_tensors():
     draws = rng.standard_normal((4, 100_000, 2))
     eps = np.finfo(float).eps
     for k, (T, h, planted) in enumerate(cases):
-        F = analysis._whitening(frame_jet(h))[1]
+        F = unitary_frame(h)
         kr = _kr_of_pauli_form(T, F)
         # read in the unitary frame of h, kr's form is T again
         form = analysis._holomorphic(kr, F)
@@ -1184,8 +1182,8 @@ def test_bisectional_route_matches_dense_sampling_on_random_tensors():
                  * np.einsum("Ba,ab,Bb->B", eta, h, eta.conj()).real)
         sampled = _kr_form(kr, xi, xi, eta, eta).real / norms
         for sign, mode in ((1.0, "max"), (-1.0, "min")):
-            start = analysis._minimax(sign * (A + A.T), analysis._CONE)
-            x, value, converged, stats = analysis._finsler(form, F, mode, start)
+            start = A, analysis._minimax(sign * (A + A.T), analysis._CONE)
+            x, value, converged, stats = analysis._finsler(form, mode, start)
             polished = analysis._multistart(newton, 64, k, mode)[1]
             ref = sign * max(sign * polished, np.max(sign * sampled))
             if planted is not None and mode == "max":
@@ -1193,7 +1191,7 @@ def test_bisectional_route_matches_dense_sampling_on_random_tensors():
             assert converged and stats.iterations <= 4 * analysis._MINIMAX_STEPS
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (k, mode, value, ref)
             # the witness is a pair of h-unit vectors with that value
-            pair = to_holomorphic(x.reshape(2, 4))
+            pair = to_holomorphic(analysis._chart(F, x).reshape(2, 4))
             assert holo_bisectional(kr, h, *pair) == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 

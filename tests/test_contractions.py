@@ -392,12 +392,93 @@ def test_search_tensors_are_read_in_the_search_frame():
                      ("analysis", "_real_chern"), ("connection", "induced_real_connection")]
     tensors = [name for f in files for name in quartic_tensors(f.read_text(), f.name)]
     assert tensors and set(tensors) <= {"_whitened", "_pair_symmetrized"}
-    source = ("q = _Quartic(_whitened(T, white[1]), 0, white, 2, pair=True)\n"
-              "def f(T):\n    return analysis._Quartic(T, 0, white, 1)\n"
-              "_Quartic(\n    _pair_symmetrized(_real_chern(G)), e, white, 1)\n"
-              "_Quartic(S=_whitened(T, inverse), exp=0)\n"
-              "_Quartic(np.asarray(T), 0, white, 1)\n")
+    source = ("q = _Quartic(_whitened(T, F), 0, 2, pair=True)\n"
+              "def f(T):\n    return analysis._Quartic(T, 0, 1)\n"
+              "_Quartic(\n    _pair_symmetrized(_real_chern(G)), e, 1)\n"
+              "_Quartic(S=_whitened(T, F), exp=0)\n"
+              "_Quartic(np.asarray(T), 0, 1)\n")
     assert quartic_tensors(source) == ["_whitened", None, "_pair_symmetrized", None, "asarray"]
+
+
+# The joins that could write the block form [[Re M, Im M], [-Im M, Re M]]
+# by hand, from real and imaginary parts
+JOINS = {"concatenate", "block", "hstack", "vstack", "stack"}
+
+
+def _reads_parts(node, names) -> bool:
+    """Whether node reads a .real or .imag attribute or a name in names."""
+    return any(isinstance(s, ast.Attribute) and s.attr in ("real", "imag")
+               or isinstance(s, ast.Name) and s.id in names for s in ast.walk(node))
+
+
+def block_form_writers(source: str, filename: str = "<src>") -> list:
+    """The outermost function, None at module level, around each
+    np.negative call that reads or writes an .imag part and each join of
+    .real or .imag parts, read directly or through names that the same
+    function binds to them, in line order."""
+    found = []
+    for top in ast.parse(source, filename).body:
+        nodes = list(ast.walk(top))
+        names = {t.id for a in nodes if isinstance(a, ast.Assign) and _reads_parts(a.value, ())
+                 for target in a.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        for c in sorted((c for c in nodes if isinstance(c, ast.Call)), key=lambda c: c.lineno):
+            name = _called_name(c)
+            if (name == "negative" and _reads_parts(c, ("imag",))
+                    or name in JOINS and any(_reads_parts(a, names) for a in c.args)):
+                found.append(getattr(top, "name", None))
+    return found
+
+
+# Where the search layer reads its frame, and the position of the frame
+FRAME_READERS = {"_chart": 0, "_whitened": 1, "_holomorphic": 1}
+
+
+def real_whitenings(source: str, filename: str = "<src>") -> list:
+    """The line of each _block_form call outside _chart and _whitened, the
+    two readers that build the real form of the frame they take, and of
+    each frame reader call whose frame reads neither a name F nor a
+    .frame attribute: the ways a search could take a real whitening."""
+    tree = ast.parse(source, filename)
+    inside = [(f.lineno, f.end_lineno) for f in tree.body
+              if isinstance(f, ast.FunctionDef) and f.name in ("_chart", "_whitened")]
+    found = []
+    for c in ast.walk(tree):
+        if not isinstance(c, ast.Call):
+            continue
+        name, k = _called_name(c), FRAME_READERS.get(_called_name(c))
+        if name == "_block_form" and not any(a <= c.lineno <= b for a, b in inside):
+            found.append(c.lineno)
+        elif k is not None and len(c.args) > k and not any(
+                isinstance(s, ast.Name) and s.id == "F" or isinstance(s, ast.Attribute)
+                and s.attr == "frame" for s in ast.walk(c.args[k])):
+            found.append(c.lineno)
+    return sorted(found)
+
+
+def test_only_core_writes_the_block_form():
+    """core._block_form writes every [[Re, Im], [-Im, Re]] block form, apart
+    from the first slot of curvature.complexify_curvature, and the
+    searches take only the jet's complex frame F: its real form is built
+    inside the two readers that take F, never passed around."""
+    files = sorted(SRC.glob("*.py"))
+    found = [(f.stem, name) for f in files for name in block_form_writers(f.read_text(), f.name)]
+    assert found == [("core", "_block_form"), ("curvature", "complexify_curvature")]
+    assert real_whitenings((SRC / "analysis.py").read_text()) == []
+    source = ("def _whitening(jet):\n    F = jet.frame\n    re, im = F.real.T, F.imag.T\n"
+              "    return np.concatenate([np.concatenate([re, im], 1),\n"
+              "                           np.concatenate([-im, re], 1)])\n"
+              "def f(M, out):\n    np.negative(M.imag, out=out[..., n:, :n])\n"
+              "    np.negative(a, out=b)\n    return np.concatenate([a, b.T])\n"
+              "x = np.concatenate([xi.real, xi.imag])\n"
+              "def g(r, t):\n    np.negative(r[n:], out=t.imag)\n")
+    assert block_form_writers(source) == ["_whitening"] * 3 + ["f", None, "g"]
+    source = ("def _chart(F, x):\n    return x @ _block_form(F.conj()).T\n"
+              "def _whitening(jet):\n    return _block_form(jet.frame.T)\n"
+              "q = _whitened(T, geom.jet.frame)\n"
+              "y = _chart(inverse, x)\n"
+              "G = _holomorphic(r, _frame(n).conj().T[:, :n] @ F)\n"
+              "S = _whitened(\n    T, white)\n")
+    assert real_whitenings(source) == [4, 6, 8]
 
 
 def test_form_maps_are_read_only_constants_built_at_import():
