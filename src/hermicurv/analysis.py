@@ -55,7 +55,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -313,21 +313,19 @@ def _pair_symmetrized(T: np.ndarray) -> np.ndarray:
     return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
 
 
-@_in_range("curvature scale out of the floating-point range: the search's whitened "
-           "tensor is not finite")
 def _whitened(T: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The pair-symmetrized T read through the real form of F on every
-    slot: S at whitened states x is T at their chart states _chart(F, x)."""
-    return _pair_symmetrized(_each_slot(T, _block_form(F.conj())))
+    """T read through the real form of F on every slot: T at whitened
+    states x is T at their chart states _chart(F, x)."""
+    return _each_slot(T, _block_form(F.conj()))
 
 
 class _Quartic:
     """One search problem: f = S(U, V, V, U) 2^exp, or its absolute value
     with absolute, on whitened states X of dim = blocks * m reals,
-    U = X[:, :m], V = X[:, -m:] (U = V = Y on one block), for S
-    pair-symmetrized and read in the search frame (_whitened, or the real
-    part of a _holomorphic read), and a constraint: unit blocks, or an
-    orthonormal pair with pair.
+    U = X[:, :m], V = X[:, -m:] (U = V = Y on one block), and a
+    constraint: unit blocks, or an orthonormal pair with pair.  S is the
+    tensor T it takes, read in the search frame (_whitened or _real_chern),
+    pair-symmetrized, which leaves f unchanged; a T not finite there raises.
 
     With S rescaled by _unit_power, its power added to exp, the Euclidean
     gradient is gu = 2 S(., V, V, U), gv = 2 S(U, ., V, U), and the
@@ -338,14 +336,21 @@ class _Quartic:
     and value is f times 2^exp, in the metric's units.
     """
 
-    def __init__(self, S: np.ndarray, exp: int, blocks: int, pair: bool = False,
+    def __init__(self, T: np.ndarray, exp: int, blocks: int, pair: bool = False,
                  absolute: bool = False):
-        self.S, e = _unit_power(S)
+        self.S, e = self._unit_tensor(T)
         self.exp = exp + e
-        self.m = S.shape[0]
+        self.m = T.shape[0]
         self.dim = blocks * self.m
         self.pair = pair
         self.absolute = absolute
+
+    @staticmethod
+    @_in_range("curvature scale out of the floating-point range: the search's whitened "
+               "tensor is not finite")
+    def _unit_tensor(T: np.ndarray):
+        """(S, e): T pair-symmetrized, then rescaled by _unit_power."""
+        return _unit_power(_pair_symmetrized(T))
 
     # S with its slots reordered for the Hessian blocks: read only by
     # derivatives, so a problem an exact route solves never builds them
@@ -842,11 +847,12 @@ class ExtremalResult:
     n = 2: _exact for K, _unit_extreme for H_R and H, _finsler for B)
     converged when its witness reproduces the global extremum within
     _WITNESS_TOL.  n_restarts counts the restarts each search ran: the
-    requested ones at n >= 3, none at n = 2.  best_plane is g-orthonormal
-    and holo_best_vector g-unit (h-unit for the bisectional search).
-    search and holo_search count the work of the two searches.  The bisectional
-    search also reports the optimizing vector pair and how aligned it is
-    (|h(xi, eta)| for unit vectors, 1 means proportional).
+    requested ones at n >= 3, none at n = 2.  search and holo_search count
+    the work of the two searches.  A sectional search reports a
+    g-orthonormal best_plane and a g-unit holo_best_vector; a bisectional
+    one h-unit vectors, holo_best_vector and the pair best_pair, with
+    pair_alignment |h(xi, eta)| (1 means proportional).  The fields a
+    search does not report are None.
     """
 
     mode: str
@@ -856,7 +862,7 @@ class ExtremalResult:
     converged: bool
     hypothesis_sign: str
     n_restarts: int
-    best_plane: Plane
+    best_plane: Plane | None
     holo_best_vector: np.ndarray
     applicable: bool
     search: SearchStats
@@ -867,25 +873,33 @@ class ExtremalResult:
 
 
 def _extremal(mode: str, restarts: int, geom, found, holo_found, hypothesis_sign: str,
-              symmetric: bool) -> ExtremalResult:
+              symmetric: bool, holomorphic: bool = False) -> ExtremalResult:
     """The ExtremalResult at geom's point from its two searches' results,
     (whitened state, value, converged, stats) each: found over orthonormal
-    pairs or two unit vectors, holo_found over one unit vector; their
-    witnesses charted by _chart, their oriented gap, and gap_ok.
+    pairs or, with holomorphic, two unit vectors, holo_found over one unit
+    vector; their witnesses charted by _chart, as a plane or, with
+    holomorphic, as (1, 0) vectors, their oriented gap, and gap_ok.
     applicable needs symmetric and a sign the mode is covered for.
     """
     best_x, best_value, converged, stats = found
     best_y, holo_value, holo_conv, holo_stats = holo_found
     F = geom.jet.frame
+    best, holo_best = _chart(F, best_x), _chart(F, best_y)
+    plane = pair = alignment = None
+    if holomorphic:
+        pair, holo_best = tuple(to_holomorphic(best.reshape(2, -1))), to_holomorphic(holo_best)
+        alignment = abs(hermitian_pairing(geom.jet.h, *pair))
+    else:
+        plane = Plane(*np.split(best, 2))
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
     applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
     hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats
     return ExtremalResult(
         mode=mode,
         best_value=best_value,
-        best_plane=Plane(*np.split(_chart(F, best_x), 2)),
+        best_plane=plane,
         holo_best_value=holo_value,
-        holo_best_vector=_chart(F, best_y),
+        holo_best_vector=holo_best,
         n_restarts=0 if geom.n == 2 else restarts,  # at n = 2 no search restarts
         converged=converged and holo_conv,
         gap=gap,
@@ -893,8 +907,8 @@ def _extremal(mode: str, restarts: int, geom, found, holo_found, hypothesis_sign
         applicable=applicable,
         search=stats,
         holo_search=holo_stats,
-        best_pair=None,
-        pair_alignment=None,
+        best_pair=pair,
+        pair_alignment=alignment,
         gap_ok=not applicable or gap <= _GAP_TOL * (geom.scale * hi * hi),
     )
 
@@ -933,7 +947,7 @@ def extremal_sectional(metric: MetricDefinition, p, mode: str = "max",
         draws = plane.draw(np.random.default_rng(seed + 101), 1000)
         hypothesis_sign = _sign_label(plane.value(draws))
         found = _multistart(plane, restarts, seed, mode)
-        holo = _Quartic(_pair_symmetrized(_real_chern(G)), e - 2, 1)
+        holo = _Quartic(_real_chern(G), e - 2, 1)
         holo_found = _multistart(holo, restarts, seed + 1, mode)
     return _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, True)
 
@@ -967,18 +981,12 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     else:
         # B(zeta, omega) = K(U, U, V, V) and H(zeta) = K(Y, Y, Y, Y)
         K = _real_chern(G)
-        bis = _Quartic(_pair_symmetrized(K.transpose(0, 2, 3, 1)), e, 2)
-        holo = _Quartic(_pair_symmetrized(K), e, 1)
+        bis = _Quartic(K.transpose(0, 2, 3, 1), e, 2)
+        holo = _Quartic(K, e, 1)
         found = _multistart(bis, restarts, seed, mode)
         holo_found = _multistart(holo, restarts, seed + 1, mode)
-    res = _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, symmetric)
-    xi, eta = to_holomorphic(np.stack([res.best_plane.u, res.best_plane.v]))
-    return replace(
-        res,
-        holo_best_vector=to_holomorphic(res.holo_best_vector),
-        best_pair=(xi, eta),
-        pair_alignment=abs(hermitian_pairing(geom.jet.h, xi, eta)),
-    )
+    return _extremal(mode, restarts, geom, found, holo_found, hypothesis_sign, symmetric,
+                     holomorphic=True)
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,9 @@ def _load_metric(source: str, n: int):
 
 
 def _fields(rec, *drop) -> dict:
-    """A result record's fields in declaration order, without those named."""
-    return {key: val for key, val in vars(rec).items() if key not in drop}
+    """A result record's fields in declaration order, without those named
+    and those that are None."""
+    return {key: val for key, val in vars(rec).items() if key not in drop and val is not None}
 
 
 def _each_point(points, entry):
@@ -337,9 +338,7 @@ def _cmd_extremal(args, metric, points):
     def entry(k, p):
         res = search(metric, p, mode=args.mode, restarts=args.restarts, seed=args.seed + k)
         result = {"point": p, "target": args.target, **_fields(res, "search", "holo_search")}
-        if res.best_pair is None:
-            del result["best_pair"], result["pair_alignment"]
-        else:
+        if res.best_pair is not None:
             result["best_pair"] = {"xi": res.best_pair[0], "eta": res.best_pair[1]}
         return result, res.gap_ok
 

@@ -6,7 +6,8 @@ Normalizations.  For a real 2-plane spanned by u, v:
                R(u,v,v,u) / (g(u,u) g(v,v) - g(u,v)^2)
     K_D(u, v)  the analogous quantity for the induced metric connection,
                whose numerator is a quadratic form in the canonical
-               curvature (chern_quadratic_form below); its denominator
+               curvature, -Re kr[a,b,g,d] W[a,b] W[g,d] / 2 with
+               W = xi eta~ - eta xi~ (chern_sectional); its denominator
                equals the Riemannian one
 
 and for holomorphic tangent vectors:
@@ -18,6 +19,13 @@ where a tilde marks a conjugated slot.  The identity suite evaluates the
 classical relations between R, kr, and the complexified tensor at one
 point and reports absolute residuals; which of them are expected to
 vanish depends on whether the metric is Kahler, so the caller interprets.
+
+The two universal identities compare r with cx = complexify_curvature(r),
+the same numbers in two frames: they check the frame conversion and the
+contractions, not the route that computed r.  The route checks are the
+curvature command's cross-check (the haha block straight from the jet,
+complexified_11_direct, against cx) and the Kahler-only identities, r
+against kr.  Gray's residual, the hhhh block of cx, checks r's structure.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _holo_comps, _in_range, _real_comps, apply_j, to_holomorphic
+from .core import _holo_comps, _real_comps, apply_j, to_holomorphic
 from .curvature import ComplexifiedCurvature
 from .errors import DegeneratePlaneError, DimensionMismatch, HermicurvError
 from .field import RealMetricJet
@@ -36,7 +44,6 @@ from .field import RealMetricJet
 __all__ = [
     "Plane",
     "riemann_sectional",
-    "chern_quadratic_form",
     "chern_sectional",
     "holo_sectional",
     "holo_bisectional",
@@ -148,21 +155,6 @@ def riemann_sectional(r: np.ndarray, rjet: RealMetricJet, plane: Plane) -> float
     w, _, nonzero = _unit_rows((plane.u, plane.v), float)
     gram, P = _gram(rjet.g, w, nonzero)
     return -float(P[1] @ r.reshape(P.shape[1], -1) @ P[1]) / gram
-
-
-@_in_range("metric scale out of the floating-point range: the form overflows")
-def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
-    """The numerator of K_D: a real quadratic pairing in kr.
-
-    Equal to half the kr contraction against W ox conj(W) with
-    W = xi eta~ - eta xi~, real because kr is pair-Hermitian, which
-    curvature.chern_curvature makes exact: the value is the real part,
-    its imaginary part contraction rounding.  The form is taken on xi and
-    eta rescaled by _unit_rows, and its value is scaled back through
-    ldexp.
-    """
-    w, e, _ = _unit_rows((xi, eta), complex)
-    return float(np.ldexp((_w_form(kr, w[0], w[1]) / 2).real, 2 * (e[0] + e[1])))
 
 
 def chern_sectional(kr: np.ndarray, h, plane: Plane) -> float:

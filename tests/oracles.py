@@ -51,7 +51,9 @@ alone (evaluate_matrix) and a seeded sampler of admissible points over
 it, block-diagonal products of catalog metrics (product_metric), the
 real jet of a metric at a point, the symbolic Wirtinger
 derivative of one expression, the torsion and curvature pairing of
-the induced real connection, connection.induced_real_connection, the
+the induced real connection, connection.induced_real_connection, and the
+quadratic form in kr that the pairing matches, the numerator of K_D on
+two holomorphic vectors (chern_quadratic_form), the
 real coordinates of a holomorphic vector and back (to_real, from_reals),
 the Gram determinant of a real span (plane_gram), the largest of the
 Kahler-only identity residuals (kahler_max), and one expression parsed
@@ -71,7 +73,8 @@ from hermicurv.core import (ChartPoint, _chain, _each_slot, _frame, _holo_comps,
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
                               InadmissiblePointError)
-from hermicurv.sectional import IdentityResiduals, Plane, _form, _gram, _kr_form, _unit_rows
+from hermicurv.sectional import (IdentityResiduals, Plane, _form, _gram, _kr_form, _unit_rows,
+                                 _w_form)
 from hermicurv.field import (MetricJet, RealMetricJet, _as_point, _checked_inverse, jet_at,
                              real_jet_from_complex)
 
@@ -302,6 +305,13 @@ def induced_curvature_pairing(conn: InducedRealConnection, rjet: RealMetricJet, 
     return float(_form(curv, rjet.g @ v, u, v, u))
 
 
+def chern_quadratic_form(kr: np.ndarray, xi, eta) -> float:
+    """The numerator of K_D on xi and eta, -Re kr[a,b,g,d] W[a,b] W[g,d] / 2
+    with W = xi eta~ - eta xi~: sectional._w_form on one pair, real up to
+    the contraction's rounding because kr is pair-Hermitian."""
+    return float((_w_form(kr, _holo_comps(xi), _holo_comps(eta)) / 2).real)
+
+
 def fd_oracle_jet(metric: MetricDefinition, p, step: float | None = None) -> MetricJet:
     """Jet by central finite differences in the real coordinates.
 
@@ -436,8 +446,7 @@ def chart_quartic(T: np.ndarray, white: np.ndarray, blocks: int, pair: bool = Fa
     """The analysis._Quartic of a chart-frame tensor T under a real
     whitening with chart rows y = x white, such as white = L^-1 from
     cholesky_frame: T pulled back through white^T on every slot."""
-    S = analysis._pair_symmetrized(_each_slot(T, white.T))
-    return analysis._Quartic(S, 0, blocks, pair, absolute)
+    return analysis._Quartic(_each_slot(T, white.T), 0, blocks, pair, absolute)
 
 
 def j_folded_ref(r: np.ndarray) -> np.ndarray:

@@ -33,10 +33,9 @@ from hermicurv.cli import run_main
 from hermicurv.connection import induced_real_connection, real_christoffel
 from hermicurv.curvature import chern_curvature
 from hermicurv.dsl import MetricDefinition
-from hermicurv.sectional import chern_quadratic_form
 
-from oracles import (chern_torsion, fd_oracle_jet, induced_curvature_pairing, kahler_max,
-                     parse_expression, sample_admissible_points, unparse)
+from oracles import (chern_quadratic_form, chern_torsion, fd_oracle_jet, induced_curvature_pairing,
+                     kahler_max, parse_expression, sample_admissible_points, unparse)
 from test_dsl import _fd_wirtinger, _random_expression
 
 

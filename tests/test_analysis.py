@@ -24,11 +24,12 @@ from hermicurv import (
 from hermicurv import analysis
 from hermicurv.core import hermitian_pairing
 from hermicurv.field import catalog_source
-from hermicurv.sectional import (_kr_form, _w_form, chern_quadratic_form, holo_bisectional,
-                                 holo_sectional, riemann_sectional)
-from oracles import (bivector_form_ref, chart_quartic, cholesky_frame, cone_sign_ref,
-                     frame_quartic, j_folded_ref, minimax_ref, pair_hermitian_ref, pauli_form_ref,
-                     product_metric, riemannian_fd, sample_admissible_points, unitary_frame)
+from hermicurv.sectional import (_kr_form, _w_form, holo_bisectional, holo_sectional,
+                                 riemann_sectional)
+from oracles import (bivector_form_ref, chart_quartic, chern_quadratic_form, cholesky_frame,
+                     cone_sign_ref, frame_quartic, j_folded_ref, minimax_ref, pair_hermitian_ref,
+                     pauli_form_ref, product_metric, riemannian_fd, sample_admissible_points,
+                     unitary_frame)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -945,7 +946,7 @@ def test_holomorphic_forms_match_the_real_tensor_routes_state_by_state():
                     # the sums of (2n)^4 terms round to a few eps of max|S|
                     S = analysis._real_chern(G)
                     S = S.transpose(0, 2, 3, 1) if what == "B" else S
-                    q = analysis._Quartic(analysis._pair_symmetrized(S), e, ref.dim // m)
+                    q = analysis._Quartic(S, e, ref.dim // m)
                     new = q.value(states)
                     bound = 16 * eps * np.ldexp(np.abs(ref.S).max(), ref.exp)
                 assert np.abs(new - ref.value(states)).max() <= bound, (n, what)

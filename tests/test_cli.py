@@ -214,7 +214,7 @@ def test_probe_command(capsys):
 
 PLANE_12 = '{"u": [1, 0, 0, 0], "v": [0, 1, 0, 0]}'
 EXTREMAL_KEYS = ["point", "target", "mode", "best_value", "holo_best_value", "gap", "converged",
-                 "hypothesis_sign", "n_restarts", "best_plane", "holo_best_vector", "applicable"]
+                 "hypothesis_sign", "n_restarts"]
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -225,9 +225,11 @@ EXTREMAL_KEYS = ["point", "target", "mode", "best_value", "holo_best_value", "ga
     (["sectional", "--plane", PLANE_12], ["point", "planes"]),
     (["identities", "--samples", "2"], ["point", "max_residuals", "samples", "universal_ok",
                                         "tol"]),
-    (["extremal", "--restarts", "2"], EXTREMAL_KEYS + ["gap_ok"]),
+    (["extremal", "--restarts", "2"],
+     EXTREMAL_KEYS + ["best_plane", "holo_best_vector", "applicable", "gap_ok"]),
+    # a bisectional result names its vector pair once, as best_pair
     (["extremal", "--restarts", "2", "--target", "bisectional"],
-     EXTREMAL_KEYS + ["best_pair", "pair_alignment", "gap_ok"]),
+     EXTREMAL_KEYS + ["holo_best_vector", "applicable", "best_pair", "pair_alignment", "gap_ok"]),
     (["lu", "--samples", "20"], ["point", "applicable", "symmetry_residual", "symmetry_passed",
                                  "hypothesis_sign", "hypothesis_holds", "violations",
                                  "worst_margin", "samples", "ok"]),

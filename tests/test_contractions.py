@@ -282,10 +282,10 @@ def test_package_runs_on_numpy_1():
 
 
 def callers(source: str, names, filename: str = "<src>") -> list:
-    """The outermost function around each call of a function named in
-    names, in line order, None at module level."""
+    """The outermost function or class around each call of a function
+    named in names, in line order, None at module level."""
     tree = ast.parse(source, filename)
-    defs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.ClassDef))]
     lines = sorted(node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Call) and _called_name(node) in names)
     return [next((f.name for f in defs if f.lineno <= k <= f.end_lineno), None) for k in lines]
@@ -368,36 +368,69 @@ def test_the_metric_is_factored_once_per_op(monkeypatch, n):
 
 
 def quartic_tensors(source: str, filename: str = "<src>") -> list:
-    """The name of the call that each call of a function named _Quartic
-    takes as its first positional argument, in line order; None where
-    that argument is missing or no call."""
-    calls = sorted((node for node in ast.walk(ast.parse(source, filename))
-                    if isinstance(node, ast.Call) and _called_name(node) == "_Quartic"),
-                   key=lambda node: node.lineno)
-    return [_called_name(c.args[0]) if c.args and isinstance(c.args[0], ast.Call) else None
-            for c in calls]
+    """The read behind the first positional argument of each call of a
+    function named _Quartic, in line order: the name of the call it is,
+    or of the call behind the name or .transpose it reads, through the
+    names the same outermost function (or the module) binds; None where
+    the argument is missing or reads no call."""
+    found = []
+    for top in ast.parse(source, filename).body:
+        nodes = list(ast.walk(top))
+        bound = {}
+        for a in sorted((a for a in nodes if isinstance(a, ast.Assign)), key=lambda a: a.lineno):
+            for t in a.targets:
+                if isinstance(t, ast.Name):
+                    bound[t.id] = (a.lineno, a.value)
+
+        def read(node, line):
+            if isinstance(node, ast.Name) and node.id in bound and bound[node.id][0] < line:
+                return read(bound[node.id][1], line)
+            if not isinstance(node, ast.Call):
+                return None
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "transpose":
+                return read(node.func.value, line)
+            return _called_name(node)
+
+        found += [(c.lineno, read(c.args[0], c.lineno) if c.args else None)
+                  for c in nodes if isinstance(c, ast.Call) and _called_name(c) == "_Quartic"]
+    return [name for _, name in sorted(found)]
+
+
+# The reads that give a tensor in the search frame
+SEARCH_FRAME_READS = {"_whitened", "_real_chern"}
 
 
 def test_search_tensors_are_read_in_the_search_frame():
     """The four-slot products stay in the frame readers: the pull-back
-    through L^-T and the frame read of the searches, the real Chern
-    tensor and the induced connection.  _Quartic takes its tensor in the
-    whitened frame and pulls nothing back, so each of its problems is
-    built on a _whitened tensor or a pair-symmetrized frame read; a chart
-    tensor passed there would give wrong extremes without an error."""
+    through the real form of F and the frame read of the searches, the
+    real Chern tensor and the induced connection.  _Quartic takes its
+    tensor in the whitened frame, pair-symmetrizes it itself and pulls
+    nothing back, so each of its problems is built on a _whitened read or
+    the real part of a frame read (_real_chern), directly or through a
+    name or transpose bound to one; a chart tensor passed there would
+    give wrong extremes without an error.  The probe's noise gate is the
+    one other caller of _pair_symmetrized."""
     files = sorted(SRC.glob("*.py"))
     found = [(f.stem, name) for f in files
              for name in callers(f.read_text(), {"_each_slot"}, f.name)]
     assert found == [("analysis", "_whitened"), ("analysis", "_holomorphic"),
                      ("analysis", "_real_chern"), ("connection", "induced_real_connection")]
     tensors = [name for f in files for name in quartic_tensors(f.read_text(), f.name)]
-    assert tensors and set(tensors) <= {"_whitened", "_pair_symmetrized"}
+    assert tensors and set(tensors) <= SEARCH_FRAME_READS, tensors
+    found = [(f.stem, name) for f in files
+             for name in callers(f.read_text(), {"_pair_symmetrized"}, f.name)]
+    assert found == [("analysis", "_Quartic"), ("analysis", "chern_gap_probe")]
     source = ("q = _Quartic(_whitened(T, F), 0, 2, pair=True)\n"
               "def f(T):\n    return analysis._Quartic(T, 0, 1)\n"
-              "_Quartic(\n    _pair_symmetrized(_real_chern(G)), e, 1)\n"
+              "def g(G):\n    K = _real_chern(G)\n"
+              "    a = _Quartic(\n        K.transpose(0, 2, 3, 1), e, 2)\n"
+              "    return a, _Quartic(K, e, 1)\n"
               "_Quartic(S=_whitened(T, F), exp=0)\n"
-              "_Quartic(np.asarray(T), 0, 1)\n")
-    assert quartic_tensors(source) == ["_whitened", None, "_pair_symmetrized", None, "asarray"]
+              "_Quartic(np.asarray(T), 0, 1)\n"
+              "def h(r, kr):\n    T = _gap_tensor(r, kr)\n    return _Quartic(T, 0, 2)\n"
+              "def k(G):\n    q = _Quartic(K, e, 1)\n    K = _real_chern(G)\n")
+    assert quartic_tensors(source) == ["_whitened", None, "_real_chern", "_real_chern", None,
+                                       "asarray", "_gap_tensor", None]
 
 
 # The joins that could write the block form [[Re M, Im M], [-Im M, Re M]]

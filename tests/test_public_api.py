@@ -44,7 +44,7 @@ PUBLIC = {
         "jet_at", "real_jet_from_complex",
     ],
     "hermicurv.sectional": [
-        "Plane", "riemann_sectional", "chern_quadratic_form", "chern_sectional",
+        "Plane", "riemann_sectional", "chern_sectional",
         "holo_sectional", "holo_bisectional", "IdentityResiduals", "identity_suite",
     ],
     "hermicurv.tape": None,
