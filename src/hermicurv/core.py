@@ -117,12 +117,19 @@ def _frame(n: int) -> np.ndarray:
     return P
 
 
-def _chain(d: np.ndarray, axis: int) -> np.ndarray:
+def _chain(d: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """P^T along one axis: the d/dx^k derivatives, k < 2n, from an array
-    whose axis holds the d/dz derivatives, then the d/dzbar ones."""
+    whose axis holds the d/dz derivatives, then the d/dzbar ones, written
+    into out (d's shape, complex) when given.  Each half is one write:
+    d/dx^a = dz + dzb, then d/dx^{n+a} = (dz - dzb) * 1j in place, the
+    bits of 1j * (dz - dzb) since complex products commute exactly."""
     n, lead = d.shape[axis] // 2, (slice(None),) * axis
-    dz, dzb = d[lead + (slice(None, n),)], d[lead + (slice(n, None),)]
-    return np.concatenate([dz + dzb, 1j * (dz - dzb)], axis)
+    lo, hi = lead + (slice(None, n),), lead + (slice(n, None),)
+    out = np.empty(d.shape, complex) if out is None else out
+    np.add(d[lo], d[hi], out=out[lo])
+    y = np.subtract(d[lo], d[hi], out=out[hi])
+    y *= 1j
+    return out
 
 
 def _block_form(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

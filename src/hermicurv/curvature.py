@@ -115,24 +115,25 @@ def real_curvature(rjet: RealMetricJet, rchris: RealChristoffel) -> np.ndarray:
 
     r[i,j,k,l] = V[i,j,k,l] - V[i,j,l,k], antisymmetric in (k, l) bit
     for bit, with V[i,j,k,l] = (d2g[i,k,j,l] + d2g[j,l,i,k]) / 2 +
-    P[j,l,i,k], its second-derivative part read from two transposed views
-    of d2g[k, l, i, j].  P[j,l,i,k] = br[j,l,s] g_inv[s,t] br[i,k,t] from
+    P[j,l,i,k], P[j,l,i,k] = br[j,l,s] g_inv[s,t] br[i,k,t] from
     brackets br[j, k, s] and their raised form rchris.gamma[i,k,s] =
-    g_inv[s,t] br[i,k,t], computed once by real_christoffel: a single
-    (m^2, m) @ (m, m^2) product gives P, O(m^5) in all.  P is written
-    into the buffer that becomes r, and V - V^T over it once V has read
-    P, so r and V are the only m^4 arrays built.
+    g_inv[s,t] br[i,k,t], computed once by real_christoffel.  Every
+    array is kept in V's (i, k), (j, l) layout, W[i,k,j,l] = V[i,j,k,l]:
+    the second-derivative part is (D + D^T) / 2 for d2g viewed as the
+    (m^2, m^2) matrix D, written into the buffer that becomes r, and the
+    single (m^2, m) @ (m, m^2) product gamma br^T gives P already in that
+    layout, O(m^5) in all.  Then r = W[i,k,j,l] - W[i,l,j,k] in one
+    subtract, so r and W are the only m^4 arrays built.
     """
-    d2g = rjet.d2g
-    m = d2g.shape[0]
+    m = rjet.d2g.shape[0]
+    D = rjet.d2g.reshape(m * m, m * m)
     r = np.empty((m, m, m, m))
-    X = rchris.gamma.reshape(m * m, m)
-    np.matmul(rchris.brackets.reshape(m * m, m), X.T, out=r.reshape(m * m, m * m))
-    V = d2g.transpose(0, 2, 1, 3).copy()
-    V += d2g.transpose(2, 0, 3, 1)
-    V /= 2
-    V += r.transpose(2, 0, 3, 1)
-    return np.subtract(V, V.transpose(0, 1, 3, 2), out=r)
+    S = np.add(D, D.T, out=r.reshape(m * m, m * m))
+    S /= 2
+    W = rchris.gamma.reshape(m * m, m) @ rchris.brackets.reshape(m * m, m).T
+    W += S
+    W = W.reshape(m, m, m, m)
+    return np.subtract(W.transpose(0, 2, 1, 3), W.transpose(0, 2, 3, 1), out=r)
 
 
 def complexify_curvature(r: np.ndarray) -> ComplexifiedCurvature:

@@ -41,6 +41,7 @@ and the frame, through the square root, for even k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,25 +166,34 @@ def _as_point(p, n: int) -> ChartPoint:
 
 
 def _checked_inverse(H: np.ndarray):
-    if not np.all(np.isfinite(H)):
+    """(h_inv, cond, frame) from the one eigh of h, after the checks
+    jet_at documents.  One max|h| serves the finiteness check and the
+    Hermitian tolerance: it is finite unless an entry is, or a finite
+    entry's modulus overflows, which only then needs the entrywise check.
+    The positivity and condition checks read the extreme eigenvalues as
+    Python floats, and the conjugated eigenvectors serve h_inv and F."""
+    scale = float(np.abs(H).max())
+    if not scale < math.inf and not np.isfinite(H).all():
         raise SingularMetricError("metric is numerically singular (non-finite entries)")
-    if np.abs(H - H.conj().T).max() > 1e-12 * np.abs(H).max():
+    if np.abs(H - H.conj().T).max() > 1e-12 * scale:
         raise ValueError("metric value is not Hermitian")
     w, V = np.linalg.eigh(H)
-    if w[0] <= 0.0:
+    lo, hi = float(w[0]), float(w[-1])
+    if lo <= 0.0:
         raise InadmissiblePointError(
-            f"metric is not positive definite here (min eigenvalue {w[0]:.3e})"
+            f"metric is not positive definite here (min eigenvalue {lo:.3e})"
         )
-    cond = float(w[-1] / w[0])
+    cond = hi / lo
     # written so that a NaN condition number counts as singular too
     if not cond <= MAX_CONDITION:
         raise SingularMetricError(f"metric is numerically singular (condition {cond:.3e})")
+    Vc = V.conj()
     # a subnormal h has a fine condition number and an infinite inverse
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        h_inv = (V / w) @ V.conj().T
+        h_inv = (V / w) @ Vc.T
     if not np.isfinite(h_inv).all():
         raise SingularMetricError("metric is numerically singular (non-finite inverse)")
-    return h_inv, cond, V.conj() / np.sqrt(w)
+    return h_inv, cond, Vc / np.sqrt(w)
 
 
 def jet_at(metric: MetricDefinition, p) -> MetricJet:
@@ -213,20 +223,21 @@ def real_jet_from_complex(jet: MetricJet) -> RealMetricJet:
     """Assemble g = Re h and its x-derivatives from a Wirtinger jet.
 
     The slices run in the Wirtinger jet's order: H, then dH[k], then
-    d2H[k, l] row by row, their block forms (core._block_form) written
-    into one real array of shape (1 + 2n + 4n^2, 2n, 2n); g_inv is the
-    block form of h_inv.  The jets of jet_at are Hermitian by
-    construction, and jet_at checks the value.
+    d2H[k, l] row by row.  The chain rule writes them into one complex
+    stack of shape (1 + 2n + 4n^2, n, n), and one core._block_form call
+    writes its real array; g, dg and d2g are views of that array, and
+    g_inv is the block form of h_inv.  The jets of jet_at are Hermitian
+    by construction, and jet_at checks the value.
     """
     n, m = jet.n, 2 * jet.n
 
     # d/dx^k is P^T along each derivative axis (core._chain); the inner
     # chain runs over the second derivative index, the outer over the first
-    first = np.concatenate([jet.h[None], _chain(jet.dh, 0)])
-    d2H = _chain(_chain(jet.d2h, 1), 0).reshape(m * m, n, n)
+    stack = np.empty((1 + m + m * m, n, n), complex)
+    stack[0] = jet.h
+    _chain(jet.dh, 0, stack[1:1 + m])
+    _chain(_chain(jet.d2h, 1), 0, stack[1 + m:].reshape(m, m, n, n))
 
-    real = np.empty((1 + m + m * m, m, m))
-    _block_form(first, real[:1 + m])
-    _block_form(d2H, real[1 + m:])
+    real = _block_form(stack)
     return RealMetricJet(real[0], _block_form(jet.h_inv), real[1:1 + m],
                          real[1 + m:].reshape(m, m, m, m))

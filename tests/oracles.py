@@ -68,7 +68,7 @@ import numpy as np
 
 from hermicurv import analysis, dsl, field, tape
 from hermicurv.connection import InducedRealConnection, induced_real_connection
-from hermicurv.core import (ChartPoint, _chain, _each_slot, _frame, _holo_comps, _real_comps,
+from hermicurv.core import (ChartPoint, _each_slot, _frame, _holo_comps, _real_comps,
                             hermitian_pairing, to_holomorphic)
 from hermicurv.dsl import MetricDefinition
 from hermicurv.errors import (DegeneratePlaneError, DimensionMismatch, DslEvalError, HermicurvError,
@@ -806,6 +806,14 @@ def interned_tape_ref(metric: MetricDefinition) -> tuple:
     return code, roots, lower, scheduled, schedule
 
 
+def chain_ref(d: np.ndarray, axis: int) -> np.ndarray:
+    """core._chain as two halves concatenated: dz + dzb, then
+    1j * (dz - dzb), along the axis."""
+    n, lead = d.shape[axis] // 2, (slice(None),) * axis
+    dz, dzb = d[lead + (slice(None, n),)], d[lead + (slice(n, None),)]
+    return np.concatenate([dz + dzb, 1j * (dz - dzb)], axis)
+
+
 def real_jet_ref(jet: MetricJet) -> RealMetricJet:
     """field.real_jet_from_complex in its interleaved form: the slices in
     the order H, dH[0], d2H[0, :], dH[1], d2H[1, :], ..., the real blocks
@@ -813,10 +821,10 @@ def real_jet_ref(jet: MetricJet) -> RealMetricJet:
     n = jet.n
     m = 2 * n
 
-    # d/dx^k is P^T along each derivative axis (core._chain); the inner
+    # d/dx^k is P^T along each derivative axis (chain_ref); the inner
     # chain runs over the second derivative index, the outer over the first
-    dH = _chain(jet.dh, 0)
-    d2H = _chain(_chain(jet.d2h, 1), 0)
+    dH = chain_ref(jet.dh, 0)
+    d2H = chain_ref(chain_ref(jet.d2h, 1), 0)
 
     # stack[0] = H; stack[1 + k(1 + m)] = dH[k]; stack[2 + k(1 + m) + l] = d2H[k, l]
     per_k = np.concatenate([dH[:, None], d2H], axis=1)

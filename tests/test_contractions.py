@@ -130,7 +130,7 @@ def test_staged_contractions_match_references_without_symmetries(n):
     _check_forms(r, _cplx(rng, n, n, n, n), rng)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
 def test_real_curvature_keeps_the_staged_bits_and_exact_antisymmetry(n):
     rng = np.random.default_rng(30 + n)
     m = 2 * n
@@ -271,14 +271,51 @@ def numpy2_calls(source: str, filename: str = "<src>") -> list:
                        and kw.value.value is None for kw in node.keywords))]
 
 
+def _private(path: str) -> bool:
+    """Whether a dotted path from numpy passes through a private part."""
+    root, *parts = path.split(".")
+    return root in ("numpy", "np") and any(p[:1] == "_" and p[:2] != "__" for p in parts)
+
+
+def private_numpy(source: str, filename: str = "<src>") -> list:
+    """The line of each import of a private numpy module or name, such as
+    numpy.linalg._umath_linalg or numpy._core, and of each attribute chain
+    from np or numpy through one.  Their names and signatures change
+    between releases, so they would break the numpy 1.24 floor."""
+    lines = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            paths = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            paths = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            paths = [".".join([base.id, *reversed(chain)])] if isinstance(base, ast.Name) else []
+        else:
+            continue
+        if any(map(_private, paths)):
+            lines.add(node.lineno)
+    return [f"{filename}:{k}" for k in sorted(lines)]
+
+
 def test_package_runs_on_numpy_1():
     files = sorted(SRC.glob("*.py"))
     assert files
     assert [v for f in files for v in numpy2_calls(f.read_text(), f.name)] == []
+    assert [v for f in files for v in private_numpy(f.read_text(), f.name)] == []
     source = ("np.vecdot(a, b)\nx @ y\nnp.linalg.matvec(\n    A, x)\nvecmat(x, A)\n"
               "np.array(x, dtype=float, copy=None)\nnp.array(x, copy=False)\n"
               "a.astype(float, copy=None)\n")
     assert numpy2_calls(source) == ["<src>:1", "<src>:3", "<src>:5", "<src>:6", "<src>:8"]
+    source = ("import numpy.linalg._umath_linalg as ul\nimport numpy as np\n"
+              "from numpy._core import multiarray\nfrom numpy.core._multiarray_umath import c\n"
+              "from numpy.linalg import _umath_linalg, eigh\nw = np.linalg._umath_linalg.eigh_lo(h)\n"
+              "v = np.__version__\nfrom numpy import linalg\nimport numpy._core\nself._x.y\n")
+    assert private_numpy(source) == ["<src>:1", "<src>:3", "<src>:4", "<src>:5", "<src>:6",
+                                     "<src>:9"]
 
 
 def callers(source: str, names, filename: str = "<src>") -> list:

@@ -9,7 +9,7 @@ import pytest
 
 from hermicurv import ChartPoint, DimensionMismatch, HermicurvError, apply_j, to_holomorphic
 from hermicurv.core import _chain, _frame, _in_range, hermitian_pairing
-from oracles import from_reals, to_real
+from oracles import chain_ref, from_reals, to_real
 
 
 def test_chart_point_round_trip():
@@ -127,6 +127,12 @@ def test_chain_is_the_frame_transpose_along_one_axis(axis):
     d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.moveaxis(np.tensordot(_frame(n).T, d, (1, axis)), 0, axis)
     np.testing.assert_allclose(_chain(d, axis), want, rtol=0, atol=1e-14)
+    # the halves written in place keep the concatenated form's bits, into a
+    # view of a larger array too
+    assert _chain(d, axis).tobytes() == chain_ref(d, axis).tobytes()
+    out = np.zeros((2,) + d.shape, complex)
+    _chain(d, axis, out[1])
+    assert out[1].tobytes() == chain_ref(d, axis).tobytes() and not out[0].any()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hermicurv"

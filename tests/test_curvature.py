@@ -228,7 +228,7 @@ def test_every_complexified_block_matches_the_complex_coordinate_route(name, n):
 
 
 def test_real_curvature_and_real_jet_build_few_m4_arrays():
-    # the traced peak of each call, in (2n)^4 floats, at hopf n = 6: r and V
+    # the traced peak of each call, in (2n)^4 floats, at hopf n = 6: r and W
     # are real_curvature's only m^4 arrays (3.68 when P, S and V were), and
     # real_jet_from_complex writes d2H's quadrants without a stacked copy
     # (2.46 with one); numpy reports its buffers to tracemalloc

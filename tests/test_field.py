@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,35 @@ def test_jet_at_error_paths(p, error, message):
         jet_at(m, np.array(p))
 
 
+_BASE = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+_BIG = 1e308 * (1 + 1j)
+
+
+@pytest.mark.parametrize("H, error, message", [
+    ([[1, np.nan], [np.nan, 1]], SingularMetricError, "(non-finite entries)"),
+    ([[1, np.inf], [np.inf, 1]], SingularMetricError, "(non-finite entries)"),
+    # finite entries whose modulus overflows reach eigh
+    ([[1, _BIG], [np.conj(_BIG), 1]], InadmissiblePointError,
+     "is not positive definite here (min eigenvalue -1.414e+308)"),
+    (_BASE * 2.0**-1070, SingularMetricError, "(non-finite inverse)"),
+    ([[1e-320, 0], [0, 1e-320]], SingularMetricError, "(non-finite inverse)"),
+    ([[np.nextafter(1e12, np.inf), 0], [0, 1]], SingularMetricError, "(condition 1.000e+12)"),
+    ([[1, 0.5], [0.5 + 1e-11, 1]], ValueError, "metric value is not Hermitian"),
+])
+def test_checked_inverse_edges(H, error, message):
+    with pytest.raises(error) as info:
+        _checked_inverse(np.array(H, dtype=complex))
+    assert type(info.value) is error and str(info.value).endswith(message)
+
+
+@pytest.mark.parametrize("H, cond", [(_BASE * 2.0**-1000, 3.0), ([[1e12, 0], [0, 1]], 1e12),
+                                     ([[1, 0.5], [0.5 + 1e-13, 1]], 3.0000000000008002)])
+def test_checked_inverse_accepts_its_edges(H, cond):
+    H = np.array(H, dtype=complex)
+    h_inv, c, _ = _checked_inverse(H)
+    assert c == cond and np.isfinite(h_inv).all()
+
+
 def test_checked_inverse_rejects_asymmetric():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="metric value is not Hermitian"):
@@ -257,6 +288,28 @@ def test_real_jet_matches_interleaved_reference_bit_for_bit(name, n):
     metric = catalog_metric(name, n)
     for p in sample_admissible_points(metric, 2, seed=n):
         jet = jet_at(metric, p)
+        new, ref = real_jet_from_complex(jet), real_jet_ref(jet)
+        for field in ("g", "dg", "d2g"):
+            a, b = getattr(new, field), getattr(ref, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_real_jet_matches_interleaved_reference_on_random_jets(n):
+    # random jets with the conjugation symmetry of jet_at's, so that the
+    # reference's Hermitian check passes, and h positive definite
+    rng = np.random.default_rng(50 + n)
+    swap = np.r_[n:2 * n, :n]
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for _ in range(3):
+        A, dh, d2h = cplx(n, n), cplx(2 * n, n, n), cplx(2 * n, 2 * n, n, n)
+        h = A @ A.conj().T + n * np.eye(n)
+        dh = (dh + dh[swap].conj().transpose(0, 2, 1)) / 2
+        d2h = (d2h + d2h[swap][:, swap].conj().transpose(0, 1, 3, 2)) / 2
+        jet = SimpleNamespace(n=n, h=h, h_inv=np.linalg.inv(h), dh=dh, d2h=d2h)
         new, ref = real_jet_from_complex(jet), real_jet_ref(jet)
         for field in ("g", "dg", "d2g"):
             a, b = getattr(new, field), getattr(ref, field)
