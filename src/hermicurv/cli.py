@@ -6,7 +6,8 @@ on one platform.  The timing_sec field is the one exception and is
 documented as excluded from determinism comparisons.  Each per-point
 pass/fail rule compares a residual with a fixed constant times the
 point's engine.PointGeometry.scale, in this module for curvature and
-identities, in analysis for the rest.  Exit codes: 0 success, 1 a
+identities, in analysis for the rest; lu's ok (not applicable, or no
+violation) is set in _cmd_lu.  Exit codes: 0 success, 1 a
 semantic check failed, 2 usage or input error, or a request too large
 for memory (an error object is emitted instead of a partial report).
 """

@@ -132,13 +132,13 @@ def _chain(d: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _block_form(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """[[Re M, Im M], [-Im M, Re M]] for complex M (..., n, n), written into
-    out (..., 2n, 2n) when given: the real matrix of z -> z M on rows
-    (Re z, Im z), so the block form of h is g, and that of conj(F) maps
-    columns (Re zeta, Im zeta) to (Re F zeta, Im F zeta)."""
+def _block_form(M: np.ndarray) -> np.ndarray:
+    """[[Re M, Im M], [-Im M, Re M]] for complex M (..., n, n): the real
+    matrix of z -> z M on rows (Re z, Im z), so the block form of h is g,
+    and that of conj(F) maps columns (Re zeta, Im zeta) to
+    (Re F zeta, Im F zeta)."""
     n = M.shape[-1]
-    out = np.empty(M.shape[:-2] + (2 * n, 2 * n)) if out is None else out
+    out = np.empty(M.shape[:-2] + (2 * n, 2 * n))
     out[..., :n, :n] = M.real
     out[..., :n, n:] = M.imag
     np.negative(M.imag, out=out[..., n:, :n])

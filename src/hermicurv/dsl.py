@@ -259,10 +259,10 @@ def _tokenize(source: str) -> list:
 
 
 class _Parser:
-    def __init__(self, tokens, n_vars=None):
+    def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
-        self.n_vars = n_vars  # None: only positivity of indices is checked
+        self.n_vars = None  # until _parse_entries reads dim, only index positivity is checked
 
     def peek(self) -> _Token:
         return self.toks[self.i]

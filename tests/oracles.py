@@ -183,7 +183,8 @@ def kahler_max(res: IdentityResiduals) -> float:
 def parse_expression(source: str, n: int | None = None) -> dsl.Node:
     """Parse one expression with the library's parser; n, when given,
     bounds the variable indices as a metric's dimension does."""
-    p = dsl._Parser(dsl._tokenize(source), n)
+    p = dsl._Parser(dsl._tokenize(source))
+    p.n_vars = n
     node = p.top_expr()
     t = p.peek()
     if t.kind != "EOF":
@@ -447,6 +448,12 @@ def chart_quartic(T: np.ndarray, white: np.ndarray, blocks: int, pair: bool = Fa
     whitening with chart rows y = x white, such as white = L^-1 from
     cholesky_frame: T pulled back through white^T on every slot."""
     return analysis._Quartic(_each_slot(T, white.T), 0, blocks, pair, absolute)
+
+
+def pair_symmetrized_ref(T: np.ndarray) -> np.ndarray:
+    """T averaged over swapping slots 1 and 4 and slots 2 and 3, as
+    analysis._Quartic takes its tensor: T(u, v, v, u) is unchanged."""
+    return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
 
 
 def j_folded_ref(r: np.ndarray) -> np.ndarray:

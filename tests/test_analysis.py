@@ -28,8 +28,8 @@ from hermicurv.sectional import (_kr_form, _w_form, holo_bisectional, holo_secti
                                  riemann_sectional)
 from oracles import (bivector_form_ref, chart_quartic, chern_quadratic_form, cholesky_frame,
                      cone_sign_ref, frame_quartic, j_folded_ref, minimax_ref, pair_hermitian_ref,
-                     pauli_form_ref, product_metric, riemannian_fd, sample_admissible_points,
-                     unitary_frame)
+                     pair_symmetrized_ref, pauli_form_ref, product_metric, riemannian_fd,
+                     sample_admissible_points, unitary_frame)
 
 P0 = ChartPoint(np.array([0.05 + 0.1j, -0.1 + 0.02j]))
 
@@ -799,8 +799,10 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
         x, value, converged, _ = analysis._exact(gap, "max")
         x = analysis._chart(geom.jet.frame, x)
         # a gap tensor of rounding noise, which the probe does not refine,
-        # is no quadratic form on bivectors
-        noise = np.max(np.abs(analysis._pair_symmetrized(T))) <= 1e-12 * geom.scale
+        # is no quadratic form on bivectors: the probe's gate, on the
+        # search tensor against the scale in the units of a curvature
+        hi = np.max(np.abs(geom.jet.h_inv))
+        noise = np.ldexp(np.max(np.abs(gap.S)), gap.exp) <= 1e-12 * (geom.scale * hi) * hi
         assert converged or noise
         agree(value, Q(T, white, 2, pair=True, absolute=True), "max", "|K - K_D|")
         plane = Plane(x[:4], x[4:])
@@ -881,7 +883,7 @@ def test_form_maps_match_their_builders():
             S = rng.standard_normal(shape)
             if kind is complex:
                 S = S + 1j * rng.standard_normal(shape)
-            S = np.ascontiguousarray(analysis._pair_symmetrized(S)) * 10.0 ** rng.uniform(-3, 3)
+            S = np.ascontiguousarray(pair_symmetrized_ref(S)) * 10.0 ** rng.uniform(-3, 3)
             bound = 8 * eps * np.max(np.abs(S))
             assert np.abs(analysis._formed(M, S) - build(S)).max() <= bound, name
         units = np.eye(32 if kind is complex else 256)

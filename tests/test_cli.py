@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -663,6 +664,25 @@ def test_malformed_metric_file_exit_2(tmp_path, capsys):
     assert re.search(r"line 2, column \d+", rep["error"]["message"])
 
 
+@pytest.mark.parametrize("source, kind, message", [
+    ("dim x;", "DslSyntaxError", "line 1, column 5: expected an integer, found 'x'"),
+    ("dim 1;\nh[a,1] = 1;", "DslSyntaxError", "line 2, column 3: expected an integer, found 'a'"),
+    ("dim 1;\nh[1,1] = 1 + z1^z1;", "DslSyntaxError",
+     "line 2, column 17: expected an integer exponent, found 'z1'"),
+    ("dim 1;\nx = 1;", "DslSyntaxError",
+     "line 2, column 1: expected an entry 'h[a,b] = ...;', found 'x'"),
+    ("dim 1;\nh[1,1] = 2 + 0^-1;", "DslEvalError", "zero raised to a negative power"),
+    ("dim 1;\nh[1,1] = 2 + log(0);", "DslEvalError", "log of 0"),
+    ("dim 1;\nh[1,1] = 2 + exp(1000);", "DslEvalError", "exp failed: math range error"),
+], ids=["dim", "index", "exponent", "entry", "pow", "log", "exp"])
+def test_metric_source_errors_exit_2(tmp_path, capsys, source, kind, message):
+    f = tmp_path / "bad.metric"
+    f.write_text(source)
+    code, rep = run(capsys, "classify", "--metric", str(f), "--point", "[[0.1,0.2]]")
+    assert code == 2
+    assert rep["error"] == {"type": kind, "message": message}
+
+
 def test_dimension_mismatch_exit_2(tmp_path, capsys):
     f = tmp_path / "line.metric"
     f.write_text("dim 1;\nh[1,1] = 1;\n")
@@ -1103,6 +1123,23 @@ def test_module_entry_point_subprocess():
     assert rep["results"][0]["kahler"] is True
 
 
+def test_console_script_is_cli_main():
+    # tier 1 runs from the source tree, so the installed script is checked
+    # through its declaration and the module's __main__ block
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"hermicurv": "hermicurv.cli:main"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermicurv.cli", "classify", "--metric", "fubini_study",
+         "--point", FS_POINT],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert '"ok": true' in proc.stdout
+
+
 def test_parser_keeps_no_state_between_calls(capsys):
     plane = '{"u": [1, 0, 0, 0], "v": [0, 1, 0, 0]}'
     code, rep = run(capsys, "sectional", "--metric", "fubini_study",
@@ -1192,10 +1229,18 @@ def test_non_finite_array_elements_raise(bad):
     big.reshape(-1)[-1] = bad
     single = np.array([complex(1.0, bad)])
     scalar = np.array(bad)
-    for arr in (big, big.astype(complex), single, scalar, single.reshape(())):
+    # float scalars, numpy's and Python's, take the scalar branch
+    for arr in (big, big.astype(complex), single, scalar, single.reshape(()), [1.0, float(bad)],
+                np.float32(bad)):
         for render in (render_report, render_report_ref):
             with pytest.raises(HermicurvError, match="^non-finite number in report$"):
                 render({"a": arr})
+
+
+def test_unknown_types_raise():
+    for obj, name in ((object(), "object"), ({1.0}, "set")):
+        with pytest.raises(HermicurvError, match=f"^cannot serialize {name} into a report$"):
+            render_report({"a": obj})
 
 
 def test_float_arrays_skip_the_element_path(monkeypatch):

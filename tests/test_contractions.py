@@ -13,7 +13,10 @@ fresh array.  The guard parses the source, so calls that span several
 lines are seen whole; it also keeps every einsum out of the curvature
 and sectional modules, every numpy 2 API out of the package, and every
 matrix inverse and Cholesky factor too: the metric is factored once per
-op, which a count of numpy.linalg's calls on it checks.
+op, which a count of numpy.linalg's calls on it checks.  A last guard
+keeps private parameters in use: every defaulted parameter of a private
+function, method or class constructor is passed by some call in the
+package.
 """
 
 import ast
@@ -433,6 +436,37 @@ def quartic_tensors(source: str, filename: str = "<src>") -> list:
     return [name for _, name in sorted(found)]
 
 
+def slot_averages(source: str, filename: str = "<src>") -> list:
+    """The outermost function or class around each average of a 4-tensor
+    over slot swaps, in line order, None at module level: a sum of one
+    operand and its four-axis transposes, all added, then divided or
+    multiplied by something."""
+    tree = ast.parse(source, filename)
+    defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.ClassDef))]
+
+    def terms(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return terms(node.left) + terms(node.right)
+        return [node]
+
+    def swapped(term):
+        """(operand, whether term is a four-axis transpose of it)."""
+        if (isinstance(term, ast.Call) and isinstance(term.func, ast.Attribute)
+                and term.func.attr == "transpose" and len(term.args) == 4):
+            return ast.dump(term.func.value), True
+        return ast.dump(term), False
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.Mult)):
+            for side in (node.left, node.right):
+                read = [swapped(t) for t in terms(side)]
+                if len(read) > 1 and len({x for x, _ in read}) == 1 and any(s for _, s in read):
+                    lines.append(node.lineno)
+    return [next((f.name for f in defs if f.lineno <= k <= f.end_lineno), None)
+            for k in sorted(lines)]
+
+
 # The reads that give a tensor in the search frame
 SEARCH_FRAME_READS = {"_whitened", "_real_chern"}
 
@@ -445,8 +479,10 @@ def test_search_tensors_are_read_in_the_search_frame():
     nothing back, so each of its problems is built on a _whitened read or
     the real part of a frame read (_real_chern), directly or through a
     name or transpose bound to one; a chart tensor passed there would
-    give wrong extremes without an error.  The probe's noise gate is the
-    one other caller of _pair_symmetrized."""
+    give wrong extremes without an error.  _Quartic is also the one place
+    in the package that averages a 4-tensor over slot swaps: the probe's
+    noise gate reads the _Quartic the point's search takes, so no second
+    copy of a search tensor is pair-symmetrized in another frame."""
     files = sorted(SRC.glob("*.py"))
     found = [(f.stem, name) for f in files
              for name in callers(f.read_text(), {"_each_slot"}, f.name)]
@@ -454,9 +490,8 @@ def test_search_tensors_are_read_in_the_search_frame():
                      ("analysis", "_real_chern"), ("connection", "induced_real_connection")]
     tensors = [name for f in files for name in quartic_tensors(f.read_text(), f.name)]
     assert tensors and set(tensors) <= SEARCH_FRAME_READS, tensors
-    found = [(f.stem, name) for f in files
-             for name in callers(f.read_text(), {"_pair_symmetrized"}, f.name)]
-    assert found == [("analysis", "_Quartic"), ("analysis", "chern_gap_probe")]
+    found = [(f.stem, name) for f in files for name in slot_averages(f.read_text(), f.name)]
+    assert found == [("analysis", "_Quartic")]
     source = ("q = _Quartic(_whitened(T, F), 0, 2, pair=True)\n"
               "def f(T):\n    return analysis._Quartic(T, 0, 1)\n"
               "def g(G):\n    K = _real_chern(G)\n"
@@ -468,6 +503,15 @@ def test_search_tensors_are_read_in_the_search_frame():
               "def k(G):\n    q = _Quartic(K, e, 1)\n    K = _real_chern(G)\n")
     assert quartic_tensors(source) == ["_whitened", None, "_real_chern", "_real_chern", None,
                                        "asarray", "_gap_tensor", None]
+    source = ("class _Quartic:\n    def u(T):\n"
+              "        return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3)) / 4\n"
+              "def _pair_symmetrized(T):\n    return 0.5 * (T + T.transpose(3, 2, 1, 0))\n"
+              "def probe(q):\n    S = (q.S.transpose(3, 1, 2, 0) + q.S) * 0.5\n"
+              "    F = (F + F.T) / 2\n    s = (s + s.transpose(0, 2, 1)) / 2.0\n"
+              "    w = (K - K.transpose(0, 1, 3, 2)) / 2\n    v = (A + B.transpose(0, 1, 3, 2)) / 2\n"
+              "    return (T + T) / 2, K + K.transpose(1, 0, 3, 2)\n"
+              "x = (T + T.transpose(3, 2, 1, 0)) / 2\n")
+    assert slot_averages(source) == ["_Quartic", "_pair_symmetrized", "probe", None]
 
 
 # The joins that could write the block form [[Re M, Im M], [-Im M, Re M]]
@@ -589,3 +633,66 @@ def test_guard_sees_multiline_and_unplanned_contractions():
         "x @ y\n"
     )
     assert contraction_violations(good) == []
+
+
+
+def unpassed_defaults(sources) -> list:
+    """(name, parameter) for each defaulted parameter of a private function
+    or method, or of the constructor of a private class (named by the
+    class), that no call in sources passes, by position or by keyword.
+    Calls are matched by name; a starred argument passes every position
+    and a ** argument every keyword.  sources holds (filename, text)."""
+    trees = [ast.parse(text, name) for name, text in sources]
+    defaulted = []  # (called name, parameter, position in a call or None)
+    for tree in trees:
+        scopes = [(None, tree.body)] + [(c, c.body) for c in ast.walk(tree)
+                                         if isinstance(c, ast.ClassDef)]
+        for cls, body in scopes:
+            for f in body:
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                if cls is not None and f.name == "__init__" and cls.name.startswith("_"):
+                    name = cls.name
+                elif f.name.startswith("_") and not f.name.endswith("__"):
+                    name = f.name
+                else:
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in f.decorator_list)
+                bound = cls is not None and not static  # self or cls is not passed
+                params = f.args.posonlyargs + f.args.args
+                first = len(params) - len(f.args.defaults)
+                defaulted += [(name, a.arg, k - bound)
+                              for k, a in enumerate(params) if k >= first]
+                defaulted += [(name, a.arg, None) for a, d in
+                              zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    calls = [c for t in trees for c in ast.walk(t) if isinstance(c, ast.Call)]
+
+    def passes(call, param, k):
+        if k is not None and (len(call.args) > k
+                              or any(isinstance(a, ast.Starred) for a in call.args)):
+            return True
+        return any(kw.arg in (param, None) for kw in call.keywords)
+
+    return [(name, param) for name, param, k in defaulted
+            if not any(_called_name(c) == name and passes(c, param, k) for c in calls)]
+
+
+def test_every_private_default_is_passed_somewhere():
+    """A defaulted parameter of a private callable that no call in the
+    package passes is dead: its default is the only value it takes."""
+    files = sorted(SRC.glob("*.py"))
+    assert unpassed_defaults([(f.name, f.read_text()) for f in files]) == []
+    source = ("def _block_form(M, out=None):\n    pass\n"
+              "def _chain(d, axis, out=None):\n    pass\n"
+              "def public(a, b=1):\n    pass\n"
+              "def _kw(a, *, flag=False, other=0):\n    pass\n"
+              "def _star(a, b=0):\n    pass\n"
+              "class _Parser:\n    def __init__(self, tokens, n_vars=None):\n        pass\n"
+              "    def _step(self, k=1):\n        pass\n"
+              "    @staticmethod\n    def _unit(T, e=0):\n        pass\n"
+              "class Public:\n    def __init__(self, x=0):\n        pass\n"
+              "_block_form(M)\n_chain(d, 0, buf)\n_kw(1, flag=True)\n_star(*args)\n"
+              "p = _Parser(toks)\np._step(2)\n_Parser._unit(T, 3)\nPublic()\n")
+    assert unpassed_defaults([("<src>", source)]) == [
+        ("_block_form", "out"), ("_kw", "other"), ("_Parser", "n_vars")]

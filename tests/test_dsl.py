@@ -33,6 +33,8 @@ def test_precedence_and_associativity():
     assert dsl.evaluate(parse_expression("12 / 2 / 3"), p) == 2
     assert dsl.evaluate(parse_expression("2 * 3^2"), p) == 18
     assert dsl.evaluate(parse_expression("3^-1"), p) == pytest.approx(1 / 3)
+    # an explicit + on an exponent is its integer
+    assert parse_expression("(z1*zb1)^+2") == parse_expression("(z1*zb1)^2")
 
 
 def test_functions_principal_branch():
@@ -63,6 +65,28 @@ def test_syntax_errors():
     for src in ("dim 1;\nh[1,1] = 1 + z1*zb1*\u00b2;", "dim \u00b2;"):
         with pytest.raises(DslSyntaxError):
             parse_metric(src)
+
+
+def test_dividing_by_one_emits_no_instruction():
+    tapes = []
+    for src in ("z1*zb1/1", "z1*zb1"):
+        code = []
+        dsl._emit([parse_expression(src)], code, {})
+        tapes.append(code)
+    assert tapes[0] and tapes[0] == tapes[1]
+
+
+@pytest.mark.parametrize("src, kind, message", [
+    ("2 + 0^-1", "pow", "zero raised to a negative power"),
+    ("2 + log(0)", "call", "log of 0"),
+    ("2 + exp(1000)", "call", "exp failed: math range error"),
+])
+def test_failed_constant_folding_keeps_the_node_until_evaluation(src, kind, message):
+    node = parse_expression(src)
+    assert node.kind == "add" and node.children[1].kind == kind
+    with pytest.raises(DslEvalError) as exc:
+        dsl.evaluate(node, np.array([0j]))
+    assert str(exc.value) == message
 
 
 def test_variable_range_check():
@@ -308,6 +332,13 @@ def test_derivative_cache_returns_identical_nodes():
     m_ab = m.derivative(0, 0, (("z", 1), ("zb", 1)))
     m_ba = m.derivative(0, 0, (("zb", 1), ("z", 1)))
     assert m_ab is m_ba
+
+
+def test_derivative_kind_is_checked():
+    m = parse_metric(FS_1D)
+    with pytest.raises(DslError) as exc:
+        m.derivative(0, 0, (("x", 1),))
+    assert str(exc.value) == "derivative kind must be 'z' or 'zb', got 'x'"
 
 
 def test_metric_derivative_value():
