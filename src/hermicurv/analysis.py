@@ -44,8 +44,7 @@ Every flag derived from a point's tensors or searches (classify's
 curvature conditions, the symmetry verdict of lu and the bisectional
 search, lu's margins, gap_ok and the probe's noise gate) compares its
 residual, with <=, against a fixed constant times the point's one
-rounding scale, engine.PointGeometry.scale, the last two in the units of
-a curvature, (scale hi) hi with hi = max|h_inv| (_curvature_scale).
+rounding scale, engine.PointGeometry.scale.
 
 The CLI prints the result records field by field, so each record's field
 order is its report's key order.
@@ -341,12 +340,17 @@ class _Quartic:
         self.absolute = absolute
 
     @staticmethod
+    def pair_symmetrized(T: np.ndarray) -> np.ndarray:
+        """T averaged over swapping slots 1 and 4 and slots 2 and 3, which
+        leaves T(u, v, v, u) unchanged."""
+        return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
+
+    @classmethod
     @_in_range("curvature scale out of the floating-point range: the search's whitened "
                "tensor is not finite")
-    def _unit_tensor(T: np.ndarray):
-        """(S, e): T averaged over the slot swaps (1 4) and (2 3), rescaled by _unit_power."""
-        return _unit_power(
-            (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4)
+    def _unit_tensor(cls, T: np.ndarray):
+        """(S, e): T pair-symmetrized, then rescaled by _unit_power."""
+        return _unit_power(cls.pair_symmetrized(T))
 
     # S with its slots reordered for the Hessian blocks: read only by
     # derivatives, so a problem an exact route solves never builds them
@@ -868,11 +872,6 @@ class ExtremalResult:
     gap_ok: bool
 
 
-def _curvature_scale(geom) -> float:
-    hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats
-    return geom.scale * hi * hi
-
-
 def _extremal(mode: str, restarts: int, geom, found, holo_found, hypothesis_sign: str,
               symmetric: bool, holomorphic: bool = False) -> ExtremalResult:
     """The ExtremalResult at geom's point from its two searches' results,
@@ -894,6 +893,7 @@ def _extremal(mode: str, restarts: int, geom, found, holo_found, hypothesis_sign
         plane = Plane(*np.split(best, 2))
     gap = best_value - holo_value if mode == "max" else holo_value - best_value
     applicable = symmetric and hypothesis_sign in _COVERED_SIGNS[mode]
+    hi = float(np.max(np.abs(geom.jet.h_inv)))  # (scale hi) hi stays in the floats
     return ExtremalResult(
         mode=mode,
         best_value=best_value,
@@ -909,7 +909,7 @@ def _extremal(mode: str, restarts: int, geom, found, holo_found, hypothesis_sign
         holo_search=holo_stats,
         best_pair=pair,
         pair_alignment=alignment,
-        gap_ok=not applicable or gap <= _GAP_TOL * _curvature_scale(geom),
+        gap_ok=not applicable or gap <= _GAP_TOL * (geom.scale * hi * hi),
     )
 
 
@@ -998,9 +998,8 @@ class GapProbeReport:
     """Largest |K - K_D| found over planes at the given points.
 
     searches holds the work of the search, one entry per searched point.
-    A point whose gap tensor is rounding noise in a curvature's units (see
-    chern_gap_probe), as on a Kahler metric, is not searched and keeps the
-    largest gap of samples drawn planes.
+    A point whose gap tensor is rounding noise, as on a Kahler metric, is
+    not searched and keeps the largest gap of samples drawn planes.
     """
 
     max_gap: float
@@ -1033,20 +1032,20 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     search (_multistart) beyond.
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the search, which would only
-    refine noise: those whose search tensor q.S 2^q.exp, pair-symmetrized
-    by _Quartic, is at most 1e-12 (scale hi) hi entrywise, the point's
-    scale in the units of a curvature as for gap_ok (_curvature_scale).
-    Only they are valued on samples drawn planes.  A genuinely non-Kahler
-    metric yields a witness gap bounded away from zero.
+    refine noise: those whose gap tensor, pair-symmetrized in the chart
+    frame, where scale bounds its rounding, is at most 1e-12 times the
+    point's PointGeometry.scale.  Only they are valued on samples drawn
+    planes.  A genuinely non-Kahler metric yields a witness gap bounded
+    away from zero.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     best, per_point, searches = None, [], []
     for k, p in enumerate(points):
         geom = geometry_at(metric, p)
-        T = _whitened(_gap_tensor(geom.rc, geom.kr), geom.jet.frame)
-        q = _Quartic(T, 0, 2, pair=True, absolute=True)
-        if np.ldexp(np.max(np.abs(q.S)), q.exp) <= 1e-12 * _curvature_scale(geom):
+        T = _gap_tensor(geom.rc, geom.kr)
+        q = _Quartic(_whitened(T, geom.jet.frame), 0, 2, pair=True, absolute=True)
+        if np.max(np.abs(_Quartic.pair_symmetrized(T))) <= 1e-12 * geom.scale:
             sample = q.draw(np.random.default_rng(seed + k), samples)
             gaps = q.value(sample)
             point_best_x = sample[int(np.argmax(gaps))]

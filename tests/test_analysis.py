@@ -799,10 +799,8 @@ def test_exact_routes_match_a_64_restart_newton_search(name):
         x, value, converged, _ = analysis._exact(gap, "max")
         x = analysis._chart(geom.jet.frame, x)
         # a gap tensor of rounding noise, which the probe does not refine,
-        # is no quadratic form on bivectors: the probe's gate, on the
-        # search tensor against the scale in the units of a curvature
-        hi = np.max(np.abs(geom.jet.h_inv))
-        noise = np.ldexp(np.max(np.abs(gap.S)), gap.exp) <= 1e-12 * (geom.scale * hi) * hi
+        # is no quadratic form on bivectors
+        noise = np.max(np.abs(pair_symmetrized_ref(T))) <= 1e-12 * geom.scale
         assert converged or noise
         agree(value, Q(T, white, 2, pair=True, absolute=True), "max", "|K - K_D|")
         plane = Plane(x[:4], x[4:])
@@ -1034,6 +1032,20 @@ def test_newton_extremes_on_h_plus_flat_c_are_the_exact_n2_ones(name):
         pairs.append((max(gap, 0.0), chern_gap_probe(m3, [p3], samples=50, seed=k).max_gap))
         for want, got in pairs:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, k, want, got)
+
+
+def test_probe_searches_hopf_plus_flat_c_near_its_blowup():
+    # near z1 = 0 the hopf block's dh ~ |z|^-3 sets the point's scale while
+    # the flat block sets max|h_inv| = 1, so the gap tensor is judged in the
+    # chart frame: its O(1) hopf gap is no noise there, and the point is
+    # searched to the exact n = 2 value
+    source = catalog_source("hopf", 2)
+    m2, m3 = catalog_metric("hopf", 2), parse_metric("dim 3;" + source[len("dim 2;"):])
+    for z1 in (1e-3, 1e-2):
+        want = chern_gap_probe(m2, [ChartPoint(np.array([z1, 0j]))], samples=50)
+        rep = chern_gap_probe(m3, [ChartPoint(np.array([z1, 0j, 0.1]))], samples=50)
+        assert len(rep.searches) == 1, z1
+        assert abs(rep.max_gap - want.max_gap) <= 1e-12 * want.max_gap, (z1, rep.max_gap)
 
 
 def _fubini_study_ends(n: int) -> dict:

@@ -1125,19 +1125,11 @@ def test_module_entry_point_subprocess():
 
 def test_console_script_is_cli_main():
     # tier 1 runs from the source tree, so the installed script is checked
-    # through its declaration and the module's __main__ block
+    # through its declaration; test_module_entry_point_subprocess runs main
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
     with open(root / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["scripts"] == {"hermicurv": "hermicurv.cli:main"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hermicurv.cli", "classify", "--metric", "fubini_study",
-         "--point", FS_POINT],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert '"ok": true' in proc.stdout
 
 
 def test_parser_keeps_no_state_between_calls(capsys):

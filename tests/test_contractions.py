@@ -480,9 +480,10 @@ def test_search_tensors_are_read_in_the_search_frame():
     the real part of a frame read (_real_chern), directly or through a
     name or transpose bound to one; a chart tensor passed there would
     give wrong extremes without an error.  _Quartic is also the one place
-    in the package that averages a 4-tensor over slot swaps: the probe's
-    noise gate reads the _Quartic the point's search takes, so no second
-    copy of a search tensor is pair-symmetrized in another frame."""
+    in the package that averages a 4-tensor over slot swaps, and its
+    pair_symmetrized has one caller outside it: the probe's noise gate,
+    which judges the gap tensor in the chart frame, where the point's
+    scale bounds the rounding."""
     files = sorted(SRC.glob("*.py"))
     found = [(f.stem, name) for f in files
              for name in callers(f.read_text(), {"_each_slot"}, f.name)]
@@ -492,6 +493,9 @@ def test_search_tensors_are_read_in_the_search_frame():
     assert tensors and set(tensors) <= SEARCH_FRAME_READS, tensors
     found = [(f.stem, name) for f in files for name in slot_averages(f.read_text(), f.name)]
     assert found == [("analysis", "_Quartic")]
+    found = [(f.stem, name) for f in files
+             for name in callers(f.read_text(), {"pair_symmetrized"}, f.name)]
+    assert found == [("analysis", "_Quartic"), ("analysis", "chern_gap_probe")]
     source = ("q = _Quartic(_whitened(T, F), 0, 2, pair=True)\n"
               "def f(T):\n    return analysis._Quartic(T, 0, 1)\n"
               "def g(G):\n    K = _real_chern(G)\n"
