@@ -1,9 +1,9 @@
 """Curvature toolkit for Hermitian metrics given by closed-form entries.
 
-The package evaluates metric jets symbolically through a small expression
-language, assembles the Chern and Levi-Civita pictures of curvature on the
-underlying real manifold, and compares the two through sectional quantities,
-identity checks, and seeded numerical searches.
+The package evaluates metric jets by Taylor arithmetic on the tape of entries
+written in a small expression language, assembles the Chern and Levi-Civita
+pictures of curvature on the underlying real manifold, and compares the two
+through sectional quantities, identity checks, and seeded numerical searches.
 """
 
 __version__ = "0.1.0"

@@ -21,7 +21,9 @@ The plane problems of K and of the probe's |K - K_D| read the real T
 through the real form of F on every slot (_whitened); at every n the
 holomorphic ones read their complex tensor through F (_holomorphic): kr
 for B and H, and for H_R the real r on the (1, 0) vectors
-P^H[:, :n] F zeta.  At n = 2
+P^H[:, :n] F zeta.  The probe's noise gate and the bisectional W-form
+sign read tensors their searches hold: the gap tensor as built and the
+frame tensor of kr.  At n = 2
 every search is exact: one eigenvalue minimax (_minimax) per quadratic
 form on a small constraint set, each form one product with a constant
 map built at import.  The planes' _BIVECTOR form runs on the bivectors
@@ -173,17 +175,17 @@ def _hypotheses(kr: np.ndarray, S: np.ndarray, scale: float, draws):
     bisectional search share: classify's Kahler-like residual of kr, the
     defect of its swap of unbarred slots, whether it passes classify's
     rule (at most _CLASSIFY_TOL * scale, the point's PointGeometry.scale),
-    and the sign of Re _w_form on S = _unit_power(kr)[0].  kr is pair-Hermitian
+    and the sign of Re _w_form on S, kr rescaled in any complex frame (the
+    set of W = x e~ - e x~ is the same in every basis).  kr is pair-Hermitian
     bit for bit (curvature.chern_curvature), so the swap of barred slots
     has the same defect, conjugated and pair-swapped, and pair
     conjugation none.
 
-    At n = 2 the sign is exact: i W = i (x e~ - e x~) ranges over exactly
-    the Hermitian 2 x 2 matrices with det <= 0, so the W-form is kr's
-    _PAULI_MAP form, the map that also gives B and H (_holomorphic), on
-    the cone z _CONE z >= 0 of their Pauli coordinates z (_cone_sign).
-    Beyond, it is the _sign_label of the values on the pairs (X, E) that
-    draws() returns."""
+    At n = 2 the sign is exact: i W ranges over exactly the Hermitian
+    2 x 2 matrices with det <= 0, so the W-form is S's _PAULI_MAP form,
+    the map that also gives B and H, on the cone z _CONE z >= 0 of their
+    Pauli coordinates z (_cone_sign).  Beyond, it is the _sign_label of
+    the values on the pairs (X, E), in S's frame, that draws() returns."""
     residual = float(np.max(np.abs(kr - kr.transpose(2, 1, 0, 3))))
     if kr.shape[0] == 2:
         sign = _cone_sign(_formed(_PAULI_MAP, S))
@@ -340,17 +342,13 @@ class _Quartic:
         self.absolute = absolute
 
     @staticmethod
-    def pair_symmetrized(T: np.ndarray) -> np.ndarray:
-        """T averaged over swapping slots 1 and 4 and slots 2 and 3, which
-        leaves T(u, v, v, u) unchanged."""
-        return (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4
-
-    @classmethod
     @_in_range("curvature scale out of the floating-point range: the search's whitened "
                "tensor is not finite")
-    def _unit_tensor(cls, T: np.ndarray):
-        """(S, e): T pair-symmetrized, then rescaled by _unit_power."""
-        return _unit_power(cls.pair_symmetrized(T))
+    def _unit_tensor(T: np.ndarray):
+        """(S, e): T averaged over swapping slots 1 and 4 and slots 2 and 3,
+        which leaves T(u, v, v, u) unchanged, then rescaled by _unit_power."""
+        return _unit_power(
+            (T + T.transpose(3, 1, 2, 0) + T.transpose(0, 2, 1, 3) + T.transpose(3, 2, 1, 0)) / 4)
 
     # S with its slots reordered for the Hessian blocks: read only by
     # derivatives, so a problem an exact route solves never builds them
@@ -957,9 +955,9 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
     """Extremize B over pairs of h-unit vectors, against the H extremum.
 
     Applicability requires the curvature symmetry and a sign-definite
-    quadratic form, both checked by _hypotheses (exactly at n = 2, which
-    draws nothing; beyond on draws of its own), with the mode covered for
-    that sign.  The attainment statement
+    quadratic form, both checked by _hypotheses on the searches' frame
+    tensor (exactly at n = 2; beyond on draws of its own), with the mode
+    covered for that sign.  The attainment statement
     predicts the B extremum occurs at xi = eta (up to phase), which
     pair_alignment makes checkable.
     """
@@ -972,9 +970,8 @@ def extremal_bisectional(metric: MetricDefinition, p, mode: str = "max",
         return tuple(rng.standard_normal((1000, n)) + 1j * rng.standard_normal((1000, n))
                      for _ in range(2))
 
-    _, symmetric, hypothesis_sign = _hypotheses(kr, _unit_power(kr)[0], geom.scale, draws)
-
     G, e = form = _holomorphic(kr, geom.jet.frame)
+    _, symmetric, hypothesis_sign = _hypotheses(kr, G, geom.scale, draws)
     if n == 2:
         start, holo_found = _unit_extreme(form, mode)
         found = _finsler(form, mode, start)
@@ -1032,11 +1029,11 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
     search (_multistart) beyond.
     A metric with torsion-free canonical connection yields max_gap at
     rounding level, and its points skip the search, which would only
-    refine noise: those whose gap tensor, pair-symmetrized in the chart
-    frame, where scale bounds its rounding, is at most 1e-12 times the
-    point's PointGeometry.scale.  Only they are valued on samples drawn
-    planes.  A genuinely non-Kahler metric yields a witness gap bounded
-    away from zero.
+    refine noise: those whose gap tensor, as _gap_tensor builds it in the
+    chart frame, where scale bounds its rounding, has no |entry| above
+    1e-12 times the point's PointGeometry.scale.  Only they are valued on
+    samples drawn planes.  A genuinely non-Kahler metric yields a witness
+    gap bounded away from zero.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -1045,7 +1042,7 @@ def chern_gap_probe(metric: MetricDefinition, points, samples: int = 1000,
         geom = geometry_at(metric, p)
         T = _gap_tensor(geom.rc, geom.kr)
         q = _Quartic(_whitened(T, geom.jet.frame), 0, 2, pair=True, absolute=True)
-        if np.max(np.abs(_Quartic.pair_symmetrized(T))) <= 1e-12 * geom.scale:
+        if np.max(np.abs(T)) <= 1e-12 * geom.scale:
             sample = q.draw(np.random.default_rng(seed + k), samples)
             gaps = q.value(sample)
             point_best_x = sample[int(np.argmax(gaps))]

@@ -148,7 +148,7 @@ class RealMetricJet:
     that holds g, then dg[k], then d2g[k, l] row by row, the order of the
     Wirtinger jet.  g_inv, the block form of h_inv, is the inverse of g,
     since the block form is multiplicative; it is kept alongside for the
-    second-kind Christoffel symbols and real_curvature.
+    second-kind Christoffel symbols (connection.real_christoffel).
     """
 
     g: np.ndarray

@@ -101,11 +101,14 @@ def _draw_coords(rng, name, n: int) -> np.ndarray:
 
 def product_metric(parts) -> MetricDefinition:
     """The block-diagonal product h_1 + h_2 + ... of catalog metrics, for
-    parts a sequence of (name, n): each factor's source with its indices
-    and variables shifted past those of the factors before it."""
+    parts a sequence of (name, n) or (name, n, c): each factor's source,
+    every entry times c if given, with its indices and variables shifted
+    past those of the factors before it."""
     lines, offset = [], 0
-    for name, n in parts:
+    for name, n, *c in parts:
         body = field.catalog_source(name, n).split(";", 1)[1]
+        if c:
+            body = re.sub(r"= (.*);", rf"= {c[0]!r} * (\1);", body)
 
         def shifted(match, k=offset):
             return f"{match[1]}{int(match[2]) + k}"

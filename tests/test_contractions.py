@@ -325,10 +325,8 @@ def callers(source: str, names, filename: str = "<src>") -> list:
     """The outermost function or class around each call of a function
     named in names, in line order, None at module level."""
     tree = ast.parse(source, filename)
-    defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.ClassDef))]
-    lines = sorted(node.lineno for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and _called_name(node) in names)
-    return [next((f.name for f in defs if f.lineno <= k <= f.end_lineno), None) for k in lines]
+    return _enclosing(tree, [node.lineno for node in ast.walk(tree)
+                             if isinstance(node, ast.Call) and _called_name(node) in names])
 
 
 # The calls that would factor a matrix a second time: field._checked_inverse
@@ -436,13 +434,24 @@ def quartic_tensors(source: str, filename: str = "<src>") -> list:
     return [name for _, name in sorted(found)]
 
 
-def slot_averages(source: str, filename: str = "<src>") -> list:
-    """The outermost function or class around each average of a 4-tensor
-    over slot swaps, in line order, None at module level: a sum of one
-    operand and its four-axis transposes, all added, then divided or
-    multiplied by something."""
-    tree = ast.parse(source, filename)
+def _enclosing(tree, lines, innermost: bool = False) -> list:
+    """The outermost (or innermost) function or class around each line,
+    in line order, None at module level."""
     defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.ClassDef))]
+    found = []
+    for k in sorted(lines):
+        around = [f for f in defs if f.lineno <= k <= f.end_lineno]
+        found.append(max(around, key=lambda f: f.lineno).name if innermost and around
+                     else next((f.name for f in around), None))
+    return found
+
+
+def slot_averages(source: str, filename: str = "<src>", innermost: bool = False) -> list:
+    """The outermost (or innermost) function or class around each average
+    of a 4-tensor over slot swaps, in line order, None at module level: a
+    sum of one operand and its four-axis transposes, all added, then
+    divided or multiplied by something."""
+    tree = ast.parse(source, filename)
 
     def terms(node):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
@@ -463,8 +472,17 @@ def slot_averages(source: str, filename: str = "<src>") -> list:
                 read = [swapped(t) for t in terms(side)]
                 if len(read) > 1 and len({x for x, _ in read}) == 1 and any(s for _, s in read):
                     lines.append(node.lineno)
-    return [next((f.name for f in defs if f.lineno <= k <= f.end_lineno), None)
-            for k in sorted(lines)]
+    return _enclosing(tree, lines, innermost)
+
+
+def readers(source: str, names, filename: str = "<src>") -> list:
+    """The outermost function or class around each read of a name in
+    names, as a name or an attribute, in line order, None at module
+    level."""
+    tree = ast.parse(source, filename)
+    return _enclosing(tree, [node.lineno for node in ast.walk(tree)
+                             if isinstance(node, ast.Name) and node.id in names
+                             or isinstance(node, ast.Attribute) and node.attr in names])
 
 
 # The reads that give a tensor in the search frame
@@ -480,10 +498,10 @@ def test_search_tensors_are_read_in_the_search_frame():
     the real part of a frame read (_real_chern), directly or through a
     name or transpose bound to one; a chart tensor passed there would
     give wrong extremes without an error.  _Quartic is also the one place
-    in the package that averages a 4-tensor over slot swaps, and its
-    pair_symmetrized has one caller outside it: the probe's noise gate,
-    which judges the gap tensor in the chart frame, where the point's
-    scale bounds the rounding."""
+    in the package that averages a 4-tensor over slot swaps, in its
+    _unit_tensor, and no code outside _Quartic reads that symmetrizer:
+    the probe's noise gate judges the gap tensor as _gap_tensor builds it,
+    in the chart frame, where the point's scale bounds the rounding."""
     files = sorted(SRC.glob("*.py"))
     found = [(f.stem, name) for f in files
              for name in callers(f.read_text(), {"_each_slot"}, f.name)]
@@ -493,9 +511,11 @@ def test_search_tensors_are_read_in_the_search_frame():
     assert tensors and set(tensors) <= SEARCH_FRAME_READS, tensors
     found = [(f.stem, name) for f in files for name in slot_averages(f.read_text(), f.name)]
     assert found == [("analysis", "_Quartic")]
-    found = [(f.stem, name) for f in files
-             for name in callers(f.read_text(), {"pair_symmetrized"}, f.name)]
-    assert found == [("analysis", "_Quartic"), ("analysis", "chern_gap_probe")]
+    symmetrizers = {name for f in files
+                    for name in slot_averages(f.read_text(), f.name, innermost=True)}
+    assert symmetrizers == {"_unit_tensor"}
+    found = [(f.stem, name) for f in files for name in readers(f.read_text(), symmetrizers, f.name)]
+    assert found == [("analysis", "_Quartic")]
     source = ("q = _Quartic(_whitened(T, F), 0, 2, pair=True)\n"
               "def f(T):\n    return analysis._Quartic(T, 0, 1)\n"
               "def g(G):\n    K = _real_chern(G)\n"
@@ -516,6 +536,11 @@ def test_search_tensors_are_read_in_the_search_frame():
               "    return (T + T) / 2, K + K.transpose(1, 0, 3, 2)\n"
               "x = (T + T.transpose(3, 2, 1, 0)) / 2\n")
     assert slot_averages(source) == ["_Quartic", "_pair_symmetrized", "probe", None]
+    assert slot_averages(source, innermost=True) == ["u", "_pair_symmetrized", "probe", None]
+    source = ("class _Quartic:\n    def __init__(self, T):\n        self.S = self.u(T)\n"
+              "    def u(T):\n        return T\n"
+              "def probe(T):\n    return _Quartic.u(T)\nf = u\n")
+    assert readers(source, {"u"}) == ["_Quartic", "probe", None]
 
 
 # The joins that could write the block form [[Re M, Im M], [-Im M, Re M]]

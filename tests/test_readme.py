@@ -1,6 +1,8 @@
-"""The README stays true: its library quick start runs as written, and the
-numbers its CLI quick start quotes match a fresh run, so a renamed public
-name or a changed result fails here instead of leaving the docs stale."""
+"""The README stays true: its library quick start runs as written, the
+numbers its CLI quick start quotes match a fresh run, and its CLI
+reference names each command's own flags and defaults, so a renamed
+public name, a changed result or a changed flag fails here instead of
+leaving the docs stale."""
 
 import json
 import re
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from hermicurv.cli import run_main
+from test_cli import COMMAND_OPTIONS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -65,3 +68,25 @@ def test_cli_quick_start_values_match_a_fresh_run(capsys):
             assert got_result[key] == pytest.approx(value, rel=1e-12, abs=0), key
         else:
             assert got_result[key] == value, key
+
+
+def _own_flags(text):
+    """{command: {flag: default}} from the CLI reference's table of each
+    command's own flags: `--flag value` gives its default, read as an int
+    where it is one, and a repeatable flag defaults to []."""
+    start = text.index("| its own flags and their defaults ")
+    rows = text[start:text.index("\n\n", start)]
+    table = {}
+    for command, cell in re.findall(r"^\| `([\w-]+)` +\| (.*?) +\|$", rows, re.M):
+        flags = {}
+        for flag, value, note in re.findall(r"`(--[\w-]+) ?([^`]*)`( \(repeatable)?", cell):
+            flags[flag] = [] if note else int(value) if value.isdigit() else value
+        assert flags or cell == "none", command
+        table[command] = flags
+    return table
+
+
+def test_cli_reference_names_each_commands_flags_and_defaults():
+    assert _own_flags(_section("CLI reference")) == COMMAND_OPTIONS
+    edited = _section("CLI reference").replace("`--samples 10`", "`--samples 11`")
+    assert _own_flags(edited) != COMMAND_OPTIONS
